@@ -6,7 +6,7 @@ invoke, format a report.  Exit codes follow one convention throughout:
 (refutation, refusal, absence), 2 for unusable input or usage errors.
 
 Reports are plain text by default; `--output json` switches to a stable
-schema {"command", "checks": [{"name", "verdict", "witness"}], "seed",
+schema {"command", "checks": [{"name", "verdict", "witness"}],
 "elapsed_ms"} that is byte-identical across runs except for the timing
 field.
 """
@@ -67,7 +67,6 @@ def _emit_report(args, command: str, checks: list[Check], code: int, started: fl
         report = {
             "command": command,
             "checks": [{"name": c.name, "verdict": c.verdict, "witness": c.witness} for c in checks],
-            "seed": args.seed,
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
         }
         print(json.dumps(report, indent=2))
@@ -84,8 +83,6 @@ def _emit_report(args, command: str, checks: list[Check], code: int, started: fl
         elif isinstance(c.witness, dict):
             for k, v in c.witness.items():
                 print(f"  {k}: {v if isinstance(v, str) else json.dumps(v)}")
-    if args.seed is not None:
-        print(f"seed: {args.seed}")
     return code
 
 
@@ -211,7 +208,7 @@ def cmd_psl_check(args, started: float) -> int:
     if isinstance(result, semilat.Refusal):
         witness = {"reason": result.reason, "detail": list(result.detail or ())}
         return _emit_report(args, "psl check", [Check("partial semilattice", "refused", witness)], 1, started)
-    witness = {"ambient_size": result.ambient.size, "embedding": list(result.embedding)}
+    witness = {"ambient_size": 2**s.size, "embedding": list(result.embedding)}
     return _emit_report(args, "psl check", [Check("partial semilattice", "pass", witness)], 0, started)
 
 
@@ -403,8 +400,6 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--limit", type=int, default=0)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
 
     parser = argparse.ArgumentParser(prog="hmkit", description=__doc__.splitlines()[0])
@@ -447,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--nonconstant", action="store_true")
+    p.add_argument("--limit", type=int, default=0)
     p.set_defaults(func=cmd_hom_find)
     p = hom.add_parser("count", parents=[common])
     p.add_argument("source")

@@ -3,27 +3,25 @@
 A structure with one ternary relation is treated as the graph of a partial
 binary meet: a triple (a, b, c) asserts that a meet b is defined and equals
 c.  Recognition decides whether some total meet semilattice extends the
-partial operation; the freest candidate (non-empty subsets of the universe
-under union, modulo the generated congruence) settles the question.
+partial operation.  Horn closure finds, for each element, the elements
+above it in the freest extension; that settles the question in polynomial
+time, and an accepted relation is embedded into the subsets of its
+universe under union, one bitmask per element.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .structures import (
     Homomorphism,
     Relation,
     RelationalStructure,
-    SizeLimitExceeded,
     StructureError,
     product,
 )
 from .homsearch import OperationTable
-
-DEFAULT_UNIVERSE_BOUND = 12
 
 
 class DecompositionError(StructureError):
@@ -85,13 +83,12 @@ def largest_element(s: RelationalStructure) -> int | None:
 
 @dataclass(frozen=True)
 class PartialSemilatticeWitness:
-    """A total meet semilattice extending the partial one.
+    """An embedding of the partial meet into (subsets of {0..n-1}, union).
 
-    ambient is a binary operation table on an extended universe; embedding
-    sends each original element to its ambient image.
+    embedding[x] is a bitmask; embedding[a] | embedding[b] == embedding[c]
+    for every triple (a, b, c).  The ambient semilattice has 2**n elements.
     """
 
-    ambient: OperationTable
     embedding: tuple[int, ...]
 
 
@@ -102,53 +99,78 @@ class Refusal:
 
 
 def verify_witness(s: RelationalStructure, w: PartialSemilatticeWitness) -> None:
-    """Re-check the witness invariants by enumeration; raise on any failure."""
-    k = w.ambient.size
-    if w.ambient.arity != 2:
-        raise StructureError("ambient operation must be binary")
-    if len(set(w.embedding)) != s.size:
+    """Re-check the witness in full; raise StructureError on any failure.
+
+    The ambient (subsets under union) is a semilattice by construction, so
+    what is checked is that the embedding is an injective map into it that
+    realizes every triple.
+    """
+    n = s.size
+    h = w.embedding
+    if len(h) != n:
+        raise StructureError(f"embedding has {len(h)} values for {n} elements")
+    if len(set(h)) != n:
         raise StructureError("embedding is not injective")
-    for v in w.embedding:
-        if not (0 <= v < k):
+    for v in h:
+        if not (0 <= v < 1 << n):
             raise StructureError("embedding value outside ambient universe")
-    m = w.ambient.apply
-    for x in range(k):
-        if m(x, x) != x:
-            raise StructureError(f"ambient not idempotent at {x}")
-    # commutativity and associativity are cubic in k; guard for the rare
-    # large quotient (the construction guarantees both regardless)
-    if k <= 256:
-        for x in range(k):
-            for y in range(k):
-                if m(x, y) != m(y, x):
-                    raise StructureError(f"ambient not commutative at ({x},{y})")
-        if k <= 64:
-            for x in range(k):
-                for y in range(k):
-                    for z in range(k):
-                        if m(m(x, y), z) != m(x, m(y, z)):
-                            raise StructureError(f"ambient not associative at ({x},{y},{z})")
-    rel = single_ternary_relation(s)
-    for a, b, c in rel.sorted_tuples():
-        if m(w.embedding[a], w.embedding[b]) != w.embedding[c]:
+    for a, b, c in single_ternary_relation(s).sorted_tuples():
+        if h[a] | h[b] != h[c]:
             raise StructureError(f"witness does not realize triple ({a},{b},{c})")
 
 
-def is_partial_semilattice(
-    s: RelationalStructure, bound: int = DEFAULT_UNIVERSE_BOUND
-) -> PartialSemilatticeWitness | Refusal:
+def _closures(n: int, defined: dict[tuple[int, int], int]) -> list[bytearray]:
+    """cl(k) for each k, as a membership array, under {a,b} -> c, c -> a, c -> b.
+
+    Forward chaining: one missing-premise counter per two-premise rule and
+    an explicit stack, so each closure costs O(n + number of rules).  A
+    rule {a,a} -> c watches a twice, so its counter still runs from 2 to 0.
+    """
+    heads = list(defined.values())
+    watching: list[list[int]] = [[] for _ in range(n)]
+    implied: list[list[int]] = [[] for _ in range(n)]
+    for r, ((a, b), c) in enumerate(defined.items()):
+        watching[a].append(r)
+        watching[b].append(r)
+        implied[c] += (a, b)
+
+    closures = []
+    for k in range(n):
+        missing = [2] * len(heads)
+        closed = bytearray(n)
+        closed[k] = 1
+        stack = [k]
+        while stack:
+            x = stack.pop()
+            for y in implied[x]:
+                if not closed[y]:
+                    closed[y] = 1
+                    stack.append(y)
+            for r in watching[x]:
+                missing[r] -= 1
+                if not missing[r] and not closed[heads[r]]:
+                    closed[heads[r]] = 1
+                    stack.append(heads[r])
+        closures.append(closed)
+    return closures
+
+
+def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness | Refusal:
     """Decide whether s is a partial semilattice; witness or refusal.
 
-    Requires reflexivity and functionality, then asks whether the freest
-    extension separates the original elements: take all non-empty subsets
-    of the universe under union, generate the congruence identifying
-    {a} u {b} with {c} for each triple (a,b,c), and accept iff no two
-    singletons merge.  The quotient is the ambient witness.
+    Requires reflexivity and functionality.  The freest semilattice
+    extending the triples is then the lattice of closed sets of the Horn
+    rules {a,b} -> c, c -> a and c -> b, one group per triple (a,b,c): the
+    closure cl(k) of {k} holds the elements above k.  Two elements merge
+    iff each lies in the other's closure, and the first such pair i < j is
+    refused.  Otherwise h(x) = {k : x not in cl(k)}, as a bitmask, embeds s
+    into (subsets of {0..n-1}, union): c lies in a closed set iff a and b
+    both do, so h(c) = h(a) | h(b).  Forward chaining (Dowling and Gallier,
+    1984) makes the whole decision O(n * (n + m)) for m triples, with no
+    cap on n.
     """
     rel = single_ternary_relation(s)
     n = s.size
-    if n > bound:
-        raise SizeLimitExceeded(f"universe size {n} exceeds bound {bound}")
     if n == 0:
         raise StructureError("empty universe")
 
@@ -161,55 +183,14 @@ def is_partial_semilattice(
             return Refusal("not functional", (a, b, defined[(a, b)], c))
         defined[(a, b)] = c
 
-    full = (1 << n) - 1
-    parent = list(range(full + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # worklist congruence generation: each union (x,y) re-seeds the
-    # substitution pairs (x|C, y|C) for every mask C
-    queue: deque[tuple[int, int]] = deque()
-    for (a, b), c in sorted(defined.items()):
-        queue.append(((1 << a) | (1 << b), 1 << c))
-    while queue:
-        x, y = queue.popleft()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        for c in range(1, full + 1):
-            if x | c != y | c:
-                queue.append((x | c, y | c))
-
-    roots = [find(1 << a) for a in range(n)]
+    cl = _closures(n, defined)
     for i in range(n):
         for j in range(i + 1, n):
-            if roots[i] == roots[j]:
+            if cl[i][j] and cl[j][i]:
                 return Refusal("congruence merges elements", (i, j))
 
-    # quotient semilattice: classes ordered by their minimal member mask
-    rep: dict[int, int] = {}
-    for mask in range(1, full + 1):
-        r = find(mask)
-        if r not in rep or mask < rep[r]:
-            rep[r] = mask
-    ordered_roots = sorted(rep, key=lambda r: rep[r])
-    class_index = {r: i for i, r in enumerate(ordered_roots)}
-    k = len(ordered_roots)
-
-    values = []
-    for r1 in ordered_roots:
-        for r2 in ordered_roots:
-            values.append(class_index[find(rep[r1] | rep[r2])])
-    ambient = OperationTable(2, k, tuple(values))
-    embedding = tuple(class_index[find(1 << a)] for a in range(n))
-    witness = PartialSemilatticeWitness(ambient, embedding)
+    embedding = tuple(sum(1 << k for k in range(n) if not cl[k][x]) for x in range(n))
+    witness = PartialSemilatticeWitness(embedding)
     verify_witness(s, witness)
     return witness
 

@@ -10,7 +10,7 @@ from hmkit.gadget import (
     y_structure,
 )
 from hmkit.homsearch import find_homs
-from hmkit.semilat import is_partial_semilattice, largest_element, meet_lookup
+from hmkit.semilat import is_partial_semilattice, largest_element, meet_lookup, verify_witness
 from hmkit.structures import (
     Relation,
     RelationalStructure,
@@ -31,7 +31,9 @@ def test_y_structure_shape():
     assert meet_lookup(y, 1, 2) == 3
     assert meet_lookup(y, 1, 3) == 3
     assert all(meet_lookup(y, 0, v) == 0 for v in range(4))
-    assert is_partial_semilattice(y).embedding == (0, 1, 2, 3)
+    w = is_partial_semilattice(y)
+    verify_witness(y, w)
+    assert len(set(w.embedding)) == 4
     assert largest_element(y) is None  # two maximal elements
 
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
@@ -20,7 +22,6 @@ from hmkit.structures import (
     Homomorphism,
     Relation,
     RelationalStructure,
-    SizeLimitExceeded,
     StructureError,
     product,
 )
@@ -28,6 +29,83 @@ from hmkit.structures import (
 
 def reflexive_triples(n):
     return {(a, a, a) for a in range(n)}
+
+
+def ternary(n, triples):
+    return RelationalStructure(n, {"R": Relation(3, frozenset(triples))})
+
+
+def congruence_reference(s):
+    """Reference decision by the 2^n congruence; True or the Refusal.
+
+    Takes the non-empty subsets of the universe under union, generates the
+    congruence identifying {a} u {b} with {c} for each triple (a,b,c), and
+    accepts iff no two singletons merge.  Exponential; small n only.
+    """
+    rel = single_ternary_relation(s)
+    n = s.size
+    for a in range(n):
+        if (a, a, a) not in rel.tuples:
+            return Refusal("not reflexive", (a,))
+    defined = {}
+    for a, b, c in rel.sorted_tuples():
+        if (a, b) in defined and defined[(a, b)] != c:
+            return Refusal("not functional", (a, b, defined[(a, b)], c))
+        defined[(a, b)] = c
+
+    full = (1 << n) - 1
+    parent = list(range(full + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue = deque(((1 << a) | (1 << b), 1 << c) for (a, b), c in sorted(defined.items()))
+    while queue:
+        x, y = queue.popleft()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        for c in range(1, full + 1):
+            if x | c != y | c:
+                queue.append((x | c, y | c))
+
+    roots = [find(1 << a) for a in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if roots[i] == roots[j]:
+                return Refusal("congruence merges elements", (i, j))
+    return True
+
+
+def random_relation(rng):
+    """A relation on at most 7 points: often a meet fragment, often not.
+
+    Fragments come from random subsets of {0..3} under intersection; the
+    rest are random triples.  Either kind may lose a loop or gain a
+    conflicting triple.
+    """
+    n = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        sets = [rng.randrange(16) for _ in range(n)]
+        triples = {
+            (a, b, sets.index(sets[a] & sets[b]))
+            for a in range(n)
+            for b in range(n)
+            if sets[a] & sets[b] in sets and rng.random() < 0.7
+        }
+    else:
+        density = rng.choice((0.1, 0.3, 0.6))
+        triples = {(a, b, rng.randrange(n)) for a in range(n) for b in range(n) if a != b and rng.random() < density}
+    triples |= reflexive_triples(n)
+    if rng.random() < 0.1:
+        triples.discard((a := rng.randrange(n), a, a))
+    if rng.random() < 0.1:
+        triples.add((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+    return ternary(n, triples)
 
 
 def test_single_ternary_relation(S):
@@ -89,7 +167,6 @@ def test_is_partial_semilattice_accepts_incomparable_pair():
     w = is_partial_semilattice(pair)
     assert isinstance(w, PartialSemilatticeWitness)
     # the ambient semilattice must supply the missing meet
-    assert w.ambient.size == 3
     assert len(set(w.embedding)) == 2
     verify_witness(pair, w)
 
@@ -113,11 +190,54 @@ def test_is_partial_semilattice_refusals():
     assert isinstance(r, Refusal) and r.reason == "congruence merges elements"
 
 
-def test_is_partial_semilattice_size_bound():
-    big = RelationalStructure(13, {"R": Relation(3, frozenset(reflexive_triples(13)))})
-    with pytest.raises(SizeLimitExceeded):
-        is_partial_semilattice(big)
-    assert isinstance(is_partial_semilattice(big, bound=13), PartialSemilatticeWitness)
+def test_is_partial_semilattice_has_no_size_cap():
+    antichain = ternary(13, reflexive_triples(13))
+    w = is_partial_semilattice(antichain)
+    assert isinstance(w, PartialSemilatticeWitness)
+    verify_witness(antichain, w)
+
+    chain = ternary(150, {(a, b, min(a, b)) for a in range(150) for b in range(150)})
+    assert isinstance(is_partial_semilattice(chain), PartialSemilatticeWitness)
+
+    # 40 <= 41 <= ... <= 97 <= 40 collapses the whole stretch; (40, 41) is first
+    cycle = reflexive_triples(150) | {(i, i + 1, i) for i in range(40, 97)} | {(97, 40, 97)}
+    assert is_partial_semilattice(ternary(150, cycle)) == Refusal("congruence merges elements", (40, 41))
+
+
+def test_is_partial_semilattice_matches_congruence_oracle():
+    rng = random.Random(2024)
+    verdicts = {}
+    for _ in range(2000):
+        s = random_relation(rng)
+        expected = congruence_reference(s)
+        got = is_partial_semilattice(s)
+        if expected is True:
+            assert isinstance(got, PartialSemilatticeWitness)
+            verify_witness(s, got)
+        else:
+            assert got == expected
+        key = "accepted" if expected is True else expected.reason
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert min(verdicts.get(k, 0) for k in (
+        "accepted", "not reflexive", "not functional", "congruence merges elements"
+    )) >= 100, verdicts
+
+
+def test_verify_witness_rejects_bad_embeddings(chain3):
+    w = is_partial_semilattice(chain3)
+    verify_witness(chain3, w)
+    h = list(w.embedding)
+    with pytest.raises(StructureError, match="not injective"):
+        verify_witness(chain3, PartialSemilatticeWitness((h[0], h[0], h[2])))
+    with pytest.raises(StructureError, match="outside ambient"):
+        verify_witness(chain3, PartialSemilatticeWitness((h[0], h[1], 1 << 3)))
+    with pytest.raises(StructureError, match="outside ambient"):
+        verify_witness(chain3, PartialSemilatticeWitness((-1, h[1], h[2])))
+    # 0 lies below 1, so h(1) is inside h(0); dropping it breaks 0 meet 1 = 0
+    tampered = (h[0] ^ h[1], h[1], h[2])
+    assert len(set(tampered)) == 3
+    with pytest.raises(StructureError, match=r"does not realize triple \(0,1,0\)"):
+        verify_witness(chain3, PartialSemilatticeWitness(tampered))
 
 
 def test_is_partial_semilattice_empty_universe():
