@@ -8,14 +8,20 @@ homomorphisms into the two-element semilattice structure; collapse maps
 every element to its tuple of homomorphism values, landing in a disjoint
 union of semilattice powers.  Verification routines then machine-check the
 structural facts the construction is designed around.
+
+The free algebra, the free structure's triples and the unary term
+operations are subpower closures computed by one semi-naive engine,
+`_close`; `max_tuples` bounds the elements each closure finds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from .homsearch import (
     OperationTable,
@@ -145,22 +151,77 @@ class FreeAlgebra:
 
     base: FiniteAlgebra
     num_generators: int
-    algebra: FiniteAlgebra  # induced tables on the closure elements
+    algebra: FiniteAlgebra  # induced tables on the closure elements, term names as labels
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...]
     derivations: tuple[tuple, ...]  # ("var", j) or (symbol, arg element ids)
+    index: Mapping[tuple[int, ...], int] = field(compare=False, repr=False)  # element -> id
 
     def term_name(self, element: int) -> str:
-        names = variable_names(self.num_generators)
+        return self.algebra.labels[element]
 
-        def build(e: int) -> str:
-            d = self.derivations[e]
-            if d[0] == "var":
-                return names[d[1]]
-            sym, args = d
-            return f"{sym}({','.join(build(a) for a in args)})"
 
-        return build(element)
+def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int):
+    """Apply `table` coordinatewise to every argument tuple over range(new)
+    that holds an id >= old, in lexicographic order.
+
+    Yields (prefix, first, batch): batch[i] is the value at the arguments
+    prefix + (first + i,).  A constant's empty argument tuple yields
+    ((), 0, [value]), and only when old == 0.
+    """
+    m, n, values = table.arity, table.size, table.values
+    if m == 0:
+        if old == 0:
+            yield (), 0, [(values[0],) * len(elements[0])]
+        return
+    columns = list(zip(*elements[:new]))
+    for prefix in itertools.product(range(new), repeat=m - 1):
+        # per coordinate, the flat table index of the prefix with a zero last argument
+        offset = [0] * len(columns)
+        for e in prefix:
+            offset = [(o + v) * n for o, v in zip(offset, elements[e])]
+        first = 0 if prefix and max(prefix) >= old else old
+        rows = [values[o : o + n].__getitem__ for o in offset]
+        yield prefix, first, list(zip(*map(map, rows, (col[first:new] for col in columns))))
+
+
+def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int) -> tuple[list, list, dict]:
+    """Closure of equal-width seed tuples under the coordinatewise basic operations.
+
+    Semi-naive rounds: a round evaluates only the argument tuples that hold
+    an element found in the previous round, as the rest give nothing new, so
+    ids and first derivations are those of full rounds over sorted symbols
+    and lexicographic tuples.  Returns the elements, their derivations
+    (("var", j) for seed j, else (symbol, smaller argument ids)) and the
+    element -> id index.  Raises SizeLimitExceeded past max_elements elements.
+    """
+    elements: list[tuple[int, ...]] = []
+    derivations: list[tuple] = []
+    index: dict[tuple[int, ...], int] = {}
+
+    def add(t: tuple[int, ...], derivation: tuple) -> None:
+        if len(elements) >= max_elements:
+            raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
+        index[t] = len(elements)
+        elements.append(t)
+        derivations.append(derivation)
+
+    for j, seed in enumerate(seeds):
+        if seed not in index:
+            add(seed, ("var", j))
+    old = 0
+    while old < len(elements):
+        new = len(elements)
+        for sym in algebra.symbols():
+            table = algebra.operations[sym]
+            for prefix, first, batch in _batches(table, elements, old, new):
+                # positions of unseen values, tested lazily: a value repeated
+                # within the batch is seen once its first occurrence is added
+                unseen = map(operator.not_, map(index.__contains__, batch))
+                for i in itertools.compress(itertools.count(), unseen):
+                    add(batch[i], (sym, prefix + (first + i,) if table.arity else ()))
+        old = new
+    return elements, derivations, index
 
 
 def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeAlgebra:
@@ -169,95 +230,30 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
         raise StructureError(f"need at least one generator, got {k}")
     if a.size < 1:
         raise StructureError("empty universe")
-    coords = a.size**k
-    if a.size**coords > max_tuples and coords > 20:
-        raise SizeLimitExceeded(f"tuple space {a.size}^{coords} exceeds bound {max_tuples}")
-
     assignments = list(itertools.product(range(a.size), repeat=k))
-    elements: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    derivations: list[tuple] = []
-
-    def intern(t: tuple[int, ...], derivation: tuple) -> int:
-        if t in index:
-            return index[t]
-        index[t] = len(elements)
-        elements.append(t)
-        derivations.append(derivation)
-        return index[t]
-
-    for j in range(k):
-        intern(tuple(assign[j] for assign in assignments), ("var", j))
-    generators = tuple(index[tuple(assign[j] for assign in assignments)] for j in range(k))
-
-    # rounds of pointwise applications until nothing new appears
-    while True:
-        size_before = len(elements)
-        snapshot = list(range(size_before))
-        for sym in a.symbols():
-            table = a.operations[sym]
-            for args in itertools.product(snapshot, repeat=table.arity):
-                value = tuple(
-                    table.apply(*(elements[e][c] for e in args)) for c in range(coords)
-                )
-                intern(value, (sym, args))
-        if len(elements) == size_before:
-            break
-        if len(elements) > max_tuples:
-            raise SizeLimitExceeded(f"free algebra exceeded {max_tuples} elements")
+    projections = [tuple(assign[j] for assign in assignments) for j in range(k)]
+    elements, derivations, index = _close(projections, a, max_tuples)
 
     n = len(elements)
     tables = {}
     for sym in a.symbols():
-        base_table = a.operations[sym]
-        values = []
-        for args in itertools.product(range(n), repeat=base_table.arity):
-            value = tuple(
-                base_table.apply(*(elements[e][c] for e in args)) for c in range(coords)
-            )
-            values.append(index[value])
-        tables[sym] = OperationTable(base_table.arity, n, tuple(values))
-
-    free = FreeAlgebra(
+        table = a.operations[sym]
+        batches = _batches(table, elements, 0, n)
+        tables[sym] = OperationTable(table.arity, n, tuple(index[v] for _, _, batch in batches for v in batch))
+    # term names in one pass: derivation arguments have smaller ids
+    names = variable_names(k)
+    labels: list[str] = []
+    for sym, arg in derivations:
+        labels.append(names[arg] if sym == "var" else f"{sym}({','.join(labels[e] for e in arg)})")
+    return FreeAlgebra(
         base=a,
         num_generators=k,
-        algebra=FiniteAlgebra(n, tables),
+        algebra=FiniteAlgebra(n, tables, tuple(labels)),
         elements=tuple(elements),
-        generators=generators,
+        generators=tuple(index[p] for p in projections),
         derivations=tuple(derivations),
+        index=index,
     )
-    named = FiniteAlgebra(n, tables, tuple(free.term_name(i) for i in range(n)))
-    return FreeAlgebra(a, k, named, tuple(elements), generators, tuple(derivations))
-
-
-def _close_tuples(
-    seeds: list[tuple[int, ...]], algebra: FiniteAlgebra, max_tuples: int
-) -> list[tuple[int, ...]]:
-    """Closure of id-tuples under coordinatewise basic operations."""
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    width = len(seeds[0])
-    while True:
-        size_before = len(out)
-        snapshot = list(out)
-        for sym in algebra.symbols():
-            table = algebra.operations[sym]
-            for args in itertools.product(range(len(snapshot)), repeat=table.arity):
-                value = tuple(
-                    table.apply(*(snapshot[e][c] for e in args)) for c in range(width)
-                )
-                if value not in seen:
-                    seen.add(value)
-                    out.append(value)
-        if len(out) == size_before:
-            break
-        if len(out) > max_tuples:
-            raise SizeLimitExceeded(f"closure exceeded {max_tuples} tuples")
-    return out
 
 
 @dataclass(frozen=True)
@@ -333,8 +329,8 @@ def apply_unary(bundle: FreeBundle, u: int, element: int) -> int:
     umap = bundle.unary_ops[u]
     value = tuple(umap[v] for v in bundle.free.elements[element])
     try:
-        return bundle.free.elements.index(value)
-    except ValueError:
+        return bundle.free.index[value]
+    except KeyError:
         raise StructureError("free algebra is not closed under a unary term operation") from None
 
 
@@ -344,18 +340,15 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
     x, y = free.generators[0], free.generators[1]
 
     seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-    triples = _close_tuples(seeds, free.algebra, max_tuples)
+    triples = _close(seeds, free.algebra, max_tuples)[0]
     structure = RelationalStructure(
         free.algebra.size,
         {RELATION_SYMBOL: Relation(3, frozenset(triples))},
-        tuple(free.term_name(i) for i in range(free.algebra.size)),
+        free.algebra.labels,
     )
 
-    identity = tuple(range(a.size))
-    unary_ops = tuple(_close_tuples([identity], a, max_tuples))
-
-    unary_index = {u: i for i, u in enumerate(unary_ops)}
-    coords = a.size**2
+    # the unary term operations: the elements of the rank-1 free algebra
+    unary_ops, _, unary_index = _close([tuple(range(a.size))], a, max_tuples)
     component_of = []
     for e in range(free.algebra.size):
         diag = tuple(free.elements[e][b * a.size + b] for b in range(a.size))
@@ -370,7 +363,7 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
         y=y,
         structure=structure,
         semilattice=two_element_semilattice(RELATION_SYMBOL),
-        unary_ops=unary_ops,
+        unary_ops=tuple(unary_ops),
         component_of=tuple(component_of),
     )
 
@@ -872,16 +865,16 @@ def default_evidence_arity(a: FiniteAlgebra) -> int:
 
 
 def _refute_labeling(
-    a: FiniteAlgebra, labeling: SLLabeling, max_arity: int, max_tuples: int
+    labeling: SLLabeling, max_arity: int, free_at: Callable[[int], FreeAlgebra]
 ) -> LabelingRefutation | None:
     """Search free algebras of growing rank for an identity the labeling breaks.
 
     Every element tracks the variable sets achievable by its term
     representations under the labeling; two distinct sets on one element
-    give a violated identity.
+    give a violated identity.  free_at(j) gives the rank-j free algebra.
     """
     for j in range(1, max_arity + 1):
-        free = free_algebra(a, j, max_tuples)
+        free = free_at(j)
         names = variable_names(j)
         rep = [None] * free.algebra.size
 
@@ -902,7 +895,7 @@ def _refute_labeling(
         while changed:
             changed = False
             known = [e for e in range(free.algebra.size) if varsets[e]]
-            for sym in sorted(a.operations):
+            for sym in free.algebra.symbols():
                 table = free.algebra.operations[sym]
                 coords = labeling.sigma[sym]
                 for args in itertools.product(known, repeat=table.arity):
@@ -945,9 +938,11 @@ def hm_evidence(
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
     declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
+    # one free algebra per rank, built on first use: a size bound is hit only at a rank the search reaches
+    free_at = functools.cache(lambda j: free_algebra(a, j, max_tuples))
     refutations = []
     for labeling in all_labelings(declarations):
-        refutation = _refute_labeling(a, labeling, m, max_tuples)
+        refutation = _refute_labeling(labeling, m, free_at)
         if refutation is None:
             return ConsistentLabelingFound(labeling, m)
         refutations.append(refutation)

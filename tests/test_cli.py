@@ -315,6 +315,17 @@ def test_free_build_full_verification(capsys, algebra_file, meet_algebra):
     assert all(c["verdict"] == "pass" for c in report["checks"])
 
 
+def test_free_build_size_bound_is_exit_2(capsys, algebra_file, meet_algebra):
+    path = algebra_file(meet_algebra)
+    # the rank-2 free semilattice has 3 elements
+    code, out, err = run(capsys, "free", "build", "--algebra", path, "--max-tuples", "2")
+    assert code == 2 and out == ""
+    assert "exceeded 2 elements" in err
+    # its free structure has 10 triples
+    assert run(capsys, "free", "build", "--algebra", path, "--max-tuples", "9")[0] == 2
+    assert run(capsys, "free", "build", "--algebra", path, "--max-tuples", "10")[0] == 0
+
+
 def test_free_build_absent_hypothesis_still_exits_0(capsys, algebra_file, lattice_algebra):
     code, out, _ = run(
         capsys,

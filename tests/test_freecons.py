@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -27,7 +28,80 @@ from hmkit.freecons import (
 )
 from hmkit.homsearch import OperationTable
 from hmkit.identlang import Identity, holds_in, sigma_varset
-from hmkit.structures import StructureError, find_isomorphism, two_element_semilattice
+from hmkit.structures import (
+    SizeLimitExceeded,
+    StructureError,
+    find_isomorphism,
+    two_element_semilattice,
+)
+
+
+def closure_reference(seeds, algebra, max_elements):
+    """Slow oracle for the closure engine: full rounds through OperationTable.apply.
+
+    Every round re-evaluates every argument tuple over the elements known at
+    its start, symbols in sorted order, so the ids and first derivations are
+    fixed by the round structure alone.  Raises SizeLimitExceeded once more
+    than max_elements elements are found.  Returns (elements, derivations).
+    """
+    elements, derivations, index = [], [], {}
+
+    def intern(t, derivation):
+        if t not in index:
+            if len(elements) >= max_elements:
+                raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
+            index[t] = len(elements)
+            elements.append(t)
+            derivations.append(derivation)
+
+    for j, seed in enumerate(seeds):
+        intern(seed, ("var", j))
+    width = len(seeds[0])
+    while True:
+        size_before = len(elements)
+        for sym in algebra.symbols():
+            table = algebra.operations[sym]
+            for args in itertools.product(range(size_before), repeat=table.arity):
+                value = tuple(
+                    table.apply(*(elements[e][c] for e in args)) for c in range(width)
+                )
+                intern(value, (sym, args))
+        if len(elements) == size_before:
+            return elements, derivations
+
+
+def free_algebra_reference(a, k, max_elements):
+    """(elements, derivations, generators, table values) of the rank-k free algebra."""
+    assignments = list(itertools.product(range(a.size), repeat=k))
+    projections = [tuple(assign[j] for assign in assignments) for j in range(k)]
+    elements, derivations = closure_reference(projections, a, max_elements)
+    index = {t: i for i, t in enumerate(elements)}
+    tables = {}
+    for sym in a.symbols():
+        table = a.operations[sym]
+        tables[sym] = tuple(
+            index[tuple(table.apply(*(elements[e][c] for e in args)) for c in range(len(assignments)))]
+            for args in itertools.product(range(len(elements)), repeat=table.arity)
+        )
+    return tuple(elements), tuple(derivations), tuple(index[p] for p in projections), tables
+
+
+def random_algebra(rng, size):
+    """One or two operations of arity 0-3 with uniformly drawn tables."""
+    operations = {}
+    for sym in "fg"[: rng.randint(1, 2)]:
+        arity = rng.randint(0, 3)
+        operations[sym] = OperationTable(
+            arity, size, tuple(rng.randrange(size) for _ in range(size**arity))
+        )
+    return FiniteAlgebra(size, operations)
+
+
+def outcome(build):
+    try:
+        return build()
+    except SizeLimitExceeded:
+        return "size limit"
 
 
 def test_finite_algebra_validates_sizes(meet_table):
@@ -91,6 +165,94 @@ def test_free_algebra_majority_matches_clone_oracle(majority_algebra):
     }
     assert set(fa.elements) == oracle
     assert fa.algebra.size == 4
+
+
+def test_free_algebra_evaluates_constants_in_the_first_round(meet_table):
+    a = FiniteAlgebra(2, {"c": OperationTable(0, 2, (1,)), "meet": meet_table})
+    fa = free_algebra(a, 1)
+    assert fa.elements == ((0, 1), (1, 1))
+    assert fa.derivations == (("var", 0), ("c", ()))
+    assert fa.algebra.labels == ("x", "c()")
+
+
+def test_free_algebra_bound_counts_elements_found():
+    chain = FiniteAlgebra(3, {"meet": OperationTable(2, 3, tuple(min(x, y) for x in range(3) for y in range(3)))})
+    fa = free_algebra(chain, 3)
+    assert fa.algebra.size == 7
+    assert fa.algebra.labels[-1] == "meet(x,meet(y,z))"
+    with pytest.raises(SizeLimitExceeded):
+        free_algebra(chain, 3, max_tuples=5)
+    assert free_algebra(chain, 3, max_tuples=7).elements == fa.elements
+
+
+def agree_on_free_algebra(a, k, bound):
+    """free_algebra and the reference agree; returns whether the bound was hit."""
+    expected = outcome(lambda: free_algebra_reference(a, k, bound))
+
+    def engine():
+        fa = free_algebra(a, k, bound)
+        tables = {sym: t.values for sym, t in fa.algebra.operations.items()}
+        return fa.elements, fa.derivations, fa.generators, tables
+
+    assert outcome(engine) == expected
+    return expected == "size limit"
+
+
+def agree_on_free_structure(a, bound):
+    """free_structure's triples and unary term operations agree with the
+    reference closures; returns whether the bound was hit."""
+
+    def reference():
+        elements, _, (x, y), tables = free_algebra_reference(a, 2, bound)
+        n = len(elements)
+        free = FiniteAlgebra(
+            n, {sym: OperationTable(a.operations[sym].arity, n, v) for sym, v in tables.items()}
+        )
+        seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
+        triples = closure_reference(seeds, free, bound)[0]
+        unary = closure_reference([tuple(range(a.size))], a, bound)[0]
+        return frozenset(triples), tuple(unary)
+
+    def engine():
+        bundle = free_structure(a, bound)
+        return bundle.structure.relations["R"].tuples, bundle.unary_ops
+
+    expected = outcome(reference)
+    assert outcome(engine) == expected
+    return expected == "size limit"
+
+
+def test_free_algebra_matches_closure_reference():
+    """Seeded draws: sizes 1-3, ranks 1-3 (1-2 at size 3), arities 0-3."""
+    rng = random.Random(31)
+    hit = []
+    for _ in range(60):
+        size = rng.randint(1, 3)
+        k = rng.randint(1, 2 if size == 3 else 3)
+        hit.append(agree_on_free_algebra(random_algebra(rng, size), k, 20))
+    assert any(hit) and not all(hit)
+
+
+def test_free_structure_matches_closure_reference():
+    """Seeded draws: sizes 1-3, arities 0-3; triples and unary term operations."""
+    rng = random.Random(32)
+    hit = [agree_on_free_structure(random_algebra(rng, rng.randint(1, 3)), 20) for _ in range(30)]
+    assert any(hit) and not all(hit)
+
+
+def test_larger_closures_match_closure_reference():
+    """Seeded idempotent binary algebras on 2-3 elements under a larger bound."""
+    rng = random.Random(33)
+    hit = []
+    for _ in range(12):
+        size = rng.randint(2, 3)
+        values = [rng.randrange(size) for _ in range(size * size)]
+        for b in range(size):
+            values[b * size + b] = b
+        a = FiniteAlgebra(size, {"f": OperationTable(2, size, tuple(values))})
+        hit.append(agree_on_free_algebra(a, 2, 120))
+        hit.append(agree_on_free_structure(a, 120))
+    assert any(hit) and not all(hit)
 
 
 def test_free_structure_semilattice_triples(meet_algebra):
@@ -198,6 +360,24 @@ def test_hm_evidence_majority(majority_algebra):
         # each refuting identity is valid in the algebra yet changes varsets
         assert holds_in(majority_algebra, Identity(r.lhs, r.rhs), majority_algebra.operations)
         assert sigma_varset(r.lhs, r.labeling) != sigma_varset(r.rhs, r.labeling)
+
+
+def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
+    import hmkit.freecons as freecons
+
+    ranks = []
+
+    def counting(a, k, max_tuples):
+        ranks.append(k)
+        return free_algebra(a, k, max_tuples)
+
+    monkeypatch.setattr(freecons, "free_algebra", counting)
+    # all 7 labelings are refuted at rank 2; the rank-3 free algebra (4 elements) is never built
+    evidence = hm_evidence(majority_algebra, max_tuples=3)
+    assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
+    assert ranks == [1, 2]
+    with pytest.raises(SizeLimitExceeded):
+        free_algebra(majority_algebra, 3, max_tuples=3)
 
 
 def test_hm_evidence_semilattice_survivor(meet_algebra):
