@@ -3,7 +3,9 @@
 Every subcommand is a thin adapter around one library call: load inputs,
 invoke, format a report.  Exit codes follow one convention throughout:
 0 for success or all checks passing, 1 for a verified negative verdict
-(refutation, refusal, absence), 2 for unusable input or usage errors.
+(refutation, refusal, absence), 2 for unusable input or usage errors, and
+also 2, with `internal error: <type>: <message>` on stderr, for any other
+exception (an exhausted resource or a bug), which is never a verdict.
 
 Reports are plain text by default; `--output json` switches to a stable
 schema {"command", "checks": [{"name", "verdict", "witness"}],
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from . import freecons, gadget, identlang, semilat, structures
@@ -536,14 +539,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, started)
-    except SizeLimitExceeded as exc:
+    except (SizeLimitExceeded, StructureError, identlang.ParseError, identlang.SystemError_,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StructureError, identlang.ParseError, identlang.SystemError_) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault or exhausted resource is never a verdict
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

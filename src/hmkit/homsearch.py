@@ -1,20 +1,27 @@
-"""Backtracking homomorphism search and operation tables.
+"""Homomorphism search and operation tables.
 
-The search assigns source elements in ascending id order and tries target
-values in ascending order, so the result list is always in lexicographic
-order of the mapping tuples.  Forward checking prunes against every
-relation tuple with exactly one unassigned coordinate.
+One engine, `hom_maps`, serves `find_homs`, `count_homs`,
+`find_retraction`, `structures.find_isomorphism` and the hom-set gadget.
+Source elements are assigned in ascending id order and target values tried
+in ascending order, so maps come in lexicographic order.  Each unassigned
+element keeps a domain bitmask.  Once all but the highest element of a
+source tuple are assigned, a support table precompiled per relation and
+open positions narrows that element's domain to the values completing the
+tuple (support-set forward checking, Mackworth 1977), so every tuple is
+enforced once and found maps need no second check.  The search runs on an
+explicit stack, so no input size is bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from .structures import (
     Homomorphism,
+    Relation,
     RelationalStructure,
     SignatureMismatch,
     StructureError,
@@ -60,6 +67,101 @@ def is_homomorphism(
     return HomCheckResult(True)
 
 
+def hom_maps(
+    source: RelationalStructure,
+    target: RelationalStructure,
+    pinned: Mapping[int, int] | None = None,
+    injective: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Mapping tuples of the homomorphisms source -> target, lexicographically.
+
+    `pinned` forces source ids onto target ids; `injective` keeps only
+    injective maps.  Nothing runs, input checks included, until the first
+    tuple is asked for.
+    """
+    if source.signature() != target.signature():
+        raise SignatureMismatch("endpoints have different signatures")
+    n = source.size
+    domain = [(1 << target.size) - 1] * n
+    for k, v in (pinned or {}).items():
+        if not (0 <= k < n) or not (0 <= v < target.size):
+            raise StructureError(f"pin {k}->{v} out of range")
+        domain[k] &= 1 << v
+
+    # checks[v]: (hole, read the other values, support table) for every
+    # tuple whose highest element is `hole` and second highest is v
+    checks: list[list[tuple]] = [[] for _ in range(n)]
+    tables: dict[tuple[str, tuple[int, ...]], dict] = {}
+    for sym in source.symbols():
+        for t in source.relations[sym].sorted_tuples():
+            elems = sorted(set(t))
+            hole = elems[-1]
+            holes = tuple(i for i, v in enumerate(t) if v == hole)
+            table = tables.get((sym, holes))
+            if table is None:
+                table = tables[sym, holes] = _support_table(target.relations[sym], holes)
+            if len(elems) == 1:
+                domain[hole] &= table.get((), 0)
+            else:
+                checks[elems[-2]].append((hole, itemgetter(*(v for v in t if v != hole)), table))
+    if not all(domain):
+        return
+    if n == 0:
+        yield ()
+        return
+
+    mapping = [0] * n
+    untried = [0] * n  # values still to try at each level
+    mark = [0] * n  # trail length on entering each level
+    used = [0] * n  # values taken by the levels above (injective only)
+    trail: list[tuple[int, int]] = []  # (element, domain before narrowing)
+    last = n - 1
+    level = 0
+    untried[0] = domain[0]
+    while level >= 0:
+        while len(trail) > mark[level]:
+            v, old = trail.pop()
+            domain[v] = old
+        values = untried[level]
+        if not values:
+            level -= 1
+            continue
+        bit = values & -values
+        untried[level] = values ^ bit
+        mapping[level] = bit.bit_length() - 1
+        for hole, read, table in checks[level]:
+            before = domain[hole]
+            after = before & table.get(read(mapping), 0)
+            if after != before:
+                trail.append((hole, before))
+                domain[hole] = after
+                if not after:
+                    break
+        else:
+            if level == last:
+                yield tuple(mapping)
+                continue
+            level += 1
+            mark[level] = len(trail)
+            if injective:
+                used[level] = used[level - 1] | bit
+            untried[level] = domain[level] & ~used[level]
+
+
+def _support_table(rel: Relation, holes: tuple[int, ...]) -> dict:
+    """Values at the positions outside `holes` -> bitmask of the values c
+    such that c at every position in `holes` completes a tuple of `rel`."""
+    rest = [i for i in range(rel.arity) if i not in holes]
+    read = itemgetter(*rest) if rest else (lambda t: ())
+    table: dict = {}
+    for t in rel.tuples:
+        c = t[holes[0]]
+        if all(t[i] == c for i in holes):
+            key = read(t)
+            table[key] = table.get(key, 0) | (1 << c)
+    return table
+
+
 def find_homs(
     source: RelationalStructure,
     target: RelationalStructure,
@@ -67,71 +169,16 @@ def find_homs(
 ) -> list[Homomorphism]:
     """All homomorphisms source -> target, in lexicographic map order."""
     opts = options or SearchOptions()
-    if source.signature() != target.signature():
-        raise SignatureMismatch("endpoints have different signatures")
-    if target.size == 0:
-        return []
-
-    # Index source tuples by the elements they mention so that assigning
-    # one element only re-checks the tuples it occurs in.
-    watch: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(source.size)]
-    for sym in source.symbols():
-        for t in source.relations[sym].sorted_tuples():
-            for v in set(t):
-                watch[v].append((sym, t))
-
-    pinned = dict(opts.pinned or {})
-    for k, v in pinned.items():
-        if not (0 <= k < source.size) or not (0 <= v < target.size):
-            raise StructureError(f"pin {k}->{v} out of range")
-
-    mapping: list[int | None] = [None] * source.size
-    out: list[Homomorphism] = []
-
-    def locally_consistent(v: int) -> bool:
-        for sym, t in watch[v]:
-            free = [w for w in set(t) if mapping[w] is None]
-            if len(free) > 1:
-                continue
-            tgt = target.relations[sym].tuples
-            if not free:
-                if tuple(mapping[w] for w in t) not in tgt:  # type: ignore[misc]
-                    return False
-            else:
-                hole = free[0]
-                ok = any(
-                    tuple(c if w == hole else mapping[w] for w in t) in tgt
-                    for c in range(target.size)
-                )
-                if not ok:
-                    return False
-        return True
-
-    def emit() -> bool:
-        """Record the current total map; returns True when the limit is hit."""
-        m = tuple(mapping)  # type: ignore[arg-type]
-        if opts.nonconstant_only and len(set(m)) <= 1:
-            return False
-        out.append(Homomorphism(source, target, m))
-        return opts.limit > 0 and len(out) >= opts.limit
-
-    def extend(v: int) -> bool:
-        if v == source.size:
-            return emit()
-        choices = [pinned[v]] if v in pinned else range(target.size)
-        for w in choices:
-            mapping[v] = w
-            if locally_consistent(v) and extend(v + 1):
-                return True
-            mapping[v] = None
-        return False
-
-    extend(0)
-    return out
+    maps: Iterator[tuple[int, ...]] = hom_maps(source, target, opts.pinned)
+    if opts.nonconstant_only:
+        maps = (m for m in maps if len(set(m)) > 1)
+    if opts.limit > 0:
+        maps = itertools.islice(maps, opts.limit)
+    return [Homomorphism._trusted(source, target, m) for m in maps]
 
 
 def count_homs(source: RelationalStructure, target: RelationalStructure) -> int:
-    return len(find_homs(source, target))
+    return sum(1 for _ in hom_maps(source, target))
 
 
 def find_retraction(
@@ -142,13 +189,11 @@ def find_retraction(
     Enumerates embeddings of `small` in canonical order; for each, searches
     for a left inverse with the embedding's values pinned.
     """
-    for beta in find_homs(small, big):
-        if len(set(beta.mapping)) != small.size:
-            continue
-        pins = {img: x for x, img in enumerate(beta.mapping)}
-        alphas = find_homs(big, small, SearchOptions(limit=1, pinned=pins))
-        if alphas:
-            return beta, alphas[0]
+    for into in hom_maps(small, big, injective=True):
+        pins = {img: x for x, img in enumerate(into)}
+        onto = next(hom_maps(big, small, pins), None)
+        if onto is not None:
+            return Homomorphism._trusted(small, big, into), Homomorphism._trusted(big, small, onto)
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 DEFAULT_MAX_TUPLES = 5_000_000
@@ -310,6 +310,13 @@ class Homomorphism:
                 if img not in tgt:
                     raise StructureError(f"not a homomorphism: {sym} tuple {t} maps to {img}")
 
+    @classmethod
+    def _trusted(cls, source: RelationalStructure, target: RelationalStructure, mapping: tuple[int, ...]) -> "Homomorphism":
+        """Build without validation, for maps a search has already checked."""
+        h = object.__new__(cls)
+        h.__dict__.update(source=source, target=target, mapping=mapping)
+        return h
+
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
@@ -356,57 +363,19 @@ def kernel(phi: Homomorphism) -> tuple[tuple[int, ...], ...]:
 def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> Homomorphism | None:
     """A bijection that is a homomorphism both ways, or None.
 
-    Backtracking over injective assignments in canonical order; the first
-    isomorphism in lexicographic map order is returned.
+    The first injective homomorphism in lexicographic map order.  With equal
+    sizes and equal tuple counts per relation, an injective homomorphism
+    maps each relation of `a` onto that of `b`, so its inverse is one too.
     """
+    from .homsearch import hom_maps  # homsearch imports this module
+
     if a.signature() != b.signature() or a.size != b.size:
         return None
     for sym in a.symbols():
         if len(a.relations[sym].tuples) != len(b.relations[sym].tuples):
             return None
-
-    occurrences: dict[int, list[tuple[str, tuple[int, ...]]]] = {v: [] for v in range(a.size)}
-    for sym in a.symbols():
-        for t in a.relations[sym].sorted_tuples():
-            for v in set(t):
-                occurrences[v].append((sym, t))
-
-    mapping: list[int | None] = [None] * a.size
-    used = [False] * b.size
-
-    def consistent(v: int) -> bool:
-        for sym, t in occurrences[v]:
-            if all(mapping[w] is not None for w in t):
-                img = tuple(mapping[w] for w in t)  # type: ignore[misc]
-                if img not in b.relations[sym].tuples:
-                    return False
-        return True
-
-    def extend(v: int) -> Homomorphism | None:
-        if v == a.size:
-            fwd = tuple(mapping)  # type: ignore[arg-type]
-            inv = [0] * b.size
-            for x, y in enumerate(fwd):
-                inv[y] = x
-            for sym in b.symbols():
-                for t in b.relations[sym].tuples:
-                    if tuple(inv[w] for w in t) not in a.relations[sym].tuples:
-                        return None
-            return Homomorphism(a, b, fwd)
-        for w in range(b.size):
-            if used[w]:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if consistent(v):
-                found = extend(v + 1)
-                if found is not None:
-                    return found
-            mapping[v] = None
-            used[w] = False
-        return None
-
-    return extend(0)
+    fwd = next(hom_maps(a, b, injective=True), None)
+    return None if fwd is None else Homomorphism._trusted(a, b, fwd)
 
 
 # --- standard small structures ---------------------------------------------

@@ -137,6 +137,26 @@ def brute_force_homs(src, tgt):
     return out
 
 
+def random_structure(rng, size, signature, density=None):
+    """A seeded random structure; each relation keeps each tuple with one
+    probability, drawn per relation unless given (0 leaves it empty)."""
+    rels = {}
+    for sym, arity in sorted(signature.items()):
+        p = rng.choice((0.0, 0.2, 0.5, 0.9)) if density is None else density
+        tuples = itertools.product(range(size), repeat=arity)
+        rels[sym] = Relation(arity, frozenset(t for t in tuples if rng.random() < p))
+    return RelationalStructure(size, rels)
+
+
+def relabel(s, perm):
+    """The copy of s with element i renamed perm[i]."""
+    rels = {
+        sym: Relation(rel.arity, frozenset(tuple(perm[v] for v in t) for t in rel.tuples))
+        for sym, rel in s.relations.items()
+    }
+    return RelationalStructure(s.size, rels)
+
+
 @pytest.fixture
 def structure_file(tmp_path):
     def write(s, name="structure.json"):

@@ -7,6 +7,7 @@ these double as adapter-thinness tests.
 import itertools
 import json
 
+from hmkit import cli
 from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
@@ -176,6 +177,30 @@ def test_hom_retract(capsys, structure_file, S, point):
     assert [onto[v] for v in into] == [0, 1]
 
     assert run(capsys, "hom", "retract", structure_file(point, "pt.json"), small)[0] == 1
+
+
+def test_hom_count_on_a_long_path(capsys, structure_file):
+    n = 1500
+    path = RelationalStructure(n, {"E": Relation(2, frozenset((i, i + 1) for i in range(n - 1)))})
+    cycle = RelationalStructure(2, {"E": Relation(2, frozenset({(0, 1), (1, 0)}))})
+    code, out, _ = run(
+        capsys, "hom", "count", structure_file(path, "path.json"), structure_file(cycle, "cycle.json"),
+        "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witness"] == "2"
+
+
+def test_internal_error_is_exit_2(capsys, monkeypatch, structure_file, S):
+    def boom(args, started):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_hom_count", boom)
+    path = structure_file(S)
+    code, out, err = run(capsys, "hom", "count", path, path)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
 
 
 # --- pol ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import random
 from math import comb
 
 import pytest
@@ -9,7 +11,7 @@ from hmkit.gadget import (
     match_components_to_powers,
     y_structure,
 )
-from hmkit.homsearch import find_homs
+from hmkit.homsearch import find_homs, is_homomorphism
 from hmkit.semilat import is_partial_semilattice, largest_element, meet_lookup, verify_witness
 from hmkit.structures import (
     Relation,
@@ -21,6 +23,8 @@ from hmkit.structures import (
     power,
     two_element_semilattice,
 )
+
+from conftest import random_structure
 
 
 def test_y_structure_shape():
@@ -44,7 +48,43 @@ def test_gadget_transform_of_semilattice(S, point):
     assert e0.relations["R"].sorted_tuples() == [
         (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1), (2, 2, 2),
     ]
+    assert e0.relations == {"R": Relation(3, frozenset({(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1), (2, 2, 2)}))}
     assert find_isomorphism(e0, disjoint_union([S, point])) is not None
+
+
+def gadget_transform_reference(d):
+    """The transform by its definition: each of the |Hom(S, d)|^3 triples
+    sharing a value at 0 is checked as a map from Y."""
+    symbol = d.symbols()[0]
+    S = two_element_semilattice(symbol)
+    Y = y_structure(symbol)
+    homs = find_homs(S, d)
+    labels = tuple(f"({d.label(h.mapping[0])},{d.label(h.mapping[1])})" for h in homs)
+    triples = set()
+    for (i, f), (j, g), (k, h) in itertools.product(enumerate(homs), repeat=3):
+        if not (f.mapping[0] == g.mapping[0] == h.mapping[0]):
+            continue
+        combined = (f.mapping[0], f.mapping[1], g.mapping[1], h.mapping[1])
+        if is_homomorphism(Y, d, combined).ok:
+            triples.add((i, j, k))
+    return RelationalStructure(len(homs), {symbol: Relation(3, frozenset(triples))}, labels)
+
+
+def test_gadget_transform_matches_reference(S, point):
+    inputs = [power(S, n) for n in range(1, 5)]
+    inputs += [
+        disjoint_union([S, point]),
+        disjoint_union([power(S, 2), S]),
+        disjoint_union([power(S, 2), power(S, 2)]),
+    ]
+    rng = random.Random(44)
+    for _ in range(20):
+        d = random_structure(rng, rng.randint(2, 5), {"R": 3}, rng.choice((0.3, 0.5, 0.7)))
+        loops = frozenset((a, a, a) for a in range(d.size))
+        inputs.append(RelationalStructure(d.size, {"R": Relation(3, d.relations["R"].tuples | loops)}))
+    for d in inputs:
+        got, want = gadget_transform(d), gadget_transform_reference(d)
+        assert (got.size, got.labels, got.relations) == (want.size, want.labels, want.relations)
 
 
 def test_gadget_transform_universe_is_hom_set(S):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from hmkit.homsearch import (
@@ -19,6 +22,8 @@ from hmkit.structures import (
     disjoint_union,
     power,
 )
+
+from conftest import brute_force_homs, random_structure, relabel
 
 
 def test_find_homs_lex_order(S):
@@ -47,6 +52,49 @@ def test_find_homs_signature_mismatch(S):
     other = RelationalStructure(2, {"Q": Relation(3, frozenset())})
     with pytest.raises(SignatureMismatch):
         find_homs(S, other)
+
+
+def test_find_homs_matches_brute_force_under_every_option():
+    rng = random.Random(41)
+    nonempty = 0
+    for _ in range(200):
+        signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 2))}
+        src = random_structure(rng, rng.randint(0, 5), signature)
+        tgt = random_structure(rng, rng.randint(0, 5), signature)
+        every = brute_force_homs(src, tgt)
+        nonempty += bool(every)
+        pins = [None]
+        if src.size and tgt.size:
+            pins.append({rng.randrange(src.size): rng.randrange(tgt.size)})
+            pins.append({v: rng.randrange(tgt.size) for v in rng.sample(range(src.size), min(2, src.size))})
+        for limit, nonconstant, pinned in itertools.product((0, 1, 3), (False, True), pins):
+            want = [
+                m for m in every
+                if all(m[k] == v for k, v in (pinned or {}).items()) and (not nonconstant or len(set(m)) > 1)
+            ]
+            opts = SearchOptions(limit=limit, nonconstant_only=nonconstant, pinned=pinned)
+            got = [h.mapping for h in find_homs(src, tgt, opts)]
+            assert got == (want[:limit] if limit else want), (src, tgt, opts)
+        assert count_homs(src, tgt) == len(every)
+    assert nonempty >= 80
+
+
+def test_find_homs_of_empty_structures():
+    empty = RelationalStructure(0, {"R": Relation(2, frozenset())})
+    one = RelationalStructure(1, {"R": Relation(2, frozenset())})
+    assert [h.mapping for h in find_homs(empty, empty)] == [()]
+    assert [h.mapping for h in find_homs(empty, one)] == [()]
+    assert find_homs(one, empty) == []
+
+
+def test_find_homs_has_no_recursion_limit():
+    n = 1500
+    path = RelationalStructure(n, {"E": Relation(2, frozenset((i, i + 1) for i in range(n - 1)))})
+    cycle = RelationalStructure(2, {"E": Relation(2, frozenset({(0, 1), (1, 0)}))})
+    assert [h.mapping for h in find_homs(path, cycle)] == [
+        tuple(i % 2 for i in range(n)),
+        tuple((i + 1) % 2 for i in range(n)),
+    ]
 
 
 def test_count_homs(S, chain3):
@@ -88,6 +136,38 @@ def test_find_retraction_none(S, point):
     # S cannot embed: the only non-diagonal triple has nowhere to go
     assert find_retraction(spread, S) is None
     assert find_retraction(point, S) is None
+
+
+def find_retraction_reference(big, small):
+    """Every homomorphism small -> big, injective ones kept in order, each
+    tried with its values pinned for a left inverse."""
+    for beta in find_homs(small, big):
+        if len(set(beta.mapping)) != small.size:
+            continue
+        pins = {img: x for x, img in enumerate(beta.mapping)}
+        alphas = find_homs(big, small, SearchOptions(limit=1, pinned=pins))
+        if alphas:
+            return beta.mapping, alphas[0].mapping
+    return None
+
+
+def test_find_retraction_matches_reference(S):
+    rng = random.Random(43)
+    powers = {n: power(S, n) for n in range(1, 5)}
+    pairs = []
+    for n, big in powers.items():
+        perm = list(range(big.size))
+        rng.shuffle(perm)
+        for m in range(1, min(n, 2) + 1):
+            pairs += [(big, powers[m]), (relabel(big, perm), powers[m])]
+    pairs.append((powers[2], random_structure(rng, 3, {"R": 3}, 0.4)))
+    found = 0
+    for big, small in pairs:
+        pair = find_retraction(big, small)
+        got = None if pair is None else (pair[0].mapping, pair[1].mapping)
+        assert got == find_retraction_reference(big, small)
+        found += got is not None
+    assert found == len(pairs) - 1
 
 
 def test_operation_table_row_major():

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -30,6 +32,8 @@ from hmkit.structures import (
     validate,
     validation_report,
 )
+
+from conftest import random_structure, relabel
 
 
 def test_semilattice_structure_is_the_meet_graph(S):
@@ -196,6 +200,83 @@ def test_find_isomorphism(S, point):
 def test_find_isomorphism_needs_matching_tuple_counts(S):
     smaller = RelationalStructure(2, {"R": Relation(3, frozenset({(0, 0, 0), (1, 1, 1)}))})
     assert find_isomorphism(S, smaller) is None
+
+
+def find_isomorphism_reference(a, b):
+    """Recursive backtracking over injective maps in lexicographic order; the
+    first whose tuples hold both ways is the isomorphism."""
+    if a.signature() != b.signature() or a.size != b.size:
+        return None
+    for sym in a.symbols():
+        if len(a.relations[sym].tuples) != len(b.relations[sym].tuples):
+            return None
+    occurrences = {v: [] for v in range(a.size)}
+    for sym in a.symbols():
+        for t in a.relations[sym].sorted_tuples():
+            for v in set(t):
+                occurrences[v].append((sym, t))
+    mapping = [None] * a.size
+    used = [False] * b.size
+
+    def consistent(v):
+        for sym, t in occurrences[v]:
+            if all(mapping[w] is not None for w in t):
+                if tuple(mapping[w] for w in t) not in b.relations[sym].tuples:
+                    return False
+        return True
+
+    def extend(v):
+        if v == a.size:
+            inv = [0] * b.size
+            for x, y in enumerate(mapping):
+                inv[y] = x
+            for sym in b.symbols():
+                for t in b.relations[sym].tuples:
+                    if tuple(inv[w] for w in t) not in a.relations[sym].tuples:
+                        return None
+            return tuple(mapping)
+        for w in range(b.size):
+            if used[w]:
+                continue
+            mapping[v], used[w] = w, True
+            if consistent(v):
+                found = extend(v + 1)
+                if found is not None:
+                    return found
+            mapping[v], used[w] = None, False
+        return None
+
+    return extend(0)
+
+
+def test_find_isomorphism_matches_reference(S):
+    rng = random.Random(42)
+    pairs = []
+    for n in (1, 2, 3):
+        perm = list(range(2**n))
+        rng.shuffle(perm)
+        pairs.append((power(S, n), relabel(power(S, n), perm)))
+    for _ in range(60):
+        signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 2))}
+        a = random_structure(rng, rng.randint(0, 6), signature)
+        perm = list(range(a.size))
+        rng.shuffle(perm)
+        b = relabel(a, perm)
+        pairs.append((a, b))
+        # same size and tuple counts: move one tuple of one relation
+        sym = rng.choice(sorted(signature))
+        rel = b.relations[sym]
+        absent = sorted(set(itertools.product(range(b.size), repeat=rel.arity)) - rel.tuples)
+        if rel.tuples and absent:
+            moved = (rel.tuples - {rng.choice(sorted(rel.tuples))}) | {rng.choice(absent)}
+            pairs.append((a, RelationalStructure(b.size, {**b.relations, sym: Relation(rel.arity, moved)})))
+    isomorphic = 0
+    for a, b in pairs:
+        iso = find_isomorphism(a, b)
+        want = find_isomorphism_reference(a, b)
+        assert (None if iso is None else iso.mapping) == want
+        isomorphic += want is not None
+    assert 60 < isomorphic < len(pairs)
 
 
 def test_json_round_trip(S, tmp_path):
