@@ -7,6 +7,10 @@ invoke, format a report.  Exit codes follow one convention throughout:
 also 2, with `internal error: <type>: <message>` on stderr, for any other
 exception (an exhausted resource or a bug), which is never a verdict.
 
+The argument parser is built once per process, on the first `main()` call
+(never at import), and reused by every later call; each call still parses
+into a fresh namespace, so no option value carries over.
+
 Reports are plain text by default; `--output json` switches to a stable
 schema {"command", "checks": [{"name", "verdict", "witness"}],
 "elapsed_ms"} that is byte-identical across runs except for the timing
@@ -16,6 +20,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -400,10 +405,18 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and shared by every later one.
+
+    Subcommands carry no handler: `main` looks up `cmd_<group>_<command>` in
+    this module when each call runs, so the cached tree pins no function.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
+    # only the subcommands whose library call takes a size bound offer it
+    sized = argparse.ArgumentParser(add_help=False, parents=[common])
+    sized.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
 
     parser = argparse.ArgumentParser(prog="hmkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
@@ -413,32 +426,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = structure.add_parser("validate", parents=[common])
     p.add_argument("file")
-    p.set_defaults(func=cmd_structure_validate)
     p = structure.add_parser("components", parents=[common])
     p.add_argument("file")
-    p.set_defaults(func=cmd_structure_components)
-    p = structure.add_parser("product", parents=[common])
+    p = structure.add_parser("product", parents=[sized])
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_structure_product)
-    p = structure.add_parser("power", parents=[common])
+    p = structure.add_parser("power", parents=[sized])
     p.add_argument("file")
     p.add_argument("exponent", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_structure_power)
     p = structure.add_parser("union", parents=[common])
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_structure_union)
     p = structure.add_parser("induced", parents=[common])
     p.add_argument("file")
     p.add_argument("--ids", type=_ids, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_structure_induced)
     p = structure.add_parser("iso", parents=[common])
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=cmd_structure_iso)
 
     hom = groups.add_parser("hom", help="homomorphism search").add_subparsers(dest="command", required=True)
     p = hom.add_parser("find", parents=[common])
@@ -446,99 +452,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--nonconstant", action="store_true")
     p.add_argument("--limit", type=int, default=0)
-    p.set_defaults(func=cmd_hom_find)
     p = hom.add_parser("count", parents=[common])
     p.add_argument("source")
     p.add_argument("target")
-    p.set_defaults(func=cmd_hom_count)
     p = hom.add_parser("check", parents=[common])
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--map", type=_ids, required=True)
-    p.set_defaults(func=cmd_hom_check)
     p = hom.add_parser("retract", parents=[common])
     p.add_argument("big")
     p.add_argument("small")
-    p.set_defaults(func=cmd_hom_retract)
 
     pol = groups.add_parser("pol", help="polymorphism enumeration").add_subparsers(dest="command", required=True)
     p = pol.add_parser("enumerate", parents=[common])
     p.add_argument("file")
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--classify", action="store_true")
-    p.set_defaults(func=cmd_pol_enumerate)
 
     psl = groups.add_parser("psl", help="partial semilattice checks").add_subparsers(dest="command", required=True)
     p = psl.add_parser("check", parents=[common])
     p.add_argument("file")
-    p.set_defaults(func=cmd_psl_check)
     p = psl.add_parser("largest", parents=[common])
     p.add_argument("file")
-    p.set_defaults(func=cmd_psl_largest)
     p = psl.add_parser("meet", parents=[common])
     p.add_argument("file")
     p.add_argument("first", type=int)
     p.add_argument("second", type=int)
-    p.set_defaults(func=cmd_psl_meet)
-    p = psl.add_parser("decompose", parents=[common])
+    p = psl.add_parser("decompose", parents=[sized])
     p.add_argument("--target", required=True)
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--map", type=_ids, required=True)
     p.add_argument("--tops", type=_ids, default=None)
-    p.set_defaults(func=cmd_psl_decompose)
 
     free = groups.add_parser("free", help="free construction pipeline").add_subparsers(dest="command", required=True)
-    p = free.add_parser("build", parents=[common])
+    p = free.add_parser("build", parents=[sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--verify-lemma22", action="store_true")
     p.add_argument("--verify-claims", type=int, default=None, metavar="N")
-    p.set_defaults(func=cmd_free_build)
 
     gadget_group = groups.add_parser("gadget", help="hom-set gadget").add_subparsers(dest="command", required=True)
     p = gadget_group.add_parser("apply", parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gadget_apply)
     p = gadget_group.add_parser("analyze", parents=[common])
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_gadget_analyze)
 
     ident = groups.add_parser("ident", help="identity systems").add_subparsers(dest="command", required=True)
     p = ident.add_parser("parse", parents=[common])
     p.add_argument("--system", required=True)
-    p.set_defaults(func=cmd_ident_parse)
     p = ident.add_parser("linear", parents=[common])
     p.add_argument("--system", required=True)
-    p.set_defaults(func=cmd_ident_linear)
     p = ident.add_parser("saturate", parents=[common])
     p.add_argument("--system", required=True)
-    p.set_defaults(func=cmd_ident_saturate)
     p = ident.add_parser("hm-check", parents=[common])
     p.add_argument("--system", required=True)
     p.add_argument("--term", required=True)
-    p.set_defaults(func=cmd_ident_hm_check)
     p = ident.add_parser("sl-interp", parents=[common])
     p.add_argument("--system", required=True)
-    p.set_defaults(func=cmd_ident_sl_interp)
 
     alg = groups.add_parser("alg", help="algebra-side evidence").add_subparsers(dest="command", required=True)
-    p = alg.add_parser("hm-evidence", parents=[common])
+    p = alg.add_parser("hm-evidence", parents=[sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-arity", type=int, default=None)
-    p.set_defaults(func=cmd_alg_hm_evidence)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, started)
+        return globals()[f"cmd_{args.group}_{args.command}".replace("-", "_")](args, started)
     except (SizeLimitExceeded, StructureError, identlang.ParseError, identlang.SystemError_,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ from .structures import (
     Relation,
     RelationalStructure,
     StructureError,
-    product,
+    coordinate_tuples,
+    rank,
 )
 from .homsearch import OperationTable
 
@@ -38,31 +39,47 @@ def single_ternary_relation(s: RelationalStructure) -> Relation:
     return rel
 
 
+MeetIndex = dict[tuple[int, int], list[int]]
+
+
+def _meet_index(s: RelationalStructure) -> MeetIndex:
+    """(a, b) -> every c with (a, b, c) in the relation, ascending."""
+    index: MeetIndex = {}
+    for a, b, c in single_ternary_relation(s).sorted_tuples():
+        index.setdefault((a, b), []).append(c)
+    return index
+
+
+def _meet(index: MeetIndex, a: int, b: int) -> int | None:
+    found = index.get((a, b))
+    if found is None:
+        return None
+    if len(found) > 1:
+        raise StructureError(
+            f"non-functional relation: ({a},{b},{found[0]}) and ({a},{b},{found[1]}) both present"
+        )
+    return found[0]
+
+
+def _fold_meet(index: MeetIndex, elements: list[int] | tuple[int, ...]) -> int | None:
+    acc: int | None = elements[0]
+    for e in elements[1:]:
+        acc = _meet(index, acc, e)
+        if acc is None:
+            return None
+    return acc
+
+
 def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
     """The unique c with (a, b, c) in the relation; None when absent."""
-    rel = single_ternary_relation(s)
-    found: int | None = None
-    for t in rel.sorted_tuples():
-        if t[0] == a and t[1] == b:
-            if found is not None and found != t[2]:
-                raise StructureError(
-                    f"non-functional relation: ({a},{b},{found}) and ({a},{b},{t[2]}) both present"
-                )
-            found = t[2]
-    return found
+    return _meet(_meet_index(s), a, b)
 
 
 def iterated_meet(s: RelationalStructure, elements: list[int] | tuple[int, ...]) -> int | None:
     """Left-associated fold of meet_lookup; None once any step is undefined."""
     if not elements:
         raise StructureError("iterated meet of an empty sequence")
-    acc = elements[0]
-    for e in elements[1:]:
-        nxt = meet_lookup(s, acc, e)
-        if nxt is None:
-            return None
-        acc = nxt
-    return acc
+    return _fold_meet(_meet_index(s), elements)
 
 
 def largest_element(s: RelationalStructure) -> int | None:
@@ -207,6 +224,35 @@ class ProductDecomposition:
         return self.constant_value is not None
 
 
+def _is_product(
+    s: RelationalStructure,
+    factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
+    points: list[tuple[int, ...]],
+) -> bool:
+    """Whether s has the size and relations of product(factors), without building it.
+
+    Every tuple of s must unrank coordinatewise to a tuple of each factor,
+    so s lies inside the product; ranks are a bijection, so equal tuple
+    counts then make the relations equal.
+    """
+    sig = s.signature()
+    if s.size != len(points) or any(h.signature() != sig for h in factors):
+        return False
+    for sym, rel in s.relations.items():
+        factor_tuples = [h.relations[sym].tuples for h in factors]
+        count = 1
+        for tuples in factor_tuples:
+            count *= len(tuples)
+        if len(rel.tuples) != count:
+            return False
+        positions = list(zip(*rel.tuples))  # positions[i]: the i-th entry of every tuple
+        for k, tuples in enumerate(factor_tuples):
+            coordinate = [point[k] for point in points]
+            if not set(zip(*(map(coordinate.__getitem__, p) for p in positions))) <= tuples:
+                return False
+    return True
+
+
 def decompose_product_hom(
     f: Homomorphism,
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
@@ -227,34 +273,28 @@ def decompose_product_hom(
         if largest_element(h) != t:
             raise DecompositionError(f"factor {i}: {t} is not its largest element")
 
-    prod = product(list(factors))
-    if prod.size != f.source.size or prod.relations != f.source.relations:
+    sizes = [h.size for h in factors]
+    points = list(coordinate_tuples(sizes))  # points[x]: the coordinates of element x
+    if not _is_product(f.source, factors, points):
         raise DecompositionError("source of f is not the product of the given factors")
 
     if f.is_constant():
         return ProductDecomposition(f.mapping[0], ())
-
-    sizes = [h.size for h in factors]
-
-    def rank(coords: tuple[int, ...]) -> int:
-        r = 0
-        for c, sz in zip(coords, sizes):
-            r = r * sz + c
-        return r
 
     maps = []
     for i, h in enumerate(factors):
         vals = []
         for x in range(h.size):
             coords = tuple(tops[:i]) + (x,) + tuple(tops[i + 1:])
-            vals.append(f.mapping[rank(coords)])
+            vals.append(f.mapping[rank(coords, sizes)])
         try:
             maps.append(Homomorphism(h, f.target, tuple(vals)))
         except StructureError as exc:
             raise DecompositionError(f"coordinate map {i} is not a homomorphism: {exc}") from exc
 
-    for idx, coords in enumerate(itertools.product(*(range(sz) for sz in sizes))):
-        expected = iterated_meet(f.target, [m.mapping[c] for m, c in zip(maps, coords)])
+    meets = _meet_index(f.target)
+    for idx, coords in enumerate(points):
+        expected = _fold_meet(meets, [m.mapping[c] for m, c in zip(maps, coords)])
         if expected is None:
             raise DecompositionError(f"iterated meet undefined at point {coords}")
         if expected != f.mapping[idx]:

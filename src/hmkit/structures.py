@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MAX_TUPLES = 5_000_000
 
@@ -56,6 +56,11 @@ class RelationalStructure:
         object.__setattr__(self, "relations", rels)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+
+    def __hash__(self) -> int:
+        # equal dicts may list their symbols in different orders
+        rels = tuple(sorted((sym, rel.arity, rel.tuples) for sym, rel in self.relations.items()))
+        return hash((self.size, self.labels, rels))
 
     def signature(self) -> dict[str, int]:
         return {sym: rel.arity for sym, rel in self.relations.items()}
@@ -184,8 +189,21 @@ def is_connected(s: RelationalStructure) -> bool:
     return len(connected_components(s).partition) <= 1
 
 
+def rank(coords: Sequence[int], sizes: Sequence[int]) -> int:
+    """The id of a product element: the lexicographic rank of its coordinate tuple."""
+    r = 0
+    for c, n in zip(coords, sizes):
+        r = r * n + c
+    return r
+
+
+def coordinate_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The coordinate tuple of every product element, in id order: rank's inverse."""
+    return itertools.product(*(range(n) for n in sizes))
+
+
 def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT_MAX_TUPLES) -> RelationalStructure:
-    """Direct product; element ids are lexicographic ranks of coordinate tuples."""
+    """Direct product; element ids are the ranks of coordinate tuples (see `rank`)."""
     if not structures:
         raise StructureError("product of empty list")
     sig = _require_same_signature(structures)
@@ -203,26 +221,19 @@ def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT
         raise SizeLimitExceeded(f"product needs {max(size, total)} > {max_tuples} tuples")
 
     sizes = [s.size for s in structures]
-
-    def rank(coords: Sequence[int]) -> int:
-        r = 0
-        for c, n in zip(coords, sizes):
-            r = r * n + c
-        return r
-
     rels: dict[str, Relation] = {}
     for sym, arity in sig.items():
         out = set()
         for combo in itertools.product(*(s.relations[sym].sorted_tuples() for s in structures)):
             # combo[k] is the factor-k tuple; build the product tuple positionwise
-            out.add(tuple(rank([t[i] for t in combo]) for i in range(arity)))
+            out.add(tuple(rank([t[i] for t in combo], sizes) for i in range(arity)))
         rels[sym] = Relation(arity, frozenset(out))
 
     labels = None
     if all(s.labels is not None for s in structures):
         labels = tuple(
             "(" + ",".join(s.label(c) for s, c in zip(structures, coords)) + ")"
-            for coords in itertools.product(*(range(n) for n in sizes))
+            for coords in coordinate_tuples(sizes)
         )
     return RelationalStructure(size, rels, labels)
 

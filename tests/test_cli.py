@@ -4,8 +4,12 @@ Each CLI result is cross-checked against the library call it wraps, so
 these double as adapter-thinness tests.
 """
 
+import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 from hmkit import cli
 from hmkit.cli import main
@@ -498,3 +502,65 @@ def test_json_reports_are_stable(capsys, structure_file, S):
     # neither an echo-only --seed nor a --limit nothing reads is accepted
     assert run(capsys, "pol", "enumerate", path, "--arity", "2", "--seed", "5")[0] == 2
     assert run(capsys, "hom", "count", path, path, "--limit", "1")[0] == 2
+
+
+def test_max_tuples_only_where_read(capsys, structure_file, S):
+    path = structure_file(S)
+    code, _, err = run(capsys, "psl", "check", path, "--max-tuples", "5")
+    assert code == 2 and "unrecognized arguments: --max-tuples" in err
+    assert run(capsys, "hom", "count", path, path, "--max-tuples", "5")[0] == 2
+    assert run(capsys, "structure", "power", path, "2", "--max-tuples", "5")[0] == 2
+    assert run(capsys, "structure", "power", path, "2", "--max-tuples", "16")[0] == 0
+
+
+# --- the parser ---------------------------------------------------------------------
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import hmkit.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
+def test_parser_is_built_once(capsys, monkeypatch, structure_file, S):
+    path = structure_file(S)
+    assert run(capsys, "hom", "count", path, path)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["hom", "count", path, path], ["psl", "check", path], ["nonsense"]):
+        run(capsys, *argv)
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_options_do_not_carry_over(capsys, structure_file, S):
+    path = structure_file(S)
+    code, out, _ = run(capsys, "hom", "find", path, path, "--limit", "1", "--output", "json")
+    assert json.loads(out)["checks"][0]["witness"] == ["0,0"]
+    code, out, _ = run(capsys, "hom", "find", path, path)
+    assert out.splitlines() == ["command: hom find", "homomorphisms: pass", "  0,0", "  0,1", "  1,1"]
+
+    decompose = ["psl", "decompose", "--target", path, "--factors", path, path, "--map", "0,0,0,1"]
+    code, out, _ = run(capsys, *decompose, "--tops", "0,1")
+    assert code == 1 and "0 is not its largest element" in out
+    code, out, _ = run(capsys, *decompose)
+    assert code == 0 and "decomposition: pass" in out

@@ -26,6 +26,8 @@ from hmkit.structures import (
     product,
 )
 
+from conftest import random_structure, relabel
+
 
 def reflexive_triples(n):
     return {(a, a, a) for a in range(n)}
@@ -279,6 +281,46 @@ def test_decompose_rejects_wrong_shapes(S):
         decompose_product_hom(f, [S, S], [1])
     with pytest.raises(DecompositionError, match="not the product"):
         decompose_product_hom(f, [S], [1])
+
+
+def test_product_source_check_matches_rebuild(S, chain3, point):
+    """decompose_product_hom refuses a source exactly when it differs from
+    product(factors) in size or relations."""
+    partial3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
+    pool = [(S, 1), (chain3, 2), (point, 0), (partial3, 2)]
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        factors, tops = [h for h, _ in picked], [t for _, t in picked]
+        p = product(factors)
+        tuples = sorted(p.relations["R"].tuples)
+        moved = set(tuples)
+        moved.remove(rng.choice(tuples))
+        outside = [t for t in itertools.product(range(p.size), repeat=3) if t not in moved]
+        moved.add(rng.choice(outside))
+        perm = list(range(p.size))
+        rng.shuffle(perm)
+        sources = [
+            p,
+            ternary(p.size, moved),
+            ternary(p.size, tuples[1:]),
+            product(factors[::-1]),
+            relabel(p, perm),
+            random_structure(rng, p.size, {"R": 3}),
+            ternary(p.size + 1, tuples),
+        ]
+        for source in sources:
+            value = rng.randrange(source.size)
+            f = Homomorphism(source, ternary(source.size, {(value,) * 3}), (value,) * source.size)
+            differs = (source.size, source.relations) != (p.size, p.relations)
+            outcomes[differs] += 1
+            if differs:
+                with pytest.raises(DecompositionError, match="not the product"):
+                    decompose_product_hom(f, factors, tops)
+            else:
+                assert decompose_product_hom(f, factors, tops).constant_value == value
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_every_hom_off_a_product_decomposes(S, chain3):

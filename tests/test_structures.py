@@ -33,6 +33,8 @@ from hmkit.structures import (
     validation_report,
 )
 
+from hmkit.homsearch import find_homs
+
 from conftest import random_structure, relabel
 
 
@@ -166,6 +168,17 @@ def test_homomorphism_validation(S):
         Homomorphism(S, S, (0,))
     with pytest.raises(StructureError):
         Homomorphism(S, S, (0, 7))
+
+
+def test_structures_and_homomorphisms_are_hashable(S):
+    r, e = Relation(3, frozenset({(0, 0, 0), (1, 1, 1)})), Relation(2, frozenset({(0, 1)}))
+    a = RelationalStructure(2, {"R": r, "E": e})
+    b = RelationalStructure(2, {"E": (2, [(0, 1)]), "R": (3, [(1, 1, 1), (0, 0, 0)])})
+    assert list(a.relations) != list(b.relations)
+    assert a == b and hash(a) == hash(b)
+    assert len({S, structure_from_json(structure_to_json(S))}) == 1
+    homs = find_homs(S, S)
+    assert len(set(homs)) == len(homs) == 3
 
 
 def test_homomorphism_compose_and_identity(S):
