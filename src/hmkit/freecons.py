@@ -12,6 +12,13 @@ structural facts the construction is designed around.
 The free algebra, the free structure's triples and the unary term
 operations are subpower closures computed by one semi-naive engine,
 `_close`; `max_tuples` bounds the elements each closure finds.
+
+The evidence search, hm_evidence, runs one labeling fixpoint per
+coordinate labeling and rank (`_refute_labeling`).  It is not semi-naive:
+its rounds read variable sets that grow within the round, and which tuple
+first reaches a set decides the reported identity.  It keeps full rounds
+and skips only argument tuples that a bitset reach test shows can add no
+variable set, so it reports the identities full rounds find.
 """
 
 from __future__ import annotations
@@ -864,6 +871,20 @@ def default_evidence_arity(a: FiniteAlgebra) -> int:
     return max([2] + arities)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _unions(haves: tuple[int, ...]) -> int:
+    """The unions one can pick from the variable-set bitsets `haves`, as a bitset.
+
+    Bit m of a bitset stands for the variable set with mask m; the result is
+    the OR-convolution of the arguments, starting from the empty union.
+    """
+    reach = {0}
+    for have in haves:
+        masks = [m for m in range(have.bit_length()) if have >> m & 1]
+        reach = {r | m for r in reach for m in masks}
+    return sum(1 << r for r in reach)
+
+
 def _refute_labeling(
     labeling: SLLabeling, max_arity: int, free_at: Callable[[int], FreeAlgebra]
 ) -> LabelingRefutation | None:
@@ -872,53 +893,73 @@ def _refute_labeling(
     Every element tracks the variable sets achievable by its term
     representations under the labeling; two distinct sets on one element
     give a violated identity.  free_at(j) gives the rank-j free algebra.
+
+    At rank j a variable set is a j-bit mask (bit g for the g-th variable
+    name), and have[e] is a bitset over the masks element e holds.  Rounds
+    run over the elements known at their start, symbols sorted and argument
+    tuples lexicographic, and read the sets as they grow within the round;
+    a round that adds nothing ends the rank.  A tuple whose labeled
+    arguments can reach no union missing from its result adds nothing, so
+    it is skipped; any other tuple tries its picks in the order of the
+    sorted variable names, so each set keeps the first term that reaches it.
     """
     for j in range(1, max_arity + 1):
         free = free_at(j)
         names = variable_names(j)
-        rep = [None] * free.algebra.size
+        n = free.algebra.size
+        # representatives in one pass as far as needed: derivation arguments have smaller ids
+        rep: list[Term] = []
 
         def rep_term(e: int) -> Term:
-            if rep[e] is None:
-                d = free.derivations[e]
-                if d[0] == "var":
-                    rep[e] = Variable(names[d[1]])
-                else:
-                    rep[e] = Application(d[0], tuple(rep_term(arg) for arg in d[1]))
+            while len(rep) <= e:
+                sym, arg = free.derivations[len(rep)]
+                rep.append(Variable(names[arg]) if sym == "var" else Application(sym, tuple(rep[a] for a in arg)))
             return rep[e]
 
-        varsets: list[dict[frozenset[str], Term]] = [dict() for _ in range(free.algebra.size)]
+        def name_list(mask: int) -> list[str]:
+            return sorted(names[g] for g in range(j) if mask >> g & 1)
+
+        # picks try sets in the order of their sorted name lists, which is not the mask order
+        position = {mask: p for p, mask in enumerate(sorted(range(1 << j), key=name_list))}
+        varsets: list[dict[int, Term]] = [dict() for _ in range(n)]
+        have = [0] * n
         for g, gid in enumerate(free.generators):
-            varsets[gid][frozenset({names[g]})] = Variable(names[g])
+            varsets[gid][1 << g] = Variable(names[g])
+            have[gid] |= 1 << (1 << g)
 
         changed = True
         while changed:
             changed = False
-            known = [e for e in range(free.algebra.size) if varsets[e]]
+            known = [e for e in range(n) if have[e]]
             for sym in free.algebra.symbols():
                 table = free.algebra.operations[sym]
-                coords = labeling.sigma[sym]
-                for args in itertools.product(known, repeat=table.arity):
-                    result = table.apply(*args)
-                    labeled_sets = [sorted(varsets[args[i - 1]], key=sorted) for i in coords]
+                m, values = table.arity, table.values
+                labeled = [i - 1 for i in labeling.sigma[sym]]
+                # flat table index of an argument tuple: the sum of its scaled ids
+                scaled = [[e * n ** (m - 1 - i) for e in known] for i in range(m)]
+                flats = map(sum, itertools.product(*scaled))
+                for args, flat in zip(itertools.product(known, repeat=m), flats):
+                    result = values[flat]
+                    if not _unions(tuple([have[args[i]] for i in labeled])) & ~have[result]:
+                        continue
+                    labeled_sets = [sorted(varsets[args[i]], key=position.__getitem__) for i in labeled]
                     for pick in itertools.product(*labeled_sets):
-                        union = frozenset().union(*pick)
+                        union = functools.reduce(operator.or_, pick, 0)
                         if union in varsets[result]:
                             continue
-                        terms = []
-                        chosen = dict(zip(coords, pick))
-                        for pos in range(1, table.arity + 1):
-                            if pos in chosen:
-                                terms.append(varsets[args[pos - 1]][chosen[pos]])
-                            else:
-                                terms.append(rep_term(args[pos - 1]))
-                        varsets[result][union] = Application(sym, tuple(terms))
+                        chosen = dict(zip(labeled, pick))
+                        terms = tuple(
+                            varsets[a][chosen[i]] if i in chosen else rep_term(a) for i, a in enumerate(args)
+                        )
+                        varsets[result][union] = Application(sym, terms)
+                        have[result] |= 1 << union
                         changed = True
 
-        for e in range(free.algebra.size):
+        for e in range(n):
             if len(varsets[e]) >= 2:
-                (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: sorted(kv[0]))[:2]
-                return LabelingRefutation(labeling, j, e, t1, t2, vs1, vs2)
+                (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: position[kv[0]])[:2]
+                lhs_varset, rhs_varset = frozenset(name_list(vs1)), frozenset(name_list(vs2))
+                return LabelingRefutation(labeling, j, e, t1, t2, lhs_varset, rhs_varset)
     return None
 
 
@@ -957,14 +998,10 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     if seen != expected:
         return False
     for r in certificate.refutations:
-        identity = Identity(r.lhs, r.rhs)
-        if not holds_in(a, identity, a.operations):
+        if not holds_in(a, Identity(r.lhs, r.rhs), a.operations):
             return False
-        if sigma_varset(r.lhs, r.labeling) == sigma_varset(r.rhs, r.labeling):
-            return False
-        if sigma_varset(r.lhs, r.labeling) != r.lhs_varset:
-            return False
-        if sigma_varset(r.rhs, r.labeling) != r.rhs_varset:
+        lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
+        if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:
             return False
     return True
 

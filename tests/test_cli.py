@@ -8,6 +8,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -29,6 +30,8 @@ from hmkit.structures import (
 )
 
 from conftest import MAJORITY_SYSTEM, SEMILATTICE_SYSTEM
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(capsys, *argv):
@@ -477,6 +480,26 @@ def test_alg_hm_evidence_survivor(capsys, algebra_file, meet_algebra):
     witness = json.loads(out)["checks"][0]["witness"]
     assert witness["surviving_labeling"] == "meet->{1,2}"
     assert witness["max_arity"] == 2
+
+
+def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
+    # the reported identities depend on the order in which the labeling
+    # fixpoint finds terms, so the whole report is pinned, bar its timing
+    two_ternary = FiniteAlgebra(
+        2,
+        {
+            "t0": OperationTable(3, 2, (0, 1, 0, 1, 1, 1, 1, 1)),
+            "t1": OperationTable(3, 2, (0, 0, 1, 1, 1, 1, 0, 1)),
+        },
+        ("0", "1"),
+    )
+    for name, algebra in (("majority", majority_algebra), ("two_ternary", two_ternary)):
+        code, out, _ = run(
+            capsys, "alg", "hm-evidence", "--algebra", algebra_file(algebra), "--output", "json"
+        )
+        assert code == 0
+        with open(os.path.join(GOLDEN, f"alg_hm_evidence_{name}.json"), encoding="utf-8") as fh:
+            assert re.sub(r'("elapsed_ms": )[0-9.e+-]+', r"\g<1>0", out) == fh.read()
 
 
 def test_alg_hm_evidence_rejects_non_idempotent(capsys, algebra_file):

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import json
 import random
+import sys
+from typing import Callable
 
 import pytest
 
@@ -8,6 +11,7 @@ from hmkit.freecons import (
     CertifiedHM,
     ConsistentLabelingFound,
     FiniteAlgebra,
+    FreeAlgebra,
     IllDefinedOperation,
     LabelingRefutation,
     algebra_from_json,
@@ -24,10 +28,21 @@ from hmkit.freecons import (
     verify_certificate,
     verify_claims,
     verify_lemma22,
+    variable_names,
     _quotient_tables,
+    _refute_labeling,
 )
 from hmkit.homsearch import OperationTable
-from hmkit.identlang import Identity, holds_in, sigma_varset
+from hmkit.identlang import (
+    Application,
+    Identity,
+    SLLabeling,
+    Term,
+    Variable,
+    all_labelings,
+    holds_in,
+    sigma_varset,
+)
 from hmkit.structures import (
     SizeLimitExceeded,
     StructureError,
@@ -84,6 +99,67 @@ def free_algebra_reference(a, k, max_elements):
             for args in itertools.product(range(len(elements)), repeat=table.arity)
         )
     return tuple(elements), tuple(derivations), tuple(index[p] for p in projections), tables
+
+
+# Slow oracle for the labeling fixpoint: every pick of every tuple, variable
+# sets as frozensets, results through OperationTable.apply, and representatives
+# built by recursion, so it needs derivations shallower than the recursion limit.
+def refute_labeling_reference(
+    labeling: SLLabeling, max_arity: int, free_at: Callable[[int], FreeAlgebra]
+) -> LabelingRefutation | None:
+    """Search free algebras of growing rank for an identity the labeling breaks.
+
+    Every element tracks the variable sets achievable by its term
+    representations under the labeling; two distinct sets on one element
+    give a violated identity.  free_at(j) gives the rank-j free algebra.
+    """
+    for j in range(1, max_arity + 1):
+        free = free_at(j)
+        names = variable_names(j)
+        rep = [None] * free.algebra.size
+
+        def rep_term(e: int) -> Term:
+            if rep[e] is None:
+                d = free.derivations[e]
+                if d[0] == "var":
+                    rep[e] = Variable(names[d[1]])
+                else:
+                    rep[e] = Application(d[0], tuple(rep_term(arg) for arg in d[1]))
+            return rep[e]
+
+        varsets: list[dict[frozenset[str], Term]] = [dict() for _ in range(free.algebra.size)]
+        for g, gid in enumerate(free.generators):
+            varsets[gid][frozenset({names[g]})] = Variable(names[g])
+
+        changed = True
+        while changed:
+            changed = False
+            known = [e for e in range(free.algebra.size) if varsets[e]]
+            for sym in free.algebra.symbols():
+                table = free.algebra.operations[sym]
+                coords = labeling.sigma[sym]
+                for args in itertools.product(known, repeat=table.arity):
+                    result = table.apply(*args)
+                    labeled_sets = [sorted(varsets[args[i - 1]], key=sorted) for i in coords]
+                    for pick in itertools.product(*labeled_sets):
+                        union = frozenset().union(*pick)
+                        if union in varsets[result]:
+                            continue
+                        terms = []
+                        chosen = dict(zip(coords, pick))
+                        for pos in range(1, table.arity + 1):
+                            if pos in chosen:
+                                terms.append(varsets[args[pos - 1]][chosen[pos]])
+                            else:
+                                terms.append(rep_term(args[pos - 1]))
+                        varsets[result][union] = Application(sym, tuple(terms))
+                        changed = True
+
+        for e in range(free.algebra.size):
+            if len(varsets[e]) >= 2:
+                (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: sorted(kv[0]))[:2]
+                return LabelingRefutation(labeling, j, e, t1, t2, vs1, vs2)
+    return None
 
 
 def random_algebra(rng, size):
@@ -418,3 +494,75 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     assert not verify_certificate(majority_algebra, broken)
     missing = CertifiedHM(evidence.max_arity, evidence.refutations[1:])
     assert not verify_certificate(majority_algebra, missing)
+
+
+def idempotent_table(rng, size, arity):
+    """A uniformly drawn table with a(a, ..., a) = a."""
+    values = [rng.randrange(size) for _ in range(size**arity)]
+    for a in range(size):
+        values[sum(a * size**i for i in range(arity))] = a
+    return OperationTable(arity, size, tuple(values))
+
+
+def test_refute_labeling_matches_reference(
+    monkeypatch, majority_algebra, meet_algebra, lattice_algebra, bare_algebra
+):
+    import hmkit.freecons as freecons
+
+    rng = random.Random(61)
+    draws = [
+        FiniteAlgebra(2, {sym: idempotent_table(rng, 2, rng.randint(2, 3)) for sym in "fg"[: rng.randint(1, 2)]})
+        for _ in range(60)
+    ]
+    draws += [FiniteAlgebra(3, {"f": idempotent_table(rng, 3, 2)}) for _ in range(15)]
+    algebras = [majority_algebra, meet_algebra, lattice_algebra, bare_algebra] + draws
+    refuted = 0
+    for a in algebras:
+        max_arity = default_evidence_arity(a)
+        free_at = functools.cache(lambda j, a=a: free_algebra(a, j))
+        for labeling in all_labelings({sym: a.operations[sym].arity for sym in a.symbols()}):
+            got = _refute_labeling(labeling, max_arity, free_at)
+            want = refute_labeling_reference(labeling, max_arity, free_at)
+            # labeling, rank, element, both terms and both variable sets
+            assert got == want
+            if want is not None:
+                assert (str(got.lhs), str(got.rhs)) == (str(want.lhs), str(want.rhs))
+                refuted += 1
+    assert refuted > 100
+    evidence = [hm_evidence(a) for a in algebras]
+    monkeypatch.setattr(freecons, "_refute_labeling", refute_labeling_reference)
+    assert evidence == [hm_evidence(a) for a in algebras]
+
+
+def test_refute_labeling_builds_deep_representatives_without_recursion():
+    # A hand-built rank-2 free algebra (the fixpoint reads only its tables,
+    # generators and derivations): x = 0, y = 1, and element e >= 2 is derived
+    # as f(e - 1, x), so the last element's representative nests `depth`
+    # applications of f around y.  f(a, b) = a except f(x, x) = deep and
+    # f(y, deep) = x, so under f -> {1} the element x gets the set {y} from a
+    # term that holds deep's representative in its unlabeled argument.
+    depth = 3000
+    n = depth + 2
+    deep = n - 1
+    rows = [(deep,), itertools.repeat(0, n - 1), itertools.repeat(1, n - 1), (0,)]
+    rows += [itertools.repeat(a, n) for a in range(2, n)]
+    f = FiniteAlgebra(n, {"f": OperationTable(2, n, tuple(itertools.chain.from_iterable(rows)))})
+    derivations = (("var", 0), ("var", 1)) + tuple(("f", (e - 1, 0)) for e in range(2, n))
+    rank2 = FreeAlgebra(f, 2, f, tuple((e,) for e in range(n)), (0, 1), derivations, {})
+    point = FiniteAlgebra(1, {"f": OperationTable(2, 1, (0,))})
+    rank1 = FreeAlgebra(point, 1, point, ((0,),), (0,), (("var", 0),), {(0,): 0})
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        r = _refute_labeling(SLLabeling({"f": (1,)}), 2, {1: rank1, 2: rank2}.__getitem__)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.arity, r.element, r.lhs) == (2, 0, Variable("x"))
+    assert (r.lhs_varset, r.rhs_varset) == (frozenset("x"), frozenset("y"))
+    assert r.rhs.symbol == "f" and r.rhs.args[0] == Variable("y")
+    t, nested = r.rhs.args[1], 0
+    while isinstance(t, Application):
+        assert t.symbol == "f" and t.args[1] == Variable("x")
+        t, nested = t.args[0], nested + 1
+    assert (t, nested) == (Variable("y"), depth)
