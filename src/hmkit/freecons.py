@@ -6,8 +6,16 @@ generated by a finite algebra together with its ternary free relational
 structure; compute_H finds, per connected component, the non-constant
 homomorphisms into the two-element semilattice structure; collapse maps
 every element to its tuple of homomorphism values, landing in a disjoint
-union of semilattice powers.  Verification routines then machine-check the
-structural facts the construction is designed around.
+union of semilattice powers, and decodes every collapsed element once into
+its component and coordinate bits.  Verification routines then
+machine-check the structural facts the construction is designed around.
+
+Claim 4 of verify_claims counts the shaped extensions of a restriction bit
+by bit.  A shaped piece into a component is a tuple of bit shapes, one per
+coordinate, and distinct pieces are distinct tuples, since a piece's id is
+the rank of its bits; so the count is the product over the coordinates of
+the number of shapes that agree with the restriction there, read from one
+table per component combination.  No piece is enumerated.
 
 The free algebra, the free structure's triples and the unary term
 operations are subpower closures computed by one semi-naive engine,
@@ -26,7 +34,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -63,6 +73,7 @@ from .structures import (
     SizeLimitExceeded,
     StructureError,
     connected_components,
+    coordinate_tuples,
     disjoint_union,
     find_isomorphism,
     image_structure,
@@ -72,6 +83,7 @@ from .structures import (
     one_element_structure,
     power,
     product,
+    rank,
     two_element_semilattice,
 )
 
@@ -272,16 +284,12 @@ class ComponentData:
     homs: tuple[Homomorphism, ...] = ()  # non-constant maps into S, local ids
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
 
-    def local_of(self, member: int) -> int:
-        return self.members.index(member)
-
 
 @dataclass
 class FreeBundle:
     """Staged output of the free construction over a finite algebra."""
 
-    base: FiniteAlgebra
-    free: FreeAlgebra
+    free: FreeAlgebra  # its `base` is the algebra
     x: int
     y: int
     structure: RelationalStructure  # the free relational structure
@@ -291,8 +299,7 @@ class FreeBundle:
     components: tuple[ComponentData, ...] | None = None
     psi: Homomorphism | None = None
     union_structure: RelationalStructure | None = None
-    offsets: tuple[int, ...] | None = None
-    image: tuple[int, ...] | None = None  # sorted union ids in the image
+    decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
     quotient_map: tuple[int, ...] | None = None  # free element -> K id
     K: RelationalStructure | None = None
     Kalg: FiniteAlgebra | None = None
@@ -308,21 +315,6 @@ class FreeBundle:
     def hom_count(self, u: int) -> int:
         assert self.components is not None
         return len(self.components[u].homs)
-
-    def rank_of_kid(self, kid: int) -> tuple[int, int]:
-        """(component index, coordinate rank) of a collapsed element."""
-        assert self.image is not None and self.offsets is not None
-        gid = self.image[kid]
-        for u in range(len(self.offsets)):
-            upper = self.offsets[u + 1] if u + 1 < len(self.offsets) else self.union_structure.size
-            if self.offsets[u] <= gid < upper:
-                return u, gid - self.offsets[u]
-        raise StructureError(f"collapsed id {kid} outside all components")
-
-    def coords_of_kid(self, kid: int) -> tuple[int, ...]:
-        u, rank = self.rank_of_kid(kid)
-        h = self.hom_count(u)
-        return tuple((rank >> (h - 1 - c)) & 1 for c in range(h))
 
     def generator_image(self, u: int, generator: int) -> int:
         """K id of the image of u applied to a generator (x or y)."""
@@ -364,7 +356,6 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
         component_of.append(unary_index[diag])
 
     bundle = FreeBundle(
-        base=a,
         free=free,
         x=x,
         y=y,
@@ -432,31 +423,29 @@ def _quotient_tables(
 
 
 def collapse(bundle: FreeBundle) -> FreeBundle:
-    """Map each element to its homomorphism-value tuple; build the image."""
+    """Map each element to its homomorphism-value tuple; build the image.
+
+    Component u with h homomorphisms becomes power(S, h), a point when
+    h = 0, whose ids are the ranks of coordinate bit tuples; the union ids
+    are decoded once, into the (component, bits) of every K id.
+    """
     assert bundle.components is not None, "compute_H must run first"
     summands = []
-    offsets = []
-    total = 0
+    decode: list[tuple[int, tuple[int, ...]]] = []  # union id -> (component, coordinate bits)
+    mapping = [0] * bundle.free.algebra.size
     for comp in bundle.components:
         h = len(comp.homs)
         summands.append(
             power(bundle.semilattice, h) if h >= 1 else one_element_structure(RELATION_SYMBOL)
         )
-        offsets.append(total)
-        total += summands[-1].size
+        offset = len(decode)
+        decode.extend((comp.unary_index, bits) for bits in coordinate_tuples([2] * h))
+        for local, e in enumerate(comp.members):
+            mapping[e] = offset + rank([hom.mapping[local] for hom in comp.homs], [2] * h)
     union = disjoint_union(summands)
 
-    mapping = [0] * bundle.free.algebra.size
-    for comp in bundle.components:
-        h = len(comp.homs)
-        for local, e in enumerate(comp.members):
-            rank = 0
-            for hom in comp.homs:
-                rank = (rank << 1) | hom.mapping[local]
-            mapping[e] = offsets[comp.unary_index] + (rank if h else 0)
-
     psi = Homomorphism(bundle.structure, union, tuple(mapping))
-    image = tuple(sorted(set(mapping)))
+    image = sorted(set(mapping))
     kid_of = {gid: i for i, gid in enumerate(image)}
     qmap = tuple(kid_of[g] for g in mapping)
     K = image_structure(psi)
@@ -466,8 +455,7 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
 
     bundle.psi = psi
     bundle.union_structure = union
-    bundle.offsets = tuple(offsets)
-    bundle.image = image
+    bundle.decode = tuple(decode[g] for g in image)
     bundle.quotient_map = qmap
     bundle.K = K
     bundle.Kalg = Kalg
@@ -527,19 +515,46 @@ def _classify_into_coords(
     Returns ("constant", value), ("projection", coordinate) with the unique
     witnessing coordinate, or ("neither", None).
     """
-    comp = bundle.components[u]
-    values = list(mapping)
+    values = tuple(mapping)
     if len(set(values)) <= 1:
         return "constant", values[0]
-    h = len(comp.homs)
-    witnesses = [
-        c
-        for c in range(h)
-        if all(values[i] == bundle.coords_of_kid(kid)[c] for i, kid in enumerate(comp.kids))
-    ]
+    # column c holds coordinate bit c of every kid of the component
+    columns = zip(*(bundle.decode[kid][1] for kid in bundle.components[u].kids))
+    witnesses = [c for c, column in enumerate(columns) if column == values]
     if len(witnesses) == 1:
         return "projection", witnesses[0]
     return "neither", None
+
+
+def _separating_translation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
+    """The first unary translation of a basic operation that sends two
+    elements of one kernel class to different classes, described, or ""
+    when there is none.
+
+    Symbols are sorted, then the translated position, the parameters in
+    lexicographic order, the classes by their first member and the members
+    in id order.
+    """
+    classes: dict[int, list[int]] = {}
+    for e, c in enumerate(qmap):
+        classes.setdefault(c, []).append(e)
+    for sym in falg.symbols():
+        table = falg.operations[sym]
+        m = table.arity
+        for pos in range(m):
+            for params in itertools.product(range(falg.size), repeat=m - 1):
+                def translate(t: int) -> int:
+                    return qmap[table.apply(*params[:pos], t, *params[pos:])]
+
+                for first, *others in classes.values():
+                    base = translate(first)
+                    for other in others:
+                        if translate(other) != base:
+                            return (
+                                f"{sym} at position {pos + 1}, parameters {params}: "
+                                f"elements {first} and {other} separate"
+                            )
+    return ""
 
 
 def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
@@ -602,44 +617,13 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
 
     # 5: the collapse kernel is preserved by every unary translation of a
     # basic operation (these generate all unary polynomials)
-    qmap = bundle.quotient_map
-    classes: dict[int, list[int]] = {}
-    for e, c in enumerate(qmap):
-        classes.setdefault(c, []).append(e)
-    ok, detail = True, ""
-    falg = bundle.free.algebra
-    for sym in falg.symbols():
-        table = falg.operations[sym]
-        m = table.arity
-        for pos in range(m):
-            for params in itertools.product(range(falg.size), repeat=m - 1):
-                def translate(t: int) -> int:
-                    args = params[:pos] + (t,) + params[pos:]
-                    return table.apply(*args)
-
-                for members in classes.values():
-                    base = qmap[translate(members[0])]
-                    for other in members[1:]:
-                        if qmap[translate(other)] != base:
-                            ok = False
-                            detail = (
-                                f"{sym} at position {pos + 1}, parameters {params}: "
-                                f"elements {members[0]} and {other} separate"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    results.append(CheckResult("item 5 (kernel is a congruence)", PASS if ok else FAIL, detail))
+    falg, qmap = bundle.free.algebra, bundle.quotient_map
+    detail = _separating_translation(falg, qmap)
+    results.append(CheckResult("item 5 (kernel is a congruence)", FAIL if detail else PASS, detail))
 
     # 6: induced quotient tables are single-valued
     try:
-        _quotient_tables(falg, qmap, len(bundle.image))
+        _quotient_tables(falg, qmap, bundle.K.size)
         results.append(CheckResult("item 6 (induced operations)", PASS))
     except IllDefinedOperation as exc:
         results.append(CheckResult("item 6 (induced operations)", FAIL, str(exc)))
@@ -650,22 +634,103 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
 # --- verification: the four polymorphism claims -------------------------------
 
 
-def _component_points(bundle: FreeBundle, comb: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All points of the product of collapsed components, as kid tuples."""
-    return list(itertools.product(*(bundle.components[u].kids for u in comb)))
+def _shape_table(bundle: FreeBundle, comb: tuple[int, ...], points: list[tuple[int, ...]]) -> Counter:
+    """Claim 4's bit shapes of a component combination, by restriction.
+
+    A bit shape is a 0/1 function on the product of the combination's
+    powers: constant 0, constant 1, or the meet of chosen coordinates of
+    non-trivial factors, at most one per factor.  The table maps each
+    restriction of a shape to the points (kid tuples) to the number of
+    shapes with that restriction.  Shapes are distinct on the whole
+    product: a meet is 1 exactly above the point that is 1 on its chosen
+    coordinates, and no meet is constant.
+    """
+    bits = [[bundle.decode[kid][1] for kid in p] for p in points]  # per point, per factor
+    shapes = Counter([(0,) * len(points), (1,) * len(points)])
+    # per factor, no coordinate (None) or one of its coordinates
+    options = [[None, *range(bundle.hom_count(u))] for u in comb]
+    for choice in itertools.product(*options):
+        chosen = [(ell, phi) for ell, phi in enumerate(choice) if phi is not None]
+        if chosen:
+            shapes[tuple(min(b[ell][phi] for ell, phi in chosen) for b in bits)] += 1
+    return shapes
 
 
-def _kid_component(bundle: FreeBundle, kid: int) -> int:
-    return bundle.rank_of_kid(kid)[0]
+def _count_shaped_extensions(bundle: FreeBundle, shapes: Counter, values: Sequence[int]) -> int:
+    """Count the distinct shaped maps on the product of powers that extend f.
+
+    values[i] is f at the i-th point of the combination whose shape table
+    is `shapes`.  A shaped piece is constant, or lands in one non-trivial
+    component u with each coordinate bit a bit shape.  Its id there is the
+    offset of u plus the rank of the bits, and rank is injective, so the
+    distinct pieces into u are the tuples of shapes, and a piece extends f
+    exactly when each shape extends the matching coordinate of f.  A
+    constant piece into u is the piece of constant shapes.  So f inside a
+    non-trivial component has the product over its coordinates of the
+    table entries, f inside a trivial one only its constant, and f across
+    components none.
+    """
+    decoded = [bundle.decode[v] for v in values]
+    if len({u for u, _ in decoded}) != 1:
+        return 0
+    return math.prod(shapes[column] for column in zip(*(bits for _, bits in decoded)))
+
+
+def _meet_failure(
+    bundle: FreeBundle,
+    arity: int,
+    comb: tuple[int, ...],
+    columns: Sequence[tuple[int, ...]],
+    factors: list[RelationalStructure],
+    tops: list[int],
+    prod: RelationalStructure,
+) -> str:
+    """Why a coordinate of a non-constant restriction is no meet of
+    single-coordinate projections, or "" when every one is.
+
+    columns[c] is coordinate bit c of the restriction at each point of
+    `prod`, the product of the combination's collapsed components.
+    """
+    for c, column in enumerate(columns):
+        try:
+            g = Homomorphism(prod, bundle.semilattice, column)
+            dec = decompose_product_hom(g, factors, tops)
+        except (StructureError, DecompositionError) as exc:
+            return f"arity {arity}: {exc}"
+        if dec.is_constant:
+            continue
+        projections = 0
+        for ell, cmap in enumerate(dec.coordinate_maps):
+            kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
+            if kind == "projection":
+                if not bundle.hom_count(comb[ell]):
+                    return f"arity {arity}: projection on a trivial factor"
+                projections += 1
+            elif not (kind == "constant" and cmap.mapping[0] == 1):
+                return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
+        if projections == 0:
+            return f"arity {arity}: non-constant map with no projection factor"
+    return ""
 
 
 def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
-    """Check the four polymorphism claims for arities 1..max_arity."""
+    """Check the four polymorphism claims for arities 1..max_arity.
+
+    Claims 3 and 4 restrict every polymorphism of K to every product of
+    collapsed components (a combination), polymorphisms in search order and
+    combinations lexicographic.  What depends only on the combination is
+    built once: its points and shape table, and on first use the factors,
+    tops and product that claim 3 decomposes over.  Claim 4 counts the
+    extensions of a restriction bit by bit from the shape table (see
+    `_count_shaped_extensions`), so no piece on the product of powers is
+    enumerated; the count is exact because distinct pieces are distinct
+    tuples of shapes.  Claim 3 reports its first failure, claim 4 runs on
+    every restriction until both have failed.
+    """
     assert bundle.K is not None, "collapse must run first"
     S = bundle.semilattice
     results = []
     nU = len(bundle.components)
-    upper = set(bundle.upper_indices())
 
     # Claim 1: each collapsed component is a partial semilattice whose
     # largest element is the image of u applied to the second generator
@@ -699,145 +764,52 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
                 break
     results.append(CheckResult("claim 2 (generator pair detects size)", PASS if ok else FAIL, detail))
 
+    @functools.cache
+    def points_and_shapes(comb: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Counter]:
+        points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
+        return points, _shape_table(bundle, comb, points)
+
+    @functools.cache
+    def factored(comb: tuple[int, ...]) -> tuple[list[RelationalStructure], list[int], RelationalStructure]:
+        factors = [_collapsed_substructure(bundle, u) for u in comb]
+        tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
+        return factors, tops, product(factors)
+
     # Claims 3 and 4 quantify over polymorphisms of the image
     claim3_ok, claim3_detail = True, ""
     claim4_ok, claim4_detail = True, ""
-    for arity in range(1, max_arity + 1):
-        polys = polymorphisms(bundle.K, arity)
-        combos = list(itertools.product(range(nU), repeat=arity))
-        for f in polys:
-            for comb in combos:
-                points = _component_points(bundle, comb)
-                values = [f.apply(*p) for p in points]
-                targets = {_kid_component(bundle, v) for v in values}
-                if len(targets) != 1:
-                    claim3_ok = False
-                    claim3_detail = f"arity {arity}: restriction spans components {sorted(targets)}"
-                    break
-                u = targets.pop()
-                constant = len(set(values)) == 1
+    restrictions = (
+        (arity, f, comb)
+        for arity in range(1, max_arity + 1)
+        for f in polymorphisms(bundle.K, arity)
+        for comb in itertools.product(range(nU), repeat=arity)
+    )
+    for arity, f, comb in restrictions:
+        points, shapes = points_and_shapes(comb)
+        values = [f.apply(*p) for p in points]
+        targets = sorted({bundle.decode[v][0] for v in values})
+        if len(targets) != 1:
+            if claim3_ok:
+                claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
+        elif claim3_ok and len(set(values)) > 1:
+            # claim 3: each coordinate of the restriction factors as a
+            # meet of single-coordinate projections
+            columns = list(zip(*(bundle.decode[v][1] for v in values)))
+            claim3_detail = _meet_failure(bundle, arity, comb, columns, *factored(comb))
+            claim3_ok = not claim3_detail
 
-                # claim 3: each coordinate of the restriction factors as a
-                # meet of single-coordinate projections
-                if not constant and claim3_ok:
-                    factors = [_collapsed_substructure(bundle, ul) for ul in comb]
-                    tops = [
-                        bundle.components[ul].kids.index(bundle.generator_image(ul, bundle.y))
-                        for ul in comb
-                    ]
-                    prod = product(factors)
-                    h = bundle.hom_count(u)
-                    for c in range(h):
-                        coord_values = [bundle.coords_of_kid(v)[c] for v in values]
-                        try:
-                            g = Homomorphism(prod, S, tuple(coord_values))
-                            dec = decompose_product_hom(g, factors, tops)
-                        except (StructureError, DecompositionError) as exc:
-                            claim3_ok, claim3_detail = False, f"arity {arity}: {exc}"
-                            break
-                        if dec.is_constant:
-                            continue
-                        projections = 0
-                        for ell, cmap in enumerate(dec.coordinate_maps):
-                            kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
-                            if kind == "projection":
-                                if comb[ell] not in upper:
-                                    claim3_ok = False
-                                    claim3_detail = f"arity {arity}: projection on a trivial factor"
-                                    break
-                                projections += 1
-                            elif kind == "constant" and cmap.mapping[0] == 1:
-                                continue
-                            else:
-                                claim3_ok = False
-                                claim3_detail = (
-                                    f"arity {arity}: coordinate {c} factor {ell} is neither a"
-                                    " projection nor constant 1"
-                                )
-                                break
-                        if claim3_ok and projections == 0:
-                            claim3_ok = False
-                            claim3_detail = f"arity {arity}: non-constant map with no projection factor"
-                        if not claim3_ok:
-                            break
-
-                # claim 4: the restriction extends to exactly one piece of
-                # the declared shape on the full product of powers
-                if claim4_ok:
-                    count = _count_shaped_extensions(bundle, comb, points, values)
-                    if count != 1:
-                        claim4_ok = False
-                        claim4_detail = f"arity {arity}, components {comb}: {count} extensions"
-            if not (claim3_ok or claim4_ok):
-                break
+        # claim 4: the restriction extends to exactly one piece of the
+        # declared shape on the full product of powers
+        if claim4_ok:
+            count = _count_shaped_extensions(bundle, shapes, values)
+            if count != 1:
+                claim4_ok = False
+                claim4_detail = f"arity {arity}, components {comb}: {count} extensions"
         if not (claim3_ok or claim4_ok):
             break
     results.append(CheckResult("claim 3 (meets of coordinate projections)", PASS if claim3_ok else FAIL, claim3_detail))
     results.append(CheckResult("claim 4 (unique shaped extension)", PASS if claim4_ok else FAIL, claim4_detail))
     return VerificationReport(tuple(results))
-
-
-def _count_shaped_extensions(
-    bundle: FreeBundle,
-    comb: tuple[int, ...],
-    points: list[tuple[int, ...]],
-    values: list[int],
-) -> int:
-    """Count distinct shaped maps on the product of powers extending f.
-
-    A shaped piece is either constant, or targets one non-trivial component
-    with every coordinate given by a constant or a meet of projections onto
-    chosen coordinates of non-trivial factors.  Pieces are deduplicated
-    extensionally before counting.
-    """
-    hs = [bundle.hom_count(u) for u in comb]
-    sizes = [1 << h for h in hs]
-    G = bundle.union_structure
-    assert G is not None and bundle.offsets is not None
-    epoints = list(itertools.product(*(range(sz) for sz in sizes)))
-
-    def coords_at(point: tuple[int, ...], ell: int) -> tuple[int, ...]:
-        rank = point[ell]
-        h = hs[ell]
-        return tuple((rank >> (h - 1 - c)) & 1 for c in range(h))
-
-    pieces: set[tuple[int, ...]] = set()
-    for g in range(G.size):  # constant pieces
-        pieces.add((g,) * len(epoints))
-
-    positions = [ell for ell in range(len(comb)) if hs[ell] >= 1]
-    for u in bundle.upper_indices():
-        h_u = bundle.hom_count(u)
-        choices: list[tuple] = [("const", 0), ("const", 1)]
-        for r in range(1, len(positions) + 1):
-            for subset in itertools.combinations(positions, r):
-                for phis in itertools.product(*(range(hs[ell]) for ell in subset)):
-                    choices.append(("meet", tuple(zip(subset, phis))))
-        for combo in itertools.product(choices, repeat=h_u):
-            piece = []
-            for point in epoints:
-                rank = 0
-                for choice in combo:
-                    if choice[0] == "const":
-                        bit = choice[1]
-                    else:
-                        bit = min(coords_at(point, ell)[phi] for ell, phi in choice[1])
-                    rank = (rank << 1) | bit
-                piece.append(bundle.offsets[u] + rank)
-            pieces.add(tuple(piece))
-
-    # embed the restriction's domain into the product of powers
-    dom_index = []
-    for p in points:
-        epoint = tuple(bundle.rank_of_kid(kid)[1] for kid in p)
-        dom_index.append(epoints.index(epoint))
-    fvals = [bundle.image[v] for v in values]
-
-    count = 0
-    for piece in sorted(pieces):
-        if all(piece[di] == fv for di, fv in zip(dom_index, fvals)):
-            count += 1
-    return count
 
 
 # --- bounded labeling-refutation evidence ---------------------------------------

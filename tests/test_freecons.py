@@ -3,17 +3,23 @@ import itertools
 import json
 import random
 import sys
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import pytest
 
 from hmkit.freecons import (
+    FAIL,
+    PASS,
     CertifiedHM,
+    CheckResult,
     ConsistentLabelingFound,
     FiniteAlgebra,
     FreeAlgebra,
+    FreeBundle,
     IllDefinedOperation,
     LabelingRefutation,
+    VerificationReport,
     algebra_from_json,
     algebra_to_json,
     apply_unary,
@@ -29,10 +35,14 @@ from hmkit.freecons import (
     verify_claims,
     verify_lemma22,
     variable_names,
+    _collapsed_substructure,
+    _count_shaped_extensions,
     _quotient_tables,
     _refute_labeling,
+    _separating_translation,
+    _shape_table,
 )
-from hmkit.homsearch import OperationTable
+from hmkit.homsearch import OperationTable, polymorphisms
 from hmkit.identlang import (
     Application,
     Identity,
@@ -43,10 +53,20 @@ from hmkit.identlang import (
     holds_in,
     sigma_varset,
 )
+from hmkit.semilat import (
+    DecompositionError,
+    PartialSemilatticeWitness,
+    decompose_product_hom,
+    is_partial_semilattice,
+    largest_element,
+)
 from hmkit.structures import (
+    Homomorphism,
     SizeLimitExceeded,
     StructureError,
     find_isomorphism,
+    induced_substructure,
+    product,
     two_element_semilattice,
 )
 
@@ -566,3 +586,470 @@ def test_refute_labeling_builds_deep_representatives_without_recursion():
         assert t.symbol == "f" and t.args[1] == Variable("x")
         t, nested = t.args[0], nested + 1
     assert (t, nested) == (Variable("y"), depth)
+
+
+# --- claims verifier oracles -------------------------------------------------
+#
+# The claims verifier as it was before claim 4 was counted bit by bit: every
+# shaped piece is enumerated on the whole product of powers, and collapsed
+# elements are decoded by shifting their rank.  The functions below are
+# copied verbatim apart from their names; they read the bundle fields
+# `offsets` and `image` and the methods `rank_of_kid` and `coords_of_kid`,
+# which ReferenceBundle rebuilds from psi and the homomorphism counts.  One
+# change in behaviour is known: where a restriction spans components, the
+# reference stops the combination loop before claim 4, so claim 4 passes.
+
+
+@dataclass
+class ReferenceBundle(FreeBundle):
+    """A collapsed bundle with the fields and methods the reference reads."""
+
+    offsets: tuple[int, ...] | None = None
+    image: tuple[int, ...] | None = None  # sorted union ids in the image
+
+    def rank_of_kid(self, kid: int) -> tuple[int, int]:
+        """(component index, coordinate rank) of a collapsed element."""
+        assert self.image is not None and self.offsets is not None
+        gid = self.image[kid]
+        for u in range(len(self.offsets)):
+            upper = self.offsets[u + 1] if u + 1 < len(self.offsets) else self.union_structure.size
+            if self.offsets[u] <= gid < upper:
+                return u, gid - self.offsets[u]
+        raise StructureError(f"collapsed id {kid} outside all components")
+
+    def coords_of_kid(self, kid: int) -> tuple[int, ...]:
+        u, rank = self.rank_of_kid(kid)
+        h = self.hom_count(u)
+        return tuple((rank >> (h - 1 - c)) & 1 for c in range(h))
+
+
+def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
+    sizes = [1 << len(c.homs) for c in bundle.components]  # a point when h = 0
+    offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
+    return ReferenceBundle(**vars(bundle), offsets=offsets, image=tuple(sorted(set(bundle.psi.mapping))))
+
+
+def classify_into_coords_reference(
+    bundle: ReferenceBundle, u: int, mapping: Sequence[int]
+) -> tuple[str, int | None]:
+    """Classify a map from a collapsed component into {0,1}.
+
+    Returns ("constant", value), ("projection", coordinate) with the unique
+    witnessing coordinate, or ("neither", None).
+    """
+    comp = bundle.components[u]
+    values = list(mapping)
+    if len(set(values)) <= 1:
+        return "constant", values[0]
+    h = len(comp.homs)
+    witnesses = [
+        c
+        for c in range(h)
+        if all(values[i] == bundle.coords_of_kid(kid)[c] for i, kid in enumerate(comp.kids))
+    ]
+    if len(witnesses) == 1:
+        return "projection", witnesses[0]
+    return "neither", None
+
+
+def component_points_reference(bundle: ReferenceBundle, comb: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All points of the product of collapsed components, as kid tuples."""
+    return list(itertools.product(*(bundle.components[u].kids for u in comb)))
+
+
+def kid_component_reference(bundle: ReferenceBundle, kid: int) -> int:
+    return bundle.rank_of_kid(kid)[0]
+
+
+def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> VerificationReport:
+    """Check the four polymorphism claims for arities 1..max_arity."""
+    assert bundle.K is not None, "collapse must run first"
+    S = bundle.semilattice
+    results = []
+    nU = len(bundle.components)
+    upper = set(bundle.upper_indices())
+
+    # Claim 1: each collapsed component is a partial semilattice whose
+    # largest element is the image of u applied to the second generator
+    ok, detail = True, ""
+    for u in range(nU):
+        sub = _collapsed_substructure(bundle, u)
+        witness = is_partial_semilattice(sub)
+        if not isinstance(witness, PartialSemilatticeWitness):
+            ok, detail = False, f"component {u} refused: {witness.reason}"
+            break
+        top = largest_element(sub)
+        expected = bundle.components[u].kids.index(bundle.generator_image(u, bundle.y))
+        if top != expected:
+            ok, detail = False, f"component {u}: largest {top} != image of generator {expected}"
+            break
+    results.append(CheckResult("claim 1 (partial semilattices with tops)", PASS if ok else FAIL, detail))
+
+    # Claim 2: triviality of a component is equivalent to the two generator
+    # images agreeing; non-trivial ones induce the 2-element semilattice
+    ok, detail = True, ""
+    for u in range(nU):
+        kx, ky = bundle.generator_image(u, bundle.x), bundle.generator_image(u, bundle.y)
+        singleton = len(bundle.components[u].kids) == 1
+        if singleton != (kx == ky):
+            ok, detail = False, f"component {u}: size/agreement mismatch"
+            break
+        if not singleton:
+            sub = induced_substructure(bundle.K, sorted({kx, ky}))
+            if find_isomorphism(sub, S) is None:
+                ok, detail = False, f"component {u}: generator pair does not induce the semilattice"
+                break
+    results.append(CheckResult("claim 2 (generator pair detects size)", PASS if ok else FAIL, detail))
+
+    # Claims 3 and 4 quantify over polymorphisms of the image
+    claim3_ok, claim3_detail = True, ""
+    claim4_ok, claim4_detail = True, ""
+    for arity in range(1, max_arity + 1):
+        polys = polymorphisms(bundle.K, arity)
+        combos = list(itertools.product(range(nU), repeat=arity))
+        for f in polys:
+            for comb in combos:
+                points = component_points_reference(bundle, comb)
+                values = [f.apply(*p) for p in points]
+                targets = {kid_component_reference(bundle, v) for v in values}
+                if len(targets) != 1:
+                    claim3_ok = False
+                    claim3_detail = f"arity {arity}: restriction spans components {sorted(targets)}"
+                    break
+                u = targets.pop()
+                constant = len(set(values)) == 1
+
+                # claim 3: each coordinate of the restriction factors as a
+                # meet of single-coordinate projections
+                if not constant and claim3_ok:
+                    factors = [_collapsed_substructure(bundle, ul) for ul in comb]
+                    tops = [
+                        bundle.components[ul].kids.index(bundle.generator_image(ul, bundle.y))
+                        for ul in comb
+                    ]
+                    prod = product(factors)
+                    h = bundle.hom_count(u)
+                    for c in range(h):
+                        coord_values = [bundle.coords_of_kid(v)[c] for v in values]
+                        try:
+                            g = Homomorphism(prod, S, tuple(coord_values))
+                            dec = decompose_product_hom(g, factors, tops)
+                        except (StructureError, DecompositionError) as exc:
+                            claim3_ok, claim3_detail = False, f"arity {arity}: {exc}"
+                            break
+                        if dec.is_constant:
+                            continue
+                        projections = 0
+                        for ell, cmap in enumerate(dec.coordinate_maps):
+                            kind, _ = classify_into_coords_reference(bundle, comb[ell], cmap.mapping)
+                            if kind == "projection":
+                                if comb[ell] not in upper:
+                                    claim3_ok = False
+                                    claim3_detail = f"arity {arity}: projection on a trivial factor"
+                                    break
+                                projections += 1
+                            elif kind == "constant" and cmap.mapping[0] == 1:
+                                continue
+                            else:
+                                claim3_ok = False
+                                claim3_detail = (
+                                    f"arity {arity}: coordinate {c} factor {ell} is neither a"
+                                    " projection nor constant 1"
+                                )
+                                break
+                        if claim3_ok and projections == 0:
+                            claim3_ok = False
+                            claim3_detail = f"arity {arity}: non-constant map with no projection factor"
+                        if not claim3_ok:
+                            break
+
+                # claim 4: the restriction extends to exactly one piece of
+                # the declared shape on the full product of powers
+                if claim4_ok:
+                    count = count_shaped_extensions_reference(bundle, comb, points, values)
+                    if count != 1:
+                        claim4_ok = False
+                        claim4_detail = f"arity {arity}, components {comb}: {count} extensions"
+            if not (claim3_ok or claim4_ok):
+                break
+        if not (claim3_ok or claim4_ok):
+            break
+    results.append(CheckResult("claim 3 (meets of coordinate projections)", PASS if claim3_ok else FAIL, claim3_detail))
+    results.append(CheckResult("claim 4 (unique shaped extension)", PASS if claim4_ok else FAIL, claim4_detail))
+    return VerificationReport(tuple(results))
+
+
+def count_shaped_extensions_reference(
+    bundle: ReferenceBundle,
+    comb: tuple[int, ...],
+    points: list[tuple[int, ...]],
+    values: list[int],
+) -> int:
+    """Count distinct shaped maps on the product of powers extending f.
+
+    A shaped piece is either constant, or targets one non-trivial component
+    with every coordinate given by a constant or a meet of projections onto
+    chosen coordinates of non-trivial factors.  Pieces are deduplicated
+    extensionally before counting.
+    """
+    hs = [bundle.hom_count(u) for u in comb]
+    sizes = [1 << h for h in hs]
+    G = bundle.union_structure
+    assert G is not None and bundle.offsets is not None
+    epoints = list(itertools.product(*(range(sz) for sz in sizes)))
+
+    def coords_at(point: tuple[int, ...], ell: int) -> tuple[int, ...]:
+        rank = point[ell]
+        h = hs[ell]
+        return tuple((rank >> (h - 1 - c)) & 1 for c in range(h))
+
+    pieces: set[tuple[int, ...]] = set()
+    for g in range(G.size):  # constant pieces
+        pieces.add((g,) * len(epoints))
+
+    positions = [ell for ell in range(len(comb)) if hs[ell] >= 1]
+    for u in bundle.upper_indices():
+        h_u = bundle.hom_count(u)
+        choices: list[tuple] = [("const", 0), ("const", 1)]
+        for r in range(1, len(positions) + 1):
+            for subset in itertools.combinations(positions, r):
+                for phis in itertools.product(*(range(hs[ell]) for ell in subset)):
+                    choices.append(("meet", tuple(zip(subset, phis))))
+        for combo in itertools.product(choices, repeat=h_u):
+            piece = []
+            for point in epoints:
+                rank = 0
+                for choice in combo:
+                    if choice[0] == "const":
+                        bit = choice[1]
+                    else:
+                        bit = min(coords_at(point, ell)[phi] for ell, phi in choice[1])
+                    rank = (rank << 1) | bit
+                piece.append(bundle.offsets[u] + rank)
+            pieces.add(tuple(piece))
+
+    # embed the restriction's domain into the product of powers
+    dom_index = []
+    for p in points:
+        epoint = tuple(bundle.rank_of_kid(kid)[1] for kid in p)
+        dom_index.append(epoints.index(epoint))
+    fvals = [bundle.image[v] for v in values]
+
+    count = 0
+    for piece in sorted(pieces):
+        if all(piece[di] == fv for di, fv in zip(dom_index, fvals)):
+            count += 1
+    return count
+
+
+def claims_bundles() -> list[FreeBundle]:
+    """Seeded bundles for the claims oracles, built afresh on each call:
+    idempotent 3-element binary algebras (one component, up to 4
+    homomorphisms), and non-idempotent 2- and 3-element algebras, whose
+    several components include trivial ones.  Draws whose free algebra
+    exceeds 300 elements are dropped."""
+    rng = random.Random(47)
+    algebras = [FiniteAlgebra(3, {"f": idempotent_table(rng, 3, 2)}) for _ in range(16)]
+    algebras += [
+        FiniteAlgebra(2, {"f": random_table(rng, 2, 2), "n": random_table(rng, 2, 1)}) for _ in range(10)
+    ]
+    algebras += [FiniteAlgebra(3, {"n": random_table(rng, 3, 1)}) for _ in range(6)]
+    bundles = []
+    for a in algebras:
+        try:
+            bundles.append(build_bundle(a, 300))
+        except SizeLimitExceeded:
+            pass
+    return bundles
+
+
+def random_table(rng, size, arity):
+    return OperationTable(arity, size, tuple(rng.randrange(size) for _ in range(size**arity)))
+
+
+def binary_algebra(values):
+    return FiniteAlgebra(3, {"f": OperationTable(2, 3, values)})
+
+
+# one component with 3 and one with 4 homomorphisms into the semilattice
+THREE_HOMS = binary_algebra((0, 2, 0, 2, 1, 2, 2, 1, 2))
+FOUR_HOMS = binary_algebra((0, 2, 2, 0, 1, 1, 0, 2, 2))
+
+
+def test_collapse_decodes_every_element_once(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
+        ref = reference_bundle(bundle)
+        for u, comp in enumerate(bundle.components):
+            for local, e in enumerate(comp.members):
+                rank = 0  # the previous shift-or encoding, first homomorphism highest
+                for hom in comp.homs:
+                    rank = (rank << 1) | hom.mapping[local]
+                assert bundle.psi.mapping[e] == ref.offsets[u] + rank
+        assert bundle.decode == tuple((ref.rank_of_kid(k)[0], ref.coords_of_kid(k)) for k in range(bundle.K.size))
+
+
+def shaped_restriction(rng, bundle, comb, points):
+    """The values at the points of a randomly drawn shaped piece into a
+    non-trivial component, as K ids, or None where it leaves K."""
+    ref = reference_bundle(bundle)
+    upper = ref.upper_indices()
+    if not upper:
+        return None
+    u = rng.choice(upper)
+    shapes = []
+    for _ in range(ref.hom_count(u)):
+        # per factor, no coordinate or one; no coordinate at all is a constant
+        chosen = [(ell, rng.randrange(-1, ref.hom_count(w))) for ell, w in enumerate(comb) if ref.hom_count(w)]
+        shapes.append([(ell, phi) for ell, phi in chosen if phi >= 0] or rng.randrange(2))
+    kid_of = {(ref.rank_of_kid(k)[0], ref.coords_of_kid(k)): k for k in range(bundle.K.size)}
+    values = []
+    for p in points:
+        bits = tuple(
+            shape if isinstance(shape, int) else min(ref.coords_of_kid(p[ell])[phi] for ell, phi in shape)
+            for shape in shapes
+        )
+        if (u, bits) not in kid_of:
+            return None
+        values.append(kid_of[u, bits])
+    return values
+
+
+def test_count_shaped_extensions_matches_reference():
+    rng = random.Random(83)
+    cases = []  # (bundle, comb, restrictions per kind)
+    for bundle in claims_bundles() + [build_bundle(THREE_HOMS)]:
+        top = max(bundle.hom_count(u) for u in range(len(bundle.components)))
+        for arity in (1, 2) if top <= 2 else (1,):
+            cases += [(bundle, comb, 6) for comb in itertools.product(range(len(bundle.components)), repeat=arity)]
+    cases.append((build_bundle(FOUR_HOMS), (0,), 2))
+    assert {len(comb) for _, comb, _ in cases} == {1, 2}
+    seen: dict[int, int] = {}
+    shaped = 0
+    for bundle, comb, draws in cases:
+        ref = reference_bundle(bundle)
+        points = component_points_reference(ref, comb)
+        shapes = _shape_table(bundle, comb, points)
+        restrictions = []
+        for _ in range(draws):
+            restrictions.append([rng.randrange(bundle.K.size) for _ in points])
+            kids = rng.choice(bundle.components).kids
+            restrictions.append([rng.choice(kids) for _ in points])
+            values = shaped_restriction(rng, bundle, comb, points)
+            if values is not None:
+                restrictions.append(values)
+                shaped += 1
+        for values in restrictions:
+            want = count_shaped_extensions_reference(ref, comb, points, values)
+            assert _count_shaped_extensions(bundle, shapes, values) == want, (comb, values)
+            seen[want] = seen.get(want, 0) + 1
+    assert shaped > 100
+    assert {0, 1} <= set(seen)
+
+
+def test_verify_claims_matches_reference(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS)]:
+        top = max(bundle.hom_count(u) for u in range(len(bundle.components)))
+        # arity-2 polymorphisms of a larger image are too many for the reference
+        max_arity = 2 if top <= 2 and bundle.K.size <= 3 else 1
+        report = verify_claims(bundle, max_arity)
+        assert report.lines() == verify_claims_reference(reference_bundle(bundle), max_arity).lines()
+
+
+def test_verify_claims_component_with_four_homomorphisms():
+    bundle = build_bundle(FOUR_HOMS)
+    assert [len(c.kids) for c in bundle.components] == [5]
+    assert bundle.hom_count(0) == 4
+    report = verify_claims(bundle, 1)
+    assert report.passed, report.lines()
+
+
+def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
+    import hmkit.freecons as freecons
+
+    bundle = build_bundle(FiniteAlgebra(2, {"n": OperationTable(1, 2, (1, 0))}))
+    assert [c.kids for c in bundle.components] == [(0, 1), (2, 3)]
+    polymorphisms = freecons.polymorphisms
+
+    def with_spanning_map(K, arity):
+        polys = list(polymorphisms(K, arity))
+        if arity == 1:
+            polys.append(OperationTable(1, K.size, (2, 1, 2, 3)))  # kid 0 -> kid 2, the rest fixed
+        return polys
+
+    monkeypatch.setattr(freecons, "polymorphisms", with_spanning_map)
+    assert verify_claims(bundle, 1).lines()[2:] == [
+        "claim 3 (meets of coordinate projections): fail (arity 1: restriction spans components [0, 1])",
+        "claim 4 (unique shaped extension): fail (arity 1, components (0,): 0 extensions)",
+    ]
+
+
+def test_verify_lemma22_item5_names_the_first_separating_translation(meet_algebra):
+    bundle = build_bundle(meet_algebra)
+    bundle.quotient_map = (0, 0, 1)
+    assert verify_lemma22(bundle).lines()[4] == (
+        "item 5 (kernel is a congruence): fail (meet at position 1, parameters (0,): elements 0 and 1 separate)"
+    )
+
+
+def separating_translation_reference(bundle: FreeBundle) -> str:
+    """Item 5 of verify_lemma22 as it was before its witness search became
+    one helper, copied verbatim: the detail string, "" when it passes."""
+    qmap = bundle.quotient_map
+    classes: dict[int, list[int]] = {}
+    for e, c in enumerate(qmap):
+        classes.setdefault(c, []).append(e)
+    ok, detail = True, ""
+    falg = bundle.free.algebra
+    for sym in falg.symbols():
+        table = falg.operations[sym]
+        m = table.arity
+        for pos in range(m):
+            for params in itertools.product(range(falg.size), repeat=m - 1):
+                def translate(t: int) -> int:
+                    args = params[:pos] + (t,) + params[pos:]
+                    return table.apply(*args)
+
+                for members in classes.values():
+                    base = qmap[translate(members[0])]
+                    for other in members[1:]:
+                        if qmap[translate(other)] != base:
+                            ok = False
+                            detail = (
+                                f"{sym} at position {pos + 1}, parameters {params}: "
+                                f"elements {members[0]} and {other} separate"
+                            )
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    return detail
+
+
+def set_partitions(n):
+    """Every partition of range(n) as a class-id tuple, classes numbered by first member."""
+    if n == 0:
+        yield ()
+        return
+    for head in set_partitions(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
+
+
+def test_verify_lemma22_item5_matches_reference_on_every_quotient_map(lattice_algebra, majority_algebra):
+    bundles = [build_bundle(a) for a in (lattice_algebra, majority_algebra)]
+    bundles += [b for b in claims_bundles() if b.free.algebra.size <= 6]
+    details = set()
+    for bundle in bundles:
+        for qmap in set_partitions(bundle.free.algebra.size):
+            bundle.quotient_map = qmap
+            want = separating_translation_reference(bundle)
+            assert _separating_translation(bundle.free.algebra, qmap) == want
+            details.add(want)
+    assert len(details) > 50
