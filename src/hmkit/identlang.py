@@ -9,15 +9,17 @@ The text format is line oriented:
 Undeclared identifiers are variables.  The two analyses differ in scope:
 the coordinate-labeling search treats arbitrary terms, while saturation
 and the subset-condition check live in the fragment of linear identities
-with at most two variables.
+with at most two variables, where saturation is an equivalence closure
+computed by union-find.  Terms may nest arbitrarily deep: the parser and
+`_fold`, the walker over arbitrary terms, keep explicit stacks.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 
 class ParseError(ValueError):
@@ -48,10 +50,30 @@ class Application:
         object.__setattr__(self, "args", tuple(self.args))
 
     def __str__(self) -> str:
-        return f"{self.symbol}({','.join(str(a) for a in self.args)})"
+        return _fold(self, str, lambda t, parts: f"{t.symbol}({','.join(parts)})")
 
 
 Term = Variable | Application
+
+
+def _fold(t: Term, leaf: Callable, node: Callable, children: Callable = lambda t: t.args):
+    """Post-order fold without recursion: `leaf(v)` values a variable, and
+    `node(t, values)` combines the values of `children(t)` for an application t.
+    """
+    values: list = []
+    stack: list = [(t, None)]  # (term, None) to expand; (application, children) to combine
+    while stack:
+        u, kids = stack.pop()
+        if isinstance(u, Variable):
+            values.append(leaf(u))
+        elif kids is None:
+            kids = children(u)
+            stack.append((u, kids))
+            stack.extend((k, None) for k in reversed(kids))
+        else:
+            start = len(values) - len(kids)
+            values[start:] = [node(u, values[start:])]
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -110,30 +132,39 @@ class _LineParser:
         return m.group()
 
     def term(self) -> Term:
-        start_col = self.pos + 1
-        name = self.ident()
-        if self.peek() == "(":
-            if name not in self.declarations:
-                raise ParseError(f"undeclared symbol '{name}'", self.lineno, start_col)
-            self.pos += 1
-            args = [self.term()]
-            while self.peek() == ",":
+        open_apps: list[tuple[str, int, list[Term]]] = []  # symbol, column, args so far
+        while True:
+            start_col = self.pos + 1
+            name = self.ident()
+            if self.peek() == "(":
+                if name not in self.declarations:
+                    raise ParseError(f"undeclared symbol '{name}'", self.lineno, start_col)
                 self.pos += 1
-                args.append(self.term())
-            self.expect(")")
-            want = self.declarations[name]
-            if len(args) != want:
+                open_apps.append((name, start_col, []))
+                continue
+            if name in self.declarations:
                 raise ParseError(
-                    f"symbol '{name}' declared with arity {want}, applied to {len(args)} arguments",
-                    self.lineno,
-                    start_col,
+                    f"declared symbol '{name}' used without arguments", self.lineno, start_col
                 )
-            return Application(name, tuple(args))
-        if name in self.declarations:
-            raise ParseError(
-                f"declared symbol '{name}' used without arguments", self.lineno, start_col
-            )
-        return Variable(name)
+            done: Term = Variable(name)
+            # a finished argument either precedes a ',' or closes its application
+            while open_apps:
+                open_apps[-1][2].append(done)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                name, start_col, args = open_apps.pop()
+                want = self.declarations[name]
+                if len(args) != want:
+                    raise ParseError(
+                        f"symbol '{name}' declared with arity {want}, applied to {len(args)} arguments",
+                        self.lineno,
+                        start_col,
+                    )
+                done = Application(name, tuple(args))
+            else:
+                return done
 
     def identity(self) -> Identity:
         lhs = self.term()
@@ -203,24 +234,19 @@ def format_system(sys: TermSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _varset(t: Term, children: Callable) -> frozenset[str]:
+    return _fold(t, lambda v: frozenset({v.name}), lambda u, sets: frozenset().union(*sets), children)
+
+
 def term_variables(t: Term) -> frozenset[str]:
-    if isinstance(t, Variable):
-        return frozenset({t.name})
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+    return _varset(t, lambda u: u.args)
 
 
 def is_linear(i: Identity) -> bool:
     """At most one function symbol on each side."""
-
-    def side_ok(t: Term) -> bool:
-        if isinstance(t, Variable):
-            return True
-        return all(isinstance(a, Variable) for a in t.args)
-
-    return side_ok(i.lhs) and side_ok(i.rhs)
+    return all(
+        isinstance(t, Variable) or all(isinstance(a, Variable) for a in t.args) for t in (i.lhs, i.rhs)
+    )
 
 
 def linear_fragment(sys: TermSystem) -> TermSystem:
@@ -236,7 +262,6 @@ def linear_fragment(sys: TermSystem) -> TermSystem:
 # --- saturation of linear two-variable identities ---------------------------
 
 _X = Variable("x")
-_Y = Variable("y")
 
 
 def _rename(t: Term, table: Mapping[str, str]) -> Term:
@@ -261,13 +286,20 @@ def _normalize(i: Identity) -> Identity:
     return Identity(_rename(i.lhs, table), _rename(i.rhs, table))
 
 
+# the substitutions of {x, y} into itself: identity, swap, and the two identifications
+_SUBSTITUTIONS = ({}, {"x": "y", "y": "x"}, {"y": "x"}, {"x": "y"})
+
+
 def saturate(sys: TermSystem) -> TermSystem:
     """Close a linear 2-variable identity set under sound derivations.
 
-    Rules: swap the two variables; symmetry; transitivity; identify the
-    variables; and pairing (s1 = v and s2 = v give s1 = s2 for a variable
-    v).  Declared-idempotent symbols seed f(x,...,x) = x.  The identity
-    universe is finite, so the closure terminates.
+    Rules: symmetry, transitivity, and the substitutions of {x, y} into
+    itself (swap, identify either way); pairing (s1 = v, s2 = v give
+    s1 = s2) is symmetry then transitivity.  Seeds: the identities renamed
+    to x, y by first occurrence, and f(x,...,x) = x for idempotent f.
+    The substitutions compose among themselves and map derivations to
+    derivations, so the closure is every ordered pair within one class of
+    the equivalence generated by the substitution instances of the seeds.
     """
     for i in sys.identities:
         if not is_linear(i):
@@ -275,48 +307,28 @@ def saturate(sys: TermSystem) -> TermSystem:
         if len(term_variables(i.lhs) | term_variables(i.rhs)) > 2:
             raise SystemError_(f"identity in more than 2 variables: {i}")
 
-    current: set[Identity] = set()
-
-    def add(i: Identity) -> None:
-        current.add(i)
-
-    for i in sys.identities:
-        add(_normalize(i))
+    seeds = [_normalize(i) for i in sys.identities]
     for name in sorted(sys.idempotent):
-        arity = sys.declarations[name]
-        add(Identity(Application(name, (_X,) * arity), _X))
+        seeds.append(Identity(Application(name, (_X,) * sys.declarations[name]), _X))
 
-    swap = {"x": "y", "y": "x"}
-    collapse = {"y": "x"}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current, key=str)
-        derived: set[Identity] = set()
-        for i in snapshot:
-            derived.add(Identity(_rename(i.lhs, swap), _rename(i.rhs, swap)))
-            derived.add(Identity(i.rhs, i.lhs))
-            derived.add(_normalize(Identity(_rename(i.lhs, collapse), _rename(i.rhs, collapse))))
-        by_lhs: dict[Term, list[Term]] = {}
-        for i in snapshot:
-            by_lhs.setdefault(i.lhs, []).append(i.rhs)
-        for i in snapshot:
-            for r in by_lhs.get(i.rhs, ()):  # transitivity
-                derived.add(Identity(i.lhs, r))
-        by_var_rhs: dict[str, list[Term]] = {}
-        for i in snapshot:
-            if isinstance(i.rhs, Variable):
-                by_var_rhs.setdefault(i.rhs.name, []).append(i.lhs)
-        for sides in by_var_rhs.values():  # pairing through a common variable
-            for s1, s2 in itertools.product(sides, sides):
-                derived.add(Identity(s1, s2))
-        before = len(current)
-        current |= derived
-        if len(current) != before:
-            changed = True
+    parent: dict[Term, Term] = {}
 
-    ordered = tuple(sorted(current, key=str))
-    return TermSystem(sys.declarations, ordered, sys.idempotent)
+    def find(t: Term) -> Term:
+        parent.setdefault(t, t)
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]  # path halving
+            t = parent[t]
+        return t
+
+    for seed in seeds:
+        for table in _SUBSTITUTIONS:
+            parent[find(_rename(seed.lhs, table))] = find(_rename(seed.rhs, table))
+
+    classes: dict[Term, list[Term]] = {}
+    for t in parent:
+        classes.setdefault(find(t), []).append(t)
+    identities = (Identity(s, t) for members in classes.values() for s in members for t in members)
+    return TermSystem(sys.declarations, sorted(identities, key=str), sys.idempotent)
 
 
 # --- the subset-condition test ----------------------------------------------
@@ -324,10 +336,7 @@ def saturate(sys: TermSystem) -> TermSystem:
 
 def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     """Non-empty subsets of {1..n} as sorted tuples, in lexicographic order."""
-    subsets = []
-    for r in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(1, n + 1), r))
-    return sorted(subsets)
+    return sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
 
 
 @dataclass(frozen=True)
@@ -346,13 +355,11 @@ def _witness_for(identity: Identity, symbol: str, subset: tuple[int, ...]) -> bo
     some subset position on the right (either naming of the two variables).
     """
     lhs, rhs = identity.lhs, identity.rhs
-    if not (isinstance(lhs, Application) and lhs.symbol == symbol):
-        return False
-    if not (isinstance(rhs, Application) and rhs.symbol == symbol):
+    if not all(isinstance(t, Application) and t.symbol == symbol for t in (lhs, rhs)):
         return False
     if not all(isinstance(a, Variable) for a in lhs.args + rhs.args):
         return False
-    vars_ = term_variables(lhs) | term_variables(rhs)
+    vars_ = {a.name for a in lhs.args + rhs.args}
     if len(vars_) != 2:
         return False
     p, q = sorted(vars_)
@@ -380,11 +387,7 @@ def hm_term_check(sys: TermSystem, symbol: str) -> HmTermReport:
 
     witnesses = []
     for subset in nonempty_subsets(arity):
-        found = None
-        for identity in sys.identities:
-            if _witness_for(identity, symbol, subset):
-                found = identity
-                break
+        found = next((i for i in sys.identities if _witness_for(i, symbol, subset)), None)
         if found is None:
             return HmTermReport(symbol, False, tuple(witnesses), subset)
         witnesses.append((subset, found))
@@ -412,12 +415,7 @@ class SLLabeling:
 
 def sigma_varset(t: Term, labeling: SLLabeling) -> frozenset[str]:
     """Variables reachable through labeled coordinates only."""
-    if isinstance(t, Variable):
-        return frozenset({t.name})
-    out: frozenset[str] = frozenset()
-    for i in labeling.sigma[t.symbol]:
-        out |= sigma_varset(t.args[i - 1], labeling)
-    return out
+    return _varset(t, lambda u: [u.args[i - 1] for i in labeling.sigma[u.symbol]])
 
 
 @dataclass(frozen=True)
@@ -491,10 +489,7 @@ def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:
 
 
 def evaluate(t: Term, env: Mapping[str, int], interp: Mapping[str, "object"]) -> int:
-    if isinstance(t, Variable):
-        return env[t.name]
-    table = interp[t.symbol]
-    return table.apply(*(evaluate(a, env, interp) for a in t.args))
+    return _fold(t, lambda v: env[v.name], lambda u, values: interp[u.symbol].apply(*values))
 
 
 def holds_in(algebra, identity: Identity, interp: Mapping[str, "object"]) -> bool:

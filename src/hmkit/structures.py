@@ -221,12 +221,16 @@ def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT
         raise SizeLimitExceeded(f"product needs {max(size, total)} > {max_tuples} tuples")
 
     sizes = [s.size for s in structures]
+    # factor k adds c * strides[k] to an id: its stride is the rank of its unit coordinate
+    strides = [rank([int(j == k) for j in range(len(sizes))], sizes) for k in range(len(sizes))]
     rels: dict[str, Relation] = {}
     for sym, arity in sig.items():
-        out = set()
-        for combo in itertools.product(*(s.relations[sym].sorted_tuples() for s in structures)):
-            # combo[k] is the factor-k tuple; build the product tuple positionwise
-            out.add(tuple(rank([t[i] for t in combo], sizes) for i in range(arity)))
+        scaled = [
+            [tuple(c * stride for c in t) for t in s.relations[sym].sorted_tuples()]
+            for s, stride in zip(structures, strides)
+        ]
+        # combo[k] is the scaled factor-k tuple; position i of the product tuple sums them
+        out = {tuple(map(sum, zip(*combo))) for combo in itertools.product(*scaled)}
         rels[sym] = Relation(arity, frozenset(out))
 
     labels = None

@@ -29,7 +29,7 @@ from hmkit.structures import (
     structure_from_json,
 )
 
-from conftest import MAJORITY_SYSTEM, SEMILATTICE_SYSTEM
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -451,6 +451,39 @@ def test_ident_sl_interp(capsys, system_file):
     assert report["checks"][0]["witness"] == "UNSAT (7 refutations)"
     unsat = sl_interp_search(parse(MAJORITY_SYSTEM))
     assert len(report["checks"][1]["witness"]) == len(unsat.refutations)
+
+
+def test_ident_golden_reports(capsys, system_file):
+    # saturation's order and witnesses are pinned, bar the timing
+    cases = (
+        ("ident_saturate_majority", MAJORITY_SYSTEM, ("saturate",), 0),
+        ("ident_hm_check_maltsev", MALTSEV_SYSTEM, ("hm-check", "--term", "p"), 0),
+        ("ident_hm_check_semilattice", SEMILATTICE_SYSTEM, ("hm-check", "--term", "f"), 1),
+    )
+    for name, text, command, want in cases:
+        path = system_file(text, f"{name}.txt")
+        code, out, _ = run(capsys, "ident", command[0], "--system", path, *command[1:], "--output", "json")
+        assert code == want
+        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+            assert re.sub(r'("elapsed_ms": )[0-9.e+-]+', r"\g<1>0", out) == fh.read()
+
+
+def test_ident_commands_take_deep_terms(capsys, system_file):
+    # nesting depth is not bounded by the recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    term = "x"
+    for _ in range(1200):
+        term = f"f({term},x)"
+    path = system_file(f"ops: f/2\n{term} = x\n", "deep.txt")
+
+    code, out, err = run(capsys, "ident", "parse", "--system", path)
+    assert code == 0 and f"{term} = x" in out and "RecursionError" not in err
+    code, out, _ = run(capsys, "ident", "linear", "--system", path)
+    assert code == 1 and f"{term} = x: fail" in out
+    code, out, _ = run(capsys, "ident", "sl-interp", "--system", path)
+    assert code == 0 and "interpretation: pass  f->{1}" in out
+    code, _, err = run(capsys, "ident", "saturate", "--system", path)
+    assert code == 2 and "non-linear identity" in err and "internal error" not in err
 
 
 def test_ident_hm_check_undeclared_term_is_exit_2(capsys, system_file):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from hmkit.identlang import (
@@ -24,8 +27,79 @@ from hmkit.identlang import (
     sl_interp_search,
     term_variables,
 )
+from hmkit.identlang import TermSystem, _normalize, _rename
 
 from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM
+
+_X = Variable("x")
+
+
+def saturate_reference(sys: TermSystem) -> TermSystem:
+    """The round-based rule loop that `saturate` replaced, kept as an oracle."""
+    for i in sys.identities:
+        if not is_linear(i):
+            raise SystemError_(f"non-linear identity: {i}")
+        if len(term_variables(i.lhs) | term_variables(i.rhs)) > 2:
+            raise SystemError_(f"identity in more than 2 variables: {i}")
+
+    current: set[Identity] = set()
+
+    def add(i: Identity) -> None:
+        current.add(i)
+
+    for i in sys.identities:
+        add(_normalize(i))
+    for name in sorted(sys.idempotent):
+        arity = sys.declarations[name]
+        add(Identity(Application(name, (_X,) * arity), _X))
+
+    swap = {"x": "y", "y": "x"}
+    collapse = {"y": "x"}
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(current, key=str)
+        derived: set[Identity] = set()
+        for i in snapshot:
+            derived.add(Identity(_rename(i.lhs, swap), _rename(i.rhs, swap)))
+            derived.add(Identity(i.rhs, i.lhs))
+            derived.add(_normalize(Identity(_rename(i.lhs, collapse), _rename(i.rhs, collapse))))
+        by_lhs: dict = {}
+        for i in snapshot:
+            by_lhs.setdefault(i.lhs, []).append(i.rhs)
+        for i in snapshot:
+            for r in by_lhs.get(i.rhs, ()):  # transitivity
+                derived.add(Identity(i.lhs, r))
+        by_var_rhs: dict = {}
+        for i in snapshot:
+            if isinstance(i.rhs, Variable):
+                by_var_rhs.setdefault(i.rhs.name, []).append(i.lhs)
+        for sides in by_var_rhs.values():  # pairing through a common variable
+            for s1, s2 in itertools.product(sides, sides):
+                derived.add(Identity(s1, s2))
+        before = len(current)
+        current |= derived
+        if len(current) != before:
+            changed = True
+
+    ordered = tuple(sorted(current, key=str))
+    return TermSystem(sys.declarations, ordered, sys.idempotent)
+
+
+def random_linear_system(rng: random.Random) -> TermSystem:
+    """1-3 symbols of arity 1-4 and 0-5 linear identities in one variable pair."""
+    declarations = {name: rng.randint(1, 4) for name in ("f", "g", "h")[: rng.randint(1, 3)]}
+    names = rng.choice(("xy", "yx", "ab", "uv"))
+
+    def side() -> object:
+        if rng.random() < 0.25:
+            return Variable(rng.choice(names))
+        symbol = rng.choice(sorted(declarations))
+        return Application(symbol, tuple(Variable(rng.choice(names)) for _ in range(declarations[symbol])))
+
+    identities = [Identity(side(), side()) for _ in range(rng.randint(0, 5))]
+    idempotent = {s for s in declarations if rng.random() < 0.5}
+    return TermSystem(declarations, identities, idempotent)
 
 
 def test_parse_majority():
@@ -112,6 +186,14 @@ def test_saturate_derives_pairings():
     sat = saturate(parse(text))
     strs = {str(i) for i in sat.identities}
     assert "f(x,y) = g(y,x)" in strs
+
+
+def test_saturate_matches_the_rule_loop():
+    rng = random.Random(8)
+    systems = [random_linear_system(rng) for _ in range(2000)]
+    systems += [parse(MAJORITY_SYSTEM), parse(MALTSEV_SYSTEM), linear_fragment(parse(SEMILATTICE_SYSTEM))]
+    for sys_ in systems:
+        assert saturate(sys_) == saturate_reference(sys_), format_system(sys_)
 
 
 def test_saturate_rejects_nonlinear_and_three_variables():

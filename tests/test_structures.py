@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from hmkit.structures import (
     one_element_structure,
     power,
     product,
+    rank,
     structure_from_json,
     structure_to_json,
     two_element_semilattice,
@@ -119,6 +121,33 @@ def test_product_ranks_are_lexicographic(S):
 def test_product_tuple_count(S):
     p = product([S, S])
     assert len(p.relations["R"].tuples) == 16
+
+
+def product_reference(structures):
+    """The direct product's relations, each tuple ranked position by position."""
+    sizes = [s.size for s in structures]
+    rels = {}
+    for sym, rel in structures[0].relations.items():
+        out = set()
+        for combo in itertools.product(*(s.relations[sym].sorted_tuples() for s in structures)):
+            out.add(tuple(rank([t[i] for t in combo], sizes) for i in range(rel.arity)))
+        rels[sym] = Relation(rel.arity, frozenset(out))
+    return rels
+
+
+def test_product_matches_positionwise_ranks():
+    rng = random.Random(7)
+    empty = 0  # random_structure leaves a relation empty with probability 1/4
+    for _ in range(150):
+        factors = rng.randint(1, 4)
+        signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 3))}
+        max_size = 3 if factors < 3 else 2
+        structures = [random_structure(rng, rng.randint(1, max_size), signature) for _ in range(factors)]
+        p = product(structures)
+        assert p.size == math.prod(s.size for s in structures)
+        assert p.relations == product_reference(structures)
+        empty += sum(not rel.tuples for rel in p.relations.values())
+    assert empty > 0
 
 
 def test_product_signature_mismatch(S):
