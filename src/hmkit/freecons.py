@@ -19,7 +19,9 @@ table per component combination.  No piece is enumerated.
 
 The free algebra, the free structure's triples and the unary term
 operations are subpower closures computed by one semi-naive engine,
-`_close`; `max_tuples` bounds the elements each closure finds.
+`_close`; `max_tuples` bounds the elements each closure finds.  A closure
+stops as soon as it holds the whole power, since nothing more could be
+added; the free structure's triples often fill F^3 early in round 2.
 
 The evidence search, hm_evidence, runs one labeling fixpoint per
 coordinate labeling and rank (`_refute_labeling`).  It is not semi-naive:
@@ -210,9 +212,12 @@ def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_element
     Semi-naive rounds: a round evaluates only the argument tuples that hold
     an element found in the previous round, as the rest give nothing new, so
     ids and first derivations are those of full rounds over sorted symbols
-    and lexicographic tuples.  Returns the elements, their derivations
-    (("var", j) for seed j, else (symbol, smaller argument ids)) and the
-    element -> id index.  Raises SizeLimitExceeded past max_elements elements.
+    and lexicographic tuples.  The closure stops, between batches or
+    rounds, once it holds the whole power (algebra.size ** width tuples):
+    nothing more could be added, so the result is the same.  Returns the
+    elements, their derivations (("var", j) for seed j, else (symbol,
+    smaller argument ids)) and the element -> id index.  Raises
+    SizeLimitExceeded past max_elements elements.
     """
     elements: list[tuple[int, ...]] = []
     derivations: list[tuple] = []
@@ -228,8 +233,9 @@ def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_element
     for j, seed in enumerate(seeds):
         if seed not in index:
             add(seed, ("var", j))
+    whole = algebra.size ** len(seeds[0])
     old = 0
-    while old < len(elements):
+    while old < len(elements) < whole:
         new = len(elements)
         for sym in algebra.symbols():
             table = algebra.operations[sym]
@@ -239,6 +245,8 @@ def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_element
                 unseen = map(operator.not_, map(index.__contains__, batch))
                 for i in itertools.compress(itertools.count(), unseen):
                     add(batch[i], (sym, prefix + (first + i,) if table.arity else ()))
+                if len(elements) == whole:
+                    return elements, derivations, index
         old = new
     return elements, derivations, index
 
@@ -676,40 +684,40 @@ def _count_shaped_extensions(bundle: FreeBundle, shapes: Counter, values: Sequen
     return math.prod(shapes[column] for column in zip(*(bits for _, bits in decoded)))
 
 
-def _meet_failure(
+def _column_failure(
     bundle: FreeBundle,
-    arity: int,
     comb: tuple[int, ...],
-    columns: Sequence[tuple[int, ...]],
+    c: int,
+    column: tuple[int, ...],
     factors: list[RelationalStructure],
     tops: list[int],
     prod: RelationalStructure,
 ) -> str:
-    """Why a coordinate of a non-constant restriction is no meet of
-    single-coordinate projections, or "" when every one is.
+    """Why coordinate c of a non-constant restriction is no meet of
+    single-coordinate projections, or "" when it is one.
 
-    columns[c] is coordinate bit c of the restriction at each point of
-    `prod`, the product of the combination's collapsed components.
+    column is that coordinate's bit at each point of `prod`, the product of
+    the combination's collapsed components.
     """
-    for c, column in enumerate(columns):
-        try:
-            g = Homomorphism(prod, bundle.semilattice, column)
-            dec = decompose_product_hom(g, factors, tops)
-        except (StructureError, DecompositionError) as exc:
-            return f"arity {arity}: {exc}"
-        if dec.is_constant:
-            continue
-        projections = 0
-        for ell, cmap in enumerate(dec.coordinate_maps):
-            kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
-            if kind == "projection":
-                if not bundle.hom_count(comb[ell]):
-                    return f"arity {arity}: projection on a trivial factor"
-                projections += 1
-            elif not (kind == "constant" and cmap.mapping[0] == 1):
-                return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
-        if projections == 0:
-            return f"arity {arity}: non-constant map with no projection factor"
+    arity = len(comb)
+    try:
+        g = Homomorphism(prod, bundle.semilattice, column)
+        dec = decompose_product_hom(g, factors, tops)
+    except (StructureError, DecompositionError) as exc:
+        return f"arity {arity}: {exc}"
+    if dec.is_constant:
+        return ""
+    projections = 0
+    for ell, cmap in enumerate(dec.coordinate_maps):
+        kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
+        if kind == "projection":
+            if not bundle.hom_count(comb[ell]):
+                return f"arity {arity}: projection on a trivial factor"
+            projections += 1
+        elif not (kind == "constant" and cmap.mapping[0] == 1):
+            return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
+    if projections == 0:
+        return f"arity {arity}: non-constant map with no projection factor"
     return ""
 
 
@@ -720,7 +728,9 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     collapsed components (a combination), polymorphisms in search order and
     combinations lexicographic.  What depends only on the combination is
     built once: its points and shape table, and on first use the factors,
-    tops and product that claim 3 decomposes over.  Claim 4 counts the
+    tops and product that claim 3 decomposes over.  Claim 3 checks each
+    distinct (combination, coordinate, column) once, in full, and reuses
+    its verdict wherever the column recurs.  Claim 4 counts the
     extensions of a restriction bit by bit from the shape table (see
     `_count_shaped_extensions`), so no piece on the product of powers is
     enumerated; the count is exact because distinct pieces are distinct
@@ -775,6 +785,10 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
         tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
         return factors, tops, product(factors)
 
+    @functools.cache
+    def column_failure(comb: tuple[int, ...], c: int, column: tuple[int, ...]) -> str:
+        return _column_failure(bundle, comb, c, column, *factored(comb))
+
     # Claims 3 and 4 quantify over polymorphisms of the image
     claim3_ok, claim3_detail = True, ""
     claim4_ok, claim4_detail = True, ""
@@ -794,8 +808,9 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
         elif claim3_ok and len(set(values)) > 1:
             # claim 3: each coordinate of the restriction factors as a
             # meet of single-coordinate projections
-            columns = list(zip(*(bundle.decode[v][1] for v in values)))
-            claim3_detail = _meet_failure(bundle, arity, comb, columns, *factored(comb))
+            columns = zip(*(bundle.decode[v][1] for v in values))
+            verdicts = (column_failure(comb, c, column) for c, column in enumerate(columns))
+            claim3_detail = next(filter(None, verdicts), "")
             claim3_ok = not claim3_detail
 
         # claim 4: the restriction extends to exactly one piece of the

@@ -35,6 +35,7 @@ from hmkit.freecons import (
     verify_claims,
     verify_lemma22,
     variable_names,
+    _close,
     _collapsed_substructure,
     _count_shaped_extensions,
     _quotient_tables,
@@ -349,6 +350,60 @@ def test_larger_closures_match_closure_reference():
         hit.append(agree_on_free_algebra(a, 2, 120))
         hit.append(agree_on_free_structure(a, 120))
     assert any(hit) and not all(hit)
+
+
+def whole_power_draws():
+    """Seeded idempotent 2-element algebras with one or two ternary operations."""
+    rng = random.Random(41)
+    return [
+        FiniteAlgebra(2, {sym: idempotent_table(rng, 2, 3) for sym in "fg"[: rng.randint(1, 2)]})
+        for _ in range(12)
+    ]
+
+
+def test_closures_that_fill_the_power_match_closure_reference():
+    filled = []
+    for a in whole_power_draws():
+        bundle = free_structure(a)
+        free = bundle.free
+        elements, derivations, (x, y), tables = free_algebra_reference(a, 2, 64)
+        assert (free.elements, free.derivations) == (elements, derivations)
+        assert {sym: t.values for sym, t in free.algebra.operations.items()} == tables
+        seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
+        triples, triple_derivations = closure_reference(seeds, free.algebra, 64)
+        assert _close(seeds, free.algebra, 64)[:2] == (triples, triple_derivations)
+        assert bundle.structure.relations["R"].tuples == frozenset(triples)
+        assert bundle.unary_ops == tuple(closure_reference([(0, 1)], a, 64)[0])
+        filled.append(len(triples) == free.algebra.size**3)
+    assert any(filled) and not all(filled)
+
+
+def test_closure_that_fills_the_power_skips_its_closing_round(monkeypatch):
+    import hmkit.freecons as freecons
+
+    bundles = [free_structure(a) for a in whole_power_draws()]
+    bundle = next(
+        b for b in bundles if len(b.free.base.operations) == 1 and len(b.structure.relations["R"].tuples) == 64
+    )
+    a = bundle.free.base
+    assert bundle.free.algebra.size == 4
+    batches = freecons._batches
+    yields = 0
+
+    def counting(*args):
+        nonlocal yields
+        for batch in batches(*args):
+            yields += 1
+            yield batch
+
+    monkeypatch.setattr(freecons, "_batches", counting)
+    assert free_structure(a).structure == bundle.structure
+    # full rounds end with a round over all 64 triples, whose argument
+    # prefixes alone number 64 ** 2 for the one ternary operation
+    assert yields < 64**2 // 8
+    assert free_structure(a, 64).structure == bundle.structure
+    with pytest.raises(SizeLimitExceeded):
+        free_structure(a, 63)
 
 
 def test_free_structure_semilattice_triples(meet_algebra):
@@ -963,6 +1018,34 @@ def test_verify_claims_component_with_four_homomorphisms():
     assert bundle.hom_count(0) == 4
     report = verify_claims(bundle, 1)
     assert report.passed, report.lines()
+
+
+def test_verify_claims_checks_each_distinct_claim_3_column_once(monkeypatch):
+    import hmkit.freecons as freecons
+
+    bundle = build_bundle(FOUR_HOMS)
+    ref = reference_bundle(bundle)
+    keys, columns = set(), 0  # claim 3's (combination, coordinate, column) keys
+    for arity in (1, 2):
+        for f in polymorphisms(bundle.K, arity):
+            for comb in itertools.product(range(len(bundle.components)), repeat=arity):
+                values = [f.apply(*p) for p in component_points_reference(ref, comb)]
+                if len(set(values)) > 1 and len({ref.rank_of_kid(v)[0] for v in values}) == 1:
+                    for c, column in enumerate(zip(*map(ref.coords_of_kid, values))):
+                        keys.add((comb, c, column))
+                        columns += 1
+    decompose = freecons.decompose_product_hom
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decompose(*args)
+
+    monkeypatch.setattr(freecons, "decompose_product_hom", counting)
+    report = verify_claims(bundle, 2)
+    assert report.passed, report.lines()
+    assert calls == len(keys) < columns
 
 
 def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
