@@ -889,9 +889,15 @@ def _refute_labeling(
     arguments can reach no union missing from its result adds nothing, so
     it is skipped; any other tuple tries its picks in the order of the
     sorted variable names, so each set keeps the first term that reaches it.
+
+    Rank 1 is built but not searched: every labeled coordinate set is
+    non-empty (`all_labelings`), so at rank 1 every union of picks is {x}
+    and no element can hold two sets.
     """
     for j in range(1, max_arity + 1):
         free = free_at(j)
+        if j == 1:
+            continue
         names = variable_names(j)
         n = free.algebra.size
         # representatives in one pass as far as needed: derivation arguments have smaller ids

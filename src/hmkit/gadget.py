@@ -7,6 +7,7 @@ that shape and report the exponents with multiplicities.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -83,6 +84,8 @@ def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
     single_ternary_relation(d)
     symbol = d.symbols()[0]
     S = two_element_semilattice(symbol)
+    # many components share an exponent; each power is built once
+    power_of = functools.cache(lambda k: power(S, k))
     out = []
     decomposition = connected_components(d)
     for block, comp in zip(decomposition.partition, decomposition.induced):
@@ -94,7 +97,7 @@ def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
         else:
             k = comp.size.bit_length() - 1
             if (1 << k) == comp.size:
-                iso = find_isomorphism(comp, power(S, k))
+                iso = find_isomorphism(comp, power_of(k))
                 if iso is not None:
                     matched = ComponentMatch(comp, k, iso)
         if matched is None:

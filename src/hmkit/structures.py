@@ -128,17 +128,23 @@ def is_reflexive(s: RelationalStructure) -> bool:
     return True
 
 
+def _require_binary_arities(s: RelationalStructure) -> None:
+    for sym in s.symbols():
+        arity = s.relations[sym].arity
+        if arity < 2:
+            raise StructureError(f"relation {sym} has arity {arity} < 2; binary projection undefined")
+
+
 def binary_projection(s: RelationalStructure) -> RelationalStructure:
     """All 2-coordinate projections of every relation, as a binary structure.
 
     Relations of arity 1 are rejected: projections are defined only for
     coordinate sets of size >= 2.
     """
+    _require_binary_arities(s)
     rels: dict[str, Relation] = {}
     for sym in s.symbols():
         rel = s.relations[sym]
-        if rel.arity < 2:
-            raise StructureError(f"relation {sym} has arity {rel.arity} < 2; binary projection undefined")
         for i, j in itertools.combinations(range(rel.arity), 2):
             pairs = frozenset((t[i], t[j]) for t in rel.tuples)
             rels[f"{sym}{{{i + 1},{j + 1}}}"] = Relation(2, pairs)
@@ -158,7 +164,18 @@ class ComponentDecomposition:
 
 
 def connected_components(s: RelationalStructure) -> ComponentDecomposition:
-    """Classes of the equivalence closure of all binary-projection edges."""
+    """Classes of the equivalence closure of all binary-projection edges.
+
+    Two linear passes over the tuples.  The first joins, by union-find, the
+    coordinates of every tuple; that is the closure of the projection edges
+    without building `binary_projection`.  Relations of arity below 2 are
+    refused as `binary_projection` refuses them, so every tuple has at least
+    two coordinates and all of them lie in one block.  The second pass
+    therefore sends each tuple, re-indexed, to the block of its first
+    coordinate; the induced structures equal `induced_substructure` on each
+    block.  Blocks are sorted and ordered by their least element.
+    """
+    _require_binary_arities(s)
     parent = list(range(s.size))
 
     def find(a: int) -> int:
@@ -167,21 +184,39 @@ def connected_components(s: RelationalStructure) -> ComponentDecomposition:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for rel in s.relations.values():
+        for t in rel.tuples:
+            ra = find(t[0])
+            for v in t[1:]:
+                rb = find(v)
+                if rb < ra:
+                    ra, rb = rb, ra
+                if ra != rb:
+                    parent[rb] = ra
 
-    proj = binary_projection(s) if s.relations else s
-    for rel in proj.relations.values():
-        for a, b in rel.tuples:
-            union(a, b)
-
+    # a scan in id order meets each block first at its least element
     blocks: dict[int, list[int]] = {}
     for v in range(s.size):
         blocks.setdefault(find(v), []).append(v)
-    partition = tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
-    induced = tuple(induced_substructure(s, block) for block in partition)
+    partition = tuple(map(tuple, blocks.values()))
+    block_of = [0] * s.size
+    local = [0] * s.size
+    for k, block in enumerate(partition):
+        for i, v in enumerate(block):
+            block_of[v], local[v] = k, i
+
+    buckets: list[dict[str, list[tuple[int, ...]]]] = [{sym: [] for sym in s.relations} for _ in partition]
+    for sym, rel in s.relations.items():
+        for t in rel.tuples:
+            buckets[block_of[t[0]]][sym].append(tuple(map(local.__getitem__, t)))
+    induced = tuple(
+        RelationalStructure(
+            len(block),
+            {sym: Relation(s.relations[sym].arity, frozenset(ts)) for sym, ts in bucket.items()},
+            tuple(s.label(v) for v in block) if s.labels is not None else None,
+        )
+        for block, bucket in zip(partition, buckets)
+    )
     return ComponentDecomposition(partition, induced)
 
 

@@ -149,3 +149,28 @@ def test_diagonal_structure_is_semilattice_power(S):
 
 def test_one_element_structure_matches_exponent_zero(point):
     assert find_isomorphism(point, one_element_structure()) is not None
+
+
+def test_match_builds_each_power_once(S, point, monkeypatch):
+    import hmkit.gadget as gadget
+
+    calls = []
+
+    def counting(s, k, *args, **kwargs):
+        calls.append(k)
+        return power(s, k, *args, **kwargs)
+
+    def matched(d):
+        calls.clear()
+        matches = match_components_to_powers(d)
+        # the matches that a fresh power per component gives
+        for m in matches:
+            target = one_element_structure() if m.exponent == 0 else power(S, m.exponent)
+            assert m.iso == find_isomorphism(m.component, target)
+        return [m.exponent for m in matches]
+
+    monkeypatch.setattr(gadget, "power", counting)
+    exponents = matched(gadget_transform(power(S, 5)))
+    assert len(exponents) == 32 and sorted(calls) == [1, 2, 3, 4, 5]
+    assert matched(disjoint_union([power(S, 2), power(S, 2), power(S, 3), point])) == [2, 2, 3, 0]
+    assert sorted(calls) == [2, 3]

@@ -109,6 +109,65 @@ def test_connected_components(S, point):
     assert not is_connected(u)
 
 
+def connected_components_reference(s):
+    """Union over binary-projection edges, then one induced substructure per block."""
+    parent = list(range(s.size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    proj = binary_projection(s) if s.relations else s
+    for rel in proj.relations.values():
+        for a, b in rel.tuples:
+            union(a, b)
+
+    blocks: dict[int, list[int]] = {}
+    for v in range(s.size):
+        blocks.setdefault(find(v), []).append(v)
+    partition = tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
+    induced = tuple(induced_substructure(s, block) for block in partition)
+    return partition, induced
+
+
+def test_connected_components_matches_reference():
+    rng = random.Random(10)
+    split = 0
+    for size in range(10):
+        for _ in range(30):
+            rels = {}
+            # symbols in unsorted insertion order; some relations empty
+            for sym in rng.sample("QPR", rng.randint(0, 2)):
+                arity = rng.randint(2, 4)
+                count = rng.randint(0, 2 * size) if size else 0
+                tuples = frozenset(tuple(rng.randrange(size) for _ in range(arity)) for _ in range(count))
+                rels[sym] = Relation(arity, tuples)
+            labels = tuple(f"e{rng.randrange(100)}" for _ in range(size)) if rng.random() < 0.5 else None
+            s = RelationalStructure(size, rels, labels)
+            want_partition, want_induced = connected_components_reference(s)
+            got = connected_components(s)
+            assert got.partition == want_partition
+            assert got.induced == want_induced
+            # equality ignores the order of the relation dicts; the reports do not
+            assert [list(g.relations) for g in got.induced] == [list(w.relations) for w in want_induced]
+            split += len(want_partition) > 1
+    assert split > 100
+
+    unary = RelationalStructure(3, {"R": Relation(3, frozenset({(0, 1, 2)})), "P": Relation(1, frozenset({(0,)}))})
+    with pytest.raises(StructureError, match="arity 1") as got_error:
+        connected_components(unary)
+    with pytest.raises(StructureError) as want_error:
+        connected_components_reference(unary)
+    assert str(got_error.value) == str(want_error.value)
+
+
 def test_product_ranks_are_lexicographic(S):
     p = product([S, S])
     assert p.size == 4
