@@ -17,6 +17,11 @@ the rank of its bits; so the count is the product over the coordinates of
 the number of shapes that agree with the restriction there, read from one
 table per component combination.  No piece is enumerated.
 
+No polymorphism of K is built either: K^n is the disjoint union of the
+products of n components of K, so the restrictions of polymorphisms to
+such a product are exactly Hom(prod K_u, K), whose mapping tuples list the
+values at the points in rank order over the sorted kids.
+
 The free algebra, the free structure's triples and the unary term
 operations are subpower closures computed by one semi-naive engine,
 `_close`; `max_tuples` bounds the elements each closure finds.  A closure
@@ -46,9 +51,9 @@ from .homsearch import (
     OperationTable,
     SearchOptions,
     find_homs,
+    hom_maps,
     operation_from_json,
     operation_to_json,
-    polymorphisms,
 )
 from .identlang import (
     Application,
@@ -687,11 +692,11 @@ def _count_shaped_extensions(bundle: FreeBundle, shapes: Counter, values: Sequen
 def _column_failure(
     bundle: FreeBundle,
     comb: tuple[int, ...],
-    c: int,
-    column: tuple[int, ...],
     factors: list[RelationalStructure],
     tops: list[int],
     prod: RelationalStructure,
+    c: int,
+    column: tuple[int, ...],
 ) -> str:
     """Why coordinate c of a non-constant restriction is no meet of
     single-coordinate projections, or "" when it is one.
@@ -724,20 +729,20 @@ def _column_failure(
 def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     """Check the four polymorphism claims for arities 1..max_arity.
 
-    Claims 3 and 4 restrict every polymorphism of K to every product of
-    collapsed components (a combination), polymorphisms in search order and
-    combinations lexicographic.  What depends only on the combination is
-    built once: its points and shape table, and on first use the factors,
-    tops and product that claim 3 decomposes over.  Claim 3 checks each
-    distinct (combination, coordinate, column) once, in full, and reuses
-    its verdict wherever the column recurs.  Claim 4 counts the
-    extensions of a restriction bit by bit from the shape table (see
-    `_count_shaped_extensions`), so no piece on the product of powers is
-    enumerated; the count is exact because distinct pieces are distinct
-    tuples of shapes.  Claim 3 reports its first failure, claim 4 runs on
-    every restriction until both have failed.
+    Claims 3 and 4 run on every restriction of a polymorphism of K to a
+    product of collapsed components (a combination), read off `hom_maps`
+    on the product (see the module notes), in the order arity, combination
+    (lexicographic), restriction (search order); a failure detail names
+    the first failure in that order.  Per combination the factors, tops,
+    product, points and shape table are built once, and claim 3 checks
+    each distinct (coordinate, column) once, in full.  Claim 4 counts
+    extensions bit by bit from the shape table.  Claim 3 stops at its
+    first failure, claim 4 runs until both have failed.  A max_arity below
+    1 raises StructureError.
     """
     assert bundle.K is not None, "collapse must run first"
+    if max_arity < 1:
+        raise StructureError(f"claim arity must be >= 1, got {max_arity}")
     S = bundle.semilattice
     results = []
     nU = len(bundle.components)
@@ -774,52 +779,41 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
                 break
     results.append(CheckResult("claim 2 (generator pair detects size)", PASS if ok else FAIL, detail))
 
-    @functools.cache
-    def points_and_shapes(comb: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Counter]:
-        points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
-        return points, _shape_table(bundle, comb, points)
-
-    @functools.cache
-    def factored(comb: tuple[int, ...]) -> tuple[list[RelationalStructure], list[int], RelationalStructure]:
-        factors = [_collapsed_substructure(bundle, u) for u in comb]
-        tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
-        return factors, tops, product(factors)
-
-    @functools.cache
-    def column_failure(comb: tuple[int, ...], c: int, column: tuple[int, ...]) -> str:
-        return _column_failure(bundle, comb, c, column, *factored(comb))
-
-    # Claims 3 and 4 quantify over polymorphisms of the image
+    # Claims 3 and 4 quantify over Hom(prod K_u, K), per combination
     claim3_ok, claim3_detail = True, ""
     claim4_ok, claim4_detail = True, ""
-    restrictions = (
-        (arity, f, comb)
-        for arity in range(1, max_arity + 1)
-        for f in polymorphisms(bundle.K, arity)
-        for comb in itertools.product(range(nU), repeat=arity)
+    combinations = (
+        (arity, comb) for arity in range(1, max_arity + 1) for comb in itertools.product(range(nU), repeat=arity)
     )
-    for arity, f, comb in restrictions:
-        points, shapes = points_and_shapes(comb)
-        values = [f.apply(*p) for p in points]
-        targets = sorted({bundle.decode[v][0] for v in values})
-        if len(targets) != 1:
-            if claim3_ok:
-                claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
-        elif claim3_ok and len(set(values)) > 1:
-            # claim 3: each coordinate of the restriction factors as a
-            # meet of single-coordinate projections
-            columns = zip(*(bundle.decode[v][1] for v in values))
-            verdicts = (column_failure(comb, c, column) for c, column in enumerate(columns))
-            claim3_detail = next(filter(None, verdicts), "")
-            claim3_ok = not claim3_detail
+    for arity, comb in combinations:
+        factors = [_collapsed_substructure(bundle, u) for u in comb]
+        tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
+        prod = product(factors)
+        points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
+        shapes = _shape_table(bundle, comb, points)
+        column_failure = functools.cache(functools.partial(_column_failure, bundle, comb, factors, tops, prod))
+        for values in hom_maps(prod, bundle.K):
+            targets = sorted({bundle.decode[v][0] for v in values})
+            if len(targets) != 1:
+                if claim3_ok:
+                    claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
+            elif claim3_ok and len(set(values)) > 1:
+                # claim 3: each coordinate of the restriction factors as a
+                # meet of single-coordinate projections
+                columns = zip(*(bundle.decode[v][1] for v in values))
+                verdicts = (column_failure(c, column) for c, column in enumerate(columns))
+                claim3_detail = next(filter(None, verdicts), "")
+                claim3_ok = not claim3_detail
 
-        # claim 4: the restriction extends to exactly one piece of the
-        # declared shape on the full product of powers
-        if claim4_ok:
-            count = _count_shaped_extensions(bundle, shapes, values)
-            if count != 1:
-                claim4_ok = False
-                claim4_detail = f"arity {arity}, components {comb}: {count} extensions"
+            # claim 4: the restriction extends to exactly one piece of the
+            # declared shape on the full product of powers
+            if claim4_ok:
+                count = _count_shaped_extensions(bundle, shapes, values)
+                if count != 1:
+                    claim4_ok = False
+                    claim4_detail = f"arity {arity}, components {comb}: {count} extensions"
+            if not (claim3_ok or claim4_ok):
+                break
         if not (claim3_ok or claim4_ok):
             break
     results.append(CheckResult("claim 3 (meets of coordinate projections)", PASS if claim3_ok else FAIL, claim3_detail))

@@ -358,6 +358,14 @@ def test_free_build_size_bound_is_exit_2(capsys, algebra_file, meet_algebra):
     assert run(capsys, "free", "build", "--algebra", path, "--max-tuples", "10")[0] == 0
 
 
+def test_free_build_claim_arity_below_1_is_exit_2(capsys, algebra_file, meet_algebra):
+    path = algebra_file(meet_algebra)
+    for arity in ("0", "-1"):
+        code, _, err = run(capsys, "free", "build", "--algebra", path, "--verify-claims", arity)
+        assert code == 2 and "arity must be >= 1" in err
+    assert run(capsys, "free", "build", "--algebra", path, "--verify-claims", "1")[0] == 0
+
+
 def test_free_build_absent_hypothesis_still_exits_0(capsys, algebra_file, lattice_algebra):
     code, out, _ = run(
         capsys,

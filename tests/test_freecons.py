@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from hmkit.freecons import (
     _separating_translation,
     _shape_table,
 )
-from hmkit.homsearch import OperationTable, polymorphisms
+from hmkit.homsearch import OperationTable, hom_maps, polymorphisms
 from hmkit.identlang import (
     Application,
     Identity,
@@ -1053,19 +1054,81 @@ def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
 
     bundle = build_bundle(FiniteAlgebra(2, {"n": OperationTable(1, 2, (1, 0))}))
     assert [c.kids for c in bundle.components] == [(0, 1), (2, 3)]
-    polymorphisms = freecons.polymorphisms
+    hom_maps = freecons.hom_maps
+    calls = 0
 
-    def with_spanning_map(K, arity):
-        polys = list(polymorphisms(K, arity))
-        if arity == 1:
-            polys.append(OperationTable(1, K.size, (2, 1, 2, 3)))  # kid 0 -> kid 2, the rest fixed
-        return polys
+    def with_spanning_map(source, target):
+        nonlocal calls
+        calls += 1
+        yield from hom_maps(source, target)
+        if calls == 1:  # the combination (0,)
+            yield (2, 1)  # kid 0 -> kid 2, kid 1 fixed
 
-    monkeypatch.setattr(freecons, "polymorphisms", with_spanning_map)
+    monkeypatch.setattr(freecons, "hom_maps", with_spanning_map)
     assert verify_claims(bundle, 1).lines()[2:] == [
         "claim 3 (meets of coordinate projections): fail (arity 1: restriction spans components [0, 1])",
         "claim 4 (unique shaped extension): fail (arity 1, components (0,): 0 extensions)",
     ]
+    assert calls == 1
+
+
+def combination_restrictions(bundle, comb):
+    """Hom(prod K_u, K) for the combination, as mapping tuples."""
+    return list(hom_maps(product([_collapsed_substructure(bundle, u) for u in comb]), bundle.K))
+
+
+def test_hom_maps_on_a_combination_are_the_polymorphism_restrictions(
+    meet_algebra, lattice_algebra, majority_algebra, bare_algebra
+):
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    cases = {1: 0, 2: 0}  # combinations checked, per arity
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
+        for arity in (1, 2):
+            combs = list(itertools.product(range(len(bundle.components)), repeat=arity))
+            restrictions = [combination_restrictions(bundle, comb) for comb in combs]
+            # K has as many polymorphisms as choices of one restriction per combination
+            if math.prod(map(len, restrictions)) > 5000:
+                continue
+            polys = polymorphisms(bundle.K, arity)
+            for comb, maps in zip(combs, restrictions):
+                points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
+                assert len(set(maps)) == len(maps), comb
+                assert set(maps) == {tuple(f.apply(*p) for p in points) for f in polys}, comb
+                cases[arity] += 1
+    assert cases == {1: 48, 2: 32}
+
+
+def test_verify_claims_on_components_of_sizes_2_1_2_1(monkeypatch):
+    import hmkit.freecons as freecons
+
+    # Hom(K^2, K) has about 4.5e14 members here; its restrictions are few
+    ops = {"f": OperationTable(2, 2, (1, 1, 1, 1)), "n": OperationTable(1, 2, (1, 0))}
+    bundle = build_bundle(FiniteAlgebra(2, ops))
+    assert [len(c.kids) for c in bundle.components] == [2, 1, 2, 1]
+    counts = {
+        arity: sum(len(combination_restrictions(bundle, comb)) for comb in itertools.product(range(4), repeat=arity))
+        for arity in (1, 2)
+    }
+    assert counts[2] == 136
+    count_shaped_extensions = freecons._count_shaped_extensions
+    checked = 0  # claim 4 counts each restriction once while it passes
+
+    def counting(*args):
+        nonlocal checked
+        checked += 1
+        return count_shaped_extensions(*args)
+
+    monkeypatch.setattr(freecons, "_count_shaped_extensions", counting)
+    report = verify_claims(bundle, 2)
+    assert report.passed, report.lines()
+    assert checked == counts[1] + counts[2]
+
+
+def test_verify_claims_refuses_an_arity_below_1(meet_algebra):
+    bundle = build_bundle(meet_algebra)
+    for max_arity in (0, -1):
+        with pytest.raises(StructureError, match="arity must be >= 1"):
+            verify_claims(bundle, max_arity)
 
 
 def test_verify_lemma22_item5_names_the_first_separating_translation(meet_algebra):
