@@ -261,6 +261,8 @@ _STATUS_TO_VERDICT = {freecons.PASS: "pass", freecons.FAIL: "fail", freecons.SKI
 
 
 def cmd_free_build(args, started: float) -> int:
+    if args.verify_claims is not None and args.verify_claims < 1:  # refused before the build it would waste
+        raise StructureError(f"claim arity must be >= 1, got {args.verify_claims}")
     algebra = freecons.load_algebra(args.algebra)
     bundle = freecons.build_bundle(algebra, max_tuples=args.max_tuples)
     checks = [Check("build", "pass", freecons.bundle_summary(bundle))]

@@ -22,18 +22,24 @@ products of n components of K, so the restrictions of polymorphisms to
 such a product are exactly Hom(prod K_u, K), whose mapping tuples list the
 values at the points in rank order over the sorted kids.
 
-The free algebra, the free structure's triples and the unary term
-operations are subpower closures computed by one semi-naive engine,
-`_close`; `max_tuples` bounds the elements each closure finds.  A closure
-stops as soon as it holds the whole power, since nothing more could be
-added; the free structure's triples often fill F^3 early in round 2.
+The free algebra, the free structure's triples, the unary term operations
+and the evidence search are subpower closures computed by one semi-naive
+engine, `_close`, which takes one algebra per coordinate; `max_tuples`
+bounds the elements each closure finds.  A closure stops as soon as it
+holds the whole power, since nothing more could be added; the free
+structure's triples often fill F^3 early in round 2.
 
-The evidence search, hm_evidence, runs one labeling fixpoint per
-coordinate labeling and rank (`_refute_labeling`).  It is not semi-naive:
-its rounds read variable sets that grow within the round, and which tuple
-first reaches a set decides the reported identity.  It keeps full rounds
-and skips only argument tuples that a bitset reach test shows can add no
-variable set, so it reports the identities full rounds find.
+The evidence search, hm_evidence, closes per coordinate labeling and rank
+j the pairs (term operation of F_j, labeled variable set) that terms
+reach: the subalgebra of F_j x S^j generated by the variables, where S^j
+holds variable sets as bit tuples and an operation takes the union of its
+labeled arguments' sets.  A labeling is refuted exactly when one term
+operation carries two sets, so the closure stops at the first pair that
+repeats an earlier pair's term operation, and the two derivations are the
+reported identity.  Membership does not depend on evaluation order, so
+the verdicts are those of any complete search; the identity is the first
+collision in semi-naive order over sorted symbols and lexicographic
+argument tuples.
 """
 
 from __future__ import annotations
@@ -187,39 +193,49 @@ class FreeAlgebra:
         return self.algebra.labels[element]
 
 
-def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int):
-    """Apply `table` coordinatewise to every argument tuple over range(new)
-    that holds an id >= old, in lexicographic order.
+def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...]], old: int, new: int):
+    """Apply tables[c] at coordinate c to every argument tuple over
+    range(new) that holds an id >= old, in lexicographic order.
 
-    Yields (prefix, first, batch): batch[i] is the value at the arguments
-    prefix + (first + i,).  A constant's empty argument tuple yields
-    ((), 0, [value]), and only when old == 0.
+    The tables share one arity.  Yields (prefix, first, batch): batch[i] is
+    the value at the arguments prefix + (first + i,).  A constant's empty
+    argument tuple yields ((), 0, [value]), and only when old == 0.
     """
-    m, n, values = table.arity, table.size, table.values
+    m = tables[0].arity
     if m == 0:
         if old == 0:
-            yield (), 0, [(values[0],) * len(elements[0])]
+            yield (), 0, [tuple(t.values[0] for t in tables)]
         return
+    sizes = [t.size for t in tables]
+    values = [t.values for t in tables]
     columns = list(zip(*elements[:new]))
     for prefix in itertools.product(range(new), repeat=m - 1):
         # per coordinate, the flat table index of the prefix with a zero last argument
         offset = [0] * len(columns)
         for e in prefix:
-            offset = [(o + v) * n for o, v in zip(offset, elements[e])]
+            offset = [(o + v) * n for o, v, n in zip(offset, elements[e], sizes)]
         first = 0 if prefix and max(prefix) >= old else old
-        rows = [values[o : o + n].__getitem__ for o in offset]
+        rows = [vals[o : o + n].__getitem__ for vals, o, n in zip(values, offset, sizes)]
         yield prefix, first, list(zip(*map(map, rows, (col[first:new] for col in columns))))
 
 
-def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int) -> tuple[list, list, dict]:
-    """Closure of equal-width seed tuples under the coordinatewise basic operations.
+def _close(
+    seeds: Sequence[tuple[int, ...]],
+    algebras: Sequence[FiniteAlgebra],
+    max_elements: int,
+    stop: Callable[[tuple[int, ...]], bool] = lambda t: False,
+) -> tuple[list, list, dict]:
+    """Closure of equal-width seed tuples under the basic operations, with
+    algebras[c] acting at coordinate c (the algebras share their symbols).
 
     Semi-naive rounds: a round evaluates only the argument tuples that hold
     an element found in the previous round, as the rest give nothing new, so
     ids and first derivations are those of full rounds over sorted symbols
     and lexicographic tuples.  The closure stops, between batches or
-    rounds, once it holds the whole power (algebra.size ** width tuples):
-    nothing more could be added, so the result is the same.  Returns the
+    rounds, once it holds the whole power (the product of the algebra
+    sizes): nothing more could be added, so the result is the same.  It
+    also stops right after it adds a tuple t with stop(t), so it then
+    returns a prefix of the full closure that ends with t.  Returns the
     elements, their derivations (("var", j) for seed j, else (symbol,
     smaller argument ids)) and the element -> id index.  Raises
     SizeLimitExceeded past max_elements elements.
@@ -228,28 +244,30 @@ def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_element
     derivations: list[tuple] = []
     index: dict[tuple[int, ...], int] = {}
 
-    def add(t: tuple[int, ...], derivation: tuple) -> None:
+    def add(t: tuple[int, ...], derivation: tuple) -> bool:
         if len(elements) >= max_elements:
             raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
         index[t] = len(elements)
         elements.append(t)
         derivations.append(derivation)
+        return stop(t)
 
     for j, seed in enumerate(seeds):
-        if seed not in index:
-            add(seed, ("var", j))
-    whole = algebra.size ** len(seeds[0])
+        if seed not in index and add(seed, ("var", j)):
+            return elements, derivations, index
+    whole = math.prod(alg.size for alg in algebras)
     old = 0
     while old < len(elements) < whole:
         new = len(elements)
-        for sym in algebra.symbols():
-            table = algebra.operations[sym]
-            for prefix, first, batch in _batches(table, elements, old, new):
+        for sym in algebras[0].symbols():
+            tables = [alg.operations[sym] for alg in algebras]
+            for prefix, first, batch in _batches(tables, elements, old, new):
                 # positions of unseen values, tested lazily: a value repeated
                 # within the batch is seen once its first occurrence is added
                 unseen = map(operator.not_, map(index.__contains__, batch))
                 for i in itertools.compress(itertools.count(), unseen):
-                    add(batch[i], (sym, prefix + (first + i,) if table.arity else ()))
+                    if add(batch[i], (sym, prefix + (first + i,) if tables[0].arity else ())):
+                        return elements, derivations, index
                 if len(elements) == whole:
                     return elements, derivations, index
         old = new
@@ -264,13 +282,13 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
         raise StructureError("empty universe")
     assignments = list(itertools.product(range(a.size), repeat=k))
     projections = [tuple(assign[j] for assign in assignments) for j in range(k)]
-    elements, derivations, index = _close(projections, a, max_tuples)
+    elements, derivations, index = _close(projections, [a] * len(assignments), max_tuples)
 
     n = len(elements)
     tables = {}
     for sym in a.symbols():
         table = a.operations[sym]
-        batches = _batches(table, elements, 0, n)
+        batches = _batches([table] * len(assignments), elements, 0, n)
         tables[sym] = OperationTable(table.arity, n, tuple(index[v] for _, _, batch in batches for v in batch))
     # term names in one pass: derivation arguments have smaller ids
     names = variable_names(k)
@@ -352,7 +370,7 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
     x, y = free.generators[0], free.generators[1]
 
     seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-    triples = _close(seeds, free.algebra, max_tuples)[0]
+    triples = _close(seeds, [free.algebra] * 3, max_tuples)[0]
     structure = RelationalStructure(
         free.algebra.size,
         {RELATION_SYMBOL: Relation(3, frozenset(triples))},
@@ -360,7 +378,7 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
     )
 
     # the unary term operations: the elements of the rank-1 free algebra
-    unary_ops, _, unary_index = _close([tuple(range(a.size))], a, max_tuples)
+    unary_ops, _, unary_index = _close([tuple(range(a.size))], [a] * a.size, max_tuples)
     component_of = []
     for e in range(free.algebra.size):
         diag = tuple(free.elements[e][b * a.size + b] for b in range(a.size))
@@ -828,7 +846,6 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
 class LabelingRefutation:
     labeling: SLLabeling
     arity: int
-    element: int
     lhs: Term
     rhs: Term
     lhs_varset: frozenset[str]
@@ -852,101 +869,50 @@ def default_evidence_arity(a: FiniteAlgebra) -> int:
     return max([2] + arities)
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _unions(haves: tuple[int, ...]) -> int:
-    """The unions one can pick from the variable-set bitsets `haves`, as a bitset.
-
-    Bit m of a bitset stands for the variable set with mask m; the result is
-    the OR-convolution of the arguments, starting from the empty union.
-    """
-    reach = {0}
-    for have in haves:
-        masks = [m for m in range(have.bit_length()) if have >> m & 1]
-        reach = {r | m for r in reach for m in masks}
-    return sum(1 << r for r in reach)
-
-
 def _refute_labeling(
-    labeling: SLLabeling, max_arity: int, free_at: Callable[[int], FreeAlgebra]
+    a: FiniteAlgebra, labeling: SLLabeling, max_arity: int, max_tuples: int
 ) -> LabelingRefutation | None:
-    """Search free algebras of growing rank for an identity the labeling breaks.
+    """Search ranks 2..max_arity for an identity the labeling breaks.
 
-    Every element tracks the variable sets achievable by its term
-    representations under the labeling; two distinct sets on one element
-    give a violated identity.  free_at(j) gives the rank-j free algebra.
+    At rank j the pairs (term operation, labeled variable set) that terms
+    reach form the subalgebra of F_j x S^j generated by (x_g, {g}): S^j is
+    the set of variable subsets as bit tuples, on which an operation is the
+    union of its labeled arguments (`bits` below).  One `_close` from the
+    seeds (projection of x_g, then the one-hot bits of g) computes it, and
+    stops at the first pair whose term operation an earlier pair already
+    carries; the two derivations are the reported identity, the earlier one
+    its lhs.  max_tuples bounds the pairs of each rank.
 
-    At rank j a variable set is a j-bit mask (bit g for the g-th variable
-    name), and have[e] is a bitset over the masks element e holds.  Rounds
-    run over the elements known at their start, symbols sorted and argument
-    tuples lexicographic, and read the sets as they grow within the round;
-    a round that adds nothing ends the rank.  A tuple whose labeled
-    arguments can reach no union missing from its result adds nothing, so
-    it is skipped; any other tuple tries its picks in the order of the
-    sorted variable names, so each set keeps the first term that reaches it.
-
-    Rank 1 is built but not searched: every labeled coordinate set is
-    non-empty (`all_labelings`), so at rank 1 every union of picks is {x}
-    and no element can hold two sets.
+    Rank 1 is not searched: every labeled coordinate set is non-empty
+    (`all_labelings`), so at rank 1 every union is {x} and no term
+    operation can carry two sets.
     """
-    for j in range(1, max_arity + 1):
-        free = free_at(j)
-        if j == 1:
-            continue
+    unions = {}
+    for sym, table in a.operations.items():
+        picks = itertools.product((0, 1), repeat=table.arity)
+        union = (int(any(p[i - 1] for i in labeling.sigma[sym])) for p in picks)
+        unions[sym] = OperationTable(table.arity, 2, tuple(union))
+    bits = FiniteAlgebra(2, unions)
+    for j in range(2, max_arity + 1):
         names = variable_names(j)
-        n = free.algebra.size
-        # representatives in one pass as far as needed: derivation arguments have smaller ids
-        rep: list[Term] = []
+        assignments = list(itertools.product(range(a.size), repeat=j))
+        width = len(assignments)
+        seeds = [tuple(assign[g] for assign in assignments) + tuple(int(h == g) for h in range(j)) for g in range(j)]
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # term operation -> its first pair
 
-        def rep_term(e: int) -> Term:
-            while len(rep) <= e:
-                sym, arg = free.derivations[len(rep)]
-                rep.append(Variable(names[arg]) if sym == "var" else Application(sym, tuple(rep[a] for a in arg)))
-            return rep[e]
+        def collides(t: tuple[int, ...]) -> bool:
+            return first.setdefault(t[:width], t) != t
 
-        def name_list(mask: int) -> list[str]:
-            return sorted(names[g] for g in range(j) if mask >> g & 1)
-
-        # picks try sets in the order of their sorted name lists, which is not the mask order
-        position = {mask: p for p, mask in enumerate(sorted(range(1 << j), key=name_list))}
-        varsets: list[dict[int, Term]] = [dict() for _ in range(n)]
-        have = [0] * n
-        for g, gid in enumerate(free.generators):
-            varsets[gid][1 << g] = Variable(names[g])
-            have[gid] |= 1 << (1 << g)
-
-        changed = True
-        while changed:
-            changed = False
-            known = [e for e in range(n) if have[e]]
-            for sym in free.algebra.symbols():
-                table = free.algebra.operations[sym]
-                m, values = table.arity, table.values
-                labeled = [i - 1 for i in labeling.sigma[sym]]
-                # flat table index of an argument tuple: the sum of its scaled ids
-                scaled = [[e * n ** (m - 1 - i) for e in known] for i in range(m)]
-                flats = map(sum, itertools.product(*scaled))
-                for args, flat in zip(itertools.product(known, repeat=m), flats):
-                    result = values[flat]
-                    if not _unions(tuple([have[args[i]] for i in labeled])) & ~have[result]:
-                        continue
-                    labeled_sets = [sorted(varsets[args[i]], key=position.__getitem__) for i in labeled]
-                    for pick in itertools.product(*labeled_sets):
-                        union = functools.reduce(operator.or_, pick, 0)
-                        if union in varsets[result]:
-                            continue
-                        chosen = dict(zip(labeled, pick))
-                        terms = tuple(
-                            varsets[a][chosen[i]] if i in chosen else rep_term(a) for i, a in enumerate(args)
-                        )
-                        varsets[result][union] = Application(sym, terms)
-                        have[result] |= 1 << union
-                        changed = True
-
-        for e in range(n):
-            if len(varsets[e]) >= 2:
-                (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: position[kv[0]])[:2]
-                lhs_varset, rhs_varset = frozenset(name_list(vs1)), frozenset(name_list(vs2))
-                return LabelingRefutation(labeling, j, e, t1, t2, lhs_varset, rhs_varset)
+        elements, derivations, index = _close(seeds, [a] * width + [bits] * j, max_tuples, collides)
+        lhs, rhs = first[elements[-1][:width]], elements[-1]
+        if lhs == rhs:  # no term operation carries two sets: the closure is complete
+            continue
+        # terms in one pass: derivation arguments have smaller ids
+        terms: list[Term] = []
+        for sym, arg in derivations:
+            terms.append(Variable(names[arg]) if sym == "var" else Application(sym, tuple(terms[e] for e in arg)))
+        lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
+        return LabelingRefutation(labeling, j, terms[index[lhs]], terms[-1], lhs_varset, rhs_varset)
     return None
 
 
@@ -962,15 +928,15 @@ def hm_evidence(
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
+    if a.size < 1:
+        raise StructureError("empty universe")
     m = default_evidence_arity(a) if max_arity is None else max_arity
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
     declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
-    # one free algebra per rank, built on first use: a size bound is hit only at a rank the search reaches
-    free_at = functools.cache(lambda j: free_algebra(a, j, max_tuples))
     refutations = []
     for labeling in all_labelings(declarations):
-        refutation = _refute_labeling(labeling, m, free_at)
+        refutation = _refute_labeling(a, labeling, m, max_tuples)
         if refutation is None:
             return ConsistentLabelingFound(labeling, m)
         refutations.append(refutation)

@@ -12,7 +12,7 @@ import re
 import subprocess
 import sys
 
-from hmkit import cli
+from hmkit import cli, freecons
 from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
@@ -358,12 +358,22 @@ def test_free_build_size_bound_is_exit_2(capsys, algebra_file, meet_algebra):
     assert run(capsys, "free", "build", "--algebra", path, "--max-tuples", "10")[0] == 0
 
 
-def test_free_build_claim_arity_below_1_is_exit_2(capsys, algebra_file, meet_algebra):
+def test_free_build_claim_arity_below_1_is_exit_2(capsys, monkeypatch, algebra_file, meet_algebra):
     path = algebra_file(meet_algebra)
+    build_bundle = freecons.build_bundle
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_bundle(*args, **kwargs)
+
+    monkeypatch.setattr(freecons, "build_bundle", counting)
     for arity in ("0", "-1"):
-        code, _, err = run(capsys, "free", "build", "--algebra", path, "--verify-claims", arity)
-        assert code == 2 and "arity must be >= 1" in err
+        code, _, err = run(capsys, "free", "build", "--algebra", path, "--verify-lemma22", "--verify-claims", arity)
+        assert code == 2 and err == f"error: claim arity must be >= 1, got {arity}\n"
+    assert builds == []  # refused before the algebra is built
     assert run(capsys, "free", "build", "--algebra", path, "--verify-claims", "1")[0] == 0
+    assert len(builds) == 1
 
 
 def test_free_build_absent_hypothesis_still_exits_0(capsys, algebra_file, lattice_algebra):
@@ -524,8 +534,9 @@ def test_alg_hm_evidence_survivor(capsys, algebra_file, meet_algebra):
 
 
 def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
-    # the reported identities depend on the order in which the labeling
-    # fixpoint finds terms, so the whole report is pinned, bar its timing
+    # each reported identity is the first collision the pair closure finds,
+    # which depends on its evaluation order, so the whole report is pinned,
+    # bar its timing
     two_ternary = FiniteAlgebra(
         2,
         {
@@ -534,7 +545,9 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
         },
         ("0", "1"),
     )
-    for name, algebra in (("majority", majority_algebra), ("two_ternary", two_ternary)):
+    # a 3-element algebra whose rank-2 free algebra has all 729 elements
+    three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))}, ("0", "1", "2"))
+    for name, algebra in (("majority", majority_algebra), ("two_ternary", two_ternary), ("three", three)):
         code, out, _ = run(
             capsys, "alg", "hm-evidence", "--algebra", algebra_file(algebra), "--output", "json"
         )

@@ -73,8 +73,9 @@ from hmkit.structures import (
 )
 
 
-def closure_reference(seeds, algebra, max_elements):
-    """Slow oracle for the closure engine: full rounds through OperationTable.apply.
+def closure_reference(seeds, algebras, max_elements):
+    """Slow oracle for the closure engine: full rounds through OperationTable.apply,
+    with algebras[c] acting at coordinate c.
 
     Every round re-evaluates every argument tuple over the elements known at
     its start, symbols in sorted order, so the ids and first derivations are
@@ -93,14 +94,13 @@ def closure_reference(seeds, algebra, max_elements):
 
     for j, seed in enumerate(seeds):
         intern(seed, ("var", j))
-    width = len(seeds[0])
     while True:
         size_before = len(elements)
-        for sym in algebra.symbols():
-            table = algebra.operations[sym]
-            for args in itertools.product(range(size_before), repeat=table.arity):
+        for sym in algebras[0].symbols():
+            tables = [alg.operations[sym] for alg in algebras]
+            for args in itertools.product(range(size_before), repeat=tables[0].arity):
                 value = tuple(
-                    table.apply(*(elements[e][c] for e in args)) for c in range(width)
+                    table.apply(*(elements[e][c] for e in args)) for c, table in enumerate(tables)
                 )
                 intern(value, (sym, args))
         if len(elements) == size_before:
@@ -111,7 +111,7 @@ def free_algebra_reference(a, k, max_elements):
     """(elements, derivations, generators, table values) of the rank-k free algebra."""
     assignments = list(itertools.product(range(a.size), repeat=k))
     projections = [tuple(assign[j] for assign in assignments) for j in range(k)]
-    elements, derivations = closure_reference(projections, a, max_elements)
+    elements, derivations = closure_reference(projections, [a] * len(assignments), max_elements)
     index = {t: i for i, t in enumerate(elements)}
     tables = {}
     for sym in a.symbols():
@@ -180,7 +180,7 @@ def refute_labeling_reference(
         for e in range(free.algebra.size):
             if len(varsets[e]) >= 2:
                 (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: sorted(kv[0]))[:2]
-                return LabelingRefutation(labeling, j, e, t1, t2, vs1, vs2)
+                return LabelingRefutation(labeling, j, t1, t2, vs1, vs2)
     return None
 
 
@@ -307,8 +307,8 @@ def agree_on_free_structure(a, bound):
             n, {sym: OperationTable(a.operations[sym].arity, n, v) for sym, v in tables.items()}
         )
         seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-        triples = closure_reference(seeds, free, bound)[0]
-        unary = closure_reference([tuple(range(a.size))], a, bound)[0]
+        triples = closure_reference(seeds, [free] * 3, bound)[0]
+        unary = closure_reference([tuple(range(a.size))], [a] * a.size, bound)[0]
         return frozenset(triples), tuple(unary)
 
     def engine():
@@ -371,12 +371,31 @@ def test_closures_that_fill_the_power_match_closure_reference():
         assert (free.elements, free.derivations) == (elements, derivations)
         assert {sym: t.values for sym, t in free.algebra.operations.items()} == tables
         seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-        triples, triple_derivations = closure_reference(seeds, free.algebra, 64)
-        assert _close(seeds, free.algebra, 64)[:2] == (triples, triple_derivations)
+        triples, triple_derivations = closure_reference(seeds, [free.algebra] * 3, 64)
+        assert _close(seeds, [free.algebra] * 3, 64)[:2] == (triples, triple_derivations)
         assert bundle.structure.relations["R"].tuples == frozenset(triples)
-        assert bundle.unary_ops == tuple(closure_reference([(0, 1)], a, 64)[0])
+        assert bundle.unary_ops == tuple(closure_reference([(0, 1)], [a] * 2, 64)[0])
         filled.append(len(triples) == free.algebra.size**3)
     assert any(filled) and not all(filled)
+
+
+def test_closure_with_stop_is_the_prefix_ending_at_the_first_stop():
+    # one algebra per coordinate: a draw at the four assignments of x, y and
+    # another table of the same signature at two more coordinates
+    rng = random.Random(42)
+    seeds = [(0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 1, 0)]
+    for a in whole_power_draws():
+        b = FiniteAlgebra(
+            2, {sym: OperationTable(t.arity, 2, tuple(rng.randrange(2) for _ in t.values)) for sym, t in a.operations.items()}
+        )
+        algebras = [a] * 4 + [b] * 2
+        elements, derivations = closure_reference(seeds, algebras, 64)
+        assert _close(seeds, algebras, 64)[:2] == (elements, derivations)
+        # k = 0 and 1 stop at a seed; each prefix fits a bound of its own size
+        for k, t in enumerate(elements):
+            prefix = elements[: k + 1]
+            index = {u: i for i, u in enumerate(prefix)}
+            assert _close(seeds, algebras, k + 1, lambda u, t=t: u == t) == (prefix, derivations[: k + 1], index)
 
 
 def test_closure_that_fills_the_power_skips_its_closing_round(monkeypatch):
@@ -517,19 +536,25 @@ def test_hm_evidence_majority(majority_algebra):
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
     import hmkit.freecons as freecons
 
-    ranks = []
+    close = freecons._close
+    widths = []
 
-    def counting(a, k, max_tuples):
-        ranks.append(k)
-        return free_algebra(a, k, max_tuples)
+    def counting(seeds, algebras, max_elements, stop):
+        widths.append(len(algebras))
+        return close(seeds, algebras, max_elements, stop)
 
-    monkeypatch.setattr(freecons, "free_algebra", counting)
-    # all 7 labelings are refuted at rank 2; the rank-3 free algebra (4 elements) is never built
+    def no_free_algebra(*args):
+        raise AssertionError("evidence built a free algebra")
+
+    monkeypatch.setattr(freecons, "_close", counting)
+    monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
+    # F_2 = {x, y}, so each labeling is refuted by the third pair of its rank-2
+    # closure (4 assignments and 2 variable bits); rank 3 is never closed
     evidence = hm_evidence(majority_algebra, max_tuples=3)
     assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
-    assert ranks == [1, 2]
+    assert widths == [2**2 + 2] * 7
     with pytest.raises(SizeLimitExceeded):
-        free_algebra(majority_algebra, 3, max_tuples=3)
+        hm_evidence(majority_algebra, max_tuples=2)
 
 
 def test_hm_evidence_semilattice_survivor(meet_algebra):
@@ -550,6 +575,9 @@ def test_hm_evidence_trivial_algebra_certifies():
     evidence = hm_evidence(one)
     assert isinstance(evidence, CertifiedHM)
     assert verify_certificate(one, evidence)
+    # the two seed pairs already share their term operation
+    (r,) = evidence.refutations
+    assert (r.arity, r.lhs, r.rhs) == (2, Variable("x"), Variable("y"))
 
 
 def test_hm_evidence_rejects_non_idempotent():
@@ -558,13 +586,15 @@ def test_hm_evidence_rejects_non_idempotent():
         hm_evidence(const)
     with pytest.raises(StructureError, match="arity bound"):
         hm_evidence(FiniteAlgebra(2, {}), max_arity=0)
+    with pytest.raises(StructureError, match="empty universe"):
+        hm_evidence(FiniteAlgebra(0, {}))
 
 
 def test_verify_certificate_rejects_tampering(majority_algebra):
     evidence = hm_evidence(majority_algebra)
     r = evidence.refutations[0]
     swapped = LabelingRefutation(
-        r.labeling, r.arity, r.element, r.lhs, r.rhs, r.rhs_varset, r.lhs_varset
+        r.labeling, r.arity, r.lhs, r.rhs, r.rhs_varset, r.lhs_varset
     )
     broken = CertifiedHM(evidence.max_arity, (swapped,) + evidence.refutations[1:])
     assert not verify_certificate(majority_algebra, broken)
@@ -592,49 +622,64 @@ def test_refute_labeling_matches_reference(
     ]
     draws += [FiniteAlgebra(3, {"f": idempotent_table(rng, 3, 2)}) for _ in range(15)]
     algebras = [majority_algebra, meet_algebra, lattice_algebra, bare_algebra] + draws
+    free_ats = {id(a): functools.cache(lambda j, a=a: free_algebra(a, j)) for a in algebras}
     refuted = 0
     for a in algebras:
         max_arity = default_evidence_arity(a)
-        free_at = functools.cache(lambda j, a=a: free_algebra(a, j))
         for labeling in all_labelings({sym: a.operations[sym].arity for sym in a.symbols()}):
-            got = _refute_labeling(labeling, max_arity, free_at)
-            want = refute_labeling_reference(labeling, max_arity, free_at)
-            # labeling, rank, element, both terms and both variable sets
-            assert got == want
-            if want is not None:
-                assert (str(got.lhs), str(got.rhs)) == (str(want.lhs), str(want.rhs))
+            got = _refute_labeling(a, labeling, max_arity, 10**6)
+            want = refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
+            # refuted or not, and at which rank; the identities may differ
+            assert (got is None, getattr(got, "arity", None)) == (want is None, getattr(want, "arity", None))
+            if got is not None:
+                assert holds_in(a, Identity(got.lhs, got.rhs), a.operations)
+                lhs, rhs = sigma_varset(got.lhs, labeling), sigma_varset(got.rhs, labeling)
+                assert (got.lhs_varset, got.rhs_varset) == (lhs, rhs) and lhs != rhs
                 refuted += 1
     assert refuted > 100
+
+    def verdict(evidence):
+        if isinstance(evidence, ConsistentLabelingFound):
+            return evidence
+        return evidence.max_arity, [(r.labeling, r.arity) for r in evidence.refutations]
+
     evidence = [hm_evidence(a) for a in algebras]
-    monkeypatch.setattr(freecons, "_refute_labeling", refute_labeling_reference)
-    assert evidence == [hm_evidence(a) for a in algebras]
+    assert all(verify_certificate(a, e) for a, e in zip(algebras, evidence) if isinstance(e, CertifiedHM))
+
+    def reference(a, labeling, max_arity, max_tuples):
+        return refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
+
+    monkeypatch.setattr(freecons, "_refute_labeling", reference)
+    assert list(map(verdict, evidence)) == [verdict(hm_evidence(a)) for a in algebras]
 
 
-def test_refute_labeling_builds_deep_representatives_without_recursion():
-    # A hand-built rank-2 free algebra (the fixpoint reads only its tables,
-    # generators and derivations): x = 0, y = 1, and element e >= 2 is derived
-    # as f(e - 1, x), so the last element's representative nests `depth`
-    # applications of f around y.  f(a, b) = a except f(x, x) = deep and
-    # f(y, deep) = x, so under f -> {1} the element x gets the set {y} from a
-    # term that holds deep's representative in its unlabeled argument.
+def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypatch):
+    import hmkit.freecons as freecons
+
+    # A hand-built pair closure over the trivial algebra (the search reads
+    # only the pairs, their derivations and the stop test), each pair (term
+    # operation id, x bit, y bit): x = (0, {x}), y = (1, {y}), and pair
+    # e >= 2 is (e, {y}), derived as f(e - 1, x), so the last of them nests
+    # `depth` applications of f around y.  Under f -> {1} the final pair
+    # f(y, deep) = (0, {y}) repeats the term operation of x.
     depth = 3000
     n = depth + 2
-    deep = n - 1
-    rows = [(deep,), itertools.repeat(0, n - 1), itertools.repeat(1, n - 1), (0,)]
-    rows += [itertools.repeat(a, n) for a in range(2, n)]
-    f = FiniteAlgebra(n, {"f": OperationTable(2, n, tuple(itertools.chain.from_iterable(rows)))})
-    derivations = (("var", 0), ("var", 1)) + tuple(("f", (e - 1, 0)) for e in range(2, n))
-    rank2 = FreeAlgebra(f, 2, f, tuple((e,) for e in range(n)), (0, 1), derivations, {})
-    point = FiniteAlgebra(1, {"f": OperationTable(2, 1, (0,))})
-    rank1 = FreeAlgebra(point, 1, point, ((0,),), (0,), (("var", 0),), {(0,): 0})
+    pairs = [(0, 1, 0), (1, 0, 1)] + [(e, 0, 1) for e in range(2, n)] + [(0, 0, 1)]
+    derivations = [("var", 0), ("var", 1)] + [("f", (e - 1, 0)) for e in range(2, n)] + [("f", (1, n - 1))]
 
+    def hand_built(seeds, algebras, max_elements, stop):
+        k = next(k for k, t in enumerate(pairs) if stop(t))
+        return pairs[: k + 1], derivations[: k + 1], {t: i for i, t in enumerate(pairs[: k + 1])}
+
+    monkeypatch.setattr(freecons, "_close", hand_built)
+    point = FiniteAlgebra(1, {"f": OperationTable(2, 1, (0,))})
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
-        r = _refute_labeling(SLLabeling({"f": (1,)}), 2, {1: rank1, 2: rank2}.__getitem__)
+        r = _refute_labeling(point, SLLabeling({"f": (1,)}), 2, len(pairs))
     finally:
         sys.setrecursionlimit(limit)
-    assert (r.arity, r.element, r.lhs) == (2, 0, Variable("x"))
+    assert (r.arity, r.lhs) == (2, Variable("x"))
     assert (r.lhs_varset, r.rhs_varset) == (frozenset("x"), frozenset("y"))
     assert r.rhs.symbol == "f" and r.rhs.args[0] == Variable("y")
     t, nested = r.rhs.args[1], 0
