@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 import traceback
@@ -239,6 +240,14 @@ def cmd_psl_meet(args, started: float) -> int:
 def cmd_psl_decompose(args, started: float) -> int:
     factors = [_load(f) for f in args.factors]
     target = _load(args.target)
+    size = math.prod(h.size for h in factors)
+    if len(args.map) != size:  # a malformed map or top list is unusable input, not a verdict
+        raise StructureError(f"map has {len(args.map)} entries for a product of size {size}")
+    for v in args.map:
+        if not 0 <= v < target.size:
+            raise StructureError(f"map value {v} not in target universe of size {target.size}")
+    if args.tops is not None and len(args.tops) != len(factors):
+        raise StructureError(f"{len(args.tops)} tops for {len(factors)} factors")
     try:
         tops = args.tops if args.tops is not None else [semilat.largest_element(h) for h in factors]
         if any(t is None for t in tops):

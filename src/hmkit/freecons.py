@@ -10,12 +10,16 @@ union of semilattice powers, and decodes every collapsed element once into
 its component and coordinate bits.  Verification routines then
 machine-check the structural facts the construction is designed around.
 
-Claim 4 of verify_claims counts the shaped extensions of a restriction bit
-by bit.  A shaped piece into a component is a tuple of bit shapes, one per
-coordinate, and distinct pieces are distinct tuples, since a piece's id is
-the rank of its bits; so the count is the product over the coordinates of
-the number of shapes that agree with the restriction there, read from one
-table per component combination.  No piece is enumerated.
+Claims 3 and 4 of verify_claims read one table of bit shapes per component
+combination: the constants and the meets of single-coordinate
+projections, restricted to the combination's points.  Claim 3 holds for a
+restriction inside one component when each of its coordinate columns is a
+key of the table.  Claim 4 counts the shaped extensions of a restriction
+bit by bit.  A shaped piece into a component is a tuple of bit shapes, one
+per coordinate, and distinct pieces are distinct tuples, since a piece's
+id is the rank of its bits; so the count is the product over the
+coordinates of the table entries that agree with the restriction there.
+No piece is enumerated.
 
 No polymorphism of K is built either: K^n is the disjoint union of the
 products of n components of K, so the restrictions of polymorphisms to
@@ -44,7 +48,6 @@ argument tuples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -72,8 +75,6 @@ from .identlang import (
     sigma_varset,
 )
 from .semilat import (
-    DecompositionError,
-    decompose_product_hom,
     is_partial_semilattice,
     largest_element,
     PartialSemilatticeWitness,
@@ -666,7 +667,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
 
 
 def _shape_table(bundle: FreeBundle, comb: tuple[int, ...], points: list[tuple[int, ...]]) -> Counter:
-    """Claim 4's bit shapes of a component combination, by restriction.
+    """The bit shapes of a component combination, by restriction, for claims 3 and 4.
 
     A bit shape is a 0/1 function on the product of the combination's
     powers: constant 0, constant 1, or the meet of chosen coordinates of
@@ -707,43 +708,6 @@ def _count_shaped_extensions(bundle: FreeBundle, shapes: Counter, values: Sequen
     return math.prod(shapes[column] for column in zip(*(bits for _, bits in decoded)))
 
 
-def _column_failure(
-    bundle: FreeBundle,
-    comb: tuple[int, ...],
-    factors: list[RelationalStructure],
-    tops: list[int],
-    prod: RelationalStructure,
-    c: int,
-    column: tuple[int, ...],
-) -> str:
-    """Why coordinate c of a non-constant restriction is no meet of
-    single-coordinate projections, or "" when it is one.
-
-    column is that coordinate's bit at each point of `prod`, the product of
-    the combination's collapsed components.
-    """
-    arity = len(comb)
-    try:
-        g = Homomorphism(prod, bundle.semilattice, column)
-        dec = decompose_product_hom(g, factors, tops)
-    except (StructureError, DecompositionError) as exc:
-        return f"arity {arity}: {exc}"
-    if dec.is_constant:
-        return ""
-    projections = 0
-    for ell, cmap in enumerate(dec.coordinate_maps):
-        kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
-        if kind == "projection":
-            if not bundle.hom_count(comb[ell]):
-                return f"arity {arity}: projection on a trivial factor"
-            projections += 1
-        elif not (kind == "constant" and cmap.mapping[0] == 1):
-            return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
-    if projections == 0:
-        return f"arity {arity}: non-constant map with no projection factor"
-    return ""
-
-
 def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     """Check the four polymorphism claims for arities 1..max_arity.
 
@@ -751,10 +715,10 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     product of collapsed components (a combination), read off `hom_maps`
     on the product (see the module notes), in the order arity, combination
     (lexicographic), restriction (search order); a failure detail names
-    the first failure in that order.  Per combination the factors, tops,
-    product, points and shape table are built once, and claim 3 checks
-    each distinct (coordinate, column) once, in full.  Claim 4 counts
-    extensions bit by bit from the shape table.  Claim 3 stops at its
+    the first failure in that order.  Per combination the product, points
+    and shape table are built once, and both claims read the table: claim
+    3 asks whether each coordinate's column is one of its keys, and claim
+    4 counts extensions bit by bit from its entries.  Claim 3 stops at its
     first failure, claim 4 runs until both have failed.  A max_arity below
     1 raises StructureError.
     """
@@ -804,24 +768,22 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
         (arity, comb) for arity in range(1, max_arity + 1) for comb in itertools.product(range(nU), repeat=arity)
     )
     for arity, comb in combinations:
-        factors = [_collapsed_substructure(bundle, u) for u in comb]
-        tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
-        prod = product(factors)
+        prod = product([_collapsed_substructure(bundle, u) for u in comb])
         points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
         shapes = _shape_table(bundle, comb, points)
-        column_failure = functools.cache(functools.partial(_column_failure, bundle, comb, factors, tops, prod))
         for values in hom_maps(prod, bundle.K):
             targets = sorted({bundle.decode[v][0] for v in values})
             if len(targets) != 1:
                 if claim3_ok:
                     claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
-            elif claim3_ok and len(set(values)) > 1:
-                # claim 3: each coordinate of the restriction factors as a
-                # meet of single-coordinate projections
+            elif claim3_ok:
+                # claim 3: each coordinate of the restriction is a meet of
+                # single-coordinate projections or a constant, a key of the table
                 columns = zip(*(bundle.decode[v][1] for v in values))
-                verdicts = (column_failure(c, column) for c, column in enumerate(columns))
-                claim3_detail = next(filter(None, verdicts), "")
-                claim3_ok = not claim3_detail
+                c = next((c for c, column in enumerate(columns) if column not in shapes), None)
+                if c is not None:
+                    claim3_ok = False
+                    claim3_detail = f"arity {arity}, components {comb}: coordinate {c} is not a meet of coordinate projections"
 
             # claim 4: the restriction extends to exactly one piece of the
             # declared shape on the full product of powers

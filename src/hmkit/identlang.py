@@ -265,24 +265,15 @@ _X = Variable("x")
 
 
 def _rename(t: Term, table: Mapping[str, str]) -> Term:
-    if isinstance(t, Variable):
-        return Variable(table.get(t.name, t.name))
-    return Application(t.symbol, tuple(_rename(a, table) for a in t.args))
+    return _fold(t, lambda v: Variable(table.get(v.name, v.name)), lambda u, args: Application(u.symbol, args))
 
 
 def _normalize(i: Identity) -> Identity:
     """Rename variables to x, y by first occurrence (left to right, lhs first)."""
-    order: list[str] = []
+    order: dict[str, None] = {}  # `_fold` visits the leaves from left to right
     for side in (i.lhs, i.rhs):
-        stack = [side]
-        while stack:
-            t = stack.pop(0)
-            if isinstance(t, Variable):
-                if t.name not in order:
-                    order.append(t.name)
-            else:
-                stack = list(t.args) + stack
-    table = {name: canon for name, canon in zip(order, ("x", "y"))}
+        _fold(side, lambda v: order.setdefault(v.name), lambda u, values: None)
+    table = dict(zip(order, ("x", "y")))
     return Identity(_rename(i.lhs, table), _rename(i.rhs, table))
 
 

@@ -47,8 +47,8 @@ class RelationalStructure:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        # Normalize to plain immutable containers; invariants are checked
-        # by validate() so that load paths can report precise errors.
+        # Normalize to plain immutable containers; invariants are checked by
+        # validate(), and inline by structure_from_json for precise load errors.
         rels = {
             sym: rel if isinstance(rel, Relation) else Relation(rel[0], frozenset(map(tuple, rel[1])))
             for sym, rel in dict(self.relations).items()
@@ -493,9 +493,7 @@ def structure_from_json(data: dict) -> RelationalStructure:
                 raise StructureError(f"relation {sym}: duplicate tuple {list(t)}")
             seen.add(t)
         rels[sym] = Relation(arity, frozenset(seen))
-    s = RelationalStructure(size, rels, tuple(universe))
-    validate(s)
-    return s
+    return RelationalStructure(size, rels, tuple(universe))
 
 
 def load_structure(path: str) -> RelationalStructure:

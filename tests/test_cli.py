@@ -328,6 +328,21 @@ def test_psl_decompose_failures(capsys, structure_file, S):
     assert code == 1 and "no largest element" in out
 
 
+def test_psl_decompose_malformed_map_or_tops_is_exit_2(capsys, structure_file, S):
+    s_path = structure_file(S, "s.json")
+    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path]
+    for extra, message in (
+        (["--map", "0,0,0"], "map has 3 entries for a product of size 4"),
+        (["--map", "0,0,0,7"], "map value 7 not in target universe of size 2"),
+        (["--map", "0,0,0,1", "--tops", "1"], "1 tops for 2 factors"),
+    ):
+        code, out, err = run(capsys, *decompose, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), extra
+    # a map of the right shape that is no homomorphism is still a verdict
+    code, out, _ = run(capsys, *decompose, "--map", "0,1,1,1")
+    assert code == 1 and "decomposition: fail" in out
+
+
 # --- free -----------------------------------------------------------------------
 
 

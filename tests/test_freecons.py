@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +37,7 @@ from hmkit.freecons import (
     verify_claims,
     verify_lemma22,
     variable_names,
+    _classify_into_coords,
     _close,
     _collapsed_substructure,
     _count_shaped_extensions,
@@ -64,6 +66,7 @@ from hmkit.semilat import (
 )
 from hmkit.structures import (
     Homomorphism,
+    RelationalStructure,
     SizeLimitExceeded,
     StructureError,
     find_isomorphism,
@@ -1066,32 +1069,92 @@ def test_verify_claims_component_with_four_homomorphisms():
     assert report.passed, report.lines()
 
 
-def test_verify_claims_checks_each_distinct_claim_3_column_once(monkeypatch):
+def column_failure_reference(
+    bundle: FreeBundle,
+    comb: tuple[int, ...],
+    factors: list[RelationalStructure],
+    tops: list[int],
+    prod: RelationalStructure,
+    c: int,
+    column: tuple[int, ...],
+) -> str:
+    """Why coordinate c of a non-constant restriction is no meet of
+    single-coordinate projections, or "" when it is one.
+
+    column is that coordinate's bit at each point of `prod`, the product of
+    the combination's collapsed components.
+    """
+    arity = len(comb)
+    try:
+        g = Homomorphism(prod, bundle.semilattice, column)
+        dec = decompose_product_hom(g, factors, tops)
+    except (StructureError, DecompositionError) as exc:
+        return f"arity {arity}: {exc}"
+    if dec.is_constant:
+        return ""
+    projections = 0
+    for ell, cmap in enumerate(dec.coordinate_maps):
+        kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
+        if kind == "projection":
+            if not bundle.hom_count(comb[ell]):
+                return f"arity {arity}: projection on a trivial factor"
+            projections += 1
+        elif not (kind == "constant" and cmap.mapping[0] == 1):
+            return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
+    if projections == 0:
+        return f"arity {arity}: non-constant map with no projection factor"
+    return ""
+
+
+# components of sizes 2, 1, 2, 1; Hom(K^2, K) has about 4.5e14 members
+COMPONENTS_2_1_2_1 = FiniteAlgebra(2, {"f": OperationTable(2, 2, (1, 1, 1, 1)), "n": OperationTable(1, 2, (1, 0))})
+
+
+def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
+    rng = random.Random(29)
+    bundles = claims_bundles() + [build_bundle(a) for a in (THREE_HOMS, FOUR_HOMS, COMPONENTS_2_1_2_1)]
+    verdicts = Counter()  # (key of the table, decomposes) -> columns
+    for bundle in bundles:
+        for arity in (1, 2):
+            for comb in itertools.product(range(len(bundle.components)), repeat=arity):
+                factors = [_collapsed_substructure(bundle, u) for u in comb]
+                tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
+                prod = product(factors)
+                points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
+                shapes = _shape_table(bundle, comb, points)
+                columns = set(shapes)
+                for values in hom_maps(prod, bundle.K):
+                    if len({bundle.decode[v][0] for v in values}) == 1:
+                        columns.update(zip(*(bundle.decode[v][1] for v in values)))
+                columns.update(tuple(rng.randrange(2) for _ in points) for _ in range(20))
+                for column in sorted(columns):
+                    failure = column_failure_reference(bundle, comb, factors, tops, prod, 0, column)
+                    assert (column in shapes) == (failure == ""), (comb, column, failure)
+                    verdicts[column in shapes, failure == ""] += 1
+    assert verdicts[True, True] > 500 and verdicts[False, False] > 500, verdicts
+
+
+def test_verify_claims_names_the_first_coordinate_that_is_no_meet(monkeypatch):
     import hmkit.freecons as freecons
 
     bundle = build_bundle(FOUR_HOMS)
-    ref = reference_bundle(bundle)
-    keys, columns = set(), 0  # claim 3's (combination, coordinate, column) keys
-    for arity in (1, 2):
-        for f in polymorphisms(bundle.K, arity):
-            for comb in itertools.product(range(len(bundle.components)), repeat=arity):
-                values = [f.apply(*p) for p in component_points_reference(ref, comb)]
-                if len(set(values)) > 1 and len({ref.rank_of_kid(v)[0] for v in values}) == 1:
-                    for c, column in enumerate(zip(*map(ref.coords_of_kid, values))):
-                        keys.add((comb, c, column))
-                        columns += 1
-    decompose = freecons.decompose_product_hom
+    assert [bundle.decode[k][1] for k in bundle.components[0].kids] == [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)
+    ]
     calls = 0
 
-    def counting(*args):
+    def with_one_restriction(source, target):
         nonlocal calls
         calls += 1
-        return decompose(*args)
+        yield (0, 1, 3, 2, 4)  # coordinate 0 is the projection 0, coordinate 1 reads 0,0,1,0,1
 
-    monkeypatch.setattr(freecons, "decompose_product_hom", counting)
-    report = verify_claims(bundle, 2)
-    assert report.passed, report.lines()
-    assert calls == len(keys) < columns
+    monkeypatch.setattr(freecons, "hom_maps", with_one_restriction)
+    assert verify_claims(bundle, 1).lines()[2:] == [
+        "claim 3 (meets of coordinate projections): fail"
+        " (arity 1, components (0,): coordinate 1 is not a meet of coordinate projections)",
+        "claim 4 (unique shaped extension): fail (arity 1, components (0,): 0 extensions)",
+    ]
+    assert calls == 1
 
 
 def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
@@ -1146,9 +1209,7 @@ def test_hom_maps_on_a_combination_are_the_polymorphism_restrictions(
 def test_verify_claims_on_components_of_sizes_2_1_2_1(monkeypatch):
     import hmkit.freecons as freecons
 
-    # Hom(K^2, K) has about 4.5e14 members here; its restrictions are few
-    ops = {"f": OperationTable(2, 2, (1, 1, 1, 1)), "n": OperationTable(1, 2, (1, 0))}
-    bundle = build_bundle(FiniteAlgebra(2, ops))
+    bundle = build_bundle(COMPONENTS_2_1_2_1)  # Hom(K^2, K) is huge; its restrictions are few
     assert [len(c.kids) for c in bundle.components] == [2, 1, 2, 1]
     counts = {
         arity: sum(len(combination_restrictions(bundle, comb)) for comb in itertools.product(range(4), repeat=arity))
