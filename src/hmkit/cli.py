@@ -248,6 +248,12 @@ def cmd_psl_decompose(args, started: float) -> int:
             raise StructureError(f"map value {v} not in target universe of size {target.size}")
     if args.tops is not None and len(args.tops) != len(factors):
         raise StructureError(f"{len(args.tops)} tops for {len(factors)} factors")
+    for i, (h, t) in enumerate(zip(factors, args.tops or ())):
+        if not 0 <= t < h.size:
+            raise StructureError(f"top {t} not in factor {i} universe of size {h.size}")
+    if any(h.signature() != target.signature() for h in factors):
+        raise structures.SignatureMismatch("target and factors have different signatures")
+    semilat.single_ternary_relation(target)  # and so every factor
     try:
         tops = args.tops if args.tops is not None else [semilat.largest_element(h) for h in factors]
         if any(t is None for t in tops):
@@ -299,6 +305,7 @@ def cmd_gadget_apply(args, started: float) -> int:
 
 def cmd_gadget_analyze(args, started: float) -> int:
     d = _load(args.input)
+    semilat.single_ternary_relation(d)  # unusable input; a component that is no power is a verdict
     try:
         analysis = gadget.analyze_gadget_components(d)
     except StructureError as exc:

@@ -19,7 +19,6 @@ from .structures import (
     RelationalStructure,
     StructureError,
     connected_components,
-    find_isomorphism,
     one_element_structure,
     power,
     two_element_semilattice,
@@ -74,12 +73,63 @@ class ComponentMatch:
     iso: Homomorphism
 
 
+def _power_iso(comp: RelationalStructure) -> tuple[int, ...] | None:
+    """The lexicographically first isomorphism from comp onto S^k, or None.
+
+    The criterion, and why it is exact, is in `match_components_to_powers`.
+    """
+    n = comp.size
+    k = n.bit_length() - 1
+    triples = comp.relations[comp.symbols()[0]].tuples
+    if n != 1 << k or len(triples) != n * n:
+        return None
+    # (x, y, x) says x <= y; a coatom has two upper bounds, itself and the top
+    ups = Counter(x for x, _, z in triples if x == z)
+    coatoms = [m for m in range(n) if ups[m] == 2]
+    if len(coatoms) != k:
+        return None
+    columns = sorted(tuple(int((x, m, x) not in triples) for x in range(n)) for m in coatoms)
+    mapping = [0] * n
+    for column in columns:  # the first column ends up most significant
+        mapping = [2 * v + bit for v, bit in zip(mapping, column)]
+    if len(set(mapping)) != n or any(mapping[c] != mapping[a] & mapping[b] for a, b, c in triples):
+        return None
+    return tuple(mapping)
+
+
 def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
     """Match every connected component against a power of the semilattice.
 
     Exponent 0 stands for the one-element structure.  Raises when some
     component matches nothing, so a successful return is a proof that d is
     a disjoint union of semilattice powers.
+
+    Each component is read off its relation in time linear in it; there is
+    no isomorphism search.  In S^k, whose ids are the ranks of bit tuples,
+    x <= m exactly when (x, m, x) is a tuple, and bit j of x is 0 exactly
+    when x lies below the coatom with only bit j clear.  So for a component
+    with n = 2^k elements and n^2 tuples, each of its k coatoms m (the
+    elements with exactly two upper bounds) gives a column, bit x set when
+    x is not below m, and phi(x) reads the bits of x across the columns.
+
+    The check is exact.  If phi is injective and phi(c) = phi(a) & phi(b)
+    for every tuple (a, b, c), phi is an injective homomorphism onto S^k;
+    with n^2 tuples on both sides it maps the relation onto S^k's, so it is
+    an isomorphism, and no associativity check is needed.  Conversely an
+    isomorphism carries the coatoms of S^k to those of the component, so
+    every isomorphism is phi for some order of the columns, and the check
+    passes whenever one exists.
+
+    Sorting the columns ascending (compared from element 0), the first most
+    significant, gives the lexicographically first isomorphism, the one
+    `find_isomorphism` returns.  If another order gave a smaller map, let x
+    be the first element and j the first position where the two differ;
+    the orders agree on elements 0..x at every position before j.  The
+    other order's j-th column agrees with the sorted one's before x and has
+    a 0 at x where the sorted one has a 1.  Every column with its prefix
+    over 0..x is smaller than the sorted j-th column, so sorting placed all
+    of them before j; the other order placed as many there, hence all of
+    them, its own j-th column included, which is a contradiction.
     """
     single_ternary_relation(d)
     symbol = d.symbols()[0]
@@ -89,20 +139,12 @@ def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
     out = []
     decomposition = connected_components(d)
     for block, comp in zip(decomposition.partition, decomposition.induced):
-        matched = None
-        if comp.size == 1:
-            iso = find_isomorphism(comp, one_element_structure(symbol))
-            if iso is not None:
-                matched = ComponentMatch(comp, 0, iso)
-        else:
-            k = comp.size.bit_length() - 1
-            if (1 << k) == comp.size:
-                iso = find_isomorphism(comp, power_of(k))
-                if iso is not None:
-                    matched = ComponentMatch(comp, k, iso)
-        if matched is None:
+        mapping = _power_iso(comp)
+        if mapping is None:
             raise StructureError(f"component {block} is not a power of the semilattice")
-        out.append(matched)
+        k = comp.size.bit_length() - 1
+        target = power_of(k) if k else one_element_structure(symbol)
+        out.append(ComponentMatch(comp, k, Homomorphism._trusted(comp, target, mapping)))
     return out
 
 

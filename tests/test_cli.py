@@ -342,6 +342,25 @@ def test_psl_decompose_malformed_map_or_tops_is_exit_2(capsys, structure_file, S
     code, out, _ = run(capsys, *decompose, "--map", "0,1,1,1")
     assert code == 1 and "decomposition: fail" in out
 
+    # structures that disagree with each other or with a top are unusable too
+    edge = RelationalStructure(2, {"R": Relation(2, {(0, 1)})})
+    e_path = structure_file(edge, "e.json")
+    other = structure_file(S.rename({"R": "Q"}), "q.json")
+    for argv, message in (
+        (["--target", e_path, "--factors", s_path, s_path], "target and factors have different signatures"),
+        (["--target", s_path, "--factors", s_path, other], "target and factors have different signatures"),
+        (["--target", e_path, "--factors", e_path, e_path], "expected a ternary relation, found arity 2"),
+        (["--target", s_path, "--factors", s_path, s_path, "--tops", "1,5"],
+         "top 5 not in factor 1 universe of size 2"),
+        (["--target", s_path, "--factors", s_path, s_path, "--tops=-1,1"],
+         "top -1 not in factor 0 universe of size 2"),
+    ):
+        code, out, err = run(capsys, "psl", "decompose", *argv, "--map", "0,0,0,1")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    # a top in range that is not the largest element is still a verdict
+    code, out, _ = run(capsys, *decompose, "--map", "0,0,0,1", "--tops", "1,0")
+    assert code == 1 and "0 is not its largest element" in out
+
 
 # --- free -----------------------------------------------------------------------
 
@@ -422,6 +441,12 @@ def test_gadget_analyze(capsys, structure_file, S):
 
     code, out, _ = run(capsys, "gadget", "analyze", "--input", structure_file(y_structure(), "y.json"))
     assert code == 1 and "powers of the semilattice: fail" in out
+
+    # no single ternary relation: unusable input, as for gadget apply
+    edge = structure_file(RelationalStructure(2, {"R": Relation(2, {(0, 1)})}), "e.json")
+    for command in ("apply", "analyze"):
+        code, out, err = run(capsys, "gadget", command, "--input", edge)
+        assert (code, out, err) == (2, "", "error: expected a ternary relation, found arity 2\n"), command
 
 
 # --- ident ----------------------------------------------------------------------

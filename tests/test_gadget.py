@@ -17,6 +17,7 @@ from hmkit.structures import (
     Relation,
     RelationalStructure,
     StructureError,
+    connected_components,
     disjoint_union,
     find_isomorphism,
     one_element_structure,
@@ -24,7 +25,7 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import random_structure
+from conftest import random_structure, relabel
 
 
 def test_y_structure_shape():
@@ -174,3 +175,65 @@ def test_match_builds_each_power_once(S, point, monkeypatch):
     assert len(exponents) == 32 and sorted(calls) == [1, 2, 3, 4, 5]
     assert matched(disjoint_union([power(S, 2), power(S, 2), power(S, 3), point])) == [2, 2, 3, 0]
     assert sorted(calls) == [2, 3]
+
+
+def power_or_point(S, k):
+    return one_element_structure() if k == 0 else power(S, k)
+
+
+def test_match_equals_find_isomorphism(S, point):
+    rng = random.Random(14)
+    inputs = [point] + [power(S, k) for k in range(1, 7)]
+    for _ in range(12):
+        k = rng.randint(1, 5)
+        inputs.append(relabel(power(S, k), rng.sample(range(1 << k), 1 << k)))
+    for _ in range(6):
+        parts = [power_or_point(S, rng.randint(0, 3)) for _ in range(rng.randint(2, 4))]
+        union = disjoint_union(parts)
+        inputs.append(relabel(union, rng.sample(range(union.size), union.size)))
+    inputs += [gadget_transform(d) for d in inputs]
+    checked = 0
+    for d in inputs:
+        for m in match_components_to_powers(d):
+            assert m.iso.target == power_or_point(S, m.exponent)
+            assert m.iso.mapping == find_isomorphism(m.component, m.iso.target).mapping
+            checked += 1
+    assert checked == 344
+
+
+def non_powers(S):
+    """Connected structures of 2^k elements that are no power of S, named and seeded."""
+    chain = lambda n: RelationalStructure(n, {"R": Relation(3, frozenset(
+        (a, b, min(a, b)) for a in range(n) for b in range(n)))})
+    out = {"4-chain": chain(4), "8-chain": chain(8), "Y": y_structure()}
+    # a table with two coatoms whose columns send every element to 3 = 3 & 3
+    table = (0, 1, 1, 2, 1, 2, 3, 1, 2, 0, 3, 2, 3, 1, 0, 0)
+    out["constant column map"] = RelationalStructure(4, {"R": Relation(3, frozenset(
+        (a, b, table[4 * a + b]) for a in range(4) for b in range(4)))})
+    rng = random.Random(15)
+    for i in range(6):
+        k = rng.randint(2, 4)
+        d = relabel(power(S, k), rng.sample(range(1 << k), 1 << k))
+        triples = sorted(d.relations["R"].tuples)
+        # n^2 triples, one pair without a value and one with two
+        a, b, c = rng.choice([t for t in triples if t[0] != t[1]])
+        extra = rng.choice([(x, y, z ^ 1) for x, y, z in triples if (x, y) != (a, b) and x != y])
+        out[f"non-functional {i}"] = RelationalStructure(
+            d.size, {"R": Relation(3, (frozenset(triples) - {(a, b, c)}) | {extra})})
+        # a meet fragment: the diagonal and a seeded part of the other meets
+        kept = [t for t in triples if t[0] == t[1] or rng.random() < 0.7]
+        out[f"fragment {i}"] = RelationalStructure(d.size, {"R": Relation(3, frozenset(kept))})
+        # one meet of incomparable elements missing: the order, and so the coatoms, stay intact
+        missing = rng.choice([t for t in triples if t[2] not in t[:2]])
+        out[f"power less one meet {i}"] = RelationalStructure(
+            d.size, {"R": Relation(3, frozenset(triples) - {missing})})
+    return out
+
+
+def test_match_rejects_non_powers_of_power_size(S):
+    for name, d in non_powers(S).items():
+        assert len(connected_components(d).partition) == 1, name
+        with pytest.raises(StructureError, match="not a power"):
+            match_components_to_powers(d)
+        k = d.size.bit_length() - 1
+        assert d.size == 1 << k and find_isomorphism(d, power(S, k)) is None, name
