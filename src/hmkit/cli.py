@@ -258,9 +258,8 @@ def cmd_psl_decompose(args, started: float) -> int:
         tops = args.tops if args.tops is not None else [semilat.largest_element(h) for h in factors]
         if any(t is None for t in tops):
             raise semilat.DecompositionError("a factor has no largest element")
-        prod = structures.product(factors, max_tuples=args.max_tuples)
-        f = structures.Homomorphism(prod, target, tuple(args.map))
-        decomposition = semilat.decompose_product_hom(f, factors, tops)
+        structures.product_size(factors, max_tuples=args.max_tuples)  # bounds the walk over product tuples
+        decomposition = semilat.decompose_product_hom(factors, target, args.map, tops)
     except (StructureError, semilat.DecompositionError) as exc:
         return _emit_report(args, "psl decompose", [Check("decomposition", "fail", str(exc))], 1, started)
     if decomposition.is_constant:

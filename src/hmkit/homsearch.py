@@ -37,6 +37,10 @@ class SearchOptions:
     nonconstant_only: bool = False
     pinned: Mapping[int, int] | None = None  # source id -> forced target id
 
+    def __post_init__(self) -> None:
+        if self.limit < 0:
+            raise StructureError(f"limit must be >= 0, got {self.limit}")
+
 
 @dataclass(frozen=True)
 class HomCheckResult:

@@ -12,14 +12,17 @@ universe under union, one bitmask per element.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .structures import (
     Homomorphism,
     Relation,
     RelationalStructure,
+    SignatureMismatch,
     StructureError,
     coordinate_tuples,
+    product_tuples,
     rank,
 )
 from .homsearch import OperationTable
@@ -72,6 +75,9 @@ def _fold_meet(index: MeetIndex, elements: list[int] | tuple[int, ...]) -> int |
 
 def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
     """The unique c with (a, b, c) in the relation; None when absent."""
+    for v in (a, b):
+        if not (0 <= v < s.size):
+            raise StructureError(f"id {v} not in universe of size {s.size}")
     return _meet(_meet_index(s), a, b)
 
 
@@ -224,82 +230,85 @@ class ProductDecomposition:
         return self.constant_value is not None
 
 
-def _is_product(
-    s: RelationalStructure,
+def _check_product_map(
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
-    points: list[tuple[int, ...]],
-) -> bool:
-    """Whether s has the size and relations of product(factors), without building it.
+    target: RelationalStructure,
+    mapping: tuple[int, ...],
+) -> None:
+    """Check mapping, on the ranks of product(factors), against every product tuple.
 
-    Every tuple of s must unrank coordinatewise to a tuple of each factor,
-    so s lies inside the product; ranks are a bijection, so equal tuple
-    counts then make the relations equal.
+    Fails with the messages of `Homomorphism(product(factors), target,
+    mapping)` without building the product.  A tuple whose image is missing
+    raises DecompositionError naming, as that check does, the least such
+    tuple of the first relation that has one.
     """
-    sig = s.signature()
-    if s.size != len(points) or any(h.signature() != sig for h in factors):
-        return False
-    for sym, rel in s.relations.items():
-        factor_tuples = [h.relations[sym].tuples for h in factors]
-        count = 1
-        for tuples in factor_tuples:
-            count *= len(tuples)
-        if len(rel.tuples) != count:
-            return False
-        positions = list(zip(*rel.tuples))  # positions[i]: the i-th entry of every tuple
-        for k, tuples in enumerate(factor_tuples):
-            coordinate = [point[k] for point in points]
-            if not set(zip(*(map(coordinate.__getitem__, p) for p in positions))) <= tuples:
-                return False
-    return True
+    size = math.prod(h.size for h in factors)
+    if len(mapping) != size:
+        raise StructureError(f"map has {len(mapping)} entries for universe of size {size}")
+    for v in mapping:
+        if not (0 <= v < target.size):
+            raise StructureError(f"map value {v} not in target universe of size {target.size}")
+    if any(h.signature() != target.signature() for h in factors):
+        raise SignatureMismatch("homomorphism endpoints have different signatures")
+    image = mapping.__getitem__
+    for sym in target.symbols():
+        tgt = target.relations[sym].tuples
+        bad = min((t for t in product_tuples(factors, sym) if tuple(map(image, t)) not in tgt), default=None)
+        if bad is not None:
+            raise DecompositionError(f"not a homomorphism: {sym} tuple {bad} maps to {tuple(map(image, bad))}")
 
 
 def decompose_product_hom(
-    f: Homomorphism,
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
+    target: RelationalStructure,
+    mapping: list[int] | tuple[int, ...],
     tops: list[int] | tuple[int, ...],
 ) -> ProductDecomposition:
     """Split a hom off a product of partial semilattices with largest elements.
 
-    The coordinate maps are f_i(x) = f(tops with x substituted at i); the
-    value of f at any point must equal the left-associated iterated meet of
-    the coordinate values in the target.  Everything is verified
-    extensionally; failure raises DecompositionError.
+    mapping gives f on the ranks of product(factors) (see `rank`); the
+    product itself is never built.  f is checked to be a homomorphism into
+    target first, and a map of the wrong length or range, or mismatched
+    signatures, raise StructureError.  The coordinate maps are
+    f_i(x) = f(tops with x substituted at i); the value of f at any point
+    must equal the left-associated iterated meet of the coordinate values in
+    the target.  Everything is verified extensionally; a failed check raises
+    DecompositionError.  The walk visits every product tuple, so a caller
+    bounds it with `product_size`.
     """
     if len(factors) != len(tops):
         raise DecompositionError("one top element required per factor")
     if not factors:
         raise DecompositionError("empty factor list")
+    mapping = tuple(mapping)
+    _check_product_map(factors, target, mapping)
     for i, (h, t) in enumerate(zip(factors, tops)):
         if largest_element(h) != t:
             raise DecompositionError(f"factor {i}: {t} is not its largest element")
 
+    if len(set(mapping)) <= 1:
+        return ProductDecomposition(mapping[0], ())
+
     sizes = [h.size for h in factors]
-    points = list(coordinate_tuples(sizes))  # points[x]: the coordinates of element x
-    if not _is_product(f.source, factors, points):
-        raise DecompositionError("source of f is not the product of the given factors")
-
-    if f.is_constant():
-        return ProductDecomposition(f.mapping[0], ())
-
     maps = []
     for i, h in enumerate(factors):
         vals = []
         for x in range(h.size):
             coords = tuple(tops[:i]) + (x,) + tuple(tops[i + 1:])
-            vals.append(f.mapping[rank(coords, sizes)])
+            vals.append(mapping[rank(coords, sizes)])
         try:
-            maps.append(Homomorphism(h, f.target, tuple(vals)))
+            maps.append(Homomorphism(h, target, tuple(vals)))
         except StructureError as exc:
             raise DecompositionError(f"coordinate map {i} is not a homomorphism: {exc}") from exc
 
-    meets = _meet_index(f.target)
-    for idx, coords in enumerate(points):
+    meets = _meet_index(target)
+    for idx, coords in enumerate(coordinate_tuples(sizes)):
         expected = _fold_meet(meets, [m.mapping[c] for m, c in zip(maps, coords)])
         if expected is None:
             raise DecompositionError(f"iterated meet undefined at point {coords}")
-        if expected != f.mapping[idx]:
+        if expected != mapping[idx]:
             raise DecompositionError(
-                f"meet identity fails at {coords}: meet gives {expected}, f gives {f.mapping[idx]}"
+                f"meet identity fails at {coords}: meet gives {expected}, f gives {mapping[idx]}"
             )
     return ProductDecomposition(None, tuple(maps))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import add
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -237,8 +238,12 @@ def coordinate_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(n) for n in sizes))
 
 
-def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT_MAX_TUPLES) -> RelationalStructure:
-    """Direct product; element ids are the ranks of coordinate tuples (see `rank`)."""
+def product_size(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT_MAX_TUPLES) -> int:
+    """The universe size of product(structures), once its guards pass.
+
+    The factors must be non-empty and share a signature, and neither the
+    universe nor the tuples summed over all relations may exceed max_tuples.
+    """
     if not structures:
         raise StructureError("product of empty list")
     sig = _require_same_signature(structures)
@@ -254,25 +259,45 @@ def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT
         total += cnt
     if size > max_tuples or total > max_tuples:
         raise SizeLimitExceeded(f"product needs {max(size, total)} > {max_tuples} tuples")
+    return size
 
+
+def product_tuples(structures: Sequence[RelationalStructure], sym: str) -> Iterator[tuple[int, ...]]:
+    """Every tuple of relation sym in product(structures), once each, in no set order.
+
+    Factor k adds c * strides[k] to an id: its stride is the rank of its unit
+    coordinate.  Each factor tuple is scaled by its stride once, and position
+    i of a product tuple sums position i of one scaled tuple per factor.  The
+    sums over all factors but the one with the most tuples are listed, fewest
+    tuples first; that factor's tuples are added one product tuple at a time.
+    """
     sizes = [s.size for s in structures]
-    # factor k adds c * strides[k] to an id: its stride is the rank of its unit coordinate
     strides = [rank([int(j == k) for j in range(len(sizes))], sizes) for k in range(len(sizes))]
-    rels: dict[str, Relation] = {}
-    for sym, arity in sig.items():
-        scaled = [
-            [tuple(c * stride for c in t) for t in s.relations[sym].sorted_tuples()]
-            for s, stride in zip(structures, strides)
-        ]
-        # combo[k] is the scaled factor-k tuple; position i of the product tuple sums them
-        out = {tuple(map(sum, zip(*combo))) for combo in itertools.product(*scaled)}
-        rels[sym] = Relation(arity, frozenset(out))
+    scaled = sorted(
+        ([tuple(c * stride for c in t) for t in s.relations[sym].tuples] for s, stride in zip(structures, strides)),
+        key=len,
+    )
+    if not scaled[0]:
+        return iter(())
+    *rest, last = scaled
+    partial = [(0,) * len(last[0])]
+    for tuples in rest:
+        partial = [tuple(map(add, p, q)) for p in partial for q in tuples]
+    return (tuple(map(add, p, q)) for p in partial for q in last)
 
+
+def product(structures: Sequence[RelationalStructure], max_tuples: int = DEFAULT_MAX_TUPLES) -> RelationalStructure:
+    """Direct product; element ids are the ranks of coordinate tuples (see `rank`)."""
+    size = product_size(structures, max_tuples)
+    rels = {
+        sym: Relation(arity, frozenset(product_tuples(structures, sym)))
+        for sym, arity in structures[0].signature().items()
+    }
     labels = None
     if all(s.labels is not None for s in structures):
         labels = tuple(
             "(" + ",".join(s.label(c) for s, c in zip(structures, coords)) + ")"
-            for coords in coordinate_tuples(sizes)
+            for coords in coordinate_tuples([s.size for s in structures])
         )
     return RelationalStructure(size, rels, labels)
 

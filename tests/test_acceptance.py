@@ -161,7 +161,7 @@ def test_07_decomposition_property_suite(S):
         prod = product(factors)
         points = list(itertools.product(*(range(f.size) for f in factors)))
         for hom in find_homs(prod, S):
-            d = decompose_product_hom(hom, factors, tops)
+            d = decompose_product_hom(factors, S, hom.mapping, tops)
             for rank, coords in enumerate(points):
                 if d.is_constant:
                     assert hom.mapping[rank] == d.constant_value

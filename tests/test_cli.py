@@ -148,6 +148,12 @@ def test_hom_find_and_flags(capsys, structure_file, S):
     assert len(json.loads(out)["checks"][0]["witness"]) == 1
 
 
+def test_hom_find_negative_limit_is_exit_2(capsys, structure_file, S):
+    path = structure_file(S)
+    code, out, err = run(capsys, "hom", "find", path, path, "--limit", "-1")
+    assert (code, out, err) == (2, "", "error: limit must be >= 0, got -1\n")
+
+
 def test_hom_count_matches_library(capsys, structure_file, S, chain3):
     code, out, _ = run(
         capsys, "hom", "count", structure_file(chain3, "c.json"), structure_file(S, "s.json")
@@ -283,6 +289,13 @@ def test_psl_largest_and_meet(capsys, structure_file, S, chain3):
     assert run(capsys, "psl", "meet", structure_file(pair, "pair.json"), "0", "1")[0] == 1
 
 
+def test_psl_meet_id_outside_universe_is_exit_2(capsys, structure_file, S):
+    path = structure_file(S)
+    for first, second, bad in (("0", "5", 5), ("-1", "0", -1)):
+        code, out, err = run(capsys, "psl", "meet", path, first, second)
+        assert (code, out, err) == (2, "", f"error: id {bad} not in universe of size 2\n")
+
+
 def test_psl_decompose_coordinate_maps(capsys, structure_file, S):
     s_path = structure_file(S, "s.json")
     code, out, _ = run(
@@ -360,6 +373,16 @@ def test_psl_decompose_malformed_map_or_tops_is_exit_2(capsys, structure_file, S
     # a top in range that is not the largest element is still a verdict
     code, out, _ = run(capsys, *decompose, "--map", "0,0,0,1", "--tops", "1,0")
     assert code == 1 and "0 is not its largest element" in out
+
+
+def test_psl_decompose_max_tuples_bounds_the_walk(capsys, structure_file, S):
+    # S x S has 4 elements and 4 * 4 = 16 tuples
+    s_path = structure_file(S, "s.json")
+    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path, "--map", "0,0,0,1"]
+    code, out, err = run(capsys, *decompose, "--max-tuples", "15")
+    assert (code, out, err) == (2, "", "error: product needs 16 > 15 tuples\n")
+    code, out, _ = run(capsys, *decompose, "--max-tuples", "16")
+    assert code == 0 and "decomposition: pass" in out
 
 
 # --- free -----------------------------------------------------------------------

@@ -65,7 +65,6 @@ from hmkit.semilat import (
     largest_element,
 )
 from hmkit.structures import (
-    Homomorphism,
     RelationalStructure,
     SizeLimitExceeded,
     StructureError,
@@ -831,13 +830,11 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
                         bundle.components[ul].kids.index(bundle.generator_image(ul, bundle.y))
                         for ul in comb
                     ]
-                    prod = product(factors)
                     h = bundle.hom_count(u)
                     for c in range(h):
                         coord_values = [bundle.coords_of_kid(v)[c] for v in values]
                         try:
-                            g = Homomorphism(prod, S, tuple(coord_values))
-                            dec = decompose_product_hom(g, factors, tops)
+                            dec = decompose_product_hom(factors, S, coord_values, tops)
                         except (StructureError, DecompositionError) as exc:
                             claim3_ok, claim3_detail = False, f"arity {arity}: {exc}"
                             break
@@ -1074,20 +1071,18 @@ def column_failure_reference(
     comb: tuple[int, ...],
     factors: list[RelationalStructure],
     tops: list[int],
-    prod: RelationalStructure,
     c: int,
     column: tuple[int, ...],
 ) -> str:
     """Why coordinate c of a non-constant restriction is no meet of
     single-coordinate projections, or "" when it is one.
 
-    column is that coordinate's bit at each point of `prod`, the product of
-    the combination's collapsed components.
+    column is that coordinate's bit at each point, in rank order, of the
+    product of the combination's collapsed components.
     """
     arity = len(comb)
     try:
-        g = Homomorphism(prod, bundle.semilattice, column)
-        dec = decompose_product_hom(g, factors, tops)
+        dec = decompose_product_hom(factors, bundle.semilattice, column, tops)
     except (StructureError, DecompositionError) as exc:
         return f"arity {arity}: {exc}"
     if dec.is_constant:
@@ -1128,7 +1123,7 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
                         columns.update(zip(*(bundle.decode[v][1] for v in values)))
                 columns.update(tuple(rng.randrange(2) for _ in points) for _ in range(20))
                 for column in sorted(columns):
-                    failure = column_failure_reference(bundle, comb, factors, tops, prod, 0, column)
+                    failure = column_failure_reference(bundle, comb, factors, tops, 0, column)
                     assert (column in shapes) == (failure == ""), (comb, column, failure)
                     verdicts[column in shapes, failure == ""] += 1
     assert verdicts[True, True] > 500 and verdicts[False, False] > 500, verdicts

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -8,6 +8,7 @@ from hmkit.homsearch import OperationTable, find_homs
 from hmkit.semilat import (
     DecompositionError,
     PartialSemilatticeWitness,
+    ProductDecomposition,
     Refusal,
     classify_meet_operation,
     decompose_product_hom,
@@ -22,11 +23,11 @@ from hmkit.structures import (
     Homomorphism,
     Relation,
     RelationalStructure,
+    SignatureMismatch,
     StructureError,
     product,
+    rank,
 )
-
-from conftest import random_structure, relabel
 
 
 def reflexive_triples(n):
@@ -249,78 +250,109 @@ def test_is_partial_semilattice_empty_universe():
 
 
 def test_decompose_identity_meet(S):
-    prod = product([S, S])
-    f = Homomorphism(prod, S, (0, 0, 0, 1))
-    decomposition = decompose_product_hom(f, [S, S], [1, 1])
+    decomposition = decompose_product_hom([S, S], S, (0, 0, 0, 1), [1, 1])
     assert not decomposition.is_constant
     assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1), (0, 1)]
 
 
 def test_decompose_constant(S):
-    prod = product([S, S])
-    f = Homomorphism(prod, S, (0, 0, 0, 0))
-    decomposition = decompose_product_hom(f, [S, S], [1, 1])
+    decomposition = decompose_product_hom([S, S], S, (0, 0, 0, 0), [1, 1])
     assert decomposition.is_constant
     assert decomposition.constant_value == 0
 
 
 def test_decompose_second_coordinate(S, chain3):
-    prod = product([chain3, S])
     # drop the chain coordinate entirely
-    f = Homomorphism(prod, S, tuple(b for a in range(3) for b in range(2)))
-    decomposition = decompose_product_hom(f, [chain3, S], [2, 1])
+    mapping = tuple(b for a in range(3) for b in range(2))
+    decomposition = decompose_product_hom([chain3, S], S, mapping, [2, 1])
     assert [m.mapping for m in decomposition.coordinate_maps] == [(1, 1, 1), (0, 1)]
 
 
 def test_decompose_rejects_wrong_shapes(S):
-    prod = product([S, S])
-    f = Homomorphism(prod, S, (0, 0, 0, 1))
     with pytest.raises(DecompositionError, match="largest"):
-        decompose_product_hom(f, [S, S], [0, 1])
+        decompose_product_hom([S, S], S, (0, 0, 0, 1), [0, 1])
     with pytest.raises(DecompositionError, match="one top"):
-        decompose_product_hom(f, [S, S], [1])
-    with pytest.raises(DecompositionError, match="not the product"):
-        decompose_product_hom(f, [S], [1])
+        decompose_product_hom([S, S], S, (0, 0, 0, 1), [1])
+    with pytest.raises(DecompositionError, match="empty factor list"):
+        decompose_product_hom([], S, (0,), [])
+    with pytest.raises(StructureError, match="map has 4 entries for universe of size 2"):
+        decompose_product_hom([S], S, (0, 0, 0, 1), [1])
+    with pytest.raises(StructureError, match="map value 2 not in target universe of size 2"):
+        decompose_product_hom([S, S], S, (0, 0, 0, 2), [1, 1])
+    with pytest.raises(SignatureMismatch):
+        decompose_product_hom([S, S.rename({"R": "Q"})], S, (0, 0, 0, 1), [1, 1])
+    # the homomorphism check comes first, as when the map was built as a Homomorphism
+    with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(1, 2, 0\) maps to \(1, 1, 0\)"):
+        decompose_product_hom([S, S], S, (0, 1, 1, 1), [0, 1])
 
 
-def test_product_source_check_matches_rebuild(S, chain3, point):
-    """decompose_product_hom refuses a source exactly when it differs from
-    product(factors) in size or relations."""
+def decompose_reference(factors, target, mapping, tops):
+    """`Homomorphism(product(factors), target, mapping)`, then the meet
+    decomposition checked point by point on the built product."""
+    f = Homomorphism(product(factors), target, mapping)
+    if len(factors) != len(tops):
+        raise DecompositionError("one top element required per factor")
+    for i, (h, t) in enumerate(zip(factors, tops)):
+        if largest_element(h) != t:
+            raise DecompositionError(f"factor {i}: {t} is not its largest element")
+    if f.is_constant():
+        return ProductDecomposition(f.mapping[0], ())
+    sizes = [h.size for h in factors]
+    maps = []
+    for i, h in enumerate(factors):
+        vals = [f.mapping[rank(tops[:i] + [x] + tops[i + 1:], sizes)] for x in range(h.size)]
+        try:
+            maps.append(Homomorphism(h, target, tuple(vals)))
+        except StructureError as exc:
+            raise DecompositionError(f"coordinate map {i} is not a homomorphism: {exc}") from exc
+    for idx, coords in enumerate(itertools.product(*(range(n) for n in sizes))):
+        expected = iterated_meet(target, [m.mapping[c] for m, c in zip(maps, coords)])
+        if expected is None:
+            raise DecompositionError(f"iterated meet undefined at point {coords}")
+        if expected != f.mapping[idx]:
+            raise DecompositionError(
+                f"meet identity fails at {coords}: meet gives {expected}, f gives {f.mapping[idx]}"
+            )
+    return ProductDecomposition(None, tuple(maps))
+
+
+def outcome(decompose, *args):
+    try:
+        return decompose(*args)
+    except StructureError as exc:
+        return str(exc)
+
+
+def test_decompose_matches_product_reference(S, chain3, point):
+    """The check on the factors' tuples accepts, refuses and decomposes as
+    building the product, checking the map on it and decomposing does."""
     partial3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
-    pool = [(S, 1), (chain3, 2), (point, 0), (partial3, 2)]
-    rng = random.Random(17)
-    outcomes = {True: 0, False: 0}
-    for _ in range(40):
+    # a fragment of the subsets of {0,1} under intersection: 0 = {}, 1 and 2 the
+    # singletons, 3 = {0,1}; beyond the top's meets only 1 meet 2 is given
+    square = ternary(4, reflexive_triples(4) | {(a, 3, a) for a in range(4)} | {(3, a, a) for a in range(4)}
+                     | {(1, 2, 0)})
+    pool = [(S, 1), (chain3, 2), (point, 0), (partial3, 2), (square, 3)]
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(60):
         picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         factors, tops = [h for h, _ in picked], [t for _, t in picked]
+        target = rng.choice((S, chain3))
         p = product(factors)
-        tuples = sorted(p.relations["R"].tuples)
-        moved = set(tuples)
-        moved.remove(rng.choice(tuples))
-        outside = [t for t in itertools.product(range(p.size), repeat=3) if t not in moved]
-        moved.add(rng.choice(outside))
-        perm = list(range(p.size))
-        rng.shuffle(perm)
-        sources = [
-            p,
-            ternary(p.size, moved),
-            ternary(p.size, tuples[1:]),
-            product(factors[::-1]),
-            relabel(p, perm),
-            random_structure(rng, p.size, {"R": 3}),
-            ternary(p.size + 1, tuples),
-        ]
-        for source in sources:
-            value = rng.randrange(source.size)
-            f = Homomorphism(source, ternary(source.size, {(value,) * 3}), (value,) * source.size)
-            differs = (source.size, source.relations) != (p.size, p.relations)
-            outcomes[differs] += 1
-            if differs:
-                with pytest.raises(DecompositionError, match="not the product"):
-                    decompose_product_hom(f, factors, tops)
-            else:
-                assert decompose_product_hom(f, factors, tops).constant_value == value
-    assert min(outcomes.values()) >= 40, outcomes
+        maps = [h.mapping for h in itertools.islice(find_homs(p, target), 6)]
+        maps += [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(4)]
+        for mapping in list(maps):
+            spot = rng.randrange(p.size)
+            maps.append(mapping[:spot] + ((mapping[spot] + 1) % target.size,) + mapping[spot + 1:])
+        for mapping in maps:
+            for trial_tops in (tops, [(t + 1) % h.size for h, t in picked]):
+                expected = outcome(decompose_reference, factors, target, mapping, trial_tops)
+                assert outcome(decompose_product_hom, factors, target, mapping, trial_tops) == expected
+                if isinstance(expected, ProductDecomposition):
+                    seen["constant" if expected.is_constant else "meet"] += 1
+                else:
+                    seen[next((k for k in ("not a homomorphism", "largest element") if k in expected), expected)] += 1
+    assert min(seen["constant"], seen["meet"], seen["not a homomorphism"], seen["largest element"]) >= 50, seen
 
 
 def test_every_hom_off_a_product_decomposes(S, chain3):
@@ -328,7 +360,7 @@ def test_every_hom_off_a_product_decomposes(S, chain3):
     prod = product(factors)
     tops = [2, 1]
     for f in find_homs(prod, S):
-        decomposition = decompose_product_hom(f, factors, tops)
+        decomposition = decompose_product_hom(factors, S, f.mapping, tops)
         if decomposition.is_constant:
             continue
         maps = decomposition.coordinate_maps
