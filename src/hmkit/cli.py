@@ -255,11 +255,8 @@ def cmd_psl_decompose(args, started: float) -> int:
         raise structures.SignatureMismatch("target and factors have different signatures")
     semilat.single_ternary_relation(target)  # and so every factor
     try:
-        tops = args.tops if args.tops is not None else [semilat.largest_element(h) for h in factors]
-        if any(t is None for t in tops):
-            raise semilat.DecompositionError("a factor has no largest element")
-        structures.product_size(factors, max_tuples=args.max_tuples)  # bounds the walk over product tuples
-        decomposition = semilat.decompose_product_hom(factors, target, args.map, tops)
+        structures.product_size(factors, max_tuples=args.max_tuples)  # bounds the product tuples a failure walks
+        decomposition = semilat.decompose_product_hom(factors, target, args.map, args.tops)
     except (StructureError, semilat.DecompositionError) as exc:
         return _emit_report(args, "psl decompose", [Check("decomposition", "fail", str(exc))], 1, started)
     if decomposition.is_constant:

@@ -237,19 +237,10 @@ def _check_product_map(
 ) -> None:
     """Check mapping, on the ranks of product(factors), against every product tuple.
 
-    Fails with the messages of `Homomorphism(product(factors), target,
-    mapping)` without building the product.  A tuple whose image is missing
-    raises DecompositionError naming, as that check does, the least such
-    tuple of the first relation that has one.
+    The product is never built.  A tuple whose image is missing raises
+    DecompositionError naming, as `Homomorphism` does, the least such tuple
+    of the first relation that has one.
     """
-    size = math.prod(h.size for h in factors)
-    if len(mapping) != size:
-        raise StructureError(f"map has {len(mapping)} entries for universe of size {size}")
-    for v in mapping:
-        if not (0 <= v < target.size):
-            raise StructureError(f"map value {v} not in target universe of size {target.size}")
-    if any(h.signature() != target.signature() for h in factors):
-        raise SignatureMismatch("homomorphism endpoints have different signatures")
     image = mapping.__getitem__
     for sym in target.symbols():
         tgt = target.relations[sym].tuples
@@ -262,55 +253,82 @@ def decompose_product_hom(
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
     target: RelationalStructure,
     mapping: list[int] | tuple[int, ...],
-    tops: list[int] | tuple[int, ...],
+    tops: list[int] | tuple[int, ...] | None = None,
 ) -> ProductDecomposition:
     """Split a hom off a product of partial semilattices with largest elements.
 
     mapping gives f on the ranks of product(factors) (see `rank`); the
-    product itself is never built.  f is checked to be a homomorphism into
-    target first, and a map of the wrong length or range, or mismatched
-    signatures, raise StructureError.  The coordinate maps are
-    f_i(x) = f(tops with x substituted at i); the value of f at any point
-    must equal the left-associated iterated meet of the coordinate values in
-    the target.  Everything is verified extensionally; a failed check raises
-    DecompositionError.  The walk visits every product tuple, so a caller
-    bounds it with `product_size`.
+    product itself is never built.  A map of the wrong length or range, or
+    mismatched signatures, raise StructureError, as `Homomorphism` does.
+    tops=None stands for each factor's largest element, and a factor without
+    one raises DecompositionError.  The coordinate maps are f_i(x) = f(tops
+    with x substituted at i); f must equal, at every point x, the
+    left-folded meet g of F(x) = (f_1(x_1), ..., f_k(x_k)) in the target.
+
+    f = g∘F is then proved a homomorphism on the coordinate images
+    I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}, not on the product
+    tuples: F maps the product relation onto the product of the I_i, so f is
+    a homomorphism iff g sends each combination of the I_i into the target
+    relation, at most |R_T|^k lookups for any ternary target.  When a check
+    fails, the product tuples are walked first, so a map that is no
+    homomorphism raises "not a homomorphism" at its least failing tuple; a
+    homomorphism gets the failed check's own DecompositionError.  A caller
+    bounds that walk with `product_size`.
     """
-    if len(factors) != len(tops):
+    if tops is not None and len(factors) != len(tops):
         raise DecompositionError("one top element required per factor")
     if not factors:
         raise DecompositionError("empty factor list")
     mapping = tuple(mapping)
-    _check_product_map(factors, target, mapping)
-    for i, (h, t) in enumerate(zip(factors, tops)):
-        if largest_element(h) != t:
-            raise DecompositionError(f"factor {i}: {t} is not its largest element")
+    size = math.prod(h.size for h in factors)
+    if len(mapping) != size:
+        raise StructureError(f"map has {len(mapping)} entries for universe of size {size}")
+    for v in mapping:
+        if not (0 <= v < target.size):
+            raise StructureError(f"map value {v} not in target universe of size {target.size}")
+    if any(h.signature() != target.signature() for h in factors):
+        raise SignatureMismatch("homomorphism endpoints have different signatures")
+    given = tops is not None
+    tops = tuple(tops) if given else tuple(largest_element(h) for h in factors)
+    if None in tops:
+        raise DecompositionError("a factor has no largest element")
 
-    if len(set(mapping)) <= 1:
-        return ProductDecomposition(mapping[0], ())
+    try:
+        for i, (h, t) in enumerate(zip(factors, tops)):
+            if given and largest_element(h) != t:
+                raise DecompositionError(f"factor {i}: {t} is not its largest element")
+        rel = single_ternary_relation(target).tuples
+        if len(set(mapping)) <= 1:
+            if (mapping[0],) * 3 not in rel:
+                raise DecompositionError("constant value without a loop")
+            return ProductDecomposition(mapping[0], ())
 
-    sizes = [h.size for h in factors]
-    maps = []
-    for i, h in enumerate(factors):
-        vals = []
-        for x in range(h.size):
-            coords = tuple(tops[:i]) + (x,) + tuple(tops[i + 1:])
-            vals.append(mapping[rank(coords, sizes)])
-        try:
-            maps.append(Homomorphism(h, target, tuple(vals)))
-        except StructureError as exc:
-            raise DecompositionError(f"coordinate map {i} is not a homomorphism: {exc}") from exc
-
-    meets = _meet_index(target)
-    for idx, coords in enumerate(coordinate_tuples(sizes)):
-        expected = _fold_meet(meets, [m.mapping[c] for m, c in zip(maps, coords)])
-        if expected is None:
-            raise DecompositionError(f"iterated meet undefined at point {coords}")
-        if expected != mapping[idx]:
-            raise DecompositionError(
-                f"meet identity fails at {coords}: meet gives {expected}, f gives {mapping[idx]}"
-            )
-    return ProductDecomposition(None, tuple(maps))
+        sizes = [h.size for h in factors]
+        maps = [tuple(mapping[rank(tops[:i] + (x,) + tops[i + 1:], sizes)] for x in range(h.size))
+                for i, h in enumerate(factors)]
+        meets = _meet_index(target)
+        g: dict[tuple[int, ...], int] = {}
+        for idx, coords in enumerate(coordinate_tuples(sizes)):
+            values = tuple(m[c] for m, c in zip(maps, coords))
+            expected = g[values] if values in g else _fold_meet(meets, values)
+            if expected is None:
+                raise DecompositionError(f"iterated meet undefined at point {coords}")
+            if expected != mapping[idx]:
+                raise DecompositionError(
+                    f"meet identity fails at {coords}: meet gives {expected}, f gives {mapping[idx]}"
+                )
+            g[values] = expected
+        images = [{tuple(m[v] for v in t) for t in single_ternary_relation(h).tuples} for h, m in zip(factors, maps)]
+        if not all(image <= rel for image in images) or any(  # each f_i must be a homomorphism too
+            tuple(g[col] for col in zip(*combo)) not in rel for combo in itertools.product(*images)
+        ):
+            raise DecompositionError("coordinate images leave the target relation")
+    except StructureError:
+        _check_product_map(factors, target, mapping)  # names a failing product tuple first
+        raise
+    # f is a homomorphism, and each top t has (t, t, t) in its relation, so f
+    # restricted to each face through the tops is one too
+    return ProductDecomposition(None, tuple(Homomorphism._trusted(h, target, m) for h, m in zip(factors, maps)))
 
 
 @dataclass(frozen=True)

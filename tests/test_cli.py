@@ -12,13 +12,15 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from hmkit import cli, freecons
 from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
 from hmkit.homsearch import OperationTable, count_homs, polymorphisms
 from hmkit.identlang import parse, sl_interp_search
-from hmkit.semilat import PartialSemilatticeWitness, verify_witness
+from hmkit.semilat import DecompositionError, PartialSemilatticeWitness, decompose_product_hom, verify_witness
 from hmkit.structures import (
     Relation,
     RelationalStructure,
@@ -383,6 +385,28 @@ def test_psl_decompose_max_tuples_bounds_the_walk(capsys, structure_file, S):
     assert (code, out, err) == (2, "", "error: product needs 16 > 15 tuples\n")
     code, out, _ = run(capsys, *decompose, "--max-tuples", "16")
     assert code == 0 and "decomposition: pass" in out
+
+
+def test_psl_decompose_failure_precedence(capsys, structure_file, S):
+    s_path = structure_file(S, "s.json")
+    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path]
+    # a map that is no homomorphism is named before a wrong top in range
+    code, out, _ = run(capsys, *decompose, "--map", "0,1,1,1", "--tops", "1,0")
+    assert code == 1 and "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)" in out
+    code, out, _ = run(capsys, *decompose, "--map", "0,0,0,1", "--tops", "1,0")
+    assert code == 1 and "decomposition: fail  factor 1: 0 is not its largest element" in out
+
+    # a factor without a top is named before the map is checked, but after the size guard
+    pair = RelationalStructure(2, {"R": Relation(3, {(0, 0, 0), (1, 1, 1)})})
+    no_top = ["psl", "decompose", "--target", s_path, "--factors", structure_file(pair, "pair.json"), s_path]
+    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0")
+    assert code == 1 and "decomposition: fail  a factor has no largest element" in out
+    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "7")
+    assert (code, out, err) == (2, "", "error: product needs 8 > 7 tuples\n")
+    with pytest.raises(DecompositionError, match="^a factor has no largest element$"):
+        decompose_product_hom([pair, S], S, (0, 1, 1, 0))
+    with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(2, 3, 2\) maps to \(1, 0, 1\)"):
+        decompose_product_hom([pair, S], S, (0, 1, 1, 0), [0, 1])  # a wrong top, given, comes after
 
 
 # --- free -----------------------------------------------------------------------

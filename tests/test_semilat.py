@@ -286,6 +286,13 @@ def test_decompose_rejects_wrong_shapes(S):
         decompose_product_hom([S, S], S, (0, 1, 1, 1), [0, 1])
 
 
+PARTIAL3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
+# a fragment of the subsets of {0,1} under intersection: 0 = {}, 1 and 2 the
+# singletons, 3 = {0,1}; beyond the top's meets only 1 meet 2 is given
+SQUARE = ternary(4, reflexive_triples(4) | {(a, 3, a) for a in range(4)} | {(3, a, a) for a in range(4)}
+                 | {(1, 2, 0)})
+
+
 def decompose_reference(factors, target, mapping, tops):
     """`Homomorphism(product(factors), target, mapping)`, then the meet
     decomposition checked point by point on the built product."""
@@ -324,14 +331,9 @@ def outcome(decompose, *args):
 
 
 def test_decompose_matches_product_reference(S, chain3, point):
-    """The check on the factors' tuples accepts, refuses and decomposes as
-    building the product, checking the map on it and decomposing does."""
-    partial3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
-    # a fragment of the subsets of {0,1} under intersection: 0 = {}, 1 and 2 the
-    # singletons, 3 = {0,1}; beyond the top's meets only 1 meet 2 is given
-    square = ternary(4, reflexive_triples(4) | {(a, 3, a) for a in range(4)} | {(3, a, a) for a in range(4)}
-                     | {(1, 2, 0)})
-    pool = [(S, 1), (chain3, 2), (point, 0), (partial3, 2), (square, 3)]
+    """decompose_product_hom accepts, refuses and decomposes as building the
+    product, checking the map on it and decomposing does."""
+    pool = [(S, 1), (chain3, 2), (point, 0), (PARTIAL3, 2), (SQUARE, 3)]
     rng = random.Random(23)
     seen = Counter()
     for _ in range(60):
@@ -353,6 +355,70 @@ def test_decompose_matches_product_reference(S, chain3, point):
                 else:
                     seen[next((k for k in ("not a homomorphism", "largest element") if k in expected), expected)] += 1
     assert min(seen["constant"], seen["meet"], seen["not a homomorphism"], seen["largest element"]) >= 50, seen
+
+
+def meet_identity_holds(factors, target, mapping, tops):
+    """f equals, at every point, the iterated meet of its values on the faces through the tops."""
+    sizes = [h.size for h in factors]
+    faces = [[mapping[rank(tops[:i] + [x] + tops[i + 1:], sizes)] for x in range(h.size)] for i, h in enumerate(factors)]
+    try:
+        return all(
+            iterated_meet(target, [m[c] for m, c in zip(faces, coords)]) == mapping[idx]
+            for idx, coords in enumerate(itertools.product(*(range(n) for n in sizes)))
+        )
+    except StructureError:  # a non-functional target
+        return False
+
+
+def test_decompose_matches_product_reference_on_other_targets(S, chain3, point):
+    """Into targets that are no semilattice, partial, non-functional or not
+    reflexive, the check on the coordinate images still accepts, refuses and
+    decomposes as the built product does, with tops given or left to the
+    function.  Maps that are meets of random coordinate maps hold the meet
+    identity without being homomorphisms, so the image check decides them."""
+    nonfunctional = ternary(2, single_ternary_relation(S).tuples | {(0, 1, 1)})
+    nonreflexive = ternary(3, single_ternary_relation(chain3).tuples - {(1, 1, 1)})
+    targets = [(PARTIAL3, 2), (SQUARE, 3), (nonfunctional, 1), (nonreflexive, 2)]
+    pool = [(S, 1), (chain3, 2), (point, 0), (PARTIAL3, 2), (SQUARE, 3)]
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(60):
+        picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        factors, tops = [h for h, _ in picked], [t for _, t in picked]
+        target, top = rng.choice(targets)
+        p = product(factors)
+        maps = [h.mapping for h in itertools.islice(find_homs(p, target), 4)]
+        maps += [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(2)]
+        rel = single_ternary_relation(target).tuples
+        for _ in range(6):
+            # fold random coordinate maps, top on each factor's top, with the least meet the target offers
+            coordinate_maps = [[top if x == t else rng.randrange(target.size) for x in range(h.size)] for h, t in picked]
+            mapping = []
+            for coords in itertools.product(*(range(h.size) for h in factors)):
+                acc = coordinate_maps[0][coords[0]]
+                for m, c in zip(coordinate_maps[1:], coords[1:]):
+                    acc = min((z for x, y, z in rel if (x, y) == (acc, m[c])), default=top)
+                mapping.append(acc)
+            maps.append(tuple(mapping))
+        for mapping in list(maps):
+            spot = rng.randrange(p.size)
+            maps.append(mapping[:spot] + ((mapping[spot] + 1) % target.size,) + mapping[spot + 1:])
+        for mapping in maps:
+            for trial_tops in (tops, [(t + 1) % h.size for h, t in picked]):
+                expected = outcome(decompose_reference, factors, target, mapping, trial_tops)
+                assert outcome(decompose_product_hom, factors, target, mapping, trial_tops) == expected
+                if trial_tops is not tops:
+                    continue
+                # every factor of the pool has its top, so leaving them out changes nothing
+                assert outcome(decompose_product_hom, factors, target, mapping) == expected
+                if isinstance(expected, ProductDecomposition):
+                    seen["constant" if expected.is_constant else "meet"] += 1
+                elif "not a homomorphism" in expected:
+                    seen["image check" if meet_identity_holds(factors, target, mapping, tops) else "no hom"] += 1
+                else:
+                    seen[expected.split(":")[0]] += 1
+    assert min(seen["constant"], seen["meet"], seen["no hom"]) >= 20, seen
+    assert seen["image check"] >= 50, seen
 
 
 def test_every_hom_off_a_product_decomposes(S, chain3):
