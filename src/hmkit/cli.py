@@ -255,8 +255,7 @@ def cmd_psl_decompose(args, started: float) -> int:
         raise structures.SignatureMismatch("target and factors have different signatures")
     semilat.single_ternary_relation(target)  # and so every factor
     try:
-        structures.product_size(factors, max_tuples=args.max_tuples)  # bounds the product tuples a failure walks
-        decomposition = semilat.decompose_product_hom(factors, target, args.map, args.tops)
+        decomposition = semilat.decompose_product_hom(factors, target, args.map, args.tops, args.max_tuples)
     except (StructureError, semilat.DecompositionError) as exc:
         return _emit_report(args, "psl decompose", [Check("decomposition", "fail", str(exc))], 1, started)
     if decomposition.is_constant:

@@ -48,6 +48,7 @@ argument tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -831,6 +832,28 @@ def default_evidence_arity(a: FiniteAlgebra) -> int:
     return max([2] + arities)
 
 
+@functools.cache
+def _union_table(arity: int, coords: tuple[int, ...]) -> OperationTable:
+    """The union of the labeled arguments at 1-based coords, on bit 0/1."""
+    picks = itertools.product((0, 1), repeat=arity)
+    return OperationTable(arity, 2, tuple(int(any(p[i - 1] for i in coords)) for p in picks))
+
+
+def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequence[int]) -> list[Term]:
+    """The terms of the closure elements ids, built bottom-up from their derivations."""
+    needed, stack = set(ids), list(ids)
+    while stack:
+        sym, arg = derivations[stack.pop()]
+        if sym != "var":
+            stack.extend(set(arg) - needed)
+            needed.update(arg)
+    terms: dict[int, Term] = {}
+    for e in sorted(needed):  # arguments before the terms they build
+        sym, arg = derivations[e]
+        terms[e] = Variable(names[arg]) if sym == "var" else Application(sym, tuple(map(terms.__getitem__, arg)))
+    return [terms[e] for e in ids]
+
+
 def _refute_labeling(
     a: FiniteAlgebra, labeling: SLLabeling, max_arity: int, max_tuples: int
 ) -> LabelingRefutation | None:
@@ -839,7 +862,8 @@ def _refute_labeling(
     At rank j the pairs (term operation, labeled variable set) that terms
     reach form the subalgebra of F_j x S^j generated by (x_g, {g}): S^j is
     the set of variable subsets as bit tuples, on which an operation is the
-    union of its labeled arguments (`bits` below).  One `_close` from the
+    union of its labeled arguments (`bits` below, its tables built once per
+    arity and coordinate set by `_union_table`).  One `_close` from the
     seeds (projection of x_g, then the one-hot bits of g) computes it, and
     stops at the first pair whose term operation an earlier pair already
     carries; the two derivations are the reported identity, the earlier one
@@ -849,12 +873,7 @@ def _refute_labeling(
     (`all_labelings`), so at rank 1 every union is {x} and no term
     operation can carry two sets.
     """
-    unions = {}
-    for sym, table in a.operations.items():
-        picks = itertools.product((0, 1), repeat=table.arity)
-        union = (int(any(p[i - 1] for i in labeling.sigma[sym])) for p in picks)
-        unions[sym] = OperationTable(table.arity, 2, tuple(union))
-    bits = FiniteAlgebra(2, unions)
+    bits = FiniteAlgebra(2, {sym: _union_table(t.arity, labeling.sigma[sym]) for sym, t in a.operations.items()})
     for j in range(2, max_arity + 1):
         names = variable_names(j)
         assignments = list(itertools.product(range(a.size), repeat=j))
@@ -869,12 +888,9 @@ def _refute_labeling(
         lhs, rhs = first[elements[-1][:width]], elements[-1]
         if lhs == rhs:  # no term operation carries two sets: the closure is complete
             continue
-        # terms in one pass: derivation arguments have smaller ids
-        terms: list[Term] = []
-        for sym, arg in derivations:
-            terms.append(Variable(names[arg]) if sym == "var" else Application(sym, tuple(terms[e] for e in arg)))
+        lhs_term, rhs_term = _derived_terms(derivations, names, (index[lhs], len(elements) - 1))
         lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
-        return LabelingRefutation(labeling, j, terms[index[lhs]], terms[-1], lhs_varset, rhs_varset)
+        return LabelingRefutation(labeling, j, lhs_term, rhs_term, lhs_varset, rhs_varset)
     return None
 
 
@@ -906,7 +922,8 @@ def hm_evidence(
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate: coverage, validity in the algebra, and labeling breaks."""
+    """Replay a certificate: coverage, validity in the algebra (`holds_in`
+    evaluates each side once, column-wise), and labeling breaks."""
     declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
     seen = [r.labeling.sigma for r in certificate.refutations]
     expected = [l.sigma for l in all_labelings(declarations)]

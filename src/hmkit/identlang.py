@@ -11,7 +11,9 @@ the coordinate-labeling search treats arbitrary terms, while saturation
 and the subset-condition check live in the fragment of linear identities
 with at most two variables, where saturation is an equivalence closure
 computed by union-find.  Terms may nest arbitrarily deep: the parser and
-`_fold`, the walker over arbitrary terms, keep explicit stacks.
+`_fold`, the walker over arbitrary terms, keep explicit stacks; `_fold`
+keeps a frame (application, iterator over its children, their values) per
+open application, so it visits each node once and the leaves left to right.
 """
 
 from __future__ import annotations
@@ -60,20 +62,23 @@ def _fold(t: Term, leaf: Callable, node: Callable, children: Callable = lambda t
     """Post-order fold without recursion: `leaf(v)` values a variable, and
     `node(t, values)` combines the values of `children(t)` for an application t.
     """
-    values: list = []
-    stack: list = [(t, None)]  # (term, None) to expand; (application, children) to combine
-    while stack:
-        u, kids = stack.pop()
-        if isinstance(u, Variable):
-            values.append(leaf(u))
-        elif kids is None:
-            kids = children(u)
-            stack.append((u, kids))
-            stack.extend((k, None) for k in reversed(kids))
+    if isinstance(t, Variable):
+        return leaf(t)
+    stack = [(t, iter(children(t)), [])]  # (application, its unvisited children, their values)
+    while True:
+        u, kids, values = stack[-1]
+        for k in kids:
+            if isinstance(k, Variable):
+                values.append(leaf(k))
+            else:  # descend; this frame resumes at the child after k
+                stack.append((k, iter(children(k)), []))
+                break
         else:
-            start = len(values) - len(kids)
-            values[start:] = [node(u, values[start:])]
-    return values[0]
+            stack.pop()
+            value = node(u, values)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
 
 
 @dataclass(frozen=True)
@@ -302,24 +307,33 @@ def saturate(sys: TermSystem) -> TermSystem:
     for name in sorted(sys.idempotent):
         seeds.append(Identity(Application(name, (_X,) * sys.declarations[name]), _X))
 
-    parent: dict[Term, Term] = {}
+    # union-find over the terms' texts, each computed once: str is injective
+    # on terms with identifier names, and texts hash and compare cheaply
+    terms: dict[str, Term] = {}
+    parent: dict[str, str] = {}
 
-    def find(t: Term) -> Term:
-        parent.setdefault(t, t)
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]  # path halving
-            t = parent[t]
-        return t
+    def node(t: Term) -> str:
+        key = str(t)
+        terms.setdefault(key, t)
+        parent.setdefault(key, key)
+        return key
+
+    def find(key: str) -> str:
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]  # path halving
+            key = parent[key]
+        return key
 
     for seed in seeds:
         for table in _SUBSTITUTIONS:
-            parent[find(_rename(seed.lhs, table))] = find(_rename(seed.rhs, table))
+            parent[find(node(_rename(seed.lhs, table)))] = find(node(_rename(seed.rhs, table)))
 
-    classes: dict[Term, list[Term]] = {}
-    for t in parent:
-        classes.setdefault(find(t), []).append(t)
-    identities = (Identity(s, t) for members in classes.values() for s in members for t in members)
-    return TermSystem(sys.declarations, sorted(identities, key=str), sys.idempotent)
+    classes: dict[str, list[str]] = {}
+    for key in parent:
+        classes.setdefault(find(key), []).append(key)
+    # sorted by the identities' texts, f"{s} = {t}", which are distinct
+    pairs = sorted((f"{s} = {t}", s, t) for members in classes.values() for s in members for t in members)
+    return TermSystem(sys.declarations, [Identity(terms[s], terms[t]) for _, s, t in pairs], sys.idempotent)
 
 
 # --- the subset-condition test ----------------------------------------------
@@ -458,40 +472,24 @@ def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
     return SLUnsat(tuple(refutations))
 
 
-def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:
-    """Machine check that a subset-condition pass refutes every labeling.
-
-    For each labeling of the checked symbol, the witness identity for
-    I = sigma(symbol) must have different variable sets on its two sides.
-    """
-    if not report.passed:
-        raise SystemError_("implication check requires a passing report")
-    witness = dict(report.witnesses)
-    arity = sys.declarations[report.symbol]
-    for subset in nonempty_subsets(arity):
-        labeling = SLLabeling({report.symbol: subset})
-        identity = witness[subset]
-        if sigma_varset(identity.lhs, labeling) == sigma_varset(identity.rhs, labeling):
-            return False
-    return True
-
-
 # --- evaluation bridge -------------------------------------------------------
-
-
-def evaluate(t: Term, env: Mapping[str, int], interp: Mapping[str, "object"]) -> int:
-    return _fold(t, lambda v: env[v.name], lambda u, values: interp[u.symbol].apply(*values))
 
 
 def holds_in(algebra, identity: Identity, interp: Mapping[str, "object"]) -> bool:
     """True iff both sides agree under every assignment of algebra elements.
 
     `algebra` only needs a .size attribute; `interp` maps each symbol to an
-    operation table of matching arity.
+    operation table of matching arity.  Each side is evaluated once, column
+    by column over all assignments: an application's column is its table
+    applied, with `apply`'s checks, row by row to its children's columns.
     """
     names = sorted(term_variables(identity.lhs) | term_variables(identity.rhs))
-    for values in itertools.product(range(algebra.size), repeat=len(names)):
-        env = dict(zip(names, values))
-        if evaluate(identity.lhs, env, interp) != evaluate(identity.rhs, env, interp):
-            return False
-    return True
+    assignments = list(itertools.product(range(algebra.size), repeat=len(names)))
+    columns = {name: [values[i] for values in assignments] for i, name in enumerate(names)}
+
+    def apply(u: Application, args: list) -> list[int]:
+        table = interp[u.symbol]
+        return list(map(table.apply, *args)) if args else [table.apply()] * len(assignments)
+
+    lhs, rhs = (_fold(t, lambda v: columns[v.name], apply) for t in (identity.lhs, identity.rhs))
+    return lhs == rhs

@@ -16,12 +16,15 @@ import math
 from dataclasses import dataclass
 
 from .structures import (
+    DEFAULT_MAX_TUPLES,
     Homomorphism,
     Relation,
     RelationalStructure,
     SignatureMismatch,
+    SizeLimitExceeded,
     StructureError,
     coordinate_tuples,
+    product_size,
     product_tuples,
     rank,
 )
@@ -234,13 +237,16 @@ def _check_product_map(
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
     target: RelationalStructure,
     mapping: tuple[int, ...],
+    max_tuples: int,
 ) -> None:
     """Check mapping, on the ranks of product(factors), against every product tuple.
 
-    The product is never built.  A tuple whose image is missing raises
+    The product is never built, but `product_size` bounds its tuples by
+    max_tuples first.  A tuple whose image is missing raises
     DecompositionError naming, as `Homomorphism` does, the least such tuple
     of the first relation that has one.
     """
+    product_size(factors, max_tuples)
     image = mapping.__getitem__
     for sym in target.symbols():
         tgt = target.relations[sym].tuples
@@ -254,6 +260,7 @@ def decompose_product_hom(
     target: RelationalStructure,
     mapping: list[int] | tuple[int, ...],
     tops: list[int] | tuple[int, ...] | None = None,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> ProductDecomposition:
     """Split a hom off a product of partial semilattices with largest elements.
 
@@ -272,8 +279,10 @@ def decompose_product_hom(
     relation, at most |R_T|^k lookups for any ternary target.  When a check
     fails, the product tuples are walked first, so a map that is no
     homomorphism raises "not a homomorphism" at its least failing tuple; a
-    homomorphism gets the failed check's own DecompositionError.  A caller
-    bounds that walk with `product_size`.
+    homomorphism gets the failed check's own DecompositionError.  max_tuples
+    bounds the work done: SizeLimitExceeded is raised before more than
+    max_tuples combinations of the I_i are looked up, and before that walk
+    when the product has more than max_tuples tuples.
     """
     if tops is not None and len(factors) != len(tops):
         raise DecompositionError("one top element required per factor")
@@ -319,12 +328,15 @@ def decompose_product_hom(
                 )
             g[values] = expected
         images = [{tuple(m[v] for v in t) for t in single_ternary_relation(h).tuples} for h, m in zip(factors, maps)]
+        combos = math.prod(map(len, images))
+        if combos > max_tuples:
+            raise SizeLimitExceeded(f"coordinate images need {combos} > {max_tuples} tuples")
         if not all(image <= rel for image in images) or any(  # each f_i must be a homomorphism too
             tuple(g[col] for col in zip(*combo)) not in rel for combo in itertools.product(*images)
         ):
             raise DecompositionError("coordinate images leave the target relation")
     except StructureError:
-        _check_product_map(factors, target, mapping)  # names a failing product tuple first
+        _check_product_map(factors, target, mapping, max_tuples)  # names a failing product tuple first
         raise
     # f is a homomorphism, and each top t has (t, t, t) in its relation, so f
     # restricted to each face through the tops is one too

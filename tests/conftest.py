@@ -7,6 +7,7 @@ import pytest
 
 from hmkit.freecons import FiniteAlgebra, algebra_to_json
 from hmkit.homsearch import OperationTable
+from hmkit.identlang import HmTermReport, SLLabeling, SystemError_, TermSystem, nonempty_subsets, sigma_varset
 from hmkit.structures import (
     Relation,
     RelationalStructure,
@@ -135,6 +136,24 @@ def brute_force_homs(src, tgt):
         if ok:
             out.append(mapping)
     return out
+
+
+def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:
+    """Machine check that a subset-condition pass refutes every labeling.
+
+    For each labeling of the checked symbol, the witness identity for
+    I = sigma(symbol) must have different variable sets on its two sides.
+    """
+    if not report.passed:
+        raise SystemError_("implication check requires a passing report")
+    witness = dict(report.witnesses)
+    arity = sys.declarations[report.symbol]
+    for subset in nonempty_subsets(arity):
+        labeling = SLLabeling({report.symbol: subset})
+        identity = witness[subset]
+        if sigma_varset(identity.lhs, labeling) == sigma_varset(identity.rhs, labeling):
+            return False
+    return True
 
 
 def random_structure(rng, size, signature, density=None):

@@ -24,7 +24,6 @@ from hmkit.homsearch import find_homs, polymorphisms
 from hmkit.identlang import (
     SLUnsat,
     all_labelings,
-    hm_pass_forces_unsat,
     hm_term_check,
     linear_fragment,
     parse,
@@ -49,7 +48,7 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, brute_force_homs
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, brute_force_homs, hm_pass_forces_unsat
 
 
 def test_01_polymorphism_census(S):

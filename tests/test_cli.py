@@ -380,11 +380,20 @@ def test_psl_decompose_malformed_map_or_tops_is_exit_2(capsys, structure_file, S
 def test_psl_decompose_max_tuples_bounds_the_walk(capsys, structure_file, S):
     # S x S has 4 elements and 4 * 4 = 16 tuples
     s_path = structure_file(S, "s.json")
-    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path, "--map", "0,0,0,1"]
-    code, out, err = run(capsys, *decompose, "--max-tuples", "15")
-    assert (code, out, err) == (2, "", "error: product needs 16 > 15 tuples\n")
-    code, out, _ = run(capsys, *decompose, "--max-tuples", "16")
+    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path, "--map"]
+    # an accepted map is bounded by the combinations of its coordinate
+    # images: 4 x 1 for the first projection, 4 x 4 for the meet
+    code, out, _ = run(capsys, *decompose, "0,0,1,1", "--max-tuples", "15")
     assert code == 0 and "decomposition: pass" in out
+    code, out, err = run(capsys, *decompose, "0,0,0,1", "--max-tuples", "15")
+    assert (code, out, err) == (2, "", "error: coordinate images need 16 > 15 tuples\n")
+    code, out, _ = run(capsys, *decompose, "0,0,0,1", "--max-tuples", "16")
+    assert code == 0 and "decomposition: pass" in out
+    # a failing map walks them to name its least failing tuple
+    code, out, err = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "15")
+    assert (code, out, err) == (2, "", "error: product needs 16 > 15 tuples\n")
+    code, out, _ = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "16")
+    assert code == 1 and "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)" in out
 
 
 def test_psl_decompose_failure_precedence(capsys, structure_file, S):
@@ -396,12 +405,15 @@ def test_psl_decompose_failure_precedence(capsys, structure_file, S):
     code, out, _ = run(capsys, *decompose, "--map", "0,0,0,1", "--tops", "1,0")
     assert code == 1 and "decomposition: fail  factor 1: 0 is not its largest element" in out
 
-    # a factor without a top is named before the map is checked, but after the size guard
+    # a factor without a top is named before the map is checked, and so
+    # before any size guard
     pair = RelationalStructure(2, {"R": Relation(3, {(0, 0, 0), (1, 1, 1)})})
     no_top = ["psl", "decompose", "--target", s_path, "--factors", structure_file(pair, "pair.json"), s_path]
     code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0")
     assert code == 1 and "decomposition: fail  a factor has no largest element" in out
-    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "7")
+    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "7")
+    assert code == 1 and "decomposition: fail  a factor has no largest element" in out
+    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "7")
     assert (code, out, err) == (2, "", "error: product needs 8 > 7 tuples\n")
     with pytest.raises(DecompositionError, match="^a factor has no largest element$"):
         decompose_product_hom([pair, S], S, (0, 1, 1, 0))

@@ -1,8 +1,12 @@
 import itertools
 import random
+import sys
+from typing import Callable, Mapping
 
 import pytest
 
+from hmkit.freecons import FiniteAlgebra
+from hmkit.homsearch import OperationTable
 from hmkit.identlang import (
     Application,
     Identity,
@@ -13,9 +17,7 @@ from hmkit.identlang import (
     Variable,
     all_labelings,
     check_labeling,
-    evaluate,
     format_system,
-    hm_pass_forces_unsat,
     hm_term_check,
     holds_in,
     is_linear,
@@ -27,11 +29,44 @@ from hmkit.identlang import (
     sl_interp_search,
     term_variables,
 )
-from hmkit.identlang import TermSystem, _normalize, _rename
+from hmkit.identlang import Term, TermSystem, _normalize, _rename
+from hmkit.structures import StructureError
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, hm_pass_forces_unsat
 
 _X = Variable("x")
+
+
+def fold_reference(t: Term, leaf: Callable, node: Callable, children: Callable = lambda t: t.args):
+    """The term walker `_fold` replaced, kept verbatim apart from its name as an oracle."""
+    values: list = []
+    stack: list = [(t, None)]  # (term, None) to expand; (application, children) to combine
+    while stack:
+        u, kids = stack.pop()
+        if isinstance(u, Variable):
+            values.append(leaf(u))
+        elif kids is None:
+            kids = children(u)
+            stack.append((u, kids))
+            stack.extend((k, None) for k in reversed(kids))
+        else:
+            start = len(values) - len(kids)
+            values[start:] = [node(u, values[start:])]
+    return values[0]
+
+
+def evaluate(t: Term, env: Mapping[str, int], interp: Mapping[str, "object"]) -> int:
+    return fold_reference(t, lambda v: env[v.name], lambda u, values: interp[u.symbol].apply(*values))
+
+
+def holds_in_reference(algebra, identity: Identity, interp: Mapping[str, "object"]) -> bool:
+    """The per-assignment `holds_in` that column-wise evaluation replaced, kept as an oracle."""
+    names = sorted(term_variables(identity.lhs) | term_variables(identity.rhs))
+    for values in itertools.product(range(algebra.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        if evaluate(identity.lhs, env, interp) != evaluate(identity.rhs, env, interp):
+            return False
+    return True
 
 
 def saturate_reference(sys: TermSystem) -> TermSystem:
@@ -307,3 +342,114 @@ def test_evaluate_nested(meet_table):
     t = Application("f", (Variable("x"), Application("f", (Variable("y"), Variable("z")))))
     assert evaluate(t, {"x": 1, "y": 1, "z": 0}, {"f": meet_table}) == 0
     assert evaluate(t, {"x": 1, "y": 1, "z": 1}, {"f": meet_table}) == 1
+
+
+# --- the term walker and column-wise evaluation against their references -----
+
+SYMBOLS = {"a": 1, "b": 2, "c": 3, "d": 4}
+
+
+def random_term(rng: random.Random, depth: int, names: str = "xyzw") -> Term:
+    """A term of depth at most `depth` over SYMBOLS (arities 1-4)."""
+    if depth == 0 or rng.random() < 0.3:
+        return Variable(rng.choice(names))
+    symbol = rng.choice(sorted(SYMBOLS))
+    return Application(symbol, tuple(random_term(rng, depth - 1, names) for _ in range(SYMBOLS[symbol])))
+
+
+def chain(depth: int, symbol: str = "b") -> Term:
+    """b(b(...b(x, y)..., x), y): `depth` applications, each binary."""
+    t: Term = Variable("x")
+    for i in range(depth):
+        t = Application(symbol, (t, Variable("xy"[i % 2])))
+    return t
+
+
+def reference_str(t: Term) -> str:
+    return fold_reference(t, str, lambda u, parts: f"{u.symbol}({','.join(parts)})")
+
+
+def reference_varset(t: Term, children: Callable = lambda u: u.args) -> frozenset[str]:
+    return fold_reference(t, lambda v: frozenset({v.name}), lambda u, sets: frozenset().union(*sets), children)
+
+
+def reference_normalize(i: Identity) -> Identity:
+    order: dict[str, None] = {}
+    for side in (i.lhs, i.rhs):
+        fold_reference(side, lambda v: order.setdefault(v.name), lambda u, values: None)
+    table = dict(zip(order, ("x", "y")))
+
+    def rename(t: Term) -> Term:
+        return fold_reference(t, lambda v: Variable(table.get(v.name, v.name)), lambda u, args: Application(u.symbol, args))
+
+    return Identity(rename(i.lhs), rename(i.rhs))
+
+
+def test_fold_matches_fold_reference():
+    rng = random.Random(19)
+    terms = [random_term(rng, rng.randint(0, 8)) for _ in range(300)]
+    terms.append(chain(20000))
+    # a wide term: one application with 3000 arguments, leaves and small terms in turn
+    wide = tuple(Variable("xyzw"[k % 4]) if k % 2 else random_term(rng, 3) for k in range(3000))
+    terms.append(Application("wide", wide))
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default: neither walker may recurse
+    try:
+        for t in terms:
+            assert str(t) == reference_str(t)
+            assert term_variables(t) == reference_varset(t)
+            labeling = SLLabeling({sym: rng.choice(nonempty_subsets(n)) for sym, n in SYMBOLS.items()} | {"wide": range(1, 3001, 7)})
+            assert sigma_varset(t, labeling) == reference_varset(t, lambda u: [u.args[i - 1] for i in labeling.sigma[u.symbol]])
+        for lhs, rhs in zip(terms, reversed(terms)):
+            identity = Identity(lhs, rhs)
+            got, want = _normalize(identity), reference_normalize(identity)
+            # compared as text: dataclass equality recurses on deep terms
+            assert (reference_str(got.lhs), reference_str(got.rhs)) == (reference_str(want.lhs), reference_str(want.rhs))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def random_interpretation(rng: random.Random, size: int) -> dict[str, OperationTable]:
+    return {
+        sym: OperationTable(n, size, tuple(rng.randrange(size) for _ in range(size**n)))
+        for sym, n in SYMBOLS.items()
+    }
+
+
+def test_holds_in_matches_holds_in_reference():
+    rng = random.Random(1919)
+    verdicts = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for trial in range(120):
+            size = rng.choice((2, 3))
+            algebra = FiniteAlgebra(size, random_interpretation(rng, size))
+            if trial % 3 == 0:  # a projection table makes some identities hold
+                algebra = FiniteAlgebra(size, algebra.operations | {"b": OperationTable(2, size, [a for a in range(size) for _ in range(size)])})
+            lhs = random_term(rng, rng.randint(0, 8), "xyz")
+            rhs = rng.choice((lhs, Variable("x"), random_term(rng, rng.randint(0, 8), "xyz")))
+            identities = [Identity(lhs, rhs)]
+            if trial % 10 == 0:  # deep ones, past the recursion limit
+                identities += [Identity(chain(1500), Variable("x")), Identity(chain(1500), chain(1499))]
+            for identity in identities:
+                verdict = holds_in(algebra, identity, algebra.operations)
+                assert verdict == holds_in_reference(algebra, identity, algebra.operations)
+                verdicts.append(verdict)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert True in verdicts and False in verdicts
+
+
+def test_holds_in_checks_every_application(meet_algebra, meet_table):
+    identity = parse("ops: f/2\nf(x,f(y,x)) = x\n").identities[0]
+    ternary = {"f": OperationTable(3, 2, (0,) * 8)}
+    for check in (holds_in, holds_in_reference):
+        with pytest.raises(StructureError, match="expected 3 arguments, got 2"):
+            check(meet_algebra, identity, ternary)
+    assert holds_in(meet_algebra, identity, {"f": meet_table}) is False
+    # a constant's column repeats its value under every assignment
+    absorbing = Identity(Application("f", (Variable("x"), Application("c", ()))), Application("c", ()))
+    constant = {"f": meet_table, "c": OperationTable(0, 2, (0,))}
+    assert holds_in(meet_algebra, absorbing, constant) is holds_in_reference(meet_algebra, absorbing, constant) is True

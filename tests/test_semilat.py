@@ -24,6 +24,7 @@ from hmkit.structures import (
     Relation,
     RelationalStructure,
     SignatureMismatch,
+    SizeLimitExceeded,
     StructureError,
     product,
     rank,
@@ -284,6 +285,29 @@ def test_decompose_rejects_wrong_shapes(S):
     # the homomorphism check comes first, as when the map was built as a Homomorphism
     with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(1, 2, 0\) maps to \(1, 1, 0\)"):
         decompose_product_hom([S, S], S, (0, 1, 1, 1), [0, 1])
+
+
+def test_decompose_max_tuples_bounds_the_work_done(S):
+    # S x S x S has 8 elements and 4^3 = 64 tuples
+    points = list(itertools.product(range(2), repeat=3))
+    # the meet map looks up all 4^3 combinations of its coordinate images
+    meet = tuple(a & b & c for a, b, c in points)
+    with pytest.raises(SizeLimitExceeded, match="^coordinate images need 64 > 63 tuples$"):
+        decompose_product_hom([S, S, S], S, meet, max_tuples=63)
+    decomposition = decompose_product_hom([S, S, S], S, meet, max_tuples=64)
+    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1)] * 3
+    # the first projection has images of 4, 1 and 1 tuples
+    first = tuple(a for a, _, _ in points)
+    with pytest.raises(SizeLimitExceeded, match="^coordinate images need 4 > 3 tuples$"):
+        decompose_product_hom([S, S, S], S, first, max_tuples=3)
+    decomposition = decompose_product_hom([S, S, S], S, first, max_tuples=4)
+    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1), (1, 1), (1, 1)]
+    # a failing map walks the product tuples to name its least failing one
+    broken = (1,) + meet[1:]
+    with pytest.raises(SizeLimitExceeded, match="^product needs 64 > 63 tuples$"):
+        decompose_product_hom([S, S, S], S, broken, max_tuples=63)
+    with pytest.raises(DecompositionError, match="not a homomorphism"):
+        decompose_product_hom([S, S, S], S, broken, max_tuples=64)
 
 
 PARTIAL3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
