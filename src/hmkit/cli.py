@@ -9,7 +9,10 @@ exception (an exhausted resource or a bug), which is never a verdict.
 
 The argument parser is built once per process, on the first `main()` call
 (never at import), and reused by every later call; each call still parses
-into a fresh namespace, so no option value carries over.
+into a fresh namespace, so no option value carries over.  A call that
+names a command is parsed by that command's own parser, and the top parser
+reports its leftovers as the tree would; the whole tree parses only the
+rest, which is help and errors (unknown names, options before a command).
 
 Reports are plain text by default; `--output json` switches to a stable
 schema {"command", "checks": [{"name", "verdict", "witness"}],
@@ -27,6 +30,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import freecons, gadget, identlang, semilat, structures
 from .homsearch import (
@@ -60,14 +64,42 @@ def _load(path: str) -> RelationalStructure:
     return structures.load_structure(path)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})  # exact types: subclasses take json.dumps
+
+
+@functools.cache
+def _flat_encoder(nl: str) -> json.JSONEncoder:
+    """C-level encoder of a scalar, or of a flat list with one item per line at `nl`."""
+    return json.JSONEncoder(check_circular=False, separators=("," + nl, ": "))
+
+
+def _json_text(doc, nl: str = "\n") -> str:
+    """Exactly `json.dumps(doc, indent=2)`, for `doc` nested at `nl` (a newline and its indent).
+
+    Scalars and flat lists go through the C encoder.  Anything else that is
+    no non-empty list, tuple or dict with `str` keys goes to json.dumps.
+    """
+    kind = type(doc)
+    if kind in _SCALARS:
+        return _flat_encoder(nl).encode(doc)
+    inner = nl + "  "
+    if (kind is list or kind is tuple) and doc:
+        if _SCALARS.issuperset(map(type, doc)):
+            return "[" + inner + _flat_encoder(inner).encode(doc)[1:-1] + nl + "]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in doc]) + nl + "]"
+    if kind is dict and doc and {str}.issuperset(map(type, doc)):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(doc, indent=2).replace("\n", nl)
+
+
 def _emit_structure(args, s: RelationalStructure) -> int:
-    doc = structures.structure_to_json(s)
+    text = _json_text(structures.structure_to_json(s))
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
-        print(json.dumps(doc, indent=2))
+        print(text)
     return 0
 
 
@@ -78,7 +110,7 @@ def _emit_report(args, command: str, checks: list[Check], code: int, started: fl
             "checks": [{"name": c.name, "verdict": c.verdict, "witness": c.witness} for c in checks],
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
         }
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return code
     print(f"command: {command}")
     for c in checks:
@@ -346,8 +378,7 @@ def cmd_ident_linear(args, started: float) -> int:
 
 def cmd_ident_saturate(args, started: float) -> int:
     sys_ = _read_system(args.system)
-    saturated = identlang.saturate(sys_)
-    witness = [str(i) for i in saturated.identities]
+    witness = [text for text, _, _ in identlang.saturation(sys_)]
     checks = [Check("saturated identities", "pass", witness)]
     return _emit_report(args, "ident saturate", checks, 0, started)
 
@@ -418,9 +449,14 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole argument tree, built on the first call and shared by every later one.
+    """The whole argument tree, built on the first call and shared by every later one."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.ArgumentParser]]:
+    """The argument tree and its table (group, command) -> the command's own parser.
 
     Subcommands carry no handler: `main` looks up `cmd_<group>_<command>` in
     this module when each call runs, so the cached tree pins no function.
@@ -433,10 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="hmkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
+    tables = {}  # group -> its subparsers action, whose choices are the command parsers
 
-    structure = groups.add_parser("structure", help="structure file operations").add_subparsers(
-        dest="command", required=True
-    )
+    def group(name: str, summary: str):
+        tables[name] = groups.add_parser(name, help=summary).add_subparsers(dest="command", required=True)
+        return tables[name]
+
+    structure = group("structure", "structure file operations")
     p = structure.add_parser("validate", parents=[common])
     p.add_argument("file")
     p = structure.add_parser("components", parents=[common])
@@ -459,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
 
-    hom = groups.add_parser("hom", help="homomorphism search").add_subparsers(dest="command", required=True)
+    hom = group("hom", "homomorphism search")
     p = hom.add_parser("find", parents=[common])
     p.add_argument("source")
     p.add_argument("target")
@@ -476,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("big")
     p.add_argument("small")
 
-    pol = groups.add_parser("pol", help="polymorphism enumeration").add_subparsers(dest="command", required=True)
+    pol = group("pol", "polymorphism enumeration")
     p = pol.add_parser("enumerate", parents=[common])
     p.add_argument("file")
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--classify", action="store_true")
 
-    psl = groups.add_parser("psl", help="partial semilattice checks").add_subparsers(dest="command", required=True)
+    psl = group("psl", "partial semilattice checks")
     p = psl.add_parser("check", parents=[common])
     p.add_argument("file")
     p = psl.add_parser("largest", parents=[common])
@@ -497,20 +536,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", type=_ids, required=True)
     p.add_argument("--tops", type=_ids, default=None)
 
-    free = groups.add_parser("free", help="free construction pipeline").add_subparsers(dest="command", required=True)
+    free = group("free", "free construction pipeline")
     p = free.add_parser("build", parents=[sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--verify-lemma22", action="store_true")
     p.add_argument("--verify-claims", type=int, default=None, metavar="N")
 
-    gadget_group = groups.add_parser("gadget", help="hom-set gadget").add_subparsers(dest="command", required=True)
+    gadget_group = group("gadget", "hom-set gadget")
     p = gadget_group.add_parser("apply", parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--out")
     p = gadget_group.add_parser("analyze", parents=[common])
     p.add_argument("--input", required=True)
 
-    ident = groups.add_parser("ident", help="identity systems").add_subparsers(dest="command", required=True)
+    ident = group("ident", "identity systems")
     p = ident.add_parser("parse", parents=[common])
     p.add_argument("--system", required=True)
     p = ident.add_parser("linear", parents=[common])
@@ -523,24 +562,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = ident.add_parser("sl-interp", parents=[common])
     p.add_argument("--system", required=True)
 
-    alg = groups.add_parser("alg", help="algebra-side evidence").add_subparsers(dest="command", required=True)
+    alg = group("alg", "algebra-side evidence")
     p = alg.add_parser("hm-evidence", parents=[sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-arity", type=int, default=None)
 
-    return parser
+    commands = {(g, c): p for g, table in tables.items() for c, p in table.choices.items()}
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        args = build_parser().parse_args(argv)
+        command_parser = commands.get(tuple(argv[:2]))
+        if command_parser is None:  # help, usage errors and unknown names take the whole tree
+            args = parser.parse_args(argv)
+        else:  # as the tree would, but without walking its two upper levels
+            args, rest = command_parser.parse_known_args(argv[2:])
+            if rest:
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            args.group, args.command = argv[:2]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return globals()[f"cmd_{args.group}_{args.command}".replace("-", "_")](args, started)
     except (SizeLimitExceeded, StructureError, identlang.ParseError, identlang.SystemError_,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault or exhausted resource is never a verdict

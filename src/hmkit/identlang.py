@@ -287,7 +287,12 @@ _SUBSTITUTIONS = ({}, {"x": "y", "y": "x"}, {"y": "x"}, {"x": "y"})
 
 
 def saturate(sys: TermSystem) -> TermSystem:
-    """Close a linear 2-variable identity set under sound derivations.
+    """Close a linear 2-variable identity set under sound derivations (see `saturation`)."""
+    return TermSystem(sys.declarations, [Identity(s, t) for _, s, t in saturation(sys)], sys.idempotent)
+
+
+def saturation(sys: TermSystem) -> list[tuple[str, Term, Term]]:
+    """The identities of `saturate(sys)` as (text, lhs, rhs), sorted by their texts.
 
     Rules: symmetry, transitivity, and the substitutions of {x, y} into
     itself (swap, identify either way); pairing (s1 = v, s2 = v give
@@ -333,7 +338,7 @@ def saturate(sys: TermSystem) -> TermSystem:
         classes.setdefault(find(key), []).append(key)
     # sorted by the identities' texts, f"{s} = {t}", which are distinct
     pairs = sorted((f"{s} = {t}", s, t) for members in classes.values() for s in members for t in members)
-    return TermSystem(sys.declarations, [Identity(terms[s], terms[t]) for _, s, t in pairs], sys.idempotent)
+    return [(text, terms[s], terms[t]) for text, s, t in pairs]
 
 
 # --- the subset-condition test ----------------------------------------------

@@ -480,8 +480,24 @@ def structure_to_json(s: RelationalStructure) -> dict:
     }
 
 
+def _checked_in_bulk(tuples: list, arity: int, size: int) -> frozenset[tuple[int, ...]] | None:
+    """The tuples as a set when C-level passes find each a list of `arity`
+    values of exact type int in range(size), none repeated; else None."""
+    if not ({list}.issuperset(map(type, tuples)) and {arity}.issuperset(map(len, tuples))):
+        return None
+    values = list(itertools.chain.from_iterable(tuples))
+    if not {int}.issuperset(map(type, values)) or (values and (min(values) < 0 or max(values) >= size)):
+        return None
+    checked = frozenset(map(tuple, tuples))
+    return checked if len(checked) == len(tuples) else None
+
+
 def structure_from_json(data: dict) -> RelationalStructure:
-    """Parse the structure file format; rejects unknown keys and malformed entries."""
+    """Parse the structure file format; rejects unknown keys and malformed entries.
+
+    Each relation's tuples are checked in bulk first; only a relation that
+    fails a bulk check is walked tuple by tuple, to name its first bad tuple.
+    """
     if not isinstance(data, dict):
         raise StructureError("structure document must be a JSON object")
     unknown = set(data) - {"universe", "relations"}
@@ -504,6 +520,10 @@ def structure_from_json(data: dict) -> RelationalStructure:
             raise StructureError(f"relation {sym}: arity must be a positive integer")
         if not isinstance(tuples, list):
             raise StructureError(f"relation {sym}: 'tuples' must be a list")
+        checked = _checked_in_bulk(tuples, arity, size)
+        if checked is not None:
+            rels[sym] = Relation(arity, checked)
+            continue
         seen: set[tuple[int, ...]] = set()
         for raw in tuples:
             if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):

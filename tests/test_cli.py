@@ -7,7 +7,9 @@ these double as adapter-thinness tests.
 import argparse
 import itertools
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,9 +28,11 @@ from hmkit.structures import (
     RelationalStructure,
     disjoint_union,
     induced_substructure,
+    load_structure,
     power,
     product,
     structure_from_json,
+    structure_to_json,
 )
 
 from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM
@@ -689,6 +693,69 @@ def test_max_tuples_only_where_read(capsys, structure_file, S):
     assert run(capsys, "structure", "power", path, "2", "--max-tuples", "16")[0] == 0
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_STRINGS = ["", "plain", "é ü", "\u2028", "😀", 'say "hi"', "back\\slash", "\x00\x1f\t\n\r", "/"]
+_NUMBERS = [0, -1, 7, 2**64, -(2**70), 0.0, -0.0, 1.5, 1 / 3, 1e300, -2.5e-8, math.nan, math.inf, -math.inf]
+
+
+def _random_doc(rng, depth=0):
+    roll = rng.random()
+    if depth > 3 or roll < 0.35:
+        return rng.choice(_STRINGS + _NUMBERS + [True, False, None])
+    width = rng.choice([0, 1, 2, 3, 5])
+    if roll < 0.5:  # flat, as most report witnesses are
+        return [rng.choice(_STRINGS + _NUMBERS + [True, None]) for _ in range(width)]
+    if roll < 0.7:
+        kind = rng.choice([list, list, tuple, _List])
+        return kind(_random_doc(rng, depth + 1) for _ in range(width))
+    keys = rng.choice([_STRINGS, _STRINGS, _STRINGS + [1, 2.5, True, None]])
+    kind = rng.choice([dict, dict, dict, _Dict])
+    return kind((rng.choice(keys), _random_doc(rng, depth + 1)) for _ in range(width))
+
+
+def test_report_text_is_json_dumps_with_indent_2():
+    rng = random.Random(20)
+    for _ in range(3000):
+        doc = _random_doc(rng)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2), doc
+    for name in sorted(os.listdir(GOLDEN)):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert cli._json_text(json.loads(text)) + "\n" == text
+
+
+def test_product_out_file_is_what_json_dump_writes(capsys, structure_file, tmp_path, S, chain3):
+    paths = [structure_file(S, "a.json"), structure_file(chain3, "b.json")]
+    target = tmp_path / "p.json"
+    assert run(capsys, "structure", "product", *paths, "--out", str(target)) == (0, "", "")
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(structure_to_json(product([load_structure(p) for p in paths])), fh, indent=2)
+        fh.write("\n")
+    assert target.read_bytes() == reference.read_bytes()
+
+
+def test_input_that_is_no_utf8_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    for argv in (
+        ["psl", "check", str(bad)],
+        ["structure", "validate", str(bad)],
+        ["ident", "parse", "--system", str(bad)],
+        ["free", "build", "--algebra", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and "internal error" not in err
+
+
 # --- the parser ---------------------------------------------------------------------
 
 
@@ -740,3 +807,89 @@ def test_options_do_not_carry_over(capsys, structure_file, S):
     assert code == 1 and "0 is not its largest element" in out
     code, out, _ = run(capsys, *decompose)
     assert code == 0 and "decomposition: pass" in out
+
+
+# a valid argv after (group, command) for every command, with abbreviated
+# and `=` forms of options; the files are never opened
+VALID_ARGS = {
+    ("structure", "validate"): ["s.json", "--outp", "json"],
+    ("structure", "components"): ["s.json", "--output=json"],
+    ("structure", "product"): ["a.json", "b.json", "--max-t", "9", "--out", "p.json", "--outp=json"],
+    ("structure", "power"): ["s.json", "3", "--max-tuples=9"],
+    ("structure", "union"): ["a.json", "b.json", "--out=u.json"],
+    ("structure", "induced"): ["s.json", "--ids", "0,1", "--output", "text"],
+    ("structure", "iso"): ["a.json", "b.json"],
+    ("hom", "find"): ["a.json", "b.json", "--nonc", "--limit=2"],
+    ("hom", "count"): ["--output", "json", "a.json", "b.json"],
+    ("hom", "check"): ["a.json", "b.json", "--map=0,1"],
+    ("hom", "retract"): ["a.json", "--", "b.json"],
+    ("pol", "enumerate"): ["s.json", "--ar", "2", "--classify"],
+    ("psl", "check"): ["s.json", "--outp", "json"],
+    ("psl", "largest"): ["s.json"],
+    ("psl", "meet"): ["s.json", "0", "-1"],
+    ("psl", "decompose"): ["--target", "s.json", "--factors", "a.json", "b.json", "--map", "0,0,0,1", "--tops=0,1"],
+    ("free", "build"): ["--algebra", "a.json", "--verify-l", "--verify-claims", "2"],
+    ("gadget", "apply"): ["--input", "d.json", "--out", "o.json"],
+    ("gadget", "analyze"): ["--in", "d.json"],
+    ("ident", "parse"): ["--system", "s.txt"],
+    ("ident", "linear"): ["--sys=s.txt"],
+    ("ident", "saturate"): ["--system", "s.txt", "--output", "json"],
+    ("ident", "hm-check"): ["--system", "s.txt", "--term", "m"],
+    ("ident", "sl-interp"): ["--system", "s.txt"],
+    ("alg", "hm-evidence"): ["--algebra", "a.json", "--max-a", "3", "--max-tuples=100"],
+}
+
+
+def test_each_command_parses_as_the_whole_tree_does(capsys, monkeypatch):
+    assert set(VALID_ARGS) == set(cli._parsers()[1])
+    seen = []
+    for (group, command), rest in VALID_ARGS.items():
+        name = f"cmd_{group}_{command}".replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args, started: seen.append(args) or 0)
+        argv = [group, command, *rest]
+        assert run(capsys, *argv) == (0, "", "")
+        assert vars(seen.pop()) == vars(cli.build_parser().parse_args(argv))
+    # the console script reaches main with argv=None
+    monkeypatch.setattr(sys, "argv", ["hmkit", "psl", "check", "s.json", "--output=json"])
+    assert main() == 0
+    assert vars(seen.pop()) == {"group": "psl", "command": "check", "file": "s.json", "output": "json"}
+
+
+def tree_outcome(capsys, argv):
+    """Exit code, stdout and stderr of the whole tree parsing argv."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_usage_errors_and_help_read_as_the_whole_tree_gives_them(capsys):
+    cases = [
+        ["psl", "check", "s.json", "--bogus"],  # unknown option
+        ["psl", "check", "s.json", "stray"],  # stray positional
+        ["hom", "count", "a.json", "b.json", "c.json", "--output", "json"],
+        ["psl", "decompose", "--target", "s.json", "--factors", "a.json"],  # missing required option
+        ["psl", "check"],
+        ["psl", "meet", "s.json", "0", "x"],  # bad int
+        ["structure", "power", "s.json", "3", "--max-tuples", "many"],
+        ["structure", "induced", "s.json", "--ids", "0,a"],  # bad --ids
+        ["hom", "check", "a.json", "b.json", "--map", "1,,x"],
+        ["psl", "check", "s.json", "--output", "xml"],
+        ["alg", "hm-evidence", "--algebra", "a.json", "--max", "3"],  # ambiguous abbreviation
+        ["psl", "decompose", "-h"],  # help after a command
+        ["alg", "hm-evidence", "--help"],
+        ["psl", "-h"],  # help after a group
+        ["-h"],
+        ["psl", "bogus", "s.json"],  # unknown group or command
+        ["nonsense", "check"],
+        ["psl"],
+        [],
+        ["--output", "json", "psl", "check", "s.json"],
+    ]
+    for argv in cases:
+        want = tree_outcome(capsys, argv)
+        assert want[0] in (0, 2), argv
+        assert run(capsys, *argv) == want, argv

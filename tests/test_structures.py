@@ -411,3 +411,92 @@ def test_json_rejects_malformed():
         )
     with pytest.raises(StructureError):
         structure_from_json([1, 2])
+
+
+def structure_from_json_reference(data: dict) -> RelationalStructure:
+    """Parse the structure file format; rejects unknown keys and malformed entries."""
+    if not isinstance(data, dict):
+        raise StructureError("structure document must be a JSON object")
+    unknown = set(data) - {"universe", "relations"}
+    if unknown:
+        raise StructureError(f"unknown top-level keys: {sorted(unknown)}")
+    universe = data.get("universe")
+    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
+        raise StructureError("'universe' must be a list of strings")
+    relations = data.get("relations", {})
+    if not isinstance(relations, dict):
+        raise StructureError("'relations' must be an object")
+    size = len(universe)
+    rels: dict[str, Relation] = {}
+    for sym, body in relations.items():
+        if not isinstance(body, dict) or set(body) - {"arity", "tuples"}:
+            raise StructureError(f"relation {sym}: expected keys 'arity' and 'tuples'")
+        arity = body.get("arity")
+        tuples = body.get("tuples")
+        if not isinstance(arity, int) or arity < 1:
+            raise StructureError(f"relation {sym}: arity must be a positive integer")
+        if not isinstance(tuples, list):
+            raise StructureError(f"relation {sym}: 'tuples' must be a list")
+        seen: set[tuple[int, ...]] = set()
+        for raw in tuples:
+            if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+                raise StructureError(f"relation {sym}: tuple {raw} must be a list of integers")
+            t = tuple(raw)
+            if len(t) != arity:
+                raise StructureError(f"relation {sym}: arity mismatch, tuple {list(t)} has length {len(t)} != {arity}")
+            for v in t:
+                if not (0 <= v < size):
+                    raise StructureError(f"relation {sym}: id out of range, tuple {list(t)} contains {v}")
+            if t in seen:
+                raise StructureError(f"relation {sym}: duplicate tuple {list(t)}")
+            seen.add(t)
+        rels[sym] = Relation(arity, frozenset(seen))
+    return RelationalStructure(size, rels, tuple(universe))
+
+
+def _corrupt(rng, tuples, size):
+    """One seeded defect in a list of tuples, or none."""
+    kind = rng.choice(["none", "none", "duplicate", "range", "negative", "length", "float", "bool", "not a list"])
+    if kind == "none" or not tuples:
+        return "none"
+    i = rng.randrange(len(tuples))
+    t = tuples[i]
+    if kind == "duplicate":
+        tuples.insert(rng.randrange(len(tuples) + 1), list(t))
+    elif kind in ("range", "negative", "float", "bool"):
+        j = rng.randrange(len(t))
+        t[j] = {"range": size + rng.randrange(3), "negative": -1 - rng.randrange(3), "float": float(t[j]), "bool": True}[kind]
+    elif kind == "length" and rng.random() < 0.5:
+        t.append(0)
+    elif kind == "length":
+        t.pop()
+    else:
+        tuples[i] = rng.choice([tuple(t), "0", 0, None, {"0": 0}])
+    return kind
+
+
+def test_structure_from_json_matches_its_tuple_by_tuple_reference():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(3000):
+        size = rng.randrange(0, 4)
+        relations = {}
+        for sym in rng.sample("RST", rng.randrange(0, 3)):
+            arity = rng.randrange(1, 4)
+            tuples = [[rng.randrange(size) for _ in range(arity)] for _ in range(rng.randrange(6))] if size else []
+            tuples = [list(t) for t in dict.fromkeys(map(tuple, tuples))]
+            kinds.add(_corrupt(rng, tuples, size))
+            relations[sym] = {"arity": arity, "tuples": tuples}
+        doc = {"universe": [str(i) for i in range(size)], "relations": relations}
+        outcomes = []
+        for parse in (structure_from_json, structure_from_json_reference):
+            try:
+                outcomes.append(parse(doc))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], doc
+    assert len(kinds) == 8
+    # bools pass as integers, as they always have
+    doc = {"universe": ["0", "1"], "relations": {"R": {"arity": 2, "tuples": [[True, 0]]}}}
+    assert structure_from_json(doc) == structure_from_json_reference(doc)
+    assert structure_from_json(doc).relations["R"].tuples == {(1, 0)}
