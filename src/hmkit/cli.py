@@ -449,11 +449,6 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole argument tree, built on the first call and shared by every later one."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.ArgumentParser]]:
     """The argument tree and its table (group, command) -> the command's own parser.

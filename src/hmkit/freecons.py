@@ -63,7 +63,6 @@ from .homsearch import (
     find_homs,
     hom_maps,
     operation_from_json,
-    operation_to_json,
 )
 from .identlang import (
     Application,
@@ -132,14 +131,6 @@ class FiniteAlgebra:
 
     def is_idempotent(self) -> bool:
         return all(t.is_idempotent() for t in self.operations.values())
-
-
-def algebra_to_json(a: FiniteAlgebra) -> dict:
-    labels = a.labels if a.labels is not None else tuple(str(i) for i in range(a.size))
-    return {
-        "universe": list(labels),
-        "operations": {sym: operation_to_json(a.operations[sym]) for sym in a.symbols()},
-    }
 
 
 def algebra_from_json(data: dict) -> FiniteAlgebra:
@@ -335,15 +326,9 @@ class FreeBundle:
     decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
     quotient_map: tuple[int, ...] | None = None  # free element -> K id
     K: RelationalStructure | None = None
-    Kalg: FiniteAlgebra | None = None
 
     def element_name(self, element: int) -> str:
         return self.free.term_name(element)
-
-    def upper_indices(self) -> tuple[int, ...]:
-        """Components with at least one non-constant homomorphism."""
-        assert self.components is not None
-        return tuple(c.unary_index for c in self.components if c.homs)
 
     def hom_count(self, u: int) -> int:
         assert self.components is not None
@@ -367,7 +352,13 @@ def apply_unary(bundle: FreeBundle, u: int, element: int) -> int:
 
 
 def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:
-    """Build the free algebra on two generators and its ternary free structure."""
+    """Build the free algebra on two generators and its ternary free structure.
+
+    Elements are grouped by their diagonal, a unary term operation
+    (component_of).  That these diagonal classes are the connected
+    components is lemma 2.2 item 2, which verify_lemma22 checks; nothing
+    here does.
+    """
     free = free_algebra(a, 2, max_tuples)
     x, y = free.generators[0], free.generators[1]
 
@@ -388,7 +379,7 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
             raise StructureError("diagonal of a free element is not a unary term operation")
         component_of.append(unary_index[diag])
 
-    bundle = FreeBundle(
+    return FreeBundle(
         free=free,
         x=x,
         y=y,
@@ -397,17 +388,6 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
         unary_ops=tuple(unary_ops),
         component_of=tuple(component_of),
     )
-
-    # the diagonal classes must be exactly the connected components
-    blocks = {frozenset(b) for b in connected_components(structure).partition}
-    classes = {
-        frozenset(e for e in range(free.algebra.size) if component_of[e] == u)
-        for u in range(len(unary_ops))
-        if any(component_of[e] == u for e in range(free.algebra.size))
-    }
-    if blocks != classes:
-        raise StructureError("diagonal classes disagree with connected components")
-    return bundle
 
 
 def compute_H(bundle: FreeBundle) -> FreeBundle:
@@ -460,7 +440,10 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
 
     Component u with h homomorphisms becomes power(S, h), a point when
     h = 0, whose ids are the ranks of coordinate bit tuples; the union ids
-    are decoded once, into the (component, bits) of every K id.
+    are decoded once, into the (component, bits) of every K id.  Nothing is
+    checked here: whether the kernel is a congruence, and so whether the
+    free algebra's operations act on K, is lemma 2.2 items 5 and 6, which
+    verify_lemma22 reports with their witnesses.
     """
     assert bundle.components is not None, "compute_H must run first"
     summands = []
@@ -477,21 +460,19 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
             mapping[e] = offset + rank([hom.mapping[local] for hom in comp.homs], [2] * h)
     union = disjoint_union(summands)
 
-    psi = Homomorphism(bundle.structure, union, tuple(mapping))
+    # psi needs no check: every triple of R lies in one diagonal class (put
+    # y = x in its 4-ary term), and on each class every coordinate of psi is
+    # a homomorphism that compute_H just found
+    psi = Homomorphism._trusted(bundle.structure, union, tuple(mapping))
     image = sorted(set(mapping))
     kid_of = {gid: i for i, gid in enumerate(image)}
     qmap = tuple(kid_of[g] for g in mapping)
-    K = image_structure(psi)
-
-    tables = _quotient_tables(bundle.free.algebra, qmap, len(image))
-    Kalg = FiniteAlgebra(len(image), tables, K.labels)
 
     bundle.psi = psi
     bundle.union_structure = union
     bundle.decode = tuple(decode[g] for g in image)
     bundle.quotient_map = qmap
-    bundle.K = K
-    bundle.Kalg = Kalg
+    bundle.K = image_structure(psi)
     bundle.components = tuple(
         ComponentData(
             c.unary_index,
@@ -602,16 +583,18 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     )
     results.append(CheckResult("item 1 (reflexive)", PASS if ok else FAIL))
 
-    # 2: components of the image = collapsed diagonal classes
-    blocks = {frozenset(b) for b in connected_components(bundle.K).partition}
-    classes = {frozenset(c.kids) for c in bundle.components}
-    results.append(
-        CheckResult(
-            "item 2 (components)",
-            PASS if blocks == classes else FAIL,
-            "" if blocks == classes else f"blocks {sorted(map(sorted, blocks))} vs {sorted(map(sorted, classes))}",
-        )
-    )
+    # 2: the components of the free structure are its diagonal classes
+    # (the classes partition it, so it is enough that each is a block), and
+    # those of the image are the collapsed classes
+    blocks = {frozenset(b) for b in connected_components(bundle.structure).partition}
+    split = next((c for c in bundle.components if frozenset(c.members) not in blocks), None)
+    if split is not None:
+        detail = f"diagonal class {split.unary_index} {list(split.members)} is not one component"
+    else:
+        blocks = {frozenset(b) for b in connected_components(bundle.K).partition}
+        classes = {frozenset(c.kids) for c in bundle.components}
+        detail = "" if blocks == classes else f"blocks {sorted(map(sorted, blocks))} vs {sorted(map(sorted, classes))}"
+    results.append(CheckResult("item 2 (components)", FAIL if detail else PASS, detail))
 
     # 3: the semilattice is a retract of the identity component, via a -> [a]
     id_comp = bundle.components[0]

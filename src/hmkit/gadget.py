@@ -164,10 +164,3 @@ def analyze_gadget_components(d: RelationalStructure) -> GadgetAnalysis:
     return GadgetAnalysis(
         tuple(m.exponent for m in before), tuple(m.exponent for m in after)
     )
-
-
-def diagonal_structure(n: int, symbol: str = "R") -> RelationalStructure:
-    """The n-th power of the semilattice, the transform's fixed-point family."""
-    if n < 1:
-        raise StructureError(f"exponent must be >= 1, got {n}")
-    return power(two_element_semilattice(symbol), n)

@@ -240,33 +240,6 @@ class OperationTable:
     def is_idempotent(self) -> bool:
         return all(self.apply(*([a] * self.arity)) == a for a in range(self.size))
 
-    def graph_tuples(self) -> frozenset[tuple[int, ...]]:
-        """The graph {(a1..ak, f(a1..ak))} as (arity+1)-tuples."""
-        return frozenset(
-            args + (self.apply(*args),)
-            for args in itertools.product(range(self.size), repeat=self.arity)
-        )
-
-    @staticmethod
-    def projection(arity: int, size: int, coord: int) -> "OperationTable":
-        """The projection onto 0-based coordinate `coord`."""
-        if not (0 <= coord < arity):
-            raise StructureError(f"coordinate {coord} out of range for arity {arity}")
-        vals = tuple(
-            args[coord] for args in itertools.product(range(size), repeat=arity)
-        )
-        return OperationTable(arity, size, vals)
-
-    @staticmethod
-    def constant(arity: int, size: int, value: int) -> "OperationTable":
-        if not (0 <= value < size):
-            raise StructureError(f"constant {value} out of range for size {size}")
-        return OperationTable(arity, size, (value,) * (size**arity))
-
-
-def operation_to_json(t: OperationTable) -> dict:
-    return {"arity": t.arity, "size": t.size, "values": list(t.values)}
-
 
 def operation_from_json(data: dict) -> OperationTable:
     if not isinstance(data, dict) or set(data) - {"arity", "size", "values"}:

@@ -84,13 +84,6 @@ def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
     return _meet(_meet_index(s), a, b)
 
 
-def iterated_meet(s: RelationalStructure, elements: list[int] | tuple[int, ...]) -> int | None:
-    """Left-associated fold of meet_lookup; None once any step is undefined."""
-    if not elements:
-        raise StructureError("iterated meet of an empty sequence")
-    return _fold_meet(_meet_index(s), elements)
-
-
 def largest_element(s: RelationalStructure) -> int | None:
     """The element 1 with (a,1,a) and (1,a,a) present for every a, if any."""
     rel = single_ternary_relation(s)

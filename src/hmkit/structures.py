@@ -49,7 +49,7 @@ class RelationalStructure:
 
     def __post_init__(self) -> None:
         # Normalize to plain immutable containers; invariants are checked by
-        # validate(), and inline by structure_from_json for precise load errors.
+        # structure_from_json, where structures enter from files.
         rels = {
             sym: rel if isinstance(rel, Relation) else Relation(rel[0], frozenset(map(tuple, rel[1])))
             for sym, rel in dict(self.relations).items()
@@ -74,45 +74,8 @@ class RelationalStructure:
             return self.labels[i]
         return str(i)
 
-    def rename(self, symbol_map: Mapping[str, str]) -> "RelationalStructure":
-        """Same structure with relation symbols renamed."""
-        rels = {symbol_map.get(sym, sym): rel for sym, rel in self.relations.items()}
-        if len(rels) != len(self.relations):
-            raise StructureError("symbol renaming collides")
-        return RelationalStructure(self.size, rels, self.labels)
 
-    def same_signature(self, other: "RelationalStructure") -> bool:
-        return self.signature() == other.signature()
-
-
-def validate(s: RelationalStructure) -> None:
-    """Check all structure invariants; raise StructureError naming the first violation."""
-    if s.size < 0:
-        raise StructureError("negative universe size")
-    if s.labels is not None and len(s.labels) != s.size:
-        raise StructureError(f"label count {len(s.labels)} != universe size {s.size}")
-    for sym in s.symbols():
-        rel = s.relations[sym]
-        if rel.arity < 1:
-            raise StructureError(f"relation {sym}: arity must be positive, got {rel.arity}")
-        for t in rel.sorted_tuples():
-            if len(t) != rel.arity:
-                raise StructureError(f"relation {sym}: arity mismatch, tuple {t} has length {len(t)} != {rel.arity}")
-            for v in t:
-                if not (0 <= v < s.size):
-                    raise StructureError(f"relation {sym}: id out of range, tuple {t} contains {v}")
-
-
-def validation_report(s: RelationalStructure) -> str | None:
-    """None when valid, otherwise the first violation message."""
-    try:
-        validate(s)
-    except StructureError as exc:
-        return str(exc)
-    return None
-
-
-def _require_same_signature(structures: Sequence[RelationalStructure]) -> dict[str, int]:
+def _common_signature(structures: Sequence[RelationalStructure]) -> dict[str, int]:
     sig = structures[0].signature()
     for s in structures[1:]:
         if s.signature() != sig:
@@ -129,39 +92,10 @@ def is_reflexive(s: RelationalStructure) -> bool:
     return True
 
 
-def _require_binary_arities(s: RelationalStructure) -> None:
-    for sym in s.symbols():
-        arity = s.relations[sym].arity
-        if arity < 2:
-            raise StructureError(f"relation {sym} has arity {arity} < 2; binary projection undefined")
-
-
-def binary_projection(s: RelationalStructure) -> RelationalStructure:
-    """All 2-coordinate projections of every relation, as a binary structure.
-
-    Relations of arity 1 are rejected: projections are defined only for
-    coordinate sets of size >= 2.
-    """
-    _require_binary_arities(s)
-    rels: dict[str, Relation] = {}
-    for sym in s.symbols():
-        rel = s.relations[sym]
-        for i, j in itertools.combinations(range(rel.arity), 2):
-            pairs = frozenset((t[i], t[j]) for t in rel.tuples)
-            rels[f"{sym}{{{i + 1},{j + 1}}}"] = Relation(2, pairs)
-    return RelationalStructure(s.size, rels, s.labels)
-
-
 @dataclass(frozen=True)
 class ComponentDecomposition:
     partition: tuple[tuple[int, ...], ...]
     induced: tuple[RelationalStructure, ...]
-
-    def block_of(self, elem: int) -> int:
-        for k, block in enumerate(self.partition):
-            if elem in block:
-                return k
-        raise ValueError(f"element {elem} not in any block")
 
 
 def connected_components(s: RelationalStructure) -> ComponentDecomposition:
@@ -169,14 +103,17 @@ def connected_components(s: RelationalStructure) -> ComponentDecomposition:
 
     Two linear passes over the tuples.  The first joins, by union-find, the
     coordinates of every tuple; that is the closure of the projection edges
-    without building `binary_projection`.  Relations of arity below 2 are
-    refused as `binary_projection` refuses them, so every tuple has at least
-    two coordinates and all of them lie in one block.  The second pass
+    without building the binary projections.  Relations of arity below 2
+    are refused, as they have no binary projection, so every tuple has at
+    least two coordinates and all of them lie in one block.  The second pass
     therefore sends each tuple, re-indexed, to the block of its first
     coordinate; the induced structures equal `induced_substructure` on each
     block.  Blocks are sorted and ordered by their least element.
     """
-    _require_binary_arities(s)
+    for sym in s.symbols():
+        arity = s.relations[sym].arity
+        if arity < 2:
+            raise StructureError(f"relation {sym} has arity {arity} < 2; binary projection undefined")
     parent = list(range(s.size))
 
     def find(a: int) -> int:
@@ -221,10 +158,6 @@ def connected_components(s: RelationalStructure) -> ComponentDecomposition:
     return ComponentDecomposition(partition, induced)
 
 
-def is_connected(s: RelationalStructure) -> bool:
-    return len(connected_components(s).partition) <= 1
-
-
 def rank(coords: Sequence[int], sizes: Sequence[int]) -> int:
     """The id of a product element: the lexicographic rank of its coordinate tuple."""
     r = 0
@@ -246,7 +179,7 @@ def product_size(structures: Sequence[RelationalStructure], max_tuples: int = DE
     """
     if not structures:
         raise StructureError("product of empty list")
-    sig = _require_same_signature(structures)
+    sig = _common_signature(structures)
 
     size = 1
     for s in structures:
@@ -313,7 +246,7 @@ def disjoint_union(structures: Sequence[RelationalStructure]) -> RelationalStruc
     """Tagged union of universes and relations, in the given order."""
     if not structures:
         raise StructureError("disjoint union of empty list")
-    sig = _require_same_signature(structures)
+    sig = _common_signature(structures)
     offsets = []
     total = 0
     for s in structures:
@@ -352,15 +285,6 @@ def induced_substructure(s: RelationalStructure, ids: Iterable[int]) -> Relation
     return RelationalStructure(len(subset), rels, labels)
 
 
-def is_weak_substructure(h: RelationalStructure, g: RelationalStructure) -> bool:
-    """True iff h's universe and every tuple set are contained in g's."""
-    if h.signature() != g.signature():
-        return False
-    if h.size > g.size:
-        return False
-    return all(h.relations[sym].tuples <= g.relations[sym].tuples for sym in h.relations)
-
-
 @dataclass(frozen=True)
 class Homomorphism:
     """A total map between structure universes, verified to preserve relations."""
@@ -370,20 +294,12 @@ class Homomorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        from .homsearch import is_homomorphism  # homsearch imports this module
+
         object.__setattr__(self, "mapping", tuple(self.mapping))
-        if len(self.mapping) != self.source.size:
-            raise StructureError(f"map has {len(self.mapping)} entries for universe of size {self.source.size}")
-        for v in self.mapping:
-            if not (0 <= v < self.target.size):
-                raise StructureError(f"map value {v} not in target universe of size {self.target.size}")
-        if self.source.signature() != self.target.signature():
-            raise SignatureMismatch("homomorphism endpoints have different signatures")
-        for sym in self.source.symbols():
-            tgt = self.target.relations[sym].tuples
-            for t in self.source.relations[sym].sorted_tuples():
-                img = tuple(self.mapping[v] for v in t)
-                if img not in tgt:
-                    raise StructureError(f"not a homomorphism: {sym} tuple {t} maps to {img}")
+        result = is_homomorphism(self.source, self.target, self.mapping)
+        if not result.ok:
+            raise StructureError(f"not a homomorphism: {result.symbol} tuple {result.source_tuple} maps to {result.image_tuple}")
 
     @classmethod
     def _trusted(cls, source: RelationalStructure, target: RelationalStructure, mapping: tuple[int, ...]) -> "Homomorphism":
@@ -394,22 +310,6 @@ class Homomorphism:
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def is_constant(self) -> bool:
-        return len(set(self.mapping)) <= 1
-
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size and len(set(self.mapping)) == self.source.size
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner (inner's target must be self's source)."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise StructureError("composition endpoints do not match")
-        return Homomorphism(inner.source, self.target, tuple(self.mapping[v] for v in inner.mapping))
-
-    @staticmethod
-    def identity(s: RelationalStructure) -> "Homomorphism":
-        return Homomorphism(s, s, tuple(range(s.size)))
 
 
 def image_structure(phi: Homomorphism) -> RelationalStructure:
@@ -544,9 +444,3 @@ def structure_from_json(data: dict) -> RelationalStructure:
 def load_structure(path: str) -> RelationalStructure:
     with open(path, "r", encoding="utf-8") as fh:
         return structure_from_json(json.load(fh))
-
-
-def dump_structure(s: RelationalStructure, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_json(s), fh, indent=2)
-        fh.write("\n")

@@ -5,14 +5,15 @@ import json
 
 import pytest
 
-from hmkit.freecons import FiniteAlgebra, algebra_to_json
+from hmkit.freecons import FiniteAlgebra
 from hmkit.homsearch import OperationTable
 from hmkit.identlang import HmTermReport, SLLabeling, SystemError_, TermSystem, nonempty_subsets, sigma_varset
 from hmkit.structures import (
     Relation,
     RelationalStructure,
-    dump_structure,
+    StructureError,
     one_element_structure,
+    structure_to_json,
     two_element_semilattice,
 )
 
@@ -176,11 +177,43 @@ def relabel(s, perm):
     return RelationalStructure(s.size, rels)
 
 
+def algebra_doc(a):
+    """The algebra file document of a: its labels (ids when it has none) and its tables."""
+    labels = a.labels if a.labels is not None else [str(i) for i in range(a.size)]
+    return {
+        "universe": list(labels),
+        "operations": {
+            sym: {"arity": t.arity, "size": t.size, "values": list(t.values)} for sym, t in sorted(a.operations.items())
+        },
+    }
+
+
+def iterated_meet(s, elements):
+    """The left-associated fold of the single ternary relation of s read as
+    a partial meet: None once a step is undefined; StructureError, worded as
+    semilat words it, at a step with two values."""
+    (rel,) = s.relations.values()
+    meets = {}
+    for a, b, c in sorted(rel.tuples):
+        meets.setdefault((a, b), []).append(c)
+    acc = elements[0]
+    for e in elements[1:]:
+        found = meets.get((acc, e), [])
+        if len(found) > 1:
+            raise StructureError(
+                f"non-functional relation: ({acc},{e},{found[0]}) and ({acc},{e},{found[1]}) both present"
+            )
+        if not found:
+            return None
+        acc = found[0]
+    return acc
+
+
 @pytest.fixture
 def structure_file(tmp_path):
     def write(s, name="structure.json"):
         path = tmp_path / name
-        dump_structure(s, str(path))
+        path.write_text(json.dumps(structure_to_json(s), indent=2) + "\n")
         return str(path)
 
     return write
@@ -190,7 +223,7 @@ def structure_file(tmp_path):
 def algebra_file(tmp_path):
     def write(a, name="algebra.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(algebra_to_json(a), indent=2) + "\n")
+        path.write_text(json.dumps(algebra_doc(a), indent=2) + "\n")
         return str(path)
 
     return write

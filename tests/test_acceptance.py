@@ -19,7 +19,7 @@ from hmkit.freecons import (
     verify_claims,
     verify_lemma22,
 )
-from hmkit.gadget import analyze_gadget_components, diagonal_structure, gadget_transform
+from hmkit.gadget import analyze_gadget_components, gadget_transform
 from hmkit.homsearch import find_homs, polymorphisms
 from hmkit.identlang import (
     SLUnsat,
@@ -35,7 +35,6 @@ from hmkit.semilat import (
     classify_meet_operation,
     decompose_product_hom,
     is_partial_semilattice,
-    iterated_meet,
     largest_element,
 )
 from hmkit.structures import (
@@ -48,7 +47,14 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, brute_force_homs, hm_pass_forces_unsat
+from conftest import (
+    MAJORITY_SYSTEM,
+    MALTSEV_SYSTEM,
+    SEMILATTICE_SYSTEM,
+    brute_force_homs,
+    hm_pass_forces_unsat,
+    iterated_meet,
+)
 
 
 def test_01_polymorphism_census(S):
@@ -78,7 +84,7 @@ def test_03_component_multiplicity_law(S):
         analysis = analyze_gadget_components(power(S, n))
         assert analysis.multiplicities() == {k: comb(n, k) for k in range(n + 1)}
     doubled = analyze_gadget_components(
-        disjoint_union([diagonal_structure(2), diagonal_structure(2)])
+        disjoint_union([power(S, 2), power(S, 2)])
     )
     assert doubled.multiplicities() == {0: 2, 1: 4, 2: 2}
     print("ACCEPTANCE 3 (transform component multiplicities): PASS")

@@ -5,6 +5,7 @@ these double as adapter-thinness tests.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -364,7 +365,7 @@ def test_psl_decompose_malformed_map_or_tops_is_exit_2(capsys, structure_file, S
     # structures that disagree with each other or with a top are unusable too
     edge = RelationalStructure(2, {"R": Relation(2, {(0, 1)})})
     e_path = structure_file(edge, "e.json")
-    other = structure_file(S.rename({"R": "Q"}), "q.json")
+    other = structure_file(RelationalStructure(2, {"Q": S.relations["R"]}), "q.json")
     for argv, message in (
         (["--target", e_path, "--factors", s_path, s_path], "target and factors have different signatures"),
         (["--target", s_path, "--factors", s_path, other], "target and factors have different signatures"),
@@ -482,6 +483,57 @@ def test_free_build_absent_hypothesis_still_exits_0(capsys, algebra_file, lattic
     assert code == 0
     verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
     assert verdicts["item 3 (retract)"] == "refused"
+
+
+def test_free_build_reports_a_kernel_that_is_no_congruence_as_items_5_and_6(capsys, monkeypatch, algebra_file):
+    """collapse checks no paper fact, so a kernel that is no congruence
+    reaches verify_lemma22, whose items 5 and 6 fail with their witnesses."""
+    compute_H = freecons.compute_H
+
+    def first_hom_only(bundle):
+        # a coarser kernel: each component keeps only its first homomorphism into S
+        bundle = compute_H(bundle)
+        bundle.components = tuple(dataclasses.replace(c, homs=c.homs[:1]) for c in bundle.components)
+        return bundle
+
+    monkeypatch.setattr(freecons, "compute_H", first_hom_only)
+    three_homs = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))})
+    argv = ["free", "build", "--algebra", algebra_file(three_homs), "--verify-lemma22", "--output", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: (c["verdict"], c["witness"]) for c in json.loads(out)["checks"]}
+    assert checks["item 5 (kernel is a congruence)"] == (
+        "fail", "f at position 1, parameters (1,): elements 0 and 3 separate"
+    )
+    assert checks["item 6 (induced operations)"] == (
+        "fail", "operation f at classes (0, 0): representatives give 0 but members (3, 2) give 1"
+    )
+    # both witnesses hold: f(0, 1) and f(3, 1) leave the class of 0 and 3,
+    # and f(3, 2) leaves class 0, where f on its representative gives class 0
+    bundle = freecons.build_bundle(three_homs)
+    qmap, f = bundle.quotient_map, bundle.free.algebra.operations["f"].apply
+    assert qmap[0] == qmap[3] and qmap[f(0, 1)] != qmap[f(3, 1)]
+    assert qmap[3] == qmap[2] == 0 == qmap[f(0, 0)] and qmap[f(3, 2)] == 1
+
+
+def test_free_build_reports_a_split_diagonal_class_as_item_2(capsys, monkeypatch, algebra_file, meet_algebra):
+    """free_structure checks no paper fact, so a diagonal class that is not
+    one component of the free structure reaches verify_lemma22 item 2."""
+    close = freecons._close
+
+    def constant_triples_only(seeds, algebras, *rest):
+        elements, derivations, index = close(seeds, algebras, *rest)
+        if len(seeds) == 4:  # the free structure's closure, from its four seed triples
+            elements = [t for t in elements if len(set(t)) == 1]
+        return elements, derivations, index
+
+    monkeypatch.setattr(freecons, "_close", constant_triples_only)
+    code, out, err = run(capsys, "free", "build", "--algebra", algebra_file(meet_algebra), "--verify-lemma22")
+    assert (code, err) == (1, "")
+    assert "item 2 (components): fail  diagonal class 0 [0, 1, 2] is not one component" in out.splitlines()
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "free", "build", "--algebra", algebra_file(meet_algebra), "--verify-lemma22")
+    assert code == 0 and "item 2 (components): pass" in out.splitlines()
 
 
 # --- gadget ---------------------------------------------------------------------
@@ -792,7 +844,7 @@ def test_parser_is_built_once(capsys, monkeypatch, structure_file, S):
     for argv in (["hom", "count", path, path], ["psl", "check", path], ["nonsense"]):
         run(capsys, *argv)
     assert built == []
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers() is cli._parsers()
 
 
 def test_options_do_not_carry_over(capsys, structure_file, S):
@@ -848,7 +900,7 @@ def test_each_command_parses_as_the_whole_tree_does(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, lambda args, started: seen.append(args) or 0)
         argv = [group, command, *rest]
         assert run(capsys, *argv) == (0, "", "")
-        assert vars(seen.pop()) == vars(cli.build_parser().parse_args(argv))
+        assert vars(seen.pop()) == vars(cli._parsers()[0].parse_args(argv))
     # the console script reaches main with argv=None
     monkeypatch.setattr(sys, "argv", ["hmkit", "psl", "check", "s.json", "--output=json"])
     assert main() == 0
@@ -858,7 +910,7 @@ def test_each_command_parses_as_the_whole_tree_does(capsys, monkeypatch):
 def tree_outcome(capsys, argv):
     """Exit code, stdout and stderr of the whole tree parsing argv."""
     try:
-        cli.build_parser().parse_args(argv)
+        cli._parsers()[0].parse_args(argv)
         code = None
     except SystemExit as exc:
         code = int(exc.code or 0)

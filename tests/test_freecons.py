@@ -23,7 +23,6 @@ from hmkit.freecons import (
     LabelingRefutation,
     VerificationReport,
     algebra_from_json,
-    algebra_to_json,
     apply_unary,
     build_bundle,
     bundle_summary,
@@ -65,6 +64,7 @@ from hmkit.semilat import (
     largest_element,
 )
 from hmkit.structures import (
+    Homomorphism,
     RelationalStructure,
     SizeLimitExceeded,
     StructureError,
@@ -73,6 +73,8 @@ from hmkit.structures import (
     product,
     two_element_semilattice,
 )
+
+from conftest import algebra_doc
 
 
 def closure_reference(seeds, algebras, max_elements):
@@ -213,7 +215,7 @@ def test_finite_algebra_validates_sizes(meet_table):
 
 
 def test_algebra_json_round_trip(meet_algebra, tmp_path):
-    doc = algebra_to_json(meet_algebra)
+    doc = algebra_doc(meet_algebra)
     again = algebra_from_json(doc)
     assert again.size == 2 and again.operations == meet_algebra.operations
 
@@ -457,14 +459,14 @@ def test_compute_H_and_collapse(meet_algebra):
     assert bundle.K.size == 2
     assert bundle.quotient_map == (0, 1, 0)
     assert find_isomorphism(bundle.K, two_element_semilattice()) is not None
-    assert bundle.Kalg.operations["meet"].values == (0, 0, 0, 1)
+    assert _quotient_tables(bundle.free.algebra, bundle.quotient_map, bundle.K.size)["meet"].values == (0, 0, 0, 1)
 
 
 def test_collapse_lattice_to_point(lattice_algebra):
     bundle = build_bundle(lattice_algebra)
     assert bundle.components[0].homs == ()
     assert bundle.K.size == 1
-    assert bundle.upper_indices() == ()
+    assert all(not c.homs for c in bundle.components)
 
 
 def test_apply_unary_and_generator_image(meet_algebra):
@@ -698,7 +700,8 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
 # elements are decoded by shifting their rank.  The functions below are
 # copied verbatim apart from their names; they read the bundle fields
 # `offsets` and `image` and the methods `rank_of_kid` and `coords_of_kid`,
-# which ReferenceBundle rebuilds from psi and the homomorphism counts.  One
+# which ReferenceBundle rebuilds from psi and the homomorphism counts, and
+# `upper_indices`, kept there since nothing in the library reads it.  One
 # change in behaviour is known: where a restriction spans components, the
 # reference stops the combination loop before claim 4, so claim 4 passes.
 
@@ -724,6 +727,10 @@ class ReferenceBundle(FreeBundle):
         u, rank = self.rank_of_kid(kid)
         h = self.hom_count(u)
         return tuple((rank >> (h - 1 - c)) & 1 for c in range(h))
+
+    def upper_indices(self) -> tuple[int, ...]:
+        """Components with at least one non-constant homomorphism."""
+        return tuple(c.unary_index for c in self.components if c.homs)
 
 
 def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
@@ -988,6 +995,14 @@ def test_collapse_decodes_every_element_once(meet_algebra, lattice_algebra, majo
                     rank = (rank << 1) | hom.mapping[local]
                 assert bundle.psi.mapping[e] == ref.offsets[u] + rank
         assert bundle.decode == tuple((ref.rank_of_kid(k)[0], ref.coords_of_kid(k)) for k in range(bundle.K.size))
+
+
+def test_collapse_psi_is_the_validated_homomorphism(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
+    """collapse builds psi unchecked; the validating constructor, the oracle,
+    accepts the same map."""
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
+        assert bundle.psi == Homomorphism(bundle.structure, bundle.union_structure, bundle.psi.mapping)
 
 
 def shaped_restriction(rng, bundle, comb, points):

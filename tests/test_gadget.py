@@ -6,7 +6,6 @@ import pytest
 
 from hmkit.gadget import (
     analyze_gadget_components,
-    diagonal_structure,
     gadget_transform,
     match_components_to_powers,
     y_structure,
@@ -127,8 +126,8 @@ def test_analysis_multiplicities_are_binomial(S, n):
     assert analysis.multiplicities() == {k: comb(n, k) for k in range(n + 1)}
 
 
-def test_analysis_respects_disjoint_unions():
-    d = disjoint_union([diagonal_structure(2), diagonal_structure(2)])
+def test_analysis_respects_disjoint_unions(S):
+    d = disjoint_union([power(S, 2), power(S, 2)])
     analysis = analyze_gadget_components(d)
     assert analysis.input_exponents == (2, 2)
     assert analysis.multiplicities() == {0: 2, 1: 4, 2: 2}
@@ -139,13 +138,6 @@ def test_analysis_of_point(point):
     assert analysis.input_exponents == (0,)
     # a single hom from S lands on the point; the transform is again a point
     assert analysis.output_exponents == (0,)
-
-
-def test_diagonal_structure_is_semilattice_power(S):
-    assert diagonal_structure(2).relations == power(S, 2).relations
-    assert diagonal_structure(1).relations == S.relations
-    with pytest.raises(StructureError):
-        diagonal_structure(0)
 
 
 def test_one_element_structure_matches_exponent_zero(point):
