@@ -1,26 +1,24 @@
 """The hom-set gadget: a ternary structure built on Hom(S, D).
 
 Applying the transform to a disjoint union of semilattice powers yields
-another disjoint union of semilattice powers; the analysis helpers verify
-that shape and report the exponents with multiplicities.
+another disjoint union of semilattice powers.  The analysis verifies the
+input's shape and reads the output's off it, with no transform built: the
+component of the transform at an element a is the principal filter of a,
+S^(k - popcount a) in S^k, as `analyze_gadget_components` proves.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
 from .homsearch import hom_maps
 from .semilat import single_ternary_relation
 from .structures import (
-    Homomorphism,
     Relation,
     RelationalStructure,
     StructureError,
     connected_components,
-    one_element_structure,
-    power,
     two_element_semilattice,
 )
 
@@ -66,45 +64,10 @@ def gadget_transform(d: RelationalStructure) -> RelationalStructure:
     return RelationalStructure(len(legs), {symbol: Relation(3, triples)}, labels)
 
 
-@dataclass(frozen=True)
-class ComponentMatch:
-    component: RelationalStructure
-    exponent: int  # k with component isomorphic to the k-th power; 0 = point
-    iso: Homomorphism
-
-
 def _power_iso(comp: RelationalStructure) -> tuple[int, ...] | None:
     """The lexicographically first isomorphism from comp onto S^k, or None.
 
-    The criterion, and why it is exact, is in `match_components_to_powers`.
-    """
-    n = comp.size
-    k = n.bit_length() - 1
-    triples = comp.relations[comp.symbols()[0]].tuples
-    if n != 1 << k or len(triples) != n * n:
-        return None
-    # (x, y, x) says x <= y; a coatom has two upper bounds, itself and the top
-    ups = Counter(x for x, _, z in triples if x == z)
-    coatoms = [m for m in range(n) if ups[m] == 2]
-    if len(coatoms) != k:
-        return None
-    columns = sorted(tuple(int((x, m, x) not in triples) for x in range(n)) for m in coatoms)
-    mapping = [0] * n
-    for column in columns:  # the first column ends up most significant
-        mapping = [2 * v + bit for v, bit in zip(mapping, column)]
-    if len(set(mapping)) != n or any(mapping[c] != mapping[a] & mapping[b] for a, b, c in triples):
-        return None
-    return tuple(mapping)
-
-
-def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
-    """Match every connected component against a power of the semilattice.
-
-    Exponent 0 stands for the one-element structure.  Raises when some
-    component matches nothing, so a successful return is a proof that d is
-    a disjoint union of semilattice powers.
-
-    Each component is read off its relation in time linear in it; there is
+    The component is read off its relation in time linear in it; there is
     no isomorphism search.  In S^k, whose ids are the ranks of bit tuples,
     x <= m exactly when (x, m, x) is a tuple, and bit j of x is 0 exactly
     when x lies below the coatom with only bit j clear.  So for a component
@@ -131,21 +94,39 @@ def match_components_to_powers(d: RelationalStructure) -> list[ComponentMatch]:
     of them before j; the other order placed as many there, hence all of
     them, its own j-th column included, which is a contradiction.
     """
+    n = comp.size
+    k = n.bit_length() - 1
+    triples = comp.relations[comp.symbols()[0]].tuples
+    if n != 1 << k or len(triples) != n * n:
+        return None
+    # (x, y, x) says x <= y; a coatom has two upper bounds, itself and the top
+    ups = Counter(x for x, _, z in triples if x == z)
+    coatoms = [m for m in range(n) if ups[m] == 2]
+    if len(coatoms) != k:
+        return None
+    columns = sorted(tuple(int((x, m, x) not in triples) for x in range(n)) for m in coatoms)
+    mapping = [0] * n
+    for column in columns:  # the first column ends up most significant
+        mapping = [2 * v + bit for v, bit in zip(mapping, column)]
+    if len(set(mapping)) != n or any(mapping[c] != mapping[a] & mapping[b] for a, b, c in triples):
+        return None
+    return tuple(mapping)
+
+
+def match_components_to_powers(d: RelationalStructure) -> list[int]:
+    """The k with each connected component isomorphic to S^k, in component order.
+
+    Exponent 0 stands for the one-element structure.  Raises when some
+    component matches nothing, so a successful return is a proof that d is
+    a disjoint union of semilattice powers.  Each component is checked by
+    `_power_iso`, with no power of S built.
+    """
     single_ternary_relation(d)
-    symbol = d.symbols()[0]
-    S = two_element_semilattice(symbol)
-    # many components share an exponent; each power is built once
-    power_of = functools.cache(lambda k: power(S, k))
-    out = []
     decomposition = connected_components(d)
     for block, comp in zip(decomposition.partition, decomposition.induced):
-        mapping = _power_iso(comp)
-        if mapping is None:
+        if _power_iso(comp) is None:
             raise StructureError(f"component {block} is not a power of the semilattice")
-        k = comp.size.bit_length() - 1
-        target = power_of(k) if k else one_element_structure(symbol)
-        out.append(ComponentMatch(comp, k, Homomorphism._trusted(comp, target, mapping)))
-    return out
+    return [comp.size.bit_length() - 1 for comp in decomposition.induced]
 
 
 @dataclass(frozen=True)
@@ -158,9 +139,26 @@ class GadgetAnalysis:
 
 
 def analyze_gadget_components(d: RelationalStructure) -> GadgetAnalysis:
-    """Verify the transform of a union of semilattice powers is again one."""
+    """Verify d is a union of semilattice powers; read its transform's shape off d.
+
+    The transform's component at a is S^j, 2^j = |up a| being the number of
+    m with (a, m, a) in d, in the id order of a: the output exponents are
+    read off d, with no hom search, no transform and no power of S built.
+
+    Proof.  The input match proves every component of d is the meet graph
+    {(x, y, x & y)} of some S^k.  A map from S, 0 -> a and 1 -> b, sends
+    (0, 1, 0) to (a, b, a), so it is a homomorphism exactly when a <= b.  A
+    map from Y sending 0, 1, 2, 3 to a, b, c, e preserves a meet graph
+    exactly when it preserves every meet: a <= b, c, e and e = b & c, since
+    b & e = e and c & e = e then follow.  So the legs (a, .) correspond to
+    the filter up a, their triples form the meet graph of up a, and no
+    triple joins legs with different values at 0.  The legs (a, .) are one
+    component, as each (a, b) lies in the triple ((a, a), (a, b), (a, a)).
+    In S^k, up x is S^(k - popcount x), by restriction to the bits clear in
+    x, so its size 2^j gives j.  The transform lists legs lexicographically
+    and orders components by their least leg, so the run of legs (a, .)
+    is the a-th component.
+    """
     before = match_components_to_powers(d)
-    after = match_components_to_powers(gadget_transform(d))
-    return GadgetAnalysis(
-        tuple(m.exponent for m in before), tuple(m.exponent for m in after)
-    )
+    ups = Counter(x for x, _, z in d.relations[d.symbols()[0]].tuples if x == z)
+    return GadgetAnalysis(tuple(before), tuple(ups[a].bit_length() - 1 for a in range(d.size)))

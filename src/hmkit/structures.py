@@ -137,6 +137,8 @@ def connected_components(s: RelationalStructure) -> ComponentDecomposition:
     for v in range(s.size):
         blocks.setdefault(find(v), []).append(v)
     partition = tuple(map(tuple, blocks.values()))
+    if len(partition) == 1:  # re-indexing by the identity would rebuild s
+        return ComponentDecomposition(partition, (s,))
     block_of = [0] * s.size
     local = [0] * s.size
     for k, block in enumerate(partition):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hmkit.gadget import (
+    _power_iso,
     analyze_gadget_components,
     gadget_transform,
     match_components_to_powers,
@@ -102,9 +103,7 @@ def test_gadget_transform_requires_single_ternary_relation(S):
 
 
 def test_match_components_to_powers(S, point):
-    matches = match_components_to_powers(disjoint_union([S, point]))
-    assert [m.exponent for m in matches] == [1, 0]
-    assert matches[0].iso is not None and matches[1].iso is not None
+    assert match_components_to_powers(disjoint_union([S, point])) == [1, 0]
 
     with pytest.raises(StructureError, match="not a power"):
         match_components_to_powers(y_structure())
@@ -144,33 +143,35 @@ def test_one_element_structure_matches_exponent_zero(point):
     assert find_isomorphism(point, one_element_structure()) is not None
 
 
-def test_match_builds_each_power_once(S, point, monkeypatch):
-    import hmkit.gadget as gadget
-
-    calls = []
-
-    def counting(s, k, *args, **kwargs):
-        calls.append(k)
-        return power(s, k, *args, **kwargs)
-
-    def matched(d):
-        calls.clear()
-        matches = match_components_to_powers(d)
-        # the matches that a fresh power per component gives
-        for m in matches:
-            target = one_element_structure() if m.exponent == 0 else power(S, m.exponent)
-            assert m.iso == find_isomorphism(m.component, target)
-        return [m.exponent for m in matches]
-
-    monkeypatch.setattr(gadget, "power", counting)
-    exponents = matched(gadget_transform(power(S, 5)))
-    assert len(exponents) == 32 and sorted(calls) == [1, 2, 3, 4, 5]
-    assert matched(disjoint_union([power(S, 2), power(S, 2), power(S, 3), point])) == [2, 2, 3, 0]
-    assert sorted(calls) == [2, 3]
-
-
 def power_or_point(S, k):
     return one_element_structure() if k == 0 else power(S, k)
+
+
+def unions_of_powers(S, seed, count):
+    """Seeded unions of S^0..S^3, relabelled so that their components' ids interleave."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        parts = [power_or_point(S, rng.randint(0, 3)) for _ in range(rng.randint(2, 4))]
+        union = disjoint_union(parts)
+        out.append(relabel(union, rng.sample(range(union.size), union.size)))
+    return out
+
+
+def test_match_builds_no_power(S, point, monkeypatch):
+    import hmkit.gadget as gadget
+    import hmkit.structures as structures
+
+    inputs = [gadget_transform(power(S, 5)), disjoint_union([power(S, 2), power(S, 2), power(S, 3), point])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the match built a power of S")
+
+    monkeypatch.setattr(structures, "power", refuse)
+    monkeypatch.setattr(gadget, "power", refuse, raising=False)
+    exponents = match_components_to_powers(inputs[0])
+    assert len(exponents) == 32 and sorted(exponents) == sorted(5 - bin(x).count("1") for x in range(32))
+    assert match_components_to_powers(inputs[1]) == [2, 2, 3, 0]
 
 
 def test_match_equals_find_isomorphism(S, point):
@@ -186,11 +187,42 @@ def test_match_equals_find_isomorphism(S, point):
     inputs += [gadget_transform(d) for d in inputs]
     checked = 0
     for d in inputs:
-        for m in match_components_to_powers(d):
-            assert m.iso.target == power_or_point(S, m.exponent)
-            assert m.iso.mapping == find_isomorphism(m.component, m.iso.target).mapping
+        components = connected_components(d).induced
+        exponents = [comp.size.bit_length() - 1 for comp in components]
+        assert match_components_to_powers(d) == exponents
+        for comp, k in zip(components, exponents):
+            assert _power_iso(comp) == find_isomorphism(comp, power_or_point(S, k)).mapping
             checked += 1
     assert checked == 344
+
+
+def test_analysis_equals_the_materialised_transform(S, point):
+    inputs = [point] + [power(S, k) for k in range(1, 8)] + unions_of_powers(S, 22, 40)
+    for d in inputs:
+        analysis = analyze_gadget_components(d)
+        assert analysis.input_exponents == tuple(match_components_to_powers(d))
+        assert analysis.output_exponents == tuple(match_components_to_powers(gadget_transform(d)))
+    # most unions have a point component, and most have one whose ids are no run
+    unions = [connected_components(d).partition for d in inputs[8:]]
+    assert sum(any(len(b) == 1 for b in p) for p in unions) > 20
+    assert sum(any(b[-1] - b[0] >= len(b) for b in p) for p in unions) > 30
+
+
+def test_analysis_builds_no_transform(S, point, monkeypatch):
+    import hmkit.gadget as gadget
+    import hmkit.homsearch as homsearch
+    import hmkit.structures as structures
+
+    inputs = [point, power(S, 6), *unions_of_powers(S, 23, 10)]
+    want = [analyze_gadget_components(d) for d in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis built a transform or a power")
+
+    for module, name in ((gadget, "hom_maps"), (homsearch, "hom_maps"), (gadget, "gadget_transform"),
+                         (structures, "power"), (gadget, "power")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    assert [analyze_gadget_components(d) for d in inputs] == want
 
 
 def non_powers(S):

@@ -130,7 +130,7 @@ def connected_components_reference(s):
 
 def test_connected_components_matches_reference():
     rng = random.Random(10)
-    split = 0
+    split = whole = 0
     for size in range(10):
         for _ in range(30):
             rels = {}
@@ -149,7 +149,10 @@ def test_connected_components_matches_reference():
             # equality ignores the order of the relation dicts; the reports do not
             assert [list(g.relations) for g in got.induced] == [list(w.relations) for w in want_induced]
             split += len(want_partition) > 1
-    assert split > 100
+            if len(want_partition) == 1:
+                whole += 1
+                assert got.induced[0] is s  # one block: s itself, not a re-indexed copy
+    assert split > 100 and whole > 50
 
     unary = RelationalStructure(3, {"R": Relation(3, frozenset({(0, 1, 2)})), "P": Relation(1, frozenset({(0,)}))})
     with pytest.raises(StructureError, match="arity 1") as got_error:
