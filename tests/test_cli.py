@@ -429,6 +429,31 @@ def test_psl_decompose_failure_precedence(capsys, structure_file, S):
 # --- free -----------------------------------------------------------------------
 
 
+TWO_TERNARY = FiniteAlgebra(
+    2,
+    {
+        "t0": OperationTable(3, 2, (0, 1, 0, 1, 1, 1, 1, 1)),
+        "t1": OperationTable(3, 2, (0, 0, 1, 1, 1, 1, 0, 1)),
+    },
+    ("0", "1"),
+)
+
+
+def test_free_build_golden_reports(capsys, algebra_file, majority_algebra):
+    # element ids, term names and the first witnesses follow the closure's
+    # evaluation order, so whole reports are pinned, bar their timing
+    three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))}, ("0", "1", "2"))
+    cases = (("majority", majority_algebra, "3"), ("two_ternary", TWO_TERNARY, "3"), ("three", three, "2"))
+    for name, algebra, arity in cases:
+        code, out, _ = run(
+            capsys, "free", "build", "--algebra", algebra_file(algebra),
+            "--verify-lemma22", "--verify-claims", arity, "--output", "json",
+        )
+        assert code == 0
+        with open(os.path.join(GOLDEN, f"free_build_{name}.json"), encoding="utf-8") as fh:
+            assert re.sub(r'("elapsed_ms": )[0-9.e+-]+', r"\g<1>0", out) == fh.read()
+
+
 def test_free_build_full_verification(capsys, algebra_file, meet_algebra):
     code, out, _ = run(
         capsys,
@@ -692,17 +717,9 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
     # each reported identity is the first collision the pair closure finds,
     # which depends on its evaluation order, so the whole report is pinned,
     # bar its timing
-    two_ternary = FiniteAlgebra(
-        2,
-        {
-            "t0": OperationTable(3, 2, (0, 1, 0, 1, 1, 1, 1, 1)),
-            "t1": OperationTable(3, 2, (0, 0, 1, 1, 1, 1, 0, 1)),
-        },
-        ("0", "1"),
-    )
     # a 3-element algebra whose rank-2 free algebra has all 729 elements
     three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))}, ("0", "1", "2"))
-    for name, algebra in (("majority", majority_algebra), ("two_ternary", two_ternary), ("three", three)):
+    for name, algebra in (("majority", majority_algebra), ("two_ternary", TWO_TERNARY), ("three", three)):
         code, out, _ = run(
             capsys, "alg", "hm-evidence", "--algebra", algebra_file(algebra), "--output", "json"
         )
