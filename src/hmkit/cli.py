@@ -308,18 +308,14 @@ def cmd_free_build(args, started: float) -> int:
     algebra = freecons.load_algebra(args.algebra)
     bundle = freecons.build_bundle(algebra, max_tuples=args.max_tuples)
     checks = [Check("build", "pass", freecons.bundle_summary(bundle))]
-    code = 0
     reports = []
     if args.verify_lemma22:
         reports.append(freecons.verify_lemma22(bundle))
     if args.verify_claims is not None:
         reports.append(freecons.verify_claims(bundle, args.verify_claims))
     for report in reports:
-        for r in report.results:
-            checks.append(Check(r.name, _STATUS_TO_VERDICT[r.status], r.detail or None))
-            if r.status == freecons.FAIL:
-                code = 1
-    return _emit_report(args, "free build", checks, code, started)
+        checks.extend(Check(r.name, _STATUS_TO_VERDICT[r.status], r.detail or None) for r in report.results)
+    return _emit_report(args, "free build", checks, 0 if all(report.passed for report in reports) else 1, started)
 
 
 # --- gadget ---------------------------------------------------------------------

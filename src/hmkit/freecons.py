@@ -31,7 +31,11 @@ and the evidence search are subpower closures computed by one semi-naive
 engine, `_close`, which takes one algebra per coordinate; `max_tuples`
 bounds the elements each closure finds.  A closure stops as soon as it
 holds the whole power, since nothing more could be added; the free
-structure's triples often fill F^3 early in round 2.
+structure's triples often fill F^3 early in round 2.  Its batches
+(`_batches`) map each table row over the last-argument column once per
+head (the arguments before the last two) and batch start, and share the
+mapped column with every argument prefix that selects that row: a
+coordinate of size n holds at most n mapped columns of length `new`.
 
 The evidence search, hm_evidence, closes per coordinate labeling and rank
 j the pairs (term operation of F_j, labeled variable set) that terms
@@ -190,9 +194,16 @@ def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...
     """Apply tables[c] at coordinate c to every argument tuple over
     range(new) that holds an id >= old, in lexicographic order.
 
-    The tables share one arity.  Yields (prefix, first, batch): batch[i] is
+    The tables share one arity m.  Yields (prefix, first, batch): batch[i] is
     the value at the arguments prefix + (first + i,).  A constant's empty
     argument tuple yields ((), 0, [value]), and only when old == 0.
+
+    A prefix is a head (its first m - 2 arguments) and an end.  At a
+    coordinate of size n the head leaves n table rows, one per value of the
+    end.  Each row is mapped over the last-argument column once, on first
+    use, and shared by every prefix of the head and of one first that
+    selects it, so a coordinate holds at most n mapped columns of length
+    new at a time.
     """
     m = tables[0].arity
     if m == 0:
@@ -202,14 +213,27 @@ def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...
     sizes = [t.size for t in tables]
     values = [t.values for t in tables]
     columns = list(zip(*elements[:new]))
-    for prefix in itertools.product(range(new), repeat=m - 1):
-        # per coordinate, the flat table index of the prefix with a zero last argument
-        offset = [0] * len(columns)
-        for e in prefix:
-            offset = [(o + v) * n for o, v, n in zip(offset, elements[e], sizes)]
-        first = 0 if prefix and max(prefix) >= old else old
-        rows = [vals[o : o + n].__getitem__ for vals, o, n in zip(values, offset, sizes)]
-        yield prefix, first, list(zip(*map(map, rows, (col[first:new] for col in columns))))
+    if m == 1:
+        yield (), old, list(zip(*map(map, (vals.__getitem__ for vals in values), (col[old:new] for col in columns))))
+        return
+    for head in itertools.product(range(new), repeat=m - 2):
+        # per coordinate, the row index of the head followed by a zero argument
+        base = [0] * len(columns)
+        for e in head:
+            base = [(o + v) * n for o, v, n in zip(base, elements[e], sizes)]
+        # under a head of old ids, a prefix of old ids batches the new last arguments only
+        stale = not head or max(head) < old
+        for ends, first in ((range(old), old), (range(old, new), 0)) if stale else ((range(new), 0),):
+            memos = [[None] * n for n in sizes]  # per coordinate, value -> mapped column
+            for end in ends:
+                point = elements[end]
+                mapped = list(map(list.__getitem__, memos, point))
+                if None in mapped:
+                    for memo, v, o, vals, n, col in zip(memos, point, base, values, sizes, columns):
+                        if memo[v] is None:
+                            memo[v] = list(map(vals[(o + v) * n : (o + v + 1) * n].__getitem__, col[first:new]))
+                    mapped = list(map(list.__getitem__, memos, point))
+                yield head + (end,), first, list(zip(*mapped))
 
 
 def _close(
@@ -512,9 +536,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(r.status != FAIL for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [f"{r.name}: {r.status}" + (f" ({r.detail})" if r.detail else "") for r in self.results]
 
 
 def _collapsed_substructure(bundle: FreeBundle, u: int) -> RelationalStructure:

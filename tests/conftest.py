@@ -177,6 +177,11 @@ def relabel(s, perm):
     return RelationalStructure(s.size, rels)
 
 
+def report_lines(report):
+    """One line per check of a VerificationReport: name, status and detail."""
+    return [f"{r.name}: {r.status}" + (f" ({r.detail})" if r.detail else "") for r in report.results]
+
+
 def algebra_doc(a):
     """The algebra file document of a: its labels (ids when it has none) and its tables."""
     labels = a.labels if a.labels is not None else [str(i) for i in range(a.size)]

@@ -54,6 +54,7 @@ from conftest import (
     brute_force_homs,
     hm_pass_forces_unsat,
     iterated_meet,
+    report_lines,
 )
 
 
@@ -102,7 +103,7 @@ def test_04_free_pipeline_meet_semilattice(meet_algebra, S):
     lemma = verify_lemma22(bundle)
     assert [r.status for r in lemma.results] == ["pass"] * 6
     claims = verify_claims(bundle, 2)
-    assert claims.passed, claims.lines()
+    assert claims.passed, report_lines(claims)
     print("ACCEPTANCE 4 (free pipeline, meet semilattice input): PASS")
 
 

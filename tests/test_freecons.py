@@ -36,6 +36,7 @@ from hmkit.freecons import (
     verify_claims,
     verify_lemma22,
     variable_names,
+    _batches,
     _classify_into_coords,
     _close,
     _collapsed_substructure,
@@ -74,7 +75,7 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import algebra_doc
+from conftest import algebra_doc, report_lines
 
 
 def closure_reference(seeds, algebras, max_elements):
@@ -430,6 +431,37 @@ def test_closure_that_fills_the_power_skips_its_closing_round(monkeypatch):
         free_structure(a, 63)
 
 
+def batches_reference(tables, elements, old, new):
+    """_batches by OperationTable.apply, one argument tuple at a time in
+    lexicographic order, grouped by the prefix before the last argument."""
+    m = tables[0].arity
+    if m == 0:
+        return [((), 0, [tuple(t.apply() for t in tables)])] if old == 0 else []
+    out = []
+    for prefix in itertools.product(range(new), repeat=m - 1):
+        lasts = [e for e in range(new) if max(prefix + (e,)) >= old]
+        batch = [
+            tuple(t.apply(*(elements[arg][c] for arg in prefix + (e,))) for c, t in enumerate(tables)) for e in lasts
+        ]
+        out.append((prefix, lasts[0] if lasts else old, batch))
+    return out
+
+
+def test_batches_match_reference():
+    """Seeded tables of arities 0-4 at coordinates of sizes 3 and 2 side by
+    side, as the evidence closure mixes algebra and bit coordinates."""
+    rng = random.Random(43)
+    for m in range(5):
+        for _ in range(6):
+            sizes = [3, 2] + [rng.choice((2, 3)) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(sizes)
+            tables = [OperationTable(m, n, tuple(rng.randrange(n) for _ in range(n**m))) for n in sizes]
+            new = rng.randint(1, (9, 9, 9, 6, 4)[m])
+            elements = [tuple(rng.randrange(n) for n in sizes) for _ in range(new)]
+            for old in sorted({0, 1, new // 2, new}):
+                assert list(_batches(tables, elements, old, new)) == batches_reference(tables, elements, old, new)
+
+
 def test_free_structure_semilattice_triples(meet_algebra):
     bundle = free_structure(meet_algebra)
     x, y = bundle.x, bundle.y
@@ -502,7 +534,7 @@ def test_verify_lemma22_lattice_flags_item3(lattice_algebra):
 def test_verify_claims(meet_algebra, lattice_algebra, bare_algebra):
     for algebra in (meet_algebra, lattice_algebra, bare_algebra):
         report = verify_claims(build_bundle(algebra), 2)
-        assert report.passed, report.lines()
+        assert report.passed, report_lines(report)
 
 
 def test_quotient_tables_reject_non_congruence(meet_algebra):
@@ -1070,7 +1102,7 @@ def test_verify_claims_matches_reference(meet_algebra, lattice_algebra, majority
         # arity-2 polymorphisms of a larger image are too many for the reference
         max_arity = 2 if top <= 2 and bundle.K.size <= 3 else 1
         report = verify_claims(bundle, max_arity)
-        assert report.lines() == verify_claims_reference(reference_bundle(bundle), max_arity).lines()
+        assert report_lines(report) == report_lines(verify_claims_reference(reference_bundle(bundle), max_arity))
 
 
 def test_verify_claims_component_with_four_homomorphisms():
@@ -1078,7 +1110,7 @@ def test_verify_claims_component_with_four_homomorphisms():
     assert [len(c.kids) for c in bundle.components] == [5]
     assert bundle.hom_count(0) == 4
     report = verify_claims(bundle, 1)
-    assert report.passed, report.lines()
+    assert report.passed, report_lines(report)
 
 
 def column_failure_reference(
@@ -1159,7 +1191,7 @@ def test_verify_claims_names_the_first_coordinate_that_is_no_meet(monkeypatch):
         yield (0, 1, 3, 2, 4)  # coordinate 0 is the projection 0, coordinate 1 reads 0,0,1,0,1
 
     monkeypatch.setattr(freecons, "hom_maps", with_one_restriction)
-    assert verify_claims(bundle, 1).lines()[2:] == [
+    assert report_lines(verify_claims(bundle, 1))[2:] == [
         "claim 3 (meets of coordinate projections): fail"
         " (arity 1, components (0,): coordinate 1 is not a meet of coordinate projections)",
         "claim 4 (unique shaped extension): fail (arity 1, components (0,): 0 extensions)",
@@ -1183,7 +1215,7 @@ def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
             yield (2, 1)  # kid 0 -> kid 2, kid 1 fixed
 
     monkeypatch.setattr(freecons, "hom_maps", with_spanning_map)
-    assert verify_claims(bundle, 1).lines()[2:] == [
+    assert report_lines(verify_claims(bundle, 1))[2:] == [
         "claim 3 (meets of coordinate projections): fail (arity 1: restriction spans components [0, 1])",
         "claim 4 (unique shaped extension): fail (arity 1, components (0,): 0 extensions)",
     ]
@@ -1236,7 +1268,7 @@ def test_verify_claims_on_components_of_sizes_2_1_2_1(monkeypatch):
 
     monkeypatch.setattr(freecons, "_count_shaped_extensions", counting)
     report = verify_claims(bundle, 2)
-    assert report.passed, report.lines()
+    assert report.passed, report_lines(report)
     assert checked == counts[1] + counts[2]
 
 
@@ -1250,7 +1282,7 @@ def test_verify_claims_refuses_an_arity_below_1(meet_algebra):
 def test_verify_lemma22_item5_names_the_first_separating_translation(meet_algebra):
     bundle = build_bundle(meet_algebra)
     bundle.quotient_map = (0, 0, 1)
-    assert verify_lemma22(bundle).lines()[4] == (
+    assert report_lines(verify_lemma22(bundle))[4] == (
         "item 5 (kernel is a congruence): fail (meet at position 1, parameters (0,): elements 0 and 1 separate)"
     )
 
