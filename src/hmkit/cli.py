@@ -173,7 +173,8 @@ def cmd_structure_iso(args, started: float) -> int:
     a, b = _load(args.first), _load(args.second)
     iso = structures.find_isomorphism(a, b)
     if iso is None:
-        return _emit_report(args, "structure iso", [Check("isomorphic", "fail")], 1, started)
+        evidence = structures.non_isomorphism_evidence(a, b)
+        return _emit_report(args, "structure iso", [Check("isomorphic", "fail", evidence)], 1, started)
     return _emit_report(args, "structure iso", [Check("isomorphic", "pass", list(iso.mapping))], 0, started)
 
 

@@ -4,7 +4,10 @@ One engine, `hom_maps`, serves `find_homs`, `count_homs`,
 `find_retraction`, `structures.find_isomorphism` and the hom-set gadget.
 Source elements are assigned in ascending id order and target values tried
 in ascending order, so maps come in lexicographic order.  Each unassigned
-element keeps a domain bitmask.  Once all but the highest element of a
+element keeps a domain bitmask of the target values still open to it.  A
+caller may hand in initial domains (`pinned`: source id -> bitmask of
+allowed target ids); they only narrow the search, so the maps that remain
+come in the same order.  Once all but the highest element of a
 source tuple are assigned, a support table precompiled per relation and
 open positions narrows that element's domain to the values completing the
 tuple (support-set forward checking, Mackworth 1977), so every tuple is
@@ -79,18 +82,20 @@ def hom_maps(
 ) -> Iterator[tuple[int, ...]]:
     """Mapping tuples of the homomorphisms source -> target, lexicographically.
 
-    `pinned` forces source ids onto target ids; `injective` keeps only
-    injective maps.  Nothing runs, input checks included, until the first
-    tuple is asked for.
+    `pinned` maps source ids to initial domains: bitmasks of the target ids
+    they may take (`1 << v` forces v).  `injective` keeps only injective
+    maps.  Nothing runs, input checks included, until the first tuple is
+    asked for.
     """
     if source.signature() != target.signature():
         raise SignatureMismatch("endpoints have different signatures")
     n = source.size
-    domain = [(1 << target.size) - 1] * n
-    for k, v in (pinned or {}).items():
-        if not (0 <= k < n) or not (0 <= v < target.size):
-            raise StructureError(f"pin {k}->{v} out of range")
-        domain[k] &= 1 << v
+    full = (1 << target.size) - 1
+    domain = [full] * n
+    for k, allowed in (pinned or {}).items():
+        if not (0 <= k < n) or not (0 <= allowed <= full):
+            raise StructureError(f"pin {k}->{allowed:#b} out of range")
+        domain[k] &= allowed
 
     # checks[v]: (hole, read the other values, support table) for every
     # tuple whose highest element is `hole` and second highest is v
@@ -173,7 +178,12 @@ def find_homs(
 ) -> list[Homomorphism]:
     """All homomorphisms source -> target, in lexicographic map order."""
     opts = options or SearchOptions()
-    maps: Iterator[tuple[int, ...]] = hom_maps(source, target, opts.pinned)
+    pins = {}
+    for k, v in (opts.pinned or {}).items():
+        if not (0 <= v < target.size):
+            raise StructureError(f"pin {k}->{v} out of range")
+        pins[k] = 1 << v
+    maps: Iterator[tuple[int, ...]] = hom_maps(source, target, pins)
     if opts.nonconstant_only:
         maps = (m for m in maps if len(set(m)) > 1)
     if opts.limit > 0:
@@ -194,7 +204,7 @@ def find_retraction(
     for a left inverse with the embedding's values pinned.
     """
     for into in hom_maps(small, big, injective=True):
-        pins = {img: x for x, img in enumerate(into)}
+        pins = {img: 1 << x for x, img in enumerate(into)}
         onto = next(hom_maps(big, small, pins), None)
         if onto is not None:
             return Homomorphism._trusted(small, big, into), Homomorphism._trusted(big, small, onto)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import add
+from collections import Counter
+from operator import add, itemgetter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -337,22 +338,83 @@ def kernel(phi: Homomorphism) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(block)) for block in sorted(classes.values(), key=lambda b: b[0]))
 
 
-def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> Homomorphism | None:
-    """A bijection that is a homomorphism both ways, or None.
+def _incidence_profiles(s: RelationalStructure) -> list[tuple[int, ...]]:
+    """Per element, for every symbol (sorted) and position, the number of
+    tuples holding the element at that position; counted at C level."""
+    counts = [
+        list(map(Counter(map(itemgetter(i), s.relations[sym].tuples)).__getitem__, range(s.size)))
+        for sym in s.symbols()
+        for i in range(s.relations[sym].arity)
+    ]
+    return list(zip(*counts)) if counts else [()] * s.size
 
-    The first injective homomorphism in lexicographic map order.  With equal
-    sizes and equal tuple counts per relation, an injective homomorphism
-    maps each relation of `a` onto that of `b`, so its inverse is one too.
+
+def _describe_profile(s: RelationalStructure, profile: tuple[int, ...]) -> str:
+    parts, start = [], 0
+    for sym in s.symbols():
+        arity = s.relations[sym].arity
+        parts.append(f"{sym}[{', '.join(map(str, profile[start:start + arity]))}]")
+        start += arity
+    return " ".join(parts)
+
+
+def _compare_invariants(a: RelationalStructure, b: RelationalStructure) -> str | list[int]:
+    """The first invariant of a and b that differs, named in a sentence:
+    signature, size, tuple count of a relation, incidence-profile multiset.
+    When all agree, each element of a's initial domain for the isomorphism
+    search: the bitmask of the elements of b with its incidence profile."""
+    if a.signature() != b.signature():
+        return f"signatures differ: {a.signature()} vs {b.signature()}"
+    if a.size != b.size:
+        return f"sizes differ: {a.size} vs {b.size}"
+    for sym in a.symbols():
+        na, nb = len(a.relations[sym].tuples), len(b.relations[sym].tuples)
+        if na != nb:
+            return f"relation {sym} has {na} tuples in the first structure and {nb} in the second"
+    pa, pb = _incidence_profiles(a), _incidence_profiles(b)
+    if sorted(pa) != sorted(pb):
+        ca, cb = Counter(pa), Counter(pb)
+        profile = min(p for p in ca.keys() | cb.keys() if ca[p] != cb[p])
+        return (
+            f"elements with incidence profile {_describe_profile(a, profile)}:"
+            f" {ca[profile]} in the first structure, {cb[profile]} in the second"
+        )
+    allowed: dict[tuple[int, ...], int] = {}
+    for w, p in enumerate(pb):
+        allowed[p] = allowed.get(p, 0) | 1 << w
+    return list(map(allowed.__getitem__, pa))
+
+
+def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> Homomorphism | None:
+    """A bijection that is a homomorphism both ways, or None: the first in
+    lexicographic map order.
+
+    The search looks for an injective homomorphism.  With equal sizes and
+    equal tuple counts per relation, one maps each relation of `a` onto that
+    of `b`, so its inverse is a homomorphism too.  An isomorphism carries
+    each element to one with the same incidence profile (tuples with it at
+    each position of each relation), so each element of `a` starts with the
+    elements of `b` of its own profile as its domain (vertex-invariant
+    pruning, McKay 1981).  The search still visits maps in lexicographic
+    order, and the pruning removes only branches holding no isomorphism, so
+    the first isomorphism it reaches is the first one overall.
     """
     from .homsearch import hom_maps  # homsearch imports this module
 
-    if a.signature() != b.signature() or a.size != b.size:
+    domains = _compare_invariants(a, b)
+    if isinstance(domains, str):
         return None
-    for sym in a.symbols():
-        if len(a.relations[sym].tuples) != len(b.relations[sym].tuples):
-            return None
-    fwd = next(hom_maps(a, b, injective=True), None)
+    fwd = next(hom_maps(a, b, dict(enumerate(domains)), injective=True), None)
     return None if fwd is None else Homomorphism._trusted(a, b, fwd)
+
+
+def non_isomorphism_evidence(a: RelationalStructure, b: RelationalStructure) -> str:
+    """Why `find_isomorphism(a, b)` is None: the first invariant that
+    differs or, when all agree, that the exhaustive search found no bijection."""
+    found = _compare_invariants(a, b)
+    if isinstance(found, str):
+        return found
+    return "all invariants agree; the exhaustive search found no bijection preserving every relation"
 
 
 # --- standard small structures ---------------------------------------------

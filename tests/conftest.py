@@ -168,6 +168,15 @@ def random_structure(rng, size, signature, density=None):
     return RelationalStructure(size, rels)
 
 
+def directed_cycles(*lengths):
+    """Disjoint directed cycles of the given lengths, numbered consecutively."""
+    edges, start = set(), 0
+    for n in lengths:
+        edges |= {(start + i, start + (i + 1) % n) for i in range(n)}
+        start += n
+    return RelationalStructure(start, {"E": Relation(2, frozenset(edges))})
+
+
 def relabel(s, perm):
     """The copy of s with element i renamed perm[i]."""
     rels = {

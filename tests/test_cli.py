@@ -36,7 +36,7 @@ from hmkit.structures import (
     structure_to_json,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, directed_cycles
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -127,6 +127,27 @@ def test_iso_verdicts(capsys, structure_file, S):
     bigger = structure_file(power(S, 2), "c.json")
     code, out, _ = run(capsys, "structure", "iso", structure_file(S, "a.json"), bigger)
     assert code == 1 and "isomorphic: fail" in out
+
+
+def test_iso_fail_names_the_first_invariant_that_differs(capsys, structure_file, S):
+    # S's top lies in 2, 2 and 1 tuples at positions 1, 2, 3; no element of `chain` does
+    chain = RelationalStructure(2, {"R": Relation(3, frozenset({(0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 0, 0)}))})
+    cases = [
+        (directed_cycles(2), "signatures differ: {'R': 3} vs {'E': 2}"),
+        (power(S, 2), "sizes differ: 2 vs 4"),
+        (RelationalStructure(2, {"R": Relation(3, frozenset({(0, 0, 0)}))}), "relation R has 4 tuples in the first structure and 1 in the second"),
+        (chain, "elements with incidence profile R[2, 2, 1]: 1 in the first structure, 0 in the second"),
+    ]
+    a = structure_file(S, "a.json")
+    for other, evidence in cases:
+        code, out, _ = run(capsys, "structure", "iso", a, structure_file(other, "b.json"), "--output", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [{"name": "isomorphic", "verdict": "fail", "witness": evidence}]
+    # every element of a directed cycle has one tuple at each position
+    six, two_threes = structure_file(directed_cycles(6), "six.json"), structure_file(directed_cycles(3, 3), "threes.json")
+    code, out, _ = run(capsys, "structure", "iso", six, two_threes)
+    assert code == 1
+    assert "isomorphic: fail  all invariants agree; the exhaustive search found no bijection preserving every relation" in out
 
 
 def test_bad_ids_argument_is_exit_2(capsys, structure_file, S):

@@ -9,6 +9,7 @@ from hmkit.homsearch import (
     count_homs,
     find_homs,
     find_retraction,
+    hom_maps,
     is_homomorphism,
     operation_from_json,
     polymorphisms,
@@ -76,6 +77,25 @@ def test_find_homs_matches_brute_force_under_every_option():
             assert got == (want[:limit] if limit else want), (src, tgt, opts)
         assert count_homs(src, tgt) == len(every)
     assert nonempty >= 80
+
+
+def test_hom_maps_initial_domains_filter_the_lexicographic_list():
+    rng = random.Random(43)
+    for _ in range(100):
+        signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 2))}
+        src = random_structure(rng, rng.randint(1, 5), signature)
+        tgt = random_structure(rng, rng.randint(1, 5), signature)
+        domains = {v: rng.randrange(1 << tgt.size) for v in rng.sample(range(src.size), rng.randint(1, src.size))}
+        for injective in (False, True):
+            want = [
+                m for m in brute_force_homs(src, tgt)
+                if all(domains.get(v, -1) >> w & 1 for v, w in enumerate(m)) and (not injective or len(set(m)) == len(m))
+            ]
+            assert list(hom_maps(src, tgt, domains, injective)) == want
+    S = RelationalStructure(2, {"R": Relation(1, frozenset())})
+    for bad in ({2: 1}, {0: 4}, {0: -1}):
+        with pytest.raises(StructureError, match="pin"):
+            next(hom_maps(S, S, bad))
 
 
 def test_find_homs_of_empty_structures():

@@ -29,9 +29,9 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from hmkit.homsearch import find_homs
+from hmkit.homsearch import find_homs, hom_maps
 
-from conftest import random_structure, relabel
+from conftest import directed_cycles, random_structure, relabel
 
 
 def test_semilattice_structure_is_the_meet_graph(S):
@@ -327,13 +327,29 @@ def find_isomorphism_reference(a, b):
     return extend(0)
 
 
-def test_find_isomorphism_matches_reference(S):
-    rng = random.Random(42)
+def find_isomorphism_unpruned(a, b):
+    """The search without incidence-profile domains: the first injective
+    homomorphism, behind the size and tuple-count guards."""
+    if a.signature() != b.signature() or a.size != b.size:
+        return None
+    for sym in a.symbols():
+        if len(a.relations[sym].tuples) != len(b.relations[sym].tuples):
+            return None
+    return next(hom_maps(a, b, injective=True), None)
+
+
+def incidence_profiles_reference(s):
+    """Per element, tuples holding it at each position of each relation, counted one by one."""
+    return [
+        tuple(sum(t[i] == v for t in s.relations[sym].tuples) for sym in s.symbols() for i in range(s.relations[sym].arity))
+        for v in range(s.size)
+    ]
+
+
+def moved_tuple_pairs(rng):
+    """Seeded random structures, each against a relabelled copy and against
+    that copy with one tuple of one relation moved: same size and tuple counts."""
     pairs = []
-    for n in (1, 2, 3):
-        perm = list(range(2**n))
-        rng.shuffle(perm)
-        pairs.append((power(S, n), relabel(power(S, n), perm)))
     for _ in range(60):
         signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 2))}
         a = random_structure(rng, rng.randint(0, 6), signature)
@@ -341,20 +357,72 @@ def test_find_isomorphism_matches_reference(S):
         rng.shuffle(perm)
         b = relabel(a, perm)
         pairs.append((a, b))
-        # same size and tuple counts: move one tuple of one relation
         sym = rng.choice(sorted(signature))
         rel = b.relations[sym]
         absent = sorted(set(itertools.product(range(b.size), repeat=rel.arity)) - rel.tuples)
         if rel.tuples and absent:
             moved = (rel.tuples - {rng.choice(sorted(rel.tuples))}) | {rng.choice(absent)}
             pairs.append((a, RelationalStructure(b.size, {**b.relations, sym: Relation(rel.arity, moved)})))
+    return pairs
+
+
+def test_find_isomorphism_matches_reference(S):
+    rng = random.Random(42)
+    pairs = []
+    for n in (1, 2, 3):
+        perm = list(range(2**n))
+        rng.shuffle(perm)
+        pairs.append((power(S, n), relabel(power(S, n), perm)))
+    pairs += moved_tuple_pairs(rng)
     isomorphic = 0
     for a, b in pairs:
         iso = find_isomorphism(a, b)
         want = find_isomorphism_reference(a, b)
-        assert (None if iso is None else iso.mapping) == want
+        assert (None if iso is None else iso.mapping) == want == find_isomorphism_unpruned(a, b)
         isomorphic += want is not None
     assert 60 < isomorphic < len(pairs)
+
+
+def test_profile_pruning_keeps_the_unpruned_search_result(S):
+    """Profile domains change no answer: the same map, or None, as the
+    unpruned search, also where the profiles prune nothing."""
+    rng = random.Random(24)
+    pairs = []
+    for n, copies in ((4, 3), (5, 2)):
+        for _ in range(copies):
+            perm = list(range(2**n))
+            rng.shuffle(perm)
+            pairs.append((power(S, n), relabel(power(S, n), perm)))
+    six = directed_cycles(6)
+    perm = list(range(6))
+    rng.shuffle(perm)
+    # every element of a directed cycle has one tuple at each position
+    assert len(set(incidence_profiles_reference(six))) == 1
+    pairs += [(six, directed_cycles(3, 3)), (six, relabel(six, perm))]
+    empty = RelationalStructure(0, {"E": Relation(2, frozenset())})
+    bare = RelationalStructure(3, {})
+    pairs += [(empty, empty), (RelationalStructure(0, {}),) * 2, (bare, bare), (bare, RelationalStructure(2, {}))]
+    found = [find_isomorphism(a, b) for a, b in pairs]
+    assert [None if iso is None else iso.mapping for iso in found] == [find_isomorphism_unpruned(a, b) for a, b in pairs]
+    assert [iso is not None for iso in found] == [True] * 5 + [False, True, True, True, True, False]
+    assert found[-4].mapping == () and found[-2].mapping == (0, 1, 2)
+
+
+def test_profile_mismatch_runs_no_search(monkeypatch):
+    import hmkit.homsearch as homsearch
+
+    pairs = [
+        (a, b)
+        for a, b in moved_tuple_pairs(random.Random(42))
+        if sorted(incidence_profiles_reference(a)) != sorted(incidence_profiles_reference(b))
+    ]
+    assert len(pairs) >= 10
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile mismatch ran the search")
+
+    monkeypatch.setattr(homsearch, "hom_maps", refuse)
+    assert all(find_isomorphism(a, b) is None for a, b in pairs)
 
 
 def test_json_round_trip(S, tmp_path):
