@@ -464,7 +464,19 @@ def test_free_build_golden_reports(capsys, algebra_file, majority_algebra):
     # element ids, term names and the first witnesses follow the closure's
     # evaluation order, so whole reports are pinned, bar their timing
     three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))}, ("0", "1", "2"))
-    cases = (("majority", majority_algebra, "3"), ("two_ternary", TWO_TERNARY, "3"), ("three", three, "2"))
+    # one component with 4 homomorphisms into the semilattice
+    four = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 2, 0, 1, 1, 0, 2, 2))}, ("0", "1", "2"))
+    # components of collapsed sizes 2, 1, 2, 1: two collapse to a point
+    neg = FiniteAlgebra(
+        2, {"f": OperationTable(2, 2, (1, 1, 1, 1)), "n": OperationTable(1, 2, (1, 0))}, ("0", "1")
+    )
+    cases = (
+        ("majority", majority_algebra, "3"),
+        ("two_ternary", TWO_TERNARY, "3"),
+        ("three", three, "2"),
+        ("four", four, "2"),
+        ("neg", neg, "2"),
+    )
     for name, algebra, arity in cases:
         code, out, _ = run(
             capsys, "free", "build", "--algebra", algebra_file(algebra),
