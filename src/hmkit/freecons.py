@@ -5,9 +5,11 @@ The pipeline: free_structure builds the binary free algebra of the variety
 generated by a finite algebra together with its ternary free relational
 structure; compute_H finds, per connected component, the non-constant
 homomorphisms into the two-element semilattice structure; collapse maps
-every element to its tuple of homomorphism values, landing in a disjoint
-union of semilattice powers, and decodes every collapsed element once into
-its component and coordinate bits.  Verification routines then
+every element to its component and its tuple of homomorphism values, a
+point of the disjoint union of semilattice powers, and builds the image K
+of those points.  The union is described, never built: K's ids are the
+points in (component, bits) order, which is the order of their union ids,
+and `decode` gives each K id its point.  Verification routines then
 machine-check the structural facts the construction is designed around.
 
 Claims 3 and 4 of verify_claims read one table of bit shapes per component
@@ -58,7 +60,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .homsearch import (
@@ -91,17 +93,10 @@ from .structures import (
     SizeLimitExceeded,
     StructureError,
     connected_components,
-    coordinate_tuples,
-    disjoint_union,
     find_isomorphism,
-    image_structure,
     induced_substructure,
     is_reflexive,
-    kernel,
-    one_element_structure,
-    power,
     product,
-    rank,
     two_element_semilattice,
 )
 
@@ -326,11 +321,10 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
 @dataclass(frozen=True)
 class ComponentData:
     unary_index: int
-    unary_map: tuple[int, ...]  # the unary term operation on the base algebra
     members: tuple[int, ...]  # free-algebra element ids, sorted
-    structure: RelationalStructure  # induced from the free structure
     homs: tuple[Homomorphism, ...] = ()  # non-constant maps into S, local ids
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
+    collapsed: RelationalStructure | None = None  # K induced on kids (after collapse)
 
 
 @dataclass
@@ -345,8 +339,6 @@ class FreeBundle:
     unary_ops: tuple[tuple[int, ...], ...]  # U, identity first
     component_of: tuple[int, ...]  # free element -> index into unary_ops
     components: tuple[ComponentData, ...] | None = None
-    psi: Homomorphism | None = None
-    union_structure: RelationalStructure | None = None
     decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
     quotient_map: tuple[int, ...] | None = None  # free element -> K id
     K: RelationalStructure | None = None
@@ -425,28 +417,31 @@ def compute_H(bundle: FreeBundle) -> FreeBundle:
         homs = tuple(
             find_homs(sub, bundle.semilattice, SearchOptions(nonconstant_only=True))
         )
-        components.append(ComponentData(u, bundle.unary_ops[u], members, sub, homs))
+        components.append(ComponentData(u, members, homs))
     bundle.components = tuple(components)
     return bundle
 
 
-def _quotient_tables(
-    free: FiniteAlgebra, qmap: Sequence[int], size: int
-) -> dict[str, OperationTable]:
-    """Operations induced on quotient classes; raises when ill-defined."""
-    reps: list[int] = [-1] * size
-    for e, c in enumerate(qmap):
-        if reps[c] == -1:
-            reps[c] = e
+def _classes(qmap: Sequence[int]) -> dict[int, list[int]]:
+    """The kernel classes of qmap by class id, each in id order, listed in
+    the order of their first members."""
     classes: dict[int, list[int]] = {}
     for e, c in enumerate(qmap):
         classes.setdefault(c, []).append(e)
+    return classes
+
+
+def _quotient_tables(free: FiniteAlgebra, qmap: Sequence[int]) -> dict[str, OperationTable]:
+    """Operations induced on quotient classes, each evaluated at its
+    classes' first members; raises when ill-defined."""
+    classes = _classes(qmap)
+    size = len(classes)
     tables = {}
     for sym in free.symbols():
         table = free.operations[sym]
         values = []
         for args in itertools.product(range(size), repeat=table.arity):
-            value = qmap[table.apply(*(reps[c] for c in args))]
+            value = qmap[table.apply(*(classes[c][0] for c in args))]
             for combo in itertools.product(*(classes[c] for c in args)):
                 other = qmap[table.apply(*combo)]
                 if other != value:
@@ -460,54 +455,42 @@ def _quotient_tables(
 
 
 def collapse(bundle: FreeBundle) -> FreeBundle:
-    """Map each element to its homomorphism-value tuple; build the image.
+    """Map each element to its point (component, homomorphism bits); build K.
 
-    Component u with h homomorphisms becomes power(S, h), a point when
-    h = 0, whose ids are the ranks of coordinate bit tuples; the union ids
-    are decoded once, into the (component, bits) of every K id.  Nothing is
-    checked here: whether the kernel is a congruence, and so whether the
-    free algebra's operations act on K, is lemma 2.2 items 5 and 6, which
-    verify_lemma22 reports with their witnesses.
+    The points lie in the disjoint union of power(S, h) over the
+    components (a point when h = 0), which is described, never built: a
+    union id is the component's offset plus the rank of the bits, so the
+    distinct points sorted by (component, bits) are K's ids in union-id
+    order.  `decode` lists them, `quotient_map` sends each element to its
+    point's K id, and K's relations are the free structure's mapped
+    through it.  Nothing is checked here: whether the kernel is a
+    congruence, and so whether the free algebra's operations act on K, is
+    lemma 2.2 items 5 and 6, which verify_lemma22 reports with their
+    witnesses.
     """
     assert bundle.components is not None, "compute_H must run first"
-    summands = []
-    decode: list[tuple[int, tuple[int, ...]]] = []  # union id -> (component, coordinate bits)
-    mapping = [0] * bundle.free.algebra.size
+    points: list = [None] * bundle.free.algebra.size  # free element -> (component, bits)
     for comp in bundle.components:
-        h = len(comp.homs)
-        summands.append(
-            power(bundle.semilattice, h) if h >= 1 else one_element_structure(RELATION_SYMBOL)
-        )
-        offset = len(decode)
-        decode.extend((comp.unary_index, bits) for bits in coordinate_tuples([2] * h))
         for local, e in enumerate(comp.members):
-            mapping[e] = offset + rank([hom.mapping[local] for hom in comp.homs], [2] * h)
-    union = disjoint_union(summands)
+            points[e] = (comp.unary_index, tuple(hom.mapping[local] for hom in comp.homs))
+    decode = sorted(set(points))
+    kid_of = {p: k for k, p in enumerate(decode)}
+    qmap = tuple(map(kid_of.__getitem__, points))
+    rels = {
+        sym: Relation(rel.arity, frozenset(tuple(map(qmap.__getitem__, t)) for t in rel.tuples))
+        for sym, rel in bundle.structure.relations.items()
+    }
+    labels = tuple(f"{u}:({','.join(map(str, bits))})" if bits else f"{u}:0" for u, bits in decode)
+    K = RelationalStructure(len(decode), rels, labels)
 
-    # psi needs no check: every triple of R lies in one diagonal class (put
-    # y = x in its 4-ary term), and on each class every coordinate of psi is
-    # a homomorphism that compute_H just found
-    psi = Homomorphism._trusted(bundle.structure, union, tuple(mapping))
-    image = sorted(set(mapping))
-    kid_of = {gid: i for i, gid in enumerate(image)}
-    qmap = tuple(kid_of[g] for g in mapping)
-
-    bundle.psi = psi
-    bundle.union_structure = union
-    bundle.decode = tuple(decode[g] for g in image)
+    bundle.decode = tuple(decode)
     bundle.quotient_map = qmap
-    bundle.K = image_structure(psi)
-    bundle.components = tuple(
-        ComponentData(
-            c.unary_index,
-            c.unary_map,
-            c.members,
-            c.structure,
-            c.homs,
-            tuple(sorted({qmap[e] for e in c.members})),
-        )
-        for c in bundle.components
-    )
+    bundle.K = K
+    components = []
+    for c in bundle.components:
+        kids = tuple(sorted({qmap[e] for e in c.members}))
+        components.append(replace(c, kids=kids, collapsed=induced_substructure(K, kids)))
+    bundle.components = tuple(components)
     return bundle
 
 
@@ -538,10 +521,6 @@ class VerificationReport:
         return all(r.status != FAIL for r in self.results)
 
 
-def _collapsed_substructure(bundle: FreeBundle, u: int) -> RelationalStructure:
-    return induced_substructure(bundle.K, bundle.components[u].kids)
-
-
 def _classify_into_coords(
     bundle: FreeBundle, u: int, mapping: Sequence[int]
 ) -> tuple[str, int | None]:
@@ -570,9 +549,7 @@ def _separating_translation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
     lexicographic order, the classes by their first member and the members
     in id order.
     """
-    classes: dict[int, list[int]] = {}
-    for e, c in enumerate(qmap):
-        classes.setdefault(c, []).append(e)
+    classes = _classes(qmap).values()
     for sym in falg.symbols():
         table = falg.operations[sym]
         m = table.arity
@@ -581,7 +558,7 @@ def _separating_translation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
                 def translate(t: int) -> int:
                     return qmap[table.apply(*params[:pos], t, *params[pos:])]
 
-                for first, *others in classes.values():
+                for first, *others in classes:
                     base = translate(first)
                     for other in others:
                         if translate(other) != base:
@@ -599,9 +576,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     S = bundle.semilattice
 
     # 1: reflexivity of the image and of every collapsed component
-    ok = is_reflexive(bundle.K) and all(
-        is_reflexive(_collapsed_substructure(bundle, u)) for u in range(len(bundle.components))
-    )
+    ok = is_reflexive(bundle.K) and all(is_reflexive(c.collapsed) for c in bundle.components)
     results.append(CheckResult("item 1 (reflexive)", PASS if ok else FAIL))
 
     # 2: the components of the free structure are its diagonal classes
@@ -624,7 +599,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     else:
         kx = bundle.generator_image(0, bundle.x)
         ky = bundle.generator_image(0, bundle.y)
-        sub = _collapsed_substructure(bundle, 0)
+        sub = id_comp.collapsed
         lx, ly = id_comp.kids.index(kx), id_comp.kids.index(ky)
         status, detail = FAIL, ""
         try:
@@ -641,9 +616,8 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     # 4: maps from a collapsed component into the semilattice are constants
     # or single-coordinate projections
     ok, detail = True, ""
-    for u in range(len(bundle.components)):
-        sub = _collapsed_substructure(bundle, u)
-        for hom in find_homs(sub, S):
+    for u, comp in enumerate(bundle.components):
+        for hom in find_homs(comp.collapsed, S):
             kind, _ = _classify_into_coords(bundle, u, hom.mapping)
             if kind == "neither":
                 ok, detail = False, f"component {u}: map {hom.mapping} is neither"
@@ -660,7 +634,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
 
     # 6: induced quotient tables are single-valued
     try:
-        _quotient_tables(falg, qmap, bundle.K.size)
+        _quotient_tables(falg, qmap)
         results.append(CheckResult("item 6 (induced operations)", PASS))
     except IllDefinedOperation as exc:
         results.append(CheckResult("item 6 (induced operations)", FAIL, str(exc)))
@@ -737,14 +711,14 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     # Claim 1: each collapsed component is a partial semilattice whose
     # largest element is the image of u applied to the second generator
     ok, detail = True, ""
-    for u in range(nU):
-        sub = _collapsed_substructure(bundle, u)
+    for u, comp in enumerate(bundle.components):
+        sub = comp.collapsed
         witness = is_partial_semilattice(sub)
         if not isinstance(witness, PartialSemilatticeWitness):
             ok, detail = False, f"component {u} refused: {witness.reason}"
             break
         top = largest_element(sub)
-        expected = bundle.components[u].kids.index(bundle.generator_image(u, bundle.y))
+        expected = comp.kids.index(bundle.generator_image(u, bundle.y))
         if top != expected:
             ok, detail = False, f"component {u}: largest {top} != image of generator {expected}"
             break
@@ -773,7 +747,7 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
         (arity, comb) for arity in range(1, max_arity + 1) for comb in itertools.product(range(nU), repeat=arity)
     )
     for arity, comb in combinations:
-        prod = product([_collapsed_substructure(bundle, u) for u in comb])
+        prod = product([bundle.components[u].collapsed for u in comb])
         points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
         shapes = _shape_table(bundle, comb, points)
         for values in hom_maps(prod, bundle.K):
@@ -961,6 +935,6 @@ def bundle_summary(bundle: FreeBundle) -> dict:
         ],
         "image_size": bundle.K.size,
         "kernel": [
-            sorted(bundle.element_name(e) for e in block) for block in kernel(bundle.psi)
+            sorted(bundle.element_name(e) for e in block) for block in _classes(bundle.quotient_map).values()
         ],
     }

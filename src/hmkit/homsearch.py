@@ -262,9 +262,7 @@ def operation_from_json(data: dict) -> OperationTable:
     return OperationTable(arity, size, tuple(values))
 
 
-def polymorphisms(
-    s: RelationalStructure, arity: int, nonconstant_only: bool = False
-) -> list[OperationTable]:
+def polymorphisms(s: RelationalStructure, arity: int) -> list[OperationTable]:
     """All arity-n polymorphisms of s, as operation tables.
 
     A polymorphism of arity n is a homomorphism from the n-th power.  Power
@@ -274,5 +272,5 @@ def polymorphisms(
     if arity < 1:
         raise StructureError(f"polymorphism arity must be >= 1, got {arity}")
     src = power(s, arity)
-    homs = find_homs(src, s, SearchOptions(nonconstant_only=nonconstant_only))
+    homs = find_homs(src, s)
     return [OperationTable(arity, s.size, h.mapping) for h in homs]

@@ -315,29 +315,6 @@ class Homomorphism:
         return self.mapping[i]
 
 
-def image_structure(phi: Homomorphism) -> RelationalStructure:
-    """The image of the source: mapped universe with mapped relation tuples."""
-    image = sorted(set(phi.mapping))
-    index = {v: k for k, v in enumerate(image)}
-    rels = {
-        sym: Relation(
-            rel.arity,
-            frozenset(tuple(index[phi.mapping[v]] for v in t) for t in rel.tuples),
-        )
-        for sym, rel in phi.source.relations.items()
-    }
-    labels = tuple(phi.target.label(v) for v in image) if phi.target.labels is not None else None
-    return RelationalStructure(len(image), rels, labels)
-
-
-def kernel(phi: Homomorphism) -> tuple[tuple[int, ...], ...]:
-    """Preimage classes of the map, as a canonical partition of the source."""
-    classes: dict[int, list[int]] = {}
-    for v, w in enumerate(phi.mapping):
-        classes.setdefault(w, []).append(v)
-    return tuple(tuple(sorted(block)) for block in sorted(classes.values(), key=lambda b: b[0]))
-
-
 def _incidence_profiles(s: RelationalStructure) -> list[tuple[int, ...]]:
     """Per element, for every symbol (sorted) and position, the number of
     tuples holding the element at that position; counted at C level."""
@@ -424,11 +401,6 @@ def two_element_semilattice(symbol: str = "R") -> RelationalStructure:
     """The graph of the meet on {0,1}: {(0,0,0),(0,1,0),(1,0,0),(1,1,1)}."""
     rel = Relation(3, frozenset({(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)}))
     return RelationalStructure(2, {symbol: rel}, ("0", "1"))
-
-
-def one_element_structure(symbol: str = "R", arity: int = 3) -> RelationalStructure:
-    """One element with the single constant tuple (the ternary point by default)."""
-    return RelationalStructure(1, {symbol: Relation(arity, frozenset({(0,) * arity}))}, ("0",))
 
 
 # --- JSON file format -------------------------------------------------------

@@ -12,7 +12,6 @@ from hmkit.structures import (
     Relation,
     RelationalStructure,
     StructureError,
-    one_element_structure,
     structure_to_json,
     two_element_semilattice,
 )
@@ -35,6 +34,32 @@ idempotent: f
 f(x,y) = f(y,x)
 f(f(x,y),z) = f(x,f(y,z))
 """
+
+
+def one_element_structure(symbol="R", arity=3):
+    """One element with the single constant tuple (the ternary point by default)."""
+    return RelationalStructure(1, {symbol: Relation(arity, frozenset({(0,) * arity}))}, ("0",))
+
+
+def image_structure(phi):
+    """The image of a homomorphism's source: mapped universe with mapped
+    relation tuples, labelled by the target's labels."""
+    image = sorted(set(phi.mapping))
+    index = {v: k for k, v in enumerate(image)}
+    rels = {
+        sym: Relation(rel.arity, frozenset(tuple(index[phi.mapping[v]] for v in t) for t in rel.tuples))
+        for sym, rel in phi.source.relations.items()
+    }
+    labels = tuple(phi.target.label(v) for v in image) if phi.target.labels is not None else None
+    return RelationalStructure(len(image), rels, labels)
+
+
+def kernel(phi):
+    """Preimage classes of a homomorphism, as a canonical partition of its source."""
+    classes = {}
+    for v, w in enumerate(phi.mapping):
+        classes.setdefault(w, []).append(v)
+    return tuple(tuple(sorted(block)) for block in sorted(classes.values(), key=lambda b: b[0]))
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ from hmkit.freecons import (
     _batches,
     _classify_into_coords,
     _close,
-    _collapsed_substructure,
     _count_shaped_extensions,
     _quotient_tables,
     _refute_labeling,
@@ -69,13 +68,16 @@ from hmkit.structures import (
     RelationalStructure,
     SizeLimitExceeded,
     StructureError,
+    disjoint_union,
     find_isomorphism,
     induced_substructure,
+    power,
     product,
+    rank,
     two_element_semilattice,
 )
 
-from conftest import algebra_doc, report_lines
+from conftest import algebra_doc, image_structure, kernel, one_element_structure, report_lines
 
 
 def closure_reference(seeds, algebras, max_elements):
@@ -491,7 +493,7 @@ def test_compute_H_and_collapse(meet_algebra):
     assert bundle.K.size == 2
     assert bundle.quotient_map == (0, 1, 0)
     assert find_isomorphism(bundle.K, two_element_semilattice()) is not None
-    assert _quotient_tables(bundle.free.algebra, bundle.quotient_map, bundle.K.size)["meet"].values == (0, 0, 0, 1)
+    assert _quotient_tables(bundle.free.algebra, bundle.quotient_map)["meet"].values == (0, 0, 0, 1)
 
 
 def test_collapse_lattice_to_point(lattice_algebra):
@@ -540,8 +542,8 @@ def test_verify_claims(meet_algebra, lattice_algebra, bare_algebra):
 def test_quotient_tables_reject_non_congruence(meet_algebra):
     fa = free_algebra(meet_algebra, 2)
     with pytest.raises(IllDefinedOperation):
-        _quotient_tables(fa.algebra, (0, 0, 1), 2)
-    tables = _quotient_tables(fa.algebra, (0, 1, 1), 2)
+        _quotient_tables(fa.algebra, (0, 0, 1))
+    tables = _quotient_tables(fa.algebra, (0, 1, 1))
     assert tables["meet"].values == (0, 1, 1, 1)
 
 
@@ -730,18 +732,22 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
 # The claims verifier as it was before claim 4 was counted bit by bit: every
 # shaped piece is enumerated on the whole product of powers, and collapsed
 # elements are decoded by shifting their rank.  The functions below are
-# copied verbatim apart from their names; they read the bundle fields
-# `offsets` and `image` and the methods `rank_of_kid` and `coords_of_kid`,
-# which ReferenceBundle rebuilds from psi and the homomorphism counts, and
-# `upper_indices`, kept there since nothing in the library reads it.  One
-# change in behaviour is known: where a restriction spans components, the
-# reference stops the combination loop before claim 4, so claim 4 passes.
+# copied verbatim apart from their names and from `collapsed_substructure`,
+# which rebuilds each collapsed component from K; they read the bundle
+# fields `psi`, `union_structure`, `offsets` and `image` and the methods
+# `rank_of_kid` and `coords_of_kid`, which ReferenceBundle rebuilds as
+# collapse once built them, and `upper_indices`, kept there since nothing
+# in the library reads it.  One change in behaviour is known: where a
+# restriction spans components, the reference stops the combination loop
+# before claim 4, so claim 4 passes.
 
 
 @dataclass
 class ReferenceBundle(FreeBundle):
     """A collapsed bundle with the fields and methods the reference reads."""
 
+    psi: Homomorphism | None = None  # free structure -> union_structure
+    union_structure: RelationalStructure | None = None  # the union of the components' powers of S
     offsets: tuple[int, ...] | None = None
     image: tuple[int, ...] | None = None  # sorted union ids in the image
 
@@ -766,9 +772,26 @@ class ReferenceBundle(FreeBundle):
 
 
 def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
-    sizes = [1 << len(c.homs) for c in bundle.components]  # a point when h = 0
-    offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
-    return ReferenceBundle(**vars(bundle), offsets=offsets, image=tuple(sorted(set(bundle.psi.mapping))))
+    """The bundle with the disjoint union of power(S, h) over its
+    components, a point where h = 0, and the map psi of each element to
+    its component's offset plus the rank of its homomorphism bits, built
+    unchecked."""
+    summands = [power(bundle.semilattice, len(c.homs)) if c.homs else one_element_structure() for c in bundle.components]
+    offsets = tuple(itertools.accumulate((s.size for s in summands[:-1]), initial=0))
+    mapping = [0] * bundle.free.algebra.size
+    for comp, offset in zip(bundle.components, offsets):
+        h = len(comp.homs)
+        for local, e in enumerate(comp.members):
+            mapping[e] = offset + rank([hom.mapping[local] for hom in comp.homs], [2] * h)
+    union = disjoint_union(summands)
+    psi = Homomorphism._trusted(bundle.structure, union, tuple(mapping))
+    return ReferenceBundle(
+        **vars(bundle), psi=psi, union_structure=union, offsets=offsets, image=tuple(sorted(set(mapping)))
+    )
+
+
+def collapsed_substructure(bundle: FreeBundle, u: int) -> RelationalStructure:
+    return induced_substructure(bundle.K, bundle.components[u].kids)
 
 
 def classify_into_coords_reference(
@@ -815,7 +838,7 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
     # largest element is the image of u applied to the second generator
     ok, detail = True, ""
     for u in range(nU):
-        sub = _collapsed_substructure(bundle, u)
+        sub = collapsed_substructure(bundle, u)
         witness = is_partial_semilattice(sub)
         if not isinstance(witness, PartialSemilatticeWitness):
             ok, detail = False, f"component {u} refused: {witness.reason}"
@@ -864,7 +887,7 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
                 # claim 3: each coordinate of the restriction factors as a
                 # meet of single-coordinate projections
                 if not constant and claim3_ok:
-                    factors = [_collapsed_substructure(bundle, ul) for ul in comb]
+                    factors = [collapsed_substructure(bundle, ul) for ul in comb]
                     tops = [
                         bundle.components[ul].kids.index(bundle.generator_image(ul, bundle.y))
                         for ul in comb
@@ -1025,16 +1048,54 @@ def test_collapse_decodes_every_element_once(meet_algebra, lattice_algebra, majo
                 rank = 0  # the previous shift-or encoding, first homomorphism highest
                 for hom in comp.homs:
                     rank = (rank << 1) | hom.mapping[local]
-                assert bundle.psi.mapping[e] == ref.offsets[u] + rank
+                assert ref.psi.mapping[e] == ref.offsets[u] + rank
         assert bundle.decode == tuple((ref.rank_of_kid(k)[0], ref.coords_of_kid(k)) for k in range(bundle.K.size))
 
 
 def test_collapse_psi_is_the_validated_homomorphism(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
-    """collapse builds psi unchecked; the validating constructor, the oracle,
-    accepts the same map."""
+    """The reference builds psi into the union of powers unchecked; the
+    validating constructor, the oracle, accepts the same map."""
     named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
     for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
-        assert bundle.psi == Homomorphism(bundle.structure, bundle.union_structure, bundle.psi.mapping)
+        ref = reference_bundle(bundle)
+        assert ref.psi == Homomorphism(bundle.structure, ref.union_structure, ref.psi.mapping)
+
+
+def test_collapse_is_the_image_of_psi_in_the_union_of_powers(
+    meet_algebra, lattice_algebra, majority_algebra, bare_algebra
+):
+    """collapse builds K without the union of semilattice powers: K (labels
+    included), its kernel, decode, kids and collapsed components are those
+    of the image of the reference psi."""
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
+        ref = reference_bundle(bundle)
+        image = image_structure(ref.psi)
+        assert bundle.K == image and bundle.K.labels == image.labels
+        kid_of = {g: k for k, g in enumerate(ref.image)}
+        assert bundle.quotient_map == tuple(kid_of[g] for g in ref.psi.mapping)
+        assert bundle_summary(bundle)["kernel"] == [
+            sorted(bundle.element_name(e) for e in block) for block in kernel(ref.psi)
+        ]
+        assert bundle.decode == tuple((ref.rank_of_kid(k)[0], ref.coords_of_kid(k)) for k in range(image.size))
+        for c in bundle.components:
+            assert c.kids == tuple(sorted({kid_of[ref.psi.mapping[e]] for e in c.members}))
+            assert c.collapsed == induced_substructure(image, c.kids)
+
+
+def test_build_bundle_builds_no_power(monkeypatch):
+    """collapse describes the union of semilattice powers and never builds
+    it, so a product that refuses every size leaves build_bundle working."""
+    import hmkit.structures as structures
+
+    def refuse(*args, **kwargs):
+        raise SizeLimitExceeded("product built")
+
+    monkeypatch.setattr(structures, "product_size", refuse)
+    with pytest.raises(SizeLimitExceeded):
+        power(two_element_semilattice(), 1)
+    assert [c.kids for c in build_bundle(THREE_HOMS).components] == [(0, 1, 2, 3)]
+    assert [c.kids for c in build_bundle(FOUR_HOMS).components] == [(0, 1, 2, 3, 4)]
 
 
 def shaped_restriction(rng, bundle, comb, points):
@@ -1159,7 +1220,7 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
     for bundle in bundles:
         for arity in (1, 2):
             for comb in itertools.product(range(len(bundle.components)), repeat=arity):
-                factors = [_collapsed_substructure(bundle, u) for u in comb]
+                factors = [bundle.components[u].collapsed for u in comb]
                 tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
                 prod = product(factors)
                 points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
@@ -1224,7 +1285,7 @@ def test_verify_claims_runs_claim_4_on_spanning_restrictions(monkeypatch):
 
 def combination_restrictions(bundle, comb):
     """Hom(prod K_u, K) for the combination, as mapping tuples."""
-    return list(hom_maps(product([_collapsed_substructure(bundle, u) for u in comb]), bundle.K))
+    return list(hom_maps(product([bundle.components[u].collapsed for u in comb]), bundle.K))
 
 
 def test_hom_maps_on_a_combination_are_the_polymorphism_restrictions(

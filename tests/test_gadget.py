@@ -20,12 +20,11 @@ from hmkit.structures import (
     connected_components,
     disjoint_union,
     find_isomorphism,
-    one_element_structure,
     power,
     two_element_semilattice,
 )
 
-from conftest import random_structure, relabel
+from conftest import one_element_structure, random_structure, relabel
 
 
 def test_y_structure_shape():

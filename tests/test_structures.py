@@ -15,12 +15,9 @@ from hmkit.structures import (
     connected_components,
     disjoint_union,
     find_isomorphism,
-    image_structure,
     induced_substructure,
     is_reflexive,
-    kernel,
     load_structure,
-    one_element_structure,
     power,
     product,
     rank,
@@ -31,7 +28,7 @@ from hmkit.structures import (
 
 from hmkit.homsearch import find_homs, hom_maps
 
-from conftest import directed_cycles, random_structure, relabel
+from conftest import directed_cycles, image_structure, kernel, random_structure, relabel
 
 
 def test_semilattice_structure_is_the_meet_graph(S):
