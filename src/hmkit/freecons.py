@@ -29,39 +29,38 @@ such a product are exactly Hom(prod K_u, K), whose mapping tuples list the
 values at the points in rank order over the sorted kids.
 
 The free algebra, the free structure's triples, the unary term operations
-and the evidence search are subpower closures computed by one semi-naive
-engine, `_close`, which takes one algebra per coordinate; `max_tuples`
-bounds the elements each closure finds.  A closure stops as soon as it
-holds the whole power, since nothing more could be added; the free
-structure's triples often fill F^3 early in round 2.  Its batches
-(`_batches`) map each table row over the last-argument column once per
+and the evidence search are subpower closures run by one semi-naive
+engine, `_rounds`; `_close` builds the first three on it, and `max_tuples`
+bounds the elements each closure finds.  A `_close` closure stops as soon
+as it holds the whole power, since nothing more could be added; the free
+structure's triples often fill F^3 early in round 2.  The engine's
+batches (`_batches`) map each table row over the last-argument column once per
 head (the arguments before the last two) and batch start, and share the
 mapped column with every argument prefix that selects that row: a
 coordinate of size n holds at most n mapped columns of length `new`.
 
-The evidence search, hm_evidence, closes per coordinate labeling and rank
-j the pairs (term operation of F_j, labeled variable set) that terms
-reach: the subalgebra of F_j x S^j generated by the variables, where S^j
-holds variable sets as bit tuples and an operation takes the union of its
-labeled arguments' sets.  A labeling is refuted exactly when one term
-operation carries two sets, so the closure stops at the first pair that
-repeats an earlier pair's term operation, and the two derivations are the
-reported identity.  Membership does not depend on evaluation order, so
-the verdicts are those of any complete search; the identity is the first
-collision in semi-naive order over sorted symbols and lexicographic
-argument tuples.
+The evidence search, hm_evidence, decides per coordinate labeling and rank
+j whether some term operation of F_j carries two labeled variable sets,
+where an operation takes the union of its labeled arguments' sets.  Up to
+a labeling's first such collision, the pairs (term operation, set) that
+terms reach are the term operations, one set each, so one closure of F_j
+per rank serves a window of labelings, each keeping one set per element;
+the two derivations of the first collision are the reported identity.
+Membership does not depend on evaluation order, so the verdicts are those
+of any complete search; the identity is the first collision in semi-naive
+order over sorted symbols and lexicographic argument tuples.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import json
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .homsearch import (
     OperationTable,
@@ -76,6 +75,7 @@ from .identlang import (
     SLLabeling,
     Term,
     Variable,
+    _fold,
     all_labelings,
     holds_in,
     sigma_varset,
@@ -231,58 +231,61 @@ def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...
                 yield head + (end,), first, list(zip(*mapped))
 
 
+def _rounds(elements: list[tuple[int, ...]], algebras: Sequence[FiniteAlgebra]):
+    """Semi-naive rounds over the growing list `elements`, with algebras[c]
+    acting at coordinate c (the algebras share their symbols).
+
+    A round evaluates only the argument tuples that hold an element the
+    caller added in the previous round, as the rest give nothing new, so ids
+    and first derivations are those of full rounds over sorted symbols and
+    lexicographic tuples.  Yields (symbol, arity, the symbol's `_batches`
+    of the round), and ends after a round in which nothing was added.
+    """
+    old = 0
+    while old < len(elements):
+        new = len(elements)
+        for sym in algebras[0].symbols():
+            tables = [alg.operations[sym] for alg in algebras]
+            yield sym, tables[0].arity, _batches(tables, elements, old, new)
+        old = new
+
+
 def _close(
-    seeds: Sequence[tuple[int, ...]],
-    algebras: Sequence[FiniteAlgebra],
-    max_elements: int,
-    stop: Callable[[tuple[int, ...]], bool] = lambda t: False,
+    seeds: Sequence[tuple[int, ...]], algebras: Sequence[FiniteAlgebra], max_elements: int
 ) -> tuple[list, list, dict]:
     """Closure of equal-width seed tuples under the basic operations, with
-    algebras[c] acting at coordinate c (the algebras share their symbols).
+    algebras[c] acting at coordinate c, in the semi-naive `_rounds`.
 
-    Semi-naive rounds: a round evaluates only the argument tuples that hold
-    an element found in the previous round, as the rest give nothing new, so
-    ids and first derivations are those of full rounds over sorted symbols
-    and lexicographic tuples.  The closure stops, between batches or
-    rounds, once it holds the whole power (the product of the algebra
-    sizes): nothing more could be added, so the result is the same.  It
-    also stops right after it adds a tuple t with stop(t), so it then
-    returns a prefix of the full closure that ends with t.  Returns the
-    elements, their derivations (("var", j) for seed j, else (symbol,
-    smaller argument ids)) and the element -> id index.  Raises
-    SizeLimitExceeded past max_elements elements.
+    The closure stops after a batch that leaves it holding the whole power
+    (the product of the algebra sizes): nothing more could be added, so the
+    result is the same.  Returns the elements, their derivations (("var",
+    j) for seed j, else (symbol, smaller argument ids)) and the element ->
+    id index.  Raises SizeLimitExceeded past max_elements elements.
     """
     elements: list[tuple[int, ...]] = []
     derivations: list[tuple] = []
     index: dict[tuple[int, ...], int] = {}
 
-    def add(t: tuple[int, ...], derivation: tuple) -> bool:
+    def add(t: tuple[int, ...], derivation: tuple) -> None:
         if len(elements) >= max_elements:
             raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
         index[t] = len(elements)
         elements.append(t)
         derivations.append(derivation)
-        return stop(t)
 
     for j, seed in enumerate(seeds):
-        if seed not in index and add(seed, ("var", j)):
-            return elements, derivations, index
+        if seed not in index:
+            add(seed, ("var", j))
     whole = math.prod(alg.size for alg in algebras)
-    old = 0
-    while old < len(elements) < whole:
-        new = len(elements)
-        for sym in algebras[0].symbols():
-            tables = [alg.operations[sym] for alg in algebras]
-            for prefix, first, batch in _batches(tables, elements, old, new):
-                # positions of unseen values, tested lazily: a value repeated
-                # within the batch is seen once its first occurrence is added
-                unseen = map(operator.not_, map(index.__contains__, batch))
-                for i in itertools.compress(itertools.count(), unseen):
-                    if add(batch[i], (sym, prefix + (first + i,) if tables[0].arity else ())):
-                        return elements, derivations, index
-                if len(elements) == whole:
-                    return elements, derivations, index
-        old = new
+    for sym, m, batches in _rounds(elements, algebras):
+        for prefix, first, batch in batches:
+            # positions of unseen values, tested lazily: a value repeated
+            # within the batch is seen once its first occurrence is added
+            unseen = map(operator.not_, map(index.__contains__, batch))
+            for i in itertools.compress(itertools.count(), unseen):
+                add(batch[i], (sym, prefix + (first + i,) if m else ()))
+            if len(elements) == whole:
+                return elements, derivations, index
     return elements, derivations, index
 
 
@@ -320,7 +323,6 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
 
 @dataclass(frozen=True)
 class ComponentData:
-    unary_index: int
     members: tuple[int, ...]  # free-algebra element ids, sorted
     homs: tuple[Homomorphism, ...] = ()  # non-constant maps into S, local ids
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
@@ -338,7 +340,7 @@ class FreeBundle:
     semilattice: RelationalStructure  # the fixed 2-element target
     unary_ops: tuple[tuple[int, ...], ...]  # U, identity first
     component_of: tuple[int, ...]  # free element -> index into unary_ops
-    components: tuple[ComponentData, ...] | None = None
+    components: tuple[ComponentData, ...] | None = None  # the component of unary_ops[u] at u
     decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
     quotient_map: tuple[int, ...] | None = None  # free element -> K id
     K: RelationalStructure | None = None
@@ -417,7 +419,7 @@ def compute_H(bundle: FreeBundle) -> FreeBundle:
         homs = tuple(
             find_homs(sub, bundle.semilattice, SearchOptions(nonconstant_only=True))
         )
-        components.append(ComponentData(u, members, homs))
+        components.append(ComponentData(members, homs))
     bundle.components = tuple(components)
     return bundle
 
@@ -470,9 +472,9 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
     """
     assert bundle.components is not None, "compute_H must run first"
     points: list = [None] * bundle.free.algebra.size  # free element -> (component, bits)
-    for comp in bundle.components:
+    for u, comp in enumerate(bundle.components):
         for local, e in enumerate(comp.members):
-            points[e] = (comp.unary_index, tuple(hom.mapping[local] for hom in comp.homs))
+            points[e] = (u, tuple(hom.mapping[local] for hom in comp.homs))
     decode = sorted(set(points))
     kid_of = {p: k for k, p in enumerate(decode)}
     qmap = tuple(map(kid_of.__getitem__, points))
@@ -583,9 +585,9 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     # (the classes partition it, so it is enough that each is a block), and
     # those of the image are the collapsed classes
     blocks = {frozenset(b) for b in connected_components(bundle.structure).partition}
-    split = next((c for c in bundle.components if frozenset(c.members) not in blocks), None)
+    split = next((u for u, c in enumerate(bundle.components) if frozenset(c.members) not in blocks), None)
     if split is not None:
-        detail = f"diagonal class {split.unary_index} {list(split.members)} is not one component"
+        detail = f"diagonal class {split} {list(bundle.components[split].members)} is not one component"
     else:
         blocks = {frozenset(b) for b in connected_components(bundle.K).partition}
         classes = {frozenset(c.kids) for c in bundle.components}
@@ -810,13 +812,6 @@ def default_evidence_arity(a: FiniteAlgebra) -> int:
     return max([2] + arities)
 
 
-@functools.cache
-def _union_table(arity: int, coords: tuple[int, ...]) -> OperationTable:
-    """The union of the labeled arguments at 1-based coords, on bit 0/1."""
-    picks = itertools.product((0, 1), repeat=arity)
-    return OperationTable(arity, 2, tuple(int(any(p[i - 1] for i in coords)) for p in picks))
-
-
 def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequence[int]) -> list[Term]:
     """The terms of the closure elements ids, built bottom-up from their derivations."""
     needed, stack = set(ids), list(ids)
@@ -832,44 +827,116 @@ def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequ
     return [terms[e] for e in ids]
 
 
-def _refute_labeling(
-    a: FiniteAlgebra, labeling: SLLabeling, max_arity: int, max_tuples: int
-) -> LabelingRefutation | None:
-    """Search ranks 2..max_arity for an identity the labeling breaks.
+def _refute_window(
+    a: FiniteAlgebra, window: Sequence[SLLabeling], j: int, max_tuples: int, outcomes: list
+) -> None:
+    """Close F_j once for the undecided labelings of a window, and record
+    in `outcomes` what each of them meets first at rank j.
 
-    At rank j the pairs (term operation, labeled variable set) that terms
-    reach form the subalgebra of F_j x S^j generated by (x_g, {g}): S^j is
-    the set of variable subsets as bit tuples, on which an operation is the
-    union of its labeled arguments (`bits` below, its tables built once per
-    arity and coordinate set by `_union_table`).  One `_close` from the
-    seeds (projection of x_g, then the one-hot bits of g) computes it, and
-    stops at the first pair whose term operation an earlier pair already
-    carries; the two derivations are the reported identity, the earlier one
-    its lhs.  max_tuples bounds the pairs of each rank.
+    A labeling's pairs (term operation, labeled variable set) are in
+    bijection with the term operations until its first collision, a tuple
+    whose value is an element with another set, with the same ids,
+    derivations and batch order as a closure of its own pairs.  That
+    element's derivation is the identity's lhs and the tuple its rhs.  The
+    closure never holds the whole power first: for |A| >= 2, F_j lies
+    inside the idempotent operations, and for |A| = 1 the seeds collide.
+    Labelings that agree on the symbols evaluated so far have the same
+    sets and are kept as one group, split by each symbol's coordinates at
+    its first batch, all in round 1.
 
-    Rank 1 is not searched: every labeled coordinate set is non-empty
-    (`all_labelings`), so at rank 1 every union is {x} and no term
-    operation can carry two sets.
+    outcomes[k] stays None while labeling k is undecided (it survives rank
+    j if the closure completes), or becomes a LabelingRefutation or a
+    SizeLimitExceeded: its own pairs would pass max_tuples on the
+    closure's (max_tuples + 1)-th element or at a collision with
+    max_tuples elements present.
     """
-    bits = FiniteAlgebra(2, {sym: _union_table(t.arity, labeling.sigma[sym]) for sym, t in a.operations.items()})
-    for j in range(2, max_arity + 1):
-        names = variable_names(j)
-        assignments = list(itertools.product(range(a.size), repeat=j))
-        width = len(assignments)
-        seeds = [tuple(assign[g] for assign in assignments) + tuple(int(h == g) for h in range(j)) for g in range(j)]
-        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # term operation -> its first pair
-
-        def collides(t: tuple[int, ...]) -> bool:
-            return first.setdefault(t[:width], t) != t
-
-        elements, derivations, index = _close(seeds, [a] * width + [bits] * j, max_tuples, collides)
-        lhs, rhs = first[elements[-1][:width]], elements[-1]
-        if lhs == rhs:  # no term operation carries two sets: the closure is complete
-            continue
-        lhs_term, rhs_term = _derived_terms(derivations, names, (index[lhs], len(elements) - 1))
-        lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
-        return LabelingRefutation(labeling, j, lhs_term, rhs_term, lhs_varset, rhs_varset)
-    return None
+    undecided = [k for k, o in enumerate(outcomes) if o is None]
+    if not undecided:
+        return
+    names = variable_names(j)
+    assignments = list(itertools.product(range(a.size), repeat=j))
+    elements: list[tuple[int, ...]] = []
+    derivations: list[tuple] = []
+    index: dict[tuple[int, ...], int] = {}
+    serials = itertools.count()
+    live = {next(serials): ([], undecided)}  # group -> (the set of each element as bits, its labelings)
+    split: set[str] = set()  # the symbols the groups were split by
+    # within a round, (group, set of the labeled prefix, first) -> the sets of the batch positions
+    # when the last argument is labeled: at most 2 (2^j - 1) lists per group, none longer than its bits
+    unions: dict[tuple[int, int, int], list[int]] = {}
+    round_new = 0
+    seeds = [tuple(assign[g] for assign in assignments) for g in range(j)]
+    seed_bits = [1 << g for g in range(j)]
+    # the seeds are a batch of their own, with the symbol None
+    for sym, m, batches in itertools.chain([(None, 1, [((), 0, seeds)])], _rounds(elements, [a] * len(assignments))):
+        if sym is not None and sym not in split:
+            split.add(sym)
+            parts = []
+            for bits, members in live.values():
+                by_coords: dict[tuple[int, ...], list[int]] = {}
+                for k in members:
+                    by_coords.setdefault(window[k].sigma[sym], []).append(k)
+                parts += [(bits if n == 0 else bits[:], ks) for n, ks in enumerate(by_coords.values())]
+            live = {next(serials): part for part in parts}
+        for prefix, first, batch in batches:
+            derive = (lambda i: ("var", i)) if sym is None else (lambda i: (sym, prefix + (first + i,)))
+            start, added, end, new = len(elements), [], len(batch), first + len(batch)
+            if new != round_new:
+                unions.clear()
+                round_new = new
+            try:
+                ids = list(map(index.__getitem__, batch))
+            except KeyError:  # add the unseen values; one repeated in the batch is found once it is added
+                ids = list(map(index.get, batch))
+                for i in itertools.compress(itertools.count(), map(operator.is_, ids, itertools.repeat(None))):
+                    e = index.get(batch[i])
+                    if e is None:
+                        if len(elements) >= max_tuples:
+                            end = i
+                            del ids[i:]
+                            break
+                        e = index[batch[i]] = len(elements)
+                        elements.append(batch[i])
+                        derivations.append(derive(i))
+                        added.append(i)
+                    ids[i] = e
+            # then decide each group that collides or overflows in the batch
+            for g, (bits, members) in list(live.items()):
+                if sym is None:
+                    union = seed_bits
+                else:
+                    coords = window[members[0]].sigma[sym]
+                    p = 0
+                    for c in coords:
+                        if c < m:
+                            p |= bits[prefix[c - 1]]
+                    if coords[-1] < m:  # the last argument is not labeled
+                        union = [p] * len(batch)
+                    else:
+                        union = unions.get((g, p, first))
+                        if union is None:
+                            union = unions[g, p, first] = list(map(p.__or__, bits[first:new]))
+                if added:
+                    bits.extend(map(union.__getitem__, added))
+                here = list(map(bits.__getitem__, ids))
+                if here == union:
+                    continue
+                i = next(itertools.compress(itertools.count(), map(operator.ne, here, union)), end)
+                if i < end and start + bisect.bisect_left(added, i) < max_tuples:
+                    derivations.append(derive(i))  # the colliding tuple, derived as if it were an element
+                    found = _derived_terms(derivations, names, (ids[i], len(derivations) - 1))
+                    derivations.pop()
+                    found += [frozenset(n for h, n in enumerate(names) if s >> h & 1) for s in (here[i], union[i])]
+                    decided = [LabelingRefutation(window[k], j, *found) for k in members]
+                elif i < len(batch):
+                    decided = [SizeLimitExceeded(f"closure exceeded {max_tuples} elements")] * len(members)
+                else:
+                    continue
+                for k, outcome in zip(members, decided):
+                    outcomes[k] = outcome
+                del live[g]
+            if not live:
+                return
 
 
 def hm_evidence(
@@ -881,6 +948,13 @@ def hm_evidence(
     variety but changes labeled variable sets.  Refuting all labelings is a
     sound certificate; a survivor is bounded evidence only, since identities
     above the arity bound are never examined.
+
+    Windows of 1, 2, 4, ... labelings in labeling order each close every
+    rank once (`_refute_window`); max_tuples bounds each labeling's pairs
+    per rank.  Outcomes are read in labeling order, so the first overflow
+    raises and the first survivor is returned, as in a search of one
+    labeling at a time.  Rank 1 is not searched: every labeled coordinate
+    set is non-empty, so at rank 1 every union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -889,26 +963,47 @@ def hm_evidence(
     m = default_evidence_arity(a) if max_arity is None else max_arity
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
-    declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
+    labelings = all_labelings({sym: a.operations[sym].arity for sym in a.symbols()})
     refutations = []
-    for labeling in all_labelings(declarations):
-        refutation = _refute_labeling(a, labeling, m, max_tuples)
-        if refutation is None:
-            return ConsistentLabelingFound(labeling, m)
-        refutations.append(refutation)
+    start = 0
+    while start < len(labelings):
+        window = labelings[start : 2 * start + 1]  # the windows hold 1, 2, 4, ... labelings
+        outcomes: list = [None] * len(window)
+        for j in range(2, m + 1):
+            _refute_window(a, window, j, max_tuples, outcomes)
+        for labeling, outcome in zip(window, outcomes):
+            if isinstance(outcome, SizeLimitExceeded):
+                raise outcome
+            if outcome is None:
+                return ConsistentLabelingFound(labeling, m)
+            refutations.append(outcome)
+        start = 2 * start + 1
     return CertifiedHM(m, tuple(refutations))
 
 
+def _identity_key(lhs: Term, rhs: Term) -> tuple[str, str]:
+    """The text of an identity with every name quoted, built without
+    recursion.  Unlike `str`, which prints f(x,y) alike for a binary f and
+    a unary f at a variable named "x,y", it tells identities apart."""
+    return tuple(_fold(t, lambda v: repr(v.name), lambda u, parts: f"{u.symbol!r}({','.join(parts)})") for t in (lhs, rhs))
+
+
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate: coverage, validity in the algebra (`holds_in`
-    evaluates each side once, column-wise), and labeling breaks."""
+    """Replay a certificate: coverage, validity in the algebra of each
+    distinct identity once (`holds_in` evaluates each side once,
+    column-wise; identities are told apart by `_identity_key`), and the
+    labeled variable sets of every refutation."""
     declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
     seen = [r.labeling.sigma for r in certificate.refutations]
     expected = [l.sigma for l in all_labelings(declarations)]
     if seen != expected:
         return False
+    valid: dict[tuple[str, str], bool] = {}
     for r in certificate.refutations:
-        if not holds_in(a, Identity(r.lhs, r.rhs), a.operations):
+        key = _identity_key(r.lhs, r.rhs)
+        if key not in valid:
+            valid[key] = holds_in(a, Identity(r.lhs, r.rhs), a.operations)
+        if not valid[key]:
             return False
         lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
         if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:
@@ -926,12 +1021,12 @@ def bundle_summary(bundle: FreeBundle) -> dict:
         "relation_size": len(rel.tuples),
         "components": [
             {
-                "index": c.unary_index,
+                "index": u,
                 "members": [bundle.element_name(e) for e in c.members],
                 "hom_count": len(c.homs),
                 "collapsed_size": len(c.kids),
             }
-            for c in bundle.components
+            for u, c in enumerate(bundle.components)
         ],
         "image_size": bundle.K.size,
         "kernel": [

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -40,8 +41,9 @@ from hmkit.freecons import (
     _classify_into_coords,
     _close,
     _count_shaped_extensions,
+    _identity_key,
     _quotient_tables,
-    _refute_labeling,
+    _refute_window,
     _separating_translation,
     _shape_table,
 )
@@ -64,6 +66,7 @@ from hmkit.semilat import (
     largest_element,
 )
 from hmkit.structures import (
+    DEFAULT_MAX_TUPLES,
     Homomorphism,
     RelationalStructure,
     SizeLimitExceeded,
@@ -189,6 +192,119 @@ def refute_labeling_reference(
                 (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: sorted(kv[0]))[:2]
                 return LabelingRefutation(labeling, j, t1, t2, vs1, vs2)
     return None
+
+
+# Oracle for the evidence search: the search as it was before the labelings
+# of a window shared one closure per rank, with one pair closure per labeling
+# and rank from `close_with_stop`, the closure engine with the stop hook it
+# had then.  The code is that code, with new names and without its
+# docstrings and comments.
+
+
+def close_with_stop(seeds, algebras, max_elements, stop):
+    elements, derivations, index = [], [], {}
+
+    def add(t, derivation):
+        if len(elements) >= max_elements:
+            raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
+        index[t] = len(elements)
+        elements.append(t)
+        derivations.append(derivation)
+        return stop(t)
+
+    for j, seed in enumerate(seeds):
+        if seed not in index and add(seed, ("var", j)):
+            return elements, derivations, index
+    whole = math.prod(alg.size for alg in algebras)
+    old = 0
+    while old < len(elements) < whole:
+        new = len(elements)
+        for sym in algebras[0].symbols():
+            tables = [alg.operations[sym] for alg in algebras]
+            for prefix, first, batch in _batches(tables, elements, old, new):
+                unseen = map(operator.not_, map(index.__contains__, batch))
+                for i in itertools.compress(itertools.count(), unseen):
+                    if add(batch[i], (sym, prefix + (first + i,) if tables[0].arity else ())):
+                        return elements, derivations, index
+                if len(elements) == whole:
+                    return elements, derivations, index
+        old = new
+    return elements, derivations, index
+
+
+@functools.cache
+def union_table(arity, coords):
+    picks = itertools.product((0, 1), repeat=arity)
+    return OperationTable(arity, 2, tuple(int(any(p[i - 1] for i in coords)) for p in picks))
+
+
+def derived_terms(derivations, names, ids):
+    needed, stack = set(ids), list(ids)
+    while stack:
+        sym, arg = derivations[stack.pop()]
+        if sym != "var":
+            stack.extend(set(arg) - needed)
+            needed.update(arg)
+    terms = {}
+    for e in sorted(needed):
+        sym, arg = derivations[e]
+        terms[e] = Variable(names[arg]) if sym == "var" else Application(sym, tuple(map(terms.__getitem__, arg)))
+    return [terms[e] for e in ids]
+
+
+def refute_labeling(a, labeling, max_arity, max_tuples):
+    bits = FiniteAlgebra(2, {sym: union_table(t.arity, labeling.sigma[sym]) for sym, t in a.operations.items()})
+    for j in range(2, max_arity + 1):
+        names = variable_names(j)
+        assignments = list(itertools.product(range(a.size), repeat=j))
+        width = len(assignments)
+        seeds = [tuple(assign[g] for assign in assignments) + tuple(int(h == g) for h in range(j)) for g in range(j)]
+        first = {}
+
+        def collides(t):
+            return first.setdefault(t[:width], t) != t
+
+        elements, derivations, index = close_with_stop(seeds, [a] * width + [bits] * j, max_tuples, collides)
+        lhs, rhs = first[elements[-1][:width]], elements[-1]
+        if lhs == rhs:
+            continue
+        lhs_term, rhs_term = derived_terms(derivations, names, (index[lhs], len(elements) - 1))
+        lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
+        return LabelingRefutation(labeling, j, lhs_term, rhs_term, lhs_varset, rhs_varset)
+    return None
+
+
+def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refute=refute_labeling):
+    if not a.is_idempotent():
+        raise StructureError("evidence search requires an idempotent algebra")
+    if a.size < 1:
+        raise StructureError("empty universe")
+    m = default_evidence_arity(a) if max_arity is None else max_arity
+    if m < 1:
+        raise StructureError(f"arity bound must be >= 1, got {m}")
+    declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
+    refutations = []
+    for labeling in all_labelings(declarations):
+        refutation = refute(a, labeling, m, max_tuples)
+        if refutation is None:
+            return ConsistentLabelingFound(labeling, m)
+        refutations.append(refutation)
+    return CertifiedHM(m, tuple(refutations))
+
+
+def evidence_outcome(search, *args):
+    """The whole result of an evidence search as plain data: every
+    refutation's labeling, arity, sides as text and variable sets, the
+    survivor, or the type and message of the exception raised."""
+    try:
+        evidence = search(*args)
+    except (StructureError, SizeLimitExceeded) as exc:
+        return "raised", type(exc), str(exc)
+    if isinstance(evidence, ConsistentLabelingFound):
+        return "survivor", evidence.labeling, evidence.max_arity
+    return "certified", evidence.max_arity, [
+        (r.labeling, r.arity, str(r.lhs), str(r.rhs), r.lhs_varset, r.rhs_varset) for r in evidence.refutations
+    ]
 
 
 def random_algebra(rng, size):
@@ -398,11 +514,12 @@ def test_closure_with_stop_is_the_prefix_ending_at_the_first_stop():
         algebras = [a] * 4 + [b] * 2
         elements, derivations = closure_reference(seeds, algebras, 64)
         assert _close(seeds, algebras, 64)[:2] == (elements, derivations)
-        # k = 0 and 1 stop at a seed; each prefix fits a bound of its own size
+        # the stop hook of the evidence oracle: k = 0 and 1 stop at a seed,
+        # and each prefix fits a bound of its own size
         for k, t in enumerate(elements):
             prefix = elements[: k + 1]
             index = {u: i for i, u in enumerate(prefix)}
-            assert _close(seeds, algebras, k + 1, lambda u, t=t: u == t) == (prefix, derivations[: k + 1], index)
+            assert close_with_stop(seeds, algebras, k + 1, lambda u, t=t: u == t) == (prefix, derivations[: k + 1], index)
 
 
 def test_closure_that_fills_the_power_skips_its_closing_round(monkeypatch):
@@ -574,24 +691,27 @@ def test_hm_evidence_majority(majority_algebra):
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
     import hmkit.freecons as freecons
 
-    close = freecons._close
+    rounds = freecons._rounds
     widths = []
 
-    def counting(seeds, algebras, max_elements, stop):
+    def counting(elements, algebras):
         widths.append(len(algebras))
-        return close(seeds, algebras, max_elements, stop)
+        return rounds(elements, algebras)
 
     def no_free_algebra(*args):
         raise AssertionError("evidence built a free algebra")
 
-    monkeypatch.setattr(freecons, "_close", counting)
+    monkeypatch.setattr(freecons, "_rounds", counting)
     monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
-    # F_2 = {x, y}, so each labeling is refuted by the third pair of its rank-2
-    # closure (4 assignments and 2 variable bits); rank 3 is never closed
+    monkeypatch.setattr(freecons, "_close", no_free_algebra)
+    # F_2 = {x, y}, so each labeling is refuted in the first round of its
+    # rank-2 closure with 2 elements; its windows of 1, 2 and 4 labelings close
+    # rank 2 once each (4 assignments), and rank 3 is never closed
     evidence = hm_evidence(majority_algebra, max_tuples=3)
     assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
-    assert widths == [2**2 + 2] * 7
-    with pytest.raises(SizeLimitExceeded):
+    assert widths == [2**2] * 3
+    # a collision with max_tuples elements present would be the third pair
+    with pytest.raises(SizeLimitExceeded, match="closure exceeded 2 elements"):
         hm_evidence(majority_algebra, max_tuples=2)
 
 
@@ -640,6 +760,40 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     assert not verify_certificate(majority_algebra, missing)
 
 
+def test_verify_certificate_checks_the_sets_of_a_replayed_identity(majority_algebra):
+    evidence = hm_evidence(majority_algebra)
+    # m->{1,2,3} and m->{1,3} are refuted by one identity, x = m(x,x,y), which
+    # is replayed once; the second refutation's sets are still checked
+    refutations = list(evidence.refutations)
+    first, second = refutations[2], refutations[3]
+    assert (first.labeling.sigma, second.labeling.sigma) == ({"m": (1, 2, 3)}, {"m": (1, 3)})
+    assert _identity_key(first.lhs, first.rhs) == _identity_key(second.lhs, second.rhs)
+    refutations[3] = LabelingRefutation(
+        second.labeling, second.arity, second.lhs, second.rhs, second.lhs_varset, frozenset("y")
+    )
+    assert verify_certificate(majority_algebra, evidence)
+    assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
+
+
+def test_identity_key_tells_apart_identities_that_print_alike():
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    ternary = Application("m", (x, y, z))
+    binary = Application("m", (Variable("x,y"), z))
+    assert str(ternary) == str(binary)
+    assert _identity_key(x, ternary) != _identity_key(x, binary)
+    # deep terms are keyed without recursion
+    deep = x
+    for _ in range(3000):
+        deep = Application("f", (deep, y))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        key = _identity_key(deep, x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert key[0].count("'f'(") == 3000
+
+
 def idempotent_table(rng, size, arity):
     """A uniformly drawn table with a(a, ..., a) = a."""
     values = [rng.randrange(size) for _ in range(size**arity)]
@@ -648,11 +802,7 @@ def idempotent_table(rng, size, arity):
     return OperationTable(arity, size, tuple(values))
 
 
-def test_refute_labeling_matches_reference(
-    monkeypatch, majority_algebra, meet_algebra, lattice_algebra, bare_algebra
-):
-    import hmkit.freecons as freecons
-
+def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, lattice_algebra, bare_algebra):
     rng = random.Random(61)
     draws = [
         FiniteAlgebra(2, {sym: idempotent_table(rng, 2, rng.randint(2, 3)) for sym in "fg"[: rng.randint(1, 2)]})
@@ -665,7 +815,7 @@ def test_refute_labeling_matches_reference(
     for a in algebras:
         max_arity = default_evidence_arity(a)
         for labeling in all_labelings({sym: a.operations[sym].arity for sym in a.symbols()}):
-            got = _refute_labeling(a, labeling, max_arity, 10**6)
+            got = refute_labeling(a, labeling, max_arity, 10**6)
             want = refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
             # refuted or not, and at which rank; the identities may differ
             assert (got is None, getattr(got, "arity", None)) == (want is None, getattr(want, "arity", None))
@@ -687,36 +837,62 @@ def test_refute_labeling_matches_reference(
     def reference(a, labeling, max_arity, max_tuples):
         return refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
 
-    monkeypatch.setattr(freecons, "_refute_labeling", reference)
-    assert list(map(verdict, evidence)) == [verdict(hm_evidence(a)) for a in algebras]
+    assert list(map(verdict, evidence)) == [verdict(hm_evidence_reference(a, refute=reference)) for a in algebras]
+
+
+def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
+    # 1-3 elements, 0-3 idempotent operations of arity 1-3, arity bounds
+    # 1-4, and max_tuples small enough for refusals or large enough to close
+    rng = random.Random(26)
+    kinds = Counter()
+    for _ in range(500):
+        size = rng.randint(1, 3)
+        a = FiniteAlgebra(size, {f"f{i}": idempotent_table(rng, size, rng.randint(1, 3)) for i in range(rng.randint(0, 3))})
+        args = (a, rng.randint(1, 4), rng.choice([rng.randint(1, 60), 3000]))
+        got = evidence_outcome(hm_evidence, *args)
+        assert got == evidence_outcome(hm_evidence_reference, *args)
+        kinds[got[0]] += 1
+        kinds["survived a closure of rank 3 or above"] += got[0] == "survivor" and got[2] >= 3
+    assert kinds["raised"] > 30 and kinds["certified"] > 100 and kinds["survivor"] > 100
+    assert kinds["survived a closure of rank 3 or above"] > 50
+
+
+def test_hm_evidence_matches_the_reference_on_many_labelings():
+    # five majority symbols: 16,807 labelings in windows of up to 8,192
+    majority = OperationTable(3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
+    a = FiniteAlgebra(2, {f"m{i}": majority for i in range(5)})
+    got = evidence_outcome(hm_evidence, a)
+    assert len(got[2]) == 7**5
+    assert got == evidence_outcome(hm_evidence_reference, a)
 
 
 def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypatch):
     import hmkit.freecons as freecons
 
-    # A hand-built pair closure over the trivial algebra (the search reads
-    # only the pairs, their derivations and the stop test), each pair (term
-    # operation id, x bit, y bit): x = (0, {x}), y = (1, {y}), and pair
-    # e >= 2 is (e, {y}), derived as f(e - 1, x), so the last of them nests
-    # `depth` applications of f around y.  Under f -> {1} the final pair
-    # f(y, deep) = (0, {y}) repeats the term operation of x.
+    # Hand-built rounds of the term closure at rank 2 over a 2-element
+    # algebra (the search reads only the batches and the seeds): element
+    # e >= 2 is (e,), derived as f(e - 1, x), so the last of them nests
+    # `depth` applications of f around y.  Under f -> {1} each of them has
+    # the set {y}, and the final tuple f(y, deep) has the value of x, whose
+    # set is {x}.
     depth = 3000
     n = depth + 2
-    pairs = [(0, 1, 0), (1, 0, 1)] + [(e, 0, 1) for e in range(2, n)] + [(0, 0, 1)]
-    derivations = [("var", 0), ("var", 1)] + [("f", (e - 1, 0)) for e in range(2, n)] + [("f", (1, n - 1))]
 
-    def hand_built(seeds, algebras, max_elements, stop):
-        k = next(k for k, t in enumerate(pairs) if stop(t))
-        return pairs[: k + 1], derivations[: k + 1], {t: i for i, t in enumerate(pairs[: k + 1])}
+    def hand_built(elements, algebras):
+        for e in range(2, n):
+            yield "f", 2, [((e - 1,), 0, [(e,)])]
+        yield "f", 2, [((1,), n - 1, [elements[0]])]
 
-    monkeypatch.setattr(freecons, "_close", hand_built)
-    point = FiniteAlgebra(1, {"f": OperationTable(2, 1, (0,))})
+    monkeypatch.setattr(freecons, "_rounds", hand_built)
+    two = FiniteAlgebra(2, {"f": OperationTable(2, 2, (0, 0, 1, 1))})
+    outcomes = [None]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
-        r = _refute_labeling(point, SLLabeling({"f": (1,)}), 2, len(pairs))
+        _refute_window(two, [SLLabeling({"f": (1,)})], 2, n + 1, outcomes)
     finally:
         sys.setrecursionlimit(limit)
+    (r,) = outcomes
     assert (r.arity, r.lhs) == (2, Variable("x"))
     assert (r.lhs_varset, r.rhs_varset) == (frozenset("x"), frozenset("y"))
     assert r.rhs.symbol == "f" and r.rhs.args[0] == Variable("y")
@@ -768,7 +944,7 @@ class ReferenceBundle(FreeBundle):
 
     def upper_indices(self) -> tuple[int, ...]:
         """Components with at least one non-constant homomorphism."""
-        return tuple(c.unary_index for c in self.components if c.homs)
+        return tuple(u for u, c in enumerate(self.components) if c.homs)
 
 
 def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:

@@ -20,6 +20,7 @@ from hmkit.structures import (
     connected_components,
     disjoint_union,
     find_isomorphism,
+    induced_substructure,
     power,
     two_element_semilattice,
 )
@@ -138,8 +139,11 @@ def test_analysis_of_point(point):
     assert analysis.output_exponents == (0,)
 
 
-def test_one_element_structure_matches_exponent_zero(point):
-    assert find_isomorphism(point, one_element_structure()) is not None
+def test_one_element_structure_matches_exponent_zero(point, S):
+    # the point fixture is S induced on its top, labels aside, that is S^0
+    top = induced_substructure(S, [1])
+    assert (point.size, point.relations) == (top.size, top.relations)
+    assert analyze_gadget_components(point).input_exponents == (0,)
 
 
 def power_or_point(S, k):
