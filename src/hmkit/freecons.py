@@ -75,9 +75,9 @@ from .identlang import (
     SLLabeling,
     Term,
     Variable,
-    _fold,
     all_labelings,
     holds_in,
+    nonempty_subsets,
     sigma_varset,
 )
 from .semilat import (
@@ -121,9 +121,7 @@ class FiniteAlgebra:
             object.__setattr__(self, "labels", tuple(self.labels))
         for sym, table in self.operations.items():
             if table.size != self.size:
-                raise StructureError(
-                    f"operation {sym} is over a universe of size {table.size}, expected {self.size}"
-                )
+                raise StructureError(f"operation {sym}: size {table.size} != universe size {self.size}")
 
     def symbols(self) -> list[str]:
         return sorted(self.operations)
@@ -144,12 +142,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     ops_doc = data.get("operations", {})
     if not isinstance(ops_doc, dict):
         raise StructureError("'operations' must be an object")
-    operations = {}
-    for sym, body in ops_doc.items():
-        table = operation_from_json(body)
-        if table.size != len(universe):
-            raise StructureError(f"operation {sym}: size {table.size} != universe size {len(universe)}")
-        operations[sym] = table
+    operations = {sym: operation_from_json(body) for sym, body in ops_doc.items()}
     return FiniteAlgebra(len(universe), operations, tuple(universe))
 
 
@@ -362,11 +355,7 @@ class FreeBundle:
 def apply_unary(bundle: FreeBundle, u: int, element: int) -> int:
     """Apply the u-th unary term operation to a free-algebra element."""
     umap = bundle.unary_ops[u]
-    value = tuple(umap[v] for v in bundle.free.elements[element])
-    try:
-        return bundle.free.index[value]
-    except KeyError:
-        raise StructureError("free algebra is not closed under a unary term operation") from None
+    return bundle.free.index[tuple(umap[v] for v in bundle.free.elements[element])]
 
 
 def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:
@@ -390,12 +379,8 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
 
     # the unary term operations: the elements of the rank-1 free algebra
     unary_ops, _, unary_index = _close([tuple(range(a.size))], [a] * a.size, max_tuples)
-    component_of = []
-    for e in range(free.algebra.size):
-        diag = tuple(free.elements[e][b * a.size + b] for b in range(a.size))
-        if diag not in unary_index:
-            raise StructureError("diagonal of a free element is not a unary term operation")
-        component_of.append(unary_index[diag])
+    diagonal = [b * a.size + b for b in range(a.size)]
+    component_of = [unary_index[tuple(map(t.__getitem__, diagonal))] for t in free.elements]
 
     return FreeBundle(
         free=free,
@@ -523,23 +508,12 @@ class VerificationReport:
         return all(r.status != FAIL for r in self.results)
 
 
-def _classify_into_coords(
-    bundle: FreeBundle, u: int, mapping: Sequence[int]
-) -> tuple[str, int | None]:
-    """Classify a map from a collapsed component into {0,1}.
-
-    Returns ("constant", value), ("projection", coordinate) with the unique
-    witnessing coordinate, or ("neither", None).
-    """
+def _is_constant_or_projection(bundle: FreeBundle, u: int, mapping: Sequence[int]) -> bool:
+    """Whether a map from a collapsed component into {0,1} is constant or
+    the projection to one of its coordinates."""
     values = tuple(mapping)
-    if len(set(values)) <= 1:
-        return "constant", values[0]
     # column c holds coordinate bit c of every kid of the component
-    columns = zip(*(bundle.decode[kid][1] for kid in bundle.components[u].kids))
-    witnesses = [c for c, column in enumerate(columns) if column == values]
-    if len(witnesses) == 1:
-        return "projection", witnesses[0]
-    return "neither", None
+    return len(set(values)) <= 1 or values in zip(*(bundle.decode[kid][1] for kid in bundle.components[u].kids))
 
 
 def _separating_translation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
@@ -606,8 +580,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
         status, detail = FAIL, ""
         try:
             Homomorphism(S, sub, (lx, ly))
-            alphas = find_homs(sub, S, SearchOptions(limit=1, pinned={lx: 0, ly: 1}))
-            if alphas:
+            if next(hom_maps(sub, S, {lx: 0b01, ly: 0b10}), None) is not None:
                 status = PASS
             else:
                 detail = "no retraction fixing the generator images"
@@ -620,8 +593,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     ok, detail = True, ""
     for u, comp in enumerate(bundle.components):
         for hom in find_homs(comp.collapsed, S):
-            kind, _ = _classify_into_coords(bundle, u, hom.mapping)
-            if kind == "neither":
+            if not _is_constant_or_projection(bundle, u, hom.mapping):
                 ok, detail = False, f"component {u}: map {hom.mapping} is neither"
                 break
         if not ok:
@@ -965,9 +937,8 @@ def hm_evidence(
         raise StructureError(f"arity bound must be >= 1, got {m}")
     labelings = all_labelings({sym: a.operations[sym].arity for sym in a.symbols()})
     refutations = []
-    start = 0
-    while start < len(labelings):
-        window = labelings[start : 2 * start + 1]  # the windows hold 1, 2, 4, ... labelings
+    size = 1
+    while window := list(itertools.islice(labelings, size)):  # the windows hold 1, 2, 4, ... labelings
         outcomes: list = [None] * len(window)
         for j in range(2, m + 1):
             _refute_window(a, window, j, max_tuples, outcomes)
@@ -977,30 +948,24 @@ def hm_evidence(
             if outcome is None:
                 return ConsistentLabelingFound(labeling, m)
             refutations.append(outcome)
-        start = 2 * start + 1
+        size *= 2
     return CertifiedHM(m, tuple(refutations))
 
 
-def _identity_key(lhs: Term, rhs: Term) -> tuple[str, str]:
-    """The text of an identity with every name quoted, built without
-    recursion.  Unlike `str`, which prints f(x,y) alike for a binary f and
-    a unary f at a variable named "x,y", it tells identities apart."""
-    return tuple(_fold(t, lambda v: repr(v.name), lambda u, parts: f"{u.symbol!r}({','.join(parts)})") for t in (lhs, rhs))
-
-
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate: coverage, validity in the algebra of each
-    distinct identity once (`holds_in` evaluates each side once,
-    column-wise; identities are told apart by `_identity_key`), and the
-    labeled variable sets of every refutation."""
-    declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
-    seen = [r.labeling.sigma for r in certificate.refutations]
-    expected = [l.sigma for l in all_labelings(declarations)]
-    if seen != expected:
-        return False
-    valid: dict[tuple[str, str], bool] = {}
-    for r in certificate.refutations:
-        key = _identity_key(r.lhs, r.rhs)
+    """Replay a certificate: coverage (one refutation per labeling, in
+    labeling order), validity in the algebra of each identity (`holds_in`
+    evaluates each side once, column-wise), and the labeled variable sets
+    of every refutation.  An identity is replayed once per pair of term
+    objects, keyed by their ids: the refutations of one group share their
+    terms, and the certificate keeps every term alive for the call."""
+    symbols = a.symbols()
+    combos = itertools.product(*(nonempty_subsets(a.operations[sym].arity) for sym in symbols))
+    valid: dict[tuple[int, int], bool] = {}
+    for combo, r in itertools.zip_longest(combos, certificate.refutations):
+        if combo is None or r is None or r.labeling.sigma != dict(zip(symbols, combo)):
+            return False
+        key = (id(r.lhs), id(r.rhs))
         if key not in valid:
             valid[key] = holds_in(a, Identity(r.lhs, r.rhs), a.operations)
         if not valid[key]:

@@ -38,7 +38,6 @@ class SearchOptions:
 
     limit: int = 0  # 0 means unlimited
     nonconstant_only: bool = False
-    pinned: Mapping[int, int] | None = None  # source id -> forced target id
 
     def __post_init__(self) -> None:
         if self.limit < 0:
@@ -178,12 +177,7 @@ def find_homs(
 ) -> list[Homomorphism]:
     """All homomorphisms source -> target, in lexicographic map order."""
     opts = options or SearchOptions()
-    pins = {}
-    for k, v in (opts.pinned or {}).items():
-        if not (0 <= v < target.size):
-            raise StructureError(f"pin {k}->{v} out of range")
-        pins[k] = 1 << v
-    maps: Iterator[tuple[int, ...]] = hom_maps(source, target, pins)
+    maps: Iterator[tuple[int, ...]] = hom_maps(source, target)
     if opts.nonconstant_only:
         maps = (m for m in maps if len(set(m)) > 1)
     if opts.limit > 0:

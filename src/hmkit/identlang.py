@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class ParseError(ValueError):
@@ -441,13 +441,11 @@ class SLUnsat:
     refutations: tuple[SLRefutation, ...]
 
 
-def all_labelings(declarations: Mapping[str, int]) -> list[SLLabeling]:
+def all_labelings(declarations: Mapping[str, int]) -> Iterator[SLLabeling]:
+    """Every labeling, lazily, in lexicographic order of the sorted symbols' subsets."""
     symbols = sorted(declarations)
-    choices = [nonempty_subsets(declarations[s]) for s in symbols]
-    return [
-        SLLabeling(dict(zip(symbols, combo)))
-        for combo in itertools.product(*choices)
-    ]
+    combos = itertools.product(*(nonempty_subsets(declarations[s]) for s in symbols))
+    return (SLLabeling(dict(zip(symbols, combo))) for combo in combos)
 
 
 def check_labeling(sys: TermSystem, labeling: SLLabeling) -> SLRefutation | None:

@@ -117,27 +117,6 @@ class Refusal:
     detail: tuple | None = None
 
 
-def verify_witness(s: RelationalStructure, w: PartialSemilatticeWitness) -> None:
-    """Re-check the witness in full; raise StructureError on any failure.
-
-    The ambient (subsets under union) is a semilattice by construction, so
-    what is checked is that the embedding is an injective map into it that
-    realizes every triple.
-    """
-    n = s.size
-    h = w.embedding
-    if len(h) != n:
-        raise StructureError(f"embedding has {len(h)} values for {n} elements")
-    if len(set(h)) != n:
-        raise StructureError("embedding is not injective")
-    for v in h:
-        if not (0 <= v < 1 << n):
-            raise StructureError("embedding value outside ambient universe")
-    for a, b, c in single_ternary_relation(s).sorted_tuples():
-        if h[a] | h[b] != h[c]:
-            raise StructureError(f"witness does not realize triple ({a},{b},{c})")
-
-
 def _closures(n: int, defined: dict[tuple[int, int], int]) -> list[bytearray]:
     """cl(k) for each k, as a membership array, under {a,b} -> c, c -> a, c -> b.
 
@@ -184,9 +163,10 @@ def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness 
     iff each lies in the other's closure, and the first such pair i < j is
     refused.  Otherwise h(x) = {k : x not in cl(k)}, as a bitmask, embeds s
     into (subsets of {0..n-1}, union): c lies in a closed set iff a and b
-    both do, so h(c) = h(a) | h(b).  Forward chaining (Dowling and Gallier,
-    1984) makes the whole decision O(n * (n + m)) for m triples, with no
-    cap on n.
+    both do, so h(c) = h(a) | h(b).  h is injective: h(i) = h(j) exactly
+    when each of i and j lies in the other's closure, a merged pair, and
+    those were refused.  Forward chaining (Dowling and Gallier, 1984) makes
+    the whole decision O(n * (n + m)) for m triples, with no cap on n.
     """
     rel = single_ternary_relation(s)
     n = s.size
@@ -208,10 +188,7 @@ def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness 
             if cl[i][j] and cl[j][i]:
                 return Refusal("congruence merges elements", (i, j))
 
-    embedding = tuple(sum(1 << k for k in range(n) if not cl[k][x]) for x in range(n))
-    witness = PartialSemilatticeWitness(embedding)
-    verify_witness(s, witness)
-    return witness
+    return PartialSemilatticeWitness(tuple(sum(1 << k for k in range(n) if not cl[k][x]) for x in range(n)))
 
 
 @dataclass(frozen=True)
@@ -258,12 +235,16 @@ def decompose_product_hom(
     """Split a hom off a product of partial semilattices with largest elements.
 
     mapping gives f on the ranks of product(factors) (see `rank`); the
-    product itself is never built.  A map of the wrong length or range, or
-    mismatched signatures, raise StructureError, as `Homomorphism` does.
-    tops=None stands for each factor's largest element, and a factor without
-    one raises DecompositionError.  The coordinate maps are f_i(x) = f(tops
-    with x substituted at i); f must equal, at every point x, the
-    left-folded meet g of F(x) = (f_1(x_1), ..., f_k(x_k)) in the target.
+    product itself is never built.  Unusable input raises a plain
+    StructureError before any verdict work: an empty factor list, a map of
+    the wrong length or range, a top list of the wrong length or range,
+    mismatched signatures (SignatureMismatch) or a relation that is not one
+    ternary relation.  Every verdict is a DecompositionError.  tops=None
+    stands for each factor's largest element, and a factor without one is
+    named before any product tuple is walked.  The coordinate maps are
+    f_i(x) = f(tops with x substituted at i); f must equal, at every point
+    x, the left-folded meet g of F(x) = (f_1(x_1), ..., f_k(x_k)) in the
+    target.
 
     f = g∘F is then proved a homomorphism on the coordinate images
     I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}, not on the product
@@ -277,21 +258,28 @@ def decompose_product_hom(
     max_tuples combinations of the I_i are looked up, and before that walk
     when the product has more than max_tuples tuples.
     """
-    if tops is not None and len(factors) != len(tops):
-        raise DecompositionError("one top element required per factor")
     if not factors:
-        raise DecompositionError("empty factor list")
+        raise StructureError("empty factor list")
     mapping = tuple(mapping)
     size = math.prod(h.size for h in factors)
     if len(mapping) != size:
-        raise StructureError(f"map has {len(mapping)} entries for universe of size {size}")
+        raise StructureError(f"map has {len(mapping)} entries for a product of size {size}")
     for v in mapping:
         if not (0 <= v < target.size):
             raise StructureError(f"map value {v} not in target universe of size {target.size}")
+    if tops is not None and len(tops) != len(factors):
+        raise StructureError(f"{len(tops)} tops for {len(factors)} factors")
+    for i, (h, t) in enumerate(zip(factors, tops or ())):
+        if not 0 <= t < h.size:
+            raise StructureError(f"top {t} not in factor {i} universe of size {h.size}")
     if any(h.signature() != target.signature() for h in factors):
-        raise SignatureMismatch("homomorphism endpoints have different signatures")
+        raise SignatureMismatch("target and factors have different signatures")
+    rel = single_ternary_relation(target).tuples  # and so every factor's
     given = tops is not None
-    tops = tuple(tops) if given else tuple(largest_element(h) for h in factors)
+    try:
+        tops = tuple(tops) if given else tuple(map(largest_element, factors))
+    except StructureError as exc:  # two largest elements: a factor is not functional
+        raise DecompositionError(str(exc)) from exc
     if None in tops:
         raise DecompositionError("a factor has no largest element")
 
@@ -299,7 +287,6 @@ def decompose_product_hom(
         for i, (h, t) in enumerate(zip(factors, tops)):
             if given and largest_element(h) != t:
                 raise DecompositionError(f"factor {i}: {t} is not its largest element")
-        rel = single_ternary_relation(target).tuples
         if len(set(mapping)) <= 1:
             if (mapping[0],) * 3 not in rel:
                 raise DecompositionError("constant value without a loop")
@@ -328,8 +315,10 @@ def decompose_product_hom(
             tuple(g[col] for col in zip(*combo)) not in rel for combo in itertools.product(*images)
         ):
             raise DecompositionError("coordinate images leave the target relation")
-    except StructureError:
+    except StructureError as exc:
         _check_product_map(factors, target, mapping, max_tuples)  # names a failing product tuple first
+        if not isinstance(exc, DecompositionError):  # a target or factor that is not functional
+            raise DecompositionError(str(exc)) from exc
         raise
     # f is a homomorphism, and each top t has (t, t, t) in its relation, so f
     # restricted to each face through the tops is one too

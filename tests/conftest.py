@@ -8,6 +8,7 @@ import pytest
 from hmkit.freecons import FiniteAlgebra
 from hmkit.homsearch import OperationTable
 from hmkit.identlang import HmTermReport, SLLabeling, SystemError_, TermSystem, nonempty_subsets, sigma_varset
+from hmkit.semilat import PartialSemilatticeWitness, single_ternary_relation
 from hmkit.structures import (
     Relation,
     RelationalStructure,
@@ -162,6 +163,27 @@ def brute_force_homs(src, tgt):
         if ok:
             out.append(mapping)
     return out
+
+
+def verify_witness(s, w: PartialSemilatticeWitness) -> None:
+    """Re-check a partial-semilattice witness in full; raise StructureError on any failure.
+
+    The ambient (subsets under union) is a semilattice by construction, so
+    what is checked is that the embedding is an injective map into it that
+    realizes every triple.
+    """
+    n = s.size
+    h = w.embedding
+    if len(h) != n:
+        raise StructureError(f"embedding has {len(h)} values for {n} elements")
+    if len(set(h)) != n:
+        raise StructureError("embedding is not injective")
+    for v in h:
+        if not (0 <= v < 1 << n):
+            raise StructureError("embedding value outside ambient universe")
+    for a, b, c in single_ternary_relation(s).sorted_tuples():
+        if h[a] | h[b] != h[c]:
+            raise StructureError(f"witness does not realize triple ({a},{b},{c})")
 
 
 def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:

@@ -23,10 +23,11 @@ from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
 from hmkit.homsearch import OperationTable, count_homs, polymorphisms
 from hmkit.identlang import parse, sl_interp_search
-from hmkit.semilat import DecompositionError, PartialSemilatticeWitness, decompose_product_hom, verify_witness
+from hmkit.semilat import DecompositionError, PartialSemilatticeWitness, decompose_product_hom
 from hmkit.structures import (
     Relation,
     RelationalStructure,
+    StructureError,
     disjoint_union,
     induced_substructure,
     load_structure,
@@ -36,7 +37,7 @@ from hmkit.structures import (
     structure_to_json,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, directed_cycles
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, directed_cycles, verify_witness
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -446,6 +447,41 @@ def test_psl_decompose_failure_precedence(capsys, structure_file, S):
     with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(2, 3, 2\) maps to \(1, 0, 1\)"):
         decompose_product_hom([pair, S], S, (0, 1, 1, 0), [0, 1])  # a wrong top, given, comes after
 
+
+
+def test_psl_decompose_input_errors_and_verdicts_keep_their_types(capsys, structure_file, S):
+    """decompose_product_hom raises unusable input as a StructureError that
+    is no DecompositionError, and the CLI exits 2; a target or factor that
+    is not functional is a verdict, a DecompositionError, and exits 1; the
+    message is the same either way."""
+    R = S.relations["R"].tuples
+    ternary = lambda tuples: RelationalStructure(2, {"R": Relation(3, frozenset(tuples))})
+    nonfunctional = ternary(R | {(0, 1, 1)})
+    two_tops = ternary(R | {(0, 1, 1), (1, 0, 1)})
+    edge = RelationalStructure(2, {"R": Relation(2, frozenset({(0, 1)}))})
+    other = RelationalStructure(2, {"Q": S.relations["R"]})
+    cases = [  # target, factors, map, tops, exit code, message
+        (S, [S, S], "0,0,0", None, 2, "map has 3 entries for a product of size 4"),
+        (S, [S, S], "0,0,0,7", None, 2, "map value 7 not in target universe of size 2"),
+        (S, [S, S], "0,0,0,1", "1", 2, "1 tops for 2 factors"),
+        (S, [S, S], "0,0,0,1", "1,5", 2, "top 5 not in factor 1 universe of size 2"),
+        (S, [S, other], "0,0,0,1", None, 2, "target and factors have different signatures"),
+        (edge, [edge, edge], "0,0,0,1", None, 2, "expected a ternary relation, found arity 2"),
+        (nonfunctional, [S, S], "0,0,0,1", None, 1, "non-functional relation: (0,1,0) and (0,1,1) both present"),
+        (S, [two_tops, S], "0,0,0,1", None, 1, "multiple largest elements [0, 1]; relation not functional"),
+        (S, [two_tops, S], "0,1,1,1", None, 1, "multiple largest elements [0, 1]; relation not functional"),
+        (S, [two_tops, S], "0,0,0,0", "1,1", 1, "multiple largest elements [0, 1]; relation not functional"),
+        (S, [two_tops, S], "0,1,1,1", "1,1", 1, "not a homomorphism: R tuple (0, 2, 2) maps to (0, 1, 1)"),
+    ]
+    for n, (target, factors, mapping, tops, code, message) in enumerate(cases):
+        args = (factors, target, [int(v) for v in mapping.split(",")], tops and [int(v) for v in tops.split(",")])
+        with pytest.raises(StructureError) as info:
+            decompose_product_hom(*args)
+        assert (str(info.value), isinstance(info.value, DecompositionError)) == (message, code == 1), n
+        argv = ["psl", "decompose", "--target", structure_file(target, f"t{n}.json"), "--map", mapping]
+        argv += ["--factors", *(structure_file(h, f"f{n}_{i}.json") for i, h in enumerate(factors))]
+        expected = (1, f"command: psl decompose\ndecomposition: fail  {message}\n", "") if code == 1 else (2, "", f"error: {message}\n")
+        assert run(capsys, *argv, *(["--tops", tops] if tops else [])) == expected, n
 
 # --- free -----------------------------------------------------------------------
 

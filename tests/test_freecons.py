@@ -38,10 +38,9 @@ from hmkit.freecons import (
     verify_lemma22,
     variable_names,
     _batches,
-    _classify_into_coords,
     _close,
     _count_shaped_extensions,
-    _identity_key,
+    _is_constant_or_projection,
     _quotient_tables,
     _refute_window,
     _separating_translation,
@@ -762,12 +761,12 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
 
 def test_verify_certificate_checks_the_sets_of_a_replayed_identity(majority_algebra):
     evidence = hm_evidence(majority_algebra)
-    # m->{1,2,3} and m->{1,3} are refuted by one identity, x = m(x,x,y), which
-    # is replayed once; the second refutation's sets are still checked
+    # m->{1,2,3} and m->{1,3} are refuted by one identity, x = m(x,x,y); the
+    # second refutation's sets are checked on their own
     refutations = list(evidence.refutations)
     first, second = refutations[2], refutations[3]
     assert (first.labeling.sigma, second.labeling.sigma) == ({"m": (1, 2, 3)}, {"m": (1, 3)})
-    assert _identity_key(first.lhs, first.rhs) == _identity_key(second.lhs, second.rhs)
+    assert (str(first.lhs), str(first.rhs)) == (str(second.lhs), str(second.rhs))
     refutations[3] = LabelingRefutation(
         second.labeling, second.arity, second.lhs, second.rhs, second.lhs_varset, frozenset("y")
     )
@@ -775,23 +774,42 @@ def test_verify_certificate_checks_the_sets_of_a_replayed_identity(majority_alge
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
 
 
-def test_identity_key_tells_apart_identities_that_print_alike():
-    x, y, z = Variable("x"), Variable("y"), Variable("z")
-    ternary = Application("m", (x, y, z))
-    binary = Application("m", (Variable("x,y"), z))
-    assert str(ternary) == str(binary)
-    assert _identity_key(x, ternary) != _identity_key(x, binary)
-    # deep terms are keyed without recursion
-    deep = x
+def test_verify_certificate_replays_identities_that_print_alike(majority_algebra):
+    """A refutation whose identity prints as an earlier valid one, but is
+    made of other terms, is replayed on its own: a binary m at a variable
+    named "x,x" prints as the ternary m(x,x,y), and so does a variable named
+    "m(x,x,y)"."""
+    evidence = hm_evidence(majority_algebra)
+    refutations = list(evidence.refutations)
+    valid, later = refutations[2], refutations[4]  # x = m(x,x,y) refutes m->{1,2,3}; then comes m->{2}
+    x, y = Variable("x"), Variable("y")
+    binary = Application("m", (Variable("x,x"), y))
+    named = Variable("m(x,x,y)")
+    assert str(binary) == str(named) == str(valid.rhs) and str(valid.lhs) == "x"
+    # each alias carries its own labeled sets under m->{2}, so only its replay tells it apart
+    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, named, frozenset("x"), frozenset({"m(x,x,y)"}))
+    assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
+    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, binary, frozenset("x"), frozenset("y"))
+    with pytest.raises(StructureError, match="expected 3 arguments, got 2"):
+        verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
+
+
+def test_verify_certificate_replays_deep_terms_without_recursion(majority_algebra):
+    # m(t,x,x) = x for every t, and m->{1} reaches only the innermost y
+    evidence = hm_evidence(majority_algebra)
+    x, y = Variable("x"), Variable("y")
+    deep = y
     for _ in range(3000):
-        deep = Application("f", (deep, y))
+        deep = Application("m", (deep, x, x))
+    first = evidence.refutations[0]
+    assert first.labeling.sigma == {"m": (1,)}
+    refutations = (LabelingRefutation(first.labeling, 2, deep, x, frozenset("y"), frozenset("x")),) + evidence.refutations[1:]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        key = _identity_key(deep, x)
+        assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations))
     finally:
         sys.setrecursionlimit(limit)
-    assert key[0].count("'f'(") == 3000
 
 
 def idempotent_table(rng, size, arity):
@@ -1373,12 +1391,11 @@ def column_failure_reference(
         return ""
     projections = 0
     for ell, cmap in enumerate(dec.coordinate_maps):
-        kind, _ = _classify_into_coords(bundle, comb[ell], cmap.mapping)
-        if kind == "projection":
+        if len(set(cmap.mapping)) > 1 and _is_constant_or_projection(bundle, comb[ell], cmap.mapping):
             if not bundle.hom_count(comb[ell]):
                 return f"arity {arity}: projection on a trivial factor"
             projections += 1
-        elif not (kind == "constant" and cmap.mapping[0] == 1):
+        elif set(cmap.mapping) != {1}:
             return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
     if projections == 0:
         return f"arity {arity}: non-constant map with no projection factor"

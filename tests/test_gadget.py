@@ -12,7 +12,7 @@ from hmkit.gadget import (
     y_structure,
 )
 from hmkit.homsearch import find_homs, is_homomorphism
-from hmkit.semilat import is_partial_semilattice, largest_element, meet_lookup, verify_witness
+from hmkit.semilat import is_partial_semilattice, largest_element, meet_lookup
 from hmkit.structures import (
     Relation,
     RelationalStructure,
@@ -25,7 +25,7 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import one_element_structure, random_structure, relabel
+from conftest import one_element_structure, random_structure, relabel, verify_witness
 
 
 def test_y_structure_shape():

@@ -41,11 +41,10 @@ def test_find_homs_limit(S):
     assert [h.mapping for h in homs] == [(0, 0), (0, 1)]
 
 
-def test_find_homs_pinned(S):
-    homs = find_homs(S, S, SearchOptions(pinned={0: 1}))
-    assert [h.mapping for h in homs] == [(1, 1)]
+def test_hom_maps_pinned(S):
+    assert list(hom_maps(S, S, {0: 1 << 1})) == [(1, 1)]
     with pytest.raises(StructureError, match="pin"):
-        find_homs(S, S, SearchOptions(pinned={0: 9}))
+        next(hom_maps(S, S, {0: 1 << 9}))
 
 
 def test_find_homs_signature_mismatch(S):
@@ -63,18 +62,18 @@ def test_find_homs_matches_brute_force_under_every_option():
         tgt = random_structure(rng, rng.randint(0, 5), signature)
         every = brute_force_homs(src, tgt)
         nonempty += bool(every)
-        pins = [None]
-        if src.size and tgt.size:
-            pins.append({rng.randrange(src.size): rng.randrange(tgt.size)})
-            pins.append({v: rng.randrange(tgt.size) for v in rng.sample(range(src.size), min(2, src.size))})
-        for limit, nonconstant, pinned in itertools.product((0, 1, 3), (False, True), pins):
-            want = [
-                m for m in every
-                if all(m[k] == v for k, v in (pinned or {}).items()) and (not nonconstant or len(set(m)) > 1)
-            ]
-            opts = SearchOptions(limit=limit, nonconstant_only=nonconstant, pinned=pinned)
+        for limit, nonconstant in itertools.product((0, 1, 3), (False, True)):
+            want = [m for m in every if not nonconstant or len(set(m)) > 1]
+            opts = SearchOptions(limit=limit, nonconstant_only=nonconstant)
             got = [h.mapping for h in find_homs(src, tgt, opts)]
             assert got == (want[:limit] if limit else want), (src, tgt, opts)
+        if src.size and tgt.size:
+            for pinned in (
+                {rng.randrange(src.size): rng.randrange(tgt.size)},
+                {v: rng.randrange(tgt.size) for v in rng.sample(range(src.size), min(2, src.size))},
+            ):
+                want = [m for m in every if all(m[k] == v for k, v in pinned.items())]
+                assert list(hom_maps(src, tgt, {k: 1 << v for k, v in pinned.items()})) == want, (src, tgt, pinned)
         assert count_homs(src, tgt) == len(every)
     assert nonempty >= 80
 
@@ -163,10 +162,9 @@ def find_retraction_reference(big, small):
     for beta in find_homs(small, big):
         if len(set(beta.mapping)) != small.size:
             continue
-        pins = {img: x for x, img in enumerate(beta.mapping)}
-        alphas = find_homs(big, small, SearchOptions(limit=1, pinned=pins))
-        if alphas:
-            return beta.mapping, alphas[0].mapping
+        alpha = next(hom_maps(big, small, {img: 1 << x for x, img in enumerate(beta.mapping)}), None)
+        if alpha is not None:
+            return beta.mapping, alpha
     return None
 
 

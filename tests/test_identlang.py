@@ -291,11 +291,11 @@ def test_sigma_varset():
 
 
 def test_all_labelings():
-    labelings = all_labelings({"m": 3})
+    labelings = list(all_labelings({"m": 3}))
     assert len(labelings) == 7
     assert labelings[0].sigma == {"m": (1,)}
     assert [l.sigma["m"] for l in labelings] == nonempty_subsets(3)
-    assert all_labelings({}) == [SLLabeling({})]
+    assert list(all_labelings({})) == [SLLabeling({})]
 
 
 def test_sl_interp_search_verdicts():
