@@ -75,6 +75,7 @@ from .identlang import (
     SLLabeling,
     Term,
     Variable,
+    _fold,
     all_labelings,
     holds_in,
     nonempty_subsets,
@@ -954,20 +955,25 @@ def hm_evidence(
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     """Replay a certificate: coverage (one refutation per labeling, in
-    labeling order), validity in the algebra of each identity (`holds_in`
-    evaluates each side once, column-wise), and the labeled variable sets
-    of every refutation.  An identity is replayed once per pair of term
-    objects, keyed by their ids: the refutations of one group share their
-    terms, and the certificate keeps every term alive for the call."""
+    labeling order), well-formed terms and validity in the algebra of each
+    identity (`holds_in` evaluates each side once, column-wise), and the
+    labeled variable sets of every refutation.  An identity is replayed
+    once per pair of term objects, keyed by their ids: the refutations of
+    one group share their terms, and the certificate keeps every term alive
+    for the call."""
     symbols = a.symbols()
-    combos = itertools.product(*(nonempty_subsets(a.operations[sym].arity) for sym in symbols))
+    arity = {sym: a.operations[sym].arity for sym in symbols}
+    combos = itertools.product(*(nonempty_subsets(arity[sym]) for sym in symbols))
     valid: dict[tuple[int, int], bool] = {}
     for combo, r in itertools.zip_longest(combos, certificate.refutations):
         if combo is None or r is None or r.labeling.sigma != dict(zip(symbols, combo)):
             return False
         key = (id(r.lhs), id(r.rhs))
-        if key not in valid:
-            valid[key] = holds_in(a, Identity(r.lhs, r.rhs), a.operations)
+        if key not in valid:  # every application names one of a's symbols, at its arity
+            valid[key] = all(
+                _fold(t, lambda v: True, lambda u, ok: all(ok) and len(ok) == arity.get(u.symbol))
+                for t in (r.lhs, r.rhs)
+            ) and holds_in(a, Identity(r.lhs, r.rhs), a.operations)
         if not valid[key]:
             return False
         lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)

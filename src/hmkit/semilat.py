@@ -11,6 +11,7 @@ universe under union, one bitmask per element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .structures import (
     Relation,
     RelationalStructure,
     SignatureMismatch,
-    SizeLimitExceeded,
     StructureError,
     coordinate_tuples,
     product_size,
@@ -56,8 +56,8 @@ def _meet_index(s: RelationalStructure) -> MeetIndex:
     return index
 
 
-def _meet(index: MeetIndex, a: int, b: int) -> int | None:
-    found = index.get((a, b))
+def _meet(index: MeetIndex, a: int | None, b: int) -> int | None:
+    found = index.get((a, b))  # None for a = None: an undefined meet stays undefined
     if found is None:
         return None
     if len(found) > 1:
@@ -65,15 +65,6 @@ def _meet(index: MeetIndex, a: int, b: int) -> int | None:
             f"non-functional relation: ({a},{b},{found[0]}) and ({a},{b},{found[1]}) both present"
         )
     return found[0]
-
-
-def _fold_meet(index: MeetIndex, elements: list[int] | tuple[int, ...]) -> int | None:
-    acc: int | None = elements[0]
-    for e in elements[1:]:
-        acc = _meet(index, acc, e)
-        if acc is None:
-            return None
-    return acc
 
 
 def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
@@ -247,16 +238,20 @@ def decompose_product_hom(
     target.
 
     f = g∘F is then proved a homomorphism on the coordinate images
-    I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}, not on the product
-    tuples: F maps the product relation onto the product of the I_i, so f is
-    a homomorphism iff g sends each combination of the I_i into the target
-    relation, at most |R_T|^k lookups for any ternary target.  When a check
-    fails, the product tuples are walked first, so a map that is no
-    homomorphism raises "not a homomorphism" at its least failing tuple; a
-    homomorphism gets the failed check's own DecompositionError.  max_tuples
-    bounds the work done: SizeLimitExceeded is raised before more than
-    max_tuples combinations of the I_i are looked up, and before that walk
-    when the product has more than max_tuples tuples.
+    I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}: F maps the product
+    relation onto the product of the I_i, and g is the left-folded meet, so
+    folding the I_i from the left by componentwise meets yields exactly the
+    images of the product tuples under f, in at most (k - 1) * |T|^3 *
+    max|I_i| meets for a target T, and f is a homomorphism iff they lie in
+    the target relation.  Each meet is a prefix fold of some F(x), already
+    taken by the point walk, so none is undefined or non-functional; each
+    I_i is among the images, with the other factors at their tops' loops
+    (t, t, t), where g = f_i.  When a check fails, the product tuples are
+    walked first, so a map that is no homomorphism raises "not a
+    homomorphism" at its least failing tuple, as the fold's triples are
+    images of product tuples; a homomorphism gets the failed check's own
+    DecompositionError.  max_tuples bounds only that walk: SizeLimitExceeded
+    is raised before it when the product has more than max_tuples tuples.
     """
     if not factors:
         raise StructureError("empty factor list")
@@ -299,7 +294,7 @@ def decompose_product_hom(
         g: dict[tuple[int, ...], int] = {}
         for idx, coords in enumerate(coordinate_tuples(sizes)):
             values = tuple(m[c] for m, c in zip(maps, coords))
-            expected = g[values] if values in g else _fold_meet(meets, values)
+            expected = g[values] if values in g else functools.reduce(lambda x, y: _meet(meets, x, y), values)
             if expected is None:
                 raise DecompositionError(f"iterated meet undefined at point {coords}")
             if expected != mapping[idx]:
@@ -308,12 +303,10 @@ def decompose_product_hom(
                 )
             g[values] = expected
         images = [{tuple(m[v] for v in t) for t in single_ternary_relation(h).tuples} for h, m in zip(factors, maps)]
-        combos = math.prod(map(len, images))
-        if combos > max_tuples:
-            raise SizeLimitExceeded(f"coordinate images need {combos} > {max_tuples} tuples")
-        if not all(image <= rel for image in images) or any(  # each f_i must be a homomorphism too
-            tuple(g[col] for col in zip(*combo)) not in rel for combo in itertools.product(*images)
-        ):
+        states = images[0]
+        for image in images[1:]:
+            states = {tuple(_meet(meets, s, u) for s, u in zip(state, triple)) for state in states for triple in image}
+        if not states <= rel:
             raise DecompositionError("coordinate images leave the target relation")
     except StructureError as exc:
         _check_product_map(factors, target, mapping, max_tuples)  # names a failing product tuple first

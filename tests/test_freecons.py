@@ -790,8 +790,11 @@ def test_verify_certificate_replays_identities_that_print_alike(majority_algebra
     refutations[4] = LabelingRefutation(later.labeling, later.arity, x, named, frozenset("x"), frozenset({"m(x,x,y)"}))
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
     refutations[4] = LabelingRefutation(later.labeling, later.arity, x, binary, frozenset("x"), frozenset("y"))
-    with pytest.raises(StructureError, match="expected 3 arguments, got 2"):
-        verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
+    assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
+    # a symbol the algebra lacks is refused as well, not looked up
+    unknown = Application("j", (x, x, y))
+    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, unknown, frozenset("x"), frozenset("y"))
+    assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
 
 
 def test_verify_certificate_replays_deep_terms_without_recursion(majority_algebra):

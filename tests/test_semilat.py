@@ -288,18 +288,19 @@ def test_decompose_rejects_wrong_shapes(S):
 def test_decompose_max_tuples_bounds_the_work_done(S):
     # S x S x S has 8 elements and 4^3 = 64 tuples
     points = list(itertools.product(range(2), repeat=3))
-    # the meet map looks up all 4^3 combinations of its coordinate images
+    # an accepted map folds its coordinate images and never walks the
+    # product, so it passes at any bound
     meet = tuple(a & b & c for a, b, c in points)
-    with pytest.raises(SizeLimitExceeded, match="^coordinate images need 64 > 63 tuples$"):
-        decompose_product_hom([S, S, S], S, meet, max_tuples=63)
-    decomposition = decompose_product_hom([S, S, S], S, meet, max_tuples=64)
+    decomposition = decompose_product_hom([S, S, S], S, meet, max_tuples=1)
     assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1)] * 3
-    # the first projection has images of 4, 1 and 1 tuples
     first = tuple(a for a, _, _ in points)
-    with pytest.raises(SizeLimitExceeded, match="^coordinate images need 4 > 3 tuples$"):
-        decompose_product_hom([S, S, S], S, first, max_tuples=3)
-    decomposition = decompose_product_hom([S, S, S], S, first, max_tuples=4)
+    decomposition = decompose_product_hom([S, S, S], S, first, max_tuples=1)
     assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1), (1, 1), (1, 1)]
+    # the meet of 12 factors: 4^12 combinations of coordinate images, 16
+    # million, where the fold keeps at most 2^3 target triples
+    meet12 = tuple(int(i == 4095) for i in range(4096))
+    decomposition = decompose_product_hom([S] * 12, S, meet12, max_tuples=1)
+    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1)] * 12
     # a failing map walks the product tuples to name its least failing one
     broken = (1,) + meet[1:]
     with pytest.raises(SizeLimitExceeded, match="^product needs 64 > 63 tuples$"):
