@@ -168,7 +168,6 @@ class FreeAlgebra:
     """
 
     base: FiniteAlgebra
-    num_generators: int
     algebra: FiniteAlgebra  # induced tables on the closure elements, term names as labels
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...]
@@ -306,7 +305,6 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
         labels.append(names[arg] if sym == "var" else f"{sym}({','.join(labels[e] for e in arg)})")
     return FreeAlgebra(
         base=a,
-        num_generators=k,
         algebra=FiniteAlgebra(n, tables, tuple(labels)),
         elements=tuple(elements),
         generators=tuple(index[p] for p in projections),
@@ -559,12 +557,12 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     # 2: the components of the free structure are its diagonal classes
     # (the classes partition it, so it is enough that each is a block), and
     # those of the image are the collapsed classes
-    blocks = {frozenset(b) for b in connected_components(bundle.structure).partition}
+    blocks = {frozenset(b) for b in connected_components(bundle.structure)}
     split = next((u for u, c in enumerate(bundle.components) if frozenset(c.members) not in blocks), None)
     if split is not None:
         detail = f"diagonal class {split} {list(bundle.components[split].members)} is not one component"
     else:
-        blocks = {frozenset(b) for b in connected_components(bundle.K).partition}
+        blocks = {frozenset(b) for b in connected_components(bundle.K)}
         classes = {frozenset(c.kids) for c in bundle.components}
         detail = "" if blocks == classes else f"blocks {sorted(map(sorted, blocks))} vs {sorted(map(sorted, classes))}"
     results.append(CheckResult("item 2 (components)", FAIL if detail else PASS, detail))

@@ -2,9 +2,11 @@
 
 Applying the transform to a disjoint union of semilattice powers yields
 another disjoint union of semilattice powers.  The analysis verifies the
-input's shape and reads the output's off it, with no transform built: the
-component of the transform at an element a is the principal filter of a,
-S^(k - popcount a) in S^k, as `analyze_gadget_components` proves.
+input's shape, checking each connected component in the input's own ids
+against S^k through its coatoms, and reads the output's shape off it, with
+no transform built: the component of the transform at an element a is the
+principal filter of a, S^(k - popcount a) in S^k, as
+`analyze_gadget_components` proves.
 """
 
 from __future__ import annotations
@@ -64,69 +66,53 @@ def gadget_transform(d: RelationalStructure) -> RelationalStructure:
     return RelationalStructure(len(legs), {symbol: Relation(3, triples)}, labels)
 
 
-def _power_iso(comp: RelationalStructure) -> tuple[int, ...] | None:
-    """The lexicographically first isomorphism from comp onto S^k, or None.
-
-    The component is read off its relation in time linear in it; there is
-    no isomorphism search.  In S^k, whose ids are the ranks of bit tuples,
-    x <= m exactly when (x, m, x) is a tuple, and bit j of x is 0 exactly
-    when x lies below the coatom with only bit j clear.  So for a component
-    with n = 2^k elements and n^2 tuples, each of its k coatoms m (the
-    elements with exactly two upper bounds) gives a column, bit x set when
-    x is not below m, and phi(x) reads the bits of x across the columns.
-
-    The check is exact.  If phi is injective and phi(c) = phi(a) & phi(b)
-    for every tuple (a, b, c), phi is an injective homomorphism onto S^k;
-    with n^2 tuples on both sides it maps the relation onto S^k's, so it is
-    an isomorphism, and no associativity check is needed.  Conversely an
-    isomorphism carries the coatoms of S^k to those of the component, so
-    every isomorphism is phi for some order of the columns, and the check
-    passes whenever one exists.
-
-    Sorting the columns ascending (compared from element 0), the first most
-    significant, gives the lexicographically first isomorphism, the one
-    `find_isomorphism` returns.  If another order gave a smaller map, let x
-    be the first element and j the first position where the two differ;
-    the orders agree on elements 0..x at every position before j.  The
-    other order's j-th column agrees with the sorted one's before x and has
-    a 0 at x where the sorted one has a 1.  Every column with its prefix
-    over 0..x is smaller than the sorted j-th column, so sorting placed all
-    of them before j; the other order placed as many there, hence all of
-    them, its own j-th column included, which is a contradiction.
-    """
-    n = comp.size
-    k = n.bit_length() - 1
-    triples = comp.relations[comp.symbols()[0]].tuples
-    if n != 1 << k or len(triples) != n * n:
-        return None
-    # (x, y, x) says x <= y; a coatom has two upper bounds, itself and the top
-    ups = Counter(x for x, _, z in triples if x == z)
-    coatoms = [m for m in range(n) if ups[m] == 2]
-    if len(coatoms) != k:
-        return None
-    columns = sorted(tuple(int((x, m, x) not in triples) for x in range(n)) for m in coatoms)
-    mapping = [0] * n
-    for column in columns:  # the first column ends up most significant
-        mapping = [2 * v + bit for v, bit in zip(mapping, column)]
-    if len(set(mapping)) != n or any(mapping[c] != mapping[a] & mapping[b] for a, b, c in triples):
-        return None
-    return tuple(mapping)
-
-
 def match_components_to_powers(d: RelationalStructure) -> list[int]:
     """The k with each connected component isomorphic to S^k, in component order.
 
-    Exponent 0 stands for the one-element structure.  Raises when some
-    component matches nothing, so a successful return is a proof that d is
-    a disjoint union of semilattice powers.  Each component is checked by
-    `_power_iso`, with no power of S built.
+    Exponent 0 stands for the one-element structure.  Raises, naming the
+    first component that matches nothing, so a successful return is a proof
+    that d is a disjoint union of semilattice powers.  Each component is
+    checked in d's own ids, in time linear in the relation, with no copy of
+    it and no power of S built.
+
+    In S^k, whose ids are the ranks of bit tuples, x <= m exactly when
+    (x, m, x) is a tuple, and bit j of x is 0 exactly when x lies below the
+    j-th coatom, the element with only bit j clear.  So a component B of
+    n = 2^k elements needs k coatoms m (the elements with exactly two upper
+    bounds), and phi(x) sets bit j when x is not below the j-th of them.
+    If phi is injective on B and phi(c) = phi(a) & phi(b) for every tuple
+    (a, b, c) of B, phi is an injective homomorphism onto S^k, so B has at
+    most n^2 tuples, and with exactly n^2 it maps B's relation onto S^k's:
+    phi is an isomorphism, and no associativity check is needed.
+    Conversely an isomorphism carries the coatoms of S^k to those of B, so
+    it is phi for some order of the coatoms, and the check passes whenever
+    one exists.  Once every component passes the first two checks, the
+    count |R| = sum of n^2 gives each its n^2 tuples, so tuples are counted
+    per component only to name a failure.
     """
     single_ternary_relation(d)
-    decomposition = connected_components(d)
-    for block, comp in zip(decomposition.partition, decomposition.induced):
-        if _power_iso(comp) is None:
-            raise StructureError(f"component {block} is not a power of the semilattice")
-    return [comp.size.bit_length() - 1 for comp in decomposition.induced]
+    triples = d.relations[d.symbols()[0]].tuples
+    blocks = connected_components(d)
+    # (x, y, x) says x <= y and joins x and y, so x's upper bounds lie in its block
+    ups = Counter(x for x, _, z in triples if x == z)
+    phi = [0] * d.size
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    failed = set()
+    for i, block in enumerate(blocks):
+        coatoms = [m for m in block if ups[m] == 2]
+        if len(block) != 1 << len(coatoms):
+            failed.add(i)
+            continue
+        for x in block:
+            phi[x] = sum(1 << j for j, m in enumerate(coatoms) if (x, m, x) not in triples)
+        if len(set(map(phi.__getitem__, block))) != len(block):
+            failed.add(i)
+    failed.update(block_of[a] for a, b, c in triples if phi[c] != phi[a] & phi[b])
+    if failed or len(triples) != sum(len(block) ** 2 for block in blocks):
+        counts = Counter(block_of[a] for a, _, _ in triples)
+        failed.update(i for i, block in enumerate(blocks) if counts[i] != len(block) ** 2)
+        raise StructureError(f"component {blocks[min(failed)]} is not a power of the semilattice")
+    return [len(block).bit_length() - 1 for block in blocks]
 
 
 @dataclass(frozen=True)

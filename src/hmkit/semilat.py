@@ -25,7 +25,6 @@ from .structures import (
     StructureError,
     coordinate_tuples,
     product_size,
-    product_tuples,
     rank,
 )
 from .homsearch import OperationTable
@@ -203,17 +202,32 @@ def _check_product_map(
     """Check mapping, on the ranks of product(factors), against every product tuple.
 
     The product is never built, but `product_size` bounds its tuples by
-    max_tuples first.  A tuple whose image is missing raises
-    DecompositionError naming, as `Homomorphism` does, the least such tuple
-    of the first relation that has one.
+    max_tuples first.  Ranks order as their coordinate tuples do, so the
+    product tuples are walked in lexicographic order by choosing the
+    a-coordinates of all factors, then the b, then the c, each in sorted
+    order.  The first tuple whose image is missing is therefore the least,
+    and DecompositionError names it, as `Homomorphism` does.
     """
     product_size(factors, max_tuples)
-    image = mapping.__getitem__
-    for sym in target.symbols():
-        tgt = target.relations[sym].tuples
-        bad = min((t for t in product_tuples(factors, sym) if tuple(map(image, t)) not in tgt), default=None)
-        if bad is not None:
-            raise DecompositionError(f"not a homomorphism: {sym} tuple {bad} maps to {tuple(map(image, bad))}")
+    sym = target.symbols()[0]
+    tgt = target.relations[sym].tuples
+    sizes = [h.size for h in factors]
+    # per factor, a -> b -> [c], each scaled by the factor's stride in a rank
+    tries = []
+    for i, h in enumerate(factors):
+        stride, trie = math.prod(sizes[i + 1:]), {}
+        for a, b, c in sorted(h.relations[sym].tuples):
+            trie.setdefault(a * stride, {}).setdefault(b * stride, []).append(c * stride)
+        tries.append(trie)
+    for a in itertools.product(*tries):
+        fa, bs = mapping[sum(a)], [t[x] for t, x in zip(tries, a)]
+        for b in itertools.product(*bs):
+            fb, cs = mapping[sum(b)], [t[y] for t, y in zip(bs, b)]
+            for c in itertools.product(*cs):
+                fc = mapping[sum(c)]
+                if (fa, fb, fc) not in tgt:
+                    bad = (sum(a), sum(b), sum(c))
+                    raise DecompositionError(f"not a homomorphism: {sym} tuple {bad} maps to {(fa, fb, fc)}")
 
 
 def decompose_product_hom(

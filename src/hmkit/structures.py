@@ -93,23 +93,14 @@ def is_reflexive(s: RelationalStructure) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    partition: tuple[tuple[int, ...], ...]
-    induced: tuple[RelationalStructure, ...]
-
-
-def connected_components(s: RelationalStructure) -> ComponentDecomposition:
+def connected_components(s: RelationalStructure) -> tuple[tuple[int, ...], ...]:
     """Classes of the equivalence closure of all binary-projection edges.
 
-    Two linear passes over the tuples.  The first joins, by union-find, the
-    coordinates of every tuple; that is the closure of the projection edges
-    without building the binary projections.  Relations of arity below 2
-    are refused, as they have no binary projection, so every tuple has at
-    least two coordinates and all of them lie in one block.  The second pass
-    therefore sends each tuple, re-indexed, to the block of its first
-    coordinate; the induced structures equal `induced_substructure` on each
-    block.  Blocks are sorted and ordered by their least element.
+    One linear pass over the tuples joins, by union-find, the coordinates of
+    every tuple; that is the closure of the projection edges without
+    building the binary projections.  Relations of arity below 2 are
+    refused, as they have no binary projection.  The blocks are sorted id
+    tuples, ordered by their least element.
     """
     for sym in s.symbols():
         arity = s.relations[sym].arity
@@ -137,28 +128,7 @@ def connected_components(s: RelationalStructure) -> ComponentDecomposition:
     blocks: dict[int, list[int]] = {}
     for v in range(s.size):
         blocks.setdefault(find(v), []).append(v)
-    partition = tuple(map(tuple, blocks.values()))
-    if len(partition) == 1:  # re-indexing by the identity would rebuild s
-        return ComponentDecomposition(partition, (s,))
-    block_of = [0] * s.size
-    local = [0] * s.size
-    for k, block in enumerate(partition):
-        for i, v in enumerate(block):
-            block_of[v], local[v] = k, i
-
-    buckets: list[dict[str, list[tuple[int, ...]]]] = [{sym: [] for sym in s.relations} for _ in partition]
-    for sym, rel in s.relations.items():
-        for t in rel.tuples:
-            buckets[block_of[t[0]]][sym].append(tuple(map(local.__getitem__, t)))
-    induced = tuple(
-        RelationalStructure(
-            len(block),
-            {sym: Relation(s.relations[sym].arity, frozenset(ts)) for sym, ts in bucket.items()},
-            tuple(s.label(v) for v in block) if s.labels is not None else None,
-        )
-        for block, bucket in zip(partition, buckets)
-    )
-    return ComponentDecomposition(partition, induced)
+    return tuple(map(tuple, blocks.values()))
 
 
 def rank(coords: Sequence[int], sizes: Sequence[int]) -> int:

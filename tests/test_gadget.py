@@ -1,11 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
 from hmkit.gadget import (
-    _power_iso,
     analyze_gadget_components,
     gadget_transform,
     match_components_to_powers,
@@ -190,13 +190,65 @@ def test_match_equals_find_isomorphism(S, point):
     inputs += [gadget_transform(d) for d in inputs]
     checked = 0
     for d in inputs:
-        components = connected_components(d).induced
-        exponents = [comp.size.bit_length() - 1 for comp in components]
+        blocks = connected_components(d)
+        exponents = [len(block).bit_length() - 1 for block in blocks]
         assert match_components_to_powers(d) == exponents
-        for comp, k in zip(components, exponents):
-            assert _power_iso(comp) == find_isomorphism(comp, power_or_point(S, k)).mapping
+        for block, k in zip(blocks, exponents):
+            assert find_isomorphism(induced_substructure(d, block), power_or_point(S, k)) is not None
             checked += 1
     assert checked == 344
+
+
+def corrupted_unions(S, seed, count):
+    """Seeded unions of S^0..S^4, each with 0-2 tuples removed, added or
+    given another value inside one part, relabelled at random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        parts = [power_or_point(S, rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+        union = disjoint_union(parts)
+        starts = list(itertools.accumulate([0] + [p.size for p in parts[:-1]]))
+        triples = set(union.relations["R"].tuples)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(parts))
+            start, n = starts[i], parts[i].size
+            inside = sorted(t for t in triples if start <= t[0] < start + n)
+            kind = rng.randrange(3)
+            if kind == 0 and inside:
+                triples.discard(rng.choice(inside))
+            elif kind == 1:
+                triples.add(tuple(start + rng.randrange(n) for _ in range(3)))
+            elif inside:
+                a, b, c = rng.choice(inside)
+                triples.discard((a, b, c))
+                triples.add((a, b, start + rng.randrange(n)))
+        d = RelationalStructure(union.size, {"R": Relation(3, frozenset(triples))})
+        out.append(relabel(d, rng.sample(range(d.size), d.size)))
+    return out
+
+
+def test_match_names_the_first_failing_component(S):
+    powers = {n: power_or_point(S, n) for n in range(5)}
+    seen = Counter()
+    for d in corrupted_unions(S, 31, 1000):
+        blocks = connected_components(d)
+        matched = [
+            len(b) in (1, 2, 4, 8, 16)
+            and find_isomorphism(induced_substructure(d, b), powers[len(b).bit_length() - 1]) is not None
+            for b in blocks
+        ]
+        if all(matched):
+            assert match_components_to_powers(d) == [len(b).bit_length() - 1 for b in blocks]
+            seen["union"] += 1
+            continue
+        first = matched.index(False)
+        with pytest.raises(StructureError) as error:
+            match_components_to_powers(d)
+        assert str(error.value) == f"component {blocks[first]} is not a power of the semilattice"
+        seen["a later component" if first else "the first component"] += 1
+        seen["a later component fails too"] += False in matched[first + 1:]
+    # over half fail, and a fair share fail in more than one component
+    assert seen["union"] < 500 and min(seen.values()) >= 80, seen
 
 
 def test_analysis_equals_the_materialised_transform(S, point):
@@ -206,7 +258,7 @@ def test_analysis_equals_the_materialised_transform(S, point):
         assert analysis.input_exponents == tuple(match_components_to_powers(d))
         assert analysis.output_exponents == tuple(match_components_to_powers(gadget_transform(d)))
     # most unions have a point component, and most have one whose ids are no run
-    unions = [connected_components(d).partition for d in inputs[8:]]
+    unions = [connected_components(d) for d in inputs[8:]]
     assert sum(any(len(b) == 1 for b in p) for p in unions) > 20
     assert sum(any(b[-1] - b[0] >= len(b) for b in p) for p in unions) > 30
 
@@ -259,7 +311,7 @@ def non_powers(S):
 
 def test_match_rejects_non_powers_of_power_size(S):
     for name, d in non_powers(S).items():
-        assert len(connected_components(d).partition) == 1, name
+        assert len(connected_components(d)) == 1, name
         with pytest.raises(StructureError, match="not a power"):
             match_components_to_powers(d)
         k = d.size.bit_length() - 1

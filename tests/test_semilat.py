@@ -25,6 +25,7 @@ from hmkit.structures import (
     SizeLimitExceeded,
     StructureError,
     product,
+    product_tuples,
     rank,
 )
 
@@ -442,6 +443,41 @@ def test_decompose_matches_product_reference_on_other_targets(S, chain3, point):
                     seen[expected.split(":")[0]] += 1
     assert min(seen["constant"], seen["meet"], seen["no hom"]) >= 20, seen
     assert seen["image check"] >= 50, seen
+
+
+def least_failing_tuple_reference(factors, target, mapping):
+    """The "not a homomorphism" message for the least product tuple whose
+    image leaves the target, by `min` over every product tuple, or None."""
+    rel = single_ternary_relation(target).tuples
+    image = lambda t: tuple(mapping[v] for v in t)
+    bad = min((t for t in product_tuples(factors, "R") if image(t) not in rel), default=None)
+    return None if bad is None else f"not a homomorphism: R tuple {bad} maps to {image(bad)}"
+
+
+def test_decompose_names_the_least_failing_tuple(S, chain3, point):
+    """A map that is no homomorphism is refused at its least failing product
+    tuple, the one the `min` walk over all of them finds, over 1-3 factors."""
+    nonfunctional = ternary(2, single_ternary_relation(S).tuples | {(0, 1, 1)})
+    pool = [S, chain3, point, PARTIAL3, SQUARE]
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(150):
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        target = rng.choice((S, chain3, PARTIAL3, nonfunctional))
+        p = product(factors)
+        homs = [h.mapping for h in itertools.islice(find_homs(p, target), 3)]
+        maps = [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(2)]
+        for mapping in homs + maps:
+            spot = rng.randrange(p.size)
+            maps.append(mapping[:spot] + ((mapping[spot] + 1) % target.size,) + mapping[spot + 1:])
+        for mapping in maps:
+            expected = least_failing_tuple_reference(factors, target, mapping)
+            if expected is None:
+                continue
+            assert outcome(decompose_product_hom, factors, target, mapping) == expected
+            seen[len(factors)] += 1
+            seen["past the first tuple"] += f"tuple {min(product_tuples(factors, 'R'))} " not in expected
+    assert min(seen.values()) >= 100, seen
 
 
 def test_every_hom_off_a_product_decomposes(S, chain3):

@@ -91,14 +91,12 @@ def test_binary_projection_rejects_unary():
 
 def test_connected_components(S, point):
     u = disjoint_union([S, point, S])
-    decomposition = connected_components(u)
-    assert decomposition.partition == ((0, 1), (2,), (3, 4))
-    assert decomposition.induced[0].relations["R"].tuples == S.relations["R"].tuples
-    assert connected_components(S).partition == ((0, 1),)
+    assert connected_components(u) == ((0, 1), (2,), (3, 4))
+    assert connected_components(S) == ((0, 1),)
 
 
 def connected_components_reference(s):
-    """Union over binary-projection edges, then one induced substructure per block."""
+    """Union over binary-projection edges."""
     parent = list(range(s.size))
 
     def find(a: int) -> int:
@@ -120,9 +118,7 @@ def connected_components_reference(s):
     blocks: dict[int, list[int]] = {}
     for v in range(s.size):
         blocks.setdefault(find(v), []).append(v)
-    partition = tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
-    induced = tuple(induced_substructure(s, block) for block in partition)
-    return partition, induced
+    return tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
 
 
 def test_connected_components_matches_reference():
@@ -137,18 +133,11 @@ def test_connected_components_matches_reference():
                 count = rng.randint(0, 2 * size) if size else 0
                 tuples = frozenset(tuple(rng.randrange(size) for _ in range(arity)) for _ in range(count))
                 rels[sym] = Relation(arity, tuples)
-            labels = tuple(f"e{rng.randrange(100)}" for _ in range(size)) if rng.random() < 0.5 else None
-            s = RelationalStructure(size, rels, labels)
-            want_partition, want_induced = connected_components_reference(s)
-            got = connected_components(s)
-            assert got.partition == want_partition
-            assert got.induced == want_induced
-            # equality ignores the order of the relation dicts; the reports do not
-            assert [list(g.relations) for g in got.induced] == [list(w.relations) for w in want_induced]
-            split += len(want_partition) > 1
-            if len(want_partition) == 1:
-                whole += 1
-                assert got.induced[0] is s  # one block: s itself, not a re-indexed copy
+            s = RelationalStructure(size, rels)
+            want = connected_components_reference(s)
+            assert connected_components(s) == want
+            split += len(want) > 1
+            whole += len(want) == 1
     assert split > 100 and whole > 50
 
     unary = RelationalStructure(3, {"R": Relation(3, frozenset({(0, 1, 2)})), "P": Relation(1, frozenset({(0,)}))})
