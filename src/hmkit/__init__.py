@@ -20,14 +20,13 @@ from .structures import (
     StructureError,
     two_element_semilattice,
 )
-from .homsearch import OperationTable, SearchOptions, find_homs, polymorphisms
+from .homsearch import OperationTable, find_homs, polymorphisms
 
 __all__ = [
     "Homomorphism",
     "OperationTable",
     "Relation",
     "RelationalStructure",
-    "SearchOptions",
     "StructureError",
     "find_homs",
     "polymorphisms",

@@ -33,7 +33,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import freecons, gadget, identlang, semilat, structures
 from .homsearch import (
-    SearchOptions,
     count_homs,
     find_homs,
     find_retraction,
@@ -173,7 +172,7 @@ def cmd_structure_iso(args, started: float) -> int:
     if iso is None:
         evidence = structures.non_isomorphism_evidence(a, b)
         return _emit_report(args, "structure iso", [Check("isomorphic", "fail", evidence)], 1, started)
-    return _emit_report(args, "structure iso", [Check("isomorphic", "pass", list(iso.mapping))], 0, started)
+    return _emit_report(args, "structure iso", [Check("isomorphic", "pass", list(iso))], 0, started)
 
 
 # --- hom ----------------------------------------------------------------------
@@ -181,9 +180,8 @@ def cmd_structure_iso(args, started: float) -> int:
 
 def cmd_hom_find(args, started: float) -> int:
     src, tgt = _load(args.source), _load(args.target)
-    opts = SearchOptions(limit=args.limit, nonconstant_only=args.nonconstant)
-    homs = find_homs(src, tgt, opts)
-    witness = [",".join(map(str, h.mapping)) for h in homs]
+    homs = find_homs(src, tgt, limit=args.limit, nonconstant_only=args.nonconstant)
+    witness = [",".join(map(str, m)) for m in homs]
     checks = [Check("homomorphisms", "pass", witness)]
     return _emit_report(args, "hom find", checks, 0, started)
 
@@ -212,8 +210,7 @@ def cmd_hom_retract(args, started: float) -> int:
     pair = find_retraction(big, small)
     if pair is None:
         return _emit_report(args, "hom retract", [Check("retract", "fail")], 1, started)
-    into, onto = pair
-    witness = {"into": list(into.mapping), "onto": list(onto.mapping)}
+    witness = {"into": list(pair[0]), "onto": list(pair[1])}
     return _emit_report(args, "hom retract", [Check("retract", "pass", witness)], 0, started)
 
 
@@ -278,7 +275,7 @@ def cmd_psl_decompose(args, started: float) -> int:
     if decomposition.is_constant:
         witness = {"constant": decomposition.constant_value}
     else:
-        witness = {"coordinate_maps": [list(m.mapping) for m in decomposition.coordinate_maps]}
+        witness = {"coordinate_maps": list(map(list, decomposition.coordinate_maps))}
     return _emit_report(args, "psl decompose", [Check("decomposition", "pass", witness)], 0, started)
 
 

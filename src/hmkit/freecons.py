@@ -64,7 +64,6 @@ from typing import Mapping, Sequence
 
 from .homsearch import (
     OperationTable,
-    SearchOptions,
     find_homs,
     hom_maps,
     operation_from_json,
@@ -316,7 +315,7 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
 @dataclass(frozen=True)
 class ComponentData:
     members: tuple[int, ...]  # free-algebra element ids, sorted
-    homs: tuple[Homomorphism, ...] = ()  # non-constant maps into S, local ids
+    homs: tuple[tuple[int, ...], ...] = ()  # non-constant maps into S, local ids
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
     collapsed: RelationalStructure | None = None  # K induced on kids (after collapse)
 
@@ -400,9 +399,7 @@ def compute_H(bundle: FreeBundle) -> FreeBundle:
             e for e in range(bundle.free.algebra.size) if bundle.component_of[e] == u
         )
         sub = induced_substructure(bundle.structure, members)
-        homs = tuple(
-            find_homs(sub, bundle.semilattice, SearchOptions(nonconstant_only=True))
-        )
+        homs = tuple(find_homs(sub, bundle.semilattice, nonconstant_only=True))
         components.append(ComponentData(members, homs))
     bundle.components = tuple(components)
     return bundle
@@ -458,7 +455,7 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
     points: list = [None] * bundle.free.algebra.size  # free element -> (component, bits)
     for u, comp in enumerate(bundle.components):
         for local, e in enumerate(comp.members):
-            points[e] = (u, tuple(hom.mapping[local] for hom in comp.homs))
+            points[e] = (u, tuple(hom[local] for hom in comp.homs))
     decode = sorted(set(points))
     kid_of = {p: k for k, p in enumerate(decode)}
     qmap = tuple(map(kid_of.__getitem__, points))
@@ -592,8 +589,8 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     ok, detail = True, ""
     for u, comp in enumerate(bundle.components):
         for hom in find_homs(comp.collapsed, S):
-            if not _is_constant_or_projection(bundle, u, hom.mapping):
-                ok, detail = False, f"component {u}: map {hom.mapping} is neither"
+            if not _is_constant_or_projection(bundle, u, hom):
+                ok, detail = False, f"component {u}: map {hom} is neither"
                 break
         if not ok:
             break

@@ -11,8 +11,10 @@ come in the same order.  Once all but the highest element of a
 source tuple are assigned, a support table precompiled per relation and
 open positions narrows that element's domain to the values completing the
 tuple (support-set forward checking, Mackworth 1977), so every tuple is
-enforced once and found maps need no second check.  The search runs on an
-explicit stack, so no input size is bounded by the recursion limit.
+enforced once and found maps need no second check: every search returns
+them as bare mapping tuples, and `structures.Homomorphism` is left to
+validate maps built elsewhere.  The search runs on an explicit stack, so
+no input size is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -23,25 +25,12 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .structures import (
-    Homomorphism,
     Relation,
     RelationalStructure,
     SignatureMismatch,
     StructureError,
     power,
 )
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for find_homs; defaults enumerate everything deterministically."""
-
-    limit: int = 0  # 0 means unlimited
-    nonconstant_only: bool = False
-
-    def __post_init__(self) -> None:
-        if self.limit < 0:
-            raise StructureError(f"limit must be >= 0, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -173,16 +162,18 @@ def _support_table(rel: Relation, holes: tuple[int, ...]) -> dict:
 def find_homs(
     source: RelationalStructure,
     target: RelationalStructure,
-    options: SearchOptions | None = None,
-) -> list[Homomorphism]:
-    """All homomorphisms source -> target, in lexicographic map order."""
-    opts = options or SearchOptions()
+    limit: int = 0,
+    nonconstant_only: bool = False,
+) -> list[tuple[int, ...]]:
+    """The mapping tuples of the homomorphisms source -> target, in
+    lexicographic order: the first `limit` of them (0: all), and only the
+    non-constant ones when `nonconstant_only` is set."""
+    if limit < 0:
+        raise StructureError(f"limit must be >= 0, got {limit}")
     maps: Iterator[tuple[int, ...]] = hom_maps(source, target)
-    if opts.nonconstant_only:
+    if nonconstant_only:
         maps = (m for m in maps if len(set(m)) > 1)
-    if opts.limit > 0:
-        maps = itertools.islice(maps, opts.limit)
-    return [Homomorphism._trusted(source, target, m) for m in maps]
+    return list(itertools.islice(maps, limit or None))
 
 
 def count_homs(source: RelationalStructure, target: RelationalStructure) -> int:
@@ -191,8 +182,9 @@ def count_homs(source: RelationalStructure, target: RelationalStructure) -> int:
 
 def find_retraction(
     big: RelationalStructure, small: RelationalStructure
-) -> tuple[Homomorphism, Homomorphism] | None:
-    """A coretraction/retraction pair (into, onto) with onto . into = id, or None.
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The mapping tuples of a coretraction/retraction pair (into, onto) with
+    onto . into = id, or None.
 
     Enumerates embeddings of `small` in canonical order; for each, searches
     for a left inverse with the embedding's values pinned.
@@ -201,7 +193,7 @@ def find_retraction(
         pins = {img: 1 << x for x, img in enumerate(into)}
         onto = next(hom_maps(big, small, pins), None)
         if onto is not None:
-            return Homomorphism._trusted(small, big, into), Homomorphism._trusted(big, small, onto)
+            return into, onto
     return None
 
 
@@ -265,6 +257,4 @@ def polymorphisms(s: RelationalStructure, arity: int) -> list[OperationTable]:
     """
     if arity < 1:
         raise StructureError(f"polymorphism arity must be >= 1, got {arity}")
-    src = power(s, arity)
-    homs = find_homs(src, s)
-    return [OperationTable(arity, s.size, h.mapping) for h in homs]
+    return [OperationTable(arity, s.size, m) for m in find_homs(power(s, arity), s)]

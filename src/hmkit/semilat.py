@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 from .structures import (
     DEFAULT_MAX_TUPLES,
-    Homomorphism,
     Relation,
     RelationalStructure,
     SignatureMismatch,
+    SizeLimitExceeded,
     StructureError,
     coordinate_tuples,
-    product_size,
     rank,
 )
 from .homsearch import OperationTable
@@ -183,10 +182,10 @@ def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness 
 
 @dataclass(frozen=True)
 class ProductDecomposition:
-    """Either a constant value or the per-factor coordinate maps."""
+    """Either a constant value or the per-factor coordinate maps, as mapping tuples."""
 
     constant_value: int | None
-    coordinate_maps: tuple[Homomorphism, ...]
+    coordinate_maps: tuple[tuple[int, ...], ...]
 
     @property
     def is_constant(self) -> bool:
@@ -201,14 +200,14 @@ def _check_product_map(
 ) -> None:
     """Check mapping, on the ranks of product(factors), against every product tuple.
 
-    The product is never built, but `product_size` bounds its tuples by
-    max_tuples first.  Ranks order as their coordinate tuples do, so the
-    product tuples are walked in lexicographic order by choosing the
+    The product is never built.  Ranks order as their coordinate tuples do,
+    so the product tuples are walked in lexicographic order by choosing the
     a-coordinates of all factors, then the b, then the c, each in sorted
     order.  The first tuple whose image is missing is therefore the least,
-    and DecompositionError names it, as `Homomorphism` does.
+    and DecompositionError names it as the validating `Homomorphism`
+    constructor would.  SizeLimitExceeded is raised when the walk would
+    read tuple max_tuples + 1, whatever the size of the whole product.
     """
-    product_size(factors, max_tuples)
     sym = target.symbols()[0]
     tgt = target.relations[sym].tuples
     sizes = [h.size for h in factors]
@@ -219,11 +218,15 @@ def _check_product_map(
         for a, b, c in sorted(h.relations[sym].tuples):
             trie.setdefault(a * stride, {}).setdefault(b * stride, []).append(c * stride)
         tries.append(trie)
+    walked = 0
     for a in itertools.product(*tries):
         fa, bs = mapping[sum(a)], [t[x] for t, x in zip(tries, a)]
         for b in itertools.product(*bs):
             fb, cs = mapping[sum(b)], [t[y] for t, y in zip(bs, b)]
             for c in itertools.product(*cs):
+                if walked >= max_tuples:
+                    raise SizeLimitExceeded(f"product walk needs > {max_tuples} tuples")
+                walked += 1
                 fc = mapping[sum(c)]
                 if (fa, fb, fc) not in tgt:
                     bad = (sum(a), sum(b), sum(c))
@@ -246,10 +249,10 @@ def decompose_product_hom(
     mismatched signatures (SignatureMismatch) or a relation that is not one
     ternary relation.  Every verdict is a DecompositionError.  tops=None
     stands for each factor's largest element, and a factor without one is
-    named before any product tuple is walked.  The coordinate maps are
-    f_i(x) = f(tops with x substituted at i); f must equal, at every point
-    x, the left-folded meet g of F(x) = (f_1(x_1), ..., f_k(x_k)) in the
-    target.
+    named before any product tuple is walked.  The coordinate maps, returned
+    as mapping tuples, are f_i(x) = f(tops with x substituted at i); f must
+    equal, at every point x, the left-folded meet g of F(x) = (f_1(x_1),
+    ..., f_k(x_k)) in the target.
 
     f = g∘F is then proved a homomorphism on the coordinate images
     I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}: F maps the product
@@ -265,7 +268,7 @@ def decompose_product_hom(
     homomorphism" at its least failing tuple, as the fold's triples are
     images of product tuples; a homomorphism gets the failed check's own
     DecompositionError.  max_tuples bounds only that walk: SizeLimitExceeded
-    is raised before it when the product has more than max_tuples tuples.
+    is raised when it would read tuple max_tuples + 1.
     """
     if not factors:
         raise StructureError("empty factor list")
@@ -329,7 +332,7 @@ def decompose_product_hom(
         raise
     # f is a homomorphism, and each top t has (t, t, t) in its relation, so f
     # restricted to each face through the tops is one too
-    return ProductDecomposition(None, tuple(Homomorphism._trusted(h, target, m) for h, m in zip(factors, maps)))
+    return ProductDecomposition(None, tuple(maps))
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,8 @@ def induced_substructure(s: RelationalStructure, ids: Iterable[int]) -> Relation
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A total map between structure universes, verified to preserve relations."""
+    """A total map between structure universes, verified to preserve relations:
+    searches return bare mapping tuples, and this checks maps built elsewhere."""
 
     source: RelationalStructure
     target: RelationalStructure
@@ -273,16 +274,6 @@ class Homomorphism:
         result = is_homomorphism(self.source, self.target, self.mapping)
         if not result.ok:
             raise StructureError(f"not a homomorphism: {result.symbol} tuple {result.source_tuple} maps to {result.image_tuple}")
-
-    @classmethod
-    def _trusted(cls, source: RelationalStructure, target: RelationalStructure, mapping: tuple[int, ...]) -> "Homomorphism":
-        """Build without validation, for maps a search has already checked."""
-        h = object.__new__(cls)
-        h.__dict__.update(source=source, target=target, mapping=mapping)
-        return h
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
 
 
 def _incidence_profiles(s: RelationalStructure) -> list[tuple[int, ...]]:
@@ -332,9 +323,9 @@ def _compare_invariants(a: RelationalStructure, b: RelationalStructure) -> str |
     return list(map(allowed.__getitem__, pa))
 
 
-def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> Homomorphism | None:
-    """A bijection that is a homomorphism both ways, or None: the first in
-    lexicographic map order.
+def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> tuple[int, ...] | None:
+    """The mapping tuple of a bijection that is a homomorphism both ways, or
+    None: the first in lexicographic map order.
 
     The search looks for an injective homomorphism.  With equal sizes and
     equal tuple counts per relation, one maps each relation of `a` onto that
@@ -351,8 +342,7 @@ def find_isomorphism(a: RelationalStructure, b: RelationalStructure) -> Homomorp
     domains = _compare_invariants(a, b)
     if isinstance(domains, str):
         return None
-    fwd = next(hom_maps(a, b, dict(enumerate(domains)), injective=True), None)
-    return None if fwd is None else Homomorphism._trusted(a, b, fwd)
+    return next(hom_maps(a, b, dict(enumerate(domains)), injective=True), None)
 
 
 def non_isomorphism_evidence(a: RelationalStructure, b: RelationalStructure) -> str:

@@ -167,13 +167,13 @@ def test_07_decomposition_property_suite(S):
         prod = product(factors)
         points = list(itertools.product(*(range(f.size) for f in factors)))
         for hom in find_homs(prod, S):
-            d = decompose_product_hom(factors, S, hom.mapping, tops)
+            d = decompose_product_hom(factors, S, hom, tops)
             for rank, coords in enumerate(points):
                 if d.is_constant:
-                    assert hom.mapping[rank] == d.constant_value
+                    assert hom[rank] == d.constant_value
                 else:
-                    values = [m.mapping[a] for m, a in zip(d.coordinate_maps, coords)]
-                    assert hom.mapping[rank] == iterated_meet(S, values)
+                    values = [m[a] for m, a in zip(d.coordinate_maps, coords)]
+                    assert hom[rank] == iterated_meet(S, values)
             homs_checked += 1
         instances += 1
     assert homs_checked > 200  # the suite actually exercised the decomposition
@@ -226,13 +226,13 @@ def test_10_engine_cross_validation(small_corpus, S):
         for tgt in small_corpus:
             if src.signature() != tgt.signature():
                 continue
-            found = [h.mapping for h in find_homs(src, tgt)]
+            found = find_homs(src, tgt)
             assert found == brute_force_homs(src, tgt)
             pairs += 1
     assert pairs >= 20
 
     for n in (1, 2, 3):
         tables = [t.values for t in polymorphisms(S, n)]
-        homs = [h.mapping for h in find_homs(power(S, n), S)]
+        homs = find_homs(power(S, n), S)
         assert tables == homs
     print(f"ACCEPTANCE 10 (engine cross-validation, {pairs} corpus pairs): PASS")

@@ -378,10 +378,10 @@ def test_psl_decompose_max_tuples_bounds_the_walk(capsys, structure_file, S):
     for mapping in ("0,0,1,1", "0,0,0,1"):
         code, out, _ = run(capsys, *decompose, mapping, "--max-tuples", "1")
         assert code == 0 and "decomposition: pass" in out, mapping
-    # a failing map walks them to name its least failing tuple
-    code, out, err = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "15")
-    assert (code, out, err) == (2, "", "error: product needs 16 > 15 tuples\n")
-    code, out, _ = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "16")
+    # a failing map walks them to name its least failing tuple, the 7th walked
+    code, out, err = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "6")
+    assert (code, out, err) == (2, "", "error: product walk needs > 6 tuples\n")
+    code, out, _ = run(capsys, *decompose, "0,1,1,1", "--max-tuples", "7")
     assert code == 1 and "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)" in out
 
 
@@ -400,10 +400,13 @@ def test_psl_decompose_failure_precedence(capsys, structure_file, S):
     no_top = ["psl", "decompose", "--target", s_path, "--factors", structure_file(pair, "pair.json"), s_path]
     code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0")
     assert code == 1 and "decomposition: fail  a factor has no largest element" in out
-    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "7")
+    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "5")
     assert code == 1 and "decomposition: fail  a factor has no largest element" in out
-    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "7")
-    assert (code, out, err) == (2, "", "error: product needs 8 > 7 tuples\n")
+    # with the tops given, the walk reaches the least failing tuple at the 6th
+    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "5")
+    assert (code, out, err) == (2, "", "error: product walk needs > 5 tuples\n")
+    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "6")
+    assert code == 1 and "not a homomorphism: R tuple (2, 3, 2) maps to (1, 0, 1)" in out
     with pytest.raises(DecompositionError, match="^a factor has no largest element$"):
         decompose_product_hom([pair, S], S, (0, 1, 1, 0))
     with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(2, 3, 2\) maps to \(1, 0, 1\)"):

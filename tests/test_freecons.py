@@ -605,7 +605,7 @@ def test_compute_H_and_collapse(meet_algebra):
     bundle = build_bundle(meet_algebra)
     comp = bundle.components[0]
     assert len(comp.homs) == 1
-    assert comp.homs[0].mapping == (0, 1, 0)
+    assert comp.homs[0] == (0, 1, 0)
     assert bundle.K.size == 2
     assert bundle.quotient_map == (0, 1, 0)
     assert find_isomorphism(bundle.K, two_element_semilattice()) is not None
@@ -972,16 +972,16 @@ def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
     """The bundle with the disjoint union of power(S, h) over its
     components, a point where h = 0, and the map psi of each element to
     its component's offset plus the rank of its homomorphism bits, built
-    unchecked."""
+    by the validating constructor."""
     summands = [power(bundle.semilattice, len(c.homs)) if c.homs else one_element_structure() for c in bundle.components]
     offsets = tuple(itertools.accumulate((s.size for s in summands[:-1]), initial=0))
     mapping = [0] * bundle.free.algebra.size
     for comp, offset in zip(bundle.components, offsets):
         h = len(comp.homs)
         for local, e in enumerate(comp.members):
-            mapping[e] = offset + rank([hom.mapping[local] for hom in comp.homs], [2] * h)
+            mapping[e] = offset + rank([hom[local] for hom in comp.homs], [2] * h)
     union = disjoint_union(summands)
-    psi = Homomorphism._trusted(bundle.structure, union, tuple(mapping))
+    psi = Homomorphism(bundle.structure, union, tuple(mapping))
     return ReferenceBundle(
         **vars(bundle), psi=psi, union_structure=union, offsets=offsets, image=tuple(sorted(set(mapping)))
     )
@@ -1101,14 +1101,14 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
                             continue
                         projections = 0
                         for ell, cmap in enumerate(dec.coordinate_maps):
-                            kind, _ = classify_into_coords_reference(bundle, comb[ell], cmap.mapping)
+                            kind, _ = classify_into_coords_reference(bundle, comb[ell], cmap)
                             if kind == "projection":
                                 if comb[ell] not in upper:
                                     claim3_ok = False
                                     claim3_detail = f"arity {arity}: projection on a trivial factor"
                                     break
                                 projections += 1
-                            elif kind == "constant" and cmap.mapping[0] == 1:
+                            elif kind == "constant" and cmap[0] == 1:
                                 continue
                             else:
                                 claim3_ok = False
@@ -1244,18 +1244,35 @@ def test_collapse_decodes_every_element_once(meet_algebra, lattice_algebra, majo
             for local, e in enumerate(comp.members):
                 rank = 0  # the previous shift-or encoding, first homomorphism highest
                 for hom in comp.homs:
-                    rank = (rank << 1) | hom.mapping[local]
+                    rank = (rank << 1) | hom[local]
                 assert ref.psi.mapping[e] == ref.offsets[u] + rank
         assert bundle.decode == tuple((ref.rank_of_kid(k)[0], ref.coords_of_kid(k)) for k in range(bundle.K.size))
 
 
 def test_collapse_psi_is_the_validated_homomorphism(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
-    """The reference builds psi into the union of powers unchecked; the
-    validating constructor, the oracle, accepts the same map."""
+    """The reference builds psi into the union of powers with the validating
+    constructor, the oracle, which accepts it on every fixture bundle and
+    gives the same map again from its mapping."""
     named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
     for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
         ref = reference_bundle(bundle)
         assert ref.psi == Homomorphism(bundle.structure, ref.union_structure, ref.psi.mapping)
+
+
+def test_compute_H_maps_pass_the_validating_constructor(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
+    """compute_H keeps each component's maps into S as bare mapping tuples
+    on local ids; the validating constructor accepts every one as a map
+    from the component's induced substructure, and none is constant."""
+    named = [build_bundle(a) for a in (meet_algebra, lattice_algebra, majority_algebra, bare_algebra)]
+    checked = 0
+    for bundle in named + claims_bundles() + [build_bundle(THREE_HOMS), build_bundle(FOUR_HOMS)]:
+        for comp in bundle.components:
+            sub = induced_substructure(bundle.structure, comp.members)
+            for hom in comp.homs:
+                Homomorphism(sub, bundle.semilattice, hom)
+                assert len(set(hom)) > 1
+                checked += 1
+    assert checked >= 40, checked
 
 
 def test_collapse_is_the_image_of_psi_in_the_union_of_powers(
@@ -1394,11 +1411,11 @@ def column_failure_reference(
         return ""
     projections = 0
     for ell, cmap in enumerate(dec.coordinate_maps):
-        if len(set(cmap.mapping)) > 1 and _is_constant_or_projection(bundle, comb[ell], cmap.mapping):
+        if len(set(cmap)) > 1 and _is_constant_or_projection(bundle, comb[ell], cmap):
             if not bundle.hom_count(comb[ell]):
                 return f"arity {arity}: projection on a trivial factor"
             projections += 1
-        elif set(cmap.mapping) != {1}:
+        elif set(cmap) != {1}:
             return f"arity {arity}: coordinate {c} factor {ell} is neither a projection nor constant 1"
     if projections == 0:
         return f"arity {arity}: non-constant map with no projection factor"

@@ -60,12 +60,12 @@ def gadget_transform_reference(d):
     S = two_element_semilattice(symbol)
     Y = y_structure(symbol)
     homs = find_homs(S, d)
-    labels = tuple(f"({d.label(h.mapping[0])},{d.label(h.mapping[1])})" for h in homs)
+    labels = tuple(f"({d.label(h[0])},{d.label(h[1])})" for h in homs)
     triples = set()
     for (i, f), (j, g), (k, h) in itertools.product(enumerate(homs), repeat=3):
-        if not (f.mapping[0] == g.mapping[0] == h.mapping[0]):
+        if not (f[0] == g[0] == h[0]):
             continue
-        combined = (f.mapping[0], f.mapping[1], g.mapping[1], h.mapping[1])
+        combined = (f[0], f[1], g[1], h[1])
         if is_homomorphism(Y, d, combined).ok:
             triples.add((i, j, k))
     return RelationalStructure(len(homs), {symbol: Relation(3, frozenset(triples))}, labels)

@@ -1,11 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from hmkit.homsearch import (
     OperationTable,
-    SearchOptions,
     count_homs,
     find_homs,
     find_retraction,
@@ -15,11 +15,13 @@ from hmkit.homsearch import (
     polymorphisms,
 )
 from hmkit.structures import (
+    Homomorphism,
     Relation,
     RelationalStructure,
     SignatureMismatch,
     StructureError,
     disjoint_union,
+    find_isomorphism,
     power,
 )
 
@@ -28,17 +30,17 @@ from conftest import brute_force_homs, random_structure, relabel
 
 def test_find_homs_lex_order(S):
     homs = find_homs(S, S)
-    assert [h.mapping for h in homs] == [(0, 0), (0, 1), (1, 1)]
+    assert homs == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_find_homs_nonconstant(S):
-    homs = find_homs(S, S, SearchOptions(nonconstant_only=True))
-    assert [h.mapping for h in homs] == [(0, 1)]
+    homs = find_homs(S, S, nonconstant_only=True)
+    assert homs == [(0, 1)]
 
 
 def test_find_homs_limit(S):
-    homs = find_homs(S, S, SearchOptions(limit=2))
-    assert [h.mapping for h in homs] == [(0, 0), (0, 1)]
+    homs = find_homs(S, S, limit=2)
+    assert homs == [(0, 0), (0, 1)]
 
 
 def test_hom_maps_pinned(S):
@@ -64,9 +66,8 @@ def test_find_homs_matches_brute_force_under_every_option():
         nonempty += bool(every)
         for limit, nonconstant in itertools.product((0, 1, 3), (False, True)):
             want = [m for m in every if not nonconstant or len(set(m)) > 1]
-            opts = SearchOptions(limit=limit, nonconstant_only=nonconstant)
-            got = [h.mapping for h in find_homs(src, tgt, opts)]
-            assert got == (want[:limit] if limit else want), (src, tgt, opts)
+            got = find_homs(src, tgt, limit=limit, nonconstant_only=nonconstant)
+            assert got == (want[:limit] if limit else want), (src, tgt, limit, nonconstant)
         if src.size and tgt.size:
             for pinned in (
                 {rng.randrange(src.size): rng.randrange(tgt.size)},
@@ -100,8 +101,8 @@ def test_hom_maps_initial_domains_filter_the_lexicographic_list():
 def test_find_homs_of_empty_structures():
     empty = RelationalStructure(0, {"R": Relation(2, frozenset())})
     one = RelationalStructure(1, {"R": Relation(2, frozenset())})
-    assert [h.mapping for h in find_homs(empty, empty)] == [()]
-    assert [h.mapping for h in find_homs(empty, one)] == [()]
+    assert find_homs(empty, empty) == [()]
+    assert find_homs(empty, one) == [()]
     assert find_homs(one, empty) == []
 
 
@@ -109,7 +110,7 @@ def test_find_homs_has_no_recursion_limit():
     n = 1500
     path = RelationalStructure(n, {"E": Relation(2, frozenset((i, i + 1) for i in range(n - 1)))})
     cycle = RelationalStructure(2, {"E": Relation(2, frozenset({(0, 1), (1, 0)}))})
-    assert [h.mapping for h in find_homs(path, cycle)] == [
+    assert find_homs(path, cycle) == [
         tuple(i % 2 for i in range(n)),
         tuple((i + 1) % 2 for i in range(n)),
     ]
@@ -142,9 +143,9 @@ def test_find_retraction(S, point):
     pair = find_retraction(big, S)
     assert pair is not None
     into, onto = pair
-    assert [onto.mapping[v] for v in into.mapping] == [0, 1]
+    assert [onto[v] for v in into] == [0, 1]
     # the extra point must land on an idempotent element
-    assert onto.mapping[2] in (0, 1)
+    assert onto[2] in (0, 1)
 
 
 def test_find_retraction_none(S, point):
@@ -160,11 +161,11 @@ def find_retraction_reference(big, small):
     """Every homomorphism small -> big, injective ones kept in order, each
     tried with its values pinned for a left inverse."""
     for beta in find_homs(small, big):
-        if len(set(beta.mapping)) != small.size:
+        if len(set(beta)) != small.size:
             continue
-        alpha = next(hom_maps(big, small, {img: 1 << x for x, img in enumerate(beta.mapping)}), None)
+        alpha = next(hom_maps(big, small, {img: 1 << x for x, img in enumerate(beta)}), None)
         if alpha is not None:
-            return beta.mapping, alpha
+            return beta, alpha
     return None
 
 
@@ -181,10 +182,43 @@ def test_find_retraction_matches_reference(S):
     found = 0
     for big, small in pairs:
         pair = find_retraction(big, small)
-        got = None if pair is None else (pair[0].mapping, pair[1].mapping)
-        assert got == find_retraction_reference(big, small)
-        found += got is not None
+        assert pair == find_retraction_reference(big, small)
+        found += pair is not None
     assert found == len(pairs) - 1
+
+
+def test_found_maps_pass_the_validating_constructor(S, point, chain3):
+    """The searches return bare mapping tuples, proved by the search alone;
+    the validating constructor accepts every one, the inverse of every
+    isomorphism too, and each retraction undoes its coretraction."""
+    rng = random.Random(53)
+    fixtures = [S, point, chain3, disjoint_union([S, point]), power(S, 2), power(S, 3)]
+    pairs = [(a, b) for a in fixtures for b in fixtures]
+    for _ in range(150):
+        signature = {sym: rng.randint(1, 3) for sym in rng.sample("EFR", rng.randint(1, 2))}
+        a = random_structure(rng, rng.randint(0, 5), signature)
+        perm = list(range(a.size))
+        rng.shuffle(perm)
+        pairs += [(a, random_structure(rng, rng.randint(0, 5), signature)), (a, relabel(a, perm))]
+    seen = Counter()
+    for a, b in pairs:
+        for limit, nonconstant in itertools.product((0, 1, 3), (False, True)):
+            for m in find_homs(a, b, limit=limit, nonconstant_only=nonconstant):
+                Homomorphism(a, b, m)
+                seen["hom"] += 1
+        iso = find_isomorphism(a, b)
+        if iso is not None:
+            Homomorphism(a, b, iso)
+            Homomorphism(b, a, tuple(sorted(range(a.size), key=iso.__getitem__)))
+            seen["iso"] += 1
+        pair = find_retraction(a, b)
+        if pair is not None:
+            into, onto = pair
+            Homomorphism(b, a, into)
+            Homomorphism(a, b, onto)
+            assert tuple(onto[v] for v in into) == tuple(range(b.size))
+            seen["retraction"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_operation_table_row_major():
@@ -231,7 +265,7 @@ def test_operation_json_round_trip(meet_table):
 def test_polymorphisms_are_power_homs(S):
     tables = polymorphisms(S, 2)
     homs = find_homs(power(S, 2), S)
-    assert [t.values for t in tables] == [h.mapping for h in homs]
+    assert [t.values for t in tables] == homs
     assert len(tables) == 5
     with pytest.raises(StructureError):
         polymorphisms(S, 0)

@@ -253,7 +253,7 @@ def test_is_partial_semilattice_empty_universe():
 def test_decompose_identity_meet(S):
     decomposition = decompose_product_hom([S, S], S, (0, 0, 0, 1), [1, 1])
     assert not decomposition.is_constant
-    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1), (0, 1)]
+    assert list(decomposition.coordinate_maps) == [(0, 1), (0, 1)]
 
 
 def test_decompose_constant(S):
@@ -266,7 +266,7 @@ def test_decompose_second_coordinate(S, chain3):
     # drop the chain coordinate entirely
     mapping = tuple(b for a in range(3) for b in range(2))
     decomposition = decompose_product_hom([chain3, S], S, mapping, [2, 1])
-    assert [m.mapping for m in decomposition.coordinate_maps] == [(1, 1, 1), (0, 1)]
+    assert list(decomposition.coordinate_maps) == [(1, 1, 1), (0, 1)]
 
 
 def test_decompose_rejects_wrong_shapes(S):
@@ -293,21 +293,22 @@ def test_decompose_max_tuples_bounds_the_work_done(S):
     # product, so it passes at any bound
     meet = tuple(a & b & c for a, b, c in points)
     decomposition = decompose_product_hom([S, S, S], S, meet, max_tuples=1)
-    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1)] * 3
+    assert list(decomposition.coordinate_maps) == [(0, 1)] * 3
     first = tuple(a for a, _, _ in points)
     decomposition = decompose_product_hom([S, S, S], S, first, max_tuples=1)
-    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1), (1, 1), (1, 1)]
+    assert list(decomposition.coordinate_maps) == [(0, 1), (1, 1), (1, 1)]
     # the meet of 12 factors: 4^12 combinations of coordinate images, 16
     # million, where the fold keeps at most 2^3 target triples
     meet12 = tuple(int(i == 4095) for i in range(4096))
     decomposition = decompose_product_hom([S] * 12, S, meet12, max_tuples=1)
-    assert [m.mapping for m in decomposition.coordinate_maps] == [(0, 1)] * 12
-    # a failing map walks the product tuples to name its least failing one
+    assert list(decomposition.coordinate_maps) == [(0, 1)] * 12
+    # a failing map walks the product tuples to name its least failing one,
+    # here the 2nd walked of 64
     broken = (1,) + meet[1:]
-    with pytest.raises(SizeLimitExceeded, match="^product needs 64 > 63 tuples$"):
-        decompose_product_hom([S, S, S], S, broken, max_tuples=63)
+    with pytest.raises(SizeLimitExceeded, match="^product walk needs > 1 tuples$"):
+        decompose_product_hom([S, S, S], S, broken, max_tuples=1)
     with pytest.raises(DecompositionError, match="not a homomorphism"):
-        decompose_product_hom([S, S, S], S, broken, max_tuples=64)
+        decompose_product_hom([S, S, S], S, broken, max_tuples=2)
 
 
 PARTIAL3 = ternary(3, reflexive_triples(3) | {(a, 2, a) for a in range(3)} | {(2, a, a) for a in range(3)})
@@ -333,11 +334,11 @@ def decompose_reference(factors, target, mapping, tops):
     for i, h in enumerate(factors):
         vals = [f.mapping[rank(tops[:i] + [x] + tops[i + 1:], sizes)] for x in range(h.size)]
         try:
-            maps.append(Homomorphism(h, target, tuple(vals)))
+            maps.append(Homomorphism(h, target, tuple(vals)).mapping)
         except StructureError as exc:
             raise DecompositionError(f"coordinate map {i} is not a homomorphism: {exc}") from exc
     for idx, coords in enumerate(itertools.product(*(range(n) for n in sizes))):
-        expected = iterated_meet(target, [m.mapping[c] for m, c in zip(maps, coords)])
+        expected = iterated_meet(target, [m[c] for m, c in zip(maps, coords)])
         if expected is None:
             raise DecompositionError(f"iterated meet undefined at point {coords}")
         if expected != f.mapping[idx]:
@@ -365,7 +366,7 @@ def test_decompose_matches_product_reference(S, chain3, point):
         factors, tops = [h for h, _ in picked], [t for _, t in picked]
         target = rng.choice((S, chain3))
         p = product(factors)
-        maps = [h.mapping for h in itertools.islice(find_homs(p, target), 6)]
+        maps = find_homs(p, target, limit=6)
         maps += [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(4)]
         for mapping in list(maps):
             spot = rng.randrange(p.size)
@@ -411,7 +412,7 @@ def test_decompose_matches_product_reference_on_other_targets(S, chain3, point):
         factors, tops = [h for h, _ in picked], [t for _, t in picked]
         target, top = rng.choice(targets)
         p = product(factors)
-        maps = [h.mapping for h in itertools.islice(find_homs(p, target), 4)]
+        maps = find_homs(p, target, limit=4)
         maps += [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(2)]
         rel = single_ternary_relation(target).tuples
         for _ in range(6):
@@ -465,7 +466,7 @@ def test_decompose_names_the_least_failing_tuple(S, chain3, point):
         factors = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         target = rng.choice((S, chain3, PARTIAL3, nonfunctional))
         p = product(factors)
-        homs = [h.mapping for h in itertools.islice(find_homs(p, target), 3)]
+        homs = find_homs(p, target, limit=3)
         maps = [tuple(rng.randrange(target.size) for _ in range(p.size)) for _ in range(2)]
         for mapping in homs + maps:
             spot = rng.randrange(p.size)
@@ -485,13 +486,36 @@ def test_every_hom_off_a_product_decomposes(S, chain3):
     prod = product(factors)
     tops = [2, 1]
     for f in find_homs(prod, S):
-        decomposition = decompose_product_hom(factors, S, f.mapping, tops)
+        decomposition = decompose_product_hom(factors, S, f, tops)
         if decomposition.is_constant:
             continue
         maps = decomposition.coordinate_maps
         for idx, coords in enumerate(itertools.product(range(3), range(2))):
-            values = [m.mapping[c] for m, c in zip(maps, coords)]
-            assert iterated_meet(S, values) == f.mapping[idx]
+            values = [m[c] for m, c in zip(maps, coords)]
+            assert iterated_meet(S, values) == f[idx]
+
+
+def test_coordinate_maps_pass_the_validating_constructor(S, chain3, point):
+    """decompose_product_hom returns its coordinate maps as bare mapping
+    tuples, proved by the fold; the validating constructor accepts each one
+    as a map from its factor into the target, on seeded products of 1-3
+    factors."""
+    pool = [(S, 1), (chain3, 2), (point, 0), (PARTIAL3, 2), (SQUARE, 3)]
+    rng = random.Random(29)
+    checked = Counter()
+    for _ in range(80):
+        picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        factors, tops = [h for h, _ in picked], [t for _, t in picked]
+        target = rng.choice((S, chain3))
+        for f in find_homs(product(factors), target, limit=8):
+            try:
+                decomposition = decompose_product_hom(factors, target, f, tops)
+            except DecompositionError:
+                continue
+            for h, m in zip(factors, decomposition.coordinate_maps):
+                Homomorphism(h, target, m)
+                checked[len(factors)] += 1
+    assert min(checked.values()) >= 50, checked
 
 
 def test_classify_meet_operation(meet_table, majority_table):
