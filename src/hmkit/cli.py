@@ -27,9 +27,8 @@ import functools
 import json
 import sys
 import time
-import traceback
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import freecons, gadget, identlang, semilat, structures
 from .homsearch import (
@@ -47,8 +46,7 @@ from .structures import (
 )
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     verdict: str  # pass | fail | refused
     witness: object = None
@@ -566,6 +564,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault or exhausted resource is never a verdict
+        import traceback  # only here: start-up need not load it
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -59,8 +59,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .homsearch import (
     OperationTable,
@@ -107,21 +106,19 @@ class IllDefinedOperation(StructureError):
     """A quotient operation received two different values on one class."""
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite universe with named total operation tables."""
 
-    size: int
-    operations: Mapping[str, OperationTable]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("size", "operations", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operations", dict(self.operations))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(
+        self, size: int, operations: Mapping[str, OperationTable], labels: tuple[str, ...] | None = None
+    ) -> None:
+        self.size, self.operations = size, dict(operations)
+        self.labels = tuple(labels) if labels is not None else None
         for sym, table in self.operations.items():
-            if table.size != self.size:
-                raise StructureError(f"operation {sym}: size {table.size} != universe size {self.size}")
+            if table.size != size:
+                raise StructureError(f"operation {sym}: size {table.size} != universe size {size}")
 
     def symbols(self) -> list[str]:
         return sorted(self.operations)
@@ -157,7 +154,6 @@ def variable_names(k: int) -> list[str]:
     return [f"x{i + 1}" for i in range(k)]
 
 
-@dataclass(frozen=True)
 class FreeAlgebra:
     """The subalgebra of A^(A^k) generated by the k projections.
 
@@ -166,12 +162,19 @@ class FreeAlgebra:
     element equality is equality of term operations.
     """
 
-    base: FiniteAlgebra
-    algebra: FiniteAlgebra  # induced tables on the closure elements, term names as labels
-    elements: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
-    derivations: tuple[tuple, ...]  # ("var", j) or (symbol, arg element ids)
-    index: Mapping[tuple[int, ...], int] = field(compare=False, repr=False)  # element -> id
+    __slots__ = ("base", "algebra", "elements", "generators", "derivations", "index")
+
+    def __init__(
+        self,
+        base: FiniteAlgebra,
+        algebra: FiniteAlgebra,  # induced tables on the closure elements, term names as labels
+        elements: tuple[tuple[int, ...], ...],
+        generators: tuple[int, ...],
+        derivations: tuple[tuple, ...],  # ("var", j) or (symbol, arg element ids)
+        index: Mapping[tuple[int, ...], int],  # element -> id
+    ) -> None:
+        self.base, self.algebra, self.elements = base, algebra, elements
+        self.generators, self.derivations, self.index = generators, derivations, index
 
     def term_name(self, element: int) -> str:
         return self.algebra.labels[element]
@@ -312,29 +315,36 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
     )
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(NamedTuple):
     members: tuple[int, ...]  # free-algebra element ids, sorted
     homs: tuple[tuple[int, ...], ...] = ()  # non-constant maps into S, local ids
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
     collapsed: RelationalStructure | None = None  # K induced on kids (after collapse)
 
 
-@dataclass
 class FreeBundle:
     """Staged output of the free construction over a finite algebra."""
 
-    free: FreeAlgebra  # its `base` is the algebra
-    x: int
-    y: int
-    structure: RelationalStructure  # the free relational structure
-    semilattice: RelationalStructure  # the fixed 2-element target
-    unary_ops: tuple[tuple[int, ...], ...]  # U, identity first
-    component_of: tuple[int, ...]  # free element -> index into unary_ops
-    components: tuple[ComponentData, ...] | None = None  # the component of unary_ops[u] at u
-    decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
-    quotient_map: tuple[int, ...] | None = None  # free element -> K id
-    K: RelationalStructure | None = None
+    __slots__ = ("free", "x", "y", "structure", "semilattice", "unary_ops", "component_of",
+                 "components", "decode", "quotient_map", "K")
+
+    def __init__(
+        self,
+        free: FreeAlgebra,  # its `base` is the algebra
+        x: int,
+        y: int,
+        structure: RelationalStructure,  # the free relational structure
+        semilattice: RelationalStructure,  # the fixed 2-element target
+        unary_ops: tuple[tuple[int, ...], ...],  # U, identity first
+        component_of: tuple[int, ...],  # free element -> index into unary_ops
+        components: tuple[ComponentData, ...] | None = None,  # the component of unary_ops[u] at u
+        decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None,  # K id -> (component, coordinate bits)
+        quotient_map: tuple[int, ...] | None = None,  # free element -> K id
+        K: RelationalStructure | None = None,
+    ) -> None:
+        self.free, self.x, self.y, self.structure, self.semilattice = free, x, y, structure, semilattice
+        self.unary_ops, self.component_of, self.components = unary_ops, component_of, components
+        self.decode, self.quotient_map, self.K = decode, quotient_map, K
 
     def element_name(self, element: int) -> str:
         return self.free.term_name(element)
@@ -472,7 +482,7 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
     components = []
     for c in bundle.components:
         kids = tuple(sorted({qmap[e] for e in c.members}))
-        components.append(replace(c, kids=kids, collapsed=induced_substructure(K, kids)))
+        components.append(c._replace(kids=kids, collapsed=induced_substructure(K, kids)))
     bundle.components = tuple(components)
     return bundle
 
@@ -488,15 +498,13 @@ FAIL = "fail"
 SKIPPED = "hypothesis absent"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property
@@ -753,8 +761,7 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
 # --- bounded labeling-refutation evidence ---------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelingRefutation:
+class LabelingRefutation(NamedTuple):
     labeling: SLLabeling
     arity: int
     lhs: Term
@@ -763,14 +770,12 @@ class LabelingRefutation:
     rhs_varset: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CertifiedHM:
+class CertifiedHM(NamedTuple):
     max_arity: int
     refutations: tuple[LabelingRefutation, ...]
 
 
-@dataclass(frozen=True)
-class ConsistentLabelingFound:
+class ConsistentLabelingFound(NamedTuple):
     labeling: SLLabeling
     max_arity: int
 

@@ -12,7 +12,7 @@ principal filter of a, S^(k - popcount a) in S^k, as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homsearch import hom_maps
 from .semilat import single_ternary_relation
@@ -115,8 +115,7 @@ def match_components_to_powers(d: RelationalStructure) -> list[int]:
     return [len(block).bit_length() - 1 for block in blocks]
 
 
-@dataclass(frozen=True)
-class GadgetAnalysis:
+class GadgetAnalysis(NamedTuple):
     input_exponents: tuple[int, ...]
     output_exponents: tuple[int, ...]
 

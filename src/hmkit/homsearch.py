@@ -20,9 +20,8 @@ no input size is bounded by the recursion limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .structures import (
     Relation,
@@ -33,8 +32,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class HomCheckResult:
+class HomCheckResult(NamedTuple):
     ok: bool
     symbol: str | None = None
     source_tuple: tuple[int, ...] | None = None
@@ -197,7 +195,6 @@ def find_retraction(
     return None
 
 
-@dataclass(frozen=True)
 class OperationTable:
     """A finitary operation on {0..size-1} stored as a flat value table.
 
@@ -205,23 +202,27 @@ class OperationTable:
     first coordinate most significant (row-major).
     """
 
-    arity: int
-    size: int
-    values: tuple[int, ...]
+    __slots__ = ("arity", "size", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.arity < 0:
-            raise StructureError(f"arity must be >= 0, got {self.arity}")
-        if self.size < 1:
-            raise StructureError(f"size must be >= 1, got {self.size}")
-        if len(self.values) != self.size**self.arity:
-            raise StructureError(
-                f"table needs {self.size ** self.arity} values for arity {self.arity}, got {len(self.values)}"
-            )
+    def __init__(self, arity: int, size: int, values: tuple[int, ...]) -> None:
+        self.arity, self.size, self.values = arity, size, tuple(values)
+        if arity < 0:
+            raise StructureError(f"arity must be >= 0, got {arity}")
+        if size < 1:
+            raise StructureError(f"size must be >= 1, got {size}")
+        if len(self.values) != size**arity:
+            raise StructureError(f"table needs {size ** arity} values for arity {arity}, got {len(self.values)}")
         for v in self.values:
-            if not (0 <= v < self.size):
-                raise StructureError(f"table value {v} out of range for size {self.size}")
+            if not (0 <= v < size):
+                raise StructureError(f"table value {v} out of range for size {size}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.size, self.values) == (other.arity, other.size, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.size, self.values))
 
     def apply(self, *args: int) -> int:
         if len(args) != self.arity:

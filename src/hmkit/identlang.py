@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 
 class ParseError(ValueError):
@@ -35,21 +34,38 @@ class SystemError_(ValueError):
     """An identity system violates a structural precondition."""
 
 
-@dataclass(frozen=True)
 class Variable:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Application:
-    symbol: str
-    args: tuple
+    __slots__ = ("symbol", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, symbol: str, args: tuple) -> None:
+        self.symbol, self.args = symbol, tuple(args)
+
+    # in Python, not C: a term too deep to compare or hash raises RecursionError
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbol, self.args) == (other.symbol, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.args))
 
     def __str__(self) -> str:
         return _fold(self, str, lambda t, parts: f"{t.symbol}({','.join(parts)})")
@@ -81,8 +97,7 @@ def _fold(t: Term, leaf: Callable, node: Callable, children: Callable = lambda t
             stack[-1][2].append(value)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     lhs: Term
     rhs: Term
 
@@ -90,16 +105,21 @@ class Identity:
         return f"{self.lhs} = {self.rhs}"
 
 
-@dataclass(frozen=True)
 class TermSystem:
-    declarations: Mapping[str, int]
-    identities: tuple[Identity, ...]
-    idempotent: frozenset[str] = frozenset()
+    __slots__ = ("declarations", "identities", "idempotent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "declarations", dict(self.declarations))
-        object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "idempotent", frozenset(self.idempotent))
+    def __init__(
+        self, declarations: Mapping[str, int], identities: tuple[Identity, ...], idempotent: frozenset[str] = frozenset()
+    ) -> None:
+        self.declarations, self.identities = dict(declarations), tuple(identities)
+        self.idempotent = frozenset(idempotent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.declarations, self.identities, self.idempotent) == (
+            other.declarations, other.identities, other.idempotent
+        )
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -349,8 +369,7 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
 
 
-@dataclass(frozen=True)
-class HmTermReport:
+class HmTermReport(NamedTuple):
     symbol: str
     passed: bool
     witnesses: tuple[tuple[tuple[int, ...], Identity], ...]
@@ -407,14 +426,16 @@ def hm_term_check(sys: TermSystem, symbol: str) -> HmTermReport:
 # --- coordinate labelings ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SLLabeling:
-    sigma: Mapping[str, tuple[int, ...]]  # symbol -> sorted 1-based coordinates
+    __slots__ = ("sigma",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sigma", {k: tuple(sorted(v)) for k, v in dict(self.sigma).items()}
-        )
+    def __init__(self, sigma: Mapping[str, tuple[int, ...]]) -> None:
+        self.sigma = {k: tuple(sorted(v)) for k, v in dict(sigma).items()}  # symbol -> sorted 1-based coordinates
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sigma == other.sigma
 
     def describe(self) -> str:
         if not self.sigma:
@@ -428,16 +449,14 @@ def sigma_varset(t: Term, labeling: SLLabeling) -> frozenset[str]:
     return _varset(t, lambda u: [u.args[i - 1] for i in labeling.sigma[u.symbol]])
 
 
-@dataclass(frozen=True)
-class SLRefutation:
+class SLRefutation(NamedTuple):
     labeling: SLLabeling
     identity: Identity
     lhs_varset: frozenset[str]
     rhs_varset: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SLUnsat:
+class SLUnsat(NamedTuple):
     refutations: tuple[SLRefutation, ...]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .structures import (
     DEFAULT_MAX_TUPLES,
@@ -89,8 +89,7 @@ def largest_element(s: RelationalStructure) -> int | None:
     return candidates[0] if candidates else None
 
 
-@dataclass(frozen=True)
-class PartialSemilatticeWitness:
+class PartialSemilatticeWitness(NamedTuple):
     """An embedding of the partial meet into (subsets of {0..n-1}, union).
 
     embedding[x] is a bitmask; embedding[a] | embedding[b] == embedding[c]
@@ -100,8 +99,7 @@ class PartialSemilatticeWitness:
     embedding: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(NamedTuple):
     reason: str
     detail: tuple | None = None
 
@@ -180,8 +178,7 @@ def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness 
     return PartialSemilatticeWitness(tuple(sum(1 << k for k in range(n) if not cl[k][x]) for x in range(n)))
 
 
-@dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(NamedTuple):
     """Either a constant value or the per-factor coordinate maps, as mapping tuples."""
 
     constant_value: int | None
@@ -335,8 +332,7 @@ def decompose_product_hom(
     return ProductDecomposition(None, tuple(maps))
 
 
-@dataclass(frozen=True)
-class MeetClassification:
+class MeetClassification(NamedTuple):
     """Constant(value) or Meet(non-empty 1-based coordinate set)."""
 
     constant_value: int | None = None

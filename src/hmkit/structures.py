@@ -1,7 +1,7 @@
 """Finite relational structures and their combinators.
 
 Universes are dense integer ranges 0..n-1; optional string labels are
-metadata only.  All values are immutable after construction and every
+metadata only.  Nothing changes a value after construction and every
 operation is a pure function, so everything here is safe to share across
 threads.  Enumeration order is canonical (sorted) throughout to keep
 results reproducible.
@@ -13,7 +13,6 @@ import itertools
 import json
 from collections import Counter
 from operator import add, itemgetter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MAX_TUPLES = 5_000_000
@@ -31,33 +30,45 @@ class SizeLimitExceeded(RuntimeError):
     """A construction would exceed the configured tuple bound."""
 
 
-@dataclass(frozen=True)
 class Relation:
-    arity: int
-    tuples: frozenset[tuple[int, ...]]
+    __slots__ = ("arity", "tuples")
+
+    def __init__(self, arity: int, tuples: frozenset[tuple[int, ...]]) -> None:
+        self.arity, self.tuples = arity, tuples
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.tuples) == (other.arity, other.tuples)
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.tuples))
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
 
 
-@dataclass(frozen=True)
 class RelationalStructure:
     """A finite universe {0..size-1} with named finitary relations."""
 
-    size: int
-    relations: Mapping[str, Relation]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("size", "relations", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, size: int, relations: Mapping[str, Relation], labels: tuple[str, ...] | None = None
+    ) -> None:
         # Normalize to plain immutable containers; invariants are checked by
         # structure_from_json, where structures enter from files.
-        rels = {
+        self.size = size
+        self.relations = {
             sym: rel if isinstance(rel, Relation) else Relation(rel[0], frozenset(map(tuple, rel[1])))
-            for sym, rel in dict(self.relations).items()
+            for sym, rel in dict(relations).items()
         }
-        object.__setattr__(self, "relations", rels)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+        self.labels = tuple(labels) if labels is not None else None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.relations, self.labels) == (other.size, other.relations, other.labels)
 
     def __hash__(self) -> int:
         # equal dicts may list their symbols in different orders
@@ -258,22 +269,31 @@ def induced_substructure(s: RelationalStructure, ids: Iterable[int]) -> Relation
     return RelationalStructure(len(subset), rels, labels)
 
 
-@dataclass(frozen=True)
 class Homomorphism:
     """A total map between structure universes, verified to preserve relations:
     searches return bare mapping tuples, and this checks maps built elsewhere."""
 
-    source: RelationalStructure
-    target: RelationalStructure
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: RelationalStructure, target: RelationalStructure, mapping: tuple[int, ...]) -> None:
+        self.source, self.target, self.mapping = source, target, tuple(mapping)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # a method of its own: perfbench/tracing.py times the check under this name
         from .homsearch import is_homomorphism  # homsearch imports this module
 
-        object.__setattr__(self, "mapping", tuple(self.mapping))
         result = is_homomorphism(self.source, self.target, self.mapping)
         if not result.ok:
             raise StructureError(f"not a homomorphism: {result.symbol} tuple {result.source_tuple} maps to {result.image_tuple}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.mapping) == (other.source, other.target, other.mapping)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.mapping))
 
 
 def _incidence_profiles(s: RelationalStructure) -> list[tuple[int, ...]]:

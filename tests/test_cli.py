@@ -5,7 +5,6 @@ these double as adapter-thinness tests.
 """
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -556,7 +555,7 @@ def test_free_build_reports_a_kernel_that_is_no_congruence_as_items_5_and_6(caps
     def first_hom_only(bundle):
         # a coarser kernel: each component keeps only its first homomorphism into S
         bundle = compute_H(bundle)
-        bundle.components = tuple(dataclasses.replace(c, homs=c.homs[:1]) for c in bundle.components)
+        bundle.components = tuple(c._replace(homs=c.homs[:1]) for c in bundle.components)
         return bundle
 
     monkeypatch.setattr(freecons, "compute_H", first_hom_only)

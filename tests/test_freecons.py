@@ -6,7 +6,6 @@ import operator
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import pytest
@@ -939,7 +938,6 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
 # before claim 4, so claim 4 passes.
 
 
-@dataclass
 class ReferenceBundle(FreeBundle):
     """A collapsed bundle with the fields and methods the reference reads."""
 
@@ -982,9 +980,9 @@ def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
             mapping[e] = offset + rank([hom[local] for hom in comp.homs], [2] * h)
     union = disjoint_union(summands)
     psi = Homomorphism(bundle.structure, union, tuple(mapping))
-    return ReferenceBundle(
-        **vars(bundle), psi=psi, union_structure=union, offsets=offsets, image=tuple(sorted(set(mapping)))
-    )
+    ref = ReferenceBundle(*(getattr(bundle, name) for name in FreeBundle.__slots__))
+    ref.psi, ref.union_structure, ref.offsets, ref.image = psi, union, offsets, tuple(sorted(set(mapping)))
+    return ref
 
 
 def collapsed_substructure(bundle: FreeBundle, u: int) -> RelationalStructure:

@@ -404,7 +404,7 @@ def test_fold_matches_fold_reference():
         for lhs, rhs in zip(terms, reversed(terms)):
             identity = Identity(lhs, rhs)
             got, want = _normalize(identity), reference_normalize(identity)
-            # compared as text: dataclass equality recurses on deep terms
+            # compared as text: term equality recurses on deep terms
             assert (reference_str(got.lhs), reference_str(got.rhs)) == (reference_str(want.lhs), reference_str(want.rhs))
     finally:
         sys.setrecursionlimit(limit)

@@ -1,7 +1,11 @@
 """Source guards: properties of the library's code rather than of its answers."""
 
 import ast
+import importlib
+import importlib.util
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import hmkit
@@ -154,3 +158,28 @@ def test_every_library_function_is_used_by_the_library():
         if not (name.startswith("__") and name.endswith("__")) and not name.startswith("cmd_") and name not in hmkit.__all__
     ]
     assert unused == []
+
+
+def test_importing_the_cli_generates_no_code():
+    """Start-up is a fresh import of hmkit.cli.  No record class generates
+    code there, so `dataclasses` and the `inspect` under it stay unloaded,
+    and `traceback` (with `textwrap`) loads only on an internal error.  -S
+    keeps modules that site-installed .pth files import out of the check."""
+    probe = "import sys, hmkit.cli; print(sorted({'dataclasses', 'inspect', 'traceback', 'textwrap'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """perfbench/tracing.py wraps library functions and methods by name, so
+    a renamed one would break traced benchmark runs and nothing else."""
+    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"hmkit.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            assert callable(getattr(getattr(module, owner) if owner else module, attr, None)), f"{layer}.{name}"
