@@ -44,11 +44,16 @@ j whether some term operation of F_j carries two labeled variable sets,
 where an operation takes the union of its labeled arguments' sets.  Up to
 a labeling's first such collision, the pairs (term operation, set) that
 terms reach are the term operations, one set each, so one closure of F_j
-per rank serves a window of labelings, each keeping one set per element;
-the two derivations of the first collision are the reported identity.
-Membership does not depend on evaluation order, so the verdicts are those
-of any complete search; the identity is the first collision in semi-naive
-order over sorted symbols and lexicographic argument tuples.
+per rank serves every labeling still undecided, each keeping one set per
+element; the two derivations of the first collision are the reported
+identity.  Labelings that agree on the symbols evaluated so far share
+their sets, so the closure keeps them as one labeling prefix (a coordinate
+set index per sorted symbol, extended at each symbol's first batch).
+Labeling order is the lexicographic order of full index tuples, so the
+prefixes decided, disjoint blocks of it, read in labeling order once
+sorted.  Membership does not depend on evaluation order, so the verdicts
+are those of any complete search; the identity is the first collision in
+semi-naive order over sorted symbols and lexicographic argument tuples.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ from .identlang import (
     Term,
     Variable,
     _fold,
-    all_labelings,
     holds_in,
     nonempty_subsets,
     sigma_varset,
@@ -800,63 +804,49 @@ def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequ
     return [terms[e] for e in ids]
 
 
-def _refute_window(
-    a: FiniteAlgebra, window: Sequence[SLLabeling], j: int, max_tuples: int, outcomes: list
-) -> None:
-    """Close F_j once for the undecided labelings of a window, and record
-    in `outcomes` what each of them meets first at rank j.
+def _refute_rank(
+    a: FiniteAlgebra, choices: Sequence[list], j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
+) -> list[tuple[int, ...]]:
+    """Close F_j once for the live labeling prefixes, append to `decided`
+    what each prefix meets first at rank j, and return the prefixes that
+    survive the closure.
 
-    A labeling's pairs (term operation, labeled variable set) are in
-    bijection with the term operations until its first collision, a tuple
-    whose value is an element with another set, with the same ids,
-    derivations and batch order as a closure of its own pairs.  That
-    element's derivation is the identity's lhs and the tuple its rhs.  The
-    closure never holds the whole power first: for |A| >= 2, F_j lies
-    inside the idempotent operations, and for |A| = 1 the seeds collide.
-    Labelings that agree on the symbols evaluated so far have the same
-    sets and are kept as one group, split by each symbol's coordinates at
-    its first batch, all in round 1.
+    A prefix holds an index into choices[t] (the coordinate sets of the
+    t-th sorted symbol) for each of the first sorted symbols, and stands
+    for every labeling that extends it.  A labeling's pairs (term
+    operation, labeled variable set) are in bijection with the term
+    operations until its first collision, a tuple whose value is an element
+    with another set, with the same ids, derivations and batch order as a
+    closure of its own pairs.  That element's derivation is the identity's
+    lhs and the tuple its rhs.  The closure never holds the whole power
+    first: for |A| >= 2, F_j lies inside the idempotent operations, and for
+    |A| = 1 the seeds collide.  The sets of the elements depend only on the
+    coordinate sets of the symbols evaluated so far, so at a symbol's first
+    batch, in round 1, each live prefix splits into one child per coordinate
+    set of the symbol; from then on every prefix is a full labeling.
 
-    outcomes[k] stays None while labeling k is undecided (it survives rank
-    j if the closure completes), or becomes a LabelingRefutation or a
-    SizeLimitExceeded: its own pairs would pass max_tuples on the
-    closure's (max_tuples + 1)-th element or at a collision with
-    max_tuples elements present.
+    A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
+    set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
+    max_tuples on the closure's (max_tuples + 1)-th element or at a
+    collision with max_tuples elements present.
     """
-    undecided = [k for k, o in enumerate(outcomes) if o is None]
-    if not undecided:
-        return
     names = variable_names(j)
     assignments = list(itertools.product(range(a.size), repeat=j))
     elements: list[tuple[int, ...]] = []
     derivations: list[tuple] = []
     index: dict[tuple[int, ...], int] = {}
-    serials = itertools.count()
-    live = {next(serials): ([], undecided)}  # group -> (the set of each element as bits, its labelings)
-    split: set[str] = set()  # the symbols the groups were split by
-    # within a round, (group, set of the labeled prefix, first) -> the sets of the batch positions
-    # when the last argument is labeled: at most 2 (2^j - 1) lists per group, none longer than its bits
-    unions: dict[tuple[int, int, int], list[int]] = {}
-    round_new = 0
+    live = [(chosen, []) for chosen in prefixes]  # each prefix with the set of each element as bits
+    position = {sym: t for t, sym in enumerate(a.symbols())}
     seeds = [tuple(assign[g] for assign in assignments) for g in range(j)]
     seed_bits = [1 << g for g in range(j)]
     # the seeds are a batch of their own, with the symbol None
     for sym, m, batches in itertools.chain([(None, 1, [((), 0, seeds)])], _rounds(elements, [a] * len(assignments))):
-        if sym is not None and sym not in split:
-            split.add(sym)
-            parts = []
-            for bits, members in live.values():
-                by_coords: dict[tuple[int, ...], list[int]] = {}
-                for k in members:
-                    by_coords.setdefault(window[k].sigma[sym], []).append(k)
-                parts += [(bits if n == 0 else bits[:], ks) for n, ks in enumerate(by_coords.values())]
-            live = {next(serials): part for part in parts}
+        t = position.get(sym)
+        if t == len(live[0][0]):  # the symbol's first batch: split by its coordinate sets
+            live = [(chosen + (c,), bits if c == 0 else bits[:]) for chosen, bits in live for c in range(len(choices[t]))]
         for prefix, first, batch in batches:
             derive = (lambda i: ("var", i)) if sym is None else (lambda i: (sym, prefix + (first + i,)))
             start, added, end, new = len(elements), [], len(batch), first + len(batch)
-            if new != round_new:
-                unions.clear()
-                round_new = new
             try:
                 ids = list(map(index.__getitem__, batch))
             except KeyError:  # add the unseen values; one repeated in the batch is found once it is added
@@ -873,43 +863,38 @@ def _refute_window(
                         derivations.append(derive(i))
                         added.append(i)
                     ids[i] = e
-            # then decide each group that collides or overflows in the batch
-            for g, (bits, members) in list(live.items()):
+            # then decide each prefix that collides or overflows in the batch
+            survivors = []
+            for chosen, bits in live:
                 if sym is None:
                     union = seed_bits
                 else:
-                    coords = window[members[0]].sigma[sym]
+                    coords = choices[t][chosen[t]]
                     p = 0
                     for c in coords:
                         if c < m:
                             p |= bits[prefix[c - 1]]
-                    if coords[-1] < m:  # the last argument is not labeled
-                        union = [p] * len(batch)
-                    else:
-                        union = unions.get((g, p, first))
-                        if union is None:
-                            union = unions[g, p, first] = list(map(p.__or__, bits[first:new]))
+                    union = [p] * len(batch) if coords[-1] < m else list(map(p.__or__, bits[first:new]))
                 if added:
                     bits.extend(map(union.__getitem__, added))
                 here = list(map(bits.__getitem__, ids))
                 if here == union:
+                    survivors.append((chosen, bits))
                     continue
+                # `here` stops at end, so a prefix with no collision before end overflows
                 i = next(itertools.compress(itertools.count(), map(operator.ne, here, union)), end)
                 if i < end and start + bisect.bisect_left(added, i) < max_tuples:
                     derivations.append(derive(i))  # the colliding tuple, derived as if it were an element
                     found = _derived_terms(derivations, names, (ids[i], len(derivations) - 1))
                     derivations.pop()
                     found += [frozenset(n for h, n in enumerate(names) if s >> h & 1) for s in (here[i], union[i])]
-                    decided = [LabelingRefutation(window[k], j, *found) for k in members]
-                elif i < len(batch):
-                    decided = [SizeLimitExceeded(f"closure exceeded {max_tuples} elements")] * len(members)
+                    decided.append((chosen, (j, *found)))
                 else:
-                    continue
-                for k, outcome in zip(members, decided):
-                    outcomes[k] = outcome
-                del live[g]
+                    decided.append((chosen, SizeLimitExceeded(f"closure exceeded {max_tuples} elements")))
+            live = survivors
             if not live:
-                return
+                return []
+    return [chosen for chosen, _ in live]
 
 
 def hm_evidence(
@@ -922,12 +907,14 @@ def hm_evidence(
     sound certificate; a survivor is bounded evidence only, since identities
     above the arity bound are never examined.
 
-    Windows of 1, 2, 4, ... labelings in labeling order each close every
-    rank once (`_refute_window`); max_tuples bounds each labeling's pairs
-    per rank.  Outcomes are read in labeling order, so the first overflow
-    raises and the first survivor is returned, as in a search of one
-    labeling at a time.  Rank 1 is not searched: every labeled coordinate
-    set is non-empty, so at rank 1 every union is {x}.
+    Each rank is closed once for all the labeling prefixes still alive
+    (`_refute_rank`); max_tuples bounds each labeling's pairs per rank.  The
+    decided prefixes and the survivors are disjoint blocks of the labeling
+    order, which is the lexicographic order of index tuples, so sorted by
+    prefix they read in labeling order: the first overflow raises and the
+    first survivor is returned, as in a search of one labeling at a time.
+    Rank 1 is not searched: every labeled coordinate set is non-empty, so at
+    rank 1 every union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -936,20 +923,23 @@ def hm_evidence(
     m = default_evidence_arity(a) if max_arity is None else max_arity
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
-    labelings = all_labelings({sym: a.operations[sym].arity for sym in a.symbols()})
+    symbols = a.symbols()
+    choices = [nonempty_subsets(a.operations[sym].arity) for sym in symbols]
+    prefixes = [()] if all(choices) else []  # a constant has no coordinate set, so there is no labeling
+    decided: list = []
+    for j in range(2, m + 1):
+        if not prefixes:
+            break
+        prefixes = _refute_rank(a, choices, j, max_tuples, prefixes, decided)
     refutations = []
-    size = 1
-    while window := list(itertools.islice(labelings, size)):  # the windows hold 1, 2, 4, ... labelings
-        outcomes: list = [None] * len(window)
-        for j in range(2, m + 1):
-            _refute_window(a, window, j, max_tuples, outcomes)
-        for labeling, outcome in zip(window, outcomes):
-            if isinstance(outcome, SizeLimitExceeded):
-                raise outcome
+    for prefix, outcome in sorted(decided + [(p, None) for p in prefixes], key=operator.itemgetter(0)):
+        if isinstance(outcome, SizeLimitExceeded):
+            raise outcome
+        for rest in itertools.product(*map(range, map(len, choices[len(prefix) :]))):
+            labeling = SLLabeling(dict(zip(symbols, map(list.__getitem__, choices, prefix + rest))))
             if outcome is None:
                 return ConsistentLabelingFound(labeling, m)
-            refutations.append(outcome)
-        size *= 2
+            refutations.append(LabelingRefutation(labeling, *outcome))
     return CertifiedHM(m, tuple(refutations))
 
 

@@ -765,6 +765,15 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
             assert re.sub(r'("elapsed_ms": )[0-9.e+-]+', r"\g<1>0", out) == fh.read()
 
 
+def test_alg_hm_evidence_certifies_a_constant_at_arity_bound_1(capsys, algebra_file):
+    constant = FiniteAlgebra(1, {"c": OperationTable(0, 1, (0,))})
+    code, out, _ = run(
+        capsys, "alg", "hm-evidence", "--algebra", algebra_file(constant), "--max-arity", "1", "--output", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witness"] == {"max_arity": 1, "labelings_refuted": 0}
+
+
 def test_alg_hm_evidence_rejects_non_idempotent(capsys, algebra_file):
     const = FiniteAlgebra(2, {"c": OperationTable(1, 2, (0, 0))})
     assert run(capsys, "alg", "hm-evidence", "--algebra", algebra_file(const))[0] == 2

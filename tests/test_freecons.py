@@ -41,7 +41,7 @@ from hmkit.freecons import (
     _count_shaped_extensions,
     _is_constant_or_projection,
     _quotient_tables,
-    _refute_window,
+    _refute_rank,
     _separating_translation,
     _shape_table,
 )
@@ -192,8 +192,8 @@ def refute_labeling_reference(
     return None
 
 
-# Oracle for the evidence search: the search as it was before the labelings
-# of a window shared one closure per rank, with one pair closure per labeling
+# Oracle for the evidence search: the search as it was before labelings
+# shared one closure per rank, with one pair closure per labeling
 # and rank from `close_with_stop`, the closure engine with the stop hook it
 # had then.  The code is that code, with new names and without its
 # docstrings and comments.
@@ -702,12 +702,18 @@ def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebr
     monkeypatch.setattr(freecons, "_rounds", counting)
     monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
     monkeypatch.setattr(freecons, "_close", no_free_algebra)
-    # F_2 = {x, y}, so each labeling is refuted in the first round of its
-    # rank-2 closure with 2 elements; its windows of 1, 2 and 4 labelings close
-    # rank 2 once each (4 assignments), and rank 3 is never closed
+    # F_2 = {x, y}, so each labeling is refuted in the first round of the
+    # rank-2 closure with 2 elements; one closure of rank 2 (4 assignments)
+    # serves all its labelings, and rank 3 is never closed
     evidence = hm_evidence(majority_algebra, max_tuples=3)
     assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
-    assert widths == [2**2] * 3
+    assert widths == [2**2]
+    # the same single closure serves the 16,807 labelings of five majority symbols
+    widths.clear()
+    five = FiniteAlgebra(2, {f"m{i}": majority_algebra.operations["m"] for i in range(5)})
+    evidence = hm_evidence(five, max_tuples=3)
+    assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7**5
+    assert widths == [2**2]
     # a collision with max_tuples elements present would be the third pair
     with pytest.raises(SizeLimitExceeded, match="closure exceeded 2 elements"):
         hm_evidence(majority_algebra, max_tuples=2)
@@ -734,6 +740,18 @@ def test_hm_evidence_trivial_algebra_certifies():
     # the two seed pairs already share their term operation
     (r,) = evidence.refutations
     assert (r.arity, r.lhs, r.rhs) == (2, Variable("x"), Variable("y"))
+
+
+def test_hm_evidence_certifies_a_signature_with_a_constant_by_no_refutation():
+    # a constant has no coordinate set, so there is no labeling to refute
+    constant = OperationTable(0, 1, (0,))
+    alone = FiniteAlgebra(1, {"c": constant})
+    beside = FiniteAlgebra(1, {"c": constant, "f": OperationTable(2, 1, (0,))})
+    for a in (alone, beside):
+        for m in (1, 2, 3):
+            evidence = hm_evidence(a, m)
+            assert evidence == CertifiedHM(m, ())
+            assert verify_certificate(a, evidence)
 
 
 def test_hm_evidence_rejects_non_idempotent():
@@ -878,12 +896,33 @@ def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
 
 
 def test_hm_evidence_matches_the_reference_on_many_labelings():
-    # five majority symbols: 16,807 labelings in windows of up to 8,192
+    # five majority symbols: 16,807 labelings, all refuted at rank 2 in one closure
     majority = OperationTable(3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
     a = FiniteAlgebra(2, {f"m{i}": majority for i in range(5)})
     got = evidence_outcome(hm_evidence, a)
     assert len(got[2]) == 7**5
     assert got == evidence_outcome(hm_evidence_reference, a)
+
+
+def test_hm_evidence_reports_an_early_survivor_without_building_the_other_labelings(monkeypatch):
+    import hmkit.freecons as freecons
+    import hmkit.identlang as identlang
+
+    # seven first projections: 3^7 = 2,187 labelings, the first of which,
+    # every symbol -> {1}, survives
+    a = FiniteAlgebra(2, {f"p{i}": OperationTable(2, 2, (0, 0, 1, 1)) for i in range(7)})
+    expected = hm_evidence_reference(a)
+    assert expected.labeling.sigma == {f"p{i}": (1,) for i in range(7)}
+    built = []
+
+    def counting(sigma):
+        built.append(sigma)
+        return SLLabeling(sigma)
+
+    monkeypatch.setattr(identlang, "SLLabeling", counting)
+    monkeypatch.setattr(freecons, "SLLabeling", counting)
+    assert hm_evidence(a) == expected
+    assert len(built) <= 1
 
 
 def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypatch):
@@ -905,18 +944,19 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
 
     monkeypatch.setattr(freecons, "_rounds", hand_built)
     two = FiniteAlgebra(2, {"f": OperationTable(2, 2, (0, 0, 1, 1))})
-    outcomes = [None]
+    decided = []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
-        _refute_window(two, [SLLabeling({"f": (1,)})], 2, n + 1, outcomes)
+        # the prefix (0,) is the labeling f -> {1}, the first coordinate set of arity 2
+        assert _refute_rank(two, [[(1,), (1, 2), (2,)]], 2, n + 1, [(0,)], decided) == []
     finally:
         sys.setrecursionlimit(limit)
-    (r,) = outcomes
-    assert (r.arity, r.lhs) == (2, Variable("x"))
-    assert (r.lhs_varset, r.rhs_varset) == (frozenset("x"), frozenset("y"))
-    assert r.rhs.symbol == "f" and r.rhs.args[0] == Variable("y")
-    t, nested = r.rhs.args[1], 0
+    ((prefix, (arity, lhs, rhs, lhs_varset, rhs_varset)),) = decided
+    assert (prefix, arity, lhs) == ((0,), 2, Variable("x"))
+    assert (lhs_varset, rhs_varset) == (frozenset("x"), frozenset("y"))
+    assert rhs.symbol == "f" and rhs.args[0] == Variable("y")
+    t, nested = rhs.args[1], 0
     while isinstance(t, Application):
         assert t.symbol == "f" and t.args[1] == Variable("x")
         t, nested = t.args[0], nested + 1
