@@ -267,7 +267,7 @@ def cmd_psl_decompose(args, started: float) -> int:
     factors = [_load(f) for f in args.factors]
     target = _load(args.target)
     try:
-        decomposition = semilat.decompose_product_hom(factors, target, args.map, args.tops, args.max_tuples)
+        decomposition = semilat.decompose_product_hom(factors, target, args.map, max_tuples=args.max_tuples)
     except semilat.DecompositionError as exc:  # unusable input is any other StructureError
         return _emit_report(args, "psl decompose", [Check("decomposition", "fail", str(exc))], 1, started)
     if decomposition.is_constant:
@@ -505,7 +505,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     p.add_argument("--target", required=True)
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--map", type=_ids, required=True)
-    p.add_argument("--tops", type=_ids, default=None)
 
     free = group("free", "free construction pipeline")
     p = free.add_parser("build", parents=[sized])

@@ -79,6 +79,7 @@ from .identlang import (
     Term,
     Variable,
     _fold,
+    all_labelings,
     holds_in,
     nonempty_subsets,
     sigma_varset,
@@ -951,12 +952,10 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     once per pair of term objects, keyed by their ids: the refutations of
     one group share their terms, and the certificate keeps every term alive
     for the call."""
-    symbols = a.symbols()
-    arity = {sym: a.operations[sym].arity for sym in symbols}
-    combos = itertools.product(*(nonempty_subsets(arity[sym]) for sym in symbols))
+    arity = {sym: op.arity for sym, op in a.operations.items()}
     valid: dict[tuple[int, int], bool] = {}
-    for combo, r in itertools.zip_longest(combos, certificate.refutations):
-        if combo is None or r is None or r.labeling.sigma != dict(zip(symbols, combo)):
+    for labeling, r in itertools.zip_longest(all_labelings(arity), certificate.refutations):
+        if labeling is None or r is None or labeling != r.labeling:
             return False
         key = (id(r.lhs), id(r.rhs))
         if key not in valid:  # every application names one of a's symbols, at its arity

@@ -234,7 +234,7 @@ def decompose_product_hom(
     factors: list[RelationalStructure] | tuple[RelationalStructure, ...],
     target: RelationalStructure,
     mapping: list[int] | tuple[int, ...],
-    tops: list[int] | tuple[int, ...] | None = None,
+    *,
     max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> ProductDecomposition:
     """Split a hom off a product of partial semilattices with largest elements.
@@ -242,12 +242,12 @@ def decompose_product_hom(
     mapping gives f on the ranks of product(factors) (see `rank`); the
     product itself is never built.  Unusable input raises a plain
     StructureError before any verdict work: an empty factor list, a map of
-    the wrong length or range, a top list of the wrong length or range,
-    mismatched signatures (SignatureMismatch) or a relation that is not one
-    ternary relation.  Every verdict is a DecompositionError.  tops=None
-    stands for each factor's largest element, and a factor without one is
-    named before any product tuple is walked.  The coordinate maps, returned
-    as mapping tuples, are f_i(x) = f(tops with x substituted at i); f must
+    the wrong length or range, mismatched signatures (SignatureMismatch) or
+    a relation that is not one ternary relation.  Every verdict is a
+    DecompositionError.  The tops are each factor's largest element, which
+    its relation alone determines, and a factor without one is named before
+    any product tuple is walked.  The coordinate maps, returned as mapping
+    tuples, are f_i(x) = f(tops with x substituted at i); f must
     equal, at every point x, the left-folded meet g of F(x) = (f_1(x_1),
     ..., f_k(x_k)) in the target.
 
@@ -276,26 +276,17 @@ def decompose_product_hom(
     for v in mapping:
         if not (0 <= v < target.size):
             raise StructureError(f"map value {v} not in target universe of size {target.size}")
-    if tops is not None and len(tops) != len(factors):
-        raise StructureError(f"{len(tops)} tops for {len(factors)} factors")
-    for i, (h, t) in enumerate(zip(factors, tops or ())):
-        if not 0 <= t < h.size:
-            raise StructureError(f"top {t} not in factor {i} universe of size {h.size}")
     if any(h.signature() != target.signature() for h in factors):
         raise SignatureMismatch("target and factors have different signatures")
     rel = single_ternary_relation(target).tuples  # and so every factor's
-    given = tops is not None
     try:
-        tops = tuple(tops) if given else tuple(map(largest_element, factors))
+        tops = tuple(map(largest_element, factors))
     except StructureError as exc:  # two largest elements: a factor is not functional
         raise DecompositionError(str(exc)) from exc
     if None in tops:
         raise DecompositionError("a factor has no largest element")
 
     try:
-        for i, (h, t) in enumerate(zip(factors, tops)):
-            if given and largest_element(h) != t:
-                raise DecompositionError(f"factor {i}: {t} is not its largest element")
         if len(set(mapping)) <= 1:
             if (mapping[0],) * 3 not in rel:
                 raise DecompositionError("constant value without a loop")

@@ -386,13 +386,6 @@ def test_psl_decompose_max_tuples_bounds_the_walk(capsys, structure_file, S):
 
 def test_psl_decompose_failure_precedence(capsys, structure_file, S):
     s_path = structure_file(S, "s.json")
-    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path]
-    # a map that is no homomorphism is named before a wrong top in range
-    code, out, _ = run(capsys, *decompose, "--map", "0,1,1,1", "--tops", "1,0")
-    assert code == 1 and "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)" in out
-    code, out, _ = run(capsys, *decompose, "--map", "0,0,0,1", "--tops", "1,0")
-    assert code == 1 and "decomposition: fail  factor 1: 0 is not its largest element" in out
-
     # a factor without a top is named before the map is checked, and so
     # before any size guard
     pair = RelationalStructure(2, {"R": Relation(3, {(0, 0, 0), (1, 1, 1)})})
@@ -401,15 +394,21 @@ def test_psl_decompose_failure_precedence(capsys, structure_file, S):
     assert code == 1 and "decomposition: fail  a factor has no largest element" in out
     code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--max-tuples", "5")
     assert code == 1 and "decomposition: fail  a factor has no largest element" in out
-    # with the tops given, the walk reaches the least failing tuple at the 6th
-    code, out, err = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "5")
-    assert (code, out, err) == (2, "", "error: product walk needs > 5 tuples\n")
-    code, out, _ = run(capsys, *no_top, "--map", "0,1,1,0", "--tops", "0,1", "--max-tuples", "6")
-    assert code == 1 and "not a homomorphism: R tuple (2, 3, 2) maps to (1, 0, 1)" in out
     with pytest.raises(DecompositionError, match="^a factor has no largest element$"):
         decompose_product_hom([pair, S], S, (0, 1, 1, 0))
-    with pytest.raises(DecompositionError, match=r"not a homomorphism: R tuple \(2, 3, 2\) maps to \(1, 0, 1\)"):
-        decompose_product_hom([pair, S], S, (0, 1, 1, 0), [0, 1])  # a wrong top, given, comes after
+
+
+def test_psl_decompose_takes_no_tops(capsys, structure_file, S):
+    """The tops are each factor's largest element: no option gives them, and
+    a list in the old tops position does not bind to max_tuples."""
+    s_path = structure_file(S, "s.json")
+    decompose = ["psl", "decompose", "--target", s_path, "--factors", s_path, s_path, "--map", "0,0,0,1"]
+    code, out, err = run(capsys, *decompose, "--tops", "0,1")
+    assert code == 2 and out == "" and "unrecognized arguments: --tops 0,1" in err
+    code, out, _ = run(capsys, *decompose)
+    assert code == 0 and "decomposition: pass" in out
+    with pytest.raises(TypeError):
+        decompose_product_hom([S, S], S, (0, 0, 0, 1), [1, 1])
 
 
 
@@ -424,32 +423,25 @@ def test_psl_decompose_input_errors_and_verdicts_keep_their_types(capsys, struct
     two_tops = ternary(R | {(0, 1, 1), (1, 0, 1)})
     edge = RelationalStructure(2, {"R": Relation(2, frozenset({(0, 1)}))})
     other = RelationalStructure(2, {"Q": S.relations["R"]})
-    cases = [  # target, factors, map, tops, exit code, message
-        (S, [S, S], "0,0,0", None, 2, "map has 3 entries for a product of size 4"),
-        (S, [S, S], "0,0,0,7", None, 2, "map value 7 not in target universe of size 2"),
-        (S, [S, S], "0,0,0,1", "1", 2, "1 tops for 2 factors"),
-        (S, [S, S], "0,0,0,1", "1,5", 2, "top 5 not in factor 1 universe of size 2"),
-        (S, [S, S], "0,0,0,1", "-1,1", 2, "top -1 not in factor 0 universe of size 2"),
-        (S, [S, other], "0,0,0,1", None, 2, "target and factors have different signatures"),
-        (edge, [S, S], "0,0,0,1", None, 2, "target and factors have different signatures"),
-        (edge, [edge, edge], "0,0,0,1", None, 2, "expected a ternary relation, found arity 2"),
-        (nonfunctional, [S, S], "0,0,0,1", None, 1, "non-functional relation: (0,1,0) and (0,1,1) both present"),
-        (S, [two_tops, S], "0,0,0,1", None, 1, "multiple largest elements [0, 1]; relation not functional"),
-        (S, [two_tops, S], "0,1,1,1", None, 1, "multiple largest elements [0, 1]; relation not functional"),
-        (S, [two_tops, S], "0,0,0,0", "1,1", 1, "multiple largest elements [0, 1]; relation not functional"),
-        (S, [two_tops, S], "0,1,1,1", "1,1", 1, "not a homomorphism: R tuple (0, 2, 2) maps to (0, 1, 1)"),
-        (S, [S, S], "0,1,1,1", None, 1, "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)"),
-        (S, [S, S], "0,0,0,1", "1,0", 1, "factor 1: 0 is not its largest element"),
+    cases = [  # target, factors, map, exit code, message
+        (S, [S, S], "0,0,0", 2, "map has 3 entries for a product of size 4"),
+        (S, [S, S], "0,0,0,7", 2, "map value 7 not in target universe of size 2"),
+        (S, [S, other], "0,0,0,1", 2, "target and factors have different signatures"),
+        (edge, [S, S], "0,0,0,1", 2, "target and factors have different signatures"),
+        (edge, [edge, edge], "0,0,0,1", 2, "expected a ternary relation, found arity 2"),
+        (nonfunctional, [S, S], "0,0,0,1", 1, "non-functional relation: (0,1,0) and (0,1,1) both present"),
+        (S, [two_tops, S], "0,0,0,1", 1, "multiple largest elements [0, 1]; relation not functional"),
+        (S, [two_tops, S], "0,1,1,1", 1, "multiple largest elements [0, 1]; relation not functional"),
+        (S, [S, S], "0,1,1,1", 1, "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)"),
     ]
-    for n, (target, factors, mapping, tops, code, message) in enumerate(cases):
-        args = (factors, target, [int(v) for v in mapping.split(",")], tops and [int(v) for v in tops.split(",")])
+    for n, (target, factors, mapping, code, message) in enumerate(cases):
         with pytest.raises(StructureError) as info:
-            decompose_product_hom(*args)
+            decompose_product_hom(factors, target, [int(v) for v in mapping.split(",")])
         assert (str(info.value), isinstance(info.value, DecompositionError)) == (message, code == 1), n
         argv = ["psl", "decompose", "--target", structure_file(target, f"t{n}.json"), "--map", mapping]
         argv += ["--factors", *(structure_file(h, f"f{n}_{i}.json") for i, h in enumerate(factors))]
         expected = (1, f"command: psl decompose\ndecomposition: fail  {message}\n", "") if code == 1 else (2, "", f"error: {message}\n")
-        assert run(capsys, *argv, *([f"--tops={tops}"] if tops else [])) == expected, n  # in = form, or "-1,1" reads as an option
+        assert run(capsys, *argv) == expected, n
 
 # --- free -----------------------------------------------------------------------
 
@@ -917,11 +909,11 @@ def test_options_do_not_carry_over(capsys, structure_file, S):
     code, out, _ = run(capsys, "hom", "find", path, path)
     assert out.splitlines() == ["command: hom find", "homomorphisms: pass", "  0,0", "  0,1", "  1,1"]
 
-    decompose = ["psl", "decompose", "--target", path, "--factors", path, path, "--map", "0,0,0,1"]
-    code, out, _ = run(capsys, *decompose, "--tops", "0,1")
-    assert code == 1 and "0 is not its largest element" in out
+    decompose = ["psl", "decompose", "--target", path, "--factors", path, path, "--map", "0,1,1,1"]
+    code, out, err = run(capsys, *decompose, "--max-tuples", "6")
+    assert (code, out, err) == (2, "", "error: product walk needs > 6 tuples\n")
     code, out, _ = run(capsys, *decompose)
-    assert code == 0 and "decomposition: pass" in out
+    assert code == 1 and "not a homomorphism: R tuple (1, 2, 0) maps to (1, 1, 0)" in out
 
 
 # a valid argv after (group, command) for every command, with abbreviated
@@ -942,7 +934,7 @@ VALID_ARGS = {
     ("psl", "check"): ["s.json", "--outp", "json"],
     ("psl", "largest"): ["s.json"],
     ("psl", "meet"): ["s.json", "0", "-1"],
-    ("psl", "decompose"): ["--target", "s.json", "--factors", "a.json", "b.json", "--map", "0,0,0,1", "--tops=0,1"],
+    ("psl", "decompose"): ["--target", "s.json", "--factors", "a.json", "b.json", "--map", "0,0,0,1", "--max-tuples=7"],
     ("free", "build"): ["--algebra", "a.json", "--verify-l", "--verify-claims", "2"],
     ("gadget", "apply"): ["--input", "d.json", "--out", "o.json"],
     ("gadget", "analyze"): ["--in", "d.json"],

@@ -82,14 +82,26 @@ from conftest import algebra_doc, image_structure, kernel, one_element_structure
 
 
 def closure_reference(seeds, algebras, max_elements):
-    """Slow oracle for the closure engine: full rounds through OperationTable.apply,
-    with algebras[c] acting at coordinate c.
+    """Slow oracle for the closure engine: full rounds of every operation at
+    every argument tuple, with algebras[c] acting at coordinate c.
 
     Every round re-evaluates every argument tuple over the elements known at
     its start, symbols in sorted order, so the ids and first derivations are
     fixed by the round structure alone.  Raises SizeLimitExceeded once more
     than max_elements elements are found.  Returns (elements, derivations).
+    The input is validated once, as OperationTable.apply would validate each
+    argument: the algebras share one signature and every seed coordinate
+    lies in its algebra's universe.  Values closed from those stay in it, so
+    each is then read from its flat table at the row-major rank.
     """
+    symbols = algebras[0].symbols()
+    arities = [algebras[0].operations[sym].arity for sym in symbols]
+    for alg in algebras:
+        if alg.symbols() != symbols or [alg.operations[sym].arity for sym in symbols] != arities:
+            raise StructureError("the algebras differ in signature")
+    for seed in seeds:
+        if len(seed) != len(algebras) or not all(0 <= v < alg.size for v, alg in zip(seed, algebras)):
+            raise StructureError(f"seed {seed} not in the power")
     elements, derivations, index = [], [], {}
 
     def intern(t, derivation):
@@ -104,13 +116,16 @@ def closure_reference(seeds, algebras, max_elements):
         intern(seed, ("var", j))
     while True:
         size_before = len(elements)
-        for sym in algebras[0].symbols():
+        for sym in symbols:
             tables = [alg.operations[sym] for alg in algebras]
             for args in itertools.product(range(size_before), repeat=tables[0].arity):
-                value = tuple(
-                    table.apply(*(elements[e][c] for e in args)) for c, table in enumerate(tables)
-                )
-                intern(value, (sym, args))
+                value = []
+                for c, table in enumerate(tables):
+                    rank = 0
+                    for e in args:
+                        rank = rank * table.size + elements[e][c]
+                    value.append(table.values[rank])
+                intern(tuple(value), (sym, args))
         if len(elements) == size_before:
             return elements, derivations
 
@@ -776,6 +791,15 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     assert not verify_certificate(majority_algebra, missing)
 
 
+def test_verify_certificate_returns_false_for_a_malformed_labeling(majority_algebra):
+    evidence = hm_evidence(majority_algebra)
+    for k in (0, len(evidence.refutations) - 1):
+        r = evidence.refutations[k]
+        plain = r._replace(labeling=dict(r.labeling.sigma))  # the sigma, but no SLLabeling
+        refutations = evidence.refutations[:k] + (plain,) + evidence.refutations[k + 1:]
+        assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations))
+
+
 def test_verify_certificate_checks_the_sets_of_a_replayed_identity(majority_algebra):
     evidence = hm_evidence(majority_algebra)
     # m->{1,2,3} and m->{1,3} are refuted by one identity, x = m(x,x,y); the
@@ -1123,7 +1147,9 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
                 # meet of single-coordinate projections
                 if not constant and claim3_ok:
                     factors = [collapsed_substructure(bundle, ul) for ul in comb]
-                    tops = [
+                    # decompose_product_hom takes each factor's largest
+                    # element as its top: the generator's image, by claim 1
+                    assert [largest_element(f) for f in factors] == [
                         bundle.components[ul].kids.index(bundle.generator_image(ul, bundle.y))
                         for ul in comb
                     ]
@@ -1131,7 +1157,7 @@ def verify_claims_reference(bundle: ReferenceBundle, max_arity: int = 2) -> Veri
                     for c in range(h):
                         coord_values = [bundle.coords_of_kid(v)[c] for v in values]
                         try:
-                            dec = decompose_product_hom(factors, S, coord_values, tops)
+                            dec = decompose_product_hom(factors, S, coord_values)
                         except (StructureError, DecompositionError) as exc:
                             claim3_ok, claim3_detail = False, f"arity {arity}: {exc}"
                             break
@@ -1430,7 +1456,6 @@ def column_failure_reference(
     bundle: FreeBundle,
     comb: tuple[int, ...],
     factors: list[RelationalStructure],
-    tops: list[int],
     c: int,
     column: tuple[int, ...],
 ) -> str:
@@ -1442,7 +1467,7 @@ def column_failure_reference(
     """
     arity = len(comb)
     try:
-        dec = decompose_product_hom(factors, bundle.semilattice, column, tops)
+        dec = decompose_product_hom(factors, bundle.semilattice, column)
     except (StructureError, DecompositionError) as exc:
         return f"arity {arity}: {exc}"
     if dec.is_constant:
@@ -1472,7 +1497,10 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
         for arity in (1, 2):
             for comb in itertools.product(range(len(bundle.components)), repeat=arity):
                 factors = [bundle.components[u].collapsed for u in comb]
-                tops = [bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb]
+                # decompose_product_hom takes each factor's largest element as its top: the generator's image
+                assert [largest_element(f) for f in factors] == [
+                    bundle.components[u].kids.index(bundle.generator_image(u, bundle.y)) for u in comb
+                ]
                 prod = product(factors)
                 points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
                 shapes = _shape_table(bundle, comb, points)
@@ -1482,7 +1510,7 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
                         columns.update(zip(*(bundle.decode[v][1] for v in values)))
                 columns.update(tuple(rng.randrange(2) for _ in points) for _ in range(20))
                 for column in sorted(columns):
-                    failure = column_failure_reference(bundle, comb, factors, tops, 0, column)
+                    failure = column_failure_reference(bundle, comb, factors, 0, column)
                     assert (column in shapes) == (failure == ""), (comb, column, failure)
                     verdicts[column in shapes, failure == ""] += 1
     assert verdicts[True, True] > 500 and verdicts[False, False] > 500, verdicts

@@ -70,54 +70,69 @@ def holds_in_reference(algebra, identity: Identity, interp: Mapping[str, "object
 
 
 def saturate_reference(sys: TermSystem) -> TermSystem:
-    """The round-based rule loop that `saturate` replaced, kept as an oracle."""
+    """The rule loop that `saturate` replaced, kept as an oracle: rounds of
+    symmetry, swap, identification, transitivity and pairing until no
+    identity is new.  Semi-naive: a round derives only from the identities
+    new in the round before, each joined with every identity known so far.
+    An identity is a pair of term numbers, so sets hash two ints."""
     for i in sys.identities:
         if not is_linear(i):
             raise SystemError_(f"non-linear identity: {i}")
         if len(term_variables(i.lhs) | term_variables(i.rhs)) > 2:
             raise SystemError_(f"identity in more than 2 variables: {i}")
 
-    current: set[Identity] = set()
+    number: dict[Term, int] = {}
+    terms: list[Term] = []
 
-    def add(i: Identity) -> None:
-        current.add(i)
+    def numbered(t: Term) -> int:
+        if t not in number:
+            number[t] = len(terms)
+            terms.append(t)
+        return number[t]
 
-    for i in sys.identities:
-        add(_normalize(i))
+    def pair(i: Identity) -> tuple[int, int]:
+        return numbered(i.lhs), numbered(i.rhs)
+
+    def renamed(k: int, table: dict, memo: dict) -> int:
+        if k not in memo:
+            memo[k] = numbered(_rename(terms[k], table))
+        return memo[k]
+
+    new = {pair(_normalize(i)) for i in sys.identities}
     for name in sorted(sys.idempotent):
         arity = sys.declarations[name]
-        add(Identity(Application(name, (_X,) * arity), _X))
+        new.add(pair(Identity(Application(name, (_X,) * arity), _X)))
 
-    swap = {"x": "y", "y": "x"}
-    collapse = {"y": "x"}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current, key=str)
-        derived: set[Identity] = set()
-        for i in snapshot:
-            derived.add(Identity(_rename(i.lhs, swap), _rename(i.rhs, swap)))
-            derived.add(Identity(i.rhs, i.lhs))
-            derived.add(_normalize(Identity(_rename(i.lhs, collapse), _rename(i.rhs, collapse))))
-        by_lhs: dict = {}
-        for i in snapshot:
-            by_lhs.setdefault(i.lhs, []).append(i.rhs)
-        for i in snapshot:
-            for r in by_lhs.get(i.rhs, ()):  # transitivity
-                derived.add(Identity(i.lhs, r))
-        by_var_rhs: dict = {}
-        for i in snapshot:
-            if isinstance(i.rhs, Variable):
-                by_var_rhs.setdefault(i.rhs.name, []).append(i.lhs)
-        for sides in by_var_rhs.values():  # pairing through a common variable
-            for s1, s2 in itertools.product(sides, sides):
-                derived.add(Identity(s1, s2))
-        before = len(current)
-        current |= derived
-        if len(current) != before:
-            changed = True
+    swap, swapped = {"x": "y", "y": "x"}, {}
+    collapse, collapsed = {"y": "x"}, {}
+    normalized: dict = {}  # identified pair -> its normal form
+    current: set[tuple[int, int]] = set()
+    by_lhs: dict = {}  # lhs -> the rhs of every known identity
+    by_rhs: dict = {}  # rhs -> the lhs of every known identity
+    by_var_rhs: dict = {}  # variable -> the lhs of every known identity with that rhs
+    while new:
+        current |= new
+        for a, b in new:  # indexed first, so two new identities join too
+            by_lhs.setdefault(a, []).append(b)
+            by_rhs.setdefault(b, []).append(a)
+            if isinstance(terms[b], Variable):
+                by_var_rhs.setdefault(b, []).append(a)
+        derived: set[tuple[int, int]] = set()
+        for a, b in new:
+            derived.add((renamed(a, swap, swapped), renamed(b, swap, swapped)))
+            derived.add((b, a))
+            c, d = renamed(a, collapse, collapsed), renamed(b, collapse, collapsed)
+            if (c, d) not in normalized:
+                normalized[c, d] = pair(_normalize(Identity(terms[c], terms[d])))
+            derived.add(normalized[c, d])
+            derived.update((a, r) for r in by_lhs.get(b, ()))  # transitivity, (a, b) first
+            derived.update((l, b) for l in by_rhs.get(a, ()))  # transitivity, (a, b) second
+            for s in by_var_rhs.get(b, ()):  # pairing through a common variable
+                derived.add((a, s))
+                derived.add((s, a))
+        new = derived - current
 
-    ordered = tuple(sorted(current, key=str))
+    ordered = tuple(sorted((Identity(terms[a], terms[b]) for a, b in current), key=str))
     return TermSystem(sys.declarations, ordered, sys.idempotent)
 
 
