@@ -434,8 +434,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text")
-    # only the subcommands whose library call takes a size bound offer it
-    sized = argparse.ArgumentParser(add_help=False, parents=[common])
+    # only the subcommands that print a report offer --output, and only
+    # those whose library call takes a size bound offer --max-tuples
+    sized = argparse.ArgumentParser(add_help=False)
     sized.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
 
     parser = argparse.ArgumentParser(prog="hmkit", description=__doc__.splitlines()[0])
@@ -458,10 +459,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     p.add_argument("file")
     p.add_argument("exponent", type=int)
     p.add_argument("--out")
-    p = structure.add_parser("union", parents=[common])
+    p = structure.add_parser("union")
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
-    p = structure.add_parser("induced", parents=[common])
+    p = structure.add_parser("induced")
     p.add_argument("file")
     p.add_argument("--ids", type=_ids, required=True)
     p.add_argument("--out")
@@ -501,19 +502,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     p.add_argument("file")
     p.add_argument("first", type=int)
     p.add_argument("second", type=int)
-    p = psl.add_parser("decompose", parents=[sized])
+    p = psl.add_parser("decompose", parents=[common, sized])
     p.add_argument("--target", required=True)
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--map", type=_ids, required=True)
 
     free = group("free", "free construction pipeline")
-    p = free.add_parser("build", parents=[sized])
+    p = free.add_parser("build", parents=[common, sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--verify-lemma22", action="store_true")
     p.add_argument("--verify-claims", type=int, default=None, metavar="N")
 
     gadget_group = group("gadget", "hom-set gadget")
-    p = gadget_group.add_parser("apply", parents=[common])
+    p = gadget_group.add_parser("apply")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
     p = gadget_group.add_parser("analyze", parents=[common])
@@ -533,7 +534,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     p.add_argument("--system", required=True)
 
     alg = group("alg", "algebra-side evidence")
-    p = alg.add_parser("hm-evidence", parents=[sized])
+    p = alg.add_parser("hm-evidence", parents=[common, sized])
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-arity", type=int, default=None)
 

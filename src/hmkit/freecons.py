@@ -2,15 +2,17 @@
 the bounded search for evidence that no semilattice labeling survives.
 
 The pipeline: free_structure builds the binary free algebra of the variety
-generated by a finite algebra together with its ternary free relational
-structure; compute_H finds, per connected component, the non-constant
-homomorphisms into the two-element semilattice structure; collapse maps
-every element to its component and its tuple of homomorphism values, a
-point of the disjoint union of semilattice powers, and builds the image K
-of those points.  The union is described, never built: K's ids are the
-points in (component, bits) order, which is the order of their union ids,
-and `decode` gives each K id its point.  Verification routines then
-machine-check the structural facts the construction is designed around.
+generated by a finite algebra, its ternary free relational structure and
+one component per unary term operation u, holding the elements whose
+diagonal is u and the images u(x) and u(y); compute_H finds, per component,
+the non-constant homomorphisms into the two-element semilattice structure
+S, built where it is used; collapse maps every element to its component and
+its tuple of homomorphism values, a point of the disjoint union of
+semilattice powers, and builds the image K of those points.  The union is
+described, never built: K's ids are the points in (component, bits) order,
+which is the order of their union ids, and `decode` gives each K id its
+point.  Verification routines then machine-check the structural facts the
+construction is designed around.
 
 Claims 3 and 4 of verify_claims read one table of bit shapes per component
 combination: the constants and the meets of single-coordinate
@@ -107,10 +109,6 @@ from .structures import (
 RELATION_SYMBOL = "R"
 
 
-class IllDefinedOperation(StructureError):
-    """A quotient operation received two different values on one class."""
-
-
 class FiniteAlgebra:
     """A finite universe with named total operation tables."""
 
@@ -167,22 +165,18 @@ class FreeAlgebra:
     element equality is equality of term operations.
     """
 
-    __slots__ = ("base", "algebra", "elements", "generators", "derivations", "index")
+    __slots__ = ("algebra", "elements", "generators", "derivations", "index")
 
     def __init__(
         self,
-        base: FiniteAlgebra,
         algebra: FiniteAlgebra,  # induced tables on the closure elements, term names as labels
         elements: tuple[tuple[int, ...], ...],
         generators: tuple[int, ...],
         derivations: tuple[tuple, ...],  # ("var", j) or (symbol, arg element ids)
         index: Mapping[tuple[int, ...], int],  # element -> id
     ) -> None:
-        self.base, self.algebra, self.elements = base, algebra, elements
+        self.algebra, self.elements = algebra, elements
         self.generators, self.derivations, self.index = generators, derivations, index
-
-    def term_name(self, element: int) -> str:
-        return self.algebra.labels[element]
 
 
 def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...]], old: int, new: int):
@@ -310,19 +304,18 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
     labels: list[str] = []
     for sym, arg in derivations:
         labels.append(names[arg] if sym == "var" else f"{sym}({','.join(labels[e] for e in arg)})")
-    return FreeAlgebra(
-        base=a,
-        algebra=FiniteAlgebra(n, tables, tuple(labels)),
-        elements=tuple(elements),
-        generators=tuple(index[p] for p in projections),
-        derivations=tuple(derivations),
-        index=index,
-    )
+    generators = tuple(index[p] for p in projections)
+    return FreeAlgebra(FiniteAlgebra(n, tables, tuple(labels)), tuple(elements), generators, tuple(derivations), index)
 
 
 class ComponentData(NamedTuple):
+    """The component of one unary term operation u: the free elements whose
+    diagonal is u, the images u(x) and u(y), and what the later stages
+    find on it."""
+
     members: tuple[int, ...]  # free-algebra element ids, sorted
-    homs: tuple[tuple[int, ...], ...] = ()  # non-constant maps into S, local ids
+    images: tuple[int, int]  # free-algebra element ids of u(x) and u(y)
+    homs: tuple[tuple[int, ...], ...] = ()  # non-constant maps into S, local ids (after compute_H)
     kids: tuple[int, ...] = ()  # collapsed image ids, sorted (after collapse)
     collapsed: RelationalStructure | None = None  # K induced on kids (after collapse)
 
@@ -330,57 +323,33 @@ class ComponentData(NamedTuple):
 class FreeBundle:
     """Staged output of the free construction over a finite algebra."""
 
-    __slots__ = ("free", "x", "y", "structure", "semilattice", "unary_ops", "component_of",
-                 "components", "decode", "quotient_map", "K")
+    __slots__ = ("free", "structure", "components", "decode", "quotient_map", "K")
 
     def __init__(
         self,
-        free: FreeAlgebra,  # its `base` is the algebra
-        x: int,
-        y: int,
+        free: FreeAlgebra,
         structure: RelationalStructure,  # the free relational structure
-        semilattice: RelationalStructure,  # the fixed 2-element target
-        unary_ops: tuple[tuple[int, ...], ...],  # U, identity first
-        component_of: tuple[int, ...],  # free element -> index into unary_ops
-        components: tuple[ComponentData, ...] | None = None,  # the component of unary_ops[u] at u
+        components: tuple[ComponentData, ...],  # one per unary term operation, identity first
         decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None,  # K id -> (component, coordinate bits)
         quotient_map: tuple[int, ...] | None = None,  # free element -> K id
         K: RelationalStructure | None = None,
     ) -> None:
-        self.free, self.x, self.y, self.structure, self.semilattice = free, x, y, structure, semilattice
-        self.unary_ops, self.component_of, self.components = unary_ops, component_of, components
+        self.free, self.structure, self.components = free, structure, components
         self.decode, self.quotient_map, self.K = decode, quotient_map, K
-
-    def element_name(self, element: int) -> str:
-        return self.free.term_name(element)
-
-    def hom_count(self, u: int) -> int:
-        assert self.components is not None
-        return len(self.components[u].homs)
-
-    def generator_image(self, u: int, generator: int) -> int:
-        """K id of the image of u applied to a generator (x or y)."""
-        assert self.quotient_map is not None
-        applied = apply_unary(self, u, generator)
-        return self.quotient_map[applied]
-
-
-def apply_unary(bundle: FreeBundle, u: int, element: int) -> int:
-    """Apply the u-th unary term operation to a free-algebra element."""
-    umap = bundle.unary_ops[u]
-    return bundle.free.index[tuple(umap[v] for v in bundle.free.elements[element])]
 
 
 def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:
-    """Build the free algebra on two generators and its ternary free structure.
+    """Build the free algebra on two generators, its ternary free structure
+    and its components.
 
-    Elements are grouped by their diagonal, a unary term operation
-    (component_of).  That these diagonal classes are the connected
-    components is lemma 2.2 item 2, which verify_lemma22 checks; nothing
-    here does.
+    The unary term operations u are the elements of the rank-1 free
+    algebra, identity first, and component u holds the elements whose
+    diagonal is u, with the images u(x) and u(y).  That these diagonal
+    classes are the connected components is lemma 2.2 item 2, which
+    verify_lemma22 checks; nothing here does.
     """
     free = free_algebra(a, 2, max_tuples)
-    x, y = free.generators[0], free.generators[1]
+    x, y = free.generators
 
     seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
     triples = _close(seeds, [free.algebra] * 3, max_tuples)[0]
@@ -390,33 +359,27 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
         free.algebra.labels,
     )
 
-    # the unary term operations: the elements of the rank-1 free algebra
     unary_ops, _, unary_index = _close([tuple(range(a.size))], [a] * a.size, max_tuples)
     diagonal = [b * a.size + b for b in range(a.size)]
-    component_of = [unary_index[tuple(map(t.__getitem__, diagonal))] for t in free.elements]
-
-    return FreeBundle(
-        free=free,
-        x=x,
-        y=y,
-        structure=structure,
-        semilattice=two_element_semilattice(RELATION_SYMBOL),
-        unary_ops=tuple(unary_ops),
-        component_of=tuple(component_of),
+    classes = _classes([unary_index[tuple(map(t.__getitem__, diagonal))] for t in free.elements])
+    components = tuple(
+        ComponentData(
+            tuple(classes[u]),
+            tuple(free.index[tuple(map(umap.__getitem__, free.elements[g]))] for g in (x, y)),
+        )
+        for u, umap in enumerate(unary_ops)
     )
+    return FreeBundle(free, structure, components)
 
 
 def compute_H(bundle: FreeBundle) -> FreeBundle:
-    """Fill per-component non-constant homomorphism sets into the semilattice."""
-    components = []
-    for u in range(len(bundle.unary_ops)):
-        members = tuple(
-            e for e in range(bundle.free.algebra.size) if bundle.component_of[e] == u
-        )
-        sub = induced_substructure(bundle.structure, members)
-        homs = tuple(find_homs(sub, bundle.semilattice, nonconstant_only=True))
-        components.append(ComponentData(members, homs))
-    bundle.components = tuple(components)
+    """Fill each component's non-constant homomorphisms into the
+    semilattice, as maps on the component's local ids."""
+    S = two_element_semilattice(RELATION_SYMBOL)
+    bundle.components = tuple(
+        c._replace(homs=tuple(find_homs(induced_substructure(bundle.structure, c.members), S, nonconstant_only=True)))
+        for c in bundle.components
+    )
     return bundle
 
 
@@ -429,27 +392,27 @@ def _classes(qmap: Sequence[int]) -> dict[int, list[int]]:
     return classes
 
 
-def _quotient_tables(free: FiniteAlgebra, qmap: Sequence[int]) -> dict[str, OperationTable]:
-    """Operations induced on quotient classes, each evaluated at its
-    classes' first members; raises when ill-defined."""
+def _ill_defined_operation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
+    """The first operation value that the kernel classes of qmap do not
+    determine, described, or "" when every operation acts on the classes.
+
+    Symbols are sorted, then the class tuples in lexicographic order, each
+    evaluated at its classes' first members and then at every tuple of
+    their members in lexicographic order.
+    """
     classes = _classes(qmap)
-    size = len(classes)
-    tables = {}
-    for sym in free.symbols():
-        table = free.operations[sym]
-        values = []
-        for args in itertools.product(range(size), repeat=table.arity):
+    for sym in falg.symbols():
+        table = falg.operations[sym]
+        for args in itertools.product(range(len(classes)), repeat=table.arity):
             value = qmap[table.apply(*(classes[c][0] for c in args))]
             for combo in itertools.product(*(classes[c] for c in args)):
                 other = qmap[table.apply(*combo)]
                 if other != value:
-                    raise IllDefinedOperation(
+                    return (
                         f"operation {sym} at classes {args}: representatives give "
                         f"{value} but members {combo} give {other}"
                     )
-            values.append(value)
-        tables[sym] = OperationTable(table.arity, size, tuple(values))
-    return tables
+    return ""
 
 
 def collapse(bundle: FreeBundle) -> FreeBundle:
@@ -466,7 +429,6 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
     lemma 2.2 items 5 and 6, which verify_lemma22 reports with their
     witnesses.
     """
-    assert bundle.components is not None, "compute_H must run first"
     points: list = [None] * bundle.free.algebra.size  # free element -> (component, bits)
     for u, comp in enumerate(bundle.components):
         for local, e in enumerate(comp.members):
@@ -558,7 +520,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     """Machine-check the six structural facts about the collapsed image."""
     assert bundle.K is not None, "collapse must run first"
     results = []
-    S = bundle.semilattice
+    S = two_element_semilattice(RELATION_SYMBOL)
 
     # 1: reflexivity of the image and of every collapsed component
     ok = is_reflexive(bundle.K) and all(is_reflexive(c.collapsed) for c in bundle.components)
@@ -582,8 +544,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     if not id_comp.homs:
         results.append(CheckResult("item 3 (retract)", SKIPPED, "no non-constant homomorphisms on the identity component"))
     else:
-        kx = bundle.generator_image(0, bundle.x)
-        ky = bundle.generator_image(0, bundle.y)
+        kx, ky = (bundle.quotient_map[e] for e in id_comp.images)
         sub = id_comp.collapsed
         lx, ly = id_comp.kids.index(kx), id_comp.kids.index(ky)
         status, detail = FAIL, ""
@@ -615,12 +576,9 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
     detail = _separating_translation(falg, qmap)
     results.append(CheckResult("item 5 (kernel is a congruence)", FAIL if detail else PASS, detail))
 
-    # 6: induced quotient tables are single-valued
-    try:
-        _quotient_tables(falg, qmap)
-        results.append(CheckResult("item 6 (induced operations)", PASS))
-    except IllDefinedOperation as exc:
-        results.append(CheckResult("item 6 (induced operations)", FAIL, str(exc)))
+    # 6: the operations induced on the kernel classes are single-valued
+    detail = _ill_defined_operation(falg, qmap)
+    results.append(CheckResult("item 6 (induced operations)", FAIL if detail else PASS, detail))
 
     return VerificationReport(tuple(results))
 
@@ -642,7 +600,7 @@ def _shape_table(bundle: FreeBundle, comb: tuple[int, ...], points: list[tuple[i
     bits = [[bundle.decode[kid][1] for kid in p] for p in points]  # per point, per factor
     shapes = Counter([(0,) * len(points), (1,) * len(points)])
     # per factor, no coordinate (None) or one of its coordinates
-    options = [[None, *range(bundle.hom_count(u))] for u in comb]
+    options = [[None, *range(len(bundle.components[u].homs))] for u in comb]
     for choice in itertools.product(*options):
         chosen = [(ell, phi) for ell, phi in enumerate(choice) if phi is not None]
         if chosen:
@@ -687,7 +645,7 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     assert bundle.K is not None, "collapse must run first"
     if max_arity < 1:
         raise StructureError(f"claim arity must be >= 1, got {max_arity}")
-    S = bundle.semilattice
+    S = two_element_semilattice(RELATION_SYMBOL)
     results = []
     nU = len(bundle.components)
 
@@ -701,7 +659,7 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
             ok, detail = False, f"component {u} refused: {witness.reason}"
             break
         top = largest_element(sub)
-        expected = comp.kids.index(bundle.generator_image(u, bundle.y))
+        expected = comp.kids.index(bundle.quotient_map[comp.images[1]])
         if top != expected:
             ok, detail = False, f"component {u}: largest {top} != image of generator {expected}"
             break
@@ -710,9 +668,9 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     # Claim 2: triviality of a component is equivalent to the two generator
     # images agreeing; non-trivial ones induce the 2-element semilattice
     ok, detail = True, ""
-    for u in range(nU):
-        kx, ky = bundle.generator_image(u, bundle.x), bundle.generator_image(u, bundle.y)
-        singleton = len(bundle.components[u].kids) == 1
+    for u, comp in enumerate(bundle.components):
+        kx, ky = (bundle.quotient_map[e] for e in comp.images)
+        singleton = len(comp.kids) == 1
         if singleton != (kx == ky):
             ok, detail = False, f"component {u}: size/agreement mismatch"
             break
@@ -948,20 +906,28 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     """Replay a certificate: coverage (one refutation per labeling, in
     labeling order), well-formed terms and validity in the algebra of each
     identity (`holds_in` evaluates each side once, column-wise), and the
-    labeled variable sets of every refutation.  An identity is replayed
-    once per pair of term objects, keyed by their ids: the refutations of
-    one group share their terms, and the certificate keeps every term alive
-    for the call."""
+    labeled variable sets of every refutation.  A malformed refutation (not
+    a LabelingRefutation, or a side that is no term over a's symbols)
+    returns False rather than raising.  An identity is replayed once per
+    pair of term objects, keyed by their ids: the refutations of one group
+    share their terms, and the certificate keeps every term alive for the
+    call."""
     arity = {sym: op.arity for sym, op in a.operations.items()}
+
+    def node(u, ok: list) -> bool:
+        return isinstance(u, Application) and isinstance(u.symbol, str) and all(ok) and len(ok) == arity.get(u.symbol)
+
+    def children(u) -> tuple:
+        return u.args if isinstance(u, Application) else ()
+
     valid: dict[tuple[int, int], bool] = {}
     for labeling, r in itertools.zip_longest(all_labelings(arity), certificate.refutations):
-        if labeling is None or r is None or labeling != r.labeling:
+        if labeling is None or not isinstance(r, LabelingRefutation) or labeling != r.labeling:
             return False
         key = (id(r.lhs), id(r.rhs))
-        if key not in valid:  # every application names one of a's symbols, at its arity
+        if key not in valid:  # every variable is named, every application names one of a's symbols at its arity
             valid[key] = all(
-                _fold(t, lambda v: True, lambda u, ok: all(ok) and len(ok) == arity.get(u.symbol))
-                for t in (r.lhs, r.rhs)
+                _fold(t, lambda v: isinstance(v.name, str), node, children) for t in (r.lhs, r.rhs)
             ) and holds_in(a, Identity(r.lhs, r.rhs), a.operations)
         if not valid[key]:
             return False
@@ -975,14 +941,15 @@ def bundle_summary(bundle: FreeBundle) -> dict:
     """A plain-data description of a completed bundle."""
     assert bundle.K is not None
     rel = bundle.structure.relations[RELATION_SYMBOL]
+    names = bundle.free.algebra.labels
     return {
         "free_size": bundle.free.algebra.size,
-        "unary_ops": len(bundle.unary_ops),
+        "unary_ops": len(bundle.components),
         "relation_size": len(rel.tuples),
         "components": [
             {
                 "index": u,
-                "members": [bundle.element_name(e) for e in c.members],
+                "members": [names[e] for e in c.members],
                 "hom_count": len(c.homs),
                 "collapsed_size": len(c.kids),
             }
@@ -990,6 +957,6 @@ def bundle_summary(bundle: FreeBundle) -> dict:
         ],
         "image_size": bundle.K.size,
         "kernel": [
-            sorted(bundle.element_name(e) for e in block) for block in _classes(bundle.quotient_map).values()
+            sorted(names[e] for e in block) for block in _classes(bundle.quotient_map).values()
         ],
     }

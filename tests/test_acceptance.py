@@ -94,7 +94,7 @@ def test_03_component_multiplicity_law(S):
 def test_04_free_pipeline_meet_semilattice(meet_algebra, S):
     bundle = build_bundle(meet_algebra)
     assert bundle.free.algebra.size == 3
-    assert len(bundle.unary_ops) == 1
+    assert len(bundle.components) == 1
     assert len(bundle.structure.relations["R"].tuples) == 10
     assert len(bundle.components[0].homs) == 1
     assert find_isomorphism(bundle.K, S) is not None

@@ -106,6 +106,24 @@ def test_product_power_union_induced_emit_structures(capsys, structure_file, S, 
     )
 
 
+def test_commands_that_print_a_structure_take_no_output_option(capsys, structure_file, S):
+    """A printed structure is always its JSON document, so the five commands
+    that print one reject --output as any other unknown option."""
+    s_path = structure_file(S, "s.json")
+    commands = [
+        ["structure", "product", s_path, s_path],
+        ["structure", "power", s_path, "2"],
+        ["structure", "union", s_path, s_path],
+        ["structure", "induced", s_path, "--ids", "0,1"],
+        ["gadget", "apply", "--input", s_path],
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, out) == (2, "") and "unrecognized arguments: --output json" in err, argv
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and structure_from_json(json.loads(out)).size >= 2, argv
+
+
 def test_power_out_writes_file(capsys, structure_file, tmp_path, S):
     target = tmp_path / "sq.json"
     code, out, _ = run(
@@ -409,7 +427,6 @@ def test_psl_decompose_takes_no_tops(capsys, structure_file, S):
     assert code == 0 and "decomposition: pass" in out
     with pytest.raises(TypeError):
         decompose_product_hom([S, S], S, (0, 0, 0, 1), [1, 1])
-
 
 
 def test_psl_decompose_input_errors_and_verdicts_keep_their_types(capsys, structure_file, S):
@@ -921,10 +938,10 @@ def test_options_do_not_carry_over(capsys, structure_file, S):
 VALID_ARGS = {
     ("structure", "validate"): ["s.json", "--outp", "json"],
     ("structure", "components"): ["s.json", "--output=json"],
-    ("structure", "product"): ["a.json", "b.json", "--max-t", "9", "--out", "p.json", "--outp=json"],
+    ("structure", "product"): ["a.json", "b.json", "--max-t", "9", "--out", "p.json"],
     ("structure", "power"): ["s.json", "3", "--max-tuples=9"],
     ("structure", "union"): ["a.json", "b.json", "--out=u.json"],
-    ("structure", "induced"): ["s.json", "--ids", "0,1", "--output", "text"],
+    ("structure", "induced"): ["s.json", "--ids", "0,1"],
     ("structure", "iso"): ["a.json", "b.json"],
     ("hom", "find"): ["a.json", "b.json", "--nonc", "--limit=2"],
     ("hom", "count"): ["--output", "json", "a.json", "b.json"],
