@@ -31,15 +31,17 @@ such a product are exactly Hom(prod K_u, K), whose mapping tuples list the
 values at the points in rank order over the sorted kids.
 
 The free algebra, the free structure's triples, the unary term operations
-and the evidence search are subpower closures run by one semi-naive
-engine, `_rounds`; `_close` builds the first three on it, and `max_tuples`
-bounds the elements each closure finds.  A `_close` closure stops as soon
-as it holds the whole power, since nothing more could be added; the free
-structure's triples often fill F^3 early in round 2.  The engine's
-batches (`_batches`) map each table row over the last-argument column once per
-head (the arguments before the last two) and batch start, and share the
-mapped column with every argument prefix that selects that row: a
-coordinate of size n holds at most n mapped columns of length `new`.
+and the evidence search are subpower closures grown by one semi-naive
+engine, `_grow`, the only code that adds to a closure; `_close` runs it for
+the first three.  `max_tuples` bounds the elements each closure finds by
+one rule: the batch that holds the (max_tuples + 1)-th element is cut there
+and the closure ends.  A closure also ends as soon as it holds the whole
+power, since nothing more could be added; the free structure's triples
+often fill F^3 early in round 2.  The engine's batches (`_batches`) map
+each table row over the last-argument column once per head (the arguments
+before the last two) and batch start, and share the mapped column with
+every argument prefix that selects that row: a coordinate of size n holds
+at most n mapped columns of length `new`.
 
 The evidence search, hm_evidence, decides per coordinate labeling and rank
 j whether some term operation of F_j carries two labeled variable sets,
@@ -65,7 +67,7 @@ import itertools
 import json
 import math
 import operator
-from collections import Counter
+from collections import Counter, deque
 from typing import Mapping, NamedTuple, Sequence
 
 from .homsearch import (
@@ -225,61 +227,66 @@ def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...
                 yield head + (end,), first, list(zip(*mapped))
 
 
-def _rounds(elements: list[tuple[int, ...]], algebras: Sequence[FiniteAlgebra]):
-    """Semi-naive rounds over the growing list `elements`, with algebras[c]
-    acting at coordinate c (the algebras share their symbols).
-
-    A round evaluates only the argument tuples that hold an element the
-    caller added in the previous round, as the rest give nothing new, so ids
-    and first derivations are those of full rounds over sorted symbols and
-    lexicographic tuples.  Yields (symbol, arity, the symbol's `_batches`
-    of the round), and ends after a round in which nothing was added.
+def _grow(
+    seeds: Sequence[tuple[int, ...]], algebras: Sequence[FiniteAlgebra], max_elements: int,
+    elements: list[tuple[int, ...]], derivations: list[tuple], index: dict[tuple[int, ...], int],
+):
+    """The closure engine, the only code that writes to a closure: grow the
+    closure of equal-width seeds under the basic operations, algebras[c]
+    acting at coordinate c, into the empty `elements`, their `derivations`
+    (("var", j) for seed j, else (symbol, argument ids)) and the element ->
+    id `index`.  The seeds are the first batch, with the symbol None; each
+    semi-naive round then runs `_batches` over the argument tuples that hold
+    an element the previous round added, as the rest give nothing new, so
+    ids and first derivations are those of full rounds over sorted symbols
+    and lexicographic tuples.  A batch adds its unseen values in order, a
+    value it repeats once, and is yielded as (symbol, arity, prefix, first,
+    batch, ids, added): ids[i] is the id of batch[i], added the positions
+    added.  The batch that holds the (max_elements + 1)-th element is cut
+    there, so ids stops short, and the closure ends, as it does after a batch
+    that leaves it holding the whole power and after a round that adds nothing.
     """
-    old = 0
-    while old < len(elements):
+    whole = math.prod(alg.size for alg in algebras)
+    signature = [(sym, [alg.operations[sym] for alg in algebras]) for sym in algebras[0].symbols()]
+    steps, old = [(None, 1, [((), 0, seeds)])], 0
+    while steps:
+        for sym, m, batches in steps:
+            for prefix, first, batch in batches:
+                try:
+                    ids, added = list(map(index.__getitem__, batch)), ()
+                except KeyError:  # add the unseen values
+                    ids, added = list(map(index.get, batch)), []
+                    for i in itertools.compress(itertools.count(), map(operator.is_, ids, itertools.repeat(None))):
+                        e = index.get(batch[i])  # a value repeated in the batch is seen once added
+                        if e is None:
+                            if len(elements) >= max_elements:
+                                del ids[i:]
+                                break
+                            e = index[batch[i]] = len(elements)
+                            elements.append(batch[i])
+                            derivations.append(("var", i) if sym is None else (sym, prefix + (first + i,) if m else ()))
+                            added.append(i)
+                        ids[i] = e
+                yield sym, m, prefix, first, batch, ids, added
+                if len(ids) < len(batch) or len(elements) == whole:
+                    return
         new = len(elements)
-        for sym in algebras[0].symbols():
-            tables = [alg.operations[sym] for alg in algebras]
-            yield sym, tables[0].arity, _batches(tables, elements, old, new)
+        steps = [(sym, ts[0].arity, _batches(ts, elements, old, new)) for sym, ts in signature] if old < new else []
         old = new
 
 
 def _close(
     seeds: Sequence[tuple[int, ...]], algebras: Sequence[FiniteAlgebra], max_elements: int
 ) -> tuple[list, list, dict]:
-    """Closure of equal-width seed tuples under the basic operations, with
-    algebras[c] acting at coordinate c, in the semi-naive `_rounds`.
-
-    The closure stops after a batch that leaves it holding the whole power
-    (the product of the algebra sizes): nothing more could be added, so the
-    result is the same.  Returns the elements, their derivations (("var",
-    j) for seed j, else (symbol, smaller argument ids)) and the element ->
-    id index.  Raises SizeLimitExceeded past max_elements elements.
-    """
-    elements: list[tuple[int, ...]] = []
-    derivations: list[tuple] = []
-    index: dict[tuple[int, ...], int] = {}
-
-    def add(t: tuple[int, ...], derivation: tuple) -> None:
-        if len(elements) >= max_elements:
-            raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
-        index[t] = len(elements)
-        elements.append(t)
-        derivations.append(derivation)
-
-    for j, seed in enumerate(seeds):
-        if seed not in index:
-            add(seed, ("var", j))
-    whole = math.prod(alg.size for alg in algebras)
-    for sym, m, batches in _rounds(elements, algebras):
-        for prefix, first, batch in batches:
-            # positions of unseen values, tested lazily: a value repeated
-            # within the batch is seen once its first occurrence is added
-            unseen = map(operator.not_, map(index.__contains__, batch))
-            for i in itertools.compress(itertools.count(), unseen):
-                add(batch[i], (sym, prefix + (first + i,) if m else ()))
-            if len(elements) == whole:
-                return elements, derivations, index
+    """Close equal-width seed tuples under the basic operations, with
+    algebras[c] acting at coordinate c, by `_grow`.  Returns the elements,
+    their derivations and the element -> id index.  Raises
+    SizeLimitExceeded past max_elements elements."""
+    elements, derivations, index = [], [], {}
+    # only the engine's last batch can be cut
+    *_, batch, ids, _ = deque(_grow(seeds, algebras, max_elements, elements, derivations, index), maxlen=1)[0]
+    if len(ids) < len(batch):
+        raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
     return elements, derivations, index
 
 
@@ -289,15 +296,14 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
         raise StructureError(f"need at least one generator, got {k}")
     if a.size < 1:
         raise StructureError("empty universe")
-    assignments = list(itertools.product(range(a.size), repeat=k))
-    projections = [tuple(assign[j] for assign in assignments) for j in range(k)]
-    elements, derivations, index = _close(projections, [a] * len(assignments), max_tuples)
+    projections = list(zip(*itertools.product(range(a.size), repeat=k)))  # over assignments in lexicographic order
+    elements, derivations, index = _close(projections, [a] * a.size**k, max_tuples)
 
     n = len(elements)
     tables = {}
     for sym in a.symbols():
         table = a.operations[sym]
-        batches = _batches([table] * len(assignments), elements, 0, n)
+        batches = _batches([table] * a.size**k, elements, 0, n)
         tables[sym] = OperationTable(table.arity, n, tuple(index[v] for _, _, batch in batches for v in batch))
     # term names in one pass: derivation arguments have smaller ids
     names = variable_names(k)
@@ -777,82 +783,61 @@ def _refute_rank(
     operations until its first collision, a tuple whose value is an element
     with another set, with the same ids, derivations and batch order as a
     closure of its own pairs.  That element's derivation is the identity's
-    lhs and the tuple its rhs.  The closure never holds the whole power
-    first: for |A| >= 2, F_j lies inside the idempotent operations, and for
-    |A| = 1 the seeds collide.  The sets of the elements depend only on the
-    coordinate sets of the symbols evaluated so far, so at a symbol's first
-    batch, in round 1, each live prefix splits into one child per coordinate
-    set of the symbol; from then on every prefix is a full labeling.
+    lhs and the tuple its rhs.  The engine never stops at the whole power
+    before a collision: for |A| >= 2, F_j lies inside the idempotent
+    operations, and for |A| = 1 the seeds collide.  The sets of the elements
+    depend only on the coordinate sets of the symbols evaluated so far, so
+    at a symbol's first batch, in round 1, each live prefix splits into one
+    child per coordinate set of the symbol; from then on every prefix is a
+    full labeling.
 
     A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
     set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
-    max_tuples on the closure's (max_tuples + 1)-th element or at a
-    collision with max_tuples elements present.
+    max_tuples: no collision before the engine's cut, or a collision with
+    max_tuples elements present.
     """
     names = variable_names(j)
-    assignments = list(itertools.product(range(a.size), repeat=j))
-    elements: list[tuple[int, ...]] = []
-    derivations: list[tuple] = []
-    index: dict[tuple[int, ...], int] = {}
+    seeds = list(zip(*itertools.product(range(a.size), repeat=j)))  # over assignments in lexicographic order
+    elements, derivations = [], []
     live = [(chosen, []) for chosen in prefixes]  # each prefix with the set of each element as bits
     position = {sym: t for t, sym in enumerate(a.symbols())}
-    seeds = [tuple(assign[g] for assign in assignments) for g in range(j)]
     seed_bits = [1 << g for g in range(j)]
-    # the seeds are a batch of their own, with the symbol None
-    for sym, m, batches in itertools.chain([(None, 1, [((), 0, seeds)])], _rounds(elements, [a] * len(assignments))):
+    steps = _grow(seeds, [a] * a.size**j, max_tuples, elements, derivations, {})
+    for sym, m, prefix, first, batch, ids, added in steps:
         t = position.get(sym)
         if t == len(live[0][0]):  # the symbol's first batch: split by its coordinate sets
             live = [(chosen + (c,), bits if c == 0 else bits[:]) for chosen, bits in live for c in range(len(choices[t]))]
-        for prefix, first, batch in batches:
-            derive = (lambda i: ("var", i)) if sym is None else (lambda i: (sym, prefix + (first + i,)))
-            start, added, end, new = len(elements), [], len(batch), first + len(batch)
-            try:
-                ids = list(map(index.__getitem__, batch))
-            except KeyError:  # add the unseen values; one repeated in the batch is found once it is added
-                ids = list(map(index.get, batch))
-                for i in itertools.compress(itertools.count(), map(operator.is_, ids, itertools.repeat(None))):
-                    e = index.get(batch[i])
-                    if e is None:
-                        if len(elements) >= max_tuples:
-                            end = i
-                            del ids[i:]
-                            break
-                        e = index[batch[i]] = len(elements)
-                        elements.append(batch[i])
-                        derivations.append(derive(i))
-                        added.append(i)
-                    ids[i] = e
-            # then decide each prefix that collides or overflows in the batch
-            survivors = []
-            for chosen, bits in live:
-                if sym is None:
-                    union = seed_bits
-                else:
-                    coords = choices[t][chosen[t]]
-                    p = 0
-                    for c in coords:
-                        if c < m:
-                            p |= bits[prefix[c - 1]]
-                    union = [p] * len(batch) if coords[-1] < m else list(map(p.__or__, bits[first:new]))
-                if added:
-                    bits.extend(map(union.__getitem__, added))
-                here = list(map(bits.__getitem__, ids))
-                if here == union:
-                    survivors.append((chosen, bits))
-                    continue
-                # `here` stops at end, so a prefix with no collision before end overflows
-                i = next(itertools.compress(itertools.count(), map(operator.ne, here, union)), end)
-                if i < end and start + bisect.bisect_left(added, i) < max_tuples:
-                    derivations.append(derive(i))  # the colliding tuple, derived as if it were an element
-                    found = _derived_terms(derivations, names, (ids[i], len(derivations) - 1))
-                    derivations.pop()
-                    found += [frozenset(n for h, n in enumerate(names) if s >> h & 1) for s in (here[i], union[i])]
-                    decided.append((chosen, (j, *found)))
-                else:
-                    decided.append((chosen, SizeLimitExceeded(f"closure exceeded {max_tuples} elements")))
-            live = survivors
-            if not live:
-                return []
+        # decide each prefix that collides or overflows in the batch
+        survivors = []
+        for chosen, bits in live:
+            if sym is None:
+                union = seed_bits
+            else:
+                coords = choices[t][chosen[t]]
+                p = 0
+                for c in coords:
+                    if c < m:
+                        p |= bits[prefix[c - 1]]
+                union = [p] * len(batch) if coords[-1] < m else list(map(p.__or__, bits[first : first + len(batch)]))
+            if added:
+                bits.extend(map(union.__getitem__, added))
+            here = list(map(bits.__getitem__, ids))
+            if here == union:
+                survivors.append((chosen, bits))
+                continue
+            # `here` stops at a cut, so a prefix with no collision before it overflows
+            i = next(itertools.compress(itertools.count(), map(operator.ne, here, union)), None)
+            if i is not None and len(elements) - len(added) + bisect.bisect_left(added, i) < max_tuples:
+                args = () if sym is None else (*prefix, first + i)  # the colliding tuple's arguments
+                lhs, *subterms = _derived_terms(derivations, names, (ids[i], *args))
+                found = [lhs, Variable(names[i]) if sym is None else Application(sym, tuple(subterms))]
+                found += [frozenset(n for h, n in enumerate(names) if s >> h & 1) for s in (here[i], union[i])]
+                decided.append((chosen, (j, *found)))
+            else:
+                decided.append((chosen, SizeLimitExceeded(f"closure exceeded {max_tuples} elements")))
+        live = survivors
+        if not live:
+            return []
     return [chosen for chosen, _ in live]
 
 
@@ -867,7 +852,8 @@ def hm_evidence(
     above the arity bound are never examined.
 
     Each rank is closed once for all the labeling prefixes still alive
-    (`_refute_rank`); max_tuples bounds each labeling's pairs per rank.  The
+    (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
+    labeling's pairs per rank, by the engine's overflow rule.  The
     decided prefixes and the survivors are disjoint blocks of the labeling
     order, which is the lexicographic order of index tuples, so sorted by
     prefix they read in labeling order: the first overflow raises and the
@@ -906,12 +892,14 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     """Replay a certificate: coverage (one refutation per labeling, in
     labeling order), well-formed terms and validity in the algebra of each
     identity (`holds_in` evaluates each side once, column-wise), and the
-    labeled variable sets of every refutation.  A malformed refutation (not
-    a LabelingRefutation, or a side that is no term over a's symbols)
-    returns False rather than raising.  An identity is replayed once per
-    pair of term objects, keyed by their ids: the refutations of one group
-    share their terms, and the certificate keeps every term alive for the
-    call."""
+    labeled variable sets of every refutation.  A malformed certificate (not
+    a CertifiedHM, or refutations that are no tuple) or refutation (not a
+    LabelingRefutation, or a side that is no term over a's symbols) returns
+    False rather than raising.  An identity is replayed once per pair of
+    term objects, keyed by their ids: the refutations of one group share
+    their terms, and the certificate keeps every term alive for the call."""
+    if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
+        return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
 
     def node(u, ok: list) -> bool:

@@ -738,17 +738,17 @@ def test_hm_evidence_majority(majority_algebra):
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
     import hmkit.freecons as freecons
 
-    rounds = freecons._rounds
+    grow = freecons._grow
     widths = []
 
-    def counting(elements, algebras):
+    def counting(seeds, algebras, *rest):
         widths.append(len(algebras))
-        return rounds(elements, algebras)
+        return grow(seeds, algebras, *rest)
 
     def no_free_algebra(*args):
         raise AssertionError("evidence built a free algebra")
 
-    monkeypatch.setattr(freecons, "_rounds", counting)
+    monkeypatch.setattr(freecons, "_grow", counting)
     monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
     monkeypatch.setattr(freecons, "_close", no_free_algebra)
     # F_2 = {x, y}, so each labeling is refuted in the first round of the
@@ -811,6 +811,41 @@ def test_hm_evidence_rejects_non_idempotent():
         hm_evidence(FiniteAlgebra(2, {}), max_arity=0)
     with pytest.raises(StructureError, match="empty universe"):
         hm_evidence(FiniteAlgebra(0, {}))
+
+
+@pytest.mark.parametrize(
+    "values, j, size",
+    [
+        ((0, 2, 0, 2, 1, 2, 2, 1, 2), 2, 14),
+        ((0, 2, 0, 2, 1, 2, 2, 1, 2), 3, 768),
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), 2, 2),  # the first projection: F_j holds the j projections
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), 3, 3),
+    ],
+)
+def test_closure_and_evidence_share_one_overflow_rule(values, j, size):
+    """The rank-j closure, free or under evidence, overflows exactly when
+    max_tuples is below the size of F_j."""
+    a = FiniteAlgebra(3, {"f": OperationTable(2, 3, values)})
+    projections = list(zip(*itertools.product(range(3), repeat=j)))
+    with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
+        _close(projections, [a] * 3**j, size - 1)
+    with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
+        hm_evidence(a, j, max_tuples=size - 1)
+    assert len(_close(projections, [a] * 3**j, size)[0]) == size
+    assert isinstance(hm_evidence(a, j, max_tuples=size), ConsistentLabelingFound)
+    # a negative bound refuses the first seed
+    for refused in (lambda: _close(projections, [a] * 3**j, -1), lambda: hm_evidence(a, j, max_tuples=-1)):
+        with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
+            refused()
+
+
+def test_verify_certificate_returns_false_for_a_malformed_certificate(majority_algebra):
+    """A certificate that is no CertifiedHM, or whose refutations are no
+    tuple, is refused rather than raising."""
+    evidence = hm_evidence(majority_algebra)
+    for bad in (None, ("x",), tuple(evidence), evidence._replace(refutations=5), evidence._replace(refutations=None)):
+        assert verify_certificate(majority_algebra, bad) is False, bad
+    assert verify_certificate(majority_algebra, evidence) is True
 
 
 def test_verify_certificate_rejects_tampering(majority_algebra):
@@ -1008,28 +1043,29 @@ def test_hm_evidence_reports_an_early_survivor_without_building_the_other_labeli
 def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypatch):
     import hmkit.freecons as freecons
 
-    # Hand-built rounds of the term closure at rank 2 over a 2-element
-    # algebra (the search reads only the batches and the seeds): element
-    # e >= 2 is (e,), derived as f(e - 1, x), so the last of them nests
-    # `depth` applications of f around y.  Under f -> {1} each of them has
-    # the set {y}, and the final tuple f(y, deep) has the value of x, whose
-    # set is {x}.
+    # A hand-built first round of the term closure at rank 2 over a
+    # 3-element algebra (the search reads only the batches and the seeds;
+    # the engine ends a closure that holds the whole power, so the power,
+    # 3^9 tuples, must outgrow the chain): element e >= 2 is (e,), derived
+    # as f(e - 1, x), so the last of them nests `depth` applications of f
+    # around y.  Under f -> {1} each of them has the set {y}, and the final
+    # tuple f(y, deep) has the value of x, whose set is {x}.
     depth = 3000
     n = depth + 2
 
-    def hand_built(elements, algebras):
+    def hand_built(tables, elements, old, new):
         for e in range(2, n):
-            yield "f", 2, [((e - 1,), 0, [(e,)])]
-        yield "f", 2, [((1,), n - 1, [elements[0]])]
+            yield (e - 1,), 0, [(e,)]
+        yield (1,), n - 1, [elements[0]]
 
-    monkeypatch.setattr(freecons, "_rounds", hand_built)
-    two = FiniteAlgebra(2, {"f": OperationTable(2, 2, (0, 0, 1, 1))})
+    monkeypatch.setattr(freecons, "_batches", hand_built)
+    three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 0, 0, 1, 1, 1, 2, 2, 2))})
     decided = []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
         # the prefix (0,) is the labeling f -> {1}, the first coordinate set of arity 2
-        assert _refute_rank(two, [[(1,), (1, 2), (2,)]], 2, n + 1, [(0,)], decided) == []
+        assert _refute_rank(three, [[(1,), (1, 2), (2,)]], 2, n + 1, [(0,)], decided) == []
     finally:
         sys.setrecursionlimit(limit)
     ((prefix, (arity, lhs, rhs, lhs_varset, rhs_varset)),) = decided
