@@ -56,6 +56,17 @@ def _ids(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _bound(text: str) -> int:
+    """A size bound: an int >= 0; argparse names the option on refusal."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load(path: str) -> RelationalStructure:
     return structures.load_structure(path)
 
@@ -437,7 +448,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     # only the subcommands that print a report offer --output, and only
     # those whose library call takes a size bound offer --max-tuples
     sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
+    sized.add_argument("--max-tuples", type=_bound, default=DEFAULT_MAX_TUPLES)
 
     parser = argparse.ArgumentParser(prog="hmkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)

@@ -11,10 +11,16 @@ come in the same order.  Once all but the highest element of a
 source tuple are assigned, a support table precompiled per relation and
 open positions narrows that element's domain to the values completing the
 tuple (support-set forward checking, Mackworth 1977), so every tuple is
-enforced once and found maps need no second check: every search returns
-them as bare mapping tuples, and `structures.Homomorphism` is left to
-validate maps built elsewhere.  The search runs on an explicit stack, so
-no input size is bounded by the recursion limit.
+enforced once per symmetric pair and found maps need no second check:
+every search returns them as bare mapping tuples, and
+`structures.Homomorphism` is left to validate maps built elsewhere.  A
+source tuple t is skipped when a transposition pi of positions i < j maps
+the target relation onto itself, t[i] > t[j] and t.pi is a source tuple
+too: h(t) lies in the target relation exactly when h(t.pi) does, and t.pi
+has the same elements, so the smaller tuple t.pi fires at the same level
+and narrows the same hole to the same values (Gent, Petrie & Puget,
+"Symmetry in Constraint Programming", 2006).  The search runs on an
+explicit stack, so no input size is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -72,6 +78,11 @@ def hom_maps(
     they may take (`1 << v` forces v).  `injective` keeps only injective
     maps.  Nothing runs, input checks included, until the first tuple is
     asked for.
+
+    Each source tuple is enforced once per symmetric pair: of the source
+    tuples that a transposition of target-symmetric positions exchanges,
+    only the least gets a check, since R_T.pi = R_T makes h(t) in R_T
+    equivalent to h(t.pi) in R_T, and the two share their hole.
     """
     if source.signature() != target.signature():
         raise SignatureMismatch("endpoints have different signatures")
@@ -84,21 +95,27 @@ def hom_maps(
         domain[k] &= allowed
 
     # checks[v]: (hole, read the other values, support table) for every
-    # tuple whose highest element is `hole` and second highest is v
+    # kept tuple whose highest element is `hole` and second highest is v
     checks: list[list[tuple]] = [[] for _ in range(n)]
     tables: dict[tuple[str, tuple[int, ...]], dict] = {}
     for sym in source.symbols():
-        for t in source.relations[sym].sorted_tuples():
+        rel = source.relations[sym]
+        swaps = [(i, j, _swap(rel.arity, i, j)) for i, j in _symmetric_pairs(target.relations[sym])]
+        for t in rel.sorted_tuples():
+            # a smaller tuple of the source, equal up to a symmetry of the
+            # target, already enforces this one
+            if any(t[i] > t[j] and swap(t) in rel.tuples for i, j, swap in swaps):
+                continue
             elems = sorted(set(t))
             hole = elems[-1]
-            holes = tuple(i for i, v in enumerate(t) if v == hole)
+            holes = tuple(itertools.compress(range(len(t)), map(hole.__eq__, t)))
             table = tables.get((sym, holes))
             if table is None:
                 table = tables[sym, holes] = _support_table(target.relations[sym], holes)
             if len(elems) == 1:
                 domain[hole] &= table.get((), 0)
             else:
-                checks[elems[-2]].append((hole, itemgetter(*(v for v in t if v != hole)), table))
+                checks[elems[-2]].append((hole, itemgetter(*itertools.compress(t, map(hole.__ne__, t))), table))
     if not all(domain):
         return
     if n == 0:
@@ -141,6 +158,23 @@ def hom_maps(
             if injective:
                 used[level] = used[level - 1] | bit
             untried[level] = domain[level] & ~used[level]
+
+
+def _symmetric_pairs(rel: Relation) -> list[tuple[int, int]]:
+    """The position pairs (i, j), i < j, whose transposition maps `rel` onto
+    itself (every pair when `rel` is empty)."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(rel.arity), 2)
+        if all(map(rel.tuples.__contains__, map(_swap(rel.arity, i, j), rel.tuples)))
+    ]
+
+
+def _swap(arity: int, i: int, j: int) -> itemgetter:
+    """Read a tuple with positions i and j exchanged."""
+    order = list(range(arity))
+    order[i], order[j] = j, i
+    return itemgetter(*order)
 
 
 def _support_table(rel: Relation, holes: tuple[int, ...]) -> dict:

@@ -817,6 +817,30 @@ def test_max_tuples_only_where_read(capsys, structure_file, S):
     assert run(capsys, "structure", "power", path, "2", "--max-tuples", "16")[0] == 0
 
 
+def test_negative_max_tuples_is_a_usage_error(capsys, structure_file, algebra_file, S, meet_algebra):
+    """The parser refuses a negative bound and names the option; 0 is a
+    bound like any other and reaches the library, which reports the overflow."""
+    s, a = structure_file(S), algebra_file(meet_algebra)
+    overflow = {
+        "structure": "error: product needs 16 > 0 tuples",
+        "free": "error: closure exceeded 0 elements",
+        "alg": "error: closure exceeded 0 elements",
+        "psl": "error: product walk needs > 0 tuples",
+    }
+    for argv in (
+        ["structure", "power", s, "2"],
+        ["free", "build", "--algebra", a],
+        ["alg", "hm-evidence", "--algebra", a],
+        ["psl", "decompose", "--target", s, "--factors", s, s, "--map", "0,1,1,1"],
+    ):
+        for bad, value in ((["--max-tuples", "-1"], -1), (["--max-tuples=-5"], -5)):
+            code, out, err = run(capsys, *argv, *bad)
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines()[-1].endswith(f"error: argument --max-tuples: must be >= 0, got {value}"), err
+        code, out, err = run(capsys, *argv, "--max-tuples", "0")
+        assert (code, out, err) == (2, "", overflow[argv[0]] + "\n"), argv
+
+
 class _Dict(dict):
     pass
 

@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from hmkit.gadget import y_structure
 from hmkit.homsearch import (
     OperationTable,
+    _symmetric_pairs,
     count_homs,
     find_homs,
     find_retraction,
@@ -96,6 +98,125 @@ def test_hom_maps_initial_domains_filter_the_lexicographic_list():
     for bad in ({2: 1}, {0: 4}, {0: -1}):
         with pytest.raises(StructureError, match="pin"):
             next(hom_maps(S, S, bad))
+
+
+def closed_under(rel, swaps):
+    """`rel` with every image under the given position transpositions added."""
+    tuples, todo = set(rel.tuples), list(rel.tuples)
+    while todo:
+        t = todo.pop()
+        for i, j in swaps:
+            u = list(t)
+            u[i], u[j] = u[j], u[i]
+            if tuple(u) not in tuples:
+                tuples.add(tuple(u))
+                todo.append(tuple(u))
+    return Relation(rel.arity, frozenset(tuples))
+
+
+def symmetric_structure(rng, size, arity, swaps, density=None):
+    s = random_structure(rng, size, {"R": arity}, density)
+    return RelationalStructure(size, {"R": closed_under(s.relations["R"], swaps)})
+
+
+# (arity, transpositions the target relation is closed under, the pairs that
+# closure must show): a symmetric pair at arity 2 and 3, three mutually
+# symmetric positions at arity 3 and 4, and positions 0 and 2 only
+SYMMETRIES = [
+    (2, [(0, 1)], [(0, 1)]),
+    (3, [(0, 1)], [(0, 1)]),
+    (3, [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)]),
+    (4, [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)]),
+    (3, [(0, 2)], [(0, 2)]),
+]
+
+
+@pytest.mark.parametrize("arity, swaps, pairs", SYMMETRIES)
+def test_hom_maps_into_symmetric_targets_match_brute_force(arity, swaps, pairs):
+    """Source tuples that a target symmetry exchanges share one check; every
+    entry point still returns brute force's maps in its order."""
+    rng = random.Random(47 + 10 * arity + len(swaps))
+    nonempty = 0
+    for k in range(40):
+        tgt = symmetric_structure(rng, rng.randint(1, 4), arity, swaps)
+        assert set(pairs) <= set(_symmetric_pairs(tgt.relations["R"]))
+        size = rng.randint(0, 5 if arity < 4 else 4)
+        # sources: random, symmetric under the same swaps, or under others
+        if k % 3 == 0:
+            src = random_structure(rng, size, {"R": arity})
+        else:
+            src = symmetric_structure(rng, size, arity, swaps if k % 3 == 1 else [(0, arity - 1)])
+        every = brute_force_homs(src, tgt)
+        nonempty += len(every) > 1
+        assert list(hom_maps(src, tgt)) == every, (src, tgt)
+        for limit, nonconstant in itertools.product((0, 1, 3), (False, True)):
+            want = [m for m in every if not nonconstant or len(set(m)) > 1]
+            assert find_homs(src, tgt, limit=limit, nonconstant_only=nonconstant) == (want[:limit] if limit else want)
+        assert count_homs(src, tgt) == len(every)
+        if src.size:
+            domains = {v: rng.randrange(1 << tgt.size) for v in rng.sample(range(src.size), rng.randint(1, src.size))}
+            for injective in (False, True):
+                want = [
+                    m for m in every
+                    if all(domains.get(v, -1) >> w & 1 for v, w in enumerate(m)) and (not injective or len(set(m)) == len(m))
+                ]
+                assert list(hom_maps(src, tgt, domains, injective)) == want, (src, tgt, domains, injective)
+    assert nonempty >= 10
+
+
+def backtrack_homs(src, tgt):
+    """Reference: the maps in lexicographic order, each tuple checked in
+    full once its highest element is assigned; no forward checking and no
+    symmetry."""
+    by_top = [[] for _ in range(src.size)]
+    for sym, rel in src.relations.items():
+        for t in rel.tuples:
+            by_top[max(t)].append((t, tgt.relations[sym].tuples))
+    out, mapping = [], []
+
+    def extend():
+        if len(mapping) == src.size:
+            out.append(tuple(mapping))
+            return
+        for v in range(tgt.size):
+            mapping.append(v)
+            if all(tuple(mapping[x] for x in t) in allowed for t, allowed in by_top[len(mapping) - 1]):
+                extend()
+            mapping.pop()
+
+    extend()
+    return out
+
+
+def test_polymorphisms_of_the_meet_structures_match_references(S, chain3):
+    Y = y_structure()
+    for s in (S, chain3):
+        assert backtrack_homs(power(s, 2), s) == brute_force_homs(power(s, 2), s)
+    # S's polymorphisms are the two constants and the meets of nonempty coordinate sets
+    for n in range(2, 6):
+        args = list(itertools.product(range(2), repeat=n))
+        meets = [tuple(min(a[i] for i in c) for a in args) for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
+        want = sorted(meets + [(0,) * 2**n, (1,) * 2**n])
+        assert [t.values for t in polymorphisms(S, n)] == want
+        assert len(want) == 2**n + 1
+    for s, n, count in ((chain3, 2, 46), (chain3, 3, 244), (Y, 2, 379)):
+        tables = [t.values for t in polymorphisms(s, n)]
+        assert tables == backtrack_homs(power(s, n), s)
+        assert len(tables) == count
+
+
+def test_symmetric_pairs(S, chain3):
+    assert _symmetric_pairs(S.relations["R"]) == [(0, 1)]
+    assert _symmetric_pairs(chain3.relations["R"]) == [(0, 1)]
+    assert _symmetric_pairs(y_structure().relations["R"]) == [(0, 1)]
+    assert _symmetric_pairs(Relation(2, frozenset({(0, 1)}))) == []
+    non_functional = {(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)}
+    assert _symmetric_pairs(Relation(3, frozenset(non_functional))) == []
+    even = frozenset(t for t in itertools.product(range(2), repeat=4) if sum(t) % 2 == 0)
+    assert _symmetric_pairs(Relation(4, even)) == list(itertools.combinations(range(4), 2))
+    # no tuple to break a symmetry: every pair, which drops nothing a check would catch
+    assert _symmetric_pairs(Relation(3, frozenset())) == [(0, 1), (0, 2), (1, 2)]
+    assert _symmetric_pairs(Relation(1, frozenset({(0,)}))) == []
 
 
 def test_find_homs_of_empty_structures():
