@@ -31,17 +31,19 @@ such a product are exactly Hom(prod K_u, K), whose mapping tuples list the
 values at the points in rank order over the sorted kids.
 
 The free algebra, the free structure's triples, the unary term operations
-and the evidence search are subpower closures grown by one semi-naive
+and the evidence search close subpowers of one algebra each (A^(A^k), F^3,
+A^A and A^(A^j)), its operations acting pointwise, by one semi-naive
 engine, `_grow`, the only code that adds to a closure; `_close` runs it for
 the first three.  `max_tuples` bounds the elements each closure finds by
-one rule: the batch that holds the (max_tuples + 1)-th element is cut there
-and the closure ends.  A closure also ends as soon as it holds the whole
-power, since nothing more could be added; the free structure's triples
-often fill F^3 early in round 2.  The engine's batches (`_batches`) map
-each table row over the last-argument column once per head (the arguments
-before the last two) and batch start, and share the mapped column with
-every argument prefix that selects that row: a coordinate of size n holds
-at most n mapped columns of length `new`.
+one rule: the batch that holds the (max_tuples + 1)-th element is cut
+there, and the engine raises SizeLimitExceeded once it has yielded it.  A
+closure also ends as soon as it holds the whole power, since nothing more
+could be added; the free structure's triples often fill F^3 early in round
+2.  The engine's batches (`_batches`) map each table row over the
+last-argument column once per head (the arguments before the last two) and
+batch start, and share the mapped column with every argument prefix that
+selects that row: a coordinate holds at most n mapped columns of length
+`new` for a table of size n.
 
 The evidence search, hm_evidence, decides per coordinate labeling and rank
 j whether some term operation of F_j carries two labeled variable sets,
@@ -101,10 +103,12 @@ from .structures import (
     SizeLimitExceeded,
     StructureError,
     connected_components,
+    coordinate_tuples,
     find_isomorphism,
     induced_substructure,
     is_reflexive,
     product,
+    rank,
     two_element_semilattice,
 )
 
@@ -181,73 +185,73 @@ class FreeAlgebra:
         self.generators, self.derivations, self.index = generators, derivations, index
 
 
-def _batches(tables: Sequence[OperationTable], elements: Sequence[tuple[int, ...]], old: int, new: int):
-    """Apply tables[c] at coordinate c to every argument tuple over
+def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int):
+    """Apply table at every coordinate to every argument tuple over
     range(new) that holds an id >= old, in lexicographic order.
 
-    The tables share one arity m.  Yields (prefix, first, batch): batch[i] is
-    the value at the arguments prefix + (first + i,).  A constant's empty
-    argument tuple yields ((), 0, [value]), and only when old == 0.
+    Yields (prefix, first, batch): batch[i] is the value at the arguments
+    prefix + (first + i,).  A constant's empty argument tuple yields ((), 0,
+    [value]), and only when old == 0.
 
-    A prefix is a head (its first m - 2 arguments) and an end.  At a
-    coordinate of size n the head leaves n table rows, one per value of the
-    end.  Each row is mapped over the last-argument column once, on first
-    use, and shared by every prefix of the head and of one first that
-    selects it, so a coordinate holds at most n mapped columns of length
-    new at a time.
+    For arity m and size n, a prefix is a head (its first m - 2 arguments)
+    and an end, and at each coordinate the head leaves n table rows, one
+    per value of the end.  Each row is mapped over the last-argument column
+    once, on first use, and shared by every prefix of the head and of one
+    first that selects it, so a coordinate holds at most n mapped columns of
+    length new at a time.
     """
-    m = tables[0].arity
+    m, n, values = table.arity, table.size, table.values
     if m == 0:
         if old == 0:
-            yield (), 0, [tuple(t.values[0] for t in tables)]
+            yield (), 0, [(values[0],) * len(elements[0])]
         return
-    sizes = [t.size for t in tables]
-    values = [t.values for t in tables]
-    columns = list(zip(*elements[:new]))
     if m == 1:
-        yield (), old, list(zip(*map(map, (vals.__getitem__ for vals in values), (col[old:new] for col in columns))))
+        yield (), old, [tuple(map(values.__getitem__, e)) for e in elements[old:new]]
         return
+    columns = list(zip(*elements[:new]))
     for head in itertools.product(range(new), repeat=m - 2):
         # per coordinate, the row index of the head followed by a zero argument
+        # (Horner's rule inline, not structures.rank: this is the hot loop)
         base = [0] * len(columns)
         for e in head:
-            base = [(o + v) * n for o, v, n in zip(base, elements[e], sizes)]
+            base = [(o + v) * n for o, v in zip(base, elements[e])]
         # under a head of old ids, a prefix of old ids batches the new last arguments only
         stale = not head or max(head) < old
         for ends, first in ((range(old), old), (range(old, new), 0)) if stale else ((range(new), 0),):
-            memos = [[None] * n for n in sizes]  # per coordinate, value -> mapped column
+            memos = [[None] * n for _ in columns]  # per coordinate, value -> mapped column
             for end in ends:
                 point = elements[end]
                 mapped = list(map(list.__getitem__, memos, point))
                 if None in mapped:
-                    for memo, v, o, vals, n, col in zip(memos, point, base, values, sizes, columns):
+                    for memo, v, o, col in zip(memos, point, base, columns):
                         if memo[v] is None:
-                            memo[v] = list(map(vals[(o + v) * n : (o + v + 1) * n].__getitem__, col[first:new]))
+                            memo[v] = list(map(values[(o + v) * n : (o + v + 1) * n].__getitem__, col[first:new]))
                     mapped = list(map(list.__getitem__, memos, point))
                 yield head + (end,), first, list(zip(*mapped))
 
 
 def _grow(
-    seeds: Sequence[tuple[int, ...]], algebras: Sequence[FiniteAlgebra], max_elements: int,
+    seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int,
     elements: list[tuple[int, ...]], derivations: list[tuple], index: dict[tuple[int, ...], int],
 ):
     """The closure engine, the only code that writes to a closure: grow the
-    closure of equal-width seeds under the basic operations, algebras[c]
-    acting at coordinate c, into the empty `elements`, their `derivations`
-    (("var", j) for seed j, else (symbol, argument ids)) and the element ->
-    id `index`.  The seeds are the first batch, with the symbol None; each
-    semi-naive round then runs `_batches` over the argument tuples that hold
-    an element the previous round added, as the rest give nothing new, so
-    ids and first derivations are those of full rounds over sorted symbols
-    and lexicographic tuples.  A batch adds its unseen values in order, a
-    value it repeats once, and is yielded as (symbol, arity, prefix, first,
-    batch, ids, added): ids[i] is the id of batch[i], added the positions
-    added.  The batch that holds the (max_elements + 1)-th element is cut
-    there, so ids stops short, and the closure ends, as it does after a batch
-    that leaves it holding the whole power and after a round that adds nothing.
+    subpower of `algebra` generated by equal-width seeds, operations acting
+    pointwise, into the empty `elements`, their `derivations` (("var", j)
+    for seed j, else (symbol, argument ids)) and the element -> id `index`.
+    The seeds are the first batch, with the symbol None; each semi-naive
+    round then runs `_batches` over the argument tuples that hold an element
+    the previous round added, as the rest give nothing new, so ids and first
+    derivations are those of full rounds over sorted symbols and
+    lexicographic tuples.  A batch adds its unseen values in order, a value
+    it repeats once, and is yielded as (symbol, arity, prefix, first, batch,
+    ids, added): ids[i] is the id of batch[i], added the positions added.
+    The batch that holds the (max_elements + 1)-th element is cut there, so
+    ids stops short, and once it is yielded the engine raises
+    SizeLimitExceeded.  The closure also ends after a batch that leaves it
+    holding the whole power and after a round that adds nothing.
     """
-    whole = math.prod(alg.size for alg in algebras)
-    signature = [(sym, [alg.operations[sym] for alg in algebras]) for sym in algebras[0].symbols()]
+    whole = algebra.size ** len(seeds[0])
+    signature = [(sym, algebra.operations[sym]) for sym in algebra.symbols()]
     steps, old = [(None, 1, [((), 0, seeds)])], 0
     while steps:
         for sym, m, batches in steps:
@@ -268,25 +272,22 @@ def _grow(
                             added.append(i)
                         ids[i] = e
                 yield sym, m, prefix, first, batch, ids, added
-                if len(ids) < len(batch) or len(elements) == whole:
+                if len(ids) < len(batch):
+                    raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
+                if len(elements) == whole:
                     return
         new = len(elements)
-        steps = [(sym, ts[0].arity, _batches(ts, elements, old, new)) for sym, ts in signature] if old < new else []
+        steps = [(sym, table.arity, _batches(table, elements, old, new)) for sym, table in signature] if old < new else []
         old = new
 
 
-def _close(
-    seeds: Sequence[tuple[int, ...]], algebras: Sequence[FiniteAlgebra], max_elements: int
-) -> tuple[list, list, dict]:
-    """Close equal-width seed tuples under the basic operations, with
-    algebras[c] acting at coordinate c, by `_grow`.  Returns the elements,
-    their derivations and the element -> id index.  Raises
-    SizeLimitExceeded past max_elements elements."""
+def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int) -> tuple[list, list, dict]:
+    """Close equal-width seeds under the operations of `algebra`, pointwise,
+    by running `_grow` to its end, which raises SizeLimitExceeded past
+    max_elements elements.  Returns the elements, their derivations and the
+    element -> id index."""
     elements, derivations, index = [], [], {}
-    # only the engine's last batch can be cut
-    *_, batch, ids, _ = deque(_grow(seeds, algebras, max_elements, elements, derivations, index), maxlen=1)[0]
-    if len(ids) < len(batch):
-        raise SizeLimitExceeded(f"closure exceeded {max_elements} elements")
+    deque(_grow(seeds, algebra, max_elements, elements, derivations, index), maxlen=0)
     return elements, derivations, index
 
 
@@ -296,15 +297,14 @@ def free_algebra(a: FiniteAlgebra, k: int, max_tuples: int = DEFAULT_MAX_TUPLES)
         raise StructureError(f"need at least one generator, got {k}")
     if a.size < 1:
         raise StructureError("empty universe")
-    projections = list(zip(*itertools.product(range(a.size), repeat=k)))  # over assignments in lexicographic order
-    elements, derivations, index = _close(projections, [a] * a.size**k, max_tuples)
+    projections = list(zip(*coordinate_tuples([a.size] * k)))  # over assignments in lexicographic order
+    elements, derivations, index = _close(projections, a, max_tuples)
 
     n = len(elements)
-    tables = {}
-    for sym in a.symbols():
-        table = a.operations[sym]
-        batches = _batches([table] * a.size**k, elements, 0, n)
-        tables[sym] = OperationTable(table.arity, n, tuple(index[v] for _, _, batch in batches for v in batch))
+    tables = {
+        sym: OperationTable(t.arity, n, tuple(index[v] for _, _, batch in _batches(t, elements, 0, n) for v in batch))
+        for sym, t in sorted(a.operations.items())
+    }
     # term names in one pass: derivation arguments have smaller ids
     names = variable_names(k)
     labels: list[str] = []
@@ -358,15 +358,15 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
     x, y = free.generators
 
     seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-    triples = _close(seeds, [free.algebra] * 3, max_tuples)[0]
+    triples = _close(seeds, free.algebra, max_tuples)[0]
     structure = RelationalStructure(
         free.algebra.size,
         {RELATION_SYMBOL: Relation(3, frozenset(triples))},
         free.algebra.labels,
     )
 
-    unary_ops, _, unary_index = _close([tuple(range(a.size))], [a] * a.size, max_tuples)
-    diagonal = [b * a.size + b for b in range(a.size)]
+    unary_ops, _, unary_index = _close(list(zip(*coordinate_tuples([a.size]))), a, max_tuples)  # the rank-1 projection
+    diagonal = [rank((b, b), (a.size, a.size)) for b in range(a.size)]
     classes = _classes([unary_index[tuple(map(t.__getitem__, diagonal))] for t in free.elements])
     components = tuple(
         ComponentData(
@@ -553,28 +553,21 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
         kx, ky = (bundle.quotient_map[e] for e in id_comp.images)
         sub = id_comp.collapsed
         lx, ly = id_comp.kids.index(kx), id_comp.kids.index(ky)
-        status, detail = FAIL, ""
+        detail = ""
         try:
             Homomorphism(S, sub, (lx, ly))
-            if next(hom_maps(sub, S, {lx: 0b01, ly: 0b10}), None) is not None:
-                status = PASS
-            else:
+            if next(hom_maps(sub, S, {lx: 0b01, ly: 0b10}), None) is None:
                 detail = "no retraction fixing the generator images"
         except StructureError as exc:
             detail = f"coretraction is not a homomorphism: {exc}"
-        results.append(CheckResult("item 3 (retract)", status, detail))
+        results.append(CheckResult("item 3 (retract)", FAIL if detail else PASS, detail))
 
     # 4: maps from a collapsed component into the semilattice are constants
     # or single-coordinate projections
-    ok, detail = True, ""
-    for u, comp in enumerate(bundle.components):
-        for hom in find_homs(comp.collapsed, S):
-            if not _is_constant_or_projection(bundle, u, hom):
-                ok, detail = False, f"component {u}: map {hom} is neither"
-                break
-        if not ok:
-            break
-    results.append(CheckResult("item 4 (coordinate maps)", PASS if ok else FAIL, detail))
+    maps = ((u, hom) for u, comp in enumerate(bundle.components) for hom in find_homs(comp.collapsed, S))
+    bad = next(((u, hom) for u, hom in maps if not _is_constant_or_projection(bundle, u, hom)), None)
+    detail = f"component {bad[0]}: map {bad[1]} is neither" if bad else ""
+    results.append(CheckResult("item 4 (coordinate maps)", FAIL if detail else PASS, detail))
 
     # 5: the collapse kernel is preserved by every unary translation of a
     # basic operation (these generate all unary polynomials)
@@ -797,12 +790,12 @@ def _refute_rank(
     max_tuples elements present.
     """
     names = variable_names(j)
-    seeds = list(zip(*itertools.product(range(a.size), repeat=j)))  # over assignments in lexicographic order
+    seeds = list(zip(*coordinate_tuples([a.size] * j)))  # over assignments in lexicographic order
     elements, derivations = [], []
     live = [(chosen, []) for chosen in prefixes]  # each prefix with the set of each element as bits
     position = {sym: t for t, sym in enumerate(a.symbols())}
     seed_bits = [1 << g for g in range(j)]
-    steps = _grow(seeds, [a] * a.size**j, max_tuples, elements, derivations, {})
+    steps = _grow(seeds, a, max_tuples, elements, derivations, {})
     for sym, m, prefix, first, batch, ids, added in steps:
         t = position.get(sym)
         if t == len(live[0][0]):  # the symbol's first batch: split by its coordinate sets
@@ -836,7 +829,7 @@ def _refute_rank(
             else:
                 decided.append((chosen, SizeLimitExceeded(f"closure exceeded {max_tuples} elements")))
         live = survivors
-        if not live:
+        if not live:  # so after a cut batch: the engine, which would raise, is not pulled again
             return []
     return [chosen for chosen, _ in live]
 
@@ -890,15 +883,17 @@ def hm_evidence(
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     """Replay a certificate: coverage (one refutation per labeling, in
-    labeling order), well-formed terms and validity in the algebra of each
-    identity (`holds_in` evaluates each side once, column-wise), and the
-    labeled variable sets of every refutation.  A malformed certificate (not
-    a CertifiedHM, or refutations that are no tuple) or refutation (not a
-    LabelingRefutation, or a side that is no term over a's symbols) returns
-    False rather than raising.  An identity is replayed once per pair of
-    term objects, keyed by their ids: the refutations of one group share
-    their terms, and the certificate keeps every term alive for the call."""
+    labeling order), arities (ints from 2 to max_arity), well-formed terms
+    over a's symbols and the arity's variable names, validity in the algebra
+    of each identity (`holds_in` evaluates each side once, column-wise), and
+    the labeled variable sets of every refutation.  Anything malformed
+    returns False rather than raising.  An identity is replayed once per
+    arity and pair of term objects, keyed by their ids: the refutations of
+    one group share their terms, and the certificate keeps every term alive
+    for the call."""
     if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
+        return False
+    if not isinstance(certificate.max_arity, int):
         return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
 
@@ -908,14 +903,17 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
-    valid: dict[tuple[int, int], bool] = {}
+    valid: dict[tuple[int, int, int], bool] = {}
     for labeling, r in itertools.zip_longest(all_labelings(arity), certificate.refutations):
         if labeling is None or not isinstance(r, LabelingRefutation) or labeling != r.labeling:
             return False
-        key = (id(r.lhs), id(r.rhs))
-        if key not in valid:  # every variable is named, every application names one of a's symbols at its arity
+        if not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
+            return False
+        key = (id(r.lhs), id(r.rhs), r.arity)
+        if key not in valid:  # every variable is one of the arity's, every application one of a's symbols at its arity
+            names = variable_names(r.arity)
             valid[key] = all(
-                _fold(t, lambda v: isinstance(v.name, str), node, children) for t in (r.lhs, r.rhs)
+                _fold(t, lambda v: v.name in names, node, children) for t in (r.lhs, r.rhs)
             ) and holds_in(a, Identity(r.lhs, r.rhs), a.operations)
         if not valid[key]:
             return False

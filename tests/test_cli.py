@@ -74,6 +74,26 @@ def test_unreadable_input_is_exit_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"universe": ["0"], "relations": []}, "'relations' must be an object"),
+        (
+            {"universe": ["0"], "relations": {"R": {"arity": 1, "tuples": [], "size": 1}}},
+            "relation R: expected keys 'arity' and 'tuples'",
+        ),
+        ({"universe": ["0"], "relations": {"R": {"arity": 1, "tuples": {}}}}, "relation R: 'tuples' must be a list"),
+    ],
+)
+def test_structure_file_errors_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "structure", "components", str(path)) == (2, "", f"error: {message}\n")
+    # validate reports the same message as its verdict
+    code, out, _ = run(capsys, "structure", "validate", str(path))
+    assert code == 1 and f"valid: fail  {message}" in out.splitlines()
+
+
 def test_components(capsys, structure_file, S, point):
     path = structure_file(disjoint_union([S, point, S]))
     code, out, _ = run(capsys, "structure", "components", path, "--output", "json")
@@ -545,6 +565,40 @@ def test_free_build_claim_arity_below_1_is_exit_2(capsys, monkeypatch, algebra_f
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "algebra document must be a JSON object"),
+        ({"universe": [0, 1]}, "'universe' must be a list of strings"),
+        ({"universe": ["0"], "operations": []}, "'operations' must be an object"),
+    ],
+)
+def test_algebra_file_errors_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["free", "build"], ["alg", "hm-evidence"]):
+        assert run(capsys, *argv, "--algebra", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"arity": 1, "size": 2, "values": [0, 1], "name": "f"}, "operation document must have keys 'arity', 'size', 'values'"),
+        ({"arity": 1, "size": "2", "values": [0, 1]}, "operation fields have wrong types"),
+        ({"arity": 1, "size": 2, "values": [0, "1"]}, "operation values must be integers"),
+    ],
+)
+def test_operation_document_errors_exit_2(capsys, tmp_path, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"universe": ["0", "1"], "operations": {"f": body}}))
+    assert run(capsys, "free", "build", "--algebra", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_hm_evidence_names_the_empty_labeling(capsys, algebra_file, bare_algebra):
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", algebra_file(bare_algebra))
+    assert code == 1 and "  surviving_labeling: (empty labeling)" in out.splitlines()
+
+
 def test_free_build_absent_hypothesis_still_exits_0(capsys, algebra_file, lattice_algebra):
     code, out, _ = run(
         capsys,
@@ -592,8 +646,8 @@ def test_free_build_reports_a_split_diagonal_class_as_item_2(capsys, monkeypatch
     one component of the free structure reaches verify_lemma22 item 2."""
     close = freecons._close
 
-    def constant_triples_only(seeds, algebras, *rest):
-        elements, derivations, index = close(seeds, algebras, *rest)
+    def constant_triples_only(seeds, algebra, *rest):
+        elements, derivations, index = close(seeds, algebra, *rest)
         if len(seeds) == 4:  # the free structure's closure, from its four seed triples
             elements = [t for t in elements if len(set(t)) == 1]
         return elements, derivations, index
@@ -605,6 +659,27 @@ def test_free_build_reports_a_split_diagonal_class_as_item_2(capsys, monkeypatch
     monkeypatch.undo()
     code, out, _ = run(capsys, "free", "build", "--algebra", algebra_file(meet_algebra), "--verify-lemma22")
     assert code == 0 and "item 2 (components): pass" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ops: f/2\nf(x, y = x\n", "line 2, col 8: expected ')'"),
+        ("ops: f/2\nf(x, y) x\n", "line 2, col 9: expected '='"),
+        ("ops: f/2\nf(x, ) = x\n", "line 2, col 6: expected an identifier"),
+        ("ops: f/2\nops: g/1\n", "line 2, col 1: duplicate 'ops:' header"),
+        ("ops: f2\n", "line 1, col 1: expected name/arity, got 'f2'"),
+        ("ops: 1f/2\n", "line 1, col 1: bad symbol name '1f'"),
+        ("ops: f/two\n", "line 1, col 1: bad arity 'two'"),
+        ("ops: f/2\nidempotent: g\n", "line 2, col 1: idempotent symbol 'g' is not declared"),
+        ("# only a comment\n", "line 1, col 1: missing 'ops:' header"),
+    ],
+)
+def test_identity_system_errors_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for command in ("linear", "saturate", "sl-interp"):
+        assert run(capsys, "ident", command, "--system", str(path)) == (2, "", f"error: {message}\n")
 
 
 # --- gadget ---------------------------------------------------------------------

@@ -37,6 +37,7 @@ from hmkit.freecons import (
     _batches,
     _close,
     _count_shaped_extensions,
+    _grow,
     _ill_defined_operation,
     _is_constant_or_projection,
     _refute_rank,
@@ -64,6 +65,7 @@ from hmkit.semilat import (
 from hmkit.structures import (
     DEFAULT_MAX_TUPLES,
     Homomorphism,
+    Relation,
     RelationalStructure,
     SizeLimitExceeded,
     StructureError,
@@ -208,8 +210,40 @@ def refute_labeling_reference(
 # Oracle for the evidence search: the search as it was before labelings
 # shared one closure per rank, with one pair closure per labeling
 # and rank from `close_with_stop`, the closure engine with the stop hook it
-# had then.  The code is that code, with new names and without its
-# docstrings and comments.
+# had then, on `batches_by_coordinate`, the engine's batches as they were
+# while they took one table per coordinate.  The code is that code, with new
+# names and without its docstrings and comments; it shares no code with the
+# engine it checks.
+
+
+def batches_by_coordinate(tables, elements, old, new):
+    m = tables[0].arity
+    if m == 0:
+        if old == 0:
+            yield (), 0, [tuple(t.values[0] for t in tables)]
+        return
+    sizes = [t.size for t in tables]
+    values = [t.values for t in tables]
+    columns = list(zip(*elements[:new]))
+    if m == 1:
+        yield (), old, list(zip(*map(map, (vals.__getitem__ for vals in values), (col[old:new] for col in columns))))
+        return
+    for head in itertools.product(range(new), repeat=m - 2):
+        base = [0] * len(columns)
+        for e in head:
+            base = [(o + v) * n for o, v, n in zip(base, elements[e], sizes)]
+        stale = not head or max(head) < old
+        for ends, first in ((range(old), old), (range(old, new), 0)) if stale else ((range(new), 0),):
+            memos = [[None] * n for n in sizes]
+            for end in ends:
+                point = elements[end]
+                mapped = list(map(list.__getitem__, memos, point))
+                if None in mapped:
+                    for memo, v, o, vals, n, col in zip(memos, point, base, values, sizes, columns):
+                        if memo[v] is None:
+                            memo[v] = list(map(vals[(o + v) * n : (o + v + 1) * n].__getitem__, col[first:new]))
+                    mapped = list(map(list.__getitem__, memos, point))
+                yield head + (end,), first, list(zip(*mapped))
 
 
 def close_with_stop(seeds, algebras, max_elements, stop):
@@ -232,7 +266,7 @@ def close_with_stop(seeds, algebras, max_elements, stop):
         new = len(elements)
         for sym in algebras[0].symbols():
             tables = [alg.operations[sym] for alg in algebras]
-            for prefix, first, batch in _batches(tables, elements, old, new):
+            for prefix, first, batch in batches_by_coordinate(tables, elements, old, new):
                 unseen = map(operator.not_, map(index.__contains__, batch))
                 for i in itertools.compress(itertools.count(), unseen):
                     if add(batch[i], (sym, prefix + (first + i,) if tables[0].arity else ())):
@@ -527,7 +561,7 @@ def test_closures_that_fill_the_power_match_closure_reference():
         assert {sym: t.values for sym, t in free.algebra.operations.items()} == tables
         seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
         triples, triple_derivations = closure_reference(seeds, [free.algebra] * 3, 64)
-        assert _close(seeds, [free.algebra] * 3, 64)[:2] == (triples, triple_derivations)
+        assert _close(seeds, free.algebra, 64)[:2] == (triples, triple_derivations)
         assert bundle.structure.relations["R"].tuples == frozenset(triples)
         unary = closure_reference([(0, 1)], [a] * 2, 64)[0]
         assert bundle_components(bundle) == components_reference(a, elements, (x, y), unary)
@@ -536,8 +570,8 @@ def test_closures_that_fill_the_power_match_closure_reference():
 
 
 def test_closure_with_stop_is_the_prefix_ending_at_the_first_stop():
-    # one algebra per coordinate: a draw at the four assignments of x, y and
-    # another table of the same signature at two more coordinates
+    # the evidence oracle mixes algebras: a draw at the four assignments of
+    # x, y and another table of the same signature at two more coordinates
     rng = random.Random(42)
     seeds = [(0, 0, 1, 1, 0, 1), (0, 1, 0, 1, 1, 0)]
     for a in whole_power_draws():
@@ -546,7 +580,7 @@ def test_closure_with_stop_is_the_prefix_ending_at_the_first_stop():
         )
         algebras = [a] * 4 + [b] * 2
         elements, derivations = closure_reference(seeds, algebras, 64)
-        assert _close(seeds, algebras, 64)[:2] == (elements, derivations)
+        assert close_with_stop(seeds, algebras, 64, lambda u: False)[:2] == (elements, derivations)
         # the stop hook of the evidence oracle: k = 0 and 1 stop at a seed,
         # and each prefix fits a bound of its own size
         for k, t in enumerate(elements):
@@ -601,7 +635,8 @@ def batches_reference(tables, elements, old, new):
 
 def test_batches_match_reference():
     """Seeded tables of arities 0-4 at coordinates of sizes 3 and 2 side by
-    side, as the evidence closure mixes algebra and bit coordinates."""
+    side, as the evidence oracle mixes algebra and bit coordinates, for the
+    oracle's batches."""
     rng = random.Random(43)
     for m in range(5):
         for _ in range(6):
@@ -611,7 +646,23 @@ def test_batches_match_reference():
             new = rng.randint(1, (9, 9, 9, 6, 4)[m])
             elements = [tuple(rng.randrange(n) for n in sizes) for _ in range(new)]
             for old in sorted({0, 1, new // 2, new}):
-                assert list(_batches(tables, elements, old, new)) == batches_reference(tables, elements, old, new)
+                got = list(batches_by_coordinate(tables, elements, old, new))
+                assert got == batches_reference(tables, elements, old, new)
+
+
+def test_engine_batches_match_reference():
+    """Seeded tables of arities 0-4 and sizes 1-3, applied at 1-5
+    coordinates, for the engine's batches."""
+    rng = random.Random(44)
+    for m in range(5):
+        for _ in range(6):
+            n, width = rng.randint(1, 3), rng.randint(1, 5)
+            table = OperationTable(m, n, tuple(rng.randrange(n) for _ in range(n**m)))
+            new = rng.randint(1, (9, 9, 9, 6, 4)[m])
+            elements = [tuple(rng.randrange(n) for _ in range(width)) for _ in range(new)]
+            for old in sorted({0, 1, new // 2, new}):
+                got = list(_batches(table, elements, old, new))
+                assert got == batches_reference([table] * width, elements, old, new)
 
 
 def test_free_structure_semilattice_triples(meet_algebra):
@@ -711,6 +762,12 @@ def test_ill_defined_operation_names_a_non_congruence(meet_algebra):
     assert quotient_values(fa.algebra, (0, 1, 1), "meet") == (0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_free_algebra_needs_a_generator(meet_algebra, k):
+    with pytest.raises(StructureError, match=f"^need at least one generator, got {k}$"):
+        free_algebra(meet_algebra, k)
+
+
 def test_free_structure_rejects_empty_algebra():
     with pytest.raises(StructureError):
         free_structure(FiniteAlgebra(0, {}))
@@ -741,9 +798,9 @@ def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebr
     grow = freecons._grow
     widths = []
 
-    def counting(seeds, algebras, *rest):
-        widths.append(len(algebras))
-        return grow(seeds, algebras, *rest)
+    def counting(seeds, algebra, *rest):
+        widths.append(len(seeds[0]))
+        return grow(seeds, algebra, *rest)
 
     def no_free_algebra(*args):
         raise AssertionError("evidence built a free algebra")
@@ -828,15 +885,35 @@ def test_closure_and_evidence_share_one_overflow_rule(values, j, size):
     a = FiniteAlgebra(3, {"f": OperationTable(2, 3, values)})
     projections = list(zip(*itertools.product(range(3), repeat=j)))
     with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
-        _close(projections, [a] * 3**j, size - 1)
+        _close(projections, a, size - 1)
     with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
         hm_evidence(a, j, max_tuples=size - 1)
-    assert len(_close(projections, [a] * 3**j, size)[0]) == size
+    assert len(_close(projections, a, size)[0]) == size
     assert isinstance(hm_evidence(a, j, max_tuples=size), ConsistentLabelingFound)
     # a negative bound refuses the first seed
-    for refused in (lambda: _close(projections, [a] * 3**j, -1), lambda: hm_evidence(a, j, max_tuples=-1)):
+    for refused in (lambda: _close(projections, a, -1), lambda: hm_evidence(a, j, max_tuples=-1)):
         with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
             refused()
+
+
+def test_engine_raises_its_overflow_after_yielding_the_cut_batch():
+    """The batch that holds the (max_elements + 1)-th element is yielded cut
+    there, and the engine raises when pulled again; a bound of the closure's
+    size yields every batch whole."""
+    a = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))})
+    projections = list(zip(*itertools.product(range(3), repeat=2)))
+    for bound in (-1, 0, 1, 2, 5, 13):
+        elements, batches = [], []
+        steps = _grow(projections, a, bound, elements, [], {})
+        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {bound} elements$"):
+            for *_, batch, ids, added in steps:
+                batches.append((len(ids), len(batch)))
+        assert all(i == b for i, b in batches[:-1]) and batches[-1][0] < batches[-1][1]
+        assert len(elements) == max(bound, 0)
+    elements, batches = [], []
+    for *_, batch, ids, added in _grow(projections, a, 14, elements, [], {}):
+        batches.append((len(ids), len(batch)))
+    assert all(i == b for i, b in batches) and len(elements) == 14
 
 
 def test_verify_certificate_returns_false_for_a_malformed_certificate(majority_algebra):
@@ -858,6 +935,25 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     assert not verify_certificate(majority_algebra, broken)
     missing = CertifiedHM(evidence.max_arity, evidence.refutations[1:])
     assert not verify_certificate(majority_algebra, missing)
+    # every refutation is found at rank 2 of 3; a claimed arity out of 2..3,
+    # or a bound below it, is refused, and so is a malformed one
+    assert {r.arity for r in evidence.refutations} == {2} and evidence.max_arity == 3
+    for k in (0, len(evidence.refutations) - 1):
+        for bad in (99, 4, 1, 0, -2, "2", None, 2.0, True):
+            r = evidence.refutations[k]._replace(arity=bad)
+            refutations = evidence.refutations[:k] + (r,) + evidence.refutations[k + 1:]
+            assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is False, bad
+    for bad in (1, 0, None, "3", 3.0):
+        assert verify_certificate(majority_algebra, evidence._replace(max_arity=bad)) is False, bad
+    # both sides use only the arity's variables: x = m(x,x,z) holds, and
+    # under m->{1,2,3} its sets are {x} and {x,z}, a refutation at rank 3 only
+    r = evidence.refutations[2]
+    assert r.labeling.sigma == {"m": (1, 2, 3)}
+    x, z = Variable("x"), Variable("z")
+    r = r._replace(rhs=Application("m", (x, x, z)), rhs_varset=frozenset("xz"))
+    for arity, replays in ((2, False), (3, True)):
+        refutations = evidence.refutations[:2] + (r._replace(arity=arity),) + evidence.refutations[3:]
+        assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is replays
 
 
 def test_verify_certificate_returns_false_for_a_malformed_labeling(majority_algebra):
@@ -1053,7 +1149,7 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
     depth = 3000
     n = depth + 2
 
-    def hand_built(tables, elements, old, new):
+    def hand_built(table, elements, old, new):
         for e in range(2, n):
             yield (e - 1,), 0, [(e,)]
         yield (1,), n - 1, [elements[0]]
@@ -1735,6 +1831,63 @@ def test_verify_claims_refuses_an_arity_below_1(meet_algebra):
     for max_arity in (0, -1):
         with pytest.raises(StructureError, match="arity must be >= 1"):
             verify_claims(bundle, max_arity)
+
+
+def _without_loop(bundle):
+    meets = bundle.K.relations["R"].tuples
+    bundle.K = RelationalStructure(bundle.K.size, {"R": Relation(3, meets - {(0, 0, 0)})})
+
+
+def _full_component(bundle):
+    full = RelationalStructure(2, {"R": Relation(3, frozenset(itertools.product((0, 1), repeat=3)))})
+    bundle.components = (bundle.components[0]._replace(collapsed=full),)
+
+
+def _swapped_bits(bundle):
+    bundle.decode = tuple((u, tuple(1 - b for b in bits)) for u, bits in bundle.decode)
+
+
+def _images(pick):
+    def patch(bundle):
+        images = bundle.components[0].images
+        bundle.components = (bundle.components[0]._replace(images=tuple(images[i] for i in pick)),)
+
+    return patch
+
+
+def _extra_triple(bundle):
+    meets = bundle.K.relations["R"].tuples
+    bundle.K = RelationalStructure(bundle.K.size, {"R": Relation(3, meets | {(1, 1, 0)})})
+
+
+@pytest.mark.parametrize(
+    "patch, verify, name, detail",
+    [
+        (_without_loop, verify_lemma22, "item 1 (reflexive)", ""),
+        # the full relation takes every map from S, but none back onto it
+        (_full_component, verify_lemma22, "item 3 (retract)", "no retraction fixing the generator images"),
+        (_swapped_bits, verify_lemma22, "item 4 (coordinate maps)", "component 0: map (0, 1) is neither"),
+        (_full_component, verify_claims, "claim 1 (partial semilattices with tops)", "component 0 refused: not functional"),
+        (_images((1, 0)), verify_claims, "claim 1 (partial semilattices with tops)", "component 0: largest 1 != image of generator 0"),
+        (_images((1, 1)), verify_claims, "claim 2 (generator pair detects size)", "component 0: size/agreement mismatch"),
+        # at arity 2 the extra triple breaks claims 3 and 4 as well
+        (
+            _extra_triple, functools.partial(verify_claims, max_arity=1), "claim 2 (generator pair detects size)",
+            "component 0: generator pair does not induce the semilattice",
+        ),
+    ],
+    ids=["item 1", "item 3", "item 4", "claim 1 refused", "claim 1 top", "claim 2 size", "claim 2 pair"],
+)
+def test_verification_names_each_failure_on_a_patched_bundle(meet_algebra, patch, verify, name, detail):
+    """The meet algebra's bundle (F = {x, y, x meet y}, one component whose
+    image K is S) passes every check; each patch breaks one of them, which
+    fails with its own detail while the others pass."""
+    bundle = build_bundle(meet_algebra)
+    assert verify(bundle).passed
+    patch(bundle)
+    results = {r.name: (r.status, r.detail) for r in verify(bundle).results}
+    assert results.pop(name) == (FAIL, detail)
+    assert set(results.values()) == {(PASS, "")}
 
 
 def test_verify_lemma22_item5_names_the_first_separating_translation(meet_algebra):

@@ -28,6 +28,7 @@ from hmkit.identlang import (
     sigma_varset,
     sl_interp_search,
     term_variables,
+    _witness_for,
 )
 from hmkit.identlang import Term, TermSystem, _normalize, _rename
 from hmkit.structures import StructureError
@@ -468,3 +469,16 @@ def test_holds_in_checks_every_application(meet_algebra, meet_table):
     absorbing = Identity(Application("f", (Variable("x"), Application("c", ()))), Application("c", ()))
     constant = {"f": meet_table, "c": OperationTable(0, 2, (0,))}
     assert holds_in(meet_algebra, absorbing, constant) is holds_in_reference(meet_algebra, absorbing, constant) is True
+
+
+def test_witness_needs_variable_arguments():
+    x, y = Variable("x"), Variable("y")
+    flat = Identity(Application("f", (x, y)), Application("f", (y, y)))
+    nested = Identity(Application("f", (Application("f", (x, x)), y)), Application("f", (y, y)))
+    assert _witness_for(flat, "f", (1,)) is True
+    assert _witness_for(nested, "f", (1,)) is False
+
+
+def test_empty_labeling_describes_itself():
+    assert SLLabeling({}).describe() == "(empty labeling)"
+    assert SLLabeling({"f": (2, 1)}).describe() == "f->{1,2}"

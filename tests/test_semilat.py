@@ -4,6 +4,7 @@ from collections import Counter, deque
 
 import pytest
 
+from hmkit import semilat
 from hmkit.homsearch import OperationTable, find_homs
 from hmkit.semilat import (
     DecompositionError,
@@ -470,6 +471,30 @@ def test_decompose_names_the_least_failing_tuple(S, chain3, point):
             seen[len(factors)] += 1
             seen["past the first tuple"] += f"tuple {min(product_tuples(factors, 'R'))} " not in expected
     assert min(seen.values()) >= 100, seen
+
+
+def test_a_homomorphism_that_fails_a_check_gets_that_checks_error(S, monkeypatch):
+    """On a homomorphism into a functional target every check passes (each
+    meet the walk and the fold take is the image of a product tuple), so a
+    meet lookup patched to find nothing drives the branch: the point walk's
+    error is re-raised, since the map passes the product walk, while a map
+    that is no homomorphism is named at its least failing tuple."""
+    monkeypatch.setattr(semilat, "_meet", lambda index, a, b: None)
+    with pytest.raises(DecompositionError, match=r"^iterated meet undefined at point \(0, 0\)$"):
+        decompose_product_hom([S, S], S, (0, 0, 0, 1))  # the meet map S^2 -> S
+    with pytest.raises(DecompositionError, match=r"^not a homomorphism: R tuple \(1, 2, 0\) maps to \(1, 1, 0\)$"):
+        decompose_product_hom([S, S], S, (0, 1, 1, 1))  # the join map
+    monkeypatch.undo()
+    assert decompose_product_hom([S, S], S, (0, 0, 0, 1)).coordinate_maps == ((0, 1), (0, 1))
+
+
+def test_classify_refuses_a_table_whose_coordinates_have_no_meet():
+    # xnor is 0 at (0, 1) and at (1, 0), so both positions are found as meet
+    # coordinates, but xnor(0, 0) = 1 is not their meet; and (0, 0, 1, 0)
+    # finds position 1 only, but is 0 at (1, 1)
+    for values in ((1, 0, 0, 1), (0, 0, 1, 0)):
+        assert classify_meet_operation(OperationTable(2, 2, values)) is None
+    assert classify_meet_operation(OperationTable(2, 2, (0, 0, 0, 1))).describe() == "Meet({1,2})"
 
 
 def test_every_hom_off_a_product_decomposes(S, chain3):

@@ -531,3 +531,12 @@ def test_structure_from_json_matches_its_tuple_by_tuple_reference():
     doc = {"universe": ["0", "1"], "relations": {"R": {"arity": 2, "tuples": [[True, 0]]}}}
     assert structure_from_json(doc) == structure_from_json_reference(doc)
     assert structure_from_json(doc).relations["R"].tuples == {(1, 0)}
+
+
+@pytest.mark.parametrize(
+    "combine, message",
+    [(product, "product of empty list"), (disjoint_union, "disjoint union of empty list")],
+)
+def test_combining_no_structures_is_refused(combine, message):
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        combine([])
