@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter around one library call: load inputs,
-invoke, format a report.  Exit codes follow one convention throughout:
-0 for success or all checks passing, 1 for a verified negative verdict
-(refutation, refusal, absence), 2 for unusable input or usage errors, and
-also 2, with `internal error: <type>: <message>` on stderr, for any other
-exception (an exhausted resource or a bug), which is never a verdict.
+Every subcommand is a thin adapter around one library call: its handler
+loads the inputs, invokes the call and returns its checks and exit code,
+or the structure it built.  `main` writes either: each report is named
+after the command that ran and timed from `main`'s start, and an error
+while writing (an `--out` path that cannot be opened) exits 2 as unusable
+input does.  Exit codes follow one convention throughout: 0 for success
+or all checks passing, 1 for a verified negative verdict (refutation,
+refusal, absence), 2 for unusable input or usage errors, and also 2, with
+`internal error: <type>: <message>` on stderr, for any other exception
+(an exhausted resource or a bug), which is never a verdict.
 
 The argument parser is built once per process, on the first `main()` call
 (never at import), and reused by every later call; each call still parses
@@ -67,10 +71,6 @@ def _bound(text: str) -> int:
     return value
 
 
-def _load(path: str) -> RelationalStructure:
-    return structures.load_structure(path)
-
-
 _SCALARS = frozenset({str, int, float, bool, type(None)})  # exact types: subclasses take json.dumps
 
 
@@ -102,7 +102,7 @@ def _json_text(doc, nl: str = "\n") -> str:
 
 def _emit_structure(args, s: RelationalStructure) -> int:
     text = _json_text(structures.structure_to_json(s))
-    if getattr(args, "out", None):
+    if args.out:  # every command that prints a structure offers --out
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -134,101 +134,95 @@ def _emit_report(args, command: str, checks: list[Check], code: int, started: fl
     return code
 
 
+Report = tuple[list[Check], int]  # what a report handler returns: its checks and its exit code
+
+
 # --- structure ---------------------------------------------------------------
 
 
-def cmd_structure_validate(args, started: float) -> int:
+def cmd_structure_validate(args) -> Report:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         s = structures.structure_from_json(data)
     except StructureError as exc:
-        return _emit_report(args, "structure validate", [Check("valid", "fail", str(exc))], 1, started)
+        return [Check("valid", "fail", str(exc))], 1
     witness = f"{s.size} elements, {sum(len(r.tuples) for r in s.relations.values())} tuples"
-    return _emit_report(args, "structure validate", [Check("valid", "pass", witness)], 0, started)
+    return [Check("valid", "pass", witness)], 0
 
 
-def cmd_structure_components(args, started: float) -> int:
-    s = _load(args.file)
-    blocks = [list(b) for b in structures.connected_components(s)]
-    checks = [Check("components", "pass", blocks)]
-    return _emit_report(args, "structure components", checks, 0, started)
+def cmd_structure_components(args) -> Report:
+    s = structures.load_structure(args.file)
+    return [Check("components", "pass", [list(b) for b in structures.connected_components(s)])], 0
 
 
-def cmd_structure_product(args, started: float) -> int:
-    factors = [_load(f) for f in args.files]
-    return _emit_structure(args, structures.product(factors, max_tuples=args.max_tuples))
+def cmd_structure_product(args) -> RelationalStructure:
+    factors = [structures.load_structure(f) for f in args.files]
+    return structures.product(factors, max_tuples=args.max_tuples)
 
 
-def cmd_structure_power(args, started: float) -> int:
-    s = _load(args.file)
-    return _emit_structure(args, structures.power(s, args.exponent, max_tuples=args.max_tuples))
+def cmd_structure_power(args) -> RelationalStructure:
+    s = structures.load_structure(args.file)
+    return structures.power(s, args.exponent, max_tuples=args.max_tuples)
 
 
-def cmd_structure_union(args, started: float) -> int:
-    parts = [_load(f) for f in args.files]
-    return _emit_structure(args, structures.disjoint_union(parts))
+def cmd_structure_union(args) -> RelationalStructure:
+    return structures.disjoint_union([structures.load_structure(f) for f in args.files])
 
 
-def cmd_structure_induced(args, started: float) -> int:
-    s = _load(args.file)
-    return _emit_structure(args, structures.induced_substructure(s, args.ids))
+def cmd_structure_induced(args) -> RelationalStructure:
+    return structures.induced_substructure(structures.load_structure(args.file), args.ids)
 
 
-def cmd_structure_iso(args, started: float) -> int:
-    a, b = _load(args.first), _load(args.second)
+def cmd_structure_iso(args) -> Report:
+    a, b = structures.load_structure(args.first), structures.load_structure(args.second)
     iso = structures.find_isomorphism(a, b)
     if iso is None:
-        evidence = structures.non_isomorphism_evidence(a, b)
-        return _emit_report(args, "structure iso", [Check("isomorphic", "fail", evidence)], 1, started)
-    return _emit_report(args, "structure iso", [Check("isomorphic", "pass", list(iso))], 0, started)
+        return [Check("isomorphic", "fail", structures.non_isomorphism_evidence(a, b))], 1
+    return [Check("isomorphic", "pass", list(iso))], 0
 
 
 # --- hom ----------------------------------------------------------------------
 
 
-def cmd_hom_find(args, started: float) -> int:
-    src, tgt = _load(args.source), _load(args.target)
+def cmd_hom_find(args) -> Report:
+    src, tgt = structures.load_structure(args.source), structures.load_structure(args.target)
     homs = find_homs(src, tgt, limit=args.limit, nonconstant_only=args.nonconstant)
-    witness = [",".join(map(str, m)) for m in homs]
-    checks = [Check("homomorphisms", "pass", witness)]
-    return _emit_report(args, "hom find", checks, 0, started)
+    return [Check("homomorphisms", "pass", [",".join(map(str, m)) for m in homs])], 0
 
 
-def cmd_hom_count(args, started: float) -> int:
-    src, tgt = _load(args.source), _load(args.target)
+def cmd_hom_count(args) -> Report:
+    src, tgt = structures.load_structure(args.source), structures.load_structure(args.target)
     n = count_homs(src, tgt)
-    return _emit_report(args, "hom count", [Check("count", "pass", str(n))], 0, started)
+    return [Check("count", "pass", str(n))], 0
 
 
-def cmd_hom_check(args, started: float) -> int:
-    src, tgt = _load(args.source), _load(args.target)
+def cmd_hom_check(args) -> Report:
+    src, tgt = structures.load_structure(args.source), structures.load_structure(args.target)
     result = is_homomorphism(src, tgt, args.map)
     if result.ok:
-        return _emit_report(args, "hom check", [Check("homomorphism", "pass")], 0, started)
+        return [Check("homomorphism", "pass")], 0
     witness = {
         "symbol": result.symbol,
         "source_tuple": list(result.source_tuple),
         "image_tuple": list(result.image_tuple),
     }
-    return _emit_report(args, "hom check", [Check("homomorphism", "fail", witness)], 1, started)
+    return [Check("homomorphism", "fail", witness)], 1
 
 
-def cmd_hom_retract(args, started: float) -> int:
-    big, small = _load(args.big), _load(args.small)
+def cmd_hom_retract(args) -> Report:
+    big, small = structures.load_structure(args.big), structures.load_structure(args.small)
     pair = find_retraction(big, small)
     if pair is None:
-        return _emit_report(args, "hom retract", [Check("retract", "fail")], 1, started)
-    witness = {"into": list(pair[0]), "onto": list(pair[1])}
-    return _emit_report(args, "hom retract", [Check("retract", "pass", witness)], 0, started)
+        return [Check("retract", "fail")], 1
+    return [Check("retract", "pass", {"into": list(pair[0]), "onto": list(pair[1])})], 0
 
 
 # --- pol ----------------------------------------------------------------------
 
 
-def cmd_pol_enumerate(args, started: float) -> int:
-    s = _load(args.file)
-    tables = polymorphisms(s, args.arity)
+def cmd_pol_enumerate(args) -> Report:
+    tables = polymorphisms(structures.load_structure(args.file), args.arity)
     checks = [Check("count", "pass", str(len(tables)))]
     code = 0
     if args.classify:
@@ -242,50 +236,48 @@ def cmd_pol_enumerate(args, started: float) -> int:
                 checks.append(Check(f"table {i}", "pass", f"{values}  {cls.describe()}"))
     else:
         checks.append(Check("tables", "pass", [",".join(map(str, t.values)) for t in tables]))
-    return _emit_report(args, "pol enumerate", checks, code, started)
+    return checks, code
 
 
 # --- psl ----------------------------------------------------------------------
 
 
-def cmd_psl_check(args, started: float) -> int:
-    s = _load(args.file)
+def cmd_psl_check(args) -> Report:
+    s = structures.load_structure(args.file)
     result = semilat.is_partial_semilattice(s)
     if isinstance(result, semilat.Refusal):
         witness = {"reason": result.reason, "detail": list(result.detail or ())}
-        return _emit_report(args, "psl check", [Check("partial semilattice", "refused", witness)], 1, started)
+        return [Check("partial semilattice", "refused", witness)], 1
     witness = {"ambient_size": 2**s.size, "embedding": list(result.embedding)}
-    return _emit_report(args, "psl check", [Check("partial semilattice", "pass", witness)], 0, started)
+    return [Check("partial semilattice", "pass", witness)], 0
 
 
-def cmd_psl_largest(args, started: float) -> int:
-    s = _load(args.file)
-    top = semilat.largest_element(s)
+def cmd_psl_largest(args) -> Report:
+    top = semilat.largest_element(structures.load_structure(args.file))
     if top is None:
-        return _emit_report(args, "psl largest", [Check("largest element", "fail")], 1, started)
-    return _emit_report(args, "psl largest", [Check("largest element", "pass", str(top))], 0, started)
+        return [Check("largest element", "fail")], 1
+    return [Check("largest element", "pass", str(top))], 0
 
 
-def cmd_psl_meet(args, started: float) -> int:
-    s = _load(args.file)
-    value = semilat.meet_lookup(s, args.first, args.second)
+def cmd_psl_meet(args) -> Report:
+    value = semilat.meet_lookup(structures.load_structure(args.file), args.first, args.second)
     if value is None:
-        return _emit_report(args, "psl meet", [Check("meet defined", "fail")], 1, started)
-    return _emit_report(args, "psl meet", [Check("meet defined", "pass", str(value))], 0, started)
+        return [Check("meet defined", "fail")], 1
+    return [Check("meet defined", "pass", str(value))], 0
 
 
-def cmd_psl_decompose(args, started: float) -> int:
-    factors = [_load(f) for f in args.factors]
-    target = _load(args.target)
+def cmd_psl_decompose(args) -> Report:
+    factors = [structures.load_structure(f) for f in args.factors]
+    target = structures.load_structure(args.target)
     try:
         decomposition = semilat.decompose_product_hom(factors, target, args.map, max_tuples=args.max_tuples)
     except semilat.DecompositionError as exc:  # unusable input is any other StructureError
-        return _emit_report(args, "psl decompose", [Check("decomposition", "fail", str(exc))], 1, started)
+        return [Check("decomposition", "fail", str(exc))], 1
     if decomposition.is_constant:
         witness = {"constant": decomposition.constant_value}
     else:
         witness = {"coordinate_maps": list(map(list, decomposition.coordinate_maps))}
-    return _emit_report(args, "psl decompose", [Check("decomposition", "pass", witness)], 0, started)
+    return [Check("decomposition", "pass", witness)], 0
 
 
 # --- free ---------------------------------------------------------------------
@@ -293,7 +285,7 @@ def cmd_psl_decompose(args, started: float) -> int:
 _STATUS_TO_VERDICT = {freecons.PASS: "pass", freecons.FAIL: "fail", freecons.SKIPPED: "refused"}
 
 
-def cmd_free_build(args, started: float) -> int:
+def cmd_free_build(args) -> Report:
     if args.verify_claims is not None and args.verify_claims < 1:  # refused before the build it would waste
         raise StructureError(f"claim arity must be >= 1, got {args.verify_claims}")
     algebra = freecons.load_algebra(args.algebra)
@@ -306,30 +298,29 @@ def cmd_free_build(args, started: float) -> int:
         reports.append(freecons.verify_claims(bundle, args.verify_claims))
     for report in reports:
         checks.extend(Check(r.name, _STATUS_TO_VERDICT[r.status], r.detail or None) for r in report.results)
-    return _emit_report(args, "free build", checks, 0 if all(report.passed for report in reports) else 1, started)
+    return checks, 0 if all(report.passed for report in reports) else 1
 
 
 # --- gadget ---------------------------------------------------------------------
 
 
-def cmd_gadget_apply(args, started: float) -> int:
-    d = _load(args.input)
-    return _emit_structure(args, gadget.gadget_transform(d))
+def cmd_gadget_apply(args) -> RelationalStructure:
+    return gadget.gadget_transform(structures.load_structure(args.input))
 
 
-def cmd_gadget_analyze(args, started: float) -> int:
-    d = _load(args.input)
+def cmd_gadget_analyze(args) -> Report:
+    d = structures.load_structure(args.input)
     semilat.single_ternary_relation(d)  # unusable input; a component that is no power is a verdict
     try:
         analysis = gadget.analyze_gadget_components(d)
     except StructureError as exc:
-        return _emit_report(args, "gadget analyze", [Check("powers of the semilattice", "fail", str(exc))], 1, started)
+        return [Check("powers of the semilattice", "fail", str(exc))], 1
     checks = [
         Check("input exponents", "pass", list(analysis.input_exponents)),
         Check("output exponents", "pass", list(analysis.output_exponents)),
         Check("multiplicities", "pass", {str(k): v for k, v in analysis.multiplicities().items()}),
     ]
-    return _emit_report(args, "gadget analyze", checks, 0, started)
+    return checks, 0
 
 
 # --- ident ----------------------------------------------------------------------
@@ -340,37 +331,33 @@ def _read_system(path: str) -> identlang.TermSystem:
         return identlang.parse(fh.read())
 
 
-def cmd_ident_parse(args, started: float) -> int:
+def cmd_ident_parse(args) -> Report:
     with open(args.system, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         sys_ = identlang.parse(text)
     except identlang.ParseError as exc:
-        return _emit_report(args, "ident parse", [Check("parse", "fail", str(exc))], 1, started)
-    witness = identlang.format_system(sys_).splitlines()
-    return _emit_report(args, "ident parse", [Check("parse", "pass", witness)], 0, started)
+        return [Check("parse", "fail", str(exc))], 1
+    return [Check("parse", "pass", identlang.format_system(sys_).splitlines())], 0
 
 
-def cmd_ident_linear(args, started: float) -> int:
-    sys_ = _read_system(args.system)
+def cmd_ident_linear(args) -> Report:
     checks = []
     code = 0
-    for identity in sys_.identities:
+    for identity in _read_system(args.system).identities:
         ok = identlang.is_linear(identity)
         checks.append(Check(str(identity), "pass" if ok else "fail"))
         if not ok:
             code = 1
-    return _emit_report(args, "ident linear", checks, code, started)
+    return checks, code
 
 
-def cmd_ident_saturate(args, started: float) -> int:
-    sys_ = _read_system(args.system)
-    witness = [text for text, _, _ in identlang.saturation(sys_)]
-    checks = [Check("saturated identities", "pass", witness)]
-    return _emit_report(args, "ident saturate", checks, 0, started)
+def cmd_ident_saturate(args) -> Report:
+    witness = [text for text, _, _ in identlang.saturation(_read_system(args.system))]
+    return [Check("saturated identities", "pass", witness)], 0
 
 
-def cmd_ident_hm_check(args, started: float) -> int:
+def cmd_ident_hm_check(args) -> Report:
     sys_ = _read_system(args.system)
     saturated = identlang.saturate(identlang.linear_fragment(sys_))
     report = identlang.hm_term_check(saturated, args.term)
@@ -379,16 +366,14 @@ def cmd_ident_hm_check(args, started: float) -> int:
         checks.append(Check(f"I={{{','.join(map(str, subset))}}}", "pass", str(identity)))
     if report.missing is not None:
         checks.append(Check(f"I={{{','.join(map(str, report.missing))}}}", "fail", "no witness identity"))
-    verdict = "pass" if report.passed else "fail"
-    checks.append(Check("subset condition", verdict))
-    return _emit_report(args, "ident hm-check", checks, 0 if report.passed else 1, started)
+    checks.append(Check("subset condition", "pass" if report.passed else "fail"))
+    return checks, 0 if report.passed else 1
 
 
-def cmd_ident_sl_interp(args, started: float) -> int:
-    sys_ = _read_system(args.system)
-    result = identlang.sl_interp_search(sys_)
+def cmd_ident_sl_interp(args) -> Report:
+    result = identlang.sl_interp_search(_read_system(args.system))
     if isinstance(result, identlang.SLLabeling):
-        return _emit_report(args, "ident sl-interp", [Check("interpretation", "pass", result.describe())], 0, started)
+        return [Check("interpretation", "pass", result.describe())], 0
     witness = [
         {
             "labeling": r.labeling.describe(),
@@ -402,13 +387,13 @@ def cmd_ident_sl_interp(args, started: float) -> int:
         Check("interpretation", "fail", f"UNSAT ({len(result.refutations)} refutations)"),
         Check("refutations", "pass", witness),
     ]
-    return _emit_report(args, "ident sl-interp", checks, 1, started)
+    return checks, 1
 
 
 # --- alg ------------------------------------------------------------------------
 
 
-def cmd_alg_hm_evidence(args, started: float) -> int:
+def cmd_alg_hm_evidence(args) -> Report:
     algebra = freecons.load_algebra(args.algebra)
     evidence = freecons.hm_evidence(algebra, args.max_arity, max_tuples=args.max_tuples)
     if isinstance(evidence, freecons.ConsistentLabelingFound):
@@ -417,7 +402,7 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
             "max_arity": evidence.max_arity,
             "note": "bounded evidence only; identities above the arity bound were not examined",
         }
-        return _emit_report(args, "alg hm-evidence", [Check("certified", "fail", witness)], 1, started)
+        return [Check("certified", "fail", witness)], 1
     replay = freecons.verify_certificate(algebra, evidence)
     checks = [
         Check(
@@ -430,7 +415,7 @@ def cmd_alg_hm_evidence(args, started: float) -> int:
     for r in evidence.refutations:
         name = r.labeling.describe()
         checks.append(Check(name, "pass", f"{r.lhs} = {r.rhs} (arity {r.arity})"))
-    return _emit_report(args, "alg hm-evidence", checks, 0 if replay else 1, started)
+    return checks, 0 if replay else 1
 
 
 # --- parser -----------------------------------------------------------------------
@@ -569,7 +554,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return globals()[f"cmd_{args.group}_{args.command}".replace("-", "_")](args, started)
+        result = globals()[f"cmd_{args.group}_{args.command}".replace("-", "_")](args)
+        if isinstance(result, RelationalStructure):
+            return _emit_structure(args, result)
+        return _emit_report(args, f"{args.group} {args.command}", *result, started)
     except (SizeLimitExceeded, StructureError, identlang.ParseError, identlang.SystemError_,
             OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

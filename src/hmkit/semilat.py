@@ -208,10 +208,10 @@ def _check_product_map(
     sym = target.symbols()[0]
     tgt = target.relations[sym].tuples
     sizes = [h.size for h in factors]
-    # per factor, a -> b -> [c], each scaled by the factor's stride in a rank
+    # per factor, a -> b -> [c], each scaled by the factor's stride: the rank of its unit coordinate
     tries = []
     for i, h in enumerate(factors):
-        stride, trie = math.prod(sizes[i + 1:]), {}
+        stride, trie = rank([int(j == i) for j in range(len(sizes))], sizes), {}
         for a, b, c in sorted(h.relations[sym].tuples):
             trie.setdefault(a * stride, {}).setdefault(b * stride, []).append(c * stride)
         tries.append(trie)
@@ -263,8 +263,8 @@ def decompose_product_hom(
     (t, t, t), where g = f_i.  When a check fails, the product tuples are
     walked first, so a map that is no homomorphism raises "not a
     homomorphism" at its least failing tuple, as the fold's triples are
-    images of product tuples; a homomorphism gets the failed check's own
-    DecompositionError.  max_tuples bounds only that walk: SizeLimitExceeded
+    images of product tuples; a homomorphism gets a DecompositionError
+    with the failed check's message.  max_tuples bounds only that walk: SizeLimitExceeded
     is raised when it would read tuple max_tuples + 1.
     """
     if not factors:
@@ -313,11 +313,9 @@ def decompose_product_hom(
             states = {tuple(_meet(meets, s, u) for s, u in zip(state, triple)) for state in states for triple in image}
         if not states <= rel:
             raise DecompositionError("coordinate images leave the target relation")
-    except StructureError as exc:
+    except StructureError as exc:  # a failed check, or a target or factor that is not functional
         _check_product_map(factors, target, mapping, max_tuples)  # names a failing product tuple first
-        if not isinstance(exc, DecompositionError):  # a target or factor that is not functional
-            raise DecompositionError(str(exc)) from exc
-        raise
+        raise DecompositionError(str(exc)) from exc
     # f is a homomorphism, and each top t has (t, t, t) in its relation, so f
     # restricted to each face through the tops is one too
     return ProductDecomposition(None, tuple(maps))

@@ -271,7 +271,7 @@ def test_hom_count_on_a_long_path(capsys, structure_file):
 
 
 def test_internal_error_is_exit_2(capsys, monkeypatch, structure_file, S):
-    def boom(args, started):
+    def boom(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_hom_count", boom)
@@ -1066,9 +1066,10 @@ VALID_ARGS = {
 def test_each_command_parses_as_the_whole_tree_does(capsys, monkeypatch):
     assert set(VALID_ARGS) == set(cli._parsers()[1])
     seen = []
+    monkeypatch.setattr(cli, "_emit_report", lambda args, command, checks, code, started: code)
     for (group, command), rest in VALID_ARGS.items():
         name = f"cmd_{group}_{command}".replace("-", "_")
-        monkeypatch.setattr(cli, name, lambda args, started: seen.append(args) or 0)
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or ([], 0))
         argv = [group, command, *rest]
         assert run(capsys, *argv) == (0, "", "")
         assert vars(seen.pop()) == vars(cli._parsers()[0].parse_args(argv))
@@ -1076,6 +1077,61 @@ def test_each_command_parses_as_the_whole_tree_does(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["hmkit", "psl", "check", "s.json", "--output=json"])
     assert main() == 0
     assert vars(seen.pop()) == {"group": "psl", "command": "check", "file": "s.json", "output": "json"}
+
+
+# a runnable argv after (group, command) for every command, on S, the
+# majority algebra and the majority system; a printed structure goes to a
+# directory that does not exist
+REAL_ARGS = {
+    ("structure", "validate"): ["{S}"],
+    ("structure", "components"): ["{S}"],
+    ("structure", "product"): ["{S}", "{S}", "--out", "{missing}"],
+    ("structure", "power"): ["{S}", "2", "--out", "{missing}"],
+    ("structure", "union"): ["{S}", "{S}", "--out", "{missing}"],
+    ("structure", "induced"): ["{S}", "--ids", "0,1", "--out", "{missing}"],
+    ("structure", "iso"): ["{S}", "{S}"],
+    ("hom", "find"): ["{S}", "{S}"],
+    ("hom", "count"): ["{S}", "{S}"],
+    ("hom", "check"): ["{S}", "{S}", "--map", "0,1"],
+    ("hom", "retract"): ["{S}", "{S}"],
+    ("pol", "enumerate"): ["{S}", "--arity", "2"],
+    ("psl", "check"): ["{S}"],
+    ("psl", "largest"): ["{S}"],
+    ("psl", "meet"): ["{S}", "0", "1"],
+    ("psl", "decompose"): ["--target", "{S}", "--factors", "{S}", "{S}", "--map", "0,0,0,1"],
+    ("free", "build"): ["--algebra", "{algebra}"],
+    ("gadget", "apply"): ["--input", "{S}", "--out", "{missing}"],
+    ("gadget", "analyze"): ["--input", "{S}"],
+    ("ident", "parse"): ["--system", "{system}"],
+    ("ident", "linear"): ["--system", "{system}"],
+    ("ident", "saturate"): ["--system", "{system}"],
+    ("ident", "hm-check"): ["--system", "{system}", "--term", "m"],
+    ("ident", "sl-interp"): ["--system", "{system}"],
+    ("alg", "hm-evidence"): ["--algebra", "{algebra}"],
+}
+
+
+@pytest.mark.parametrize("group, command", sorted(cli._parsers()[1]))
+def test_main_writes_each_report_under_its_command_name(
+    capsys, tmp_path, structure_file, algebra_file, system_file, S, majority_algebra, group, command
+):
+    """main names every report after the command that ran; a structure that
+    cannot be written is unusable output, exit 2, as main writes it."""
+    files = {
+        "S": structure_file(S),
+        "algebra": algebra_file(majority_algebra),
+        "system": system_file(MAJORITY_SYSTEM),
+        "missing": str(tmp_path / "missing" / "x.json"),
+    }
+    argv = [group, command, *(arg.format(**files) for arg in REAL_ARGS[group, command])]
+    if "--output" not in cli._parsers()[1][group, command]._option_string_actions:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), err
+        return
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == "" and out.splitlines()[0] == f"command: {group} {command}"
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert code in (0, 1) and err == "" and json.loads(out)["command"] == f"{group} {command}"
 
 
 def tree_outcome(capsys, argv):

@@ -400,6 +400,10 @@ def test_free_algebra_on_meet(meet_algebra):
     assert fa.generators == (0, 1)
     assert fa.elements[2] == (0, 0, 0, 1)
     assert fa.algebra.operations["meet"].is_idempotent()
+    # from five generators on they are numbered; the free semilattice has 2^5 - 1 elements
+    fa = free_algebra(meet_algebra, 5)
+    assert fa.algebra.labels[:6] == ("x1", "x2", "x3", "x4", "x5", "meet(x1,x2)")
+    assert fa.algebra.size == 31
 
 
 def test_free_algebra_rank_one_is_unary_terms(meet_algebra, lattice_algebra):

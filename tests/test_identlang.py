@@ -166,6 +166,8 @@ def test_parse_idempotent_and_comments():
     assert sys_.declarations == {"f": 2, "g": 1}
     assert sys_.idempotent == frozenset({"f"})
     assert len(sys_.identities) == 1
+    # empty entries in an idempotent header are skipped
+    assert parse("ops: f/2, g/1\nidempotent: f, ,g,\n").idempotent == frozenset({"f", "g"})
 
 
 def test_format_round_trip():

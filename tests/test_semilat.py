@@ -477,7 +477,7 @@ def test_a_homomorphism_that_fails_a_check_gets_that_checks_error(S, monkeypatch
     """On a homomorphism into a functional target every check passes (each
     meet the walk and the fold take is the image of a product tuple), so a
     meet lookup patched to find nothing drives the branch: the point walk's
-    error is re-raised, since the map passes the product walk, while a map
+    message is raised, since the map passes the product walk, while a map
     that is no homomorphism is named at its least failing tuple."""
     monkeypatch.setattr(semilat, "_meet", lambda index, a, b: None)
     with pytest.raises(DecompositionError, match=r"^iterated meet undefined at point \(0, 0\)$"):
