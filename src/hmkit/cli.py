@@ -371,7 +371,8 @@ def cmd_ident_hm_check(args) -> Report:
 
 
 def cmd_ident_sl_interp(args) -> Report:
-    result = identlang.sl_interp_search(_read_system(args.system))
+    sys_ = _read_system(args.system)
+    result = identlang.sl_interp_search(sys_)
     if isinstance(result, identlang.SLLabeling):
         return [Check("interpretation", "pass", result.describe())], 0
     witness = [
@@ -381,13 +382,10 @@ def cmd_ident_sl_interp(args) -> Report:
             "lhs_varset": sorted(r.lhs_varset),
             "rhs_varset": sorted(r.rhs_varset),
         }
-        for r in result.refutations
+        for r in result.refutations  # one per refuted prefix, under its partial labeling
     ]
-    checks = [
-        Check("interpretation", "fail", f"UNSAT ({len(result.refutations)} refutations)"),
-        Check("refutations", "pass", witness),
-    ]
-    return checks, 1
+    refuted = identlang.labeling_count(sys_.declarations.values())  # all of them, in the cover's blocks
+    return [Check("interpretation", "fail", f"UNSAT ({refuted} refutations)"), Check("refutations", "pass", witness)], 1
 
 
 # --- alg ------------------------------------------------------------------------
@@ -404,17 +402,13 @@ def cmd_alg_hm_evidence(args) -> Report:
         }
         return [Check("certified", "fail", witness)], 1
     replay = freecons.verify_certificate(algebra, evidence)
+    refuted = identlang.labeling_count(op.arity for op in algebra.operations.values())  # all of them, in the cover's blocks
     checks = [
-        Check(
-            "certified",
-            "pass",
-            {"max_arity": evidence.max_arity, "labelings_refuted": len(evidence.refutations)},
-        ),
+        Check("certified", "pass", {"max_arity": evidence.max_arity, "labelings_refuted": refuted}),
         Check("replay", "pass" if replay else "fail"),
     ]
-    for r in evidence.refutations:
-        name = r.labeling.describe()
-        checks.append(Check(name, "pass", f"{r.lhs} = {r.rhs} (arity {r.arity})"))
+    for r in evidence.refutations:  # one per refuted prefix, named by its partial labeling
+        checks.append(Check(r.labeling.describe(), "pass", f"{r.lhs} = {r.rhs} (arity {r.arity})"))
     return checks, 0 if replay else 1
 
 

@@ -57,9 +57,12 @@ their sets, so the closure keeps them as one labeling prefix (a coordinate
 set index per sorted symbol, extended at each symbol's first batch).
 Labeling order is the lexicographic order of full index tuples, so the
 prefixes decided, disjoint blocks of it, read in labeling order once
-sorted.  Membership does not depend on evaluation order, so the verdicts
-are those of any complete search; the identity is the first collision in
-semi-naive order over sorted symbols and lexicographic argument tuples.
+sorted, and so listed they are the certificate: a cover of the labelings,
+one partial labeling and identity per decided prefix, whose replay walks
+the prefix tree.  Membership does not depend on evaluation order, so the
+verdicts are those of any complete search; the identity is the first
+collision in semi-naive order over sorted symbols and lexicographic
+argument tuples.
 """
 
 from __future__ import annotations
@@ -85,10 +88,12 @@ from .identlang import (
     Term,
     Variable,
     _fold,
-    all_labelings,
     holds_in,
     nonempty_subsets,
+    prefix_labeling,
     sigma_varset,
+    skip_prefix,
+    term_symbols,
 )
 from .semilat import (
     is_partial_semilattice,
@@ -734,7 +739,7 @@ class LabelingRefutation(NamedTuple):
 
 class CertifiedHM(NamedTuple):
     max_arity: int
-    refutations: tuple[LabelingRefutation, ...]
+    refutations: tuple[LabelingRefutation, ...]  # a cover: one per refuted labeling prefix, in labeling order
 
 
 class ConsistentLabelingFound(NamedTuple):
@@ -851,8 +856,10 @@ def hm_evidence(
     order, which is the lexicographic order of index tuples, so sorted by
     prefix they read in labeling order: the first overflow raises and the
     first survivor is returned, as in a search of one labeling at a time.
-    Rank 1 is not searched: every labeled coordinate set is non-empty, so at
-    rank 1 every union is {x}.
+    A certificate is a cover: one refutation per decided prefix, in that
+    order, whose partial labeling labels the prefix's symbols and stands
+    for every labeling extending it.  Rank 1 is not searched: every labeled
+    coordinate set is non-empty, so at rank 1 every union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -873,29 +880,35 @@ def hm_evidence(
     for prefix, outcome in sorted(decided + [(p, None) for p in prefixes], key=operator.itemgetter(0)):
         if isinstance(outcome, SizeLimitExceeded):
             raise outcome
-        for rest in itertools.product(*map(range, map(len, choices[len(prefix) :]))):
-            labeling = SLLabeling(dict(zip(symbols, map(list.__getitem__, choices, prefix + rest))))
-            if outcome is None:
-                return ConsistentLabelingFound(labeling, m)
-            refutations.append(LabelingRefutation(labeling, *outcome))
+        if outcome is None:  # the survivor is the prefix's first labeling
+            return ConsistentLabelingFound(prefix_labeling(symbols, choices, prefix + (0,) * len(symbols)), m)
+        refutations.append(LabelingRefutation(prefix_labeling(symbols, choices, prefix), *outcome))
     return CertifiedHM(m, tuple(refutations))
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate: coverage (one refutation per labeling, in
-    labeling order), arities (ints from 2 to max_arity), well-formed terms
-    over a's symbols and the arity's variable names, validity in the algebra
-    of each identity (`holds_in` evaluates each side once, column-wise), and
-    the labeled variable sets of every refutation.  Anything malformed
-    returns False rather than raising.  An identity is replayed once per
-    arity and pair of term objects, keyed by their ids: the refutations of
-    one group share their terms, and the certificate keeps every term alive
-    for the call."""
+    """Replay a certificate, a cover of the labelings by refuted prefixes.
+
+    Coverage: a walk in labeling order holds the first labeling not yet
+    covered as a prefix followed by indexes 0.  Each entry's partial
+    labeling must be that labeling on the first k sorted symbols, k no
+    shorter than the prefix, and the walk then skips the entry's block,
+    every labeling extending it (`skip_prefix`), so blocks come in order
+    with no gap or overlap, and the last must end the order.  Per entry: an
+    arity (an int from 2 to max_arity), well-formed terms over the arity's
+    variable names and the prefix's symbols, validity in the algebra
+    (`holds_in` evaluates each side once, column-wise), and the labeled
+    variable sets under the partial labeling.  Anything malformed returns
+    False rather than raising.  An identity is replayed once per arity and
+    pair of term objects, keyed by their ids: the certificate keeps every
+    term alive for the call."""
     if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
         return False
     if not isinstance(certificate.max_arity, int):
         return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
+    symbols = a.symbols()
+    choices = [nonempty_subsets(arity[sym]) for sym in symbols]
 
     def node(u, ok: list) -> bool:
         return isinstance(u, Application) and isinstance(u.symbol, str) and all(ok) and len(ok) == arity.get(u.symbol)
@@ -904,8 +917,12 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
         return u.args if isinstance(u, Application) else ()
 
     valid: dict[tuple[int, int, int], bool] = {}
-    for labeling, r in itertools.zip_longest(all_labelings(arity), certificate.refutations):
-        if labeling is None or not isinstance(r, LabelingRefutation) or labeling != r.labeling:
+    prefix = [] if all(choices) else None  # the first labeling not yet covered is prefix + (0, ...); None past the last
+    for r in certificate.refutations:
+        if prefix is None or not isinstance(r, LabelingRefutation) or not isinstance(r.labeling, SLLabeling):
+            return False
+        prefix += [0] * (len(r.labeling.sigma) - len(prefix))
+        if r.labeling != prefix_labeling(symbols, choices, prefix):  # a longer prefix labels more symbols
             return False
         if not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
             return False
@@ -915,12 +932,14 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
             valid[key] = all(
                 _fold(t, lambda v: v.name in names, node, children) for t in (r.lhs, r.rhs)
             ) and holds_in(a, Identity(r.lhs, r.rhs), a.operations)
-        if not valid[key]:
+        if not valid[key] or not term_symbols(r.lhs) | term_symbols(r.rhs) <= r.labeling.sigma.keys():
             return False
         lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
         if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:
             return False
-    return True
+        if not skip_prefix(prefix, choices):
+            prefix = None
+    return prefix is None
 
 
 def bundle_summary(bundle: FreeBundle) -> dict:

@@ -7,20 +7,23 @@ The text format is line oriented:
     f(x,y) = f(y,x)      # one identity per line, '#' starts a comment
 
 Undeclared identifiers are variables.  The two analyses differ in scope:
-the coordinate-labeling search treats arbitrary terms, while saturation
-and the subset-condition check live in the fragment of linear identities
-with at most two variables, where saturation is an equivalence closure
-computed by union-find.  Terms may nest arbitrarily deep: the parser and
-`_fold`, the walker over arbitrary terms, keep explicit stacks; `_fold`
-keeps a frame (application, iterator over its children, their values) per
-open application, so it visits each node once and the leaves left to right.
+the coordinate-labeling search treats arbitrary terms, and answers UNSAT
+with a cover, one refuting identity per refuted labeling prefix, while
+saturation and the subset-condition check live in the fragment of linear
+identities with at most two variables, where saturation is an equivalence
+closure computed by union-find.  Terms may nest arbitrarily deep: the
+parser and `_fold`, the walker over arbitrary terms, keep explicit stacks;
+`_fold` keeps a frame (application, iterator over its children, their
+values) per open application, so it visits each node once and the leaves
+left to right.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -267,6 +270,18 @@ def term_variables(t: Term) -> frozenset[str]:
     return _varset(t, lambda u: u.args)
 
 
+def term_symbols(t: Term) -> set[str]:
+    """The symbols of a term; their order does not matter, so a plain walk
+    collects them rather than `_fold`."""
+    symbols, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Application):
+            symbols.add(u.symbol)
+            stack.extend(u.args)
+    return symbols
+
+
 def is_linear(i: Identity) -> bool:
     """At most one function symbol on each side."""
     return all(
@@ -457,41 +472,72 @@ class SLRefutation(NamedTuple):
 
 
 class SLUnsat(NamedTuple):
-    refutations: tuple[SLRefutation, ...]
+    refutations: tuple[SLRefutation, ...]  # a cover: one per refuted labeling prefix, in labeling order
 
 
-def all_labelings(declarations: Mapping[str, int]) -> Iterator[SLLabeling]:
-    """Every labeling, lazily, in lexicographic order of the sorted symbols' subsets."""
-    symbols = sorted(declarations)
-    combos = itertools.product(*(nonempty_subsets(declarations[s]) for s in symbols))
-    return (SLLabeling(dict(zip(symbols, combo))) for combo in combos)
+def labeling_count(arities: Iterable[int]) -> int:
+    """The number of labelings of symbols of these arities."""
+    return math.prod(2**n - 1 for n in arities)
 
 
-def check_labeling(sys: TermSystem, labeling: SLLabeling) -> SLRefutation | None:
-    """The first identity violated under the labeling, or None if all hold."""
-    for identity in sys.identities:
-        l = sigma_varset(identity.lhs, labeling)
-        r = sigma_varset(identity.rhs, labeling)
-        if l != r:
-            return SLRefutation(labeling, identity, l, r)
-    return None
+def prefix_labeling(symbols: Sequence[str], choices: Sequence[list], prefix: Sequence[int]) -> SLLabeling:
+    """The partial labeling of a prefix, an index into the `choices`
+    (nonempty_subsets) of each of the first sorted symbols, which stands
+    for every labeling extending it, a block of labeling order."""
+    return SLLabeling(dict(zip(symbols, map(list.__getitem__, choices, prefix))))
+
+
+def skip_prefix(prefix: list[int], choices: Sequence[list]) -> bool:
+    """Step the prefix, in place, past every labeling that extends it, to
+    the shortest prefix of the next labeling; False if none is left."""
+    while prefix and prefix[-1] == len(choices[len(prefix) - 1]) - 1:
+        prefix.pop()
+    if prefix:
+        prefix[-1] += 1
+    return bool(prefix)
 
 
 def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
-    """First labeling (lexicographic) satisfying every identity, else UNSAT.
+    """First labeling (lexicographic) satisfying every identity, else UNSAT
+    with a cover of the labelings by refuted prefixes.
 
     A labeling assigns each symbol a non-empty coordinate subset; an
     identity holds when both sides reach the same variables through
     labeled coordinates.  This semantics is exact for semilattice
     interpretations, where a term is determined by its variable set.
+
+    The search runs depth first over the sorted symbols, each symbol's
+    subsets in lexicographic order, so it meets labelings in order.  A
+    prefix of k symbols fixes the labeled variable sets of the identities
+    whose last sorted symbol is the k-th and checks them in system order;
+    the first that fails refutes the prefix's whole subtree, which is
+    skipped.  So the refuted prefixes are disjoint blocks of labeling order
+    that cover every labeling, or every one before the first survivor.
     """
-    refutations = []
-    for labeling in all_labelings(sys.declarations):
-        refutation = check_labeling(sys, labeling)
-        if refutation is None:
-            return labeling
-        refutations.append(refutation)
-    return SLUnsat(tuple(refutations))
+    symbols = sorted(sys.declarations)
+    choices = [nonempty_subsets(sys.declarations[sym]) for sym in symbols]
+    if not all(choices):
+        return SLUnsat(())
+    depth = {sym: k for k, sym in enumerate(symbols, start=1)}
+    due: list[list[Identity]] = [[] for _ in range(len(symbols) + 1)]  # due[k]: the identities a k-prefix decides
+    for identity in sys.identities:
+        used = term_symbols(identity.lhs) | term_symbols(identity.rhs)
+        due[max(map(depth.__getitem__, used), default=0)].append(identity)
+    prefix, refutations = [], []
+    while True:
+        labeling = prefix_labeling(symbols, choices, prefix)
+        for identity in due[len(prefix)]:
+            lhs, rhs = sigma_varset(identity.lhs, labeling), sigma_varset(identity.rhs, labeling)
+            if lhs != rhs:
+                refutations.append(SLRefutation(labeling, identity, lhs, rhs))
+                break
+        else:
+            if len(prefix) == len(symbols):
+                return labeling
+            prefix.append(0)
+            continue
+        if not skip_prefix(prefix, choices):
+            return SLUnsat(tuple(refutations))
 
 
 # --- evaluation bridge -------------------------------------------------------

@@ -204,6 +204,23 @@ def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:
     return True
 
 
+def all_labelings(declarations):
+    """Every labeling, lazily, in lexicographic order of the sorted symbols' subsets."""
+    symbols = sorted(declarations)
+    combos = itertools.product(*(nonempty_subsets(declarations[s]) for s in symbols))
+    return (SLLabeling(dict(zip(symbols, combo))) for combo in combos)
+
+
+def expand_cover(declarations, cover):
+    """Each labeling a cover holds, as (labeling, the entry whose partial
+    labeling it extends), block by block; entries of full labelings hold
+    just their own."""
+    for entry in cover:
+        rest = {sym: n for sym, n in declarations.items() if sym not in entry.labeling.sigma}
+        for tail in all_labelings(rest):
+            yield SLLabeling(entry.labeling.sigma | tail.sigma), entry
+
+
 def random_structure(rng, size, signature, density=None):
     """A seeded random structure; each relation keeps each tuple with one
     probability, drawn per relation unless given (0 leaves it empty)."""

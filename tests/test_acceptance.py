@@ -23,7 +23,6 @@ from hmkit.gadget import analyze_gadget_components, gadget_transform
 from hmkit.homsearch import find_homs, polymorphisms
 from hmkit.identlang import (
     SLUnsat,
-    all_labelings,
     hm_term_check,
     linear_fragment,
     parse,
@@ -51,6 +50,7 @@ from conftest import (
     MAJORITY_SYSTEM,
     MALTSEV_SYSTEM,
     SEMILATTICE_SYSTEM,
+    all_labelings,
     brute_force_homs,
     hm_pass_forces_unsat,
     iterated_meet,

@@ -21,7 +21,7 @@ from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
 from hmkit.homsearch import OperationTable, count_homs, polymorphisms
-from hmkit.identlang import parse, sl_interp_search
+from hmkit.identlang import nonempty_subsets, parse, sl_interp_search
 from hmkit.semilat import DecompositionError, PartialSemilatticeWitness, decompose_product_hom
 from hmkit.structures import (
     Relation,
@@ -847,6 +847,27 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
         assert code == 0
         with open(os.path.join(GOLDEN, f"alg_hm_evidence_{name}.json"), encoding="utf-8") as fh:
             assert re.sub(r'("elapsed_ms": )[0-9.e+-]+', r"\g<1>0", out) == fh.read()
+
+
+def test_six_majority_symbols_are_answered_by_a_cover(capsys, algebra_file, system_file, majority_algebra):
+    # every labeling of m0 is refuted by an identity in m0 alone, so seven
+    # entries stand for the 7^6 labelings; the counts are of labelings
+    prefixes = [f"m0->{{{','.join(map(str, c))}}}" for c in nonempty_subsets(3)]
+    six = FiniteAlgebra(2, {f"m{i}": majority_algebra.operations["m"] for i in range(6)})
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", algebra_file(six), "--output", "json")
+    report = json.loads(out)
+    assert code == 0 and len(out) < 100_000
+    assert report["checks"][0]["witness"] == {"max_arity": 3, "labelings_refuted": 117649}
+    assert report["checks"][1] == {"name": "replay", "verdict": "pass", "witness": None}
+    assert [c["name"] for c in report["checks"][2:]] == prefixes
+
+    text = "ops: " + ", ".join(f"m{i}/3" for i in range(6)) + "\n"
+    text += "".join(f"m{i}(x,x,y) = x\nm{i}(x,y,x) = x\nm{i}(y,x,x) = x\n" for i in range(6))
+    code, out, _ = run(capsys, "ident", "sl-interp", "--system", system_file(text), "--output", "json")
+    report = json.loads(out)
+    assert code == 1 and len(out) < 100_000
+    assert report["checks"][0]["witness"] == "UNSAT (117649 refutations)"
+    assert [r["labeling"] for r in report["checks"][1]["witness"]] == prefixes
 
 
 def test_alg_hm_evidence_certifies_a_constant_at_arity_bound_1(capsys, algebra_file):

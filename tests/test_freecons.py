@@ -51,8 +51,8 @@ from hmkit.identlang import (
     SLLabeling,
     Term,
     Variable,
-    all_labelings,
     holds_in,
+    nonempty_subsets,
     sigma_varset,
 )
 from hmkit.semilat import (
@@ -78,7 +78,7 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import algebra_doc, image_structure, kernel, one_element_structure, report_lines
+from conftest import algebra_doc, all_labelings, expand_cover, image_structure, kernel, one_element_structure, report_lines
 
 
 def closure_reference(seeds, algebras, max_elements):
@@ -327,9 +327,8 @@ def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refu
     m = default_evidence_arity(a) if max_arity is None else max_arity
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
-    declarations = {sym: a.operations[sym].arity for sym in a.symbols()}
     refutations = []
-    for labeling in all_labelings(declarations):
+    for labeling in all_labelings(declarations(a)):
         refutation = refute(a, labeling, m, max_tuples)
         if refutation is None:
             return ConsistentLabelingFound(labeling, m)
@@ -337,12 +336,27 @@ def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refu
     return CertifiedHM(m, tuple(refutations))
 
 
+def declarations(a):
+    return {sym: a.operations[sym].arity for sym in a.symbols()}
+
+
+def expanded(a, evidence):
+    """A certificate with one refutation per labeling, as the search gave
+    them before it returned covers: each entry under every labeling it
+    holds, with the entry's own terms; anything else as it is."""
+    if not isinstance(evidence, CertifiedHM):
+        return evidence
+    held = expand_cover(declarations(a), evidence.refutations)
+    return evidence._replace(refutations=tuple(r._replace(labeling=labeling) for labeling, r in held))
+
+
 def evidence_outcome(search, *args):
     """The whole result of an evidence search as plain data: every
-    refutation's labeling, arity, sides as text and variable sets, the
-    survivor, or the type and message of the exception raised."""
+    labeling's refutation (from the cover entry that holds it) as labeling,
+    arity, sides as text and variable sets, the survivor, or the type and
+    message of the exception raised."""
     try:
-        evidence = search(*args)
+        evidence = expanded(args[0], search(*args))
     except (StructureError, SizeLimitExceeded) as exc:
         return "raised", type(exc), str(exc)
     if isinstance(evidence, ConsistentLabelingFound):
@@ -818,11 +832,13 @@ def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebr
     evidence = hm_evidence(majority_algebra, max_tuples=3)
     assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
     assert widths == [2**2]
-    # the same single closure serves the 16,807 labelings of five majority symbols
+    # the same single closure serves the 16,807 labelings of five majority
+    # symbols, whose cover holds the 7 prefixes of m0
     widths.clear()
     five = FiniteAlgebra(2, {f"m{i}": majority_algebra.operations["m"] for i in range(5)})
     evidence = hm_evidence(five, max_tuples=3)
-    assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7**5
+    assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
+    assert len(expanded(five, evidence).refutations) == 7**5
     assert widths == [2**2]
     # a collision with max_tuples elements present would be the third pair
     with pytest.raises(SizeLimitExceeded, match="closure exceeded 2 elements"):
@@ -959,6 +975,39 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
         refutations = evidence.refutations[:2] + (r._replace(arity=arity),) + evidence.refutations[3:]
         assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is replays
 
+    # a cover of two symbols, the first projection a and the majority b:
+    # a->{1} survives a's batch and its seven b prefixes are refuted, while
+    # a->{1,2} and a->{2} are refuted whole.  Any partition of the labelings
+    # into blocks in order replays; a dropped, duplicated, overlapping or
+    # misplaced block, a prefix that skips a symbol, a coordinate set that is
+    # no choice and an identity outside its prefix are refused, not raised
+    two = FiniteAlgebra(2, {"a": OperationTable(2, 2, (0, 0, 1, 1)), "b": majority_algebra.operations["m"]})
+    cover = hm_evidence(two)
+    entries = cover.refutations
+    assert [r.labeling.describe() for r in entries[6:]] == ["a->{1} b->{3}", "a->{1,2}", "a->{2}"]
+    assert verify_certificate(two, cover) is True
+    a12, a2 = entries[7], entries[8]
+    inside = [a12._replace(labeling=SLLabeling({"a": (1, 2), "b": c})) for c in nonempty_subsets(3)]
+    assert verify_certificate(two, cover._replace(refutations=entries[:7] + tuple(inside) + (a2,))) is True
+    assert str(entries[0].lhs) == "y" and str(entries[0].rhs) == "b(x,y,y)"
+    tampered = [
+        entries[1:],  # dropped: the first, an inner and the last entry
+        entries[:3] + entries[4:],
+        entries[:-1],
+        entries[:8] + (a12,) + entries[8:],  # a duplicated block
+        entries[:7] + (inside[0], a12, a2),  # a block that overlaps the one before
+        entries[:8] + (inside[0], a2),  # a block inside the one before
+        entries[:7] + (a2, a12),  # two blocks swapped
+        (entries[1], entries[0]) + entries[2:],
+        (entries[0]._replace(labeling=SLLabeling({"b": (1,)})), a12, a2),  # skips a
+        entries + (a2,),  # a block past the last
+    ]
+    for coords in ((3,), (0,), (), (1, 1), ("1",), (1, 2, 3)):  # no coordinate set of the binary a
+        tampered.append(entries[:7] + (a12._replace(labeling=SLLabeling({"a": coords})), a2))
+    tampered.append(entries[:7] + (a12._replace(lhs=entries[0].lhs, rhs=entries[0].rhs), a2))  # b, outside a->{1,2}
+    for refutations in tampered:
+        assert verify_certificate(two, cover._replace(refutations=refutations)) is False, refutations
+
 
 def test_verify_certificate_returns_false_for_a_malformed_labeling(majority_algebra):
     evidence = hm_evidence(majority_algebra)
@@ -1067,7 +1116,7 @@ def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, latti
     refuted = 0
     for a in algebras:
         max_arity = default_evidence_arity(a)
-        for labeling in all_labelings({sym: a.operations[sym].arity for sym in a.symbols()}):
+        for labeling in all_labelings(declarations(a)):
             got = refute_labeling(a, labeling, max_arity, 10**6)
             want = refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
             # refuted or not, and at which rank; the identities may differ
@@ -1079,10 +1128,10 @@ def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, latti
                 refuted += 1
     assert refuted > 100
 
-    def verdict(evidence):
+    def verdict(a, evidence):
         if isinstance(evidence, ConsistentLabelingFound):
             return evidence
-        return evidence.max_arity, [(r.labeling, r.arity) for r in evidence.refutations]
+        return evidence.max_arity, [(r.labeling, r.arity) for r in expanded(a, evidence).refutations]
 
     evidence = [hm_evidence(a) for a in algebras]
     assert all(verify_certificate(a, e) for a, e in zip(algebras, evidence) if isinstance(e, CertifiedHM))
@@ -1090,7 +1139,43 @@ def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, latti
     def reference(a, labeling, max_arity, max_tuples):
         return refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
 
-    assert list(map(verdict, evidence)) == [verdict(hm_evidence_reference(a, refute=reference)) for a in algebras]
+    want = [verdict(a, hm_evidence_reference(a, refute=reference)) for a in algebras]
+    assert list(map(verdict, algebras, evidence)) == want
+
+
+def test_hm_evidence_covers_each_labeling_by_the_entry_that_holds_it(
+    majority_algebra, meet_algebra, lattice_algebra, bare_algebra
+):
+    """Fixture and seeded idempotent algebras with 1-4 symbols: the verdict
+    and first survivor are the reference's; a certificate replays, its
+    entries label prefixes of the sorted symbols, the entry that holds a
+    labeling refutes it, and expanding the cover gives the reference's
+    refutations, in order."""
+    rng = random.Random(39)
+    draws = []
+    for _ in range(120):
+        arities = [rng.randint(1, 2) for _ in range(rng.randint(1, 4))]
+        arities[rng.randrange(len(arities))] = rng.randint(1, 3)
+        size = rng.choice((2, 2, 3)) if len(arities) < 3 else 2
+        draws.append(FiniteAlgebra(size, {f"f{i}": idempotent_table(rng, size, n) for i, n in enumerate(arities)}))
+    four = FiniteAlgebra(2, {f"m{i}": majority_algebra.operations["m"] for i in range(4)})
+    kinds = Counter()
+    for a in [majority_algebra, meet_algebra, lattice_algebra, bare_algebra, four] + draws:
+        got, want = hm_evidence(a), hm_evidence_reference(a)
+        if isinstance(want, ConsistentLabelingFound):
+            assert got == want
+            kinds["survivor"] += 1
+            continue
+        assert isinstance(got, CertifiedHM) and verify_certificate(a, got)
+        symbols = a.symbols()
+        for labeling, entry in expand_cover(declarations(a), got.refutations):
+            assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
+            lhs, rhs = sigma_varset(entry.lhs, labeling), sigma_varset(entry.rhs, labeling)
+            assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
+        assert expanded(a, got) == want
+        kinds["certified"] += 1
+        kinds["cover shorter than the labelings"] += len(got.refutations) < len(want.refutations)
+    assert kinds["survivor"] > 60 and kinds["certified"] > 30 and kinds["cover shorter than the labelings"] > 15
 
 
 def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
@@ -1115,7 +1200,7 @@ def test_hm_evidence_matches_the_reference_on_many_labelings():
     majority = OperationTable(3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
     a = FiniteAlgebra(2, {f"m{i}": majority for i in range(5)})
     got = evidence_outcome(hm_evidence, a)
-    assert len(got[2]) == 7**5
+    assert len(got[2]) == 7**5 and len(hm_evidence(a).refutations) == 7
     assert got == evidence_outcome(hm_evidence_reference, a)
 
 

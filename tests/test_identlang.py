@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from typing import Callable, Mapping
 
 import pytest
@@ -12,15 +13,15 @@ from hmkit.identlang import (
     Identity,
     ParseError,
     SLLabeling,
+    SLRefutation,
     SLUnsat,
     SystemError_,
     Variable,
-    all_labelings,
-    check_labeling,
     format_system,
     hm_term_check,
     holds_in,
     is_linear,
+    labeling_count,
     linear_fragment,
     nonempty_subsets,
     parse,
@@ -33,7 +34,7 @@ from hmkit.identlang import (
 from hmkit.identlang import Term, TermSystem, _normalize, _rename
 from hmkit.structures import StructureError
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, hm_pass_forces_unsat
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, all_labelings, expand_cover, hm_pass_forces_unsat
 
 _X = Variable("x")
 
@@ -314,6 +315,84 @@ def test_all_labelings():
     assert labelings[0].sigma == {"m": (1,)}
     assert [l.sigma["m"] for l in labelings] == nonempty_subsets(3)
     assert list(all_labelings({})) == [SLLabeling({})]
+
+
+def check_labeling(sys: TermSystem, labeling: SLLabeling) -> SLRefutation | None:
+    """The first identity violated under the labeling, or None if all hold."""
+    for identity in sys.identities:
+        l = sigma_varset(identity.lhs, labeling)
+        r = sigma_varset(identity.rhs, labeling)
+        if l != r:
+            return SLRefutation(labeling, identity, l, r)
+    return None
+
+
+# Oracle for the labeling search: the search as it was before it pruned
+# refuted prefixes, one labeling at a time with one refutation each.
+def sl_interp_reference(sys: TermSystem) -> SLLabeling | SLUnsat:
+    refutations = []
+    for labeling in all_labelings(sys.declarations):
+        refutation = check_labeling(sys, labeling)
+        if refutation is None:
+            return labeling
+        refutations.append(refutation)
+    return SLUnsat(tuple(refutations))
+
+
+def random_labeling_system(rng: random.Random) -> TermSystem:
+    """1-4 symbols of arity 1-3 and 0-4 identities between terms of depth
+    at most 2 in x and y, some of them with no symbol."""
+    declarations = {name: rng.randint(1, 3) for name in "fghk"[: rng.randint(1, 4)]}
+
+    def term(depth: int) -> Term:
+        if depth == 0 or rng.random() < 0.3:
+            return Variable(rng.choice("xy"))
+        symbol = rng.choice(sorted(declarations))
+        return Application(symbol, tuple(term(depth - 1) for _ in range(declarations[symbol])))
+
+    return TermSystem(declarations, [Identity(term(rng.randint(1, 2)), term(rng.randint(0, 1))) for _ in range(rng.randint(0, 4))])
+
+
+def test_sl_interp_search_matches_the_reference():
+    """On seeded systems of 1-4 symbols the verdict and first survivor are
+    the reference's; an UNSAT cover holds every labeling once, in order,
+    and the entry that holds a labeling refutes it."""
+    rng = random.Random(39)
+    kinds = Counter()
+    for _ in range(400):
+        sys_ = random_labeling_system(rng)
+        got, want = sl_interp_search(sys_), sl_interp_reference(sys_)
+        if isinstance(want, SLLabeling):
+            assert isinstance(got, SLLabeling) and got == want
+            kinds["survivor"] += 1
+            kinds["survivor after a refuted labeling"] += want != next(all_labelings(sys_.declarations))
+            continue
+        assert isinstance(got, SLUnsat)
+        covered = list(expand_cover(sys_.declarations, got.refutations))
+        assert [labeling for labeling, _ in covered] == [r.labeling for r in want.refutations]
+        assert len(covered) == labeling_count(sys_.declarations.values())
+        symbols = sorted(sys_.declarations)
+        for labeling, entry in covered:
+            assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
+            assert entry.identity in sys_.identities
+            lhs, rhs = sigma_varset(entry.identity.lhs, labeling), sigma_varset(entry.identity.rhs, labeling)
+            assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
+        kinds["unsat"] += 1
+        kinds["cover shorter than the labelings"] += len(got.refutations) < len(covered)
+    assert kinds["survivor"] > 150 and kinds["survivor after a refuted labeling"] > 40
+    assert kinds["unsat"] > 150 and kinds["cover shorter than the labelings"] > 100
+
+
+def test_sl_interp_search_edge_signatures():
+    # no symbol: one labeling, the empty one
+    assert sl_interp_search(parse("ops:\nx = x\n")) == SLLabeling({})
+    # an identity with no symbol is checked before any symbol is labeled
+    unsat = sl_interp_search(parse("ops: f/2\nf(x,y) = x\nx = y\n"))
+    assert [(r.labeling, str(r.identity)) for r in unsat.refutations] == [(SLLabeling({}), "x = y")]
+    # a symbol of arity 0 has no coordinate set, so there is no labeling
+    nullary = TermSystem({"c": 0, "f": 2}, [Identity(Variable("x"), Variable("y"))])
+    assert sl_interp_search(nullary) == sl_interp_reference(nullary) == SLUnsat(())
+    assert labeling_count(nullary.declarations.values()) == 0
 
 
 def test_sl_interp_search_verdicts():
