@@ -21,12 +21,20 @@ has the same elements, so the smaller tuple t.pi fires at the same level
 and narrows the same hole to the same values (Gent, Petrie & Puget,
 "Symmetry in Constraint Programming", 2006).  The search runs on an
 explicit stack, so no input size is bounded by the recursion limit.
+
+The plan (`_plan`) is built in bulk before the first node.  The symmetric
+filter is one set operation per symmetric pair.  A support table is built
+by C-level filter and read passes over the target relation, with one
+OR-accumulate loop.  Each kept tuple's hole, the positions holding it and
+its other values come from C-level passes over the tuples and their
+columns, which leaves one `max`, one `itemgetter` and one append per
+tuple.  Each level's checks come in sorted-tuple order.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import eq, gt, itemgetter, ne, not_
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .structures import (
@@ -94,28 +102,7 @@ def hom_maps(
             raise StructureError(f"pin {k}->{allowed:#b} out of range")
         domain[k] &= allowed
 
-    # checks[v]: (hole, read the other values, support table) for every
-    # kept tuple whose highest element is `hole` and second highest is v
-    checks: list[list[tuple]] = [[] for _ in range(n)]
-    tables: dict[tuple[str, tuple[int, ...]], dict] = {}
-    for sym in source.symbols():
-        rel = source.relations[sym]
-        swaps = [(i, j, _swap(rel.arity, i, j)) for i, j in _symmetric_pairs(target.relations[sym])]
-        for t in rel.sorted_tuples():
-            # a smaller tuple of the source, equal up to a symmetry of the
-            # target, already enforces this one
-            if any(t[i] > t[j] and swap(t) in rel.tuples for i, j, swap in swaps):
-                continue
-            elems = sorted(set(t))
-            hole = elems[-1]
-            holes = tuple(itertools.compress(range(len(t)), map(hole.__eq__, t)))
-            table = tables.get((sym, holes))
-            if table is None:
-                table = tables[sym, holes] = _support_table(target.relations[sym], holes)
-            if len(elems) == 1:
-                domain[hole] &= table.get((), 0)
-            else:
-                checks[elems[-2]].append((hole, itemgetter(*itertools.compress(t, map(hole.__ne__, t))), table))
+    checks = _plan(source, target, domain)
     if not all(domain):
         return
     if n == 0:
@@ -160,6 +147,34 @@ def hom_maps(
             untried[level] = domain[level] & ~used[level]
 
 
+def _plan(source: RelationalStructure, target: RelationalStructure, domain: list[int]) -> list[list[tuple]]:
+    """checks[v]: (hole, read the other values, support table) for every kept
+    source tuple whose highest element is `hole` and second highest is v, in
+    sorted-tuple order; a constant tuple narrows `domain[hole]` in place."""
+    checks: list[list[tuple]] = [[] for _ in range(source.size)]
+    for sym in source.symbols():
+        rel, tgt = source.relations[sym], target.relations[sym]
+        # drop each t with t[i] > t[j] whose swap is a source tuple too: that
+        # smaller tuple, equal up to a symmetry of the target, enforces t
+        dropped: set[tuple[int, ...]] = set()
+        for i, j in _symmetric_pairs(tgt):
+            at_i, at_j = map(itemgetter(i), rel.tuples), map(itemgetter(j), rel.tuples)
+            above = list(itertools.compress(rel.tuples, map(gt, at_i, at_j)))
+            dropped.update(itertools.compress(above, map(rel.tuples.__contains__, map(_swap(rel.arity, i, j), above))))
+        ts = sorted(rel.tuples - dropped)
+        holes = list(map(max, ts))
+        # per tuple, which positions hold a value other than its hole
+        off_hole = list(zip(*[map(ne, column, holes) for column in zip(*ts)]))
+        tables = {p: _support_table(tgt, tuple(itertools.compress(range(rel.arity), map(not_, p)))) for p in set(off_hole)}
+        others = map(tuple, map(itertools.compress, ts, off_hole))
+        for hole, values, table in zip(holes, others, map(tables.__getitem__, off_hole)):
+            if values:
+                checks[max(values)].append((hole, itemgetter(*values), table))
+            else:
+                domain[hole] &= table.get((), 0)
+    return checks
+
+
 def _symmetric_pairs(rel: Relation) -> list[tuple[int, int]]:
     """The position pairs (i, j), i < j, whose transposition maps `rel` onto
     itself (every pair when `rel` is empty)."""
@@ -180,14 +195,15 @@ def _swap(arity: int, i: int, j: int) -> itemgetter:
 def _support_table(rel: Relation, holes: tuple[int, ...]) -> dict:
     """Values at the positions outside `holes` -> bitmask of the values c
     such that c at every position in `holes` completes a tuple of `rel`."""
+    tuples = list(rel.tuples)
+    first = itemgetter(holes[0])
+    for i in holes[1:]:
+        tuples = list(itertools.compress(tuples, map(eq, map(first, tuples), map(itemgetter(i), tuples))))
     rest = [i for i in range(rel.arity) if i not in holes]
-    read = itemgetter(*rest) if rest else (lambda t: ())
+    keys = map(itemgetter(*rest), tuples) if rest else itertools.repeat((), len(tuples))
     table: dict = {}
-    for t in rel.tuples:
-        c = t[holes[0]]
-        if all(t[i] == c for i in holes):
-            key = read(t)
-            table[key] = table.get(key, 0) | (1 << c)
+    for key, c in zip(keys, map(first, tuples)):
+        table[key] = table.get(key, 0) | 1 << c
     return table
 
 

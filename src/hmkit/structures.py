@@ -109,9 +109,10 @@ def connected_components(s: RelationalStructure) -> tuple[tuple[int, ...], ...]:
 
     One linear pass over the tuples joins, by union-find, the coordinates of
     every tuple; that is the closure of the projection edges without
-    building the binary projections.  Relations of arity below 2 are
-    refused, as they have no binary projection.  The blocks are sorted id
-    tuples, ordered by their least element.
+    building the binary projections.  The pass stops once size - 1 unions
+    have left one block.  Relations of arity below 2 are refused, as they
+    have no binary projection.  The blocks are sorted id tuples, ordered by
+    their least element.
     """
     for sym in s.symbols():
         arity = s.relations[sym].arity
@@ -125,15 +126,18 @@ def connected_components(s: RelationalStructure) -> tuple[tuple[int, ...], ...]:
             a = parent[a]
         return a
 
-    for rel in s.relations.values():
-        for t in rel.tuples:
-            ra = find(t[0])
-            for v in t[1:]:
-                rb = find(v)
-                if rb < ra:
-                    ra, rb = rb, ra
-                if ra != rb:
-                    parent[rb] = ra
+    unions = 0
+    for t in itertools.chain.from_iterable(rel.tuples for rel in s.relations.values()):
+        if unions == s.size - 1:
+            break
+        ra = find(t[0])
+        for v in t[1:]:
+            rb = find(v)
+            if rb < ra:
+                ra, rb = rb, ra
+            if ra != rb:
+                parent[rb] = ra
+                unions += 1
 
     # a scan in id order meets each block first at its least element
     blocks: dict[int, list[int]] = {}

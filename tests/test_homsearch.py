@@ -1,12 +1,15 @@
 import itertools
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
 from hmkit.gadget import y_structure
 from hmkit.homsearch import (
     OperationTable,
+    _plan,
+    _support_table,
     _symmetric_pairs,
     count_homs,
     find_homs,
@@ -162,6 +165,111 @@ def test_hom_maps_into_symmetric_targets_match_brute_force(arity, swaps, pairs):
                 ]
                 assert list(hom_maps(src, tgt, domains, injective)) == want, (src, tgt, domains, injective)
     assert nonempty >= 10
+
+
+def support_table_reference(rel, holes):
+    """The support table built one target tuple at a time: values at the
+    positions outside `holes` -> bitmask of the values c such that c at
+    every position in `holes` completes a tuple of `rel`."""
+    rest = [i for i in range(rel.arity) if i not in holes]
+    read = itemgetter(*rest) if rest else (lambda t: ())
+    table = {}
+    for t in rel.tuples:
+        c = t[holes[0]]
+        if all(t[i] == c for i in holes):
+            key = read(t)
+            table[key] = table.get(key, 0) | (1 << c)
+    return table
+
+
+def transposed(t, i, j):
+    u = list(t)
+    u[i], u[j] = u[j], u[i]
+    return tuple(u)
+
+
+def plan_reference(source, target, domain):
+    """The search plan built one source tuple at a time, with its own
+    symmetry test: per level the (hole, reader, support table) checks in
+    sorted-tuple order; a constant tuple narrows `domain` in place."""
+    checks = [[] for _ in range(source.size)]
+    tables = {}
+    for sym in source.symbols():
+        rel, tgt = source.relations[sym], target.relations[sym]
+        pairs = [
+            (i, j) for i, j in itertools.combinations(range(rel.arity), 2)
+            if all(transposed(t, i, j) in tgt.tuples for t in tgt.tuples)
+        ]
+        for t in sorted(rel.tuples):
+            if any(t[i] > t[j] and transposed(t, i, j) in rel.tuples for i, j in pairs):
+                continue
+            elems = sorted(set(t))
+            hole = elems[-1]
+            holes = tuple(k for k, v in enumerate(t) if v == hole)
+            if (sym, holes) not in tables:
+                tables[sym, holes] = support_table_reference(tgt, holes)
+            table = tables[sym, holes]
+            if len(elems) == 1:
+                domain[hole] &= table.get((), 0)
+            else:
+                checks[elems[-2]].append((hole, itemgetter(*(v for v in t if v != hole)), table))
+    return checks
+
+
+def plan_pairs(S, point, chain3):
+    """(source, target) pairs: the fixtures, powers of S into S and into
+    themselves, chain3^3, Y^2, and seeded structures of arity 1-4 with
+    empty relations, constant tuples and symmetric targets."""
+    Y = y_structure()
+    for a, b in itertools.product((S, point, chain3, Y), repeat=2):
+        yield a, b
+    for n in range(1, 6):
+        yield power(S, n), S
+        yield power(S, n), power(S, n)
+        yield S, power(S, n)
+    yield power(chain3, 3), chain3
+    yield power(Y, 2), Y
+    rng = random.Random(53)
+    for k in range(200):
+        signature = {sym: rng.randint(1, 4) for sym in rng.sample("EFR", rng.randint(1, 3))}
+        src = random_structure(rng, rng.randint(0, 6), signature)
+        if k % 2:
+            # a target closed under some transpositions, so the filter drops tuples
+            size, rels = rng.randint(1, 4), {}
+            for sym, arity in signature.items():
+                swaps = rng.sample(list(itertools.combinations(range(arity), 2)), min(arity - 1, 2))
+                rels[sym] = closed_under(random_structure(rng, size, {sym: arity}).relations[sym], swaps)
+            tgt = RelationalStructure(size, rels)
+        else:
+            tgt = random_structure(rng, rng.randint(0, 4), signature)
+        yield src, tgt
+
+
+def test_plan_matches_the_per_tuple_reference(S, point, chain3):
+    """Bulk support tables and the bulk symmetric filter give the per-tuple
+    plan: equal tables, and per level the same holes, read values and order."""
+    rng = random.Random(59)
+    dropped = narrowed = 0
+    for src, tgt in plan_pairs(S, point, chain3):
+        for sym in tgt.symbols():
+            rel = tgt.relations[sym]
+            for k in range(1, rel.arity + 1):
+                for holes in itertools.combinations(range(rel.arity), k):
+                    assert _support_table(rel, holes) == support_table_reference(rel, holes), (rel, holes)
+        full = (1 << tgt.size) - 1
+        start = [rng.randint(0, full) if rng.random() < 0.3 else full for _ in range(src.size)]
+        got_domain, want_domain = list(start), list(start)
+        got, want = _plan(src, tgt, got_domain), plan_reference(src, tgt, want_domain)
+        assert got_domain == want_domain, (src, tgt)
+        # read from the identity map, a reader returns the elements it reads
+        ids = list(range(src.size))
+        assert [[(hole, read(ids), table) for hole, read, table in level] for level in got] == [
+            [(hole, read(ids), table) for hole, read, table in level] for level in want
+        ], (src, tgt)
+        nonconstant = sum(len(set(t)) > 1 for r in src.relations.values() for t in r.tuples)
+        dropped += sum(map(len, want)) < nonconstant
+        narrowed += want_domain != start
+    assert dropped > 50 and narrowed > 50
 
 
 def backtrack_homs(src, tgt):
@@ -358,6 +466,10 @@ def test_operation_table_validation():
         OperationTable(2, 2, (0, 0, 0))
     with pytest.raises(StructureError):
         OperationTable(1, 2, (0, 2))
+    # the first value out of range is named, whichever end it is out at
+    for values, first in (((0, 5, -1, 4), 5), ((1, -1, 9, 0), -1), ((3, 3, 3, 4), 4)):
+        with pytest.raises(StructureError, match=rf"^table value {first} out of range for size 4$"):
+            OperationTable(1, 4, values)
 
 
 def test_operation_graph_is_the_meet_structure(S, meet_table):

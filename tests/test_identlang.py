@@ -31,7 +31,7 @@ from hmkit.identlang import (
     term_variables,
     _witness_for,
 )
-from hmkit.identlang import Term, TermSystem, _normalize, _rename
+from hmkit.identlang import Term, TermSystem, _normalize
 from hmkit.structures import StructureError
 
 from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, all_labelings, expand_cover, hm_pass_forces_unsat
@@ -59,6 +59,20 @@ def fold_reference(t: Term, leaf: Callable, node: Callable, children: Callable =
 
 def evaluate(t: Term, env: Mapping[str, int], interp: Mapping[str, "object"]) -> int:
     return fold_reference(t, lambda v: env[v.name], lambda u, values: interp[u.symbol].apply(*values))
+
+
+def reference_rename(t: Term, table: Mapping[str, str]) -> Term:
+    """t with each variable named in `table` renamed, by the oracle walker."""
+    return fold_reference(t, lambda v: Variable(table.get(v.name, v.name)), lambda u, args: Application(u.symbol, args))
+
+
+def reference_normalize(i: Identity) -> Identity:
+    """i with its variables renamed x, y by first occurrence, lhs first."""
+    order: dict[str, None] = {}
+    for side in (i.lhs, i.rhs):
+        fold_reference(side, lambda v: order.setdefault(v.name), lambda u, values: None)
+    table = dict(zip(order, ("x", "y")))
+    return Identity(reference_rename(i.lhs, table), reference_rename(i.rhs, table))
 
 
 def holds_in_reference(algebra, identity: Identity, interp: Mapping[str, "object"]) -> bool:
@@ -97,10 +111,10 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
 
     def renamed(k: int, table: dict, memo: dict) -> int:
         if k not in memo:
-            memo[k] = numbered(_rename(terms[k], table))
+            memo[k] = numbered(reference_rename(terms[k], table))
         return memo[k]
 
-    new = {pair(_normalize(i)) for i in sys.identities}
+    new = {pair(reference_normalize(i)) for i in sys.identities}
     for name in sorted(sys.idempotent):
         arity = sys.declarations[name]
         new.add(pair(Identity(Application(name, (_X,) * arity), _X)))
@@ -125,7 +139,7 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
             derived.add((b, a))
             c, d = renamed(a, collapse, collapsed), renamed(b, collapse, collapsed)
             if (c, d) not in normalized:
-                normalized[c, d] = pair(_normalize(Identity(terms[c], terms[d])))
+                normalized[c, d] = pair(reference_normalize(Identity(terms[c], terms[d])))
             derived.add(normalized[c, d])
             derived.update((a, r) for r in by_lhs.get(b, ()))  # transitivity, (a, b) first
             derived.update((l, b) for l in by_rhs.get(a, ()))  # transitivity, (a, b) second
@@ -221,10 +235,8 @@ def test_saturate_is_a_closure():
     assert "f(x,x) = x" in strs  # seeded from the idempotent declaration
     assert "f(x,y) = f(y,x)" in strs
     # symmetry closure, modulo variable renormalization
-    from hmkit.identlang import _normalize
-
     for i in idents:
-        assert _normalize(Identity(i.rhs, i.lhs)) in idents
+        assert reference_normalize(Identity(i.rhs, i.lhs)) in idents
     # transitivity closure
     by_lhs = {}
     for i in idents:
@@ -468,18 +480,6 @@ def reference_str(t: Term) -> str:
 
 def reference_varset(t: Term, children: Callable = lambda u: u.args) -> frozenset[str]:
     return fold_reference(t, lambda v: frozenset({v.name}), lambda u, sets: frozenset().union(*sets), children)
-
-
-def reference_normalize(i: Identity) -> Identity:
-    order: dict[str, None] = {}
-    for side in (i.lhs, i.rhs):
-        fold_reference(side, lambda v: order.setdefault(v.name), lambda u, values: None)
-    table = dict(zip(order, ("x", "y")))
-
-    def rename(t: Term) -> Term:
-        return fold_reference(t, lambda v: Variable(table.get(v.name, v.name)), lambda u, args: Application(u.symbol, args))
-
-    return Identity(rename(i.lhs), rename(i.rhs))
 
 
 def test_fold_matches_fold_reference():

@@ -148,6 +148,73 @@ def test_connected_components_matches_reference():
     assert str(got_error.value) == str(want_error.value)
 
 
+def connected_components_bfs(s):
+    """Blocks by breadth-first search: elements that share a tuple are
+    neighbours; each block is found from its least element."""
+    neighbours = [set() for _ in range(s.size)]
+    for rel in s.relations.values():
+        for t in rel.tuples:
+            for v in t:
+                neighbours[v].update(t)
+    seen, blocks = [False] * s.size, []
+    for v in range(s.size):
+        if seen[v]:
+            continue
+        seen[v], block, queue = True, [], [v]
+        while queue:
+            a = queue.pop(0)
+            block.append(a)
+            for b in sorted(neighbours[a]):
+                if not seen[b]:
+                    seen[b] = True
+                    queue.append(b)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+class CountingTuples(frozenset):
+    """A tuple set that counts the tuples read from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for t in super().__iter__():
+            self.read += 1
+            yield t
+
+
+def test_connected_components_match_bfs_and_stop_at_one_block(S, point):
+    """Seeded one-block structures (relabeled powers of S, dense random
+    structures) and many-block ones (shuffled unions, sparse random
+    structures) get the BFS blocks in the BFS order; a structure that is one
+    block before its last tuple is not read to the end."""
+    rng = random.Random(61)
+    one = many = 0
+    for k in range(120):
+        kind = k % 4
+        if kind == 0:
+            n = rng.randint(1, 6)
+            s = relabel(power(S, n), rng.sample(range(2**n), 2**n))
+        elif kind == 1:
+            parts = [power(S, rng.randint(1, 3)) if rng.random() < 0.7 else point for _ in range(rng.randint(2, 4))]
+            u = disjoint_union(parts)
+            s = relabel(u, rng.sample(range(u.size), u.size))
+        else:
+            size = rng.randint(1, 12)
+            density = 0.5 if kind == 2 else 0.02
+            s = random_structure(rng, size, {sym: rng.randint(2, 4) for sym in rng.sample("QPR", rng.randint(1, 2))}, density)
+        want = connected_components_bfs(s)
+        assert connected_components(s) == want, s
+        one += len(want) == 1
+        many += len(want) > 1
+    assert one >= 60 and many >= 40
+
+    S5 = power(S, 5)
+    tuples = CountingTuples(S5.relations["R"].tuples)
+    assert connected_components(RelationalStructure(S5.size, {"R": Relation(3, tuples)})) == (tuple(range(32)),)
+    assert 0 < tuples.read < len(tuples) // 4
+
+
 def test_product_ranks_are_lexicographic(S):
     p = product([S, S])
     assert p.size == 4
