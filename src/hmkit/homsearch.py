@@ -20,15 +20,20 @@ too: h(t) lies in the target relation exactly when h(t.pi) does, and t.pi
 has the same elements, so the smaller tuple t.pi fires at the same level
 and narrows the same hole to the same values (Gent, Petrie & Puget,
 "Symmetry in Constraint Programming", 2006).  The search runs on an
-explicit stack, so no input size is bounded by the recursion limit.
+explicit stack, so no input size is bounded by the recursion limit.  A
+node narrows a copy of the domain list its level was entered with, or the
+list itself on the level's last value, so backtracking restores nothing.
 
 The plan (`_plan`) is built in bulk before the first node.  The symmetric
 filter is one set operation per symmetric pair.  A support table is built
 by C-level filter and read passes over the target relation, with one
 OR-accumulate loop.  Each kept tuple's hole, the positions holding it and
 its other values come from C-level passes over the tuples and their
-columns, which leaves one `max`, one `itemgetter` and one append per
-tuple.  Each level's checks come in sorted-tuple order.
+columns.  The tuples of a relation that read the same values at the same
+off-hole positions share a check: a node reads its support table once,
+narrows each of its holes, and skips it when the read allows every value
+(as Compact-Table shares reads, Demeulenaere et al., CP 2016).  Checks
+and their holes come in sorted-tuple order.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def hom_maps(
         domain[k] &= allowed
 
     checks = _plan(source, target, domain)
-    if not all(domain):
+    if checks is None or not all(domain):
         return
     if n == 0:
         yield ()
@@ -111,52 +116,55 @@ def hom_maps(
 
     mapping = [0] * n
     untried = [0] * n  # values still to try at each level
-    mark = [0] * n  # trail length on entering each level
+    entry = [domain] * n  # the domains each level was entered with
     used = [0] * n  # values taken by the levels above (injective only)
-    trail: list[tuple[int, int]] = []  # (element, domain before narrowing)
     last = n - 1
     level = 0
     untried[0] = domain[0]
     while level >= 0:
-        while len(trail) > mark[level]:
-            v, old = trail.pop()
-            domain[v] = old
         values = untried[level]
         if not values:
             level -= 1
             continue
         bit = values & -values
-        untried[level] = values ^ bit
+        untried[level] = values = values ^ bit
         mapping[level] = bit.bit_length() - 1
-        for hole, read, table in checks[level]:
-            before = domain[hole]
-            after = before & table.get(read(mapping), 0)
-            if after != before:
-                trail.append((hole, before))
-                domain[hole] = after
-                if not after:
-                    break
+        if level == last:
+            yield tuple(mapping)
+            continue
+        # the level's last value may narrow its list in place
+        domain = entry[level][:] if values else entry[level]
+        for read, table, holes in checks[level]:
+            allowed = table.get(read(mapping), 0)
+            if allowed != full:
+                for hole in holes:
+                    domain[hole] &= allowed
+                    if not domain[hole]:
+                        break
+                else:
+                    continue
+                break
         else:
-            if level == last:
-                yield tuple(mapping)
-                continue
             level += 1
-            mark[level] = len(trail)
+            entry[level] = domain
             if injective:
                 used[level] = used[level - 1] | bit
             untried[level] = domain[level] & ~used[level]
 
 
-def _plan(source: RelationalStructure, target: RelationalStructure, domain: list[int]) -> list[list[tuple]]:
-    """checks[v]: (hole, read the other values, support table) for every kept
-    source tuple whose highest element is `hole` and second highest is v, in
-    sorted-tuple order; a constant tuple narrows `domain[hole]` in place."""
+def _plan(source: RelationalStructure, target: RelationalStructure, domain: list[int]) -> list[list[tuple]] | None:
+    """checks[v]: (read, support table, holes) per relation, off-hole positions
+    and values read of the kept tuples whose second highest element is v, in
+    sorted-tuple order; a constant tuple narrows `domain[hole]` in place.
+    None when the target lacks a source tuple (), so there are no maps."""
     checks: list[list[tuple]] = [[] for _ in range(source.size)]
     for sym in source.symbols():
         rel, tgt = source.relations[sym], target.relations[sym]
-        # drop each t with t[i] > t[j] whose swap is a source tuple too: that
-        # smaller tuple, equal up to a symmetry of the target, enforces t
-        dropped: set[tuple[int, ...]] = set()
+        if () in rel.tuples and () not in tgt.tuples:
+            return None
+        # drop () (it maps to ()) and each t with t[i] > t[j] whose swap is a source
+        # tuple too: that smaller tuple, equal up to a target symmetry, enforces t
+        dropped: set[tuple[int, ...]] = {()}
         for i, j in _symmetric_pairs(tgt):
             at_i, at_j = map(itemgetter(i), rel.tuples), map(itemgetter(j), rel.tuples)
             above = list(itertools.compress(rel.tuples, map(gt, at_i, at_j)))
@@ -166,12 +174,14 @@ def _plan(source: RelationalStructure, target: RelationalStructure, domain: list
         # per tuple, which positions hold a value other than its hole
         off_hole = list(zip(*[map(ne, column, holes) for column in zip(*ts)]))
         tables = {p: _support_table(tgt, tuple(itertools.compress(range(rel.arity), map(not_, p)))) for p in set(off_hole)}
-        others = map(tuple, map(itertools.compress, ts, off_hole))
-        for hole, values, table in zip(holes, others, map(tables.__getitem__, off_hole)):
+        groups: dict[tuple, list[int]] = {}
+        for hole, p, values in zip(holes, off_hole, map(tuple, map(itertools.compress, ts, off_hole))):
             if values:
-                checks[max(values)].append((hole, itemgetter(*values), table))
+                groups.setdefault((p, values), []).append(hole)
             else:
-                domain[hole] &= table.get((), 0)
+                domain[hole] &= tables[p].get((), 0)
+        for (p, values), group in groups.items():
+            checks[max(values)].append((itemgetter(*values), tables[p], tuple(group)))
     return checks
 
 

@@ -344,14 +344,12 @@ def classify_meet_operation(t: OperationTable) -> MeetClassification | None:
         raise StructureError(f"classification defined over base {{0,1}}, got size {t.size}")
     if len(set(t.values)) == 1:
         return MeetClassification(constant_value=t.values[0])
-    coords = frozenset(
-        i + 1
-        for i in range(t.arity)
-        if t.apply(*(0 if j == i else 1 for j in range(t.arity))) == 0
-    )
+    n, values = t.arity, t.values
+    # coordinate i is in the meet iff the table is 0 where only i is 0
+    coords = frozenset(i + 1 for i in range(n) if values[(2**n - 1) & ~(1 << (n - 1 - i))] == 0)
     if not coords:
         return None
-    for args in itertools.product((0, 1), repeat=t.arity):
-        if t.apply(*args) != min(args[i - 1] for i in coords):
-            return None
+    mask = sum(1 << (n - i) for i in coords)
+    if values != tuple(int(r & mask == mask) for r in range(2**n)):
+        return None
     return MeetClassification(meet_coordinates=coords)

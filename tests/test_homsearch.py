@@ -246,8 +246,10 @@ def plan_pairs(S, point, chain3):
 
 
 def test_plan_matches_the_per_tuple_reference(S, point, chain3):
-    """Bulk support tables and the bulk symmetric filter give the per-tuple
-    plan: equal tables, and per level the same holes, read values and order."""
+    """Bulk support tables, the bulk symmetric filter and the grouped checks
+    give the per-tuple plan: equal tables, and per level the reference's
+    checks merged by (elements read, table) in first-occurrence order, with
+    the same holes in the same order."""
     rng = random.Random(59)
     dropped = narrowed = 0
     for src, tgt in plan_pairs(S, point, chain3):
@@ -263,9 +265,13 @@ def test_plan_matches_the_per_tuple_reference(S, point, chain3):
         assert got_domain == want_domain, (src, tgt)
         # read from the identity map, a reader returns the elements it reads
         ids = list(range(src.size))
-        assert [[(hole, read(ids), table) for hole, read, table in level] for level in got] == [
-            [(hole, read(ids), table) for hole, read, table in level] for level in want
-        ], (src, tgt)
+        merged = []
+        for level in want:
+            groups = {}  # the reference caches one table per relation and holes
+            for hole, read, table in level:
+                groups.setdefault((read(ids), id(table)), (read(ids), table, []))[2].append(hole)
+            merged.append([(elems, table, tuple(holes)) for elems, table, holes in groups.values()])
+        assert [[(read(ids), table, holes) for read, table, holes in level] for level in got] == merged, (src, tgt)
         nonconstant = sum(len(set(t)) > 1 for r in src.relations.values() for t in r.tuples)
         dropped += sum(map(len, want)) < nonconstant
         narrowed += want_domain != start
@@ -301,7 +307,7 @@ def test_polymorphisms_of_the_meet_structures_match_references(S, chain3):
     for s in (S, chain3):
         assert backtrack_homs(power(s, 2), s) == brute_force_homs(power(s, 2), s)
     # S's polymorphisms are the two constants and the meets of nonempty coordinate sets
-    for n in range(2, 6):
+    for n in range(1, 9):
         args = list(itertools.product(range(2), repeat=n))
         meets = [tuple(min(a[i] for i in c) for a in args) for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
         want = sorted(meets + [(0,) * 2**n, (1,) * 2**n])
@@ -333,6 +339,19 @@ def test_find_homs_of_empty_structures():
     assert find_homs(empty, empty) == [()]
     assert find_homs(empty, one) == [()]
     assert find_homs(one, empty) == []
+
+
+def test_find_homs_with_an_empty_source_tuple_match_brute_force():
+    """A source relation of arity 0 holding () admits the maps exactly when
+    the target's holds () too, on empty and nonempty universes."""
+    with_empty, without = Relation(0, frozenset({()})), Relation(0, frozenset())
+    for n, m in itertools.product(range(3), repeat=2):
+        for src_rel, tgt_rel in itertools.product((with_empty, without), repeat=2):
+            src = RelationalStructure(n, {"P": src_rel, "R": Relation(2, frozenset({(0, 1)} if n > 1 else ()))})
+            tgt = RelationalStructure(m, {"P": tgt_rel, "R": Relation(2, frozenset(itertools.product(range(m), repeat=2)))})
+            want = brute_force_homs(src, tgt)
+            assert find_homs(src, tgt) == want, (n, m, src_rel, tgt_rel)
+            assert (want == []) == (m == 0 < n or src_rel.tuples > tgt_rel.tuples)
 
 
 def test_find_homs_has_no_recursion_limit():

@@ -553,3 +553,41 @@ def test_classify_single_coordinate_projection():
     p = OperationTable(3, 2, tuple(args[2] for args in itertools.product(range(2), repeat=3)))
     cls = classify_meet_operation(p)
     assert cls.meet_coordinates == {3}
+
+
+def classify_reference(values, arity):
+    """Constant(v), Meet(coordinates) or None, by comparing the table with each
+    constant and with the meet of each nonempty coordinate set, computed by
+    `itertools.product` and `min`."""
+    args = list(itertools.product((0, 1), repeat=arity))
+    for v in (0, 1):
+        if values == (v,) * len(args):
+            return f"Constant({v})"
+    for k in range(1, arity + 1):
+        for coords in itertools.combinations(range(arity), k):
+            if values == tuple(min(a[i] for i in coords) for a in args):
+                return "Meet({" + ",".join(str(i + 1) for i in coords) + "})"
+    return None
+
+
+def test_classify_meet_operation_matches_the_product_reference():
+    """Every 0/1 table of arity 0-3; at arity 4 every meet, each with one value
+    flipped, and seeded random tables."""
+    tables = [values for n in range(4) for values in itertools.product((0, 1), repeat=2**n)]
+    args4 = list(itertools.product((0, 1), repeat=4))
+    for k in range(1, 5):
+        for coords in itertools.combinations(range(4), k):
+            meet = [min(a[i] for i in coords) for a in args4]
+            tables.append(tuple(meet))
+            for r in range(16):
+                tables.append(tuple(meet[:r] + [1 - meet[r]] + meet[r + 1:]))
+    rng = random.Random(61)
+    tables += [tuple(rng.randint(0, 1) for _ in range(16)) for _ in range(500)]
+    found = Counter()
+    for values in tables:
+        arity = len(values).bit_length() - 1
+        cls = classify_meet_operation(OperationTable(arity, 2, values))
+        want = classify_reference(values, arity)
+        assert (cls and cls.describe()) == want, values
+        found[want is None, arity] += 1
+    assert all(found[refused, arity] for refused in (False, True) for arity in range(1, 5)), found
