@@ -332,10 +332,8 @@ def _read_system(path: str) -> identlang.TermSystem:
 
 
 def cmd_ident_parse(args) -> Report:
-    with open(args.system, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        sys_ = identlang.parse(text)
+        sys_ = _read_system(args.system)
     except identlang.ParseError as exc:
         return [Check("parse", "fail", str(exc))], 1
     return [Check("parse", "pass", identlang.format_system(sys_).splitlines())], 0

@@ -43,6 +43,7 @@ from operator import eq, gt, itemgetter, ne, not_
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .structures import (
+    Record,
     Relation,
     RelationalStructure,
     SignatureMismatch,
@@ -255,7 +256,7 @@ def find_retraction(
     return None
 
 
-class OperationTable:
+class OperationTable(Record):
     """A finitary operation on {0..size-1} stored as a flat value table.
 
     Values are listed for argument tuples in lexicographic order with the
@@ -275,11 +276,6 @@ class OperationTable:
         for v in self.values:
             if not (0 <= v < size):
                 raise StructureError(f"table value {v} out of range for size {size}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.size, self.values) == (other.arity, other.size, other.values)
 
     def __hash__(self) -> int:
         return hash((self.arity, self.size, self.values))

@@ -25,6 +25,8 @@ import math
 import re
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .structures import Record
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int) -> None:
@@ -37,16 +39,11 @@ class SystemError_(ValueError):
     """An identity system violates a structural precondition."""
 
 
-class Variable:
+class Variable(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
 
     def __hash__(self) -> int:
         return hash((self.name,))
@@ -55,18 +52,13 @@ class Variable:
         return self.name
 
 
-class Application:
+class Application(Record):
     __slots__ = ("symbol", "args")
 
     def __init__(self, symbol: str, args: tuple) -> None:
         self.symbol, self.args = symbol, tuple(args)
 
-    # in Python, not C: a term too deep to compare or hash raises RecursionError
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.symbol, self.args) == (other.symbol, other.args)
-
+    # in Python, not C: a term too deep to hash raises RecursionError
     def __hash__(self) -> int:
         return hash((self.symbol, self.args))
 
@@ -108,7 +100,7 @@ class Identity(NamedTuple):
         return f"{self.lhs} = {self.rhs}"
 
 
-class TermSystem:
+class TermSystem(Record):
     __slots__ = ("declarations", "identities", "idempotent")
 
     def __init__(
@@ -116,13 +108,6 @@ class TermSystem:
     ) -> None:
         self.declarations, self.identities = dict(declarations), tuple(identities)
         self.idempotent = frozenset(idempotent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.declarations, self.identities, self.idempotent) == (
-            other.declarations, other.identities, other.idempotent
-        )
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -441,16 +426,11 @@ def hm_term_check(sys: TermSystem, symbol: str) -> HmTermReport:
 # --- coordinate labelings ----------------------------------------------------
 
 
-class SLLabeling:
+class SLLabeling(Record):
     __slots__ = ("sigma",)
 
     def __init__(self, sigma: Mapping[str, tuple[int, ...]]) -> None:
         self.sigma = {k: tuple(sorted(v)) for k, v in dict(sigma).items()}  # symbol -> sorted 1-based coordinates
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sigma == other.sigma
 
     def describe(self) -> str:
         if not self.sigma:

@@ -4,7 +4,8 @@ Universes are dense integer ranges 0..n-1; optional string labels are
 metadata only.  Nothing changes a value after construction and every
 operation is a pure function, so everything here is safe to share across
 threads.  Enumeration order is canonical (sorted) throughout to keep
-results reproducible.
+results reproducible.  `Record` gives the library's value classes, here
+and in homsearch and identlang, their one equality.
 """
 
 from __future__ import annotations
@@ -30,16 +31,25 @@ class SizeLimitExceeded(RuntimeError):
     """A construction would exceed the configured tuple bound."""
 
 
-class Relation:
-    __slots__ = ("arity", "tuples")
+class Record:
+    """A value: records of one class are equal when their `__slots__` values
+    are, compared in order.  The comparison runs in Python, so a term too deep
+    to compare raises RecursionError.  There is no `__hash__` here: a hashable
+    record hashes its own fields, and any other record is unhashable."""
 
-    def __init__(self, arity: int, tuples: frozenset[tuple[int, ...]]) -> None:
-        self.arity, self.tuples = arity, tuples
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.arity, self.tuples) == (other.arity, other.tuples)
+        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
+
+
+class Relation(Record):
+    __slots__ = ("arity", "tuples")
+
+    def __init__(self, arity: int, tuples: frozenset[tuple[int, ...]]) -> None:
+        self.arity, self.tuples = arity, tuples
 
     def __hash__(self) -> int:
         return hash((self.arity, self.tuples))
@@ -48,7 +58,7 @@ class Relation:
         return sorted(self.tuples)
 
 
-class RelationalStructure:
+class RelationalStructure(Record):
     """A finite universe {0..size-1} with named finitary relations."""
 
     __slots__ = ("size", "relations", "labels")
@@ -64,11 +74,6 @@ class RelationalStructure:
             for sym, rel in dict(relations).items()
         }
         self.labels = tuple(labels) if labels is not None else None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.relations, self.labels) == (other.size, other.relations, other.labels)
 
     def __hash__(self) -> int:
         # equal dicts may list their symbols in different orders
@@ -273,7 +278,7 @@ def induced_substructure(s: RelationalStructure, ids: Iterable[int]) -> Relation
     return RelationalStructure(len(subset), rels, labels)
 
 
-class Homomorphism:
+class Homomorphism(Record):
     """A total map between structure universes, verified to preserve relations:
     searches return bare mapping tuples, and this checks maps built elsewhere."""
 
@@ -290,11 +295,6 @@ class Homomorphism:
         result = is_homomorphism(self.source, self.target, self.mapping)
         if not result.ok:
             raise StructureError(f"not a homomorphism: {result.symbol} tuple {result.source_tuple} maps to {result.image_tuple}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.mapping) == (other.source, other.target, other.mapping)
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.mapping))

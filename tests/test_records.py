@@ -1,5 +1,6 @@
 """Record semantics: the library's records compare, hash, normalise and
-refuse bad input by value, and a term too deep to hash fails in Python."""
+refuse bad input by value, and a term too deep to hash or compare fails in
+Python."""
 
 import os
 import random
@@ -49,7 +50,7 @@ def test_structures_and_relations_compare_by_value(small_corpus):
     for s in small_corpus + seeded_structures():
         for sym, r in s.relations.items():
             flipped = r.tuples ^ {(0,) * r.arity}
-            variants = [Relation(r.arity + 1, r.tuples), Relation(r.arity, flipped)]
+            variants = [Relation(r.arity + 1, r.tuples), Relation(r.arity, flipped), (r.arity, r.tuples)]
             assert_value_semantics(lambda: Relation(r.arity, frozenset(r.tuples)), variants)
         rels = dict(s.relations)
         sym, r = next(iter(rels.items()))
@@ -59,6 +60,7 @@ def test_structures_and_relations_compare_by_value(small_corpus):
             RelationalStructure(s.size, rels, None if s.labels else labels),
             RelationalStructure(s.size, {k: v for k, v in rels.items() if k != sym}, s.labels),
             RelationalStructure(s.size, rels | {sym: Relation(r.arity, r.tuples ^ {(0,) * r.arity})}, s.labels),
+            (s.size, rels, s.labels),
         ]
         assert_value_semantics(lambda: RelationalStructure(s.size, dict(rels), s.labels and list(s.labels)), variants)
 
@@ -78,11 +80,11 @@ def test_homomorphisms_compare_by_value(small_corpus, S, point, chain3):
                 continue
             maps = find_homs(src, tgt, limit=4)
             for m in maps:
-                variants = [Homomorphism(src, tgt, other) for other in maps if other != m]
+                variants = [Homomorphism(src, tgt, other) for other in maps if other != m] + [(src, tgt, m)]
                 assert_value_semantics(lambda: Homomorphism(src, tgt, list(m)), variants)
     # one mapping tuple between other endpoints
     unlabeled = RelationalStructure(1, point.relations)
-    variants = [Homomorphism(unlabeled, S, (0,)), Homomorphism(point, chain3, (0,))]
+    variants = [Homomorphism(unlabeled, S, (0,)), Homomorphism(point, chain3, (0,)), (point, S, (0,))]
     assert_value_semantics(lambda: Homomorphism(point, S, (0,)), variants)
 
 
@@ -92,6 +94,7 @@ def test_operation_tables_compare_by_value():
         arity, size = rng.randint(0, 3), rng.randint(1, 3)
         values = [rng.randrange(size) for _ in range(size**arity)]
         variants = [OperationTable(arity, size + 1, values + [0] * ((size + 1) ** arity - len(values)))]
+        variants.append((arity, size, tuple(values)))
         if size > 1:
             variants.append(OperationTable(arity, size, [(values[0] + 1) % size] + values[1:]))
         if arity >= 2:
@@ -114,7 +117,8 @@ def test_terms_and_identities_compare_by_value():
             variants += [Application("h", t.args), Application(t.symbol, t.args + (Variable("x"),))]
         else:
             variants.append(Variable(t.name + "'"))
-        assert_value_semantics(lambda: random_term(random.Random(seed), 4), variants)
+        slots = (t.symbol, t.args) if isinstance(t, Application) else (t.name,)
+        assert_value_semantics(lambda: random_term(random.Random(seed), 4), variants + [slots])
         rhs = terms[(seed + 1) % len(terms)]
         variants = [Identity(u, rhs) for u in variants] + [Identity(t, u) for u in terms[:8] if str(u) != str(rhs)]
         assert_value_semantics(lambda: Identity(random_term(random.Random(seed), 4), rhs), variants)
@@ -127,9 +131,10 @@ def test_systems_and_labelings_compare_by_value():
             TermSystem(s.declarations | {"q": 1}, s.identities, s.idempotent),
             TermSystem(s.declarations, s.identities[:-1], s.idempotent),
             TermSystem(s.declarations, s.identities, s.idempotent | {"q"}),
+            (s.declarations, s.identities, s.idempotent),
         ]
         assert_value_semantics(lambda: saturate(parse(text)), variants, hashable=False)
-    variants = [SLLabeling({"f": (1,), "g": (1,)}), SLLabeling({"f": (1, 2)})]
+    variants = [SLLabeling({"f": (1,), "g": (1,)}), SLLabeling({"f": (1, 2)}), ({"f": (1, 2), "g": (1,)},)]
     assert_value_semantics(lambda: SLLabeling({"f": [2, 1], "g": (1,)}), variants, hashable=False)
 
 
@@ -198,18 +203,26 @@ def test_construction_errors(S, build, error, message):
 
 
 def test_hashing_a_too_deep_term_raises_recursion_error():
-    """Terms hash in Python, so a chain too deep for the interpreter's stack
-    raises RecursionError; hashed as nested tuples, in C, it would crash."""
+    """Terms hash and compare in Python, so a chain too deep for the
+    interpreter's stack raises RecursionError; hashed or compared as nested
+    tuples, in C, it would crash."""
     script = (
         "from hmkit.identlang import Application, Identity, Variable\n"
-        "deep = Variable('x')\n"
-        "for _ in range(200_000):\n"
-        "    deep = Application('f', (deep,))\n"
+        "def chain():\n"
+        "    deep = Variable('x')\n"
+        "    for _ in range(200_000):\n"
+        "        deep = Application('f', (deep,))\n"
+        "    return deep\n"
+        "deep, twin = chain(), chain()\n"
         "try:\n"
         "    hash(Identity(deep, Variable('x')))\n"
+        "except RecursionError:\n"
+        "    print('RecursionError')\n"
+        "try:\n"
+        "    deep == twin\n"
         "except RecursionError:\n"
         "    print('RecursionError')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (0, "RecursionError\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "RecursionError\n" * 2), done.stderr

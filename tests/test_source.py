@@ -19,8 +19,10 @@ def unreferenced_definitions(trees):
 
     An attribute `obj.x` is resolved to a class C when obj is `self` or `cls`
     in a method of C, C itself, a call C(...) or f(...) with f annotated to
-    return C, or a name the function binds only as a parameter annotated C
-    or only by one such call; it then refers only to the x of C, of C's
+    return C, or a name the function binds only as a parameter annotated C,
+    only by one such call, or only as the target of one `for` or
+    comprehension over a parameter annotated list[C], tuple[C, ...],
+    Sequence[C] or Iterable[C]; it then refers only to the x of C, of C's
     ancestors and of C's descendants.  Any other attribute x refers to every
     definition named x, and a bare name x to every function named x and to
     a method x named in its own class body.  A use inside a definition does
@@ -74,12 +76,16 @@ def unreferenced_definitions(trees):
                 stores = Counter(n.id for n in ast.walk(child) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
                 inner = {k: v for k, v in env.items() if k not in stores and k not in {p.arg for p in params}}
                 inner.update({p.arg: class_named(p.annotation, classes) for p in params if p.arg not in stores})
+                items = {p.arg: element_class(p.annotation, classes) for p in params if p.arg not in stores}
                 if cls is not None:
                     inner.update(self=cls, cls=cls)
                 for a in ast.walk(child):
                     if isinstance(a, ast.Assign) and len(a.targets) == 1 and isinstance(a.targets[0], ast.Name):
                         if stores[a.targets[0].id] == 1 and a.targets[0].id not in inner:
                             inner[a.targets[0].id] = owner_of(a.value, {}) if isinstance(a.value, ast.Call) else None
+                    elif isinstance(a, (ast.For, ast.comprehension)) and isinstance(a.target, ast.Name):
+                        if stores[a.target.id] == 1 and a.target.id not in inner:
+                            inner[a.target.id] = items.get(a.iter.id) if isinstance(a.iter, ast.Name) else None
                 walk(child, path, inside | {(cls, child.name)}, None, {k: v for k, v in inner.items() if v})
                 continue
             if isinstance(child, ast.Name):
@@ -104,6 +110,18 @@ def class_named(annotation, classes):
     return name if isinstance(name, str) and name in classes else None
 
 
+def element_class(annotation, classes):
+    """The class C of an annotation list[C], tuple[C, ...], Sequence[C] or
+    Iterable[C], if C is one of classes."""
+    if not (isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name)):
+        return None
+    item = annotation.slice
+    if annotation.value.id == "tuple":
+        ellipsis = isinstance(item, ast.Tuple) and len(item.elts) == 2 and getattr(item.elts[1], "value", None) is Ellipsis
+        return class_named(item.elts[0], classes) if ellipsis else None
+    return class_named(item, classes) if annotation.value.id in ("list", "Sequence", "Iterable") else None
+
+
 PROBE = """\
 def loop(n):
     return loop(n - 1)
@@ -124,6 +142,14 @@ class C(A):
         return 5
 def main(b: B, c: C):
     return b.twin(), C.used(c), A().used()
+class Ref(NamedTuple):
+    identity: str
+class D:
+    def identity(self):
+        return 6
+def report(refutations: list[Ref]):
+    for r in refutations:
+        yield r.identity
 """
 
 
@@ -131,12 +157,21 @@ def test_unreferenced_definitions_resolves_methods_per_class():
     # B.spare shares its name with the A.spare that A.used reads, and C.twin
     # with the B.twin that main reads; C.spare overrides A.spare, which
     # self.spare in A may reach
-    found = unreferenced_definitions({"m.py": ast.parse(PROBE)})
-    assert found == [("m.py:1", "loop"), ("m.py:16", "twin"), ("m.py:18", "main"), ("m.py:9", "spare")]
+    dead = [("m.py:1", "loop"), ("m.py:16", "twin"), ("m.py:18", "main")]
+    dead += [("m.py:23", "identity"), ("m.py:25", "report"), ("m.py:9", "spare")]
+    assert unreferenced_definitions({"m.py": ast.parse(PROBE)}) == dead
     # once main rebinds b, b.twin may be any twin
     rebound = PROBE.replace("    return b.twin()", "    b = b or C()\n    return b.twin()")
     found = unreferenced_definitions({"m.py": ast.parse(rebound)})
-    assert found == [("m.py:1", "loop"), ("m.py:18", "main"), ("m.py:9", "spare")]
+    assert found == [("m.py:1", "loop"), ("m.py:18", "main"), ("m.py:24", "identity"), ("m.py:26", "report"), ("m.py:9", "spare")]
+    # r in refutations is a Ref, whose identity is a field, so D.identity is
+    # dead; over a bare list, r.identity may be any identity
+    loop = "    for r in refutations:\n        yield r.identity"
+    comprehension = PROBE.replace(loop, "    return [r.identity for r in refutations]")
+    for text in (comprehension, PROBE.replace("list[Ref]", "tuple[Ref, ...]"), PROBE.replace("list[Ref]", "Iterable[Ref]")):
+        assert unreferenced_definitions({"m.py": ast.parse(text)}) == dead
+    masked = unreferenced_definitions({"m.py": ast.parse(PROBE.replace("list[Ref]", "list"))})
+    assert masked == [d for d in dead if d[1] != "identity"]
     # a use inside a definition skips that definition only
     nested = "class P:\n    def size(self):\n        return sum(p.size() for p in self.parts)\n"
     nested += "class Q:\n    def size(self):\n        return 1\n"
