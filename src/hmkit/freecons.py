@@ -114,6 +114,7 @@ from .structures import (
     is_reflexive,
     product,
     rank,
+    read_document,
     two_element_semilattice,
 )
 
@@ -142,17 +143,7 @@ class FiniteAlgebra:
 
 
 def algebra_from_json(data: dict) -> FiniteAlgebra:
-    if not isinstance(data, dict):
-        raise StructureError("algebra document must be a JSON object")
-    unknown = set(data) - {"universe", "operations"}
-    if unknown:
-        raise StructureError(f"unknown top-level keys: {sorted(unknown)}")
-    universe = data.get("universe")
-    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
-        raise StructureError("'universe' must be a list of strings")
-    ops_doc = data.get("operations", {})
-    if not isinstance(ops_doc, dict):
-        raise StructureError("'operations' must be an object")
+    universe, ops_doc = read_document(data, "algebra", "operations")
     operations = {sym: operation_from_json(body) for sym, body in ops_doc.items()}
     return FiniteAlgebra(len(universe), operations, tuple(universe))
 
@@ -899,9 +890,7 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     variable names and the prefix's symbols, validity in the algebra
     (`holds_in` evaluates each side once, column-wise), and the labeled
     variable sets under the partial labeling.  Anything malformed returns
-    False rather than raising.  An identity is replayed once per arity and
-    pair of term objects, keyed by their ids: the certificate keeps every
-    term alive for the call."""
+    False rather than raising."""
     if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
         return False
     if not isinstance(certificate.max_arity, int):
@@ -916,7 +905,6 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
-    valid: dict[tuple[int, int, int], bool] = {}
     prefix = [] if all(choices) else None  # the first labeling not yet covered is prefix + (0, ...); None past the last
     for r in certificate.refutations:
         if prefix is None or not isinstance(r, LabelingRefutation) or not isinstance(r.labeling, SLLabeling):
@@ -926,13 +914,12 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
             return False
         if not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
             return False
-        key = (id(r.lhs), id(r.rhs), r.arity)
-        if key not in valid:  # every variable is one of the arity's, every application one of a's symbols at its arity
-            names = variable_names(r.arity)
-            valid[key] = all(
-                _fold(t, lambda v: v.name in names, node, children) for t in (r.lhs, r.rhs)
-            ) and holds_in(a, Identity(r.lhs, r.rhs), a.operations)
-        if not valid[key] or not term_symbols(r.lhs) | term_symbols(r.rhs) <= r.labeling.sigma.keys():
+        names = variable_names(r.arity)  # every variable is one of the arity's, every application one of a's symbols at its arity
+        if not all(_fold(t, lambda v: v.name in names, node, children) for t in (r.lhs, r.rhs)):
+            return False
+        if not holds_in(a, Identity(r.lhs, r.rhs), a.operations):
+            return False
+        if not term_symbols(r.lhs) | term_symbols(r.rhs) <= r.labeling.sigma.keys():
             return False
         lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
         if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:

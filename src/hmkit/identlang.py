@@ -11,11 +11,13 @@ the coordinate-labeling search treats arbitrary terms, and answers UNSAT
 with a cover, one refuting identity per refuted labeling prefix, while
 saturation and the subset-condition check live in the fragment of linear
 identities with at most two variables, where saturation is an equivalence
-closure computed by union-find.  Terms may nest arbitrarily deep: the
-parser and `_fold`, the walker over arbitrary terms, keep explicit stacks;
-`_fold` keeps a frame (application, iterator over its children, their
-values) per open application, so it visits each node once and the leaves
-left to right.
+closure computed by union-find.  One regex pass splits an identity line
+into tokens, each an identifier or one other character after optional
+blanks, and a loop over them builds the terms.  Terms may nest arbitrarily
+deep: that loop and `_fold`, the walker over arbitrary terms, keep explicit
+stacks; `_fold` keeps a frame (application, iterator over its children,
+their values) per open application, so it visits each node once and the
+leaves left to right.
 """
 
 from __future__ import annotations
@@ -111,82 +113,58 @@ class TermSystem(Record):
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# blanks, then an identifier or one other character: tokens cover the whole line
+_TOKEN = re.compile(rf"[ \t]*(?:({_IDENT.pattern})|(.))")
 
 
-class _LineParser:
-    def __init__(self, text: str, lineno: int, declarations: Mapping[str, int]) -> None:
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-        self.declarations = declarations
+def _identity(line: str, lineno: int, declarations: Mapping[str, int]) -> Identity:
+    """One identity line, read from its (identifier, other character) tokens
+    with an explicit stack of open applications."""
+    tokens = _TOKEN.findall(line) + [("", "")]  # the end of the line
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.lineno, self.pos + 1)
+    def error(message: str, at: int) -> ParseError:  # at: the index of the offending token
+        starts = [m.start(m.lastindex) for m in _TOKEN.finditer(line)] + [len(line)]
+        return ParseError(message, lineno, starts[at] + 1)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def term(self) -> Term:
-        open_apps: list[tuple[str, int, list[Term]]] = []  # symbol, column, args so far
+    k, sides = 0, []
+    for after in ("=", ""):
+        open_apps: list[tuple[str, int, list[Term]]] = []  # symbol, its token, args so far
         while True:
-            start_col = self.pos + 1
-            name = self.ident()
-            if self.peek() == "(":
-                if name not in self.declarations:
-                    raise ParseError(f"undeclared symbol '{name}'", self.lineno, start_col)
-                self.pos += 1
-                open_apps.append((name, start_col, []))
+            name = tokens[k][0]
+            if not name:
+                raise error("expected an identifier", k)
+            k += 1
+            if tokens[k][1] == "(":
+                if name not in declarations:
+                    raise error(f"undeclared symbol '{name}'", k - 1)
+                open_apps.append((name, k - 1, []))
+                k += 1
                 continue
-            if name in self.declarations:
-                raise ParseError(
-                    f"declared symbol '{name}' used without arguments", self.lineno, start_col
-                )
+            if name in declarations:
+                raise error(f"declared symbol '{name}' used without arguments", k - 1)
             done: Term = Variable(name)
             # a finished argument either precedes a ',' or closes its application
             while open_apps:
                 open_apps[-1][2].append(done)
-                if self.peek() == ",":
-                    self.pos += 1
+                if tokens[k][1] == ",":
+                    k += 1
                     break
-                self.expect(")")
-                name, start_col, args = open_apps.pop()
-                want = self.declarations[name]
-                if len(args) != want:
-                    raise ParseError(
-                        f"symbol '{name}' declared with arity {want}, applied to {len(args)} arguments",
-                        self.lineno,
-                        start_col,
+                if tokens[k][1] != ")":
+                    raise error("expected ')'", k)
+                k += 1
+                name, at, args = open_apps.pop()
+                if len(args) != declarations[name]:
+                    raise error(
+                        f"symbol '{name}' declared with arity {declarations[name]}, applied to {len(args)} arguments", at
                     )
                 done = Application(name, tuple(args))
             else:
-                return done
-
-    def identity(self) -> Identity:
-        lhs = self.term()
-        self.expect("=")
-        rhs = self.term()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise self.error("trailing input after identity")
-        return Identity(lhs, rhs)
+                break
+        if tokens[k] != ("", after):
+            raise error(f"expected '{after}'" if after else "trailing input after identity", k)
+        k += 1
+        sides.append(done)
+    return Identity(*sides)
 
 
 def parse(text: str) -> TermSystem:
@@ -233,7 +211,7 @@ def parse(text: str) -> TermSystem:
                     raise ParseError(f"idempotent symbol '{name}' is not declared", lineno, 1)
                 idempotent.add(name)
             continue
-        identities.append(_LineParser(line, lineno, declarations).identity())
+        identities.append(_identity(line, lineno, declarations))
     if not seen_ops:
         raise ParseError("missing 'ops:' header", 1, 1)
     return TermSystem(declarations, tuple(identities), frozenset(idempotent))

@@ -412,23 +412,30 @@ def _checked_in_bulk(tuples: list, arity: int, size: int) -> frozenset[tuple[int
     return checked if len(checked) == len(tuples) else None
 
 
+def read_document(data: dict, kind: str, body: str) -> tuple[list[str], dict]:
+    """The universe and the `body` object of a structure or algebra document,
+    after the checks both formats share."""
+    if not isinstance(data, dict):
+        raise StructureError(f"{kind} document must be a JSON object")
+    unknown = set(data) - {"universe", body}
+    if unknown:
+        raise StructureError(f"unknown top-level keys: {sorted(unknown)}")
+    universe = data.get("universe")
+    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
+        raise StructureError("'universe' must be a list of strings")
+    entries = data.get(body, {})
+    if not isinstance(entries, dict):
+        raise StructureError(f"'{body}' must be an object")
+    return universe, entries
+
+
 def structure_from_json(data: dict) -> RelationalStructure:
     """Parse the structure file format; rejects unknown keys and malformed entries.
 
     Each relation's tuples are checked in bulk first; only a relation that
     fails a bulk check is walked tuple by tuple, to name its first bad tuple.
     """
-    if not isinstance(data, dict):
-        raise StructureError("structure document must be a JSON object")
-    unknown = set(data) - {"universe", "relations"}
-    if unknown:
-        raise StructureError(f"unknown top-level keys: {sorted(unknown)}")
-    universe = data.get("universe")
-    if not isinstance(universe, list) or not all(isinstance(x, str) for x in universe):
-        raise StructureError("'universe' must be a list of strings")
-    relations = data.get("relations", {})
-    if not isinstance(relations, dict):
-        raise StructureError("'relations' must be an object")
+    universe, relations = read_document(data, "structure", "relations")
     size = len(universe)
     rels: dict[str, Relation] = {}
     for sym, body in relations.items():

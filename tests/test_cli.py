@@ -667,6 +667,11 @@ def test_free_build_reports_a_split_diagonal_class_as_item_2(capsys, monkeypatch
         ("ops: f/2\nf(x, y = x\n", "line 2, col 8: expected ')'"),
         ("ops: f/2\nf(x, y) x\n", "line 2, col 9: expected '='"),
         ("ops: f/2\nf(x, ) = x\n", "line 2, col 6: expected an identifier"),
+        # a symbol error gives the column of the name, not of the blanks before it
+        ("ops: f/2\nf(x, g(y)) = x\n", "line 2, col 6: undeclared symbol 'g'"),
+        ("ops: f/2\nf(x,y) =  h(x)\n", "line 2, col 11: undeclared symbol 'h'"),
+        ("ops: f/2, g/1\nf(x,\tg) = x\n", "line 2, col 6: declared symbol 'g' used without arguments"),
+        ("ops: f/2, g/2\nf(x, y) =  g(x)\n", "line 2, col 12: symbol 'g' declared with arity 2, applied to 1 arguments"),
         ("ops: f/2\nops: g/1\n", "line 2, col 1: duplicate 'ops:' header"),
         ("ops: f2\n", "line 1, col 1: expected name/arity, got 'f2'"),
         ("ops: 1f/2\n", "line 1, col 1: bad symbol name '1f'"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from typing import Callable, Mapping
@@ -31,7 +32,7 @@ from hmkit.identlang import (
     term_variables,
     _witness_for,
 )
-from hmkit.identlang import Term, TermSystem, _normalize
+from hmkit.identlang import _IDENT, Term, TermSystem, _normalize
 from hmkit.structures import StructureError
 
 from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, all_labelings, expand_cover, hm_pass_forces_unsat
@@ -209,6 +210,202 @@ def test_parse_errors_carry_position():
 def test_declared_symbol_needs_arguments():
     with pytest.raises(ParseError):
         parse("ops: f/2\nf = x\n")
+
+
+class _LineParser:
+    """The character scanner `_identity` replaced, kept verbatim as an oracle
+    apart from one rule: a symbol error takes its column after the blanks
+    that precede the name."""
+
+    def __init__(self, text: str, lineno: int, declarations: Mapping[str, int]) -> None:
+        self.text = text
+        self.lineno = lineno
+        self.pos = 0
+        self.declarations = declarations
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.lineno, self.pos + 1)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected '{ch}'")
+        self.pos += 1
+
+    def ident(self) -> str:
+        self.skip_ws()
+        m = _IDENT.match(self.text, self.pos)
+        if not m:
+            raise self.error("expected an identifier")
+        self.pos = m.end()
+        return m.group()
+
+    def term(self) -> Term:
+        open_apps: list[tuple[str, int, list[Term]]] = []  # symbol, column, args so far
+        while True:
+            self.skip_ws()
+            start_col = self.pos + 1
+            name = self.ident()
+            if self.peek() == "(":
+                if name not in self.declarations:
+                    raise ParseError(f"undeclared symbol '{name}'", self.lineno, start_col)
+                self.pos += 1
+                open_apps.append((name, start_col, []))
+                continue
+            if name in self.declarations:
+                raise ParseError(
+                    f"declared symbol '{name}' used without arguments", self.lineno, start_col
+                )
+            done: Term = Variable(name)
+            # a finished argument either precedes a ',' or closes its application
+            while open_apps:
+                open_apps[-1][2].append(done)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                name, start_col, args = open_apps.pop()
+                want = self.declarations[name]
+                if len(args) != want:
+                    raise ParseError(
+                        f"symbol '{name}' declared with arity {want}, applied to {len(args)} arguments",
+                        self.lineno,
+                        start_col,
+                    )
+                done = Application(name, tuple(args))
+            else:
+                return done
+
+    def identity(self) -> Identity:
+        lhs = self.term()
+        self.expect("=")
+        rhs = self.term()
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise self.error("trailing input after identity")
+        return Identity(lhs, rhs)
+
+
+def parse_reference(text: str) -> TermSystem:
+    declarations: dict[str, int] = {}
+    idempotent: set[str] = set()
+    identities: list[Identity] = []
+    seen_ops = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("ops:"):
+            if seen_ops:
+                raise ParseError("duplicate 'ops:' header", lineno, 1)
+            seen_ops = True
+            body = line[len("ops:"):].strip()
+            if body:
+                for part in body.split(","):
+                    part = part.strip()
+                    if "/" not in part:
+                        raise ParseError(f"expected name/arity, got '{part}'", lineno, 1)
+                    name, _, arity_s = part.partition("/")
+                    name = name.strip()
+                    if not _IDENT.fullmatch(name):
+                        raise ParseError(f"bad symbol name '{name}'", lineno, 1)
+                    try:
+                        arity = int(arity_s.strip())
+                    except ValueError:
+                        raise ParseError(f"bad arity '{arity_s.strip()}'", lineno, 1) from None
+                    if arity < 1:
+                        raise ParseError(f"arity must be >= 1 for '{name}'", lineno, 1)
+                    if name in declarations:
+                        raise ParseError(f"symbol '{name}' declared twice", lineno, 1)
+                    declarations[name] = arity
+            continue
+        if not seen_ops:
+            raise ParseError("first line must be an 'ops:' header", lineno, 1)
+        if line.startswith("idempotent:"):
+            for part in line[len("idempotent:"):].split(","):
+                name = part.strip()
+                if not name:
+                    continue
+                if name not in declarations:
+                    raise ParseError(f"idempotent symbol '{name}' is not declared", lineno, 1)
+                idempotent.add(name)
+            continue
+        identities.append(_LineParser(line, lineno, declarations).identity())
+    if not seen_ops:
+        raise ParseError("missing 'ops:' header", 1, 1)
+    return TermSystem(declarations, tuple(identities), frozenset(idempotent))
+
+
+# characters and tokens a malformed line is made of
+SOUP = ["x", "y", "f", "g", "h", "u", "x1", "_z", "1", "9", "(", ")", ",", "=", " ", "\t", "\x0b", "#", "*"]
+
+
+def random_side(rng: random.Random, arities: Mapping[str, int], depth: int) -> str:
+    """A term as text, with blanks around the arguments, and sometimes an
+    undeclared symbol, a wrong argument count or a nest past depth 50."""
+    if depth == 0 or rng.random() < 0.3:
+        return "f" if rng.random() < 0.02 else rng.choice(("x", "y", "zz"))  # f is a symbol when declared
+    symbol = rng.choice(sorted(arities)) if rng.random() < 0.99 else "u"
+    n = arities.get(symbol, 2) + (rng.random() < 0.02) * rng.choice((-1, 1))
+    if rng.random() < 0.05:  # a left-nested chain
+        text = "x"
+        for _ in range(rng.randint(51, 80)):
+            text = f"{symbol}({text}{',y' * (n - 1)})"
+        return text
+    blank = lambda: rng.choice(("", "", " ", "\t"))  # noqa: E731
+    args = (blank() + random_side(rng, arities, depth - 1) + blank() for _ in range(n))
+    return symbol + blank() + "(" + ",".join(args) + ")"
+
+
+def random_system_text(rng: random.Random) -> str:
+    arities = {s: rng.randint(1, 3) for s in rng.sample("fgh", rng.randint(1, 3))}
+    lines = ["ops: " + ", ".join(f"{s}/{n}" for s, n in arities.items())]
+    if rng.random() < 0.2:
+        lines.append("idempotent: " + rng.choice(sorted(arities)))
+    for _ in range(rng.randint(1, 4)):
+        lines.append(random_side(rng, arities, 3) + rng.choice((" = ", "=", "\t=  ")) + random_side(rng, arities, 3))
+    k = rng.randrange(len(lines))  # a malformed line: token soup, or up to three edits
+    if rng.random() < 0.1:
+        lines[k] = "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 12)))
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):  # insert, delete or replace at a random place
+        at = rng.randrange(len(lines[k]) + 1)
+        lines[k] = lines[k][:at] + rng.choice(("", rng.choice(SOUP))) + lines[k][at + rng.randint(0, 1):]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_parse_reference():
+    """The token pass gives the scanner's systems, and its messages."""
+
+    def outcome(parser: Callable, text: str):
+        try:
+            return format_system(parser(text))  # as text: term equality recurses on deep terms
+        except ParseError as exc:
+            return str(exc)
+
+    rng = random.Random(43)
+    kinds = Counter()  # the outcomes without names, numbers and positions
+    for _ in range(3000):
+        text = random_system_text(rng)
+        got = outcome(parse, text)
+        assert got == outcome(parse_reference, text), text
+        kinds[re.sub(r"^line \d+, col \d+: |'\w*'|\d+", "", got) if got.startswith("line ") else "parsed"] += 1
+    assert kinds["parsed"] > 500, kinds
+    assert {
+        "expected an identifier",
+        "undeclared symbol ",
+        "declared symbol  used without arguments",
+        "symbol  declared with arity , applied to  arguments",
+        "expected ')'",
+        "expected '='",
+        "trailing input after identity",
+    } <= kinds.keys(), kinds
 
 
 def test_term_variables_and_linear():
