@@ -11,11 +11,14 @@ the coordinate-labeling search treats arbitrary terms, and answers UNSAT
 with a cover, one refuting identity per refuted labeling prefix, while
 saturation and the subset-condition check live in the fragment of linear
 identities with at most two variables, where saturation is an equivalence
-closure computed by union-find.  One regex pass splits an identity line
-into tokens, each an identifier or one other character after optional
-blanks, and a loop over them builds the terms.  Terms may nest arbitrarily
-deep: that loop and `_fold`, the walker over arbitrary terms, keep explicit
-stacks; `_fold` keeps a frame (application, iterator over its children,
+closure computed by union-find over the flat forms (symbol, argument names)
+of their sides, building terms only for its result.  One regex pass splits
+an identity line into tokens, each an identifier or one other character
+after optional blanks, and a loop over them builds the terms.  Terms may
+nest arbitrarily deep, and no walk recurses: that loop keeps an explicit
+stack, variable and symbol sets come from a plain walk, and `_fold`, for
+the walks whose order matters (printing, `holds_in`, a certificate's
+well-formedness), keeps a frame (application, iterator over its children,
 their values) per open application, so it visits each node once and the
 leaves left to right.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .structures import Record
 
@@ -226,7 +229,14 @@ def format_system(sys: TermSystem) -> str:
 
 
 def _varset(t: Term, children: Callable) -> frozenset[str]:
-    return _fold(t, lambda v: frozenset({v.name}), lambda u, sets: frozenset().union(*sets), children)
+    names, stack = set(), [t]  # a plain walk, as in `term_symbols`: their order does not matter
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Variable):
+            names.add(u.name)
+        else:
+            stack.extend(children(u))
+    return frozenset(names)
 
 
 def term_variables(t: Term) -> frozenset[str]:
@@ -266,22 +276,8 @@ def linear_fragment(sys: TermSystem) -> TermSystem:
 
 _X = Variable("x")
 
-
-def _rename(t: Term, table: Mapping[str, str]) -> Term:
-    return _fold(t, lambda v: Variable(table.get(v.name, v.name)), lambda u, args: Application(u.symbol, args))
-
-
-def _normalize(i: Identity) -> Identity:
-    """Rename variables to x, y by first occurrence (left to right, lhs first)."""
-    order: dict[str, None] = {}  # `_fold` visits the leaves from left to right
-    for side in (i.lhs, i.rhs):
-        _fold(side, lambda v: order.setdefault(v.name), lambda u, values: None)
-    table = dict(zip(order, ("x", "y")))
-    return Identity(_rename(i.lhs, table), _rename(i.rhs, table))
-
-
-# the substitutions of {x, y} into itself: identity, swap, and the two identifications
-_SUBSTITUTIONS = ({}, {"x": "y", "y": "x"}, {"y": "x"}, {"x": "y"})
+# the substitutions of {x, y} into itself as images of (x, y): identity, swap, the identifications
+_SUBSTITUTIONS = ("xy", "yx", "xx", "yy")
 
 
 def saturate(sys: TermSystem) -> TermSystem:
@@ -299,52 +295,65 @@ def saturation(sys: TermSystem) -> list[tuple[str, Term, Term]]:
     The substitutions compose among themselves and map derivations to
     derivations, so the closure is every ordered pair within one class of
     the equivalence generated by the substitution instances of the seeds.
+    A side is held flat, as (symbol, argument names), with symbol None for
+    a variable, and a term is built only for each member of the result.
     """
+    seeds = []
     for i in sys.identities:
         if not is_linear(i):
             raise SystemError_(f"non-linear identity: {i}")
-        if len(term_variables(i.lhs) | term_variables(i.rhs)) > 2:
+        sides = [(None, (t.name,)) if isinstance(t, Variable) else (t.symbol, tuple(a.name for a in t.args)) for t in i]
+        if len(dict.fromkeys(sides[0][1] + sides[1][1])) > 2:
             raise SystemError_(f"identity in more than 2 variables: {i}")
-
-    seeds = [_normalize(i) for i in sys.identities]
+        seeds.append(sides)
     for name in sorted(sys.idempotent):
-        seeds.append(Identity(Application(name, (_X,) * sys.declarations[name]), _X))
+        seeds.append([(name, ("x",) * sys.declarations[name]), (None, ("x",))])
 
-    # union-find over the terms' texts, each computed once: str is injective
-    # on terms with identifier names, and texts hash and compare cheaply
-    terms: dict[str, Term] = {}
-    parent: dict[str, str] = {}
+    parent: dict[tuple, tuple] = {}  # union-find over flat forms, which hash and compare in C
 
-    def node(t: Term) -> str:
-        key = str(t)
-        terms.setdefault(key, t)
-        parent.setdefault(key, key)
-        return key
-
-    def find(key: str) -> str:
+    def find(key: tuple) -> tuple:
         while parent[key] != key:
             parent[key] = parent[parent[key]]  # path halving
             key = parent[key]
         return key
 
-    for seed in seeds:
-        for table in _SUBSTITUTIONS:
-            parent[find(node(_rename(seed.lhs, table)))] = find(node(_rename(seed.rhs, table)))
+    for (f, u), (g, v) in seeds:
+        order = dict.fromkeys(u + v)  # the seed's variables by first occurrence, renamed x, y
+        for images in _SUBSTITUTIONS:
+            rename = dict(zip(order, images)).__getitem__
+            s, t = (f, tuple(map(rename, u))), (g, tuple(map(rename, v)))
+            parent.setdefault(s, s)
+            parent.setdefault(t, t)
+            parent[find(s)] = find(t)
 
-    classes: dict[str, list[str]] = {}
-    for key in parent:
-        classes.setdefault(find(key), []).append(key)
+    classes: dict[tuple, list[tuple[str, Term]]] = {}  # root -> the (text, term) of each member
+    for f, u in parent:
+        text = u[0] if f is None else f"{f}({','.join(u)})"
+        term = Variable(u[0]) if f is None else Application(f, tuple(map(Variable, u)))
+        classes.setdefault(find((f, u)), []).append((text, term))
     # sorted by the identities' texts, f"{s} = {t}", which are distinct
-    pairs = sorted((f"{s} = {t}", s, t) for members in classes.values() for s in members for t in members)
-    return [(text, terms[s], terms[t]) for text, s, t in pairs]
+    return sorted((f"{s} = {t}", u, v) for members in classes.values() for s, u in members for t, v in members)
 
 
 # --- the subset-condition test ----------------------------------------------
 
 
+def subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets of {1..n} as sorted tuples, lazily, in lexicographic
+    order: a preorder walk whose explicit stack is the subset itself, which
+    descends by pushing the next coordinate, else pops its last and steps
+    the one before it."""
+    s = (1,)
+    while n > 0:
+        yield s
+        if s == (n,):
+            return
+        s = s + (s[-1] + 1,) if s[-1] < n else s[:-2] + (s[-2] + 1,)
+
+
 def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     """Non-empty subsets of {1..n} as sorted tuples, in lexicographic order."""
-    return sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
+    return list(subsets(n))
 
 
 class HmTermReport(NamedTuple):
@@ -388,12 +397,13 @@ def hm_term_check(sys: TermSystem, symbol: str) -> HmTermReport:
     if symbol not in sys.declarations:
         raise SystemError_(f"symbol '{symbol}' is not declared")
     arity = sys.declarations[symbol]
+    # compared by ==, not hashed: an identity of any depth differs from idem within one level
     idem = Identity(Application(symbol, (_X,) * arity), _X)
-    if symbol not in sys.idempotent and idem not in set(sys.identities):
+    if symbol not in sys.idempotent and not any(isinstance(i.rhs, Variable) and i == idem for i in sys.identities):
         raise SystemError_(f"symbol '{symbol}' is not known to be idempotent")
 
     witnesses = []
-    for subset in nonempty_subsets(arity):
+    for subset in subsets(arity):  # lazily: the first subset without a witness ends the check
         found = next((i for i in sys.identities if _witness_for(i, symbol, subset)), None)
         if found is None:
             return HmTermReport(symbol, False, tuple(witnesses), subset)

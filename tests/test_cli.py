@@ -782,6 +782,8 @@ def test_ident_golden_reports(capsys, system_file):
     cases = (
         ("ident_saturate_majority", MAJORITY_SYSTEM, ("saturate",), 0),
         ("ident_hm_check_maltsev", MALTSEV_SYSTEM, ("hm-check", "--term", "p"), 0),
+        # m is idempotent only through a derived identity
+        ("ident_hm_check_majority", MAJORITY_SYSTEM, ("hm-check", "--term", "m"), 0),
         ("ident_hm_check_semilattice", SEMILATTICE_SYSTEM, ("hm-check", "--term", "f"), 1),
     )
     for name, text, command, want in cases:
@@ -808,6 +810,14 @@ def test_ident_commands_take_deep_terms(capsys, system_file):
     assert code == 0 and "interpretation: pass  f->{1}" in out
     code, _, err = run(capsys, "ident", "saturate", "--system", path)
     assert code == 2 and "non-linear identity" in err and "internal error" not in err
+
+
+def test_ident_hm_check_wide_symbol(capsys, system_file):
+    # the first of 2^30 - 1 coordinate subsets has no witness, and the check stops there
+    path = system_file(f"ops: f/30\nidempotent: f\nf({'x,' * 29}y) = x\n", "wide30.txt")
+    code, out, _ = run(capsys, "ident", "hm-check", "--system", path, "--term", "f")
+    assert code == 1
+    assert out.splitlines()[1:] == ["I={1}: fail  no witness identity", "subset condition: fail"]
 
 
 def test_ident_hm_check_undeclared_term_is_exit_2(capsys, system_file):

@@ -3,7 +3,7 @@ import random
 import re
 import sys
 from collections import Counter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import pytest
 
@@ -11,6 +11,7 @@ from hmkit.freecons import FiniteAlgebra
 from hmkit.homsearch import OperationTable
 from hmkit.identlang import (
     Application,
+    HmTermReport,
     Identity,
     ParseError,
     SLLabeling,
@@ -29,10 +30,11 @@ from hmkit.identlang import (
     saturate,
     sigma_varset,
     sl_interp_search,
+    subsets,
     term_variables,
     _witness_for,
 )
-from hmkit.identlang import _IDENT, Term, TermSystem, _normalize
+from hmkit.identlang import _IDENT, Term, TermSystem
 from hmkit.structures import StructureError
 
 from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, all_labelings, expand_cover, hm_pass_forces_unsat
@@ -153,10 +155,12 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
     return TermSystem(sys.declarations, ordered, sys.idempotent)
 
 
-def random_linear_system(rng: random.Random) -> TermSystem:
-    """1-3 symbols of arity 1-4 and 0-5 linear identities in one variable pair."""
-    declarations = {name: rng.randint(1, 4) for name in ("f", "g", "h")[: rng.randint(1, 3)]}
-    names = rng.choice(("xy", "yx", "ab", "uv"))
+def random_linear_system(
+    rng: random.Random, symbols: Sequence[str] = ("f", "g", "h"), pairs: Sequence[Sequence[str]] = ("xy", "yx", "ab", "uv")
+) -> TermSystem:
+    """1-3 of the symbols, of arity 1-4, and 0-5 linear identities in one of the variable pairs."""
+    declarations = {name: rng.randint(1, 4) for name in symbols[: rng.randint(1, 3)]}
+    names = rng.choice(pairs)
 
     def side() -> object:
         if rng.random() < 0.25:
@@ -451,12 +455,86 @@ def test_saturate_derives_pairings():
     assert "f(x,y) = g(y,x)" in strs
 
 
-def test_saturate_matches_the_rule_loop():
+# symbols named x, y or holding them, over variables named otherwise:
+# renaming to x, y touches argument names only
+RENAMING_SYSTEMS = (
+    "ops: xy/2, y/3\nidempotent: y\nxy(u,x1) = xy(x1,u)\ny(yy,u,yy) = u\nxy(x1,x1) = x1\ny(u,x1,x1) = xy(x1,u)\n",
+    "ops: x/1, xy/2\nidempotent: xy\nx(yy) = xy(yy,u)\nxy(u,yy) = yy\nx(x1) = x1\n",
+)
+
+
+def rule_loop_systems() -> list[TermSystem]:
+    """The systems on which saturation is checked against the rule loop."""
     rng = random.Random(8)
     systems = [random_linear_system(rng) for _ in range(2000)]
     systems += [parse(MAJORITY_SYSTEM), parse(MALTSEV_SYSTEM), linear_fragment(parse(SEMILATTICE_SYSTEM))]
-    for sys_ in systems:
+    systems += map(parse, RENAMING_SYSTEMS)
+    systems += (random_linear_system(rng, ("xy", "y", "x"), (("u", "x1"), ("yy", "u"), ("x1", "yy"))) for _ in range(200))
+    return systems
+
+
+def test_saturate_matches_the_rule_loop():
+    for sys_ in rule_loop_systems():
         assert saturate(sys_) == saturate_reference(sys_), format_system(sys_)
+
+
+def hm_term_check_reference(sys: TermSystem, symbol: str) -> HmTermReport:
+    """`hm_term_check` as it was when it hashed the whole system to test
+    idempotence, kept verbatim apart from its name as an oracle."""
+    if symbol not in sys.declarations:
+        raise SystemError_(f"symbol '{symbol}' is not declared")
+    arity = sys.declarations[symbol]
+    idem = Identity(Application(symbol, (_X,) * arity), _X)
+    if symbol not in sys.idempotent and idem not in set(sys.identities):
+        raise SystemError_(f"symbol '{symbol}' is not known to be idempotent")
+
+    witnesses = []
+    for subset in nonempty_subsets(arity):
+        found = next((i for i in sys.identities if _witness_for(i, symbol, subset)), None)
+        if found is None:
+            return HmTermReport(symbol, False, tuple(witnesses), subset)
+        witnesses.append((subset, found))
+    return HmTermReport(symbol, True, tuple(witnesses), None)
+
+
+def test_hm_term_check_matches_the_reference():
+    """On the saturation of every rule-loop system, for every declared
+    symbol: the same report, or the same refusal."""
+    kinds = Counter()
+    for sys_ in rule_loop_systems():
+        sat = saturate(sys_)
+        for symbol in sorted(sat.declarations):
+            try:
+                want = hm_term_check_reference(sat, symbol)
+            except SystemError_ as e:
+                with pytest.raises(SystemError_) as got:
+                    hm_term_check(sat, symbol)
+                assert str(got.value) == str(e)
+                kinds["refused"] += 1
+                continue
+            assert hm_term_check(sat, symbol) == want, format_system(sys_)
+            kinds["passed" if want.passed else "failed"] += 1
+            kinds["idempotent by derivation"] += symbol not in sat.idempotent
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_hm_term_check_takes_deep_identities():
+    # the idempotence test compares identities rather than hashing them,
+    # and no test of a coordinate subset walks below the top application
+    x, y = Variable("x"), Variable("y")
+    deep = chain(200_000, "f")
+    swap = Identity(Application("f", (x, y)), Application("f", (y, x)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        unsaturated = TermSystem({"f": 2}, (Identity(deep, x), Identity(x, deep), swap))
+        with pytest.raises(SystemError_, match="symbol 'f' is not known to be idempotent"):
+            hm_term_check(unsaturated, "f")
+        idempotent = TermSystem({"f": 2}, unsaturated.identities + (Identity(Application("f", (x, x)), x),))
+        report = hm_term_check(idempotent, "f")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not report.passed and report.witnesses == (((1,), swap),) and report.missing == (1, 2)
 
 
 def test_saturate_rejects_nonlinear_and_three_variables():
@@ -464,6 +542,12 @@ def test_saturate_rejects_nonlinear_and_three_variables():
         saturate(parse(SEMILATTICE_SYSTEM))  # associativity is nested
     with pytest.raises(SystemError_):
         saturate(parse("ops: f/3\nf(x,y,z) = x\n"))
+
+
+def test_subsets_match_sorted_combinations():
+    for n in range(11):
+        want = sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
+        assert list(subsets(n)) == nonempty_subsets(n) == want
 
 
 def test_nonempty_subsets_order():
@@ -687,6 +771,7 @@ def test_fold_matches_fold_reference():
     wide = tuple(Variable("xyzw"[k % 4]) if k % 2 else random_term(rng, 3) for k in range(3000))
     terms.append(Application("wide", wide))
 
+    kinds = Counter()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default: neither walker may recurse
     try:
@@ -696,12 +781,20 @@ def test_fold_matches_fold_reference():
             labeling = SLLabeling({sym: rng.choice(nonempty_subsets(n)) for sym, n in SYMBOLS.items()} | {"wide": range(1, 3001, 7)})
             assert sigma_varset(t, labeling) == reference_varset(t, lambda u: [u.args[i - 1] for i in labeling.sigma[u.symbol]])
         for lhs, rhs in zip(terms, reversed(terms)):
-            identity = Identity(lhs, rhs)
-            got, want = _normalize(identity), reference_normalize(identity)
-            # compared as text: term equality recurses on deep terms
-            assert (reference_str(got.lhs), reference_str(got.rhs)) == (reference_str(want.lhs), reference_str(want.rhs))
+            one = TermSystem(SYMBOLS | {"wide": 3000}, (Identity(lhs, rhs),))
+            try:
+                want = saturate_reference(one)
+            except SystemError_ as e:  # a nested side or a third variable, deep ones too
+                with pytest.raises(SystemError_) as got:
+                    saturate(one)
+                assert str(got.value) == str(e)
+                kinds["refused"] += 1
+                continue
+            assert saturate(one) == want
+            kinds["saturated"] += 1
     finally:
         sys.setrecursionlimit(limit)
+    assert min(kinds.values()) > 20, kinds
 
 
 def random_interpretation(rng: random.Random, size: int) -> dict[str, OperationTable]:
