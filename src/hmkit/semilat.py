@@ -25,6 +25,7 @@ from .structures import (
     StructureError,
     coordinate_tuples,
     rank,
+    strides,
 )
 from .homsearch import OperationTable
 
@@ -43,26 +44,29 @@ def single_ternary_relation(s: RelationalStructure) -> Relation:
     return rel
 
 
-MeetIndex = dict[tuple[int, int], list[int]]
+MeetTable = dict[tuple[int, int], int | tuple[int, int]]
 
 
-def _meet_index(s: RelationalStructure) -> MeetIndex:
-    """(a, b) -> every c with (a, b, c) in the relation, ascending."""
-    index: MeetIndex = {}
+def _meet_table(s: RelationalStructure) -> MeetTable:
+    """(a, b) -> c for each triple (a, b, c) of the relation.  A pair with
+    several c maps to its two least instead, as a tuple: a fold that reaches
+    it finds no further meet (no key holds a tuple) and equals no map value,
+    and `_meet` names both triples."""
+    table: MeetTable = {}
     for a, b, c in single_ternary_relation(s).sorted_tuples():
-        index.setdefault((a, b), []).append(c)
-    return index
+        known = table.setdefault((a, b), c)
+        if type(known) is not tuple and known != c:
+            table[a, b] = (known, c)
+    return table
 
 
-def _meet(index: MeetIndex, a: int | None, b: int) -> int | None:
-    found = index.get((a, b))  # None for a = None: an undefined meet stays undefined
-    if found is None:
-        return None
-    if len(found) > 1:
+def _meet(table: MeetTable, a: int | None, b: int) -> int | None:
+    found = table.get((a, b))  # None for a = None: an undefined meet stays undefined
+    if type(found) is tuple:
         raise StructureError(
             f"non-functional relation: ({a},{b},{found[0]}) and ({a},{b},{found[1]}) both present"
         )
-    return found[0]
+    return found
 
 
 def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
@@ -70,17 +74,18 @@ def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
     for v in (a, b):
         if not (0 <= v < s.size):
             raise StructureError(f"id {v} not in universe of size {s.size}")
-    return _meet(_meet_index(s), a, b)
+    return _meet(_meet_table(s), a, b)
 
 
 def largest_element(s: RelationalStructure) -> int | None:
     """The element 1 with (a,1,a) and (1,a,a) present for every a, if any."""
-    rel = single_ternary_relation(s)
-    tuples = rel.tuples
+    tuples = single_ternary_relation(s).tuples
+    ids = range(s.size)
     candidates = [
         t
-        for t in range(s.size)
-        if all((a, t, a) in tuples and (t, a, a) in tuples for a in range(s.size))
+        for t in ids
+        if tuples.issuperset(zip(ids, itertools.repeat(t), ids))
+        and tuples.issuperset(zip(itertools.repeat(t), ids, ids))
     ]
     if len(candidates) > 1:
         # two largest elements force (t,t',t) and (t,t',t'), so the relation
@@ -207,11 +212,10 @@ def _check_product_map(
     """
     sym = target.symbols()[0]
     tgt = target.relations[sym].tuples
-    sizes = [h.size for h in factors]
-    # per factor, a -> b -> [c], each scaled by the factor's stride: the rank of its unit coordinate
+    # per factor, a -> b -> [c], each scaled by the factor's stride
     tries = []
-    for i, h in enumerate(factors):
-        stride, trie = rank([int(j == i) for j in range(len(sizes))], sizes), {}
+    for h, stride in zip(factors, strides([h.size for h in factors])):
+        trie: dict = {}
         for a, b, c in sorted(h.relations[sym].tuples):
             trie.setdefault(a * stride, {}).setdefault(b * stride, []).append(c * stride)
         tries.append(trie)
@@ -247,36 +251,49 @@ def decompose_product_hom(
     DecompositionError.  The tops are each factor's largest element, which
     its relation alone determines, and a factor without one is named before
     any product tuple is walked.  The coordinate maps, returned as mapping
-    tuples, are f_i(x) = f(tops with x substituted at i); f must
-    equal, at every point x, the left-folded meet g of F(x) = (f_1(x_1),
-    ..., f_k(x_k)) in the target.
+    tuples, are f_i(x) = f(tops with x substituted at i), each one slice of
+    mapping; f must equal, at every point x, the left-folded meet g of
+    F(x) = (f_1(x_1), ..., f_k(x_k)) in the target.
+
+    That meet identity is checked in bulk: g is folded over the points of
+    one factor more at a time, one flat meet table lookup per point of each
+    prefix product, and the result is compared with mapping as a whole.  A
+    lookup that misses, or meets a pair with two values, spoils the fold
+    from there on, so the first point where the two differ is the first
+    point where a walk in id order would fail, and the fold there, redone
+    one meet at a time, names its error: a non-functional pair, an
+    undefined meet or a mismatch.
 
     f = g∘F is then proved a homomorphism on the coordinate images
     I_i = {(f_i(a), f_i(b), f_i(c)) : (a, b, c) in R_i}: F maps the product
     relation onto the product of the I_i, and g is the left-folded meet, so
     folding the I_i from the left by componentwise meets yields exactly the
     images of the product tuples under f, in at most (k - 1) * |T|^3 *
-    max|I_i| meets for a target T, and f is a homomorphism iff they lie in
-    the target relation.  Each meet is a prefix fold of some F(x), already
-    taken by the point walk, so none is undefined or non-functional; each
-    I_i is among the images, with the other factors at their tops' loops
-    (t, t, t), where g = f_i.  When a check fails, the product tuples are
-    walked first, so a map that is no homomorphism raises "not a
-    homomorphism" at its least failing tuple, as the fold's triples are
-    images of product tuples; a homomorphism gets a DecompositionError
-    with the failed check's message.  max_tuples bounds only that walk: SizeLimitExceeded
-    is raised when it would read tuple max_tuples + 1.
+    max|I_i| table lookups of three meets each for a target T, and f is a
+    homomorphism iff they lie in the target relation.  Each meet is a
+    prefix fold of some F(x), already taken by the bulk check, so none is
+    undefined or non-functional; each I_i is among the images, with the
+    other factors at their tops' loops (t, t, t), where g = f_i.  When a
+    check fails, the product tuples are walked first, so a map that is no
+    homomorphism raises "not a homomorphism" at its least failing tuple, as
+    the fold's triples are images of product tuples; a homomorphism gets a
+    DecompositionError with the failed check's message.  max_tuples bounds
+    only that walk: SizeLimitExceeded is raised when it would read tuple
+    max_tuples + 1.
     """
     if not factors:
         raise StructureError("empty factor list")
     mapping = tuple(mapping)
-    size = math.prod(h.size for h in factors)
-    if len(mapping) != size:
-        raise StructureError(f"map has {len(mapping)} entries for a product of size {size}")
-    for v in mapping:
-        if not (0 <= v < target.size):
-            raise StructureError(f"map value {v} not in target universe of size {target.size}")
-    if any(h.signature() != target.signature() for h in factors):
+    sizes = [h.size for h in factors]
+    if len(mapping) != math.prod(sizes):
+        raise StructureError(f"map has {len(mapping)} entries for a product of size {math.prod(sizes)}")
+    distinct = set(mapping)
+    if not all(map(range(target.size).__contains__, distinct)):  # the loop names the first bad one in map order
+        for v in mapping:
+            if not (0 <= v < target.size):
+                raise StructureError(f"map value {v} not in target universe of size {target.size}")
+    signature = target.signature()
+    if any(h.signature() != signature for h in factors):
         raise SignatureMismatch("target and factors have different signatures")
     rel = single_ternary_relation(target).tuples  # and so every factor's
     try:
@@ -287,30 +304,39 @@ def decompose_product_hom(
         raise DecompositionError("a factor has no largest element")
 
     try:
-        if len(set(mapping)) <= 1:
+        if len(distinct) <= 1:
             if (mapping[0],) * 3 not in rel:
                 raise DecompositionError("constant value without a loop")
             return ProductDecomposition(mapping[0], ())
 
-        sizes = [h.size for h in factors]
-        maps = [tuple(mapping[rank(tops[:i] + (x,) + tops[i + 1:], sizes)] for x in range(h.size))
-                for i, h in enumerate(factors)]
-        meets = _meet_index(target)
-        g: dict[tuple[int, ...], int] = {}
-        for idx, coords in enumerate(coordinate_tuples(sizes)):
-            values = tuple(m[c] for m, c in zip(maps, coords))
-            expected = g[values] if values in g else functools.reduce(lambda x, y: _meet(meets, x, y), values)
+        corner = rank(tops, sizes)
+        maps = []
+        for t, n, stride in zip(tops, sizes, strides(sizes)):
+            start = corner - t * stride
+            maps.append(mapping[start:start + n * stride:stride])
+        table = _meet_table(target)
+        folded = maps[0]
+        for m in maps[1:]:
+            folded = tuple(map(table.get, itertools.product(folded, m)))
+        if folded != mapping:
+            idx = next(i for i, (g, v) in enumerate(zip(folded, mapping)) if g != v)
+            coords = next(itertools.islice(coordinate_tuples(sizes), idx, None))
+            expected = functools.reduce(lambda x, y: _meet(table, x, y), [m[c] for m, c in zip(maps, coords)])
             if expected is None:
                 raise DecompositionError(f"iterated meet undefined at point {coords}")
-            if expected != mapping[idx]:
-                raise DecompositionError(
-                    f"meet identity fails at {coords}: meet gives {expected}, f gives {mapping[idx]}"
-                )
-            g[values] = expected
-        images = [{tuple(m[v] for v in t) for t in single_ternary_relation(h).tuples} for h, m in zip(factors, maps)]
+            raise DecompositionError(f"meet identity fails at {coords}: meet gives {expected}, f gives {mapping[idx]}")
+
+        sym = target.symbols()[0]
+        images = []
+        for h, m in zip(factors, maps):
+            values = map(m.__getitem__, itertools.chain.from_iterable(h.relations[sym].tuples))
+            images.append(set(zip(values, values, values)))
         states = images[0]
         for image in images[1:]:
-            states = {tuple(_meet(meets, s, u) for s, u in zip(state, triple)) for state in states for triple in image}
+            # the three componentwise meets of each (state, triple) pair, in a row
+            pairs = itertools.chain.from_iterable(itertools.starmap(zip, itertools.product(states, image)))
+            meets = map(table.__getitem__, pairs)
+            states = set(zip(meets, meets, meets))
         if not states <= rel:
             raise DecompositionError("coordinate images leave the target relation")
     except StructureError as exc:  # a failed check, or a target or factor that is not functional

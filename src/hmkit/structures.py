@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -159,6 +160,11 @@ def rank(coords: Sequence[int], sizes: Sequence[int]) -> int:
     return r
 
 
+def strides(sizes: Sequence[int]) -> list[int]:
+    """The id step of each coordinate: the rank of its unit coordinate tuple."""
+    return [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+
+
 def coordinate_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The coordinate tuple of every product element, in id order: rank's inverse."""
     return itertools.product(*(range(n) for n in sizes))
@@ -197,10 +203,9 @@ def product_tuples(structures: Sequence[RelationalStructure], sym: str) -> Itera
     sums over all factors but the one with the most tuples are listed, fewest
     tuples first; that factor's tuples are added one product tuple at a time.
     """
-    sizes = [s.size for s in structures]
-    strides = [rank([int(j == k) for j in range(len(sizes))], sizes) for k in range(len(sizes))]
+    steps = strides([s.size for s in structures])
     scaled = sorted(
-        ([tuple(c * stride for c in t) for t in s.relations[sym].tuples] for s, stride in zip(structures, strides)),
+        ([tuple(c * stride for c in t) for t in s.relations[sym].tuples] for s, stride in zip(structures, steps)),
         key=len,
     )
     if not scaled[0]:

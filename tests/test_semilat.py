@@ -160,6 +160,40 @@ def test_largest_element_rejects_two_tops():
         largest_element(s)
 
 
+def largest_elements_reference(s):
+    """Every t with (a, t, a) and (t, a, a) in the relation for every a, by
+    one membership test per triple."""
+    rel = single_ternary_relation(s).tuples
+    return [t for t in range(s.size) if all((a, t, a) in rel and (t, a, a) in rel for a in range(s.size))]
+
+
+def test_largest_element_matches_the_brute_force_oracle():
+    """Seeded relations with 0, 1 or 2 planted tops, some with one triple
+    dropped, and the empty universe: None, the one top, or the two tops
+    named in the error."""
+    rng = random.Random(43)
+    structures = [ternary(0, ())]
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        triples = {(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))}
+        for t in rng.sample(range(n), rng.randint(0, min(n, 2))):
+            triples |= {(a, t, a) for a in range(n)} | {(t, a, a) for a in range(n)}
+        if rng.random() < 0.3:
+            triples.discard(rng.choice(sorted(triples or {(0, 0, 0)})))
+        structures.append(ternary(n, triples))
+    seen = Counter()
+    for s in structures:
+        tops = largest_elements_reference(s)
+        if len(tops) > 1:
+            with pytest.raises(StructureError) as info:
+                largest_element(s)
+            assert str(info.value) == f"multiple largest elements {tops}; relation not functional"
+        else:
+            assert largest_element(s) == (tops[0] if tops else None)
+        seen[min(len(tops), 2), s.size == 0] += 1
+    assert seen[0, True] == 1 and min(seen[k, False] for k in range(3)) >= 100, seen
+
+
 def test_is_partial_semilattice_accepts_full_meet(S, chain3):
     for s in (S, chain3):
         w = is_partial_semilattice(s)
@@ -276,6 +310,9 @@ def test_decompose_rejects_wrong_shapes(S):
     with pytest.raises(StructureError, match="^empty factor list$") as info:
         decompose_product_hom([], S, (0,))
     assert not isinstance(info.value, DecompositionError)
+    for mapping, bad in (((0, 2, -1, 1), 2), ((0, 0, float("nan"), 1), "nan")):
+        with pytest.raises(StructureError, match=rf"^map value {bad} not in target universe of size 2$"):
+            decompose_product_hom([S, S], S, mapping)
     other = RelationalStructure(2, {"Q": S.relations["R"]})
     with pytest.raises(SignatureMismatch, match="^target and factors have different signatures$"):
         decompose_product_hom([S, other], S, (0, 0, 0, 1))
@@ -379,6 +416,70 @@ def test_decompose_matches_product_reference(S, chain3, point):
     assert min(seen["constant"], seen["meet"], seen["not a homomorphism"]) >= 50, seen
 
 
+def boolean_fragment(rng, n, dim):
+    """n points of the Boolean lattice 2^dim, its top (id 0) among them, with
+    every meet that lands inside the set: a partial semilattice whose
+    largest element is 0."""
+    top = (1 << dim) - 1
+    points = [top] + rng.sample(range(top), n - 1)
+    index = {p: i for i, p in enumerate(points)}
+    return ternary(n, {(i, j, index[a & b]) for (i, a), (j, b) in itertools.product(enumerate(points), repeat=2)
+                       if a & b in index})
+
+
+def test_decompose_matches_product_reference_on_fragment_chains(S):
+    """Chains of 2-4 meet fragments of Boolean lattices into S, shaped like
+    the decompositions of the psl benchmark workload: every hom the search
+    finds, and copies with 1-3 entries changed, into S and into S with
+    (0, 1, 1) added.  The result, or a DecompositionError with the message
+    the reference raises."""
+    nonfunctional = ternary(2, single_ternary_relation(S).tuples | {(0, 1, 1)})
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(16):
+        k = rng.randint(2, 4)
+        factors = [boolean_fragment(rng, rng.randint(2, 4 if k < 4 else 3), 3) for _ in range(k)]
+        homs = find_homs(product(factors), S, limit=8)
+        changed = []
+        for mapping in homs:
+            spots = rng.sample(range(len(mapping)), min(len(mapping), rng.randint(1, 3)))
+            changed.append(tuple(1 - v if i in spots else v for i, v in enumerate(mapping)))
+        for target in (S, nonfunctional):
+            for mapping in homs + changed:
+                expected = outcome(decompose_reference, factors, target, mapping, [0] * k)
+                try:
+                    got = decompose_product_hom(factors, target, mapping)
+                except StructureError as exc:
+                    got = (type(exc), str(exc))
+                if isinstance(expected, ProductDecomposition):
+                    assert got == expected
+                    seen["constant" if expected.is_constant else "meet"] += 1
+                else:
+                    assert got == (DecompositionError, expected)
+                    seen[expected.split(":")[0]] += 1
+                seen[k] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+def test_decompose_names_the_first_failing_point_before_a_later_non_functional_meet(S, monkeypatch):
+    """The bulk meet-identity check folds every point before it looks for a
+    failure, so a non-functional pair it meets is not raised ahead of an
+    earlier point that fails.  A homomorphism passes the identity wherever
+    its meets are functional (each fold step is the image of a product
+    tuple), so a patched meet table makes the failures: 0 meet 1 gives 1,
+    which first fails the meet map of S^3 at (0, 0, 1), and 1 meet 0 is
+    non-functional, which the walk in id order meets only at (0, 1, 0)."""
+    meet = tuple(a & b & c for a, b, c in itertools.product(range(2), repeat=3))
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): (0, 1), (1, 1): 1}
+    monkeypatch.setattr(semilat, "_meet_table", lambda s: table)
+    with pytest.raises(DecompositionError, match=r"^meet identity fails at \(0, 0, 1\): meet gives 1, f gives 0$"):
+        decompose_product_hom([S, S, S], S, meet)
+    # with 0 meet 1 right, the non-functional pair is the first failure
+    table[0, 1] = 0
+    with pytest.raises(DecompositionError, match=r"^non-functional relation: \(1,0,0\) and \(1,0,1\) both present$"):
+        decompose_product_hom([S, S, S], S, meet)
+
+
 def meet_identity_holds(factors, target, mapping, tops):
     """f equals, at every point, the iterated meet of its values on the faces through the tops."""
     sizes = [h.size for h in factors]
@@ -475,11 +576,11 @@ def test_decompose_names_the_least_failing_tuple(S, chain3, point):
 
 def test_a_homomorphism_that_fails_a_check_gets_that_checks_error(S, monkeypatch):
     """On a homomorphism into a functional target every check passes (each
-    meet the walk and the fold take is the image of a product tuple), so a
-    meet lookup patched to find nothing drives the branch: the point walk's
+    meet the bulk check and the fold take is the image of a product tuple),
+    so a meet table patched to be empty drives the branch: the point walk's
     message is raised, since the map passes the product walk, while a map
     that is no homomorphism is named at its least failing tuple."""
-    monkeypatch.setattr(semilat, "_meet", lambda index, a, b: None)
+    monkeypatch.setattr(semilat, "_meet_table", lambda s: {})
     with pytest.raises(DecompositionError, match=r"^iterated meet undefined at point \(0, 0\)$"):
         decompose_product_hom([S, S], S, (0, 0, 0, 1))  # the meet map S^2 -> S
     with pytest.raises(DecompositionError, match=r"^not a homomorphism: R tuple \(1, 2, 0\) maps to \(1, 1, 0\)$"):
