@@ -54,9 +54,9 @@ per rank serves every labeling still undecided, each keeping one set per
 element; the two derivations of the first collision are the reported
 identity.  Labelings that agree on the symbols evaluated so far share
 their sets, so the closure keeps them as one labeling prefix (a coordinate
-set index per sorted symbol, extended at each symbol's first batch).
-Labeling order is the lexicographic order of full index tuples, so the
-prefixes decided, disjoint blocks of it, read in labeling order once
+set, a sorted tuple, per sorted symbol, extended at each symbol's first
+batch).  Labeling order is the lexicographic order of full labelings, so
+the prefixes decided, disjoint blocks of it, read in labeling order once
 sorted, and so listed they are the certificate: a cover of the labelings,
 one partial labeling and identity per decided prefix, whose replay walks
 the prefix tree.  Membership does not depend on evaluation order, so the
@@ -89,10 +89,9 @@ from .identlang import (
     Variable,
     _fold,
     holds_in,
-    nonempty_subsets,
-    prefix_labeling,
     sigma_varset,
     skip_prefix,
+    subsets,
     term_symbols,
 )
 from .semilat import (
@@ -759,26 +758,25 @@ def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequ
 
 
 def _refute_rank(
-    a: FiniteAlgebra, choices: Sequence[list], j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
-) -> list[tuple[int, ...]]:
+    a: FiniteAlgebra, j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
+) -> list[tuple[tuple[int, ...], ...]]:
     """Close F_j once for the live labeling prefixes, append to `decided`
     what each prefix meets first at rank j, and return the prefixes that
     survive the closure.
 
-    A prefix holds an index into choices[t] (the coordinate sets of the
-    t-th sorted symbol) for each of the first sorted symbols, and stands
-    for every labeling that extends it.  A labeling's pairs (term
-    operation, labeled variable set) are in bijection with the term
-    operations until its first collision, a tuple whose value is an element
-    with another set, with the same ids, derivations and batch order as a
-    closure of its own pairs.  That element's derivation is the identity's
-    lhs and the tuple its rhs.  The engine never stops at the whole power
-    before a collision: for |A| >= 2, F_j lies inside the idempotent
-    operations, and for |A| = 1 the seeds collide.  The sets of the elements
-    depend only on the coordinate sets of the symbols evaluated so far, so
-    at a symbol's first batch, in round 1, each live prefix splits into one
-    child per coordinate set of the symbol; from then on every prefix is a
-    full labeling.
+    A prefix holds a coordinate set, a sorted tuple, for each of the first
+    sorted symbols, and stands for every labeling that extends it.  A
+    labeling's pairs (term operation, labeled variable set) are in bijection
+    with the term operations until its first collision, a tuple whose value
+    is an element with another set, with the same ids, derivations and batch
+    order as a closure of its own pairs.  That element's derivation is the
+    identity's lhs and the tuple its rhs.  The engine never stops at the
+    whole power before a collision: for |A| >= 2, F_j lies inside the
+    idempotent operations, and for |A| = 1 the seeds collide.  The sets of
+    the elements depend only on the coordinate sets of the symbols evaluated
+    so far, so at a symbol's first batch, in round 1, each live prefix
+    splits into one child per coordinate set of the symbol; from then on
+    every prefix is a full labeling.
 
     A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
     set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
@@ -795,14 +793,14 @@ def _refute_rank(
     for sym, m, prefix, first, batch, ids, added in steps:
         t = position.get(sym)
         if t == len(live[0][0]):  # the symbol's first batch: split by its coordinate sets
-            live = [(chosen + (c,), bits if c == 0 else bits[:]) for chosen, bits in live for c in range(len(choices[t]))]
+            live = [(chosen + (c,), bits if c == (1,) else bits[:]) for chosen, bits in live for c in subsets(m)]
         # decide each prefix that collides or overflows in the batch
         survivors = []
         for chosen, bits in live:
             if sym is None:
                 union = seed_bits
             else:
-                coords = choices[t][chosen[t]]
+                coords = chosen[t]
                 p = 0
                 for c in coords:
                     if c < m:
@@ -844,13 +842,14 @@ def hm_evidence(
     (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
     labeling's pairs per rank, by the engine's overflow rule.  The
     decided prefixes and the survivors are disjoint blocks of the labeling
-    order, which is the lexicographic order of index tuples, so sorted by
-    prefix they read in labeling order: the first overflow raises and the
-    first survivor is returned, as in a search of one labeling at a time.
-    A certificate is a cover: one refutation per decided prefix, in that
-    order, whose partial labeling labels the prefix's symbols and stands
-    for every labeling extending it.  Rank 1 is not searched: every labeled
-    coordinate set is non-empty, so at rank 1 every union is {x}.
+    order, which is the lexicographic order of tuples of coordinate sets,
+    so sorted by prefix they read in labeling order: the first overflow
+    raises and the first survivor is returned, as in a search of one
+    labeling at a time.  A certificate is a cover: one refutation per
+    decided prefix, in that order, whose partial labeling labels the
+    prefix's symbols and stands for every labeling extending it.  Rank 1 is
+    not searched: every labeled coordinate set is non-empty, so at rank 1
+    every union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -860,20 +859,19 @@ def hm_evidence(
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
     symbols = a.symbols()
-    choices = [nonempty_subsets(a.operations[sym].arity) for sym in symbols]
-    prefixes = [()] if all(choices) else []  # a constant has no coordinate set, so there is no labeling
+    prefixes = [()] if all(a.operations[sym].arity for sym in symbols) else []  # a constant has no coordinate set
     decided: list = []
     for j in range(2, m + 1):
         if not prefixes:
             break
-        prefixes = _refute_rank(a, choices, j, max_tuples, prefixes, decided)
+        prefixes = _refute_rank(a, j, max_tuples, prefixes, decided)
     refutations = []
     for prefix, outcome in sorted(decided + [(p, None) for p in prefixes], key=operator.itemgetter(0)):
         if isinstance(outcome, SizeLimitExceeded):
             raise outcome
-        if outcome is None:  # the survivor is the prefix's first labeling
-            return ConsistentLabelingFound(prefix_labeling(symbols, choices, prefix + (0,) * len(symbols)), m)
-        refutations.append(LabelingRefutation(prefix_labeling(symbols, choices, prefix), *outcome))
+        if outcome is None:  # the survivor is the prefix's first labeling, each later symbol at (1,)
+            return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, prefix + ((1,),) * len(symbols)))), m)
+        refutations.append(LabelingRefutation(SLLabeling(dict(zip(symbols, prefix))), *outcome))
     return CertifiedHM(m, tuple(refutations))
 
 
@@ -881,23 +879,23 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     """Replay a certificate, a cover of the labelings by refuted prefixes.
 
     Coverage: a walk in labeling order holds the first labeling not yet
-    covered as a prefix followed by indexes 0.  Each entry's partial
-    labeling must be that labeling on the first k sorted symbols, k no
-    shorter than the prefix, and the walk then skips the entry's block,
-    every labeling extending it (`skip_prefix`), so blocks come in order
-    with no gap or overlap, and the last must end the order.  Per entry: an
-    arity (an int from 2 to max_arity), well-formed terms over the arity's
-    variable names and the prefix's symbols, validity in the algebra
-    (`holds_in` evaluates each side once, column-wise), and the labeled
-    variable sets under the partial labeling.  Anything malformed returns
-    False rather than raising."""
+    covered as a prefix of coordinate sets followed by (1,) for each later
+    symbol.  Each entry's partial labeling must be that labeling on the
+    first k sorted symbols, k no shorter than the prefix, and the walk then
+    skips the entry's block, every labeling extending it (`skip_prefix`), so
+    blocks come in order with no gap or overlap, and the last must end the
+    order.  Per entry: an arity (an int from 2 to max_arity), well-formed
+    terms over the arity's variable names and the prefix's symbols, validity
+    in the algebra (`holds_in` evaluates each side once, column-wise), and
+    the labeled variable sets under the partial labeling.  Anything
+    malformed returns False rather than raising."""
     if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
         return False
     if not isinstance(certificate.max_arity, int):
         return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
     symbols = a.symbols()
-    choices = [nonempty_subsets(arity[sym]) for sym in symbols]
+    arities = [arity[sym] for sym in symbols]
 
     def node(u, ok: list) -> bool:
         return isinstance(u, Application) and isinstance(u.symbol, str) and all(ok) and len(ok) == arity.get(u.symbol)
@@ -905,12 +903,12 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
-    prefix = [] if all(choices) else None  # the first labeling not yet covered is prefix + (0, ...); None past the last
+    prefix = [] if all(arities) else None  # the first labeling not yet covered: prefix + [(1,), ...]; None past the last
     for r in certificate.refutations:
         if prefix is None or not isinstance(r, LabelingRefutation) or not isinstance(r.labeling, SLLabeling):
             return False
-        prefix += [0] * (len(r.labeling.sigma) - len(prefix))
-        if r.labeling != prefix_labeling(symbols, choices, prefix):  # a longer prefix labels more symbols
+        prefix += [(1,)] * (len(r.labeling.sigma) - len(prefix))
+        if r.labeling != SLLabeling(dict(zip(symbols, prefix))):  # a longer prefix labels more symbols
             return False
         if not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
             return False
@@ -924,7 +922,7 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
         lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
         if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:
             return False
-        if not skip_prefix(prefix, choices):
+        if not skip_prefix(prefix, arities):
             prefix = None
     return prefix is None
 

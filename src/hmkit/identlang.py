@@ -338,22 +338,22 @@ def saturation(sys: TermSystem) -> list[tuple[str, Term, Term]]:
 # --- the subset-condition test ----------------------------------------------
 
 
+def next_subset(s: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """The sorted non-empty subset of {1..n} after s in lexicographic order,
+    None after (n,): a preorder step on the subset as its own stack, which
+    pushes the next coordinate, else pops the last and steps the one before."""
+    if s[-1] < n:
+        return s + (s[-1] + 1,)
+    return s[:-2] + (s[-2] + 1,) if len(s) > 1 else None
+
+
 def subsets(n: int) -> Iterator[tuple[int, ...]]:
     """Non-empty subsets of {1..n} as sorted tuples, lazily, in lexicographic
-    order: a preorder walk whose explicit stack is the subset itself, which
-    descends by pushing the next coordinate, else pops its last and steps
-    the one before it."""
-    s = (1,)
-    while n > 0:
+    order; the first is (1,)."""
+    s = (1,) if n > 0 else None
+    while s is not None:
         yield s
-        if s == (n,):
-            return
-        s = s + (s[-1] + 1,) if s[-1] < n else s[:-2] + (s[-2] + 1,)
-
-
-def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
-    """Non-empty subsets of {1..n} as sorted tuples, in lexicographic order."""
-    return list(subsets(n))
+        s = next_subset(s, n)
 
 
 class HmTermReport(NamedTuple):
@@ -448,21 +448,16 @@ def labeling_count(arities: Iterable[int]) -> int:
     return math.prod(2**n - 1 for n in arities)
 
 
-def prefix_labeling(symbols: Sequence[str], choices: Sequence[list], prefix: Sequence[int]) -> SLLabeling:
-    """The partial labeling of a prefix, an index into the `choices`
-    (nonempty_subsets) of each of the first sorted symbols, which stands
-    for every labeling extending it, a block of labeling order."""
-    return SLLabeling(dict(zip(symbols, map(list.__getitem__, choices, prefix))))
-
-
-def skip_prefix(prefix: list[int], choices: Sequence[list]) -> bool:
-    """Step the prefix, in place, past every labeling that extends it, to
-    the shortest prefix of the next labeling; False if none is left."""
-    while prefix and prefix[-1] == len(choices[len(prefix) - 1]) - 1:
+def skip_prefix(prefix: list[tuple[int, ...]], arities: Sequence[int]) -> bool:
+    """Step the prefix, the coordinate sets of the first sorted symbols of
+    these arities, in place, past every labeling that extends it, to the
+    shortest prefix of the next labeling; False if none is left."""
+    while prefix:
+        prefix[-1] = next_subset(prefix[-1], arities[len(prefix) - 1])
+        if prefix[-1] is not None:
+            return True
         prefix.pop()
-    if prefix:
-        prefix[-1] += 1
-    return bool(prefix)
+    return False
 
 
 def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
@@ -483,8 +478,8 @@ def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
     that cover every labeling, or every one before the first survivor.
     """
     symbols = sorted(sys.declarations)
-    choices = [nonempty_subsets(sys.declarations[sym]) for sym in symbols]
-    if not all(choices):
+    arities = [sys.declarations[sym] for sym in symbols]
+    if not all(n > 0 for n in arities):  # a symbol with no coordinate set: no labeling
         return SLUnsat(())
     depth = {sym: k for k, sym in enumerate(symbols, start=1)}
     due: list[list[Identity]] = [[] for _ in range(len(symbols) + 1)]  # due[k]: the identities a k-prefix decides
@@ -493,7 +488,7 @@ def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
         due[max(map(depth.__getitem__, used), default=0)].append(identity)
     prefix, refutations = [], []
     while True:
-        labeling = prefix_labeling(symbols, choices, prefix)
+        labeling = SLLabeling(dict(zip(symbols, prefix)))
         for identity in due[len(prefix)]:
             lhs, rhs = sigma_varset(identity.lhs, labeling), sigma_varset(identity.rhs, labeling)
             if lhs != rhs:
@@ -502,9 +497,9 @@ def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
         else:
             if len(prefix) == len(symbols):
                 return labeling
-            prefix.append(0)
+            prefix.append((1,))
             continue
-        if not skip_prefix(prefix, choices):
+        if not skip_prefix(prefix, arities):
             return SLUnsat(tuple(refutations))
 
 

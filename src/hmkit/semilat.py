@@ -74,7 +74,11 @@ def meet_lookup(s: RelationalStructure, a: int, b: int) -> int | None:
     for v in (a, b):
         if not (0 <= v < s.size):
             raise StructureError(f"id {v} not in universe of size {s.size}")
-    return _meet(_meet_table(s), a, b)
+    tuples = single_ternary_relation(s).tuples
+    found = [c for c in range(s.size) if (a, b, c) in tuples]
+    if len(found) > 1:
+        raise StructureError(f"non-functional relation: ({a},{b},{found[0]}) and ({a},{b},{found[1]}) both present")
+    return found[0] if found else None
 
 
 def largest_element(s: RelationalStructure) -> int | None:

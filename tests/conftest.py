@@ -7,7 +7,7 @@ import pytest
 
 from hmkit.freecons import FiniteAlgebra
 from hmkit.homsearch import OperationTable
-from hmkit.identlang import HmTermReport, SLLabeling, SystemError_, TermSystem, nonempty_subsets, sigma_varset
+from hmkit.identlang import HmTermReport, SLLabeling, SystemError_, TermSystem, Variable
 from hmkit.semilat import PartialSemilatticeWitness, single_ternary_relation
 from hmkit.structures import (
     Relation,
@@ -196,18 +196,36 @@ def hm_pass_forces_unsat(sys: TermSystem, report: HmTermReport) -> bool:
         raise SystemError_("implication check requires a passing report")
     witness = dict(report.witnesses)
     arity = sys.declarations[report.symbol]
-    for subset in nonempty_subsets(arity):
+    for subset in coordinate_sets(arity):
         labeling = SLLabeling({report.symbol: subset})
         identity = witness[subset]
-        if sigma_varset(identity.lhs, labeling) == sigma_varset(identity.rhs, labeling):
+        if labeled_variables(identity.lhs, labeling) == labeled_variables(identity.rhs, labeling):
             return False
     return True
+
+
+def coordinate_sets(n):
+    """The non-empty subsets of {1..n} as sorted tuples, in lexicographic order."""
+    return sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
+
+
+def labeled_variables(t, labeling):
+    """The variables of t reachable through labeled coordinates, by a walk
+    with an explicit stack."""
+    names, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Variable):
+            names.add(u.name)
+        else:
+            stack.extend(u.args[i - 1] for i in labeling.sigma[u.symbol])
+    return frozenset(names)
 
 
 def all_labelings(declarations):
     """Every labeling, lazily, in lexicographic order of the sorted symbols' subsets."""
     symbols = sorted(declarations)
-    combos = itertools.product(*(nonempty_subsets(declarations[s]) for s in symbols))
+    combos = itertools.product(*(coordinate_sets(declarations[s]) for s in symbols))
     return (SLLabeling(dict(zip(symbols, combo))) for combo in combos)
 
 

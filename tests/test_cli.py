@@ -21,7 +21,7 @@ from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
 from hmkit.homsearch import OperationTable, count_homs, polymorphisms
-from hmkit.identlang import nonempty_subsets, parse, sl_interp_search
+from hmkit.identlang import parse, sl_interp_search
 from hmkit.semilat import DecompositionError, PartialSemilatticeWitness, decompose_product_hom
 from hmkit.structures import (
     Relation,
@@ -36,7 +36,7 @@ from hmkit.structures import (
     structure_to_json,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, directed_cycles, verify_witness
+from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, coordinate_sets, directed_cycles, verify_witness
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -867,7 +867,7 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
 def test_six_majority_symbols_are_answered_by_a_cover(capsys, algebra_file, system_file, majority_algebra):
     # every labeling of m0 is refuted by an identity in m0 alone, so seven
     # entries stand for the 7^6 labelings; the counts are of labelings
-    prefixes = [f"m0->{{{','.join(map(str, c))}}}" for c in nonempty_subsets(3)]
+    prefixes = [f"m0->{{{','.join(map(str, c))}}}" for c in coordinate_sets(3)]
     six = FiniteAlgebra(2, {f"m{i}": majority_algebra.operations["m"] for i in range(6)})
     code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", algebra_file(six), "--output", "json")
     report = json.loads(out)

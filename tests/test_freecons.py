@@ -52,8 +52,6 @@ from hmkit.identlang import (
     Term,
     Variable,
     holds_in,
-    nonempty_subsets,
-    sigma_varset,
 )
 from hmkit.semilat import (
     DecompositionError,
@@ -78,7 +76,17 @@ from hmkit.structures import (
     two_element_semilattice,
 )
 
-from conftest import algebra_doc, all_labelings, expand_cover, image_structure, kernel, one_element_structure, report_lines
+from conftest import (
+    algebra_doc,
+    all_labelings,
+    coordinate_sets,
+    expand_cover,
+    image_structure,
+    kernel,
+    labeled_variables,
+    one_element_structure,
+    report_lines,
+)
 
 
 def closure_reference(seeds, algebras, max_elements):
@@ -807,7 +815,7 @@ def test_hm_evidence_majority(majority_algebra):
         assert isinstance(r, LabelingRefutation)
         # each refuting identity is valid in the algebra yet changes varsets
         assert holds_in(majority_algebra, Identity(r.lhs, r.rhs), majority_algebra.operations)
-        assert sigma_varset(r.lhs, r.labeling) != sigma_varset(r.rhs, r.labeling)
+        assert labeled_variables(r.lhs, r.labeling) != labeled_variables(r.rhs, r.labeling)
 
 
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
@@ -987,7 +995,7 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     assert [r.labeling.describe() for r in entries[6:]] == ["a->{1} b->{3}", "a->{1,2}", "a->{2}"]
     assert verify_certificate(two, cover) is True
     a12, a2 = entries[7], entries[8]
-    inside = [a12._replace(labeling=SLLabeling({"a": (1, 2), "b": c})) for c in nonempty_subsets(3)]
+    inside = [a12._replace(labeling=SLLabeling({"a": (1, 2), "b": c})) for c in coordinate_sets(3)]
     assert verify_certificate(two, cover._replace(refutations=entries[:7] + tuple(inside) + (a2,))) is True
     assert str(entries[0].lhs) == "y" and str(entries[0].rhs) == "b(x,y,y)"
     tampered = [
@@ -1016,6 +1024,20 @@ def test_verify_certificate_returns_false_for_a_malformed_labeling(majority_alge
         plain = r._replace(labeling=dict(r.labeling.sigma))  # the sigma, but no SLLabeling
         refutations = evidence.refutations[:k] + (plain,) + evidence.refutations[k + 1:]
         assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations))
+
+
+def test_verify_certificate_refuses_a_set_outside_the_arity_or_a_later_block(majority_algebra):
+    """The replay steps coordinate sets of the ternary m itself: an entry
+    whose set lies outside {1,2,3}, is empty, or starts a later block than
+    the next one uncovered is refused, not raised on."""
+    evidence = hm_evidence(majority_algebra)
+    entries = evidence.refutations
+    assert [r.labeling.sigma["m"] for r in entries] == coordinate_sets(3)
+    for k, r in enumerate(entries):
+        later = [entries[i].labeling for i in range(k + 1, len(entries))]
+        for labeling in [SLLabeling({"m": c}) for c in ((4,), (1, 4), (1, 2, 3, 4), (0,), ())] + later:
+            refutations = entries[:k] + (r._replace(labeling=labeling),) + entries[k + 1:]
+            assert verify_certificate(majority_algebra, evidence._replace(refutations=refutations)) is False, (k, labeling)
 
 
 def test_verify_certificate_returns_false_for_a_malformed_refutation(majority_algebra):
@@ -1123,7 +1145,7 @@ def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, latti
             assert (got is None, getattr(got, "arity", None)) == (want is None, getattr(want, "arity", None))
             if got is not None:
                 assert holds_in(a, Identity(got.lhs, got.rhs), a.operations)
-                lhs, rhs = sigma_varset(got.lhs, labeling), sigma_varset(got.rhs, labeling)
+                lhs, rhs = labeled_variables(got.lhs, labeling), labeled_variables(got.rhs, labeling)
                 assert (got.lhs_varset, got.rhs_varset) == (lhs, rhs) and lhs != rhs
                 refuted += 1
     assert refuted > 100
@@ -1170,7 +1192,7 @@ def test_hm_evidence_covers_each_labeling_by_the_entry_that_holds_it(
         symbols = a.symbols()
         for labeling, entry in expand_cover(declarations(a), got.refutations):
             assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
-            lhs, rhs = sigma_varset(entry.lhs, labeling), sigma_varset(entry.rhs, labeling)
+            lhs, rhs = labeled_variables(entry.lhs, labeling), labeled_variables(entry.rhs, labeling)
             assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
         assert expanded(a, got) == want
         kinds["certified"] += 1
@@ -1249,12 +1271,12 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
-        # the prefix (0,) is the labeling f -> {1}, the first coordinate set of arity 2
-        assert _refute_rank(three, [[(1,), (1, 2), (2,)]], 2, n + 1, [(0,)], decided) == []
+        # the prefix ((1,),) is the labeling f -> {1}, the first coordinate set of arity 2
+        assert _refute_rank(three, 2, n + 1, [((1,),)], decided) == []
     finally:
         sys.setrecursionlimit(limit)
     ((prefix, (arity, lhs, rhs, lhs_varset, rhs_varset)),) = decided
-    assert (prefix, arity, lhs) == ((0,), 2, Variable("x"))
+    assert (prefix, arity, lhs) == (((1,),), 2, Variable("x"))
     assert (lhs_varset, rhs_varset) == (frozenset("x"), frozenset("y"))
     assert rhs.symbol == "f" and rhs.args[0] == Variable("y")
     t, nested = rhs.args[1], 0

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from typing import Callable, Mapping, Sequence
 
@@ -25,7 +26,7 @@ from hmkit.identlang import (
     is_linear,
     labeling_count,
     linear_fragment,
-    nonempty_subsets,
+    next_subset,
     parse,
     saturate,
     sigma_varset,
@@ -37,7 +38,16 @@ from hmkit.identlang import (
 from hmkit.identlang import _IDENT, Term, TermSystem
 from hmkit.structures import StructureError
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, all_labelings, expand_cover, hm_pass_forces_unsat
+from conftest import (
+    MAJORITY_SYSTEM,
+    MALTSEV_SYSTEM,
+    SEMILATTICE_SYSTEM,
+    all_labelings,
+    coordinate_sets,
+    expand_cover,
+    hm_pass_forces_unsat,
+    labeled_variables,
+)
 
 _X = Variable("x")
 
@@ -480,7 +490,8 @@ def test_saturate_matches_the_rule_loop():
 
 def hm_term_check_reference(sys: TermSystem, symbol: str) -> HmTermReport:
     """`hm_term_check` as it was when it hashed the whole system to test
-    idempotence, kept verbatim apart from its name as an oracle."""
+    idempotence, kept verbatim as an oracle apart from its name and its
+    own list of coordinate subsets."""
     if symbol not in sys.declarations:
         raise SystemError_(f"symbol '{symbol}' is not declared")
     arity = sys.declarations[symbol]
@@ -489,7 +500,7 @@ def hm_term_check_reference(sys: TermSystem, symbol: str) -> HmTermReport:
         raise SystemError_(f"symbol '{symbol}' is not known to be idempotent")
 
     witnesses = []
-    for subset in nonempty_subsets(arity):
+    for subset in coordinate_sets(arity):
         found = next((i for i in sys.identities if _witness_for(i, symbol, subset)), None)
         if found is None:
             return HmTermReport(symbol, False, tuple(witnesses), subset)
@@ -547,12 +558,13 @@ def test_saturate_rejects_nonlinear_and_three_variables():
 def test_subsets_match_sorted_combinations():
     for n in range(11):
         want = sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), r))
-        assert list(subsets(n)) == nonempty_subsets(n) == want
+        assert list(subsets(n)) == want
 
 
-def test_nonempty_subsets_order():
-    assert nonempty_subsets(2) == [(1,), (1, 2), (2,)]
-    assert nonempty_subsets(3) == [
+def test_subsets_order():
+    assert list(subsets(0)) == []
+    assert list(subsets(2)) == [(1,), (1, 2), (2,)]
+    assert list(subsets(3)) == [
         (1,),
         (1, 2),
         (1, 2, 3),
@@ -561,6 +573,8 @@ def test_nonempty_subsets_order():
         (2, 3),
         (3,),
     ]
+    # each step of the walk, and None after the last
+    assert [next_subset(s, 3) for s in subsets(3)] == list(subsets(3))[1:] + [None]
 
 
 def test_hm_term_check_majority():
@@ -569,7 +583,7 @@ def test_hm_term_check_majority():
     assert report.passed and report.missing is None
     assert len(report.witnesses) == 7
     subsets = [s for s, _ in report.witnesses]
-    assert subsets == nonempty_subsets(3)
+    assert subsets == coordinate_sets(3)
 
 
 def test_hm_term_check_maltsev():
@@ -606,15 +620,15 @@ def test_all_labelings():
     labelings = list(all_labelings({"m": 3}))
     assert len(labelings) == 7
     assert labelings[0].sigma == {"m": (1,)}
-    assert [l.sigma["m"] for l in labelings] == nonempty_subsets(3)
+    assert [l.sigma["m"] for l in labelings] == list(subsets(3))
     assert list(all_labelings({})) == [SLLabeling({})]
 
 
 def check_labeling(sys: TermSystem, labeling: SLLabeling) -> SLRefutation | None:
     """The first identity violated under the labeling, or None if all hold."""
     for identity in sys.identities:
-        l = sigma_varset(identity.lhs, labeling)
-        r = sigma_varset(identity.rhs, labeling)
+        l = labeled_variables(identity.lhs, labeling)
+        r = labeled_variables(identity.rhs, labeling)
         if l != r:
             return SLRefutation(labeling, identity, l, r)
     return None
@@ -668,7 +682,7 @@ def test_sl_interp_search_matches_the_reference():
         for labeling, entry in covered:
             assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
             assert entry.identity in sys_.identities
-            lhs, rhs = sigma_varset(entry.identity.lhs, labeling), sigma_varset(entry.identity.rhs, labeling)
+            lhs, rhs = labeled_variables(entry.identity.lhs, labeling), labeled_variables(entry.identity.rhs, labeling)
             assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
         kinds["unsat"] += 1
         kinds["cover shorter than the labelings"] += len(got.refutations) < len(covered)
@@ -686,6 +700,19 @@ def test_sl_interp_search_edge_signatures():
     nullary = TermSystem({"c": 0, "f": 2}, [Identity(Variable("x"), Variable("y"))])
     assert sl_interp_search(nullary) == sl_interp_reference(nullary) == SLUnsat(())
     assert labeling_count(nullary.declarations.values()) == 0
+
+
+def test_sl_interp_search_takes_a_wide_symbol_whose_first_labeling_survives():
+    # the coordinate sets are drawn one at a time, never all 2^25 - 1 of them
+    wide = parse("ops: m/25\nm(" + ",".join("x" * 25) + ") = x\n")
+    tracemalloc.start()
+    try:
+        found = sl_interp_search(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(found, SLLabeling) and found.describe() == "m->{1}"
+    assert peak < 5_000_000, peak
 
 
 def test_sl_interp_search_verdicts():
@@ -778,7 +805,7 @@ def test_fold_matches_fold_reference():
         for t in terms:
             assert str(t) == reference_str(t)
             assert term_variables(t) == reference_varset(t)
-            labeling = SLLabeling({sym: rng.choice(nonempty_subsets(n)) for sym, n in SYMBOLS.items()} | {"wide": range(1, 3001, 7)})
+            labeling = SLLabeling({sym: rng.choice(coordinate_sets(n)) for sym, n in SYMBOLS.items()} | {"wide": range(1, 3001, 7)})
             assert sigma_varset(t, labeling) == reference_varset(t, lambda u: [u.args[i - 1] for i in labeling.sigma[u.symbol]])
         for lhs, rhs in zip(terms, reversed(terms)):
             one = TermSystem(SYMBOLS | {"wide": 3000}, (Identity(lhs, rhs),))

@@ -138,6 +138,24 @@ def test_meet_lookup(S):
         meet_lookup(broken, 0, 1)
 
 
+def test_meet_lookup_checks_ids_then_relation_and_names_the_two_least():
+    # the id range is checked before the relation, and three values for one
+    # pair name the two least
+    three = ternary(4, {(1, 2, 3), (1, 2, 0), (1, 2, 2), (0, 0, 0)})
+    with pytest.raises(StructureError, match=r"^non-functional relation: \(1,2,0\) and \(1,2,2\) both present$"):
+        meet_lookup(three, 1, 2)
+    assert meet_lookup(three, 0, 0) == 0 and meet_lookup(three, 2, 1) is None
+    two = RelationalStructure(2, {"R": Relation(3, frozenset()), "Q": Relation(3, frozenset())})
+    with pytest.raises(StructureError, match=r"^id 2 not in universe of size 2$"):
+        meet_lookup(two, 0, 2)
+    with pytest.raises(StructureError, match="single relation"):
+        meet_lookup(two, 0, 1)
+    # a wide chain answers from its n candidate triples
+    n = 150
+    chain = ternary(n, {(a, b, min(a, b)) for a in range(n) for b in range(n)})
+    assert [meet_lookup(chain, a, b) for a, b in ((0, 149), (149, 75), (100, 100))] == [0, 75, 100]
+
+
 def test_iterated_meet(S, chain3):
     """The fold oracle of the decomposition tests."""
     assert iterated_meet(S, [1, 1, 0]) == 0
