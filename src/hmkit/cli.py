@@ -382,8 +382,11 @@ def cmd_ident_sl_interp(args) -> Report:
         }
         for r in result.refutations  # one per refuted prefix, under its partial labeling
     ]
-    refuted = identlang.labeling_count(sys_.declarations.values())  # all of them, in the cover's blocks
-    return [Check("interpretation", "fail", f"UNSAT ({refuted} refutations)"), Check("refutations", "pass", witness)], 1
+    own = lambda r: r.identity if any(getattr(r, "identity", None) is i for i in sys_.identities) else None
+    replay = identlang.replay_cover(sys_.declarations, result.refutations, own)  # own: by object, as == recurses on deep terms
+    refuted = identlang.labeling_count(sys_.declarations.values())  # every labeling, by its restriction to the block
+    checks = [Check("interpretation", "fail", f"UNSAT ({refuted} refutations)"), Check("refutations", "pass", witness)]
+    return checks + [Check("replay", "pass" if replay else "fail")], 1 if replay else 2
 
 
 # --- alg ------------------------------------------------------------------------

@@ -89,10 +89,8 @@ from .identlang import (
     Variable,
     _fold,
     holds_in,
-    sigma_varset,
-    skip_prefix,
+    replay_cover,
     subsets,
-    term_symbols,
 )
 from .semilat import (
     is_partial_semilattice,
@@ -876,26 +874,15 @@ def hm_evidence(
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate, a cover of the labelings by refuted prefixes.
-
-    Coverage: a walk in labeling order holds the first labeling not yet
-    covered as a prefix of coordinate sets followed by (1,) for each later
-    symbol.  Each entry's partial labeling must be that labeling on the
-    first k sorted symbols, k no shorter than the prefix, and the walk then
-    skips the entry's block, every labeling extending it (`skip_prefix`), so
-    blocks come in order with no gap or overlap, and the last must end the
-    order.  Per entry: an arity (an int from 2 to max_arity), well-formed
-    terms over the arity's variable names and the prefix's symbols, validity
-    in the algebra (`holds_in` evaluates each side once, column-wise), and
-    the labeled variable sets under the partial labeling.  Anything
-    malformed returns False rather than raising."""
-    if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
-        return False
-    if not isinstance(certificate.max_arity, int):
+    """Replay a certificate by `replay_cover`, each entry's identity with an
+    arity (an int from 2 to max_arity), well-formed terms over the arity's
+    variable names and the algebra's symbols, and validity in the algebra
+    (`holds_in` evaluates each side once, column-wise); anything malformed
+    returns False rather than raising."""
+    well_typed = isinstance(certificate, CertifiedHM) and isinstance(certificate.max_arity, int)
+    if not well_typed or not isinstance(certificate.refutations, tuple):
         return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
-    symbols = a.symbols()
-    arities = [arity[sym] for sym in symbols]
 
     def node(u, ok: list) -> bool:
         return isinstance(u, Application) and isinstance(u.symbol, str) and all(ok) and len(ok) == arity.get(u.symbol)
@@ -903,28 +890,15 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
-    prefix = [] if all(arities) else None  # the first labeling not yet covered: prefix + [(1,), ...]; None past the last
-    for r in certificate.refutations:
-        if prefix is None or not isinstance(r, LabelingRefutation) or not isinstance(r.labeling, SLLabeling):
-            return False
-        prefix += [(1,)] * (len(r.labeling.sigma) - len(prefix))
-        if r.labeling != SLLabeling(dict(zip(symbols, prefix))):  # a longer prefix labels more symbols
-            return False
-        if not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
-            return False
+    def identity_of(r) -> Identity | None:
+        if not isinstance(r, LabelingRefutation) or not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
+            return None
         names = variable_names(r.arity)  # every variable is one of the arity's, every application one of a's symbols at its arity
-        if not all(_fold(t, lambda v: v.name in names, node, children) for t in (r.lhs, r.rhs)):
-            return False
-        if not holds_in(a, Identity(r.lhs, r.rhs), a.operations):
-            return False
-        if not term_symbols(r.lhs) | term_symbols(r.rhs) <= r.labeling.sigma.keys():
-            return False
-        lhs, rhs = sigma_varset(r.lhs, r.labeling), sigma_varset(r.rhs, r.labeling)
-        if lhs == rhs or lhs != r.lhs_varset or rhs != r.rhs_varset:
-            return False
-        if not skip_prefix(prefix, arities):
-            prefix = None
-    return prefix is None
+        identity = Identity(r.lhs, r.rhs)
+        well_formed = all(_fold(t, lambda v: v.name in names, node, children) for t in identity)
+        return identity if well_formed and holds_in(a, identity, a.operations) else None
+
+    return replay_cover(arity, certificate.refutations, identity_of)
 
 
 def bundle_summary(bundle: FreeBundle) -> dict:

@@ -7,20 +7,21 @@ The text format is line oriented:
     f(x,y) = f(y,x)      # one identity per line, '#' starts a comment
 
 Undeclared identifiers are variables.  The two analyses differ in scope:
-the coordinate-labeling search treats arbitrary terms, and answers UNSAT
-with a cover, one refuting identity per refuted labeling prefix, while
-saturation and the subset-condition check live in the fragment of linear
-identities with at most two variables, where saturation is an equivalence
-closure computed by union-find over the flat forms (symbol, argument names)
-of their sides, building terms only for its result.  One regex pass splits
-an identity line into tokens, each an identifier or one other character
-after optional blanks, and a loop over them builds the terms.  Terms may
-nest arbitrarily deep, and no walk recurses: that loop keeps an explicit
-stack, variable and symbol sets come from a plain walk, and `_fold`, for
-the walks whose order matters (printing, `holds_in`, a certificate's
-well-formedness), keeps a frame (application, iterator over its children,
-their values) per open application, so it visits each node once and the
-leaves left to right.
+the coordinate-labeling search treats arbitrary terms, one block of symbols
+joined by identities at a time, and answers UNSAT with the first refuted
+block's cover, one refuting identity per refuted labeling prefix, which
+`replay_cover` replays; saturation and the subset-condition check live in
+the fragment of linear identities in at most two variables, where
+saturation is an equivalence closure by union-find over the flat forms
+(symbol, argument names) of their sides, building terms only for its
+result.  One regex pass splits an identity line into tokens, each an
+identifier or one other character after optional blanks, and a loop over
+them builds the terms.  Terms may nest arbitrarily deep, and no walk
+recurses: that loop keeps an explicit stack, variable and symbol sets come
+from a plain walk, and `_fold`, for the walks whose order matters
+(printing, `holds_in`, a certificate's well-formedness), keeps a frame
+(application, iterator over its children, their values) per open
+application, so it visits each node once and the leaves left to right.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import re
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .structures import Record
+from .structures import Record, Relation, RelationalStructure, connected_components
 
 
 class ParseError(ValueError):
@@ -440,7 +441,7 @@ class SLRefutation(NamedTuple):
 
 
 class SLUnsat(NamedTuple):
-    refutations: tuple[SLRefutation, ...]  # a cover: one per refuted labeling prefix, in labeling order
+    refutations: tuple[SLRefutation, ...]  # a cover of one block: one per refuted labeling prefix, in labeling order
 
 
 def labeling_count(arities: Iterable[int]) -> int:
@@ -448,59 +449,101 @@ def labeling_count(arities: Iterable[int]) -> int:
     return math.prod(2**n - 1 for n in arities)
 
 
-def skip_prefix(prefix: list[tuple[int, ...]], arities: Sequence[int]) -> bool:
-    """Step the prefix, the coordinate sets of the first sorted symbols of
-    these arities, in place, past every labeling that extends it, to the
-    shortest prefix of the next labeling; False if none is left."""
-    while prefix:
-        prefix[-1] = next_subset(prefix[-1], arities[len(prefix) - 1])
-        if prefix[-1] is not None:
-            return True
-        prefix.pop()
-    return False
+def cover_walk(arities: Sequence[int], refute: Callable[[tuple], object]) -> tuple[list, tuple | None]:
+    """Walk the labelings of sorted symbols of these positive arities in
+    lexicographic order, by prefixes (tuples of coordinate sets) from ().
+    An entry from `refute(prefix)` refutes all labelings extending it: the
+    walk steps the last set to the next (`next_subset`), or after the last
+    drops it and steps the one before.  None extends the prefix by (1,).
+    Returns the entries, a cover in order of the labelings before the first
+    full prefix `refute` passes, and that labeling, None if there is none."""
+    prefix, entries = (), []
+    while (entry := refute(prefix)) is not None or len(prefix) < len(arities):
+        if entry is None:
+            prefix += ((1,),)
+            continue
+        entries.append(entry)
+        while prefix and (last := next_subset(prefix[-1], arities[len(prefix) - 1])) is None:
+            prefix = prefix[:-1]
+        if not prefix:
+            return entries, None
+        prefix = prefix[:-1] + (last,)
+    return entries, prefix
+
+
+def replay_cover(declarations: Mapping[str, int], entries: Sequence, identity_of: Callable) -> bool:
+    """Replay a cover by `cover_walk` over the sorted symbols its entries
+    label; covering their labelings refutes every labeling by restriction,
+    and a symbol of arity 0 leaves none to refute, so only () replays.  Each
+    entry's SLLabeling must be the prefix reached, `identity_of(entry)` its
+    identity (None if the record type's own checks fail), the identity may
+    use labeled symbols only, and its labeled variable sets must differ and
+    equal `lhs_varset` and `rhs_varset`.  The walk must take every entry and
+    end the order.  Anything malformed returns False rather than raising."""
+    labelings = [getattr(e, "labeling", None) for e in entries]
+    if not all(isinstance(l, SLLabeling) and l.sigma.keys() <= declarations.keys() for l in labelings):
+        return False
+    if not all(declarations.values()):
+        return not entries
+    symbols, todo = sorted(set().union(*(l.sigma for l in labelings))), list(entries)[::-1]  # the next entry last
+
+    def refute(prefix: tuple):
+        e = todo[-1] if todo else None
+        if e is None or e.labeling.sigma != dict(zip(symbols, prefix)):
+            return None  # past the first fault the walk only extends, to a survivor
+        identity = identity_of(e)
+        if identity is None or not term_symbols(identity.lhs) | term_symbols(identity.rhs) <= e.labeling.sigma.keys():
+            return None
+        lhs, rhs = sigma_varset(identity.lhs, e.labeling), sigma_varset(identity.rhs, e.labeling)
+        return todo.pop() if lhs != rhs and (lhs, rhs) == (e.lhs_varset, e.rhs_varset) else None
+
+    return cover_walk([declarations[sym] for sym in symbols], refute)[1] is None and not todo
 
 
 def sl_interp_search(sys: TermSystem) -> SLLabeling | SLUnsat:
     """First labeling (lexicographic) satisfying every identity, else UNSAT
-    with a cover of the labelings by refuted prefixes.
+    with a cover, by refuted prefixes, of one block's labelings.
 
     A labeling assigns each symbol a non-empty coordinate subset; an
     identity holds when both sides reach the same variables through
     labeled coordinates.  This semantics is exact for semilattice
     interpretations, where a term is determined by its variable set.
 
-    The search runs depth first over the sorted symbols, each symbol's
-    subsets in lexicographic order, so it meets labelings in order.  A
-    prefix of k symbols fixes the labeled variable sets of the identities
-    whose last sorted symbol is the k-th and checks them in system order;
-    the first that fails refutes the prefix's whole subtree, which is
-    skipped.  So the refuted prefixes are disjoint blocks of labeling order
-    that cover every labeling, or every one before the first survivor.
+    Blocks, the connected components of "two symbols occur in one
+    identity", run after the identities with no symbol, in the order of
+    their first sorted symbols.  The labelings are the product of theirs,
+    so the first survivor joins each block's first, and the first block
+    with none is refuted alone.  A block's `cover_walk` over its sorted
+    symbols decides at a k-prefix the identities whose last symbol is the
+    k-th; the first of them that fails, in system order, refutes it.
     """
     symbols = sorted(sys.declarations)
-    arities = [sys.declarations[sym] for sym in symbols]
-    if not all(n > 0 for n in arities):  # a symbol with no coordinate set: no labeling
+    if not all(sys.declarations.values()):  # a symbol with no coordinate set: no labeling
         return SLUnsat(())
-    depth = {sym: k for k, sym in enumerate(symbols, start=1)}
-    due: list[list[Identity]] = [[] for _ in range(len(symbols) + 1)]  # due[k]: the identities a k-prefix decides
-    for identity in sys.identities:
-        used = term_symbols(identity.lhs) | term_symbols(identity.rhs)
-        due[max(map(depth.__getitem__, used), default=0)].append(identity)
-    prefix, refutations = [], []
-    while True:
-        labeling = SLLabeling(dict(zip(symbols, prefix)))
-        for identity in due[len(prefix)]:
-            lhs, rhs = sigma_varset(identity.lhs, labeling), sigma_varset(identity.rhs, labeling)
-            if lhs != rhs:
-                refutations.append(SLRefutation(labeling, identity, lhs, rhs))
-                break
-        else:
-            if len(prefix) == len(symbols):
-                return labeling
-            prefix.append((1,))
-            continue
-        if not skip_prefix(prefix, arities):
-            return SLUnsat(tuple(refutations))
+    uses = [sorted(term_symbols(i.lhs) | term_symbols(i.rhs)) for i in sys.identities]
+    index = {sym: k for k, sym in enumerate(symbols)}
+    edges = Relation(2, frozenset((index[used[0]], index[sym]) for used in uses for sym in used))
+    blocks = [()] + [[symbols[k] for k in b] for b in connected_components(RelationalStructure(len(symbols), {"": edges}))]
+    where = {sym: (b, depth) for b, block in enumerate(blocks) for depth, sym in enumerate(block, start=1)}
+    due: dict[tuple[int, int], list[Identity]] = {}  # (block, k): the identities a k-prefix of the block decides
+    for identity, used in zip(sys.identities, uses):
+        due.setdefault(where[used[-1]] if used else (0, 0), []).append(identity)
+    sigma = {}
+    for b, block in enumerate(blocks):
+
+        def refute(prefix: tuple) -> SLRefutation | None:
+            labeling = SLLabeling(dict(zip(block, prefix)))
+            for identity in due.get((b, len(prefix)), ()):
+                lhs, rhs = sigma_varset(identity.lhs, labeling), sigma_varset(identity.rhs, labeling)
+                if lhs != rhs:
+                    return SLRefutation(labeling, identity, lhs, rhs)
+            return None
+
+        entries, survivor = cover_walk([sys.declarations[sym] for sym in block], refute)
+        if survivor is None:
+            return SLUnsat(tuple(entries))
+        sigma.update(zip(block, survivor))
+    return SLLabeling(sigma)
 
 
 # --- evaluation bridge -------------------------------------------------------

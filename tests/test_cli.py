@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from hmkit import cli, freecons
+from hmkit import cli, freecons, identlang
 from hmkit.cli import main
 from hmkit.freecons import FiniteAlgebra
 from hmkit.gadget import gadget_transform, y_structure
@@ -775,6 +775,30 @@ def test_ident_sl_interp(capsys, system_file):
     assert report["checks"][0]["witness"] == "UNSAT (7 refutations)"
     unsat = sl_interp_search(parse(MAJORITY_SYSTEM))
     assert len(report["checks"][1]["witness"]) == len(unsat.refutations)
+    assert report["checks"][2] == {"name": "replay", "verdict": "pass", "witness": None}
+
+
+def test_ident_sl_interp_exits_2_on_a_cover_that_fails_its_replay(capsys, system_file, monkeypatch):
+    # a cover with its first entry dropped leaves m->{1} unrefuted: a fault, not a verdict
+    search = identlang.sl_interp_search
+    monkeypatch.setattr(identlang, "sl_interp_search", lambda s: search(s)._replace(refutations=search(s).refutations[1:]))
+    code, out, _ = run(capsys, "ident", "sl-interp", "--system", system_file(MAJORITY_SYSTEM))
+    assert code == 2
+    assert out.splitlines()[1] == "interpretation: fail  UNSAT (7 refutations)" and out.splitlines()[-1] == "replay: fail"
+
+
+@pytest.mark.parametrize("name", ["A", "m", "z"])
+def test_ident_sl_interp_refutes_the_block_of_a_majority_alone(capsys, system_file, name):
+    # six ternary symbols with only a(x,x,x) = x beside a majority: wherever
+    # the majority sorts, its seven prefixes refute all 7^7 labelings
+    lines = [f"ops: {', '.join(f'a{i}/3' for i in range(6))}, {name}/3"] + [f"a{i}(x,x,x) = x" for i in range(6)]
+    lines += [f"{name}(x,x,y) = x", f"{name}(x,y,x) = x", f"{name}(y,x,x) = x"]
+    path = system_file("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "ident", "sl-interp", "--system", path, "--output", "json")
+    assert code == 1 and len(out) < 2500
+    interpretation, refutations, replay = json.loads(out)["checks"]
+    assert interpretation["witness"] == "UNSAT (823543 refutations)" and replay["verdict"] == "pass"
+    assert [r["labeling"] for r in refutations["witness"]] == [f"{name}->{{{','.join(map(str, c))}}}" for c in coordinate_sets(3)]
 
 
 def test_ident_golden_reports(capsys, system_file):

@@ -4,7 +4,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
@@ -28,6 +28,7 @@ from hmkit.identlang import (
     linear_fragment,
     next_subset,
     parse,
+    replay_cover,
     saturate,
     sigma_varset,
     sl_interp_search,
@@ -660,34 +661,169 @@ def random_labeling_system(rng: random.Random) -> TermSystem:
     return TermSystem(declarations, [Identity(term(rng.randint(1, 2)), term(rng.randint(0, 1))) for _ in range(rng.randint(0, 4))])
 
 
-def test_sl_interp_search_matches_the_reference():
-    """On seeded systems of 1-4 symbols the verdict and first survivor are
-    the reference's; an UNSAT cover holds every labeling once, in order,
-    and the entry that holds a labeling refutes it."""
-    rng = random.Random(39)
-    kinds = Counter()
+def used_symbols(identity: Identity) -> set[str]:
+    """The symbols an identity applies, by a walk with an explicit stack."""
+    found, stack = set(), [identity.lhs, identity.rhs]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Application):
+            found.add(u.symbol)
+            stack.extend(u.args)
+    return found
+
+
+def symbol_blocks(sys_: TermSystem) -> list[TermSystem]:
+    """The system split into independent parts: first the identities with no
+    symbol, then one part per connected component of "two symbols occur in
+    one identity", with its identities, in the order of its first sorted
+    symbol."""
+    block = {sym: {sym} for sym in sys_.declarations}
+    for identity in sys_.identities:
+        merged = set().union(*(block[sym] for sym in used_symbols(identity)))
+        block.update(dict.fromkeys(merged, merged))
+    parts = [TermSystem({}, [i for i in sys_.identities if not used_symbols(i)])]
+    for members in sorted({tuple(sorted(b)) for b in block.values()}):
+        identities = [i for i in sys_.identities if used_symbols(i) & set(members)]
+        parts.append(TermSystem({sym: sys_.declarations[sym] for sym in members}, identities))
+    return parts
+
+
+def renamed(sys_: TermSystem, names: Mapping[str, str]) -> TermSystem:
+    """The system with its symbols renamed."""
+
+    def term(t: Term) -> Term:
+        return t if isinstance(t, Variable) else Application(names[t.symbol], tuple(map(term, t.args)))
+
+    declarations = {names[sym]: n for sym, n in sys_.declarations.items()}
+    return TermSystem(declarations, [Identity(term(i.lhs), term(i.rhs)) for i in sys_.identities])
+
+
+def union(first: TermSystem, second: TermSystem) -> TermSystem:
+    """The union of two systems over disjoint symbols."""
+    return TermSystem(first.declarations | second.declarations, first.identities + second.identities)
+
+
+def seeded_labeling_systems(rng: random.Random) -> Iterator[tuple[str, TermSystem]]:
+    """400 seeded systems, each also with its symbols renamed so that their
+    order changes, and 200 unions of two of them whose renamed symbols
+    interleave in sort order, each union with at most 10^4 labelings."""
+    drawn = []
     for _ in range(400):
         sys_ = random_labeling_system(rng)
+        drawn.append(sys_)
+        yield "seeded", sys_
+        symbols = sorted(sys_.declarations)
+        order = symbols[:]
+        while len(symbols) > 1 and order == symbols:
+            rng.shuffle(order)
+        yield "renamed", renamed(sys_, dict(zip(symbols, order)))
+    unions = 0
+    while unions < 200:
+        first, second = rng.sample(drawn, 2)
+        if labeling_count(first.declarations.values()) * labeling_count(second.declarations.values()) > 10**4:
+            continue
+        names = [rng.sample("aceg", len(first.declarations)), rng.sample("bdfh", len(second.declarations))]
+        parts = [renamed(sys_, dict(zip(sorted(sys_.declarations), n))) for sys_, n in zip((first, second), names)]
+        unions += 1
+        yield "union", union(*parts)
+
+
+def cover_block(sys_: TermSystem, unsat: SLUnsat) -> tuple[int, list[TermSystem]]:
+    """The index, among `symbol_blocks(sys_)`, of the part whose symbols the
+    cover's entries label, and the parts."""
+    parts = symbol_blocks(sys_)
+    labeled = set().union(*(r.labeling.sigma for r in unsat.refutations))
+    (k,) = [k for k, part in enumerate(parts) if (labeled & part.declarations.keys() if labeled else k == 0)]
+    return k, parts
+
+
+def test_sl_interp_search_matches_the_reference():
+    """On seeded systems of 1-4 symbols, on renamings of them and on unions
+    of two, the verdict and first survivor are the reference's.  An UNSAT
+    cover labels prefixes of one block's sorted symbols, every earlier
+    block is satisfiable, and the cover holds each of the block's
+    labelings once, in order, refuted by the entry that holds it."""
+    kinds = Counter()
+    for kind, sys_ in seeded_labeling_systems(random.Random(39)):
         got, want = sl_interp_search(sys_), sl_interp_reference(sys_)
         if isinstance(want, SLLabeling):
             assert isinstance(got, SLLabeling) and got == want
-            kinds["survivor"] += 1
-            kinds["survivor after a refuted labeling"] += want != next(all_labelings(sys_.declarations))
+            kinds[kind, "survivor"] += 1
+            kinds[kind, "survivor after a refuted labeling"] += want != next(all_labelings(sys_.declarations))
             continue
         assert isinstance(got, SLUnsat)
-        covered = list(expand_cover(sys_.declarations, got.refutations))
+        k, parts = cover_block(sys_, got)
+        assert all(isinstance(sl_interp_reference(part), SLLabeling) for part in parts[:k])
+        block = parts[k]
+        want = sl_interp_reference(block)
+        assert isinstance(want, SLUnsat)
+        covered = list(expand_cover(block.declarations, got.refutations))
         assert [labeling for labeling, _ in covered] == [r.labeling for r in want.refutations]
-        assert len(covered) == labeling_count(sys_.declarations.values())
-        symbols = sorted(sys_.declarations)
+        assert len(covered) == labeling_count(block.declarations.values())
+        symbols = sorted(block.declarations)
         for labeling, entry in covered:
             assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
-            assert entry.identity in sys_.identities
+            assert entry.identity in block.identities
             lhs, rhs = labeled_variables(entry.identity.lhs, labeling), labeled_variables(entry.identity.rhs, labeling)
             assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
-        kinds["unsat"] += 1
-        kinds["cover shorter than the labelings"] += len(got.refutations) < len(covered)
-    assert kinds["survivor"] > 150 and kinds["survivor after a refuted labeling"] > 40
-    assert kinds["unsat"] > 150 and kinds["cover shorter than the labelings"] > 100
+        kinds[kind, "unsat"] += 1
+        kinds[kind, "cover shorter than the labelings"] += len(got.refutations) < labeling_count(sys_.declarations.values())
+        kinds[kind, "cover shorter than its block's labelings"] += len(got.refutations) < len(covered)
+        kinds[kind, "cover of a later block"] += k > 1
+    assert kinds["seeded", "survivor"] > 150 and kinds["seeded", "survivor after a refuted labeling"] > 40
+    assert kinds["seeded", "unsat"] > 150 and kinds["seeded", "cover shorter than the labelings"] > 100
+    assert kinds["seeded", "cover shorter than its block's labelings"] > 15
+    assert kinds["renamed", "survivor"] == kinds["seeded", "survivor"]
+    assert kinds["renamed", "cover of a later block"] > 20 and kinds["union", "cover of a later block"] > 20
+    assert kinds["union", "survivor after a refuted labeling"] > 10 and kinds["union", "unsat"] > 100
+
+
+def own_identity(sys_: TermSystem) -> Callable:
+    """The `replay_cover` callback of `ident sl-interp`: a refutation's identity if it is one of the system's."""
+    return lambda r: r.identity if isinstance(r, SLRefutation) and r.identity in sys_.identities else None
+
+
+def test_replay_cover_accepts_every_seeded_cover_and_refuses_a_changed_one():
+    """Each seeded UNSAT cover replays.  A dropped, swapped or duplicated
+    entry, a wrong variable set, an identity outside the system, a labeling
+    that names a symbol of another block and an entry that is no record are
+    refused, at the first, an inner and the last entry, without raising."""
+    kinds = Counter()
+    for kind, sys_ in seeded_labeling_systems(random.Random(39)):
+        got = sl_interp_search(sys_)
+        if not isinstance(got, SLUnsat):
+            continue
+        entries, replay = got.refutations, own_identity(sys_)
+        assert replay_cover(sys_.declarations, entries, replay) is True
+        k, parts = cover_block(sys_, got)
+        others = sorted(sym for j, part in enumerate(parts) if j != k for sym in part.declarations)
+        for at in sorted({0, len(entries) // 2, len(entries) - 1}):
+            e = entries[at]
+            changed = [
+                entries[:at] + entries[at + 1 :],
+                entries[:at] + (e,) + entries[at:],
+                entries[:at] + (e._replace(lhs_varset=e.rhs_varset, rhs_varset=e.lhs_varset),) + entries[at + 1 :],
+                entries[:at] + (tuple(e),) + entries[at + 1 :],
+                entries[:at] + (None,) + entries[at + 1 :],
+            ]
+            if at + 1 < len(entries):
+                changed.append(entries[:at] + (entries[at + 1], e) + entries[at + 2 :])
+            reversed_ = Identity(e.identity.rhs, e.identity.lhs)
+            if reversed_ not in sys_.identities:  # it would refute, with the sets swapped, but is no identity of the system
+                outside = e._replace(identity=reversed_, lhs_varset=e.rhs_varset, rhs_varset=e.lhs_varset)
+                changed.append(entries[:at] + (outside,) + entries[at + 1 :])
+                kinds["outside"] += 1
+            if others and e.labeling.sigma:  # the entry's last symbol, which its identity uses, renamed
+                sigma = dict(e.labeling.sigma)
+                sigma[others[at % len(others)]] = sigma.pop(max(sigma))
+                changed.append(entries[:at] + (e._replace(labeling=SLLabeling(sigma)),) + entries[at + 1 :])
+                kinds["another block"] += 1
+            for cover in changed:
+                assert replay_cover(sys_.declarations, cover, replay) is False, (format_system(sys_), cover)
+        kinds[kind] += 1
+        kinds["several entries"] += len(entries) > 1
+    assert kinds["seeded"] > 150 and kinds["union"] > 100 and kinds["several entries"] > 100
+    assert kinds["outside"] > 200 and kinds["another block"] > 200
 
 
 def test_sl_interp_search_edge_signatures():
