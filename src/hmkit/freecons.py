@@ -156,7 +156,7 @@ def variable_names(k: int) -> list[str]:
     return [f"x{i + 1}" for i in range(k)]
 
 
-class FreeAlgebra:
+class FreeAlgebra(NamedTuple):
     """The subalgebra of A^(A^k) generated by the k projections.
 
     Elements are stored extensionally (tuples over A indexed by the
@@ -164,18 +164,11 @@ class FreeAlgebra:
     element equality is equality of term operations.
     """
 
-    __slots__ = ("algebra", "elements", "generators", "derivations", "index")
-
-    def __init__(
-        self,
-        algebra: FiniteAlgebra,  # induced tables on the closure elements, term names as labels
-        elements: tuple[tuple[int, ...], ...],
-        generators: tuple[int, ...],
-        derivations: tuple[tuple, ...],  # ("var", j) or (symbol, arg element ids)
-        index: Mapping[tuple[int, ...], int],  # element -> id
-    ) -> None:
-        self.algebra, self.elements = algebra, elements
-        self.generators, self.derivations, self.index = generators, derivations, index
+    algebra: FiniteAlgebra  # induced tables on the closure elements, term names as labels
+    elements: tuple[tuple[int, ...], ...]
+    generators: tuple[int, ...]
+    derivations: tuple[tuple, ...]  # ("var", j) or (symbol, arg element ids)
+    index: Mapping[tuple[int, ...], int]  # element -> id
 
 
 def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int):
@@ -319,22 +312,15 @@ class ComponentData(NamedTuple):
     collapsed: RelationalStructure | None = None  # K induced on kids (after collapse)
 
 
-class FreeBundle:
+class FreeBundle(NamedTuple):
     """Staged output of the free construction over a finite algebra."""
 
-    __slots__ = ("free", "structure", "components", "decode", "quotient_map", "K")
-
-    def __init__(
-        self,
-        free: FreeAlgebra,
-        structure: RelationalStructure,  # the free relational structure
-        components: tuple[ComponentData, ...],  # one per unary term operation, identity first
-        decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None,  # K id -> (component, coordinate bits)
-        quotient_map: tuple[int, ...] | None = None,  # free element -> K id
-        K: RelationalStructure | None = None,
-    ) -> None:
-        self.free, self.structure, self.components = free, structure, components
-        self.decode, self.quotient_map, self.K = decode, quotient_map, K
+    free: FreeAlgebra
+    structure: RelationalStructure  # the free relational structure
+    components: tuple[ComponentData, ...]  # one per unary term operation, identity first
+    decode: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # K id -> (component, coordinate bits)
+    quotient_map: tuple[int, ...] | None = None  # free element -> K id
+    K: RelationalStructure | None = None
 
 
 def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:
@@ -372,14 +358,13 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
 
 
 def compute_H(bundle: FreeBundle) -> FreeBundle:
-    """Fill each component's non-constant homomorphisms into the
+    """The bundle with each component's non-constant homomorphisms into the
     semilattice, as maps on the component's local ids."""
     S = two_element_semilattice(RELATION_SYMBOL)
-    bundle.components = tuple(
+    return bundle._replace(components=tuple(
         c._replace(homs=tuple(find_homs(induced_substructure(bundle.structure, c.members), S, nonconstant_only=True)))
         for c in bundle.components
-    )
-    return bundle
+    ))
 
 
 def _classes(qmap: Sequence[int]) -> dict[int, list[int]]:
@@ -415,7 +400,8 @@ def _ill_defined_operation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
 
 
 def collapse(bundle: FreeBundle) -> FreeBundle:
-    """Map each element to its point (component, homomorphism bits); build K.
+    """The bundle with each element mapped to its point (component,
+    homomorphism bits) and with K built.
 
     The points lie in the disjoint union of power(S, h) over the
     components (a point when h = 0), which is described, never built: a
@@ -441,16 +427,11 @@ def collapse(bundle: FreeBundle) -> FreeBundle:
     }
     labels = tuple(f"{u}:({','.join(map(str, bits))})" if bits else f"{u}:0" for u, bits in decode)
     K = RelationalStructure(len(decode), rels, labels)
-
-    bundle.decode = tuple(decode)
-    bundle.quotient_map = qmap
-    bundle.K = K
     components = []
     for c in bundle.components:
         kids = tuple(sorted({qmap[e] for e in c.members}))
         components.append(c._replace(kids=kids, collapsed=induced_substructure(K, kids)))
-    bundle.components = tuple(components)
-    return bundle
+    return bundle._replace(decode=tuple(decode), quotient_map=qmap, K=K, components=tuple(components))
 
 
 def build_bundle(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:

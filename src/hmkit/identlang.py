@@ -310,30 +310,23 @@ def saturation(sys: TermSystem) -> list[tuple[str, Term, Term]]:
     for name in sorted(sys.idempotent):
         seeds.append([(name, ("x",) * sys.declarations[name]), (None, ("x",))])
 
-    parent: dict[tuple, tuple] = {}  # union-find over flat forms, which hash and compare in C
-
-    def find(key: tuple) -> tuple:
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]  # path halving
-            key = parent[key]
-        return key
-
+    forms: dict[tuple, int] = {}  # flat form -> id as met; flat forms hash and compare in C
+    pairs = set()
     for (f, u), (g, v) in seeds:
         order = dict.fromkeys(u + v)  # the seed's variables by first occurrence, renamed x, y
         for images in _SUBSTITUTIONS:
             rename = dict(zip(order, images)).__getitem__
             s, t = (f, tuple(map(rename, u))), (g, tuple(map(rename, v)))
-            parent.setdefault(s, s)
-            parent.setdefault(t, t)
-            parent[find(s)] = find(t)
-
-    classes: dict[tuple, list[tuple[str, Term]]] = {}  # root -> the (text, term) of each member
-    for f, u in parent:
-        text = u[0] if f is None else f"{f}({','.join(u)})"
-        term = Variable(u[0]) if f is None else Application(f, tuple(map(Variable, u)))
-        classes.setdefault(find((f, u)), []).append((text, term))
+            pairs.add((forms.setdefault(s, len(forms)), forms.setdefault(t, len(forms))))
+    members = [  # the (text, term) of each flat form, by id
+        (u[0], Variable(u[0])) if f is None else (f"{f}({','.join(u)})", Application(f, tuple(map(Variable, u))))
+        for f, u in forms
+    ]
+    classes = connected_components(RelationalStructure(len(forms), {"": Relation(2, frozenset(pairs))}))
     # sorted by the identities' texts, f"{s} = {t}", which are distinct
-    return sorted((f"{s} = {t}", u, v) for members in classes.values() for s, u in members for t, v in members)
+    return sorted(
+        (f"{members[a][0]} = {members[b][0]}", members[a][1], members[b][1]) for c in classes for a in c for b in c
+    )
 
 
 # --- the subset-condition test ----------------------------------------------

@@ -172,11 +172,10 @@ def is_partial_semilattice(s: RelationalStructure) -> PartialSemilatticeWitness 
     for a in range(n):
         if (a, a, a) not in rel.tuples:
             return Refusal("not reflexive", (a,))
-    defined: dict[tuple[int, int], int] = {}
-    for a, b, c in rel.sorted_tuples():
-        if (a, b) in defined and defined[(a, b)] != c:
-            return Refusal("not functional", (a, b, defined[(a, b)], c))
-        defined[(a, b)] = c
+    defined = _meet_table(s)
+    for (a, b), c in defined.items():
+        if type(c) is tuple:  # the least non-functional pair, with its two least values
+            return Refusal("not functional", (a, b, *c))
 
     cl = _closures(n, defined)
     for i in range(n):

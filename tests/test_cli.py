@@ -618,8 +618,7 @@ def test_free_build_reports_a_kernel_that_is_no_congruence_as_items_5_and_6(caps
     def first_hom_only(bundle):
         # a coarser kernel: each component keeps only its first homomorphism into S
         bundle = compute_H(bundle)
-        bundle.components = tuple(c._replace(homs=c.homs[:1]) for c in bundle.components)
-        return bundle
+        return bundle._replace(components=tuple(c._replace(homs=c.homs[:1]) for c in bundle.components))
 
     monkeypatch.setattr(freecons, "compute_H", first_hom_only)
     three_homs = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))})

@@ -24,6 +24,7 @@ from hmkit.freecons import (
     algebra_from_json,
     build_bundle,
     bundle_summary,
+    collapse,
     compute_H,
     default_evidence_arity,
     free_algebra,
@@ -749,6 +750,28 @@ def test_bundle_summary_kernel(meet_algebra):
     assert summary["kernel"] == [["meet(x,y)", "x"], ["y"]]
 
 
+def test_the_pipeline_stages_leave_their_input_unchanged(meet_algebra, majority_algebra):
+    """Each stage returns a new bundle; run one at a time, they give the
+    fields build_bundle gives.  The meet algebra's one component has one
+    homomorphism into S, the majority algebra's none."""
+    for a, homs in ((meet_algebra, [1]), (majority_algebra, [0])):
+        b = free_structure(a)
+        h = compute_H(b)
+        assert [c.homs for c in b.components] == [()] and [len(c.homs) for c in h.components] == homs
+        k = collapse(h)
+        assert (h.decode, h.quotient_map, h.K) == (None, None, None)
+        assert all(c.kids == () and c.collapsed is None for c in h.components)
+        whole = build_bundle(a)
+        assert k[1:] == whole[1:] and k.free[1:] == whole.free[1:]
+        # each build makes its own FiniteAlgebra, which compares by identity
+        assert [(x.free.algebra.operations, x.free.algebra.labels) for x in (k, whole)] == [
+            (whole.free.algebra.operations, whole.free.algebra.labels)
+        ] * 2
+        # a bundle is a named tuple holding a dict (the free algebra's index)
+        with pytest.raises(TypeError):
+            hash(k)
+
+
 def test_verify_lemma22_semilattice(meet_algebra):
     report = verify_lemma22(build_bundle(meet_algebra))
     assert report.passed
@@ -1358,7 +1381,7 @@ def reference_bundle(bundle: FreeBundle) -> ReferenceBundle:
             mapping[e] = offset + rank([hom[local] for hom in comp.homs], [2] * h)
     union = disjoint_union(summands)
     psi = Homomorphism(bundle.structure, union, tuple(mapping))
-    ref = ReferenceBundle(*(getattr(bundle, name) for name in FreeBundle.__slots__))
+    ref = ReferenceBundle(*(getattr(bundle, name) for name in FreeBundle._fields))
     ref.psi, ref.union_structure, ref.offsets, ref.image = psi, union, offsets, tuple(sorted(set(mapping)))
     ref.x, ref.y = bundle.free.generators
     ref.semilattice = S
@@ -1946,29 +1969,29 @@ def test_verify_claims_refuses_an_arity_below_1(meet_algebra):
 
 def _without_loop(bundle):
     meets = bundle.K.relations["R"].tuples
-    bundle.K = RelationalStructure(bundle.K.size, {"R": Relation(3, meets - {(0, 0, 0)})})
+    return bundle._replace(K=RelationalStructure(bundle.K.size, {"R": Relation(3, meets - {(0, 0, 0)})}))
 
 
 def _full_component(bundle):
     full = RelationalStructure(2, {"R": Relation(3, frozenset(itertools.product((0, 1), repeat=3)))})
-    bundle.components = (bundle.components[0]._replace(collapsed=full),)
+    return bundle._replace(components=(bundle.components[0]._replace(collapsed=full),))
 
 
 def _swapped_bits(bundle):
-    bundle.decode = tuple((u, tuple(1 - b for b in bits)) for u, bits in bundle.decode)
+    return bundle._replace(decode=tuple((u, tuple(1 - b for b in bits)) for u, bits in bundle.decode))
 
 
 def _images(pick):
     def patch(bundle):
         images = bundle.components[0].images
-        bundle.components = (bundle.components[0]._replace(images=tuple(images[i] for i in pick)),)
+        return bundle._replace(components=(bundle.components[0]._replace(images=tuple(images[i] for i in pick)),))
 
     return patch
 
 
 def _extra_triple(bundle):
     meets = bundle.K.relations["R"].tuples
-    bundle.K = RelationalStructure(bundle.K.size, {"R": Relation(3, meets | {(1, 1, 0)})})
+    return bundle._replace(K=RelationalStructure(bundle.K.size, {"R": Relation(3, meets | {(1, 1, 0)})}))
 
 
 @pytest.mark.parametrize(
@@ -1995,15 +2018,13 @@ def test_verification_names_each_failure_on_a_patched_bundle(meet_algebra, patch
     fails with its own detail while the others pass."""
     bundle = build_bundle(meet_algebra)
     assert verify(bundle).passed
-    patch(bundle)
-    results = {r.name: (r.status, r.detail) for r in verify(bundle).results}
+    results = {r.name: (r.status, r.detail) for r in verify(patch(bundle)).results}
     assert results.pop(name) == (FAIL, detail)
     assert set(results.values()) == {(PASS, "")}
 
 
 def test_verify_lemma22_item5_names_the_first_separating_translation(meet_algebra):
-    bundle = build_bundle(meet_algebra)
-    bundle.quotient_map = (0, 0, 1)
+    bundle = build_bundle(meet_algebra)._replace(quotient_map=(0, 0, 1))
     assert report_lines(verify_lemma22(bundle))[4] == (
         "item 5 (kernel is a congruence): fail (meet at position 1, parameters (0,): elements 0 and 1 separate)"
     )
@@ -2064,8 +2085,7 @@ def test_verify_lemma22_item5_matches_reference_on_every_quotient_map(lattice_al
     details = set()
     for bundle in bundles:
         for qmap in set_partitions(bundle.free.algebra.size):
-            bundle.quotient_map = qmap
-            want = separating_translation_reference(bundle)
+            want = separating_translation_reference(bundle._replace(quotient_map=qmap))
             assert _separating_translation(bundle.free.algebra, qmap) == want
             details.add(want)
     assert len(details) > 50

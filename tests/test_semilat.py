@@ -233,11 +233,13 @@ def test_is_partial_semilattice_refusals():
     r = is_partial_semilattice(not_reflexive)
     assert isinstance(r, Refusal) and r.reason == "not reflexive"
 
-    non_functional = RelationalStructure(
-        2, {"R": Relation(3, frozenset(reflexive_triples(2) | {(0, 1, 0), (0, 1, 1)}))}
-    )
-    r = is_partial_semilattice(non_functional)
-    assert isinstance(r, Refusal) and r.reason == "not functional"
+    # the refusal names the least non-functional pair and its two least values
+    for n, extra, detail in [
+        (2, {(0, 1, 0), (0, 1, 1)}, (0, 1, 0, 1)),
+        (3, {(1, 2, 2), (1, 2, 1), (1, 2, 0), (2, 0, 1), (2, 0, 0)}, (1, 2, 0, 1)),
+    ]:
+        non_functional = RelationalStructure(n, {"R": Relation(3, frozenset(reflexive_triples(n) | extra))})
+        assert is_partial_semilattice(non_functional) == Refusal("not functional", detail)
 
     # 0 meet 1 = 0 and 1 meet 0 = 1 cannot embed: commutativity merges 0 and 1
     merging = RelationalStructure(

@@ -195,6 +195,62 @@ def test_every_library_function_is_used_by_the_library():
     assert unused == []
 
 
+def parameter_attribute_stores(tree):
+    """Every store to, or deletion of, an attribute of a function's own
+    parameter, outside `__init__`, as (line, function, target).  A nested
+    function's store counts for every enclosing function that has the name
+    as a parameter; a store through a local that holds a parameter does
+    not count."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "__init__":
+            args = node.args
+            params = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if p}
+            found += [
+                (n.lineno, node.name, ast.unparse(n))
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Load)
+                and isinstance(n.value, ast.Name) and n.value.id in params
+            ]
+    return sorted(found)
+
+
+MUTATOR = """\
+class Box:
+    def __init__(self, v):
+        self.v = v
+    def reset(self):
+        self.v = 0
+def fill(bundle, *rest, **options):
+    bundle.K, other = 1, bundle
+    other.K = 2
+    rest.n += 1
+    def inner(decode):
+        bundle.decode = decode
+        del options.seen
+    return inner
+def main(argv):
+    args = parse(argv)
+    args.group, args.command = "a", "b"
+"""
+
+
+def test_parameter_attribute_stores_flags_each_store_through_a_parameter():
+    assert parameter_attribute_stores(ast.parse(MUTATOR)) == [
+        (5, "reset", "self.v"), (7, "fill", "bundle.K"), (9, "fill", "rest.n"),
+        (11, "fill", "bundle.decode"), (12, "fill", "options.seen"),
+    ]
+
+
+def test_no_library_function_changes_an_attribute_of_its_arguments():
+    """Records are built whole: a stage returns a new record (`_replace` on
+    a named tuple) rather than writing into the one it is given."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                assert parameter_attribute_stores(ast.parse(fh.read())) == [], name
+
+
 def test_importing_the_cli_generates_no_code():
     """Start-up is a fresh import of hmkit.cli.  No record class generates
     code there, so `dataclasses` and the `inspect` under it stay unloaded,
