@@ -14,16 +14,17 @@ which is the order of their union ids, and `decode` gives each K id its
 point.  Verification routines then machine-check the structural facts the
 construction is designed around.
 
-Claims 3 and 4 of verify_claims read one table of bit shapes per component
-combination: the constants and the meets of single-coordinate
-projections, restricted to the combination's points.  Claim 3 holds for a
-restriction inside one component when each of its coordinate columns is a
-key of the table.  Claim 4 counts the shaped extensions of a restriction
-bit by bit.  A shaped piece into a component is a tuple of bit shapes, one
-per coordinate, and distinct pieces are distinct tuples, since a piece's
-id is the rank of its bits; so the count is the product over the
-coordinates of the table entries that agree with the restriction there.
-No piece is enumerated.
+Item 4 of verify_lemma22 and claims 3 and 4 of verify_claims read one
+table of bit shapes per component combination: the constants and the meets
+of single-coordinate projections, restricted to the combination's points.
+Item 4 holds when each map from a collapsed component into S is a key of
+its arity-1 table, and claim 3 for a restriction inside one component when
+each of its coordinate columns is a key.  Claim 4 counts the shaped
+extensions of a restriction bit by bit.  A shaped piece into a component
+is a tuple of bit shapes, one per coordinate, and distinct pieces are
+distinct tuples, since a piece's id is the rank of its bits; so the count
+is the product over the coordinates of the table entries that agree with
+the restriction there, and none across components.  No piece is enumerated.
 
 No polymorphism of K is built either: K^n is the disjoint union of the
 products of n components of K, so the restrictions of polymorphisms to
@@ -100,6 +101,7 @@ from .semilat import (
 from .structures import (
     DEFAULT_MAX_TUPLES,
     Homomorphism,
+    Record,
     Relation,
     RelationalStructure,
     SizeLimitExceeded,
@@ -118,8 +120,8 @@ from .structures import (
 RELATION_SYMBOL = "R"
 
 
-class FiniteAlgebra:
-    """A finite universe with named total operation tables."""
+class FiniteAlgebra(Record):
+    """A finite universe with named total operation tables; unhashable, as it holds a dict."""
 
     __slots__ = ("size", "operations", "labels")
 
@@ -459,14 +461,6 @@ class VerificationReport(NamedTuple):
         return all(r.status != FAIL for r in self.results)
 
 
-def _is_constant_or_projection(bundle: FreeBundle, u: int, mapping: Sequence[int]) -> bool:
-    """Whether a map from a collapsed component into {0,1} is constant or
-    the projection to one of its coordinates."""
-    values = tuple(mapping)
-    # column c holds coordinate bit c of every kid of the component
-    return len(set(values)) <= 1 or values in zip(*(bundle.decode[kid][1] for kid in bundle.components[u].kids))
-
-
 def _separating_translation(falg: FiniteAlgebra, qmap: Sequence[int]) -> str:
     """The first unary translation of a basic operation that sends two
     elements of one kernel class to different classes, described, or ""
@@ -537,9 +531,10 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
         results.append(CheckResult("item 3 (retract)", FAIL if detail else PASS, detail))
 
     # 4: maps from a collapsed component into the semilattice are constants
-    # or single-coordinate projections
+    # or single-coordinate projections, the keys of its arity-1 shape table
+    tables = [_shape_table(bundle, (u,), [(k,) for k in c.kids]) for u, c in enumerate(bundle.components)]
     maps = ((u, hom) for u, comp in enumerate(bundle.components) for hom in find_homs(comp.collapsed, S))
-    bad = next(((u, hom) for u, hom in maps if not _is_constant_or_projection(bundle, u, hom)), None)
+    bad = next(((u, hom) for u, hom in maps if hom not in tables[u]), None)
     detail = f"component {bad[0]}: map {bad[1]} is neither" if bad else ""
     results.append(CheckResult("item 4 (coordinate maps)", FAIL if detail else PASS, detail))
 
@@ -560,7 +555,7 @@ def verify_lemma22(bundle: FreeBundle) -> VerificationReport:
 
 
 def _shape_table(bundle: FreeBundle, comb: tuple[int, ...], points: list[tuple[int, ...]]) -> Counter:
-    """The bit shapes of a component combination, by restriction, for claims 3 and 4.
+    """The bit shapes of a component combination, by restriction, for item 4 and claims 3 and 4.
 
     A bit shape is a 0/1 function on the product of the combination's
     powers: constant 0, constant 1, or the meet of chosen coordinates of
@@ -581,26 +576,6 @@ def _shape_table(bundle: FreeBundle, comb: tuple[int, ...], points: list[tuple[i
     return shapes
 
 
-def _count_shaped_extensions(bundle: FreeBundle, shapes: Counter, values: Sequence[int]) -> int:
-    """Count the distinct shaped maps on the product of powers that extend f.
-
-    values[i] is f at the i-th point of the combination whose shape table
-    is `shapes`.  A shaped piece is constant, or lands in one non-trivial
-    component u with each coordinate bit a bit shape.  Its id there is the
-    offset of u plus the rank of the bits, and rank is injective, so the
-    distinct pieces into u are the tuples of shapes, and a piece extends f
-    exactly when each shape extends the matching coordinate of f.  A
-    constant piece into u is the piece of constant shapes.  So f inside a
-    non-trivial component has the product over its coordinates of the
-    table entries, f inside a trivial one only its constant, and f across
-    components none.
-    """
-    decoded = [bundle.decode[v] for v in values]
-    if len({u for u, _ in decoded}) != 1:
-        return 0
-    return math.prod(shapes[column] for column in zip(*(bits for _, bits in decoded)))
-
-
 def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     """Check the four polymorphism claims for arities 1..max_arity.
 
@@ -609,9 +584,9 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     on the product (see the module notes), in the order arity, combination
     (lexicographic), restriction (search order); a failure detail names
     the first failure in that order.  Per combination the product, points
-    and shape table are built once, and both claims read the table: claim
-    3 asks whether each coordinate's column is one of its keys, and claim
-    4 counts extensions bit by bit from its entries.  Claim 3 stops at its
+    and shape table are built once, each restriction decoded once and its
+    columns looked up once: claim 3 fails across components or at a zero
+    count, and claim 4's count is their product.  Claim 3 stops at its
     first failure, claim 4 runs until both have failed.  A max_arity below
     1 raises StructureError.
     """
@@ -665,23 +640,22 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
         points = list(itertools.product(*(bundle.components[u].kids for u in comb)))
         shapes = _shape_table(bundle, comb, points)
         for values in hom_maps(prod, bundle.K):
-            targets = sorted({bundle.decode[v][0] for v in values})
-            if len(targets) != 1:
-                if claim3_ok:
-                    claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
-            elif claim3_ok:
-                # claim 3: each coordinate of the restriction is a meet of
-                # single-coordinate projections or a constant, a key of the table
-                columns = zip(*(bundle.decode[v][1] for v in values))
-                c = next((c for c, column in enumerate(columns) if column not in shapes), None)
-                if c is not None:
-                    claim3_ok = False
-                    claim3_detail = f"arity {arity}, components {comb}: coordinate {c} is not a meet of coordinate projections"
+            decoded = [bundle.decode[v] for v in values]
+            targets = sorted({u for u, _ in decoded})
+            # per coordinate, the shapes restricting to its column; none across components
+            counts = [shapes[column] for column in zip(*(bits for _, bits in decoded))] if len(targets) == 1 else [0]
+            # claim 3: each coordinate of the restriction is a meet of
+            # single-coordinate projections or a constant, a key of the table
+            if claim3_ok and len(targets) != 1:
+                claim3_ok, claim3_detail = False, f"arity {arity}: restriction spans components {targets}"
+            elif claim3_ok and 0 in counts:
+                claim3_ok = False
+                claim3_detail = f"arity {arity}, components {comb}: coordinate {counts.index(0)} is not a meet of coordinate projections"
 
             # claim 4: the restriction extends to exactly one piece of the
             # declared shape on the full product of powers
             if claim4_ok:
-                count = _count_shaped_extensions(bundle, shapes, values)
+                count = math.prod(counts)
                 if count != 1:
                     claim4_ok = False
                     claim4_detail = f"arity {arity}, components {comb}: {count} extensions"

@@ -298,9 +298,9 @@ def operation_from_json(data: dict) -> OperationTable:
     if not isinstance(data, dict) or set(data) - {"arity", "size", "values"}:
         raise StructureError("operation document must have keys 'arity', 'size', 'values'")
     arity, size, values = data.get("arity"), data.get("size"), data.get("values")
-    if not isinstance(arity, int) or not isinstance(size, int) or not isinstance(values, list):
+    if type(arity) is not int or type(size) is not int or not isinstance(values, list):
         raise StructureError("operation fields have wrong types")
-    if not all(isinstance(v, int) for v in values):
+    if not {int}.issuperset(map(type, values)):  # exact int: a JSON boolean is no integer
         raise StructureError("operation values must be integers")
     return OperationTable(arity, size, tuple(values))
 

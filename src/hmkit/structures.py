@@ -448,7 +448,7 @@ def structure_from_json(data: dict) -> RelationalStructure:
             raise StructureError(f"relation {sym}: expected keys 'arity' and 'tuples'")
         arity = body.get("arity")
         tuples = body.get("tuples")
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:  # exact int, as for ids: a JSON boolean is no integer
             raise StructureError(f"relation {sym}: arity must be a positive integer")
         if not isinstance(tuples, list):
             raise StructureError(f"relation {sym}: 'tuples' must be a list")
@@ -458,7 +458,7 @@ def structure_from_json(data: dict) -> RelationalStructure:
             continue
         seen: set[tuple[int, ...]] = set()
         for raw in tuples:
-            if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+            if not isinstance(raw, list) or not {int}.issuperset(map(type, raw)):
                 raise StructureError(f"relation {sym}: tuple {raw} must be a list of integers")
             t = tuple(raw)
             if len(t) != arity:

@@ -83,6 +83,12 @@ def test_unreadable_input_is_exit_2(capsys, tmp_path):
             "relation R: expected keys 'arity' and 'tuples'",
         ),
         ({"universe": ["0"], "relations": {"R": {"arity": 1, "tuples": {}}}}, "relation R: 'tuples' must be a list"),
+        # a JSON boolean is no integer, as an id or as an arity
+        (
+            {"universe": ["0", "1"], "relations": {"R": {"arity": 2, "tuples": [[True, 0]]}}},
+            "relation R: tuple [True, 0] must be a list of integers",
+        ),
+        ({"universe": ["0"], "relations": {"R": {"arity": True, "tuples": [[0]]}}}, "relation R: arity must be a positive integer"),
     ],
 )
 def test_structure_file_errors_exit_2(capsys, tmp_path, doc, message):
@@ -509,6 +515,8 @@ def test_free_build_golden_reports(capsys, algebra_file, majority_algebra):
         ("three", three, "2"),
         ("four", four, "2"),
         ("neg", neg, "2"),
+        # the report names no arity: at arity 4 every item and claim passes
+        ("neg", neg, "4"),
     )
     for name, algebra, arity in cases:
         code, out, _ = run(
@@ -586,6 +594,10 @@ def test_algebra_file_errors_exit_2(capsys, tmp_path, doc, message):
         ({"arity": 1, "size": 2, "values": [0, 1], "name": "f"}, "operation document must have keys 'arity', 'size', 'values'"),
         ({"arity": 1, "size": "2", "values": [0, 1]}, "operation fields have wrong types"),
         ({"arity": 1, "size": 2, "values": [0, "1"]}, "operation values must be integers"),
+        # a JSON boolean is no integer, as a table value, an arity or a size
+        ({"arity": 1, "size": 2, "values": [0, True]}, "operation values must be integers"),
+        ({"arity": True, "size": 2, "values": [0, 1]}, "operation fields have wrong types"),
+        ({"arity": 1, "size": True, "values": [0]}, "operation fields have wrong types"),
     ],
 )
 def test_operation_document_errors_exit_2(capsys, tmp_path, body, message):

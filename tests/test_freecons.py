@@ -37,10 +37,8 @@ from hmkit.freecons import (
     variable_names,
     _batches,
     _close,
-    _count_shaped_extensions,
     _grow,
     _ill_defined_operation,
-    _is_constant_or_projection,
     _refute_rank,
     _separating_translation,
     _shape_table,
@@ -762,11 +760,7 @@ def test_the_pipeline_stages_leave_their_input_unchanged(meet_algebra, majority_
         assert (h.decode, h.quotient_map, h.K) == (None, None, None)
         assert all(c.kids == () and c.collapsed is None for c in h.components)
         whole = build_bundle(a)
-        assert k[1:] == whole[1:] and k.free[1:] == whole.free[1:]
-        # each build makes its own FiniteAlgebra, which compares by identity
-        assert [(x.free.algebra.operations, x.free.algebra.labels) for x in (k, whole)] == [
-            (whole.free.algebra.operations, whole.free.algebra.labels)
-        ] * 2
+        assert k == whole and k is not whole and k.free.algebra is not whole.free.algebra
         # a bundle is a named tuple holding a dict (the free algebra's index)
         with pytest.raises(TypeError):
             hash(k)
@@ -1749,7 +1743,12 @@ def shaped_restriction(rng, bundle, comb, points):
     return values
 
 
-def test_count_shaped_extensions_matches_reference():
+def test_count_shaped_extensions_matches_reference(monkeypatch):
+    """Claim 4 counts the shaped extensions of every drawn restriction as
+    the reference does: hom_maps yields the restriction alone, on its own
+    combination, and claim 4 passes exactly when the reference counts 1."""
+    import hmkit.freecons as freecons
+
     rng = random.Random(83)
     cases = []  # (bundle, comb, restrictions per kind)
     for bundle in claims_bundles() + [build_bundle(THREE_HOMS)]:
@@ -1764,7 +1763,9 @@ def test_count_shaped_extensions_matches_reference():
         ref = reference_bundle(bundle)
         points = component_points_reference(ref, comb)
         pieces = shaped_pieces_reference(ref, comb)
-        shapes = _shape_table(bundle, comb, points)
+        # verify_claims reads combinations by arity, then lexicographically
+        nU = len(bundle.components)
+        combs = [c for arity in range(1, len(comb) + 1) for c in itertools.product(range(nU), repeat=arity)]
         restrictions = []
         for _ in range(draws):
             restrictions.append([rng.randrange(bundle.K.size) for _ in points])
@@ -1776,7 +1777,10 @@ def test_count_shaped_extensions_matches_reference():
                 shaped += 1
         for values in restrictions:
             want = count_shaped_extensions_reference(ref, pieces, points, values)
-            assert _count_shaped_extensions(bundle, shapes, values) == want, (comb, values)
+            calls = iter(combs)
+            monkeypatch.setattr(freecons, "hom_maps", lambda source, target: iter([tuple(values)] if next(calls) == comb else []))
+            expected = "pass" if want == 1 else f"fail (arity {len(comb)}, components {comb}: {want} extensions)"
+            assert report_lines(verify_claims(bundle, len(comb)))[3] == f"claim 4 (unique shaped extension): {expected}"
             seen[want] = seen.get(want, 0) + 1
     assert shaped > 100
     assert {0, 1} <= set(seen)
@@ -1801,7 +1805,7 @@ def test_verify_claims_component_with_four_homomorphisms():
 
 
 def column_failure_reference(
-    bundle: FreeBundle,
+    bundle: ReferenceBundle,
     comb: tuple[int, ...],
     factors: list[RelationalStructure],
     c: int,
@@ -1811,7 +1815,8 @@ def column_failure_reference(
     single-coordinate projections, or "" when it is one.
 
     column is that coordinate's bit at each point, in rank order, of the
-    product of the combination's collapsed components.
+    product of the combination's collapsed components.  Each factor's map
+    is classified from the reference's coordinates of its kids alone.
     """
     arity = len(comb)
     try:
@@ -1822,7 +1827,7 @@ def column_failure_reference(
         return ""
     projections = 0
     for ell, cmap in enumerate(dec.coordinate_maps):
-        if len(set(cmap)) > 1 and _is_constant_or_projection(bundle, comb[ell], cmap):
+        if classify_into_coords_reference(bundle, comb[ell], cmap)[0] == "projection":
             if not bundle.components[comb[ell]].homs:
                 return f"arity {arity}: projection on a trivial factor"
             projections += 1
@@ -1842,6 +1847,7 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
     bundles = claims_bundles() + [build_bundle(a) for a in (THREE_HOMS, FOUR_HOMS, COMPONENTS_2_1_2_1)]
     verdicts = Counter()  # (key of the table, decomposes) -> columns
     for bundle in bundles:
+        ref = reference_bundle(bundle)
         for arity in (1, 2):
             for comb in itertools.product(range(len(bundle.components)), repeat=arity):
                 factors = [bundle.components[u].collapsed for u in comb]
@@ -1858,7 +1864,7 @@ def test_shape_table_keys_are_the_columns_that_decompose_into_projections():
                         columns.update(zip(*(bundle.decode[v][1] for v in values)))
                 columns.update(tuple(rng.randrange(2) for _ in points) for _ in range(20))
                 for column in sorted(columns):
-                    failure = column_failure_reference(bundle, comb, factors, 0, column)
+                    failure = column_failure_reference(ref, comb, factors, 0, column)
                     assert (column in shapes) == (failure == ""), (comb, column, failure)
                     verdicts[column in shapes, failure == ""] += 1
     assert verdicts[True, True] > 500 and verdicts[False, False] > 500, verdicts
@@ -1946,15 +1952,16 @@ def test_verify_claims_on_components_of_sizes_2_1_2_1(monkeypatch):
         for arity in (1, 2)
     }
     assert counts[2] == 136
-    count_shaped_extensions = freecons._count_shaped_extensions
-    checked = 0  # claim 4 counts each restriction once while it passes
+    hom_maps = freecons.hom_maps
+    checked = 0  # the claims read each restriction once while they pass
 
-    def counting(*args):
+    def counting(source, target):
         nonlocal checked
-        checked += 1
-        return count_shaped_extensions(*args)
+        for values in hom_maps(source, target):
+            checked += 1
+            yield values
 
-    monkeypatch.setattr(freecons, "_count_shaped_extensions", counting)
+    monkeypatch.setattr(freecons, "hom_maps", counting)
     report = verify_claims(bundle, 2)
     assert report.passed, report_lines(report)
     assert checked == counts[1] + counts[2]

@@ -102,6 +102,21 @@ def test_operation_tables_compare_by_value():
         assert_value_semantics(lambda: OperationTable(arity, size, list(values)), variants)
 
 
+def test_finite_algebras_compare_by_value(meet_algebra, lattice_algebra):
+    """An algebra holds a dict of tables, so it compares by value and does not hash."""
+    for a in (meet_algebra, lattice_algebra):
+        meet = a.operations["meet"]
+        variants = [
+            FiniteAlgebra(a.size + 1, {}, a.labels + ("2",)),
+            FiniteAlgebra(a.size, {"meet": OperationTable(2, 2, (0, 1, 1, 1))}, a.labels),
+            FiniteAlgebra(a.size, {"join": meet}, a.labels),
+            FiniteAlgebra(a.size, a.operations, ("a", "b")),
+            FiniteAlgebra(a.size, a.operations),
+            (a.size, a.operations, a.labels),
+        ]
+        assert_value_semantics(lambda: FiniteAlgebra(a.size, dict(a.operations), list(a.labels)), variants, hashable=False)
+
+
 def random_term(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         return Variable(rng.choice("xyz"))

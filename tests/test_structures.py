@@ -531,13 +531,13 @@ def structure_from_json_reference(data: dict) -> RelationalStructure:
             raise StructureError(f"relation {sym}: expected keys 'arity' and 'tuples'")
         arity = body.get("arity")
         tuples = body.get("tuples")
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:
             raise StructureError(f"relation {sym}: arity must be a positive integer")
         if not isinstance(tuples, list):
             raise StructureError(f"relation {sym}: 'tuples' must be a list")
         seen: set[tuple[int, ...]] = set()
         for raw in tuples:
-            if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+            if not isinstance(raw, list) or not all(type(v) is int for v in raw):
                 raise StructureError(f"relation {sym}: tuple {raw} must be a list of integers")
             t = tuple(raw)
             if len(t) != arity:
@@ -594,10 +594,15 @@ def test_structure_from_json_matches_its_tuple_by_tuple_reference():
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1], doc
     assert len(kinds) == 8
-    # bools pass as integers, as they always have
-    doc = {"universe": ["0", "1"], "relations": {"R": {"arity": 2, "tuples": [[True, 0]]}}}
-    assert structure_from_json(doc) == structure_from_json_reference(doc)
-    assert structure_from_json(doc).relations["R"].tuples == {(1, 0)}
+    # a JSON boolean is no integer, as an id or as an arity
+    for relation, message in (
+        ({"arity": 2, "tuples": [[True, 0]]}, r"relation R: tuple \[True, 0\] must be a list of integers"),
+        ({"arity": True, "tuples": [[0]]}, "relation R: arity must be a positive integer"),
+    ):
+        doc = {"universe": ["0", "1"], "relations": {"R": relation}}
+        for parse in (structure_from_json, structure_from_json_reference):
+            with pytest.raises(StructureError, match=f"^{message}$"):
+                parse(doc)
 
 
 @pytest.mark.parametrize(
