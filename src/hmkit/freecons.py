@@ -38,13 +38,16 @@ engine, `_grow`, the only code that adds to a closure; `_close` runs it for
 the first three.  `max_tuples` bounds the elements each closure finds by
 one rule: the batch that holds the (max_tuples + 1)-th element is cut
 there, and the engine raises SizeLimitExceeded once it has yielded it.  A
-closure also ends as soon as it holds the whole power, since nothing more
-could be added; the free structure's triples often fill F^3 early in round
-2.  The engine's batches (`_batches`) map each table row over the
-last-argument column once per head (the arguments before the last two) and
-batch start, and share the mapped column with every argument prefix that
-selects that row: a coordinate holds at most n mapped columns of length
-`new` for a table of size n.
+closure also ends as soon as it holds the whole power; the free
+structure's triples often fill F^3 early in round 2.  That closure alone
+has a mirror, the swap of the first two coordinates, which maps its seeds
+and so R onto themselves: each new triple's mirror joins right after it
+and counts against max_tuples, about half the argument tuples are
+evaluated, and ids and derivations follow full rounds only without a
+mirror.  The engine's batches (`_batches`) map each table row over the
+last-argument column once per head (the arguments before the last two)
+and batch start, sharing it with every argument prefix that selects that
+row: a coordinate holds at most one mapped column per universe element.
 
 The evidence search, hm_evidence, decides per coordinate labeling and rank
 j whether some term operation of F_j carries two labeled variable sets,
@@ -143,7 +146,12 @@ class FiniteAlgebra(Record):
 
 def algebra_from_json(data: dict) -> FiniteAlgebra:
     universe, ops_doc = read_document(data, "algebra", "operations")
-    operations = {sym: operation_from_json(body) for sym, body in ops_doc.items()}
+    operations = {}
+    for sym, body in ops_doc.items():
+        try:
+            operations[sym] = operation_from_json(body)
+        except StructureError as exc:
+            raise StructureError(f"operation {sym}: {exc}") from None
     return FiniteAlgebra(len(universe), operations, tuple(universe))
 
 
@@ -173,9 +181,10 @@ class FreeAlgebra(NamedTuple):
     index: Mapping[tuple[int, ...], int]  # element -> id
 
 
-def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int):
+def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: int, new: int, twins: Sequence[int] = ()):
     """Apply table at every coordinate to every argument tuple over
-    range(new) that holds an id >= old, in lexicographic order.
+    range(new) that holds an id >= old, in lexicographic order, but for the
+    prefixes above their mirror given `twins`, the mirror ids (see `_grow`).
 
     Yields (prefix, first, batch): batch[i] is the value at the arguments
     prefix + (first + i,).  A constant's empty argument tuple yields ((), 0,
@@ -198,6 +207,9 @@ def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: in
         return
     columns = list(zip(*elements[:new]))
     for head in itertools.product(range(new), repeat=m - 2):
+        mirrored = tuple(map(twins.__getitem__, head)) if twins else head
+        if mirrored < head:  # a prefix above its mirror: a head here, an end under a fixed head below
+            continue
         # per coordinate, the row index of the head followed by a zero argument
         # (Horner's rule inline, not structures.rank: this is the hot loop)
         base = [0] * len(columns)
@@ -207,7 +219,7 @@ def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: in
         stale = not head or max(head) < old
         for ends, first in ((range(old), old), (range(old, new), 0)) if stale else ((range(new), 0),):
             memos = [[None] * n for _ in columns]  # per coordinate, value -> mapped column
-            for end in ends:
+            for end in [end for end in ends if end <= twins[end]] if twins and mirrored == head else ends:
                 point = elements[end]
                 mapped = list(map(list.__getitem__, memos, point))
                 if None in mapped:
@@ -221,6 +233,7 @@ def _batches(table: OperationTable, elements: Sequence[tuple[int, ...]], old: in
 def _grow(
     seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int,
     elements: list[tuple[int, ...]], derivations: list[tuple], index: dict[tuple[int, ...], int],
+    mirror: tuple[int, ...] | None = None,
 ):
     """The closure engine, the only code that writes to a closure: grow the
     subpower of `algebra` generated by equal-width seeds, operations acting
@@ -236,11 +249,18 @@ def _grow(
     The batch that holds the (max_elements + 1)-th element is cut there, so
     ids stops short, and once it is yielded the engine raises
     SizeLimitExceeded.  The closure also ends after a batch that leaves it
-    holding the whole power and after a round that adds nothing.
+    holding the whole power and after a round that adds nothing.  A
+    `mirror`, a coordinate involution that fixes the seed set (else
+    ValueError), adds each value's mirror right after it, derived by the
+    same symbol at the mirrored arguments and counted as an element, so a
+    batch is cut at a value whose mirror would overflow; rounds skip the
+    prefixes above their mirror, so ids and derivations leave full rounds.
     """
     whole = algebra.size ** len(seeds[0])
     signature = [(sym, algebra.operations[sym]) for sym in algebra.symbols()]
-    steps, old = [(None, 1, [((), 0, seeds)])], 0
+    if mirror is not None and {tuple(map(s.__getitem__, mirror)) for s in seeds} != set(seeds):
+        raise ValueError("the seeds are not closed under the mirror")
+    steps, old, twins = [(None, 1, [((), 0, seeds)])], 0, ()  # from round 1, with a mirror: (mirror ids,)
     while steps:
         for sym, m, batches in steps:
             for prefix, first, batch in batches:
@@ -251,13 +271,19 @@ def _grow(
                     for i in itertools.compress(itertools.count(), map(operator.is_, ids, itertools.repeat(None))):
                         e = index.get(batch[i])  # a value repeated in the batch is seen once added
                         if e is None:
-                            if len(elements) >= max_elements:
+                            twin = tuple(map(batch[i].__getitem__, mirror)) if twins else batch[i]
+                            if len(elements) + (twin != batch[i]) >= max_elements:
                                 del ids[i:]
                                 break
                             e = index[batch[i]] = len(elements)
                             elements.append(batch[i])
-                            derivations.append(("var", i) if sym is None else (sym, prefix + (first + i,) if m else ()))
+                            args = prefix + (first + i,) if m else ()
+                            derivations.append(("var", i) if sym is None else (sym, args))
                             added.append(i)
+                            if twin != batch[i]:  # its mirror, right after it, at the mirrored arguments
+                                index[twin] = len(elements)
+                                elements.append(twin)
+                                derivations.append((sym, tuple(map(twins[0].__getitem__, args))))
                         ids[i] = e
                 yield sym, m, prefix, first, batch, ids, added
                 if len(ids) < len(batch):
@@ -265,17 +291,20 @@ def _grow(
                 if len(elements) == whole:
                     return
         new = len(elements)
-        steps = [(sym, table.arity, _batches(table, elements, old, new)) for sym, table in signature] if old < new else []
+        twins = () if mirror is None else ([index[tuple(map(t.__getitem__, mirror))] for t in elements],)
+        steps = [(sym, table.arity, _batches(table, elements, old, new, *twins)) for sym, table in signature] if old < new else []
         old = new
 
 
-def _close(seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int) -> tuple[list, list, dict]:
+def _close(
+    seeds: Sequence[tuple[int, ...]], algebra: FiniteAlgebra, max_elements: int, mirror: tuple[int, ...] | None = None
+) -> tuple[list, list, dict]:
     """Close equal-width seeds under the operations of `algebra`, pointwise,
-    by running `_grow` to its end, which raises SizeLimitExceeded past
-    max_elements elements.  Returns the elements, their derivations and the
-    element -> id index."""
+    by running `_grow` to its end, with its `mirror`, which raises
+    SizeLimitExceeded past max_elements elements.  Returns the elements,
+    their derivations and the element -> id index."""
     elements, derivations, index = [], [], {}
-    deque(_grow(seeds, algebra, max_elements, elements, derivations, index), maxlen=0)
+    deque(_grow(seeds, algebra, max_elements, elements, derivations, index, mirror), maxlen=0)
     return elements, derivations, index
 
 
@@ -326,8 +355,9 @@ class FreeBundle(NamedTuple):
 
 
 def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> FreeBundle:
-    """Build the free algebra on two generators, its ternary free structure
-    and its components.
+    """Build the free algebra on two generators, its ternary free structure,
+    closed with the swap of the first two coordinates as the mirror (see
+    `_grow`), and its components.
 
     The unary term operations u are the elements of the rank-1 free
     algebra, identity first, and component u holds the elements whose
@@ -339,7 +369,7 @@ def free_structure(a: FiniteAlgebra, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fr
     x, y = free.generators
 
     seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
-    triples = _close(seeds, free.algebra, max_tuples)[0]
+    triples = _close(seeds, free.algebra, max_tuples, (1, 0, 2))[0]
     structure = RelationalStructure(
         free.algebra.size,
         {RELATION_SYMBOL: Relation(3, frozenset(triples))},

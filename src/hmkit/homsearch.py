@@ -297,12 +297,12 @@ class OperationTable(Record):
 def operation_from_json(data: dict) -> OperationTable:
     if not isinstance(data, dict) or set(data) - {"arity", "size", "values"}:
         raise StructureError("operation document must have keys 'arity', 'size', 'values'")
-    arity, size, values = data.get("arity"), data.get("size"), data.get("values")
-    if type(arity) is not int or type(size) is not int or not isinstance(values, list):
-        raise StructureError("operation fields have wrong types")
-    if not {int}.issuperset(map(type, values)):  # exact int: a JSON boolean is no integer
+    for field, kind in (("arity", int), ("size", int), ("values", list)):
+        if type(data.get(field)) is not kind:  # exact int: a JSON boolean is no integer
+            raise StructureError(f"operation field '{field}' must be {'a list' if kind is list else 'an integer'}")
+    if not {int}.issuperset(map(type, data["values"])):
         raise StructureError("operation values must be integers")
-    return OperationTable(arity, size, tuple(values))
+    return OperationTable(data["arity"], data["size"], tuple(data["values"]))
 
 
 def polymorphisms(s: RelationalStructure, arity: int) -> list[OperationTable]:

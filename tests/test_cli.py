@@ -592,18 +592,37 @@ def test_algebra_file_errors_exit_2(capsys, tmp_path, doc, message):
     "body, message",
     [
         ({"arity": 1, "size": 2, "values": [0, 1], "name": "f"}, "operation document must have keys 'arity', 'size', 'values'"),
-        ({"arity": 1, "size": "2", "values": [0, 1]}, "operation fields have wrong types"),
+        ({"arity": 1, "size": "2", "values": [0, 1]}, "operation field 'size' must be an integer"),
         ({"arity": 1, "size": 2, "values": [0, "1"]}, "operation values must be integers"),
         # a JSON boolean is no integer, as a table value, an arity or a size
         ({"arity": 1, "size": 2, "values": [0, True]}, "operation values must be integers"),
-        ({"arity": True, "size": 2, "values": [0, 1]}, "operation fields have wrong types"),
-        ({"arity": 1, "size": True, "values": [0]}, "operation fields have wrong types"),
+        ({"arity": True, "size": 2, "values": [0, 1]}, "operation field 'arity' must be an integer"),
+        ({"arity": 1, "size": True, "values": [0]}, "operation field 'size' must be an integer"),
     ],
 )
 def test_operation_document_errors_exit_2(capsys, tmp_path, body, message):
+    """Each error names the operation it was raised in."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"universe": ["0", "1"], "operations": {"f": body}}))
-    assert run(capsys, "free", "build", "--algebra", str(path)) == (2, "", f"error: {message}\n")
+    assert run(capsys, "free", "build", "--algebra", str(path)) == (2, "", f"error: operation f: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"arity": 1, "size": 2, "values": [0, 1, 1]}, "table needs 2 values for arity 1, got 3"),
+        ({"arity": 1, "size": 2, "values": [0, 2]}, "table value 2 out of range for size 2"),
+        ({"arity": 1, "size": 2, "values": {"0": 1}}, "operation field 'values' must be a list"),
+    ],
+)
+def test_operation_errors_name_the_second_of_two_operations(capsys, tmp_path, body, message):
+    """A valid first operation is read before the bad second one, which the
+    error names, table errors included."""
+    path = tmp_path / "bad.json"
+    ops = {"f": {"arity": 2, "size": 2, "values": [0, 0, 0, 1]}, "g": body}
+    path.write_text(json.dumps({"universe": ["0", "1"], "operations": ops}))
+    for argv in (["free", "build"], ["alg", "hm-evidence"]):
+        assert run(capsys, *argv, "--algebra", str(path)) == (2, "", f"error: operation g: {message}\n")
 
 
 def test_hm_evidence_names_the_empty_labeling(capsys, algebra_file, bare_algebra):

@@ -5,7 +5,7 @@ import math
 import operator
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from typing import Callable, Sequence
 
 import pytest
@@ -677,7 +677,9 @@ def test_batches_match_reference():
 
 def test_engine_batches_match_reference():
     """Seeded tables of arities 0-4 and sizes 1-3, applied at 1-5
-    coordinates, for the engine's batches."""
+    coordinates, for the engine's batches; and at 3 coordinates under the
+    mirror that swaps the first two, where the batches are the reference's
+    whose argument prefix, mirrored id by id, is not smaller."""
     rng = random.Random(44)
     for m in range(5):
         for _ in range(6):
@@ -688,6 +690,181 @@ def test_engine_batches_match_reference():
             for old in sorted({0, 1, new // 2, new}):
                 got = list(_batches(table, elements, old, new))
                 assert got == batches_reference([table] * width, elements, old, new)
+    for m in range(5):
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            table = OperationTable(m, n, tuple(rng.randrange(n) for _ in range(n**m)))
+            elements, size = [], min(rng.randint(1, (9, 9, 9, 6, 4)[m]), n**3)
+            while len(elements) < size:  # mirror-closed, each triple's swap right after it
+                t = tuple(rng.randrange(n) for _ in range(3))
+                if t not in elements:
+                    elements += dict.fromkeys([t, (t[1], t[0], t[2])])
+            new = len(elements)
+            twins = [elements.index((t[1], t[0], t[2])) for t in elements]
+            for old in sorted({0, 1, new // 2, new}):
+                expected = [
+                    batch
+                    for batch in batches_reference([table] * 3, elements, old, new)
+                    if batch[0] <= tuple(twins[e] for e in batch[0])
+                ]
+                assert list(_batches(table, elements, old, new, twins)) == expected
+
+
+# The free structure's R closed over A itself, not over the free algebra's
+# induced tables: it shares no code with the engine or with free_algebra.
+def free_relation_reference(a: FiniteAlgebra, free: FreeAlgebra) -> frozenset:
+    """R = Sg((x,x,x), (x,y,x), (y,x,x), (y,y,y)) as a set of free-algebra id triples.
+
+    A triple of binary term operations is one tuple over A indexed by
+    (coordinate, assignment of x and y), and A's tables act on it
+    pointwise.  The tuple is held as bytes whose byte i is i * |A| plus the
+    value at i, so an operation with every argument but the last fixed acts
+    on the last as one bytes.translate.  A worklist takes the elements in
+    order and evaluates each argument tuple once, when its newest argument
+    is taken; each closed tuple is then read back as three free-algebra ids.
+    """
+    n = a.size
+    assignments = list(itertools.product(range(n), repeat=2))
+    x, y = (tuple(assign[j] for assign in assignments) for j in (0, 1))
+    width = 3 * len(assignments)
+    assert width * n <= 256
+
+    def encode(t):
+        return bytes(i * n + v for i, v in enumerate(t))
+
+    elements = list(dict.fromkeys(map(encode, (x + x + x, x + y + x, y + x + x, y + y + y))))
+    seen = set(elements)
+
+    @functools.cache
+    def translation(sym, head):  # the values of sym at head + (t,) for every t, as a byte table
+        values, table = a.operations[sym].values, bytearray(range(256))
+        for i in range(width):
+            row = 0
+            for e in head:
+                row = row * n + elements[e][i] - i * n
+            for v in range(n):
+                table[i * n + v] = i * n + values[row * n + v]
+        return bytes(table)
+
+    k = 0
+    while k < len(elements):
+        for sym in a.symbols():
+            m = a.operations[sym].arity
+            if m == 0:
+                found = [encode([a.operations[sym].values[0]] * width)] if k == 0 else []
+            else:
+                # heads below k with the last argument k, then heads holding k with every last argument up to k
+                found = [elements[k].translate(translation(sym, h)) for h in itertools.product(range(k), repeat=m - 1)]
+                for mask in range(1, 2 ** (m - 1)):
+                    for head in itertools.product(*((k,) if mask >> p & 1 else range(k) for p in range(m - 1))):
+                        table = translation(sym, head)
+                        found.extend(t.translate(table) for t in elements[: k + 1])
+            fresh = [t for t in dict.fromkeys(found) if t not in seen]
+            seen.update(fresh)
+            elements += fresh
+        k += 1
+    index = {t: e for e, t in enumerate(free.elements)}
+    q = len(assignments)
+    triples = set()
+    for t in elements:
+        flat = [b - i * n for i, b in enumerate(t)]
+        triples.add(tuple(index[tuple(flat[c * q : (c + 1) * q])] for c in range(3)))
+    return frozenset(triples)
+
+
+THREE = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 2, 0, 2, 1, 2, 2, 1, 2))})  # the CI's three.json
+
+
+def test_free_structure_relation_matches_a_closure_over_A(meet_algebra, lattice_algebra, majority_algebra, bare_algebra):
+    for a, size in ((meet_algebra, 10), (lattice_algebra, 25), (majority_algebra, 5), (bare_algebra, 4), (THREE, 384)):
+        bundle = free_structure(a)
+        assert bundle.structure.relations["R"].tuples == free_relation_reference(a, bundle.free)
+        assert len(bundle.structure.relations["R"].tuples) == size
+
+
+@pytest.mark.parametrize("first, built", [(0, 63), (1, 31)])
+def test_free_structure_relation_matches_a_closure_over_A_on_two_element_ternary_algebras(first, built):
+    """The 256 two-element algebras with one ternary operation, by the
+    table's first value: R matches the reference on the 94 whose R has at
+    most 44 triples, and a bound of 44 refuses the rest."""
+    matched = 0
+    for values in itertools.product(range(2), repeat=7):
+        a = FiniteAlgebra(2, {"f": OperationTable(3, 2, (first, *values))})
+        try:
+            bundle = free_structure(a, 44)
+        except SizeLimitExceeded:
+            continue
+        assert bundle.structure.relations["R"].tuples == free_relation_reference(a, bundle.free)
+        matched += 1
+    assert matched == built
+
+
+def test_mirrored_relation_closure_evaluates_half_the_argument_pairs(monkeypatch):
+    """On three.json, R's closure evaluates |R| (|R| + |Fix|) / 2 argument
+    pairs under the swap of its first two coordinates, Fix being the swap's
+    fixed triples, and |R|^2 without it; each triple's derivation gives it."""
+    import hmkit.freecons as freecons
+
+    batches = freecons._batches
+    pairs = Counter()  # argument pairs by the number of arguments _batches was called with
+
+    def counting(*args):
+        for prefix, first, batch in batches(*args):
+            pairs[len(args)] += len(batch)
+            yield prefix, first, batch
+
+    monkeypatch.setattr(freecons, "_batches", counting)
+    bundle = free_structure(THREE)
+    triples = bundle.structure.relations["R"].tuples
+    assert (len(triples), sum(t[0] == t[1] for t in triples)) == (384, 30)
+    # only R's closure passes a mirror, the fifth argument
+    assert pairs[5] == 384 * (384 + 30) // 2 == 79_488
+
+    free = bundle.free.algebra
+    x, y = bundle.free.generators
+    seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
+    pairs.clear()
+    assert frozenset(_close(seeds, free, DEFAULT_MAX_TUPLES)[0]) == triples
+    assert pairs == {4: 384**2} and 384**2 == 147_456
+
+    elements, derivations, _ = _close(seeds, free, DEFAULT_MAX_TUPLES, (1, 0, 2))
+    for e, (t, (sym, args)) in enumerate(zip(elements, derivations)):
+        if sym == "var":
+            assert t == seeds[args]
+        else:
+            assert max(args, default=-1) < e
+            assert t == tuple(free.operations[sym].apply(*(elements[arg][c] for arg in args)) for c in range(3))
+        swapped = (t[1], t[0], t[2])
+        assert swapped == t or swapped in elements[e - 1 : e + 2 : 2]  # a triple's mirror is next to it
+
+
+def test_mirrored_closure_overflows_exactly_past_the_relation_size(meet_algebra, majority_algebra):
+    """A bound of |R| - 1 refuses R and |R| builds it, whether the element
+    that crosses the bound is a mirror (three.json, meet: the engine then
+    stops one short, as a triple and its mirror are added together) or a
+    triple the swap fixes (majority)."""
+    for a, size, crossing_is_mirror in ((THREE, 384, True), (meet_algebra, 10, True), (majority_algebra, 5, False)):
+        assert free_algebra(a, 2).algebra.size < size - 1  # so only R's closure can overflow
+        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
+            free_structure(a, size - 1)
+        assert len(free_structure(a, size).structure.relations["R"].tuples) == size
+
+        free = free_algebra(a, 2)
+        x, y = free.generators
+        seeds = [(x, x, x), (x, y, x), (y, x, x), (y, y, y)]
+        last = _close(seeds, free.algebra, size, (1, 0, 2))[0][-1]
+        assert (last[0] != last[1]) == crossing_is_mirror
+        elements = []
+        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
+            deque(_grow(seeds, free.algebra, size - 1, elements, [], {}, (1, 0, 2)), maxlen=0)
+        assert len(elements) == size - 1 - crossing_is_mirror
+
+
+def test_mirrored_closure_refuses_seeds_its_mirror_does_not_fix(meet_algebra):
+    with pytest.raises(ValueError, match="not closed under the mirror"):
+        _close([(0, 0, 0), (0, 1, 0)], meet_algebra, 10, (1, 0, 2))
+    seeds = [(0, 0, 0), (0, 1, 1), (1, 0, 1)]
+    assert _close(seeds, meet_algebra, 10, (1, 0, 2))[0] == seeds + [(0, 0, 1)]
 
 
 def test_free_structure_semilattice_triples(meet_algebra):
