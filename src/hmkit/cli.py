@@ -396,12 +396,16 @@ def cmd_alg_hm_evidence(args) -> Report:
     algebra = freecons.load_algebra(args.algebra)
     evidence = freecons.hm_evidence(algebra, args.max_arity, max_tuples=args.max_tuples)
     if isinstance(evidence, freecons.ConsistentLabelingFound):
-        witness = {
-            "surviving_labeling": evidence.labeling.describe(),
-            "max_arity": evidence.max_arity,
-            "note": "bounded evidence only; identities above the arity bound were not examined",
-        }
-        return [Check("certified", "fail", witness)], 1
+        witness = {"surviving_labeling": evidence.labeling.describe(), "max_arity": evidence.max_arity}
+        if evidence.witness is None:
+            witness["note"] = "bounded evidence only; identities above the arity bound were not examined"
+            return [Check("certified", "fail", witness)], 1
+        (lo, hi), universe, bits, _ = evidence.witness
+        label = algebra.labels.__getitem__
+        witness |= {"a": label(lo), "b": label(hi), "subuniverse": list(map(label, universe))}
+        witness |= {"h": dict(zip(map(label, universe), bits)), "note": "no labeling certificate exists at any arity"}
+        replay = freecons.verify_witness(algebra, evidence.witness)
+        return [Check("certified", "fail", witness), Check("replay", "pass" if replay else "fail")], 1 if replay else 2
     replay = freecons.verify_certificate(algebra, evidence)
     refuted = identlang.labeling_count(op.arity for op in algebra.operations.values())  # all of them, in the cover's blocks
     checks = [

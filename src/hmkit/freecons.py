@@ -67,6 +67,23 @@ the prefix tree.  Membership does not depend on evaluation order, so the
 verdicts are those of any complete search; the identity is the first
 collision in semi-naive order over sorted symbols and lexicographic
 argument tuples.
+
+A labeling survives every rank when it has a two-element witness: a != b
+in A and a map h from B = Sg(a, b) onto {0, 1}, h(a) = 0 and h(b) = 1,
+with h(f(t)) the meet of h(t_i) over the labeled coordinates i of f, for
+every symbol f and t in B^m.  The two-element algebra of those meets is
+then in HS(A), every term acts there as the meet of its labeled variables,
+and distinct non-empty variable sets give distinct meets, so every
+identity of A keeps its two labeled sets equal.  `_two_element_witness`
+finds the least witnessed labeling L (B closed by `_close` per pair, each
+h built depth-first by `_meet_maps` in B's generation order, every tuple
+checked once its arguments and value are mapped, each symbol keeping the
+largest coordinate set its rows still allow).  hm_evidence looks for L
+only when rank 2 leaves a labeling unrefuted, and then decides only the
+labelings before L: a prefix is kept while its first labeling comes
+before L.  Those are decided as before, and L is returned with its
+witness when none of them survives or overflows.  `verify_witness`
+replays a witness by direct evaluation.
 """
 
 from __future__ import annotations
@@ -260,7 +277,7 @@ def _grow(
     signature = [(sym, algebra.operations[sym]) for sym in algebra.symbols()]
     if mirror is not None and {tuple(map(s.__getitem__, mirror)) for s in seeds} != set(seeds):
         raise ValueError("the seeds are not closed under the mirror")
-    steps, old, twins = [(None, 1, [((), 0, seeds)])], 0, ()  # from round 1, with a mirror: (mirror ids,)
+    steps, old, twins, mirror_ids = [(None, 1, [((), 0, seeds)])], 0, (), []  # twins from round 1, with a mirror: (mirror_ids,)
     while steps:
         for sym, m, batches in steps:
             for prefix, first, batch in batches:
@@ -291,7 +308,9 @@ def _grow(
                 if len(elements) == whole:
                     return
         new = len(elements)
-        twins = () if mirror is None else ([index[tuple(map(t.__getitem__, mirror))] for t in elements],)
+        if mirror is not None:  # the mirror ids, extended by those of the elements this round added
+            mirror_ids.extend(index[tuple(map(t.__getitem__, mirror))] for t in elements[len(mirror_ids):])
+            twins = (mirror_ids,)
         steps = [(sym, table.arity, _batches(table, elements, old, new, *twins)) for sym, table in signature] if old < new else []
         old = new
 
@@ -715,9 +734,170 @@ class CertifiedHM(NamedTuple):
     refutations: tuple[LabelingRefutation, ...]  # a cover: one per refuted labeling prefix, in labeling order
 
 
+class TwoElementWitness(NamedTuple):
+    """A map h from B = Sg(a, b) onto {0, 1}, h(a) = 0 and h(b) = 1, through
+    which each symbol acts as the meet of its labeled coordinates."""
+
+    pair: tuple[int, int]  # a and b
+    subuniverse: tuple[int, ...]  # B, sorted
+    bits: tuple[int, ...]  # h on B, in B's order
+    labeling: SLLabeling
+
+
 class ConsistentLabelingFound(NamedTuple):
     labeling: SLLabeling
     max_arity: int
+    witness: TwoElementWitness | None = None  # None: bounded evidence only
+
+
+def _meet_unit(codes: frozenset, m: int) -> int:
+    """The coordinates common to the rows sent to 1, as a mask (bit m - i
+    for coordinate i), when some coordinate set's meet agrees with the
+    codes (row h(t) as a mask, with h(f(t)) as its last bit), else 0.  That
+    set is the largest that could: some set agrees exactly when it does."""
+    if len({c >> 1 for c in codes}) < len(codes):  # a row sent to both values
+        return 0
+    unit = (1 << m) - 1
+    for c in codes:
+        if c & 1:
+            unit &= c >> 1
+    return unit if all(unit & ~(c >> 1) for c in codes if not c & 1) else 0
+
+
+def _stage_checks(a: FiniteAlgebra, tables: Sequence[OperationTable], order: Sequence[int]):
+    """For each position k of B from 1 on, the tuples that `_meet_maps`
+    checks when it sets k: per symbol with any, the columns (argument
+    positions by coordinate, then the value position) of the tuples of B^m
+    whose largest position is k, positions 0 and 1 counting as 1.  A tuple
+    is evaluated at the stage of its largest argument and waits there for
+    its value's, so a search that dies at stage k has evaluated only the
+    tuples over the first k + 1 positions."""
+    position = {e: k for k, e in enumerate(order)}
+    waiting = [[[] for _ in tables] for _ in order]  # per position, per symbol: tuples whose value is there
+    for k in range(1, len(order)):
+        stage = []
+        for s, t in enumerate(tables):
+            m = t.arity
+            if k == 1:
+                rows = list(itertools.product(range(2), repeat=m))
+            else:  # the tuples whose first argument at k is their i-th
+                rows = [r for i in range(m) for r in itertools.product(*[range(k)] * i, (k,), *[range(k + 1)] * (m - 1 - i))]
+            at = [0] * len(rows)  # per tuple, its index in the table
+            for column in zip(*rows):
+                at = [i * a.size + order[c] for i, c in zip(at, column)]
+            ready = waiting[k][s]
+            for args, i in zip(rows, at):
+                value = position[t.values[i]]
+                (ready if value <= k else waiting[value][s]).append((*args, value))
+            if ready:
+                stage.append((s, list(zip(*ready))))
+        yield stage
+
+
+def _meet_maps(n: int, arities: Sequence[int], checks: list, stages, fixed: tuple[int, int]):
+    """Each map h from the n positions of B onto {0, 1}, h = `fixed` at
+    positions 0 and 1, through which each symbol acts as a meet: yields h's
+    bits by position (a list that is reused) and, per symbol, its
+    coordinate set as a `_meet_unit` mask.
+
+    Depth-first over the positions, each element after the arguments of its
+    first derivation.  checks[k] is stage k of `_stage_checks`, drawn from
+    `stages` when the search first reaches k and kept for the next call:
+    each tuple gives a code, and a symbol's codes so far must stay on a
+    meet.  Position k holds the value of its derivation, a tuple of earlier
+    positions, so the maps alive at depth k are restrictions of distinct
+    labelings' maps: at most min(2^k, number of labelings) of them.
+    """
+    bits = [*fixed, *[0] * (n - 2)]
+    seen = [None, [frozenset()] * len(arities)] + [None] * n  # per depth, per symbol: the codes its tuples gave
+    k, tried = 1, [0] * n  # positions 0 and 1 are checked together, at 1
+    while k > 0:
+        if k == n:
+            yield bits, [_meet_unit(codes, m) for codes, m in zip(seen[n], arities)]
+            k -= 1
+        elif tried[k] < (2 if k > 1 else 1):
+            if k > 1:
+                bits[k] = tried[k]
+            tried[k] += 1
+            if k == len(checks):
+                checks.append(next(stages))
+            seen[k + 1] = here = seen[k][:]
+            for s, columns in checks[k]:
+                codes = [0] * len(columns[0])
+                for column in columns:
+                    codes = [2 * r + bits[c] for r, c in zip(codes, column)]
+                here[s] = here[s].union(codes)
+                if not _meet_unit(here[s], arities[s]):
+                    break
+            else:
+                k += 1
+        else:
+            tried[k], k = 0, k - 1
+
+
+def _two_element_witness(a: FiniteAlgebra) -> TwoElementWitness | None:
+    """The witness of the least witnessed labeling, with the first pair in
+    lexicographic order that witnesses it, or None when no labeling has one
+    (see the module notes).
+
+    Per pair {a, b}, B = Sg(a, b) by `_close`; then `_meet_maps` finds each
+    h with h(a) = 0 and h(b) = 1, and each with the two swapped, sharing
+    the stages of `_stage_checks` drawn so far.  Since h is onto, each row
+    of {0, 1}^m is h of some tuple, so h fixes each symbol's coordinate
+    set, and since B is generated by a and b, the set fixes h: a pair
+    witnesses each labeling at most once.
+    """
+    tables = [a.operations[sym] for sym in a.symbols()]
+    if any(t.arity == 0 for t in tables):  # a constant has no coordinate set
+        return None
+    arities = [t.arity for t in tables]
+    best = None
+    for pair in itertools.combinations(range(a.size), 2):
+        order = [e for e, in _close([(v,) for v in pair], a, a.size)[0]]  # B, each element after its arguments
+        universe, checks, stages = tuple(sorted(order)), [None], _stage_checks(a, tables, order)
+        for fixed, witnessed in (((0, 1), pair), ((1, 0), pair[::-1])):
+            for bits, units in _meet_maps(len(order), arities, checks, stages, fixed):
+                labeling = [tuple(i for i in range(1, m + 1) if u >> (m - i) & 1) for m, u in zip(arities, units)]
+                if best is None or (labeling, witnessed) < best[:2]:
+                    h = dict(zip(order, bits))
+                    best = labeling, witnessed, universe, tuple(map(h.__getitem__, universe))
+    if best is None:
+        return None
+    labeling, *found = best
+    return TwoElementWitness(*found, SLLabeling(dict(zip(a.symbols(), labeling))))
+
+
+def verify_witness(a: FiniteAlgebra, witness: TwoElementWitness) -> bool:
+    """Replay a two-element witness by direct evaluation (`apply`): B is
+    closed under every operation, holds a and b, and h maps it onto {0, 1}
+    with h(a) = 0 and h(b) = 1; each symbol's coordinate set lies in its
+    arity, and h(f(t)) is the meet of h at those coordinates for every t in
+    B^m.  Shares no code with the closure engine or the witness search;
+    anything malformed returns False rather than raising."""
+    if not isinstance(witness, TwoElementWitness) or not isinstance(witness.labeling, SLLabeling):
+        return False
+
+    def ids(values, bound: int) -> bool:
+        return isinstance(values, tuple) and all(type(v) is int and 0 <= v < bound for v in values)
+
+    pair, universe, bits, labeling = witness
+    sigma = labeling.sigma
+    if not (ids(pair, a.size) and len(pair) == 2 and ids(universe, a.size) and ids(bits, 2)):
+        return False
+    h = dict(zip(universe, bits))
+    if len(h) != len(universe) or len(bits) != len(universe) or [h.get(v) for v in pair] != [0, 1]:
+        return False
+    if not isinstance(sigma, dict) or set(sigma) != set(a.operations):
+        return False
+    for sym, table in a.operations.items():
+        coords = sigma[sym]  # a non-empty set of coordinates, sorted
+        if not ids(coords, table.arity + 1) or not coords or 0 in coords or list(coords) != sorted(set(coords)):
+            return False
+        for t in itertools.product(universe, repeat=table.arity):
+            value = h.get(table.apply(*t))
+            if value is None or value != min(h[t[i - 1]] for i in coords):
+                return False
+    return True
 
 
 def default_evidence_arity(a: FiniteAlgebra) -> int:
@@ -818,12 +998,20 @@ def hm_evidence(
 
     A refuted labeling comes with an identity that holds in the generated
     variety but changes labeled variable sets.  Refuting all labelings is a
-    sound certificate; a survivor is bounded evidence only, since identities
+    sound certificate.  The least labeling L with a two-element witness
+    (`_two_element_witness`) survives at every arity, so no certificate
+    exists; a survivor before L is bounded evidence only, since identities
     above the arity bound are never examined.
 
-    Each rank is closed once for all the labeling prefixes still alive
-    (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
-    labeling's pairs per rank, by the engine's overflow rule.  The
+    Rank 2 is closed for every labeling.  When it refutes them all, no
+    witness exists and none is looked for.  Otherwise L is looked for, and
+    only the labelings before L are kept: the prefixes, decided or alive,
+    whose first labeling (every later symbol at (1,)) comes before L.  L is
+    returned with its witness once they are all refuted, so no rank above 2
+    is closed that only L and its successors would need, and an overflow at
+    or after L is dropped.  Each rank is closed once for all the labeling prefixes
+    still alive (`_refute_rank`, on the engine `_grow`); max_tuples bounds
+    each labeling's pairs per rank, by the engine's overflow rule.  The
     decided prefixes and the survivors are disjoint blocks of the labeling
     order, which is the lexicographic order of tuples of coordinate sets,
     so sorted by prefix they read in labeling order: the first overflow
@@ -844,7 +1032,20 @@ def hm_evidence(
     symbols = a.symbols()
     prefixes = [()] if all(a.operations[sym].arity for sym in symbols) else []  # a constant has no coordinate set
     decided: list = []
-    for j in range(2, m + 1):
+    if m >= 2 and prefixes:
+        prefixes = _refute_rank(a, 2, max_tuples, prefixes, decided)
+    witness = None
+    if prefixes or any(isinstance(outcome, SizeLimitExceeded) for _, outcome in decided):
+        witness = _two_element_witness(a)
+    if witness is not None:  # keep what comes before L
+        bound = tuple(map(witness.labeling.sigma.__getitem__, symbols))
+
+        def before(prefix: tuple) -> bool:  # its first labeling, each later symbol at (1,), comes before L
+            return prefix + ((1,),) * (len(symbols) - len(prefix)) < bound
+
+        prefixes = list(filter(before, prefixes))
+        decided = [entry for entry in decided if before(entry[0])]
+    for j in range(3, m + 1):
         if not prefixes:
             break
         prefixes = _refute_rank(a, j, max_tuples, prefixes, decided)
@@ -855,6 +1056,8 @@ def hm_evidence(
         if outcome is None:  # the survivor is the prefix's first labeling, each later symbol at (1,)
             return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, prefix + ((1,),) * len(symbols)))), m)
         refutations.append(LabelingRefutation(SLLabeling(dict(zip(symbols, prefix))), *outcome))
+    if witness is not None:
+        return ConsistentLabelingFound(witness.labeling, m, witness)
     return CertifiedHM(m, tuple(refutations))
 
 

@@ -903,6 +903,47 @@ def test_alg_hm_evidence_survivor(capsys, algebra_file, meet_algebra):
     assert witness["max_arity"] == 2
 
 
+SURVIVOR = FiniteAlgebra(3, {
+    "t0": OperationTable(2, 3, (0, 2, 0, 2, 1, 1, 2, 1, 2)),
+    "t1": OperationTable(2, 3, (0, 0, 2, 2, 1, 2, 2, 0, 2)),
+}, ("0", "1", "2"))
+
+
+def test_alg_hm_evidence_witnessed_survivor(capsys, algebra_file, monkeypatch):
+    """A witnessed survivor names its witness and replays it, exit 1, or 2
+    when the replay fails; without a witness the survivor is bounded
+    evidence, as before."""
+    path = algebra_file(SURVIVOR)
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--max-arity", "3")
+    assert code == 1 and out.splitlines() == [
+        "command: alg hm-evidence",
+        "certified: fail",
+        "  surviving_labeling: t0->{1} t1->{1,2}",
+        "  max_arity: 3",
+        "  a: 2",
+        "  b: 0",
+        '  subuniverse: ["0", "2"]',
+        '  h: {"0": 1, "2": 0}',
+        "  note: no labeling certificate exists at any arity",
+        "replay: pass",
+    ]
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--output", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and checks[0]["witness"]["h"] == {"0": 1, "2": 0} and checks[1]["verdict"] == "pass"
+
+    monkeypatch.setattr(freecons, "verify_witness", lambda a, witness: False)
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path)
+    assert code == 2 and out.splitlines()[-1] == "replay: fail"
+
+    monkeypatch.setattr(freecons, "_two_element_witness", lambda a: None)
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--output", "json")
+    assert code == 1 and json.loads(out)["checks"] == [{"name": "certified", "verdict": "fail", "witness": {
+        "surviving_labeling": "t0->{1} t1->{1,2}",
+        "max_arity": 2,
+        "note": "bounded evidence only; identities above the arity bound were not examined",
+    }}]
+
+
 def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
     # each reported identity is the first collision the pair closure finds,
     # which depends on its evaluation order, so the whole report is pinned,

@@ -20,6 +20,7 @@ from hmkit.freecons import (
     FreeAlgebra,
     FreeBundle,
     LabelingRefutation,
+    TwoElementWitness,
     VerificationReport,
     algebra_from_json,
     build_bundle,
@@ -34,6 +35,7 @@ from hmkit.freecons import (
     verify_certificate,
     verify_claims,
     verify_lemma22,
+    verify_witness,
     variable_names,
     _batches,
     _close,
@@ -42,6 +44,7 @@ from hmkit.freecons import (
     _refute_rank,
     _separating_translation,
     _shape_table,
+    _two_element_witness,
 )
 from hmkit.homsearch import OperationTable, hom_maps, polymorphisms
 from hmkit.identlang import (
@@ -326,6 +329,49 @@ def refute_labeling(a, labeling, max_arity, max_tuples):
     return None
 
 
+# Oracle for the two-element witness: every ordered pair, every map onto
+# {0, 1} and every coordinate set, with its own subuniverse loop; it shares no
+# code with the witness search, the closure engine or `verify_witness`.
+
+
+def witness_reference(a):
+    """The least labeling that some (a, b, h) witnesses, with its first
+    witness in the order pairs, then maps h by their bits, or None."""
+    symbols = a.symbols()
+    found = []
+    for x, y in itertools.permutations(range(a.size), 2):
+        universe = {x, y}
+        while True:
+            grown = universe | {
+                a.operations[sym].apply(*t) for sym in symbols for t in itertools.product(universe, repeat=a.operations[sym].arity)
+            }
+            if grown == universe:
+                break
+            universe = grown
+        universe = tuple(sorted(universe))
+        for bits in itertools.product((0, 1), repeat=len(universe)):
+            h = dict(zip(universe, bits))
+            if (h[x], h[y]) != (0, 1):
+                continue
+            # per symbol, every coordinate set under which it acts as a meet
+            meets = [
+                [
+                    coords
+                    for coords in coordinate_sets(a.operations[sym].arity)
+                    if all(
+                        h[a.operations[sym].apply(*t)] == min(h[t[i - 1]] for i in coords)
+                        for t in itertools.product(universe, repeat=a.operations[sym].arity)
+                    )
+                ]
+                for sym in symbols
+            ]
+            found += [(labeling, (x, y), universe, bits) for labeling in itertools.product(*meets)]
+    if not found:
+        return None
+    labeling, *witness = min(found, key=operator.itemgetter(0))  # the first of the least
+    return TwoElementWitness(*witness, SLLabeling(dict(zip(symbols, labeling))))
+
+
 def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refute=refute_labeling):
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -334,8 +380,11 @@ def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refu
     m = default_evidence_arity(a) if max_arity is None else max_arity
     if m < 1:
         raise StructureError(f"arity bound must be >= 1, got {m}")
+    witness = witness_reference(a)
     refutations = []
     for labeling in all_labelings(declarations(a)):
+        if witness is not None and labeling == witness.labeling:  # it survives every rank, without a closure
+            return ConsistentLabelingFound(labeling, m, witness)
         refutation = refute(a, labeling, m, max_tuples)
         if refutation is None:
             return ConsistentLabelingFound(labeling, m)
@@ -367,7 +416,7 @@ def evidence_outcome(search, *args):
     except (StructureError, SizeLimitExceeded) as exc:
         return "raised", type(exc), str(exc)
     if isinstance(evidence, ConsistentLabelingFound):
-        return "survivor", evidence.labeling, evidence.max_arity
+        return "survivor", evidence.labeling, evidence.max_arity, evidence.witness
     return "certified", evidence.max_arity, [
         (r.labeling, r.arity, str(r.lhs), str(r.rhs), r.lhs_varset, r.rhs_varset) for r in evidence.refutations
     ]
@@ -1015,7 +1064,7 @@ def test_hm_evidence_majority(majority_algebra):
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
     import hmkit.freecons as freecons
 
-    grow = freecons._grow
+    grow, close = freecons._grow, freecons._close
     widths = []
 
     def counting(seeds, algebra, *rest):
@@ -1025,12 +1074,17 @@ def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebr
     def no_free_algebra(*args):
         raise AssertionError("evidence built a free algebra")
 
+    def subuniverses_only(seeds, *rest):  # the witness search closes Sg(a, b) in A
+        assert len(seeds[0]) == 1, "evidence built a free algebra"
+        return close(seeds, *rest)
+
     monkeypatch.setattr(freecons, "_grow", counting)
     monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
-    monkeypatch.setattr(freecons, "_close", no_free_algebra)
+    monkeypatch.setattr(freecons, "_close", subuniverses_only)
     # F_2 = {x, y}, so each labeling is refuted in the first round of the
     # rank-2 closure with 2 elements; one closure of rank 2 (4 assignments)
-    # serves all its labelings, and rank 3 is never closed
+    # serves all its labelings, and rank 3 is never closed, nor is a
+    # witness looked for, as no labeling is left
     evidence = hm_evidence(majority_algebra, max_tuples=3)
     assert isinstance(evidence, CertifiedHM) and len(evidence.refutations) == 7
     assert widths == [2**2]
@@ -1101,21 +1155,51 @@ def test_hm_evidence_rejects_non_idempotent():
         ((0, 0, 0, 1, 1, 1, 2, 2, 2), 3, 3),
     ],
 )
-def test_closure_and_evidence_share_one_overflow_rule(values, j, size):
+def test_closure_and_evidence_share_one_overflow_rule(values, j, size, monkeypatch):
     """The rank-j closure, free or under evidence, overflows exactly when
-    max_tuples is below the size of F_j."""
+    max_tuples is below the size of F_j.  Each algebra here has a
+    two-element witness for f -> {1}, its first labeling, which so needs no
+    closure of its own and answers at any bound.  No input without a witness is known whose
+    evidence search closes rank 3 for a live labeling, so at rank 3 the
+    witness search is masked: the labeling is bounded evidence again and
+    rides the closure to its end.  Rank 2 is shown without a mask by
+    `test_evidence_without_a_witness_overflows_by_the_same_rule`."""
+    import hmkit.freecons as freecons
+
     a = FiniteAlgebra(3, {"f": OperationTable(2, 3, values)})
     projections = list(zip(*itertools.product(range(3), repeat=j)))
     with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
         _close(projections, a, size - 1)
-    with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
-        hm_evidence(a, j, max_tuples=size - 1)
     assert len(_close(projections, a, size)[0]) == size
-    assert isinstance(hm_evidence(a, j, max_tuples=size), ConsistentLabelingFound)
+    for bound in (-1, size - 1, size):
+        evidence = hm_evidence(a, j, max_tuples=bound)
+        assert evidence.labeling.sigma == {"f": (1,)} and verify_witness(a, evidence.witness)
     # a negative bound refuses the first seed
-    for refused in (lambda: _close(projections, a, -1), lambda: hm_evidence(a, j, max_tuples=-1)):
+    with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
+        _close(projections, a, -1)
+    if j == 3:
+        monkeypatch.setattr(freecons, "_two_element_witness", lambda a: None)
+        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
+            hm_evidence(a, j, max_tuples=size - 1)
+        assert hm_evidence(a, j, max_tuples=size) == ConsistentLabelingFound(SLLabeling({"f": (1,)}), j)
         with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
-            refused()
+            hm_evidence(a, j, max_tuples=-1)
+
+
+def test_evidence_without_a_witness_overflows_by_the_same_rule():
+    """hard.json has no two-element witness, so every labeling rides the
+    rank-2 closure until it is refuted, the last after 470 pairs: 469
+    overflow with the engine's message, 470 certify, and a negative bound
+    refuses the first seed, as the reference search one labeling at a time
+    does."""
+    a = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))})
+    assert _two_element_witness(a) is None and witness_reference(a) is None
+    for bound in (-1, 469):
+        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {bound} elements$"):
+            hm_evidence(a, 2, max_tuples=bound)
+    assert isinstance(hm_evidence(a, 2, max_tuples=470), CertifiedHM)
+    for bound in (-1, 469, 470):
+        assert evidence_outcome(hm_evidence, a, 2, bound) == evidence_outcome(hm_evidence_reference, a, 2, bound)
 
 
 def test_engine_raises_its_overflow_after_yielding_the_cut_batch():
@@ -1405,10 +1489,90 @@ def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
         args = (a, rng.randint(1, 4), rng.choice([rng.randint(1, 60), 3000]))
         got = evidence_outcome(hm_evidence, *args)
         assert got == evidence_outcome(hm_evidence_reference, *args)
+        witness = witness_reference(a)
+        assert _two_element_witness(a) == witness
+        if witness is not None:  # so never a certificate: the witnessed labeling survives its own closures
+            try:
+                assert refute_labeling(a, witness.labeling, *args[1:]) is None
+                kinds["witnessed labeling survived its closures"] += 1
+            except SizeLimitExceeded:
+                pass
         kinds[got[0]] += 1
         kinds["survived a closure of rank 3 or above"] += got[0] == "survivor" and got[2] >= 3
     assert kinds["raised"] > 30 and kinds["certified"] > 100 and kinds["survivor"] > 100
     assert kinds["survived a closure of rank 3 or above"] > 50
+    assert kinds["witnessed labeling survived its closures"] > 150
+
+
+def test_witness_search_matches_the_oracle_on_the_corpora():
+    """The 64 idempotent two-element algebras with one ternary operation and
+    120 seeded idempotent three-element ones with one binary operation: the
+    least witnessed labeling and its witness are the oracle's, each replays,
+    the labeling survives its own closures up to the default arity, so no
+    certificate exists, and a witnessed algebra reports its witness unless
+    a labeling before it survives the bounded search."""
+    rng = random.Random(12)
+    corpus = [
+        FiniteAlgebra(2, {"t": OperationTable(3, 2, (0, *free, 1))}) for free in itertools.product((0, 1), repeat=6)
+    ]
+    corpus += [FiniteAlgebra(3, {"f": idempotent_table(rng, 3, 2)}) for _ in range(120)]
+    kinds = Counter()
+    for a in corpus:
+        witness = witness_reference(a)
+        assert _two_element_witness(a) == witness
+        evidence = hm_evidence(a)
+        kinds["certified"] += isinstance(evidence, CertifiedHM)
+        if witness is not None:
+            assert verify_witness(a, witness)
+            assert refute_labeling(a, witness.labeling, default_evidence_arity(a), DEFAULT_MAX_TUPLES) is None
+            assert evidence.witness in (None, witness) and (evidence.witness is None) == (evidence.labeling != witness.labeling)
+            kinds["witnessed" if evidence.witness else "survivor before the witness"] += 1
+    assert kinds["certified"] > 20 and kinds["witnessed"] > 80
+
+
+def test_witness_search_stays_small_when_every_pair_generates_a():
+    """x o y = 2x - y mod 17 is affine, so it has no witness, and Sg(a, b) is
+    all 17 elements for every pair: 2^15 maps per ordered pair with h(a) = 0
+    and h(b) = 1.  The depth-first search refuses each pair by its ninth
+    position, and evidence certifies with 20 pairs per labeling.  So does
+    x - y + z mod 17, whose pairs all die on the tuples over {a, b}."""
+    n = 17
+    affine = FiniteAlgebra(n, {"f": OperationTable(2, n, tuple((2 * x - y) % n for x in range(n) for y in range(n)))})
+    maltsev = FiniteAlgebra(n, {"p": OperationTable(3, n, tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3)))})
+    for a in (affine, maltsev):
+        assert all(len(_close([(x,), (y,)], a, n)[0]) == n for x, y in itertools.combinations(range(n), 2))
+        assert _two_element_witness(a) is None
+        evidence = hm_evidence(a, 2, max_tuples=20)
+        assert isinstance(evidence, CertifiedHM) and verify_certificate(a, evidence)
+
+
+def test_verify_witness_refuses_a_broken_witness_without_raising():
+    # survivor.json: t0 -> {1} and t1 -> {1,2} through h(2) = 0, h(0) = 1 on B = {0, 2}
+    a = FiniteAlgebra(3, {
+        "t0": OperationTable(2, 3, (0, 2, 0, 2, 1, 1, 2, 1, 2)),
+        "t1": OperationTable(2, 3, (0, 0, 2, 2, 1, 2, 2, 0, 2)),
+    })
+    witness = hm_evidence(a, 3).witness
+    labeling = SLLabeling({"t0": (1,), "t1": (1, 2)})
+    assert witness == TwoElementWitness((2, 0), (0, 2), (1, 0), labeling) and verify_witness(a, witness)
+    sigma = labeling.sigma
+    broken = [
+        witness._replace(bits=(0, 0)),  # h is not onto
+        witness._replace(pair=(0, 2)),  # h(a) = 1 and h(b) = 0
+        witness._replace(labeling=SLLabeling(sigma | {"t1": (1,)})),  # a wrong set: t1(0, 2) = 2 breaks the meet
+        witness._replace(labeling=SLLabeling(sigma | {"t0": (2,)})),
+        witness._replace(subuniverse=(0, 1), pair=(1, 0)),  # B not closed: t0(0, 1) = 2
+        witness._replace(subuniverse=(0, 1, 2), bits=(1, 1, 0)),  # closed, but t0(0, 1) = 2 breaks the meet
+        witness._replace(pair=(1, 0)),  # a outside B
+        witness._replace(pair=(2, 3)),  # b outside A
+        # malformed
+        witness._replace(bits=(1, 0, 0)), witness._replace(bits=(True, False)), witness._replace(bits=[1, 0]),
+        witness._replace(subuniverse=(0, 0), bits=(1, 0)), witness._replace(subuniverse=(0, -1)), witness._replace(pair=(2,)),
+        witness._replace(labeling=SLLabeling({"t0": (1,)})), witness._replace(labeling=SLLabeling(sigma | {"t1": (1, 3)})),
+        witness._replace(labeling=SLLabeling(sigma | {"t1": ()})), witness._replace(labeling=SLLabeling(sigma | {"t1": (0, 1)})),
+        witness._replace(labeling=sigma), tuple(witness), None,
+    ]
+    assert [verify_witness(a, w) for w in broken] == [False] * len(broken)
 
 
 def test_hm_evidence_matches_the_reference_on_many_labelings():

@@ -104,34 +104,50 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
     symmetry, swap, identification, transitivity and pairing until no
     identity is new.  Semi-naive: a round derives only from the identities
     new in the round before, each joined with every identity known so far.
-    An identity is a pair of term numbers, so sets hash two ints."""
+    An identity is a pair of term numbers, so sets hash two ints, and a term
+    is numbered by its side as plain data, (symbol, argument names) with
+    symbol None for a variable, since each is linear: dict probes compare
+    tuples of strings, and the result's terms are built once at the end."""
     for i in sys.identities:
         if not is_linear(i):
             raise SystemError_(f"non-linear identity: {i}")
         if len(term_variables(i.lhs) | term_variables(i.rhs)) > 2:
             raise SystemError_(f"identity in more than 2 variables: {i}")
 
-    number: dict[Term, int] = {}
-    terms: list[Term] = []
+    number: dict[tuple, int] = {}
+    terms: list[tuple] = []
 
-    def numbered(t: Term) -> int:
-        if t not in number:
-            number[t] = len(terms)
-            terms.append(t)
-        return number[t]
+    def numbered(side: tuple) -> int:
+        if side not in number:
+            number[side] = len(terms)
+            terms.append(side)
+        return number[side]
 
-    def pair(i: Identity) -> tuple[int, int]:
-        return numbered(i.lhs), numbered(i.rhs)
+    def side_of(t: Term) -> tuple:
+        return (None, (t.name,)) if isinstance(t, Variable) else (t.symbol, tuple(a.name for a in t.args))
+
+    def renamed_side(side: tuple, table: dict) -> tuple:
+        return side[0], tuple(table.get(n, n) for n in side[1])
+
+    def normal_pair(lhs: tuple, rhs: tuple) -> tuple[int, int]:  # renamed x, y by first occurrence, lhs first
+        table = dict(zip(dict.fromkeys(lhs[1] + rhs[1]), ("x", "y")))
+        return numbered(renamed_side(lhs, table)), numbered(renamed_side(rhs, table))
 
     def renamed(k: int, table: dict, memo: dict) -> int:
         if k not in memo:
-            memo[k] = numbered(reference_rename(terms[k], table))
+            memo[k] = numbered(renamed_side(terms[k], table))
         return memo[k]
 
-    new = {pair(reference_normalize(i)) for i in sys.identities}
+    def text(side: tuple) -> str:
+        return side[1][0] if side[0] is None else f"{side[0]}({','.join(side[1])})"
+
+    def term(side: tuple) -> Term:
+        return Variable(side[1][0]) if side[0] is None else Application(side[0], tuple(map(Variable, side[1])))
+
+    new = {normal_pair(side_of(i.lhs), side_of(i.rhs)) for i in sys.identities}
     for name in sorted(sys.idempotent):
         arity = sys.declarations[name]
-        new.add(pair(Identity(Application(name, (_X,) * arity), _X)))
+        new.add((numbered((name, ("x",) * arity)), numbered((None, ("x",)))))
 
     swap, swapped = {"x": "y", "y": "x"}, {}
     collapse, collapsed = {"y": "x"}, {}
@@ -145,7 +161,7 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
         for a, b in new:  # indexed first, so two new identities join too
             by_lhs.setdefault(a, []).append(b)
             by_rhs.setdefault(b, []).append(a)
-            if isinstance(terms[b], Variable):
+            if terms[b][0] is None:
                 by_var_rhs.setdefault(b, []).append(a)
         derived: set[tuple[int, int]] = set()
         for a, b in new:
@@ -153,7 +169,7 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
             derived.add((b, a))
             c, d = renamed(a, collapse, collapsed), renamed(b, collapse, collapsed)
             if (c, d) not in normalized:
-                normalized[c, d] = pair(reference_normalize(Identity(terms[c], terms[d])))
+                normalized[c, d] = normal_pair(terms[c], terms[d])
             derived.add(normalized[c, d])
             derived.update((a, r) for r in by_lhs.get(b, ()))  # transitivity, (a, b) first
             derived.update((l, b) for l in by_rhs.get(a, ()))  # transitivity, (a, b) second
@@ -162,8 +178,9 @@ def saturate_reference(sys: TermSystem) -> TermSystem:
                 derived.add((s, a))
         new = derived - current
 
-    ordered = tuple(sorted((Identity(terms[a], terms[b]) for a, b in current), key=str))
-    return TermSystem(sys.declarations, ordered, sys.idempotent)
+    texts, built = [text(side) for side in terms], [term(side) for side in terms]
+    ordered = sorted(current, key=lambda ab: f"{texts[ab[0]]} = {texts[ab[1]]}")
+    return TermSystem(sys.declarations, tuple(Identity(built[a], built[b]) for a, b in ordered), sys.idempotent)
 
 
 def random_linear_system(
