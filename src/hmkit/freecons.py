@@ -33,21 +33,22 @@ values at the points in rank order over the sorted kids.
 
 The free algebra, the free structure's triples, the unary term operations
 and the evidence search close subpowers of one algebra each (A^(A^k), F^3,
-A^A and A^(A^j)), its operations acting pointwise, by one semi-naive
-engine, `_grow`, the only code that adds to a closure; `_close` runs it for
-the first three.  `max_tuples` bounds the elements each closure finds by
-one rule: the batch that holds the (max_tuples + 1)-th element is cut
-there, and the engine raises SizeLimitExceeded once it has yielded it.  A
-closure also ends as soon as it holds the whole power; the free
-structure's triples often fill F^3 early in round 2.  That closure alone
-has a mirror, the swap of the first two coordinates, which maps its seeds
-and so R onto themselves: each new triple's mirror joins right after it
-and counts against max_tuples, about half the argument tuples are
-evaluated, and ids and derivations follow full rounds only without a
-mirror.  The engine's batches (`_batches`) map each table row over the
-last-argument column once per head (the arguments before the last two)
-and batch start, sharing it with every argument prefix that selects that
-row: a coordinate holds at most one mapped column per universe element.
+A^A, A^(A^j) and, for the witness, the diagonal of A^2), its operations
+acting pointwise, by one semi-naive engine, `_grow`, the only code that
+adds to a closure; `_close` runs it for the first three.  `max_tuples`
+bounds the elements each closure finds by one rule: the batch that holds
+the (max_tuples + 1)-th element is cut there, and the engine raises
+SizeLimitExceeded once it has yielded it.  A closure also ends as soon as
+it holds the whole power; the free structure's triples often fill F^3
+early in round 2.  That closure alone has a mirror, the swap of the first
+two coordinates, which maps its seeds and so R onto themselves: each new
+triple's mirror joins right after it and counts against max_tuples, about
+half the argument tuples are evaluated, and ids and derivations follow
+full rounds only without a mirror.  The engine's batches (`_batches`) map
+each table row over the last-argument column once per head (the arguments
+before the last two) and batch start, sharing it with every argument
+prefix that selects that row: a coordinate holds at most one mapped column
+per universe element.
 
 The evidence search, hm_evidence, decides per coordinate labeling and rank
 j whether some term operation of F_j carries two labeled variable sets,
@@ -75,15 +76,17 @@ every symbol f and t in B^m.  The two-element algebra of those meets is
 then in HS(A), every term acts there as the meet of its labeled variables,
 and distinct non-empty variable sets give distinct meets, so every
 identity of A keeps its two labeled sets equal.  `_two_element_witness`
-finds the least witnessed labeling L (B closed by `_close` per pair, each
-h built depth-first by `_meet_maps` in B's generation order, every tuple
-checked once its arguments and value are mapped, each symbol keeping the
-largest coordinate set its rows still allow).  hm_evidence looks for L
-only when rank 2 leaves a labeling unrefuted, and then decides only the
-labelings before L: a prefix is kept while its first labeling comes
-before L.  Those are decided as before, and L is returned with its
-witness when none of them survives or overflows.  `verify_witness`
-replays a witness by direct evaluation.
+finds the least witnessed labeling L with the loop that refutes
+labelings, `_labeled_closure`, run per ordered pair on Sg(a, b) with one
+bit per seed, 1 for a and 0 for b: an element's bit is then 1 - h, the OR
+over labeled arguments is 1 - their meet, and a labeling survives the
+closure exactly when its h is a witness.  A witnessed labeling never
+collides, so L is a rank-2 survivor or extends a prefix that overflowed.
+hm_evidence looks for L only when rank 2 leaves a labeling unrefuted, and
+then decides only the labelings before L: a prefix is kept while its
+first labeling comes before L.  Those are decided as before, and L is
+returned with its witness when none of them survives or overflows.
+`verify_witness` replays a witness by direct evaluation.
 """
 
 from __future__ import annotations
@@ -750,121 +753,33 @@ class ConsistentLabelingFound(NamedTuple):
     witness: TwoElementWitness | None = None  # None: bounded evidence only
 
 
-def _meet_unit(codes: frozenset, m: int) -> int:
-    """The coordinates common to the rows sent to 1, as a mask (bit m - i
-    for coordinate i), when some coordinate set's meet agrees with the
-    codes (row h(t) as a mask, with h(f(t)) as its last bit), else 0.  That
-    set is the largest that could: some set agrees exactly when it does."""
-    if len({c >> 1 for c in codes}) < len(codes):  # a row sent to both values
-        return 0
-    unit = (1 << m) - 1
-    for c in codes:
-        if c & 1:
-            unit &= c >> 1
-    return unit if all(unit & ~(c >> 1) for c in codes if not c & 1) else 0
+def _two_element_witness(a: FiniteAlgebra, prefixes: Sequence[tuple] = ((),)) -> TwoElementWitness | None:
+    """The witness of the least witnessed labeling that extends one of the
+    labeling `prefixes` (equal in length, in labeling order), with the first
+    ordered pair in lexicographic order that witnesses it, or None when no
+    such labeling has one (see the module notes).
 
-
-def _stage_checks(a: FiniteAlgebra, tables: Sequence[OperationTable], order: Sequence[int]):
-    """For each position k of B from 1 on, the tuples that `_meet_maps`
-    checks when it sets k: per symbol with any, the columns (argument
-    positions by coordinate, then the value position) of the tuples of B^m
-    whose largest position is k, positions 0 and 1 counting as 1.  A tuple
-    is evaluated at the stage of its largest argument and waits there for
-    its value's, so a search that dies at stage k has evaluated only the
-    tuples over the first k + 1 positions."""
-    position = {e: k for k, e in enumerate(order)}
-    waiting = [[[] for _ in tables] for _ in order]  # per position, per symbol: tuples whose value is there
-    for k in range(1, len(order)):
-        stage = []
-        for s, t in enumerate(tables):
-            m = t.arity
-            if k == 1:
-                rows = list(itertools.product(range(2), repeat=m))
-            else:  # the tuples whose first argument at k is their i-th
-                rows = [r for i in range(m) for r in itertools.product(*[range(k)] * i, (k,), *[range(k + 1)] * (m - 1 - i))]
-            at = [0] * len(rows)  # per tuple, its index in the table
-            for column in zip(*rows):
-                at = [i * a.size + order[c] for i, c in zip(at, column)]
-            ready = waiting[k][s]
-            for args, i in zip(rows, at):
-                value = position[t.values[i]]
-                (ready if value <= k else waiting[value][s]).append((*args, value))
-            if ready:
-                stage.append((s, list(zip(*ready))))
-        yield stage
-
-
-def _meet_maps(n: int, arities: Sequence[int], checks: list, stages, fixed: tuple[int, int]):
-    """Each map h from the n positions of B onto {0, 1}, h = `fixed` at
-    positions 0 and 1, through which each symbol acts as a meet: yields h's
-    bits by position (a list that is reused) and, per symbol, its
-    coordinate set as a `_meet_unit` mask.
-
-    Depth-first over the positions, each element after the arguments of its
-    first derivation.  checks[k] is stage k of `_stage_checks`, drawn from
-    `stages` when the search first reaches k and kept for the next call:
-    each tuple gives a code, and a symbol's codes so far must stay on a
-    meet.  Position k holds the value of its derivation, a tuple of earlier
-    positions, so the maps alive at depth k are restrictions of distinct
-    labelings' maps: at most min(2^k, number of labelings) of them.
+    Per ordered pair (a, b), `_labeled_closure` closes Sg(a, b) with the
+    bit 1 for a and 0 for b: an element's bit is g = 1 - h, a symbol's OR
+    over its labeled coordinates is g(f(t)) = max g = 1 - min h, and a
+    labeling survives exactly when h is a witness with h(a) = 0, h(b) = 1.
+    The seeds are the diagonal (a, a), (b, b) of A^2, which never fills
+    A^2: `_grow` ends a closure once it holds the whole power, as seeds
+    (a,), (b,) would on reaching B = A, before every tuple over B is
+    checked (on two elements, before any).  Survivors stay in labeling
+    order, so the first is the least at (a, b); later pairs keep only the
+    prefixes before it.
     """
-    bits = [*fixed, *[0] * (n - 2)]
-    seen = [None, [frozenset()] * len(arities)] + [None] * n  # per depth, per symbol: the codes its tuples gave
-    k, tried = 1, [0] * n  # positions 0 and 1 are checked together, at 1
-    while k > 0:
-        if k == n:
-            yield bits, [_meet_unit(codes, m) for codes, m in zip(seen[n], arities)]
-            k -= 1
-        elif tried[k] < (2 if k > 1 else 1):
-            if k > 1:
-                bits[k] = tried[k]
-            tried[k] += 1
-            if k == len(checks):
-                checks.append(next(stages))
-            seen[k + 1] = here = seen[k][:]
-            for s, columns in checks[k]:
-                codes = [0] * len(columns[0])
-                for column in columns:
-                    codes = [2 * r + bits[c] for r, c in zip(codes, column)]
-                here[s] = here[s].union(codes)
-                if not _meet_unit(here[s], arities[s]):
-                    break
-            else:
-                k += 1
-        else:
-            tried[k], k = 0, k - 1
-
-
-def _two_element_witness(a: FiniteAlgebra) -> TwoElementWitness | None:
-    """The witness of the least witnessed labeling, with the first pair in
-    lexicographic order that witnesses it, or None when no labeling has one
-    (see the module notes).
-
-    Per pair {a, b}, B = Sg(a, b) by `_close`; then `_meet_maps` finds each
-    h with h(a) = 0 and h(b) = 1, and each with the two swapped, sharing
-    the stages of `_stage_checks` drawn so far.  Since h is onto, each row
-    of {0, 1}^m is h of some tuple, so h fixes each symbol's coordinate
-    set, and since B is generated by a and b, the set fixes h: a pair
-    witnesses each labeling at most once.
-    """
-    tables = [a.operations[sym] for sym in a.symbols()]
-    if any(t.arity == 0 for t in tables):  # a constant has no coordinate set
-        return None
-    arities = [t.arity for t in tables]
     best = None
-    for pair in itertools.combinations(range(a.size), 2):
-        order = [e for e, in _close([(v,) for v in pair], a, a.size)[0]]  # B, each element after its arguments
-        universe, checks, stages = tuple(sorted(order)), [None], _stage_checks(a, tables, order)
-        for fixed, witnessed in (((0, 1), pair), ((1, 0), pair[::-1])):
-            for bits, units in _meet_maps(len(order), arities, checks, stages, fixed):
-                labeling = [tuple(i for i in range(1, m + 1) if u >> (m - i) & 1) for m, u in zip(arities, units)]
-                if best is None or (labeling, witnessed) < best[:2]:
-                    h = dict(zip(order, bits))
-                    best = labeling, witnessed, universe, tuple(map(h.__getitem__, universe))
-    if best is None:
-        return None
-    labeling, *found = best
-    return TwoElementWitness(*found, SLLabeling(dict(zip(a.symbols(), labeling))))
+    for pair in itertools.permutations(range(a.size), 2):
+        survivors, elements, _ = _labeled_closure(a, [(v, v) for v in pair], [1, 0], a.size, prefixes, [])
+        if survivors and (best is None or survivors[0][0] < best[0]):
+            labeling, bits = survivors[0]  # B sorted, with h = 1 - bit
+            best = labeling, pair, *zip(*sorted((e, 1 - g) for (e, _), g in zip(elements, bits)))
+            prefixes = [p for p in prefixes if p < labeling]
+            if not prefixes:
+                break
+    return None if best is None else TwoElementWitness(*best[1:], SLLabeling(dict(zip(a.symbols(), best[0]))))
 
 
 def verify_witness(a: FiniteAlgebra, witness: TwoElementWitness) -> bool:
@@ -920,40 +835,32 @@ def _derived_terms(derivations: Sequence[tuple], names: Sequence[str], ids: Sequ
     return [terms[e] for e in ids]
 
 
-def _refute_rank(
-    a: FiniteAlgebra, j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Close F_j once for the live labeling prefixes, append to `decided`
-    what each prefix meets first at rank j, and return the prefixes that
-    survive the closure.
+def _labeled_closure(
+    a: FiniteAlgebra, seeds: list, seed_bits: list[int], max_tuples: int, prefixes: Sequence[tuple], decided: list
+) -> tuple[list, list, list]:
+    """Close `seeds` by `_grow` once for the labeling prefixes (equal in
+    length, in labeling order), each keeping a bit set per element: seed
+    g's is seed_bits[g], a tuple's the OR of its labeled arguments'.
+    Appends to `decided` what each prefix meets first; returns the
+    survivors as (prefix, sets by element id), in labeling order, with the
+    closure's elements and derivations.
 
     A prefix holds a coordinate set, a sorted tuple, for each of the first
-    sorted symbols, and stands for every labeling that extends it.  A
-    labeling's pairs (term operation, labeled variable set) are in bijection
-    with the term operations until its first collision, a tuple whose value
-    is an element with another set, with the same ids, derivations and batch
-    order as a closure of its own pairs.  That element's derivation is the
-    identity's lhs and the tuple its rhs.  The engine never stops at the
-    whole power before a collision: for |A| >= 2, F_j lies inside the
-    idempotent operations, and for |A| = 1 the seeds collide.  The sets of
-    the elements depend only on the coordinate sets of the symbols evaluated
-    so far, so at a symbol's first batch, in round 1, each live prefix
-    splits into one child per coordinate set of the symbol; from then on
-    every prefix is a full labeling.
-
-    A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
-    set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
-    max_tuples: no collision before the engine's cut, or a collision with
-    max_tuples elements present.
+    sorted symbols and stands for every labeling that extends it.  The sets
+    depend only on the coordinate sets of the symbols evaluated so far, so
+    at a symbol's first batch, in round 1, each live prefix splits into one
+    child per coordinate set, in order; from then on every prefix is a full
+    labeling.  A prefix is decided at its first collision, a tuple whose set
+    is not its value's, as (prefix, (value id, symbol, arguments, batch
+    position, value's set, tuple's set)), a seed having the symbol None and
+    no arguments; or as (prefix, SizeLimitExceeded) when its own sets would
+    pass max_tuples elements: no collision before the engine's cut, or one
+    with max_tuples elements present.
     """
-    names = variable_names(j)
-    seeds = list(zip(*coordinate_tuples([a.size] * j)))  # over assignments in lexicographic order
     elements, derivations = [], []
     live = [(chosen, []) for chosen in prefixes]  # each prefix with the set of each element as bits
     position = {sym: t for t, sym in enumerate(a.symbols())}
-    seed_bits = [1 << g for g in range(j)]
-    steps = _grow(seeds, a, max_tuples, elements, derivations, {})
-    for sym, m, prefix, first, batch, ids, added in steps:
+    for sym, m, prefix, first, batch, ids, added in _grow(seeds, a, max_tuples, elements, derivations, {}):
         t = position.get(sym)
         if t == len(live[0][0]):  # the symbol's first batch: split by its coordinate sets
             live = [(chosen + (c,), bits if c == (1,) else bits[:]) for chosen, bits in live for c in subsets(m)]
@@ -979,15 +886,46 @@ def _refute_rank(
             i = next(itertools.compress(itertools.count(), map(operator.ne, here, union)), None)
             if i is not None and len(elements) - len(added) + bisect.bisect_left(added, i) < max_tuples:
                 args = () if sym is None else (*prefix, first + i)  # the colliding tuple's arguments
-                lhs, *subterms = _derived_terms(derivations, names, (ids[i], *args))
-                found = [lhs, Variable(names[i]) if sym is None else Application(sym, tuple(subterms))]
-                found += [frozenset(n for h, n in enumerate(names) if s >> h & 1) for s in (here[i], union[i])]
-                decided.append((chosen, (j, *found)))
+                decided.append((chosen, (ids[i], sym, args, i, here[i], union[i])))
             else:
                 decided.append((chosen, SizeLimitExceeded(f"closure exceeded {max_tuples} elements")))
         live = survivors
         if not live:  # so after a cut batch: the engine, which would raise, is not pulled again
-            return []
+            break
+    return live, elements, derivations
+
+
+def _refute_rank(
+    a: FiniteAlgebra, j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Close F_j once for the live labeling prefixes by `_labeled_closure`,
+    projection g with the variable set {x_g} as bit g, append to `decided`
+    what each prefix meets first at rank j, and return the prefixes that
+    survive the closure.
+
+    A labeling's pairs (term operation, labeled variable set) are in
+    bijection with the term operations until its first collision, with the
+    same ids, derivations and batch order as a closure of its own pairs.
+    The colliding value's derivation is the identity's lhs and the tuple its
+    rhs.  The engine never stops at the whole power before a collision: for
+    |A| >= 2, F_j lies inside the idempotent operations, and for |A| = 1
+    the seeds collide.
+
+    A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
+    set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
+    max_tuples.
+    """
+    names = variable_names(j)
+    seeds = list(zip(*coordinate_tuples([a.size] * j)))  # over assignments in lexicographic order
+    met: list = []
+    live, _, derivations = _labeled_closure(a, seeds, [1 << g for g in range(j)], max_tuples, prefixes, met)
+    for chosen, outcome in met:
+        if not isinstance(outcome, SizeLimitExceeded):
+            e, sym, args, i, *sets = outcome
+            lhs, *subterms = _derived_terms(derivations, names, (e, *args))
+            rhs = Variable(names[i]) if sym is None else Application(sym, tuple(subterms))
+            outcome = (j, lhs, rhs, *(frozenset(n for g, n in enumerate(names) if s >> g & 1) for s in sets))
+        decided.append((chosen, outcome))
     return [chosen for chosen, _ in live]
 
 
@@ -1004,19 +942,20 @@ def hm_evidence(
     above the arity bound are never examined.
 
     Rank 2 is closed for every labeling.  When it refutes them all, no
-    witness exists and none is looked for.  Otherwise L is looked for, and
-    only the labelings before L are kept: the prefixes, decided or alive,
-    whose first labeling (every later symbol at (1,)) comes before L.  L is
-    returned with its witness once they are all refuted, so no rank above 2
-    is closed that only L and its successors would need, and an overflow at
-    or after L is dropped.  Each rank is closed once for all the labeling prefixes
-    still alive (`_refute_rank`, on the engine `_grow`); max_tuples bounds
-    each labeling's pairs per rank, by the engine's overflow rule.  The
-    decided prefixes and the survivors are disjoint blocks of the labeling
-    order, which is the lexicographic order of tuples of coordinate sets,
-    so sorted by prefix they read in labeling order: the first overflow
-    raises and the first survivor is returned, as in a search of one
-    labeling at a time.  A certificate is a cover: one refutation per
+    witness exists and none is looked for.  Otherwise L is looked for among
+    the survivors, or every labeling when rank 2 overflowed or is not
+    closed, and only the labelings before L are kept: the prefixes, decided
+    or alive, whose first labeling (every later symbol at (1,)) comes before
+    L.  L is returned with its witness once they are all refuted, so no rank
+    above 2 is closed that only L and its successors would need, and an
+    overflow at or after L is dropped.  Each rank is closed once for all the
+    labeling prefixes still alive (`_refute_rank`, on the engine `_grow`);
+    max_tuples bounds each labeling's pairs per rank, by the engine's
+    overflow rule.  The decided prefixes and the survivors are disjoint
+    blocks of the labeling order, which is the lexicographic order of tuples
+    of coordinate sets, so sorted by prefix they read in labeling order: the
+    first overflow raises and the first survivor is returned, as in a search
+    of one labeling at a time.  A certificate is a cover: one refutation per
     decided prefix, in that order, whose partial labeling labels the
     prefix's symbols and stands for every labeling extending it.  Rank 1 is
     not searched: every labeled coordinate set is non-empty, so at rank 1
@@ -1034,9 +973,9 @@ def hm_evidence(
     decided: list = []
     if m >= 2 and prefixes:
         prefixes = _refute_rank(a, 2, max_tuples, prefixes, decided)
-    witness = None
-    if prefixes or any(isinstance(outcome, SizeLimitExceeded) for _, outcome in decided):
-        witness = _two_element_witness(a)
+    witness, overflowed = None, any(isinstance(outcome, SizeLimitExceeded) for _, outcome in decided)
+    if prefixes or overflowed:  # L never collides, so it is a survivor or extends an overflowed prefix
+        witness = _two_element_witness(a, [()] if overflowed else prefixes)
     if witness is not None:  # keep what comes before L
         bound = tuple(map(witness.labeling.sigma.__getitem__, symbols))
 

@@ -1064,7 +1064,7 @@ def test_hm_evidence_majority(majority_algebra):
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
     import hmkit.freecons as freecons
 
-    grow, close = freecons._grow, freecons._close
+    grow = freecons._grow
     widths = []
 
     def counting(seeds, algebra, *rest):
@@ -1074,13 +1074,12 @@ def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebr
     def no_free_algebra(*args):
         raise AssertionError("evidence built a free algebra")
 
-    def subuniverses_only(seeds, *rest):  # the witness search closes Sg(a, b) in A
-        assert len(seeds[0]) == 1, "evidence built a free algebra"
-        return close(seeds, *rest)
+    def no_close(*args):  # every evidence closure, the witness search's Sg(a, b) too, runs on _grow directly
+        raise AssertionError("evidence closed a subpower outside its labeling closures")
 
     monkeypatch.setattr(freecons, "_grow", counting)
     monkeypatch.setattr(freecons, "free_algebra", no_free_algebra)
-    monkeypatch.setattr(freecons, "_close", subuniverses_only)
+    monkeypatch.setattr(freecons, "_close", no_close)
     # F_2 = {x, y}, so each labeling is refuted in the first round of the
     # rank-2 closure with 2 elements; one closure of rank 2 (4 assignments)
     # serves all its labelings, and rank 3 is never closed, nor is a
@@ -1178,7 +1177,7 @@ def test_closure_and_evidence_share_one_overflow_rule(values, j, size, monkeypat
     with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
         _close(projections, a, -1)
     if j == 3:
-        monkeypatch.setattr(freecons, "_two_element_witness", lambda a: None)
+        monkeypatch.setattr(freecons, "_two_element_witness", lambda a, prefixes: None)
         with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
             hm_evidence(a, j, max_tuples=size - 1)
         assert hm_evidence(a, j, max_tuples=size) == ConsistentLabelingFound(SLLabeling({"f": (1,)}), j)
@@ -1533,9 +1532,13 @@ def test_witness_search_matches_the_oracle_on_the_corpora():
 def test_witness_search_stays_small_when_every_pair_generates_a():
     """x o y = 2x - y mod 17 is affine, so it has no witness, and Sg(a, b) is
     all 17 elements for every pair: 2^15 maps per ordered pair with h(a) = 0
-    and h(b) = 1.  The depth-first search refuses each pair by its ninth
-    position, and evidence certifies with 20 pairs per labeling.  So does
-    x - y + z mod 17, whose pairs all die on the tuples over {a, b}."""
+    and h(b) = 1.  The labeling closure of Sg(a, b) refutes the three
+    labelings of each ordered pair by the time it holds all 17 elements, and
+    evidence certifies with 20 pairs per labeling.  So does x - y + z mod
+    17, whose seven labelings all collide in the first round of each pair's
+    closure.  At arity bound 1 no rank is closed, so the witness search runs
+    over every labeling and all 272 ordered pairs and finds none: the first
+    labeling is bounded evidence only."""
     n = 17
     affine = FiniteAlgebra(n, {"f": OperationTable(2, n, tuple((2 * x - y) % n for x in range(n) for y in range(n)))})
     maltsev = FiniteAlgebra(n, {"p": OperationTable(3, n, tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3)))})
@@ -1544,6 +1547,8 @@ def test_witness_search_stays_small_when_every_pair_generates_a():
         assert _two_element_witness(a) is None
         evidence = hm_evidence(a, 2, max_tuples=20)
         assert isinstance(evidence, CertifiedHM) and verify_certificate(a, evidence)
+        evidence = hm_evidence(a, 1)
+        assert isinstance(evidence, ConsistentLabelingFound) and evidence.max_arity == 1 and evidence.witness is None
 
 
 def test_verify_witness_refuses_a_broken_witness_without_raising():
