@@ -76,17 +76,15 @@ every symbol f and t in B^m.  The two-element algebra of those meets is
 then in HS(A), every term acts there as the meet of its labeled variables,
 and distinct non-empty variable sets give distinct meets, so every
 identity of A keeps its two labeled sets equal.  `_two_element_witness`
-finds the least witnessed labeling L with the loop that refutes
-labelings, `_labeled_closure`, run per ordered pair on Sg(a, b) with one
-bit per seed, 1 for a and 0 for b: an element's bit is then 1 - h, the OR
-over labeled arguments is 1 - their meet, and a labeling survives the
-closure exactly when its h is a witness.  A witnessed labeling never
-collides, so L is a rank-2 survivor or extends a prefix that overflowed.
-hm_evidence looks for L only when rank 2 leaves a labeling unrefuted, and
-then decides only the labelings before L: a prefix is kept while its
-first labeling comes before L.  Those are decided as before, and L is
-returned with its witness when none of them survives or overflows.
-`verify_witness` replays a witness by direct evaluation.
+tests one labeling with the loop that refutes labelings,
+`_labeled_closure`, run per ordered pair on Sg(a, b) with one bit per
+seed, 1 for a and 0 for b: an element's bit is then 1 - h, the OR over
+labeled arguments is 1 - their meet, and the labeling survives the closure
+exactly when its h is a witness.  hm_evidence tests only P, the first
+labeling not yet refuted, after each rank it closes: a witnessed labeling
+is never refuted, so P comes at or before the least witnessed labeling L,
+and is witnessed exactly when it is L.  `verify_witness` replays a witness
+by direct evaluation.
 """
 
 from __future__ import annotations
@@ -753,33 +751,26 @@ class ConsistentLabelingFound(NamedTuple):
     witness: TwoElementWitness | None = None  # None: bounded evidence only
 
 
-def _two_element_witness(a: FiniteAlgebra, prefixes: Sequence[tuple] = ((),)) -> TwoElementWitness | None:
-    """The witness of the least witnessed labeling that extends one of the
-    labeling `prefixes` (equal in length, in labeling order), with the first
-    ordered pair in lexicographic order that witnesses it, or None when no
-    such labeling has one (see the module notes).
+def _two_element_witness(a: FiniteAlgebra, labeling: tuple) -> TwoElementWitness | None:
+    """The witness of `labeling`, one coordinate set per sorted symbol, at
+    the first ordered pair in lexicographic order that witnesses it, or None
+    when no pair does (see the module notes).
 
     Per ordered pair (a, b), `_labeled_closure` closes Sg(a, b) with the
     bit 1 for a and 0 for b: an element's bit is g = 1 - h, a symbol's OR
-    over its labeled coordinates is g(f(t)) = max g = 1 - min h, and a
+    over its labeled coordinates is g(f(t)) = max g = 1 - min h, and the
     labeling survives exactly when h is a witness with h(a) = 0, h(b) = 1.
     The seeds are the diagonal (a, a), (b, b) of A^2, which never fills
     A^2: `_grow` ends a closure once it holds the whole power, as seeds
     (a,), (b,) would on reaching B = A, before every tuple over B is
-    checked (on two elements, before any).  Survivors stay in labeling
-    order, so the first is the least at (a, b); later pairs keep only the
-    prefixes before it.
+    checked (on two elements, before any).
     """
-    best = None
     for pair in itertools.permutations(range(a.size), 2):
-        survivors, elements, _ = _labeled_closure(a, [(v, v) for v in pair], [1, 0], a.size, prefixes, [])
-        if survivors and (best is None or survivors[0][0] < best[0]):
-            labeling, bits = survivors[0]  # B sorted, with h = 1 - bit
-            best = labeling, pair, *zip(*sorted((e, 1 - g) for (e, _), g in zip(elements, bits)))
-            prefixes = [p for p in prefixes if p < labeling]
-            if not prefixes:
-                break
-    return None if best is None else TwoElementWitness(*best[1:], SLLabeling(dict(zip(a.symbols(), best[0]))))
+        survivors, elements, _ = _labeled_closure(a, [(v, v) for v in pair], [1, 0], a.size, [labeling], [])
+        if survivors:  # B sorted, with h = 1 - bit
+            universe, bits = zip(*sorted((e, 1 - g) for (e, _), g in zip(elements, survivors[0][1])))
+            return TwoElementWitness(pair, universe, bits, SLLabeling(dict(zip(a.symbols(), labeling))))
+    return None
 
 
 def verify_witness(a: FiniteAlgebra, witness: TwoElementWitness) -> bool:
@@ -941,25 +932,24 @@ def hm_evidence(
     exists; a survivor before L is bounded evidence only, since identities
     above the arity bound are never examined.
 
-    Rank 2 is closed for every labeling.  When it refutes them all, no
-    witness exists and none is looked for.  Otherwise L is looked for among
-    the survivors, or every labeling when rank 2 overflowed or is not
-    closed, and only the labelings before L are kept: the prefixes, decided
-    or alive, whose first labeling (every later symbol at (1,)) comes before
-    L.  L is returned with its witness once they are all refuted, so no rank
-    above 2 is closed that only L and its successors would need, and an
-    overflow at or after L is dropped.  Each rank is closed once for all the
-    labeling prefixes still alive (`_refute_rank`, on the engine `_grow`);
-    max_tuples bounds each labeling's pairs per rank, by the engine's
-    overflow rule.  The decided prefixes and the survivors are disjoint
-    blocks of the labeling order, which is the lexicographic order of tuples
-    of coordinate sets, so sorted by prefix they read in labeling order: the
-    first overflow raises and the first survivor is returned, as in a search
-    of one labeling at a time.  A certificate is a cover: one refutation per
-    decided prefix, in that order, whose partial labeling labels the
-    prefix's symbols and stands for every labeling extending it.  Rank 1 is
-    not searched: every labeled coordinate set is non-empty, so at rank 1
-    every union is {x}.
+    Each rank is closed once for all the labeling prefixes still alive
+    (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
+    labeling's pairs per rank, by the engine's overflow rule.  The decided
+    prefixes and the survivors are disjoint blocks of the labeling order,
+    which is the lexicographic order of tuples of coordinate sets, so the
+    least prefix alive or overflowed holds the first labeling not yet
+    refuted, P: its first labeling, every later symbol at (1,).  After each
+    rank, and once when none is closed (m = 1), P is tested for a witness,
+    each P once.  A witnessed P is returned with its witness; an overflowed
+    P raises; a live P goes on to the next rank and is returned after the
+    last.  The answer is L's exactly when a search of one labeling at a
+    time gives it: L is never refuted, so P <= L, and P is witnessed
+    exactly when P = L, which is when every labeling before L is refuted;
+    otherwise P is the first survivor or overflow before L.  A certificate
+    is a cover: one refutation per decided prefix, in labeling order, whose
+    partial labeling labels the prefix's symbols and stands for every
+    labeling extending it.  Rank 1 is not searched: every labeled
+    coordinate set is non-empty, so at rank 1 every union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -971,33 +961,25 @@ def hm_evidence(
     symbols = a.symbols()
     prefixes = [()] if all(a.operations[sym].arity for sym in symbols) else []  # a constant has no coordinate set
     decided: list = []
-    if m >= 2 and prefixes:
-        prefixes = _refute_rank(a, 2, max_tuples, prefixes, decided)
-    witness, overflowed = None, any(isinstance(outcome, SizeLimitExceeded) for _, outcome in decided)
-    if prefixes or overflowed:  # L never collides, so it is a survivor or extends an overflowed prefix
-        witness = _two_element_witness(a, [()] if overflowed else prefixes)
-    if witness is not None:  # keep what comes before L
-        bound = tuple(map(witness.labeling.sigma.__getitem__, symbols))
-
-        def before(prefix: tuple) -> bool:  # its first labeling, each later symbol at (1,), comes before L
-            return prefix + ((1,),) * (len(symbols) - len(prefix)) < bound
-
-        prefixes = list(filter(before, prefixes))
-        decided = [entry for entry in decided if before(entry[0])]
-    for j in range(3, m + 1):
-        if not prefixes:
+    tested = None
+    for j in range(min(m, 2), m + 1):  # at m = 1 no rank is closed, and P is tested once
+        if j >= 2 and prefixes:
+            prefixes = _refute_rank(a, j, max_tuples, prefixes, decided)
+        undecided = [(p, None) for p in prefixes] + [e for e in decided if isinstance(e[1], SizeLimitExceeded)]
+        if not undecided:
             break
-        prefixes = _refute_rank(a, j, max_tuples, prefixes, decided)
-    refutations = []
-    for prefix, outcome in sorted(decided + [(p, None) for p in prefixes], key=operator.itemgetter(0)):
-        if isinstance(outcome, SizeLimitExceeded):
-            raise outcome
-        if outcome is None:  # the survivor is the prefix's first labeling, each later symbol at (1,)
-            return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, prefix + ((1,),) * len(symbols)))), m)
-        refutations.append(LabelingRefutation(SLLabeling(dict(zip(symbols, prefix))), *outcome))
-    if witness is not None:
-        return ConsistentLabelingFound(witness.labeling, m, witness)
-    return CertifiedHM(m, tuple(refutations))
+        prefix, overflow = min(undecided, key=operator.itemgetter(0))
+        labeling = prefix + ((1,),) * (len(symbols) - len(prefix))  # P, the prefix's first labeling
+        if labeling != tested:  # a survivor of the rank before was tested there
+            tested, witness = labeling, _two_element_witness(a, labeling)
+            if witness is not None:
+                return ConsistentLabelingFound(witness.labeling, m, witness)
+        if overflow is not None:
+            raise overflow
+    else:
+        return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, labeling))), m)
+    cover = sorted(decided, key=operator.itemgetter(0))
+    return CertifiedHM(m, tuple(LabelingRefutation(SLLabeling(dict(zip(symbols, p))), *outcome) for p, outcome in cover))
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:

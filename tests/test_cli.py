@@ -935,7 +935,7 @@ def test_alg_hm_evidence_witnessed_survivor(capsys, algebra_file, monkeypatch):
     code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path)
     assert code == 2 and out.splitlines()[-1] == "replay: fail"
 
-    monkeypatch.setattr(freecons, "_two_element_witness", lambda a, prefixes: None)
+    monkeypatch.setattr(freecons, "_two_element_witness", lambda a, labeling: None)
     code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--output", "json")
     assert code == 1 and json.loads(out)["checks"] == [{"name": "certified", "verdict": "fail", "witness": {
         "surviving_labeling": "t0->{1} t1->{1,2}",

@@ -334,11 +334,11 @@ def refute_labeling(a, labeling, max_arity, max_tuples):
 # code with the witness search, the closure engine or `verify_witness`.
 
 
-def witness_reference(a):
-    """The least labeling that some (a, b, h) witnesses, with its first
-    witness in the order pairs, then maps h by their bits, or None."""
+def labeling_witnesses_reference(a):
+    """Each witnessed labeling, as one coordinate set per sorted symbol, with
+    its first witness in the order pairs, then maps h by their bits."""
     symbols = a.symbols()
-    found = []
+    witnesses = {}
     for x, y in itertools.permutations(range(a.size), 2):
         universe = {x, y}
         while True:
@@ -365,11 +365,29 @@ def witness_reference(a):
                 ]
                 for sym in symbols
             ]
-            found += [(labeling, (x, y), universe, bits) for labeling in itertools.product(*meets)]
-    if not found:
-        return None
-    labeling, *witness = min(found, key=operator.itemgetter(0))  # the first of the least
-    return TwoElementWitness(*witness, SLLabeling(dict(zip(symbols, labeling))))
+            for labeling in itertools.product(*meets):
+                witnesses.setdefault(labeling, TwoElementWitness((x, y), universe, bits, SLLabeling(dict(zip(symbols, labeling)))))
+    return witnesses
+
+
+def witness_reference(a):
+    """The least labeling that some (a, b, h) witnesses, with its first
+    witness, or None."""
+    witnesses = labeling_witnesses_reference(a)
+    return witnesses[min(witnesses)] if witnesses else None
+
+
+def checked_witness_search(a):
+    """`witness_reference(a)`, asserting on the way that the witness search
+    gives each labeling up to the oracle's least witnessed one L, or every
+    labeling when there is none, the oracle's answer: L its witness, every
+    labeling before L None."""
+    witnesses = labeling_witnesses_reference(a)
+    for labeling in itertools.product(*(coordinate_sets(a.operations[sym].arity) for sym in a.symbols())):
+        assert _two_element_witness(a, labeling) == witnesses.get(labeling)
+        if labeling in witnesses:
+            return witnesses[labeling]
+    return None
 
 
 def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refute=refute_labeling):
@@ -1177,7 +1195,7 @@ def test_closure_and_evidence_share_one_overflow_rule(values, j, size, monkeypat
     with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
         _close(projections, a, -1)
     if j == 3:
-        monkeypatch.setattr(freecons, "_two_element_witness", lambda a, prefixes: None)
+        monkeypatch.setattr(freecons, "_two_element_witness", lambda a, labeling: None)
         with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
             hm_evidence(a, j, max_tuples=size - 1)
         assert hm_evidence(a, j, max_tuples=size) == ConsistentLabelingFound(SLLabeling({"f": (1,)}), j)
@@ -1192,7 +1210,7 @@ def test_evidence_without_a_witness_overflows_by_the_same_rule():
     refuses the first seed, as the reference search one labeling at a time
     does."""
     a = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))})
-    assert _two_element_witness(a) is None and witness_reference(a) is None
+    assert checked_witness_search(a) is None
     for bound in (-1, 469):
         with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {bound} elements$"):
             hm_evidence(a, 2, max_tuples=bound)
@@ -1477,19 +1495,24 @@ def test_hm_evidence_covers_each_labeling_by_the_entry_that_holds_it(
     assert kinds["survivor"] > 60 and kinds["certified"] > 30 and kinds["cover shorter than the labelings"] > 15
 
 
-def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
-    # 1-3 elements, 0-3 idempotent operations of arity 1-3, arity bounds
-    # 1-4, and max_tuples small enough for refusals or large enough to close
+def seeded_evidence_inputs():
+    """500 seeded (algebra, arity bound, max_tuples): 1-3 elements, 0-3
+    idempotent operations of arity 1-3, arity bounds 1-4, and max_tuples
+    small enough for refusals or large enough to close."""
     rng = random.Random(26)
-    kinds = Counter()
     for _ in range(500):
         size = rng.randint(1, 3)
         a = FiniteAlgebra(size, {f"f{i}": idempotent_table(rng, size, rng.randint(1, 3)) for i in range(rng.randint(0, 3))})
-        args = (a, rng.randint(1, 4), rng.choice([rng.randint(1, 60), 3000]))
+        yield a, rng.randint(1, 4), rng.choice([rng.randint(1, 60), 3000])
+
+
+def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
+    kinds = Counter()
+    for args in seeded_evidence_inputs():
+        a = args[0]
         got = evidence_outcome(hm_evidence, *args)
         assert got == evidence_outcome(hm_evidence_reference, *args)
-        witness = witness_reference(a)
-        assert _two_element_witness(a) == witness
+        witness = checked_witness_search(a)
         if witness is not None:  # so never a certificate: the witnessed labeling survives its own closures
             try:
                 assert refute_labeling(a, witness.labeling, *args[1:]) is None
@@ -1517,8 +1540,7 @@ def test_witness_search_matches_the_oracle_on_the_corpora():
     corpus += [FiniteAlgebra(3, {"f": idempotent_table(rng, 3, 2)}) for _ in range(120)]
     kinds = Counter()
     for a in corpus:
-        witness = witness_reference(a)
-        assert _two_element_witness(a) == witness
+        witness = checked_witness_search(a)
         evidence = hm_evidence(a)
         kinds["certified"] += isinstance(evidence, CertifiedHM)
         if witness is not None:
@@ -1526,7 +1548,22 @@ def test_witness_search_matches_the_oracle_on_the_corpora():
             assert refute_labeling(a, witness.labeling, default_evidence_arity(a), DEFAULT_MAX_TUPLES) is None
             assert evidence.witness in (None, witness) and (evidence.witness is None) == (evidence.labeling != witness.labeling)
             kinds["witnessed" if evidence.witness else "survivor before the witness"] += 1
-    assert kinds["certified"] > 20 and kinds["witnessed"] > 80
+        # at bound 1 no rank is closed: the first labeling is the answer, witnessed exactly when it is L
+        first = next(all_labelings(declarations(a)))
+        bounded = hm_evidence(a, 1)
+        assert bounded.labeling == first and bounded.witness in (None, witness)
+        assert (bounded.witness is not None) == (witness is not None and witness.labeling == first)
+        kinds["witnessed at bound 1"] += bounded.witness is not None
+    assert kinds["certified"] > 20 and kinds["witnessed"] > 80 and kinds["witnessed at bound 1"] > 20
+
+
+def affine_mod_17():
+    """x o y = 2x - y and x - y + z, mod 17."""
+    n = 17
+    return (
+        FiniteAlgebra(n, {"f": OperationTable(2, n, tuple((2 * x - y) % n for x in range(n) for y in range(n)))}),
+        FiniteAlgebra(n, {"p": OperationTable(3, n, tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3)))}),
+    )
 
 
 def test_witness_search_stays_small_when_every_pair_generates_a():
@@ -1536,19 +1573,63 @@ def test_witness_search_stays_small_when_every_pair_generates_a():
     labelings of each ordered pair by the time it holds all 17 elements, and
     evidence certifies with 20 pairs per labeling.  So does x - y + z mod
     17, whose seven labelings all collide in the first round of each pair's
-    closure.  At arity bound 1 no rank is closed, so the witness search runs
-    over every labeling and all 272 ordered pairs and finds none: the first
-    labeling is bounded evidence only."""
+    closure.  At arity bound 1 no rank is closed, so the witness search
+    tests the first labeling over all 272 ordered pairs and finds none: it
+    is bounded evidence only."""
     n = 17
-    affine = FiniteAlgebra(n, {"f": OperationTable(2, n, tuple((2 * x - y) % n for x in range(n) for y in range(n)))})
-    maltsev = FiniteAlgebra(n, {"p": OperationTable(3, n, tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3)))})
-    for a in (affine, maltsev):
+    for a in affine_mod_17():
         assert all(len(_close([(x,), (y,)], a, n)[0]) == n for x, y in itertools.combinations(range(n), 2))
-        assert _two_element_witness(a) is None
+        assert all(_two_element_witness(a, tuple(lab.sigma.values())) is None for lab in all_labelings(declarations(a)))
         evidence = hm_evidence(a, 2, max_tuples=20)
         assert isinstance(evidence, CertifiedHM) and verify_certificate(a, evidence)
         evidence = hm_evidence(a, 1)
         assert isinstance(evidence, ConsistentLabelingFound) and evidence.max_arity == 1 and evidence.witness is None
+
+
+def test_hm_evidence_tests_each_labeling_for_a_witness_at_most_once(majority_algebra, monkeypatch):
+    """The witness search tests P, the first labeling not yet refuted, after
+    each rank closed and once when none is: one labeling on the mod-17
+    algebras at bound 1, none when rank 2 refutes every labeling, and over
+    the seeded draw never the same labeling twice nor more than one per
+    closed rank.  The draw runs again as if no labeling had a witness, so
+    that survivors ride every rank up to the bound."""
+    import hmkit.freecons as freecons
+
+    tested, ranks = [], []
+    witness_search, refute_rank = freecons._two_element_witness, freecons._refute_rank
+
+    def counting(search):
+        def counting_witness(a, labeling):
+            tested.append(labeling)
+            return search(a, labeling)
+
+        return counting_witness
+
+    def counting_rank(a, j, *args):
+        ranks.append(j)
+        return refute_rank(a, j, *args)
+
+    monkeypatch.setattr(freecons, "_two_element_witness", counting(witness_search))
+    monkeypatch.setattr(freecons, "_refute_rank", counting_rank)
+    for a in affine_mod_17():
+        tested.clear()
+        hm_evidence(a, 1)
+        assert len(tested) == 1
+    tested.clear()
+    assert isinstance(hm_evidence(majority_algebra), CertifiedHM) and tested == []
+    kinds = Counter()
+    for search in (witness_search, lambda a, labeling: None):
+        monkeypatch.setattr(freecons, "_two_element_witness", counting(search))
+        for args in seeded_evidence_inputs():
+            tested.clear()
+            ranks.clear()
+            try:
+                hm_evidence(*args)
+            except SizeLimitExceeded:
+                pass
+            assert len(set(tested)) == len(tested) <= max(len(ranks), 1)
+            kinds["one labeling tested over several ranks"] += len(tested) == 1 < len(ranks)
+    assert kinds["one labeling tested over several ranks"] > 50
 
 
 def test_verify_witness_refuses_a_broken_witness_without_raising():
