@@ -80,11 +80,18 @@ tests one labeling with the loop that refutes labelings,
 `_labeled_closure`, run per ordered pair on Sg(a, b) with one bit per
 seed, 1 for a and 0 for b: an element's bit is then 1 - h, the OR over
 labeled arguments is 1 - their meet, and the labeling survives the closure
-exactly when its h is a witness.  hm_evidence tests only P, the first
-labeling not yet refuted, after each rank it closes: a witnessed labeling
-is never refuted, so P comes at or before the least witnessed labeling L,
-and is witnessed exactly when it is L.  `verify_witness` replays a witness
-by direct evaluation.
+exactly when its h is a witness.
+
+A labeling that survives the closure of rank 2 survives every rank.  Its
+labeled sets are then well defined on F_2, and taking a term operation to
+0 when its set holds x and to 1 otherwise is a homomorphism onto the
+two-element algebra of the labeling's meets.  That algebra is so in
+H(F_2), inside HSP(A): every identity of A holds there, and keeps its two
+labeled sets equal, as under a witness.  hm_evidence so tests only P, the
+first labeling not yet refuted after rank 2: a witnessed labeling is never
+refuted, so P comes at or before the least witnessed labeling L, and is
+witnessed exactly when it is L.  Above rank 2 it closes P alone, which can
+only overflow.  `verify_witness` replays a witness by direct evaluation.
 """
 
 from __future__ import annotations
@@ -929,26 +936,28 @@ def hm_evidence(
     variety but changes labeled variable sets.  Refuting all labelings is a
     sound certificate.  The least labeling L with a two-element witness
     (`_two_element_witness`) survives at every arity, so no certificate
-    exists; a survivor before L is bounded evidence only, since identities
-    above the arity bound are never examined.
+    exists.  A survivor before L is reported as bounded evidence only,
+    though one that survived rank 2 is refuted at no rank (see the module
+    notes).
 
-    Each rank is closed once for all the labeling prefixes still alive
-    (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
-    labeling's pairs per rank, by the engine's overflow rule.  The decided
-    prefixes and the survivors are disjoint blocks of the labeling order,
-    which is the lexicographic order of tuples of coordinate sets, so the
-    least prefix alive or overflowed holds the first labeling not yet
-    refuted, P: its first labeling, every later symbol at (1,).  After each
-    rank, and once when none is closed (m = 1), P is tested for a witness,
-    each P once.  A witnessed P is returned with its witness; an overflowed
-    P raises; a live P goes on to the next rank and is returned after the
-    last.  The answer is L's exactly when a search of one labeling at a
-    time gives it: L is never refuted, so P <= L, and P is witnessed
-    exactly when P = L, which is when every labeling before L is refuted;
-    otherwise P is the first survivor or overflow before L.  A certificate
-    is a cover: one refutation per decided prefix, in labeling order, whose
-    partial labeling labels the prefix's symbols and stands for every
-    labeling extending it.  Rank 1 is not searched: every labeled
+    Rank 2 is closed once for all the labeling prefixes (`_refute_rank`,
+    on the engine `_grow`); max_tuples bounds each labeling's pairs per
+    rank, by the engine's overflow rule.  The decided prefixes and the
+    survivors are disjoint blocks of the labeling order, which is the
+    lexicographic order of tuples of coordinate sets, so the least prefix
+    alive or overflowed holds the first labeling not yet refuted, P: its
+    first labeling, every later symbol at (1,).  P alone is tested for a
+    witness, after rank 2 or, when no rank is closed (m = 1), at once.  A
+    witnessed P is returned with its witness; an overflowed P raises.  A
+    live P survived rank 2, so no rank refutes it (see the module notes):
+    each rank up to m is closed for P alone, which raises if it overflows,
+    and P is returned.  The answer is the one a search of one labeling at a
+    time gives: L is never refuted, so P <= L, and P is witnessed exactly
+    when P = L, which is when every labeling before L is refuted; otherwise
+    P is the first survivor or overflow before L.  A certificate is a cover: one
+    refutation per decided prefix, in labeling order, whose partial
+    labeling labels the prefix's symbols and stands for every labeling
+    extending it.  Rank 1 is not searched: every labeled
     coordinate set is non-empty, so at rank 1 every union is {x}.
     """
     if not a.is_idempotent():
@@ -961,25 +970,23 @@ def hm_evidence(
     symbols = a.symbols()
     prefixes = [()] if all(a.operations[sym].arity for sym in symbols) else []  # a constant has no coordinate set
     decided: list = []
-    tested = None
-    for j in range(min(m, 2), m + 1):  # at m = 1 no rank is closed, and P is tested once
-        if j >= 2 and prefixes:
-            prefixes = _refute_rank(a, j, max_tuples, prefixes, decided)
-        undecided = [(p, None) for p in prefixes] + [e for e in decided if isinstance(e[1], SizeLimitExceeded)]
-        if not undecided:
-            break
-        prefix, overflow = min(undecided, key=operator.itemgetter(0))
-        labeling = prefix + ((1,),) * (len(symbols) - len(prefix))  # P, the prefix's first labeling
-        if labeling != tested:  # a survivor of the rank before was tested there
-            tested, witness = labeling, _two_element_witness(a, labeling)
-            if witness is not None:
-                return ConsistentLabelingFound(witness.labeling, m, witness)
-        if overflow is not None:
-            raise overflow
-    else:
-        return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, labeling))), m)
-    cover = sorted(decided, key=operator.itemgetter(0))
-    return CertifiedHM(m, tuple(LabelingRefutation(SLLabeling(dict(zip(symbols, p))), *outcome) for p, outcome in cover))
+    if m >= 2 and prefixes:
+        prefixes = _refute_rank(a, 2, max_tuples, prefixes, decided)
+    undecided = [(p, None) for p in prefixes] + [e for e in decided if isinstance(e[1], SizeLimitExceeded)]
+    if not undecided:
+        cover = sorted(decided, key=operator.itemgetter(0))
+        return CertifiedHM(m, tuple(LabelingRefutation(SLLabeling(dict(zip(symbols, p))), *outcome) for p, outcome in cover))
+    prefix, overflow = min(undecided, key=operator.itemgetter(0))
+    labeling = prefix + ((1,),) * (len(symbols) - len(prefix))  # P, the prefix's first labeling
+    witness = _two_element_witness(a, labeling)
+    if witness is not None:
+        return ConsistentLabelingFound(witness.labeling, m, witness)
+    for j in range(3, m + 1):  # P survived rank 2, so no rank refutes it: it can only overflow
+        if overflow is None and not _refute_rank(a, j, max_tuples, [labeling], decided):
+            overflow = decided[-1][1]
+    if overflow is not None:
+        raise overflow
+    return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, labeling))), m)
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
