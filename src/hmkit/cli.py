@@ -141,8 +141,7 @@ Report = tuple[list[Check], int]  # what a report handler returns: its checks an
 
 
 def cmd_structure_validate(args) -> Report:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = structures.read_json(args.file)
     try:
         s = structures.structure_from_json(data)
     except StructureError as exc:
@@ -373,17 +372,18 @@ def cmd_ident_sl_interp(args) -> Report:
     result = identlang.sl_interp_search(sys_)
     if isinstance(result, identlang.SLLabeling):
         return [Check("interpretation", "pass", result.describe())], 0
+    texts: dict[int, str] = {}  # by object, as hashing a term recurses: each identity rendered once
     witness = [
         {
             "labeling": r.labeling.describe(),
-            "identity": str(r.identity),
+            "identity": texts.get(id(r.identity)) or texts.setdefault(id(r.identity), str(r.identity)),
             "lhs_varset": sorted(r.lhs_varset),
             "rhs_varset": sorted(r.rhs_varset),
         }
         for r in result.refutations  # one per refuted prefix, under its partial labeling
     ]
-    own = lambda r: r.identity if any(getattr(r, "identity", None) is i for i in sys_.identities) else None
-    replay = identlang.replay_cover(sys_.declarations, result.refutations, own)  # own: by object, as == recurses on deep terms
+    own = {id(i): i for i in sys_.identities}  # by object, as == recurses on deep terms
+    replay = identlang.replay_cover(sys_.declarations, result.refutations, lambda r: own.get(id(getattr(r, "identity", None))))
     refuted = identlang.labeling_count(sys_.declarations.values())  # every labeling, by its restriction to the block
     checks = [Check("interpretation", "fail", f"UNSAT ({refuted} refutations)"), Check("refutations", "pass", witness)]
     return checks + [Check("replay", "pass" if replay else "fail")], 1 if replay else 2
@@ -412,8 +412,11 @@ def cmd_alg_hm_evidence(args) -> Report:
         Check("certified", "pass", {"max_arity": evidence.max_arity, "labelings_refuted": refuted}),
         Check("replay", "pass" if replay else "fail"),
     ]
+    texts: dict[tuple[int, int], str] = {}  # by object: entries that meet one collision share its terms
     for r in evidence.refutations:  # one per refuted prefix, named by its partial labeling
-        checks.append(Check(r.labeling.describe(), "pass", f"{r.lhs} = {r.rhs} (arity {r.arity})"))
+        key = id(r.lhs), id(r.rhs)
+        text = texts.get(key) or texts.setdefault(key, f"{r.lhs} = {r.rhs}")
+        checks.append(Check(r.labeling.describe(), "pass", f"{text} (arity {r.arity})"))
     return checks, 0 if replay else 1
 
 

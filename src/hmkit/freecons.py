@@ -98,7 +98,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
 from collections import Counter, deque
@@ -142,6 +141,7 @@ from .structures import (
     product,
     rank,
     read_document,
+    read_json,
     two_element_semilattice,
 )
 
@@ -181,8 +181,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
 
 
 def load_algebra(path: str) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))
+    return algebra_from_json(read_json(path))
 
 
 def variable_names(k: int) -> list[str]:
@@ -911,18 +910,24 @@ def _refute_rank(
 
     A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
     set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
-    max_tuples.
+    max_tuples.  The terms of every collision of the rank are built in one
+    `_derived_terms` pass, and prefixes that meet the same collision (value
+    id, symbol, arguments, position) share one lhs and one rhs object, so a
+    cover is checked and printed once per distinct identity.
     """
     names = variable_names(j)
     seeds = list(zip(*coordinate_tuples([a.size] * j)))  # over assignments in lexicographic order
     met: list = []
     live, _, derivations = _labeled_closure(a, seeds, [1 << g for g in range(j)], max_tuples, prefixes, met)
+    sides = dict.fromkeys(outcome[:4] for _, outcome in met if not isinstance(outcome, SizeLimitExceeded))
+    terms = iter(_derived_terms(derivations, names, [v for e, _, args, _ in sides for v in (e, *args)]))
+    for e, sym, args, i in sides:
+        lhs, subterms = next(terms), tuple(itertools.islice(terms, len(args)))
+        sides[e, sym, args, i] = lhs, Variable(names[i]) if sym is None else Application(sym, subterms)
     for chosen, outcome in met:
         if not isinstance(outcome, SizeLimitExceeded):
-            e, sym, args, i, *sets = outcome
-            lhs, *subterms = _derived_terms(derivations, names, (e, *args))
-            rhs = Variable(names[i]) if sym is None else Application(sym, tuple(subterms))
-            outcome = (j, lhs, rhs, *(frozenset(n for g, n in enumerate(names) if s >> g & 1) for s in sets))
+            sets = (frozenset(n for g, n in enumerate(names) if s >> g & 1) for s in outcome[4:])
+            outcome = (j, *sides[outcome[:4]], *sets)
         decided.append((chosen, outcome))
     return [chosen for chosen, _ in live]
 
@@ -994,7 +999,12 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     arity (an int from 2 to max_arity), well-formed terms over the arity's
     variable names and the algebra's symbols, and validity in the algebra
     (`holds_in` evaluates each side once, column-wise); anything malformed
-    returns False rather than raising."""
+    returns False rather than raising.
+
+    Well-formedness and validity are checked once per distinct (lhs object,
+    rhs object, arity), by object identity within this call: entries that
+    share one identity share its check, and each entry is still checked on
+    its own for its arity range and, in `replay_cover`, its labeling."""
     well_typed = isinstance(certificate, CertifiedHM) and isinstance(certificate.max_arity, int)
     if not well_typed or not isinstance(certificate.refutations, tuple):
         return False
@@ -1006,13 +1016,19 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
+    checked: dict[tuple, tuple[Identity, bool]] = {}  # (id(lhs), id(rhs), arity) -> (identity, valid)
+
     def identity_of(r) -> Identity | None:
         if not isinstance(r, LabelingRefutation) or not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
             return None
-        names = variable_names(r.arity)  # every variable is one of the arity's, every application one of a's symbols at its arity
-        identity = Identity(r.lhs, r.rhs)
-        well_formed = all(_fold(t, lambda v: v.name in names, node, children) for t in identity)
-        return identity if well_formed and holds_in(a, identity, a.operations) else None
+        key = (id(r.lhs), id(r.rhs), r.arity)
+        if key not in checked:  # the memo holds both sides, so no id in its keys is reused within the call
+            names = variable_names(r.arity)  # every variable is one of the arity's, every application one of a's symbols at its arity
+            identity = Identity(r.lhs, r.rhs)
+            well_formed = all(_fold(t, lambda v: v.name in names, node, children) for t in identity)
+            checked[key] = identity, well_formed and holds_in(a, identity, a.operations)
+        identity, valid = checked[key]
+        return identity if valid else None
 
     return replay_cover(arity, certificate.refutations, identity_of)
 

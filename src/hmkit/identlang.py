@@ -472,20 +472,29 @@ def replay_cover(declarations: Mapping[str, int], entries: Sequence, identity_of
     identity (None if the record type's own checks fail), the identity may
     use labeled symbols only, and its labeled variable sets must differ and
     equal `lhs_varset` and `rhs_varset`.  The walk must take every entry and
-    end the order.  Anything malformed returns False rather than raising."""
+    end the order.  Anything malformed returns False rather than raising.
+
+    An identity's symbols are collected once per identity object, by object
+    identity within this call; its labeled variable sets are computed for
+    each entry, under that entry's labeling."""
     labelings = [getattr(e, "labeling", None) for e in entries]
     if not all(isinstance(l, SLLabeling) and l.sigma.keys() <= declarations.keys() for l in labelings):
         return False
     if not all(declarations.values()):
         return not entries
     symbols, todo = sorted(set().union(*(l.sigma for l in labelings))), list(entries)[::-1]  # the next entry last
+    used: dict[int, tuple[Identity, set[str]]] = {}  # id(identity) -> (identity, its symbols); held, so no id is reused
 
     def refute(prefix: tuple):
         e = todo[-1] if todo else None
         if e is None or e.labeling.sigma != dict(zip(symbols, prefix)):
             return None  # past the first fault the walk only extends, to a survivor
         identity = identity_of(e)
-        if identity is None or not term_symbols(identity.lhs) | term_symbols(identity.rhs) <= e.labeling.sigma.keys():
+        if identity is None:
+            return None
+        if id(identity) not in used:
+            used[id(identity)] = identity, term_symbols(identity.lhs) | term_symbols(identity.rhs)
+        if not used[id(identity)][1] <= e.labeling.sigma.keys():
             return None
         lhs, rhs = sigma_varset(identity.lhs, e.labeling), sigma_varset(identity.rhs, e.labeling)
         return todo.pop() if lhs != rhs and (lhs, rhs) == (e.lhs_varset, e.rhs_varset) else None

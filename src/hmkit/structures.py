@@ -473,6 +473,15 @@ def structure_from_json(data: dict) -> RelationalStructure:
     return RelationalStructure(size, rels, tuple(universe))
 
 
+def read_json(path: str):
+    """The JSON document in a file, as text mode would read it: one
+    unbuffered binary read, a strict UTF-8 decode (a bad byte is reported
+    at its offset in the file) and universal newlines, so a parse error
+    names the same line, column and character."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+
+
 def load_structure(path: str) -> RelationalStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return structure_from_json(json.load(fh))
+    return structure_from_json(read_json(path))

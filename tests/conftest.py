@@ -36,6 +36,23 @@ f(x,y) = f(y,x)
 f(f(x,y),z) = f(x,f(y,z))
 """
 
+# two ternary symbols on {0, 1}: the CI's two_ternary.json and the golden reports named after it
+TWO_TERNARY = FiniteAlgebra(
+    2,
+    {
+        "t0": OperationTable(3, 2, (0, 1, 0, 1, 1, 1, 1, 1)),
+        "t1": OperationTable(3, 2, (0, 0, 1, 1, 1, 1, 0, 1)),
+    },
+    ("0", "1"),
+)
+
+# the golden `alg hm-evidence` reports besides the majority's: TWO_TERNARY, and
+# a 3-element algebra whose rank-2 free algebra has all 729 elements
+EVIDENCE_GOLDEN = {
+    "two_ternary": TWO_TERNARY,
+    "three": FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))}, ("0", "1", "2")),
+}
+
 
 def one_element_structure(symbol="R", arity=3):
     """One element with the single constant tuple (the ternary point by default)."""

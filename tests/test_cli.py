@@ -36,7 +36,16 @@ from hmkit.structures import (
     structure_to_json,
 )
 
-from conftest import MAJORITY_SYSTEM, MALTSEV_SYSTEM, SEMILATTICE_SYSTEM, coordinate_sets, directed_cycles, verify_witness
+from conftest import (
+    EVIDENCE_GOLDEN,
+    MAJORITY_SYSTEM,
+    MALTSEV_SYSTEM,
+    SEMILATTICE_SYSTEM,
+    TWO_TERNARY,
+    coordinate_sets,
+    directed_cycles,
+    verify_witness,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -489,16 +498,6 @@ def test_psl_decompose_input_errors_and_verdicts_keep_their_types(capsys, struct
 # --- free -----------------------------------------------------------------------
 
 
-TWO_TERNARY = FiniteAlgebra(
-    2,
-    {
-        "t0": OperationTable(3, 2, (0, 1, 0, 1, 1, 1, 1, 1)),
-        "t1": OperationTable(3, 2, (0, 0, 1, 1, 1, 1, 0, 1)),
-    },
-    ("0", "1"),
-)
-
-
 def test_free_build_golden_reports(capsys, algebra_file, majority_algebra):
     # element ids, term names and the first witnesses follow the closure's
     # evaluation order, so whole reports are pinned, bar their timing
@@ -948,9 +947,7 @@ def test_alg_hm_evidence_golden_reports(capsys, algebra_file, majority_algebra):
     # each reported identity is the first collision the pair closure finds,
     # which depends on its evaluation order, so the whole report is pinned,
     # bar its timing
-    # a 3-element algebra whose rank-2 free algebra has all 729 elements
-    three = FiniteAlgebra(3, {"f": OperationTable(2, 3, (0, 1, 2, 2, 1, 1, 1, 0, 2))}, ("0", "1", "2"))
-    for name, algebra in (("majority", majority_algebra), ("two_ternary", TWO_TERNARY), ("three", three)):
+    for name, algebra in (("majority", majority_algebra), *EVIDENCE_GOLDEN.items()):
         code, out, _ = run(
             capsys, "alg", "hm-evidence", "--algebra", algebra_file(algebra), "--output", "json"
         )

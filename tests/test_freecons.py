@@ -79,6 +79,8 @@ from hmkit.structures import (
 )
 
 from conftest import (
+    EVIDENCE_GOLDEN,
+    TWO_TERNARY,
     algebra_doc,
     all_labelings,
     coordinate_sets,
@@ -1524,6 +1526,144 @@ def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
     assert kinds["raised"] > 30 and kinds["certified"] > 100 and kinds["survivor"] > 100
     assert kinds["survived a closure of rank 3 or above"] > 50
     assert kinds["witnessed labeling survived its closures"] > 150
+
+
+def replay_oracle(a, certificate):
+    """A certificate replayed entry by entry, sharing no helper with
+    `verify_certificate` or `replay_cover`.  The entries' partial labelings
+    are prefixes over the sorted symbols they label, whose blocks, expanded,
+    are every labeling of those symbols once and in order (no entry at all
+    when a has a constant).  Each entry, on its own, has an arity from 2 to
+    max_arity and sides that are terms over the arity's variables and a's
+    symbols at their arities, which agree under every assignment by a
+    recursive evaluation of their own; it labels every symbol they use, and
+    its labeled variable sets differ and are the recorded ones."""
+    if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.max_arity, int):
+        return False
+    entries = certificate.refutations
+    if not isinstance(entries, tuple):
+        return False
+    if not all(isinstance(r, LabelingRefutation) and isinstance(r.labeling, SLLabeling) for r in entries):
+        return False
+    if not all(sym in a.operations for r in entries for sym in r.labeling.sigma):
+        return False
+    if any(op.arity == 0 for op in a.operations.values()):
+        return not entries
+    symbols = sorted({sym for r in entries for sym in r.labeling.sigma})
+    choices = [coordinate_sets(a.operations[sym].arity) for sym in symbols]
+    if any(sorted(r.labeling.sigma) != symbols[: len(r.labeling.sigma)] for r in entries):
+        return False
+    prefixes = [tuple(r.labeling.sigma[sym] for sym in symbols[: len(r.labeling.sigma)]) for r in entries]
+    walked = [p + rest for p in prefixes for rest in itertools.product(*choices[len(p):])]
+    return walked == list(itertools.product(*choices)) and all(entry_replays(a, certificate.max_arity, r) for r in entries)
+
+
+def entry_replays(a, max_arity, r):
+    if not isinstance(r.arity, int) or not 2 <= r.arity <= max_arity:
+        return False
+    names = list("xyzw")[: r.arity] if r.arity <= 4 else [f"x{i + 1}" for i in range(r.arity)]
+
+    def well_formed(t):
+        if isinstance(t, Variable):
+            return t.name in names
+        if not (isinstance(t, Application) and isinstance(t.symbol, str) and t.symbol in a.operations):
+            return False
+        return len(t.args) == a.operations[t.symbol].arity and all(map(well_formed, t.args))
+
+    def value(t, env):
+        if isinstance(t, Variable):
+            return env[t.name]
+        table = a.operations[t.symbol]
+        return table.values[functools.reduce(lambda i, v: i * a.size + v, (value(u, env) for u in t.args), 0)]
+
+    def symbols(t):
+        return set() if isinstance(t, Variable) else {t.symbol}.union(*map(symbols, t.args))
+
+    if not (well_formed(r.lhs) and well_formed(r.rhs) and symbols(r.lhs) | symbols(r.rhs) <= r.labeling.sigma.keys()):
+        return False
+    envs = (dict(zip(names, values)) for values in itertools.product(range(a.size), repeat=r.arity))
+    if any(value(r.lhs, env) != value(r.rhs, env) for env in envs):
+        return False
+    sets = labeled_variables(r.lhs, r.labeling), labeled_variables(r.rhs, r.labeling)
+    return sets[0] != sets[1] and sets == (r.lhs_varset, r.rhs_varset)
+
+
+def shared_identity_mutations(a, certificate):
+    """Mutations of a certificate at two entries that share one identity
+    object: one entry's recorded sets swapped, one entry's arity made 5,
+    where the variables are x1..x5, the shared identity replaced in both by
+    a false one, x = y, and one of the two entries dropped.  None when no
+    two entries share an identity."""
+    entries = certificate.refutations
+    pairs = [(i, k) for i, k in itertools.combinations(range(len(entries)), 2)
+             if entries[i].lhs is entries[k].lhs and entries[i].rhs is entries[k].rhs]
+    if not pairs:
+        return None
+    i, k = pairs[0]
+    false = {"lhs": Variable("x"), "rhs": Variable("y"), "lhs_varset": frozenset("x"), "rhs_varset": frozenset("y")}
+
+    def changed(changes):  # entry index -> its replacement
+        return certificate._replace(refutations=tuple(changes.get(n, r) for n, r in enumerate(entries)))
+
+    return [
+        changed({k: entries[k]._replace(lhs_varset=entries[k].rhs_varset, rhs_varset=entries[k].lhs_varset)}),
+        changed({k: entries[k]._replace(arity=5)})._replace(max_arity=max(5, certificate.max_arity)),
+        changed({n: entries[n]._replace(**false) for n in (i, k)}),
+        certificate._replace(refutations=entries[:k] + entries[k + 1:]),
+    ]
+
+
+def test_verify_certificate_agrees_with_a_per_entry_replay(majority_algebra):
+    """`verify_certificate`, which checks each distinct identity once, and
+    the per-entry oracle agree on every certificate of the seeded draw and
+    of the golden algebras, and on each one's mutations at two entries that
+    share an identity, all of which they refuse."""
+    kinds = Counter()
+    inputs = [(a, None, DEFAULT_MAX_TUPLES) for a in (majority_algebra, *EVIDENCE_GOLDEN.values())]
+    for a, *args in inputs + list(seeded_evidence_inputs()):
+        try:
+            certificate = hm_evidence(a, *args)
+        except SizeLimitExceeded:
+            continue
+        if not isinstance(certificate, CertifiedHM):
+            continue
+        assert verify_certificate(a, certificate) is replay_oracle(a, certificate) is True
+        kinds["certified"] += 1
+        mutations = shared_identity_mutations(a, certificate)
+        for mutated in mutations or ():
+            assert verify_certificate(a, mutated) is replay_oracle(a, mutated) is False, mutated
+        kinds["with a shared identity"] += mutations is not None
+    assert kinds["certified"] > 100 and kinds["with a shared identity"] > 50
+
+
+def test_a_cover_costs_one_check_per_distinct_identity(monkeypatch):
+    """TWO_TERNARY's cover has 13 entries but 6 distinct identities: the
+    rank-2 closure, the only one closed, builds their terms in one
+    `_derived_terms` pass, and the replay runs `holds_in` once per distinct
+    identity and collects its symbols once, one `term_symbols` per side."""
+    import hmkit.freecons as freecons
+    import hmkit.identlang as identlang
+
+    calls = Counter()
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((freecons, "_refute_rank"), (freecons, "_derived_terms"), (freecons, "holds_in"), (identlang, "term_symbols")):
+        counted(module, name)
+    certificate = hm_evidence(TWO_TERNARY)
+    entries = certificate.refutations
+    assert len(entries) == 13 and len({(id(r.lhs), id(r.rhs)) for r in entries}) == 6
+    assert len({(str(r.lhs), str(r.rhs)) for r in entries}) == 6
+    assert calls == {"_refute_rank": 1, "_derived_terms": 1}
+    assert verify_certificate(TWO_TERNARY, certificate)
+    assert calls == {"_refute_rank": 1, "_derived_terms": 1, "holds_in": 6, "term_symbols": 12}
 
 
 def test_witness_search_matches_the_oracle_on_the_corpora():

@@ -21,6 +21,7 @@ from hmkit.structures import (
     power,
     product,
     rank,
+    read_json,
     structure_from_json,
     structure_to_json,
     two_element_semilattice,
@@ -487,6 +488,39 @@ def test_json_round_trip(S, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert load_structure(str(path)).relations == S.relations
+
+
+def test_read_json_reads_what_text_mode_reads(tmp_path):
+    """One binary read and a strict decode give what a text-mode `json.load`
+    gives: the document, or an error with the same message, for a byte that
+    is no UTF-8 deep in the file, a byte order mark, an empty file and
+    syntax errors after CRLF or lone CR newlines."""
+    doc = json.dumps({"universe": ["a"] * 5000}).encode()
+
+    def text_mode(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def outcome(load, path):
+        try:
+            return load(path)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            return type(exc), str(exc)
+
+    cases = [
+        doc,
+        doc[:20014] + b"\xff" + doc[20014:],
+        b"\xef\xbb\xbf" + doc,
+        b"",
+        b'{\r\n  "universe": [\r\n  "a",\r\n  ]\r\n}',
+        b'{\r  "universe": [\r  "a" "b"]\r}',
+        b'{\n "universe": ["a\r\nb"]}',
+    ]
+    for n, data in enumerate(cases):
+        path = tmp_path / f"{n}.json"
+        path.write_bytes(data)
+        assert outcome(read_json, str(path)) == outcome(text_mode, str(path)), data[:40]
+    assert "position 20014" in outcome(read_json, str(tmp_path / "1.json"))[1]
 
 
 def test_json_rejects_malformed():
