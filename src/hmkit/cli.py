@@ -382,8 +382,8 @@ def cmd_ident_sl_interp(args) -> Report:
         }
         for r in result.refutations  # one per refuted prefix, under its partial labeling
     ]
-    own = {id(i): i for i in sys_.identities}  # by object, as == recurses on deep terms
-    replay = identlang.replay_cover(sys_.declarations, result.refutations, lambda r: own.get(id(getattr(r, "identity", None))))
+    own = {id(i) for i in sys_.identities}  # by object, as == recurses on deep terms; sys_ holds them, so no id is reused
+    replay = identlang.replay_cover(sys_.declarations, result.refutations, lambda identity: id(identity) in own)
     refuted = identlang.labeling_count(sys_.declarations.values())  # every labeling, by its restriction to the block
     checks = [Check("interpretation", "fail", f"UNSAT ({refuted} refutations)"), Check("refutations", "pass", witness)]
     return checks + [Check("replay", "pass" if replay else "fail")], 1 if replay else 2
@@ -397,8 +397,11 @@ def cmd_alg_hm_evidence(args) -> Report:
     evidence = freecons.hm_evidence(algebra, args.max_arity, max_tuples=args.max_tuples)
     if isinstance(evidence, freecons.ConsistentLabelingFound):
         witness = {"surviving_labeling": evidence.labeling.describe(), "max_arity": evidence.max_arity}
-        if evidence.witness is None:
-            witness["note"] = "bounded evidence only; identities above the arity bound were not examined"
+        if evidence.witness is None:  # P survived the rank-2 closure, or no rank was closed
+            witness["note"] = (
+                "survives the rank-2 closure; no labeling certificate exists at any arity" if evidence.max_arity >= 2
+                else "bounded evidence only; identities above the arity bound were not examined"
+            )
             return [Check("certified", "fail", witness)], 1
         (lo, hi), universe, bits, _ = evidence.witness
         label = algebra.labels.__getitem__
@@ -412,11 +415,10 @@ def cmd_alg_hm_evidence(args) -> Report:
         Check("certified", "pass", {"max_arity": evidence.max_arity, "labelings_refuted": refuted}),
         Check("replay", "pass" if replay else "fail"),
     ]
-    texts: dict[tuple[int, int], str] = {}  # by object: entries that meet one collision share its terms
-    for r in evidence.refutations:  # one per refuted prefix, named by its partial labeling
-        key = id(r.lhs), id(r.rhs)
-        text = texts.get(key) or texts.setdefault(key, f"{r.lhs} = {r.rhs}")
-        checks.append(Check(r.labeling.describe(), "pass", f"{text} (arity {r.arity})"))
+    texts: dict[int, str] = {}  # by object: entries that meet one collision share its identity
+    for r in evidence.refutations:  # one per refuted prefix, named by its partial labeling; every identity is rank 2
+        text = texts.get(id(r.identity)) or texts.setdefault(id(r.identity), str(r.identity))
+        checks.append(Check(r.labeling.describe(), "pass", f"{text} (arity 2)"))
     return checks, 0 if replay else 1
 
 

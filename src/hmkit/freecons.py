@@ -33,7 +33,7 @@ values at the points in rank order over the sorted kids.
 
 The free algebra, the free structure's triples, the unary term operations
 and the evidence search close subpowers of one algebra each (A^(A^k), F^3,
-A^A, A^(A^j) and, for the witness, the diagonal of A^2), its operations
+A^A, A^(A^2) and, for the witness, the diagonal of A^2), its operations
 acting pointwise, by one semi-naive engine, `_grow`, the only code that
 adds to a closure; `_close` runs it for the first three.  `max_tuples`
 bounds the elements each closure finds by one rule: the batch that holds
@@ -50,18 +50,18 @@ before the last two) and batch start, sharing it with every argument
 prefix that selects that row: a coordinate holds at most one mapped column
 per universe element.
 
-The evidence search, hm_evidence, decides per coordinate labeling and rank
-j whether some term operation of F_j carries two labeled variable sets,
-where an operation takes the union of its labeled arguments' sets.  Up to
-a labeling's first such collision, the pairs (term operation, set) that
-terms reach are the term operations, one set each, so one closure of F_j
-per rank serves every labeling still undecided, each keeping one set per
-element; the two derivations of the first collision are the reported
-identity.  Labelings that agree on the symbols evaluated so far share
-their sets, so the closure keeps them as one labeling prefix (a coordinate
-set, a sorted tuple, per sorted symbol, extended at each symbol's first
-batch).  Labeling order is the lexicographic order of full labelings, so
-the prefixes decided, disjoint blocks of it, read in labeling order once
+The evidence search, hm_evidence, decides per coordinate labeling whether
+some term operation of F_2 carries two labeled variable sets, where an
+operation takes the union of its labeled arguments' sets.  Up to a
+labeling's first such collision, the pairs (term operation, set) that
+terms reach are the term operations, one set each, so one closure of F_2
+serves every labeling, each keeping one set per element; the two
+derivations of the first collision are the reported identity.  Labelings
+that agree on the symbols evaluated so far share their sets, so the
+closure keeps them as one labeling prefix (a coordinate set, a sorted
+tuple, per sorted symbol, extended at each symbol's first batch).
+Labeling order is the lexicographic order of full labelings, so the
+prefixes decided, disjoint blocks of it, read in labeling order once
 sorted, and so listed they are the certificate: a cover of the labelings,
 one partial labeling and identity per decided prefix, whose replay walks
 the prefix tree.  Membership does not depend on evaluation order, so the
@@ -87,11 +87,13 @@ labeled sets are then well defined on F_2, and taking a term operation to
 0 when its set holds x and to 1 otherwise is a homomorphism onto the
 two-element algebra of the labeling's meets.  That algebra is so in
 H(F_2), inside HSP(A): every identity of A holds there, and keeps its two
-labeled sets equal, as under a witness.  hm_evidence so tests only P, the
-first labeling not yet refuted after rank 2: a witnessed labeling is never
+labeled sets equal, as under a witness.  So hm_evidence closes rank 2
+alone, every certificate entry is an identity over x and y, and a labeling
+that survives rank 2 is an exact negative.  It tests only P, the first
+labeling not yet refuted, for a witness: a witnessed labeling is never
 refuted, so P comes at or before the least witnessed labeling L, and is
-witnessed exactly when it is L.  Above rank 2 it closes P alone, which can
-only overflow.  `verify_witness` replays a witness by direct evaluation.
+witnessed exactly when it is L.  `verify_witness` replays a witness by
+direct evaluation.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ from .identlang import (
     Application,
     Identity,
     SLLabeling,
+    SLRefutation,
     Term,
     Variable,
     _fold,
@@ -724,21 +727,12 @@ def verify_claims(bundle: FreeBundle, max_arity: int = 2) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
-# --- bounded labeling-refutation evidence ---------------------------------------
-
-
-class LabelingRefutation(NamedTuple):
-    labeling: SLLabeling
-    arity: int
-    lhs: Term
-    rhs: Term
-    lhs_varset: frozenset[str]
-    rhs_varset: frozenset[str]
+# --- labeling-refutation evidence ------------------------------------------------
 
 
 class CertifiedHM(NamedTuple):
     max_arity: int
-    refutations: tuple[LabelingRefutation, ...]  # a cover: one per refuted labeling prefix, in labeling order
+    refutations: tuple[SLRefutation, ...]  # a cover: one rank-2 identity per refuted labeling prefix, in labeling order
 
 
 class TwoElementWitness(NamedTuple):
@@ -754,7 +748,7 @@ class TwoElementWitness(NamedTuple):
 class ConsistentLabelingFound(NamedTuple):
     labeling: SLLabeling
     max_arity: int
-    witness: TwoElementWitness | None = None  # None: bounded evidence only
+    witness: TwoElementWitness | None = None  # None: exact after the rank-2 closure, bounded evidence at max_arity 1
 
 
 def _two_element_witness(a: FiniteAlgebra, labeling: tuple) -> TwoElementWitness | None:
@@ -893,41 +887,41 @@ def _labeled_closure(
 
 
 def _refute_rank(
-    a: FiniteAlgebra, j: int, max_tuples: int, prefixes: Sequence[tuple], decided: list
+    a: FiniteAlgebra, max_tuples: int, prefixes: Sequence[tuple], decided: list
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Close F_j once for the live labeling prefixes by `_labeled_closure`,
+    """Close F_2 once for the live labeling prefixes by `_labeled_closure`,
     projection g with the variable set {x_g} as bit g, append to `decided`
-    what each prefix meets first at rank j, and return the prefixes that
-    survive the closure.
+    what each prefix meets first, and return the prefixes that survive the
+    closure.
 
     A labeling's pairs (term operation, labeled variable set) are in
     bijection with the term operations until its first collision, with the
     same ids, derivations and batch order as a closure of its own pairs.
     The colliding value's derivation is the identity's lhs and the tuple its
     rhs.  The engine never stops at the whole power before a collision: for
-    |A| >= 2, F_j lies inside the idempotent operations, and for |A| = 1
+    |A| >= 2, F_2 lies inside the idempotent operations, and for |A| = 1
     the seeds collide.
 
-    A decided prefix is appended as (prefix, (j, lhs, rhs, lhs set, rhs
-    set)), or as (prefix, SizeLimitExceeded) when its own pairs would pass
-    max_tuples.  The terms of every collision of the rank are built in one
+    A decided prefix is appended as (prefix, (identity, lhs set, rhs set)),
+    or as (prefix, SizeLimitExceeded) when its own pairs would pass
+    max_tuples.  The terms of every collision are built in one
     `_derived_terms` pass, and prefixes that meet the same collision (value
-    id, symbol, arguments, position) share one lhs and one rhs object, so a
-    cover is checked and printed once per distinct identity.
+    id, symbol, arguments, position) share one Identity object, so a cover
+    is checked and printed once per distinct identity.
     """
-    names = variable_names(j)
-    seeds = list(zip(*coordinate_tuples([a.size] * j)))  # over assignments in lexicographic order
+    names = variable_names(2)
+    seeds = list(zip(*coordinate_tuples([a.size] * 2)))  # over assignments in lexicographic order
     met: list = []
-    live, _, derivations = _labeled_closure(a, seeds, [1 << g for g in range(j)], max_tuples, prefixes, met)
+    live, _, derivations = _labeled_closure(a, seeds, [1, 2], max_tuples, prefixes, met)
     sides = dict.fromkeys(outcome[:4] for _, outcome in met if not isinstance(outcome, SizeLimitExceeded))
     terms = iter(_derived_terms(derivations, names, [v for e, _, args, _ in sides for v in (e, *args)]))
     for e, sym, args, i in sides:
         lhs, subterms = next(terms), tuple(itertools.islice(terms, len(args)))
-        sides[e, sym, args, i] = lhs, Variable(names[i]) if sym is None else Application(sym, subterms)
+        sides[e, sym, args, i] = Identity(lhs, Variable(names[i]) if sym is None else Application(sym, subterms))
     for chosen, outcome in met:
         if not isinstance(outcome, SizeLimitExceeded):
             sets = (frozenset(n for g, n in enumerate(names) if s >> g & 1) for s in outcome[4:])
-            outcome = (j, *sides[outcome[:4]], *sets)
+            outcome = (sides[outcome[:4]], *sets)
         decided.append((chosen, outcome))
     return [chosen for chosen, _ in live]
 
@@ -939,31 +933,29 @@ def hm_evidence(
 
     A refuted labeling comes with an identity that holds in the generated
     variety but changes labeled variable sets.  Refuting all labelings is a
-    sound certificate.  The least labeling L with a two-element witness
-    (`_two_element_witness`) survives at every arity, so no certificate
-    exists.  A survivor before L is reported as bounded evidence only,
-    though one that survived rank 2 is refuted at no rank (see the module
-    notes).
+    sound certificate.  A labeling that survives the rank-2 closure, or has
+    a two-element witness (`_two_element_witness`), survives at every arity,
+    so no certificate exists (see the module notes).
 
-    Rank 2 is closed once for all the labeling prefixes (`_refute_rank`,
-    on the engine `_grow`); max_tuples bounds each labeling's pairs per
-    rank, by the engine's overflow rule.  The decided prefixes and the
-    survivors are disjoint blocks of the labeling order, which is the
-    lexicographic order of tuples of coordinate sets, so the least prefix
-    alive or overflowed holds the first labeling not yet refuted, P: its
-    first labeling, every later symbol at (1,).  P alone is tested for a
+    Rank 2, the only rank closed, is closed once for all the labeling
+    prefixes (`_refute_rank`, on the engine `_grow`); max_tuples bounds each
+    labeling's pairs, by the engine's overflow rule.  The decided prefixes
+    and the survivors are disjoint blocks of the labeling order, which is
+    the lexicographic order of tuples of coordinate sets, so the least
+    prefix alive or overflowed holds the first labeling not yet refuted, P:
+    its first labeling, every later symbol at (1,).  P alone is tested for a
     witness, after rank 2 or, when no rank is closed (m = 1), at once.  A
-    witnessed P is returned with its witness; an overflowed P raises.  A
-    live P survived rank 2, so no rank refutes it (see the module notes):
-    each rank up to m is closed for P alone, which raises if it overflows,
-    and P is returned.  The answer is the one a search of one labeling at a
-    time gives: L is never refuted, so P <= L, and P is witnessed exactly
-    when P = L, which is when every labeling before L is refuted; otherwise
-    P is the first survivor or overflow before L.  A certificate is a cover: one
-    refutation per decided prefix, in labeling order, whose partial
-    labeling labels the prefix's symbols and stands for every labeling
-    extending it.  Rank 1 is not searched: every labeled
-    coordinate set is non-empty, so at rank 1 every union is {x}.
+    witnessed P is returned with its witness; an overflowed P raises; a live
+    P is returned without one, an exact negative when m >= 2 and bounded
+    evidence only when m = 1.  The answer is the one a search of one
+    labeling at a time gives: L, the least witnessed labeling, is never
+    refuted, so P <= L, and P is witnessed exactly when P = L, which is when
+    every labeling before L is refuted; otherwise P is the first survivor or
+    overflow before L.  A certificate is a cover: one refutation per decided
+    prefix, in labeling order, whose partial labeling labels the prefix's
+    symbols and stands for every labeling extending it.  Rank 1 is not
+    searched: every labeled coordinate set is non-empty, so at rank 1 every
+    union is {x}.
     """
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
@@ -976,39 +968,35 @@ def hm_evidence(
     prefixes = [()] if all(a.operations[sym].arity for sym in symbols) else []  # a constant has no coordinate set
     decided: list = []
     if m >= 2 and prefixes:
-        prefixes = _refute_rank(a, 2, max_tuples, prefixes, decided)
+        prefixes = _refute_rank(a, max_tuples, prefixes, decided)
     undecided = [(p, None) for p in prefixes] + [e for e in decided if isinstance(e[1], SizeLimitExceeded)]
     if not undecided:
         cover = sorted(decided, key=operator.itemgetter(0))
-        return CertifiedHM(m, tuple(LabelingRefutation(SLLabeling(dict(zip(symbols, p))), *outcome) for p, outcome in cover))
+        return CertifiedHM(m, tuple(SLRefutation(SLLabeling(dict(zip(symbols, p))), *outcome) for p, outcome in cover))
     prefix, overflow = min(undecided, key=operator.itemgetter(0))
     labeling = prefix + ((1,),) * (len(symbols) - len(prefix))  # P, the prefix's first labeling
     witness = _two_element_witness(a, labeling)
     if witness is not None:
         return ConsistentLabelingFound(witness.labeling, m, witness)
-    for j in range(3, m + 1):  # P survived rank 2, so no rank refutes it: it can only overflow
-        if overflow is None and not _refute_rank(a, j, max_tuples, [labeling], decided):
-            overflow = decided[-1][1]
     if overflow is not None:
         raise overflow
     return ConsistentLabelingFound(SLLabeling(dict(zip(symbols, labeling))), m)
 
 
 def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
-    """Replay a certificate by `replay_cover`, each entry's identity with an
-    arity (an int from 2 to max_arity), well-formed terms over the arity's
-    variable names and the algebra's symbols, and validity in the algebra
-    (`holds_in` evaluates each side once, column-wise); anything malformed
-    returns False rather than raising.
-
-    Well-formedness and validity are checked once per distinct (lhs object,
-    rhs object, arity), by object identity within this call: entries that
-    share one identity share its check, and each entry is still checked on
-    its own for its arity range and, in `replay_cover`, its labeling."""
-    well_typed = isinstance(certificate, CertifiedHM) and isinstance(certificate.max_arity, int)
-    if not well_typed or not isinstance(certificate.refutations, tuple):
+    """Replay a certificate by `replay_cover`.  Every entry is a rank-2
+    refutation, so a certificate with entries needs an int max_arity >= 2,
+    and each identity must be made of well-formed terms over x, y and the
+    algebra's symbols and hold in the algebra (`holds_in` evaluates each
+    side once, column-wise); `replay_cover` asks this once per identity
+    object and checks each entry's labeling on its own.  Anything malformed
+    returns False rather than raising."""
+    if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.refutations, tuple):
+        return False
+    if not isinstance(certificate.max_arity, int) or certificate.max_arity < 2 and certificate.refutations:
         return False
     arity = {sym: op.arity for sym, op in a.operations.items()}
+    names = variable_names(2)
 
     def node(u, ok: list) -> bool:
         return isinstance(u, Application) and isinstance(u.symbol, str) and all(ok) and len(ok) == arity.get(u.symbol)
@@ -1016,21 +1004,11 @@ def verify_certificate(a: FiniteAlgebra, certificate: CertifiedHM) -> bool:
     def children(u) -> tuple:
         return u.args if isinstance(u, Application) else ()
 
-    checked: dict[tuple, tuple[Identity, bool]] = {}  # (id(lhs), id(rhs), arity) -> (identity, valid)
+    def valid(identity: Identity) -> bool:  # every variable is x or y, every application one of a's symbols at its arity
+        well_formed = all(_fold(t, lambda v: v.name in names, node, children) for t in identity)
+        return well_formed and holds_in(a, identity, a.operations)
 
-    def identity_of(r) -> Identity | None:
-        if not isinstance(r, LabelingRefutation) or not isinstance(r.arity, int) or not 2 <= r.arity <= certificate.max_arity:
-            return None
-        key = (id(r.lhs), id(r.rhs), r.arity)
-        if key not in checked:  # the memo holds both sides, so no id in its keys is reused within the call
-            names = variable_names(r.arity)  # every variable is one of the arity's, every application one of a's symbols at its arity
-            identity = Identity(r.lhs, r.rhs)
-            well_formed = all(_fold(t, lambda v: v.name in names, node, children) for t in identity)
-            checked[key] = identity, well_formed and holds_in(a, identity, a.operations)
-        identity, valid = checked[key]
-        return identity if valid else None
-
-    return replay_cover(arity, certificate.refutations, identity_of)
+    return replay_cover(arity, certificate.refutations, valid)
 
 
 def bundle_summary(bundle: FreeBundle) -> dict:

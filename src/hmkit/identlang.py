@@ -464,37 +464,37 @@ def cover_walk(arities: Sequence[int], refute: Callable[[tuple], object]) -> tup
     return entries, prefix
 
 
-def replay_cover(declarations: Mapping[str, int], entries: Sequence, identity_of: Callable) -> bool:
-    """Replay a cover by `cover_walk` over the sorted symbols its entries
-    label; covering their labelings refutes every labeling by restriction,
-    and a symbol of arity 0 leaves none to refute, so only () replays.  Each
-    entry's SLLabeling must be the prefix reached, `identity_of(entry)` its
-    identity (None if the record type's own checks fail), the identity may
-    use labeled symbols only, and its labeled variable sets must differ and
-    equal `lhs_varset` and `rhs_varset`.  The walk must take every entry and
-    end the order.  Anything malformed returns False rather than raising.
+def replay_cover(declarations: Mapping[str, int], entries: Sequence, valid: Callable[[Identity], bool]) -> bool:
+    """Replay a cover of SLRefutation entries by `cover_walk` over the sorted
+    symbols they label; covering their labelings refutes every labeling by
+    restriction, and a symbol of arity 0 leaves none to refute, so only ()
+    replays.  Each entry's SLLabeling must be the prefix reached, its
+    identity an Identity that `valid` accepts and that uses labeled symbols
+    only, and its labeled variable sets must differ and equal `lhs_varset`
+    and `rhs_varset`.  The walk must take every entry and end the order.
+    Anything malformed returns False rather than raising.
 
-    An identity's symbols are collected once per identity object, by object
-    identity within this call; its labeled variable sets are computed for
-    each entry, under that entry's labeling."""
-    labelings = [getattr(e, "labeling", None) for e in entries]
+    `valid` is called, and the symbols collected, once per identity object,
+    by object identity within this call; the labeled variable sets are
+    computed for each entry, under that entry's labeling."""
+    labelings = [e.labeling if isinstance(e, SLRefutation) else None for e in entries]
     if not all(isinstance(l, SLLabeling) and l.sigma.keys() <= declarations.keys() for l in labelings):
         return False
     if not all(declarations.values()):
         return not entries
     symbols, todo = sorted(set().union(*(l.sigma for l in labelings))), list(entries)[::-1]  # the next entry last
-    used: dict[int, tuple[Identity, set[str]]] = {}  # id(identity) -> (identity, its symbols); held, so no id is reused
+    used: dict[int, tuple[object, set[str] | None]] = {}  # id(identity) -> (identity, its symbols, None if invalid); held
 
     def refute(prefix: tuple):
         e = todo[-1] if todo else None
         if e is None or e.labeling.sigma != dict(zip(symbols, prefix)):
             return None  # past the first fault the walk only extends, to a survivor
-        identity = identity_of(e)
-        if identity is None:
-            return None
+        identity = e.identity
         if id(identity) not in used:
-            used[id(identity)] = identity, term_symbols(identity.lhs) | term_symbols(identity.rhs)
-        if not used[id(identity)][1] <= e.labeling.sigma.keys():
+            ok = isinstance(identity, Identity) and valid(identity)
+            used[id(identity)] = identity, term_symbols(identity.lhs) | term_symbols(identity.rhs) if ok else None
+        named = used[id(identity)][1]
+        if named is None or not named <= e.labeling.sigma.keys():
             return None
         lhs, rhs = sigma_varset(identity.lhs, e.labeling), sigma_varset(identity.rhs, e.labeling)
         return todo.pop() if lhs != rhs and (lhs, rhs) == (e.lhs_varset, e.rhs_varset) else None

@@ -910,8 +910,9 @@ SURVIVOR = FiniteAlgebra(3, {
 
 def test_alg_hm_evidence_witnessed_survivor(capsys, algebra_file, monkeypatch):
     """A witnessed survivor names its witness and replays it, exit 1, or 2
-    when the replay fails; without a witness the survivor is bounded
-    evidence, as before."""
+    when the replay fails.  Without a witness a survivor of the rank-2
+    closure is an exact negative, exit 1 with no replay row; at arity bound
+    1, where no rank is closed, it is bounded evidence only."""
     path = algebra_file(SURVIVOR)
     code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--max-arity", "3")
     assert code == 1 and out.splitlines() == [
@@ -935,10 +936,17 @@ def test_alg_hm_evidence_witnessed_survivor(capsys, algebra_file, monkeypatch):
     assert code == 2 and out.splitlines()[-1] == "replay: fail"
 
     monkeypatch.setattr(freecons, "_two_element_witness", lambda a, labeling: None)
-    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--output", "json")
+    for bound in ("2", "3"):
+        code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--max-arity", bound, "--output", "json")
+        assert code == 1 and json.loads(out)["checks"] == [{"name": "certified", "verdict": "fail", "witness": {
+            "surviving_labeling": "t0->{1} t1->{1,2}",
+            "max_arity": int(bound),
+            "note": "survives the rank-2 closure; no labeling certificate exists at any arity",
+        }}]
+    code, out, _ = run(capsys, "alg", "hm-evidence", "--algebra", path, "--max-arity", "1", "--output", "json")
     assert code == 1 and json.loads(out)["checks"] == [{"name": "certified", "verdict": "fail", "witness": {
-        "surviving_labeling": "t0->{1} t1->{1,2}",
-        "max_arity": 2,
+        "surviving_labeling": "t0->{1} t1->{1}",
+        "max_arity": 1,
         "note": "bounded evidence only; identities above the arity bound were not examined",
     }}]
 

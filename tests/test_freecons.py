@@ -19,7 +19,6 @@ from hmkit.freecons import (
     FiniteAlgebra,
     FreeAlgebra,
     FreeBundle,
-    LabelingRefutation,
     TwoElementWitness,
     VerificationReport,
     algebra_from_json,
@@ -51,6 +50,7 @@ from hmkit.identlang import (
     Application,
     Identity,
     SLLabeling,
+    SLRefutation,
     Term,
     Variable,
     holds_in,
@@ -163,8 +163,9 @@ def free_algebra_reference(a, k, max_elements):
 # built by recursion, so it needs derivations shallower than the recursion limit.
 def refute_labeling_reference(
     labeling: SLLabeling, max_arity: int, free_at: Callable[[int], FreeAlgebra]
-) -> LabelingRefutation | None:
-    """Search free algebras of growing rank for an identity the labeling breaks.
+) -> tuple[int, SLRefutation] | None:
+    """Search free algebras of growing rank for an identity the labeling
+    breaks, and return the rank with the refutation.
 
     Every element tracks the variable sets achievable by its term
     representations under the labeling; two distinct sets on one element
@@ -215,7 +216,7 @@ def refute_labeling_reference(
         for e in range(free.algebra.size):
             if len(varsets[e]) >= 2:
                 (vs1, t1), (vs2, t2) = sorted(varsets[e].items(), key=lambda kv: sorted(kv[0]))[:2]
-                return LabelingRefutation(labeling, j, t1, t2, vs1, vs2)
+                return j, SLRefutation(labeling, Identity(t1, t2), vs1, vs2)
     return None
 
 
@@ -309,25 +310,32 @@ def derived_terms(derivations, names, ids):
     return [terms[e] for e in ids]
 
 
-def refute_labeling(a, labeling, max_arity, max_tuples):
+def refute_labeling_at(a, labeling, j, max_tuples):
     bits = FiniteAlgebra(2, {sym: union_table(t.arity, labeling.sigma[sym]) for sym, t in a.operations.items()})
+    names = variable_names(j)
+    assignments = list(itertools.product(range(a.size), repeat=j))
+    width = len(assignments)
+    seeds = [tuple(assign[g] for assign in assignments) + tuple(int(h == g) for h in range(j)) for g in range(j)]
+    first = {}
+
+    def collides(t):
+        return first.setdefault(t[:width], t) != t
+
+    elements, derivations, index = close_with_stop(seeds, [a] * width + [bits] * j, max_tuples, collides)
+    lhs, rhs = first[elements[-1][:width]], elements[-1]
+    if lhs == rhs:
+        return None
+    lhs_term, rhs_term = derived_terms(derivations, names, (index[lhs], len(elements) - 1))
+    lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
+    return SLRefutation(labeling, Identity(lhs_term, rhs_term), lhs_varset, rhs_varset)
+
+
+def refute_labeling(a, labeling, max_arity, max_tuples):
+    """The first rank from 2 to max_arity that refutes the labeling, with its refutation, or None."""
     for j in range(2, max_arity + 1):
-        names = variable_names(j)
-        assignments = list(itertools.product(range(a.size), repeat=j))
-        width = len(assignments)
-        seeds = [tuple(assign[g] for assign in assignments) + tuple(int(h == g) for h in range(j)) for g in range(j)]
-        first = {}
-
-        def collides(t):
-            return first.setdefault(t[:width], t) != t
-
-        elements, derivations, index = close_with_stop(seeds, [a] * width + [bits] * j, max_tuples, collides)
-        lhs, rhs = first[elements[-1][:width]], elements[-1]
-        if lhs == rhs:
-            continue
-        lhs_term, rhs_term = derived_terms(derivations, names, (index[lhs], len(elements) - 1))
-        lhs_varset, rhs_varset = (frozenset(n for n, b in zip(names, t[width:]) if b) for t in (lhs, rhs))
-        return LabelingRefutation(labeling, j, lhs_term, rhs_term, lhs_varset, rhs_varset)
+        refutation = refute_labeling_at(a, labeling, j, max_tuples)
+        if refutation is not None:
+            return j, refutation
     return None
 
 
@@ -393,6 +401,8 @@ def checked_witness_search(a):
 
 
 def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refute=refute_labeling):
+    """The search one labeling at a time, each closed by `refute` at ranks 2
+    up to the bound, asserting that every refutation is found at rank 2."""
     if not a.is_idempotent():
         raise StructureError("evidence search requires an idempotent algebra")
     if a.size < 1:
@@ -405,9 +415,11 @@ def hm_evidence_reference(a, max_arity=None, max_tuples=DEFAULT_MAX_TUPLES, refu
     for labeling in all_labelings(declarations(a)):
         if witness is not None and labeling == witness.labeling:  # it survives every rank, without a closure
             return ConsistentLabelingFound(labeling, m, witness)
-        refutation = refute(a, labeling, m, max_tuples)
-        if refutation is None:
+        found = refute(a, labeling, m, max_tuples)
+        if found is None:
             return ConsistentLabelingFound(labeling, m)
+        rank, refutation = found
+        assert rank == 2, (rank, refutation)  # a labeling refuted at any rank is refuted at rank 2
         refutations.append(refutation)
     return CertifiedHM(m, tuple(refutations))
 
@@ -429,8 +441,8 @@ def expanded(a, evidence):
 def evidence_outcome(search, *args):
     """The whole result of an evidence search as plain data: every
     labeling's refutation (from the cover entry that holds it) as labeling,
-    arity, sides as text and variable sets, the survivor, or the type and
-    message of the exception raised."""
+    sides as text and variable sets, the survivor, or the type and message
+    of the exception raised."""
     try:
         evidence = expanded(args[0], search(*args))
     except (StructureError, SizeLimitExceeded) as exc:
@@ -438,7 +450,7 @@ def evidence_outcome(search, *args):
     if isinstance(evidence, ConsistentLabelingFound):
         return "survivor", evidence.labeling, evidence.max_arity, evidence.witness
     return "certified", evidence.max_arity, [
-        (r.labeling, r.arity, str(r.lhs), str(r.rhs), r.lhs_varset, r.rhs_varset) for r in evidence.refutations
+        (r.labeling, str(r.identity.lhs), str(r.identity.rhs), r.lhs_varset, r.rhs_varset) for r in evidence.refutations
     ]
 
 
@@ -1075,10 +1087,10 @@ def test_hm_evidence_majority(majority_algebra):
     assert len(evidence.refutations) == 7
     assert verify_certificate(majority_algebra, evidence)
     for r in evidence.refutations:
-        assert isinstance(r, LabelingRefutation)
+        assert isinstance(r, SLRefutation)
         # each refuting identity is valid in the algebra yet changes varsets
-        assert holds_in(majority_algebra, Identity(r.lhs, r.rhs), majority_algebra.operations)
-        assert labeled_variables(r.lhs, r.labeling) != labeled_variables(r.rhs, r.labeling)
+        assert holds_in(majority_algebra, r.identity, majority_algebra.operations)
+        assert labeled_variables(r.identity.lhs, r.labeling) != labeled_variables(r.identity.rhs, r.labeling)
 
 
 def test_hm_evidence_builds_each_rank_once_and_only_when_reached(majority_algebra, monkeypatch):
@@ -1140,7 +1152,7 @@ def test_hm_evidence_trivial_algebra_certifies():
     assert verify_certificate(one, evidence)
     # the two seed pairs already share their term operation
     (r,) = evidence.refutations
-    assert (r.arity, r.lhs, r.rhs) == (2, Variable("x"), Variable("y"))
+    assert r.identity == Identity(Variable("x"), Variable("y"))
 
 
 def test_hm_evidence_certifies_a_signature_with_a_constant_by_no_refutation():
@@ -1175,13 +1187,14 @@ def test_hm_evidence_rejects_non_idempotent():
     ],
 )
 def test_closure_and_evidence_share_one_overflow_rule(values, j, size, monkeypatch):
-    """The rank-j closure, free or under evidence, overflows exactly when
-    max_tuples is below the size of F_j.  Each algebra here has a
-    two-element witness for f -> {1}, its first labeling, which so needs no
-    closure of its own and answers at any bound.  No input without a witness is known whose
-    evidence search closes rank 3 for a live labeling, so at rank 3 the
-    witness search is masked: the labeling is bounded evidence again and
-    rides the closure to its end.  Rank 2 is shown without a mask by
+    """The rank-j closure overflows exactly when max_tuples is below the
+    size of F_j.  Each algebra here has a two-element witness for f -> {1},
+    its first labeling, which so needs no closure of its own and answers at
+    any bound.  With the witness search masked, f -> {1} survives the rank-2
+    closure, the only one evidence closes: at arity bounds 2, 3 and 4 it is
+    the same exact survivor under any max_tuples that lets F_2 close, even
+    one below the size of F_3, after one `_refute_rank` call.  The rank-2
+    overflow is shown without a mask by
     `test_evidence_without_a_witness_overflows_by_the_same_rule`."""
     import hmkit.freecons as freecons
 
@@ -1197,12 +1210,19 @@ def test_closure_and_evidence_share_one_overflow_rule(values, j, size, monkeypat
     with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
         _close(projections, a, -1)
     if j == 3:
+        closures, refute_rank = [], freecons._refute_rank
         monkeypatch.setattr(freecons, "_two_element_witness", lambda a, labeling: None)
-        with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {size - 1} elements$"):
-            hm_evidence(a, j, max_tuples=size - 1)
-        assert hm_evidence(a, j, max_tuples=size) == ConsistentLabelingFound(SLLabeling({"f": (1,)}), j)
-        with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
-            hm_evidence(a, j, max_tuples=-1)
+        monkeypatch.setattr(freecons, "_refute_rank", lambda *args: closures.append(args[1]) or refute_rank(*args))
+        rank_2 = len(_close(list(zip(*itertools.product(range(3), repeat=2))), a, size)[0])
+        for m in (2, 3, 4):
+            for bound in (rank_2, size - 1, size, 10 * size):
+                closures.clear()
+                assert hm_evidence(a, m, max_tuples=bound) == ConsistentLabelingFound(SLLabeling({"f": (1,)}), m)
+                assert closures == [bound]
+            with pytest.raises(SizeLimitExceeded, match=f"^closure exceeded {rank_2 - 1} elements$"):
+                hm_evidence(a, m, max_tuples=rank_2 - 1)
+            with pytest.raises(SizeLimitExceeded, match="^closure exceeded -1 elements$"):
+                hm_evidence(a, m, max_tuples=-1)
 
 
 def test_evidence_without_a_witness_overflows_by_the_same_rule():
@@ -1250,35 +1270,51 @@ def test_verify_certificate_returns_false_for_a_malformed_certificate(majority_a
     assert verify_certificate(majority_algebra, evidence) is True
 
 
+def renamed(t, old, new):
+    """The term t with its variable `old` named `new`, built by recursion."""
+    if isinstance(t, Variable):
+        return Variable(new) if t.name == old else t
+    return Application(t.symbol, tuple(renamed(u, old, new) for u in t.args))
+
+
+def with_y_named(r, new):
+    """The refutation r with y named `new` in its identity and its sets
+    recomputed: it still holds and still refutes, but not over x and y."""
+    identity = Identity(*(renamed(t, "y", new) for t in r.identity))
+    sets = (labeled_variables(t, r.labeling) for t in identity)
+    return r._replace(identity=identity, **dict(zip(("lhs_varset", "rhs_varset"), sets)))
+
+
 def test_verify_certificate_rejects_tampering(majority_algebra):
     evidence = hm_evidence(majority_algebra)
     r = evidence.refutations[0]
-    swapped = LabelingRefutation(
-        r.labeling, r.arity, r.lhs, r.rhs, r.rhs_varset, r.lhs_varset
-    )
+    swapped = SLRefutation(r.labeling, r.identity, r.rhs_varset, r.lhs_varset)
     broken = CertifiedHM(evidence.max_arity, (swapped,) + evidence.refutations[1:])
     assert not verify_certificate(majority_algebra, broken)
     missing = CertifiedHM(evidence.max_arity, evidence.refutations[1:])
     assert not verify_certificate(majority_algebra, missing)
-    # every refutation is found at rank 2 of 3; a claimed arity out of 2..3,
-    # or a bound below it, is refused, and so is a malformed one
-    assert {r.arity for r in evidence.refutations} == {2} and evidence.max_arity == 3
+    # every refutation is a rank-2 identity, over x and y: one that names y
+    # otherwise is refused though it holds and refutes, and so is a bound
+    # below 2 or no int, while any int bound from 2 up replays
+    assert evidence.max_arity == 3
     for k in (0, len(evidence.refutations) - 1):
-        for bad in (99, 4, 1, 0, -2, "2", None, 2.0, True):
-            r = evidence.refutations[k]._replace(arity=bad)
-            refutations = evidence.refutations[:k] + (r,) + evidence.refutations[k + 1:]
-            assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is False, bad
-    for bad in (1, 0, None, "3", 3.0):
+        for name in ("z", "w", "x1", "x5", "X", "x,y"):
+            refutations = evidence.refutations[:k] + (with_y_named(evidence.refutations[k], name),) + evidence.refutations[k + 1:]
+            assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is False, name
+    for bad in (1, 0, -2, None, "3", 3.0, True):
         assert verify_certificate(majority_algebra, evidence._replace(max_arity=bad)) is False, bad
-    # both sides use only the arity's variables: x = m(x,x,z) holds, and
-    # under m->{1,2,3} its sets are {x} and {x,z}, a refutation at rank 3 only
+    for bound in (2, 4, 99):
+        assert verify_certificate(majority_algebra, evidence._replace(max_arity=bound)) is True, bound
+    # x = m(x,x,z) holds, and under m->{1,2,3} its sets are {x} and {x,z}, as
+    # x = m(x,x,y)'s are {x} and {x,y}: only the latter replays, at any bound
     r = evidence.refutations[2]
-    assert r.labeling.sigma == {"m": (1, 2, 3)}
+    assert r.labeling.sigma == {"m": (1, 2, 3)} and str(r.identity) == "x = m(x,x,y)"
     x, z = Variable("x"), Variable("z")
-    r = r._replace(rhs=Application("m", (x, x, z)), rhs_varset=frozenset("xz"))
-    for arity, replays in ((2, False), (3, True)):
-        refutations = evidence.refutations[:2] + (r._replace(arity=arity),) + evidence.refutations[3:]
-        assert verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)) is replays
+    outside = r._replace(identity=Identity(x, Application("m", (x, x, z))), rhs_varset=frozenset("xz"))
+    for bound in (2, 3, 4):
+        for entry, replays in ((outside, False), (r, True)):
+            refutations = evidence.refutations[:2] + (entry,) + evidence.refutations[3:]
+            assert verify_certificate(majority_algebra, CertifiedHM(bound, refutations)) is replays
 
     # a cover of two symbols, the first projection a and the majority b:
     # a->{1} survives a's batch and its seven b prefixes are refuted, while
@@ -1294,7 +1330,7 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     a12, a2 = entries[7], entries[8]
     inside = [a12._replace(labeling=SLLabeling({"a": (1, 2), "b": c})) for c in coordinate_sets(3)]
     assert verify_certificate(two, cover._replace(refutations=entries[:7] + tuple(inside) + (a2,))) is True
-    assert str(entries[0].lhs) == "y" and str(entries[0].rhs) == "b(x,y,y)"
+    assert str(entries[0].identity) == "y = b(x,y,y)"
     tampered = [
         entries[1:],  # dropped: the first, an inner and the last entry
         entries[:3] + entries[4:],
@@ -1309,7 +1345,7 @@ def test_verify_certificate_rejects_tampering(majority_algebra):
     ]
     for coords in ((3,), (0,), (), (1, 1), ("1",), (1, 2, 3)):  # no coordinate set of the binary a
         tampered.append(entries[:7] + (a12._replace(labeling=SLLabeling({"a": coords})), a2))
-    tampered.append(entries[:7] + (a12._replace(lhs=entries[0].lhs, rhs=entries[0].rhs), a2))  # b, outside a->{1,2}
+    tampered.append(entries[:7] + (a12._replace(identity=entries[0].identity), a2))  # b, outside a->{1,2}
     for refutations in tampered:
         assert verify_certificate(two, cover._replace(refutations=refutations)) is False, refutations
 
@@ -1338,21 +1374,24 @@ def test_verify_certificate_refuses_a_set_outside_the_arity_or_a_later_block(maj
 
 
 def test_verify_certificate_returns_false_for_a_malformed_refutation(majority_algebra):
-    """A refutation that is no LabelingRefutation, or whose side is no term
-    over the algebra's symbols, is refused rather than raising, at the first
-    and the last refutation."""
+    """A refutation that is no SLRefutation, whose identity is no Identity,
+    or whose side is no term over the algebra's symbols, is refused rather
+    than raising, at the first and the last refutation."""
     evidence = hm_evidence(majority_algebra)
     x = Variable("x")
     for k in (0, len(evidence.refutations) - 1):
         r = evidence.refutations[k]
+        lhs, rhs = r.identity
         for bad in (
-            r._replace(lhs="x"),
-            r._replace(rhs=None),
+            r._replace(identity=Identity("x", rhs)),
+            r._replace(identity=Identity(lhs, None)),
+            r._replace(identity=(lhs, rhs)),
+            r._replace(identity=None),
             tuple(r),
             None,
-            r._replace(rhs=Application("m", (x, "x", x))),
-            r._replace(lhs=Variable(["x"])),
-            r._replace(rhs=Application(["m"], (x, x, x))),
+            r._replace(identity=Identity(lhs, Application("m", (x, "x", x)))),
+            r._replace(identity=Identity(Variable(["x"]), rhs)),
+            r._replace(identity=Identity(lhs, Application(["m"], (x, x, x)))),
         ):
             refutations = evidence.refutations[:k] + (bad,) + evidence.refutations[k + 1:]
             assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, refutations)), bad
@@ -1366,10 +1405,8 @@ def test_verify_certificate_checks_the_sets_of_a_replayed_identity(majority_alge
     refutations = list(evidence.refutations)
     first, second = refutations[2], refutations[3]
     assert (first.labeling.sigma, second.labeling.sigma) == ({"m": (1, 2, 3)}, {"m": (1, 3)})
-    assert (str(first.lhs), str(first.rhs)) == (str(second.lhs), str(second.rhs))
-    refutations[3] = LabelingRefutation(
-        second.labeling, second.arity, second.lhs, second.rhs, second.lhs_varset, frozenset("y")
-    )
+    assert first.identity is second.identity
+    refutations[3] = second._replace(rhs_varset=frozenset("y"))
     assert verify_certificate(majority_algebra, evidence)
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
 
@@ -1385,15 +1422,15 @@ def test_verify_certificate_replays_identities_that_print_alike(majority_algebra
     x, y = Variable("x"), Variable("y")
     binary = Application("m", (Variable("x,x"), y))
     named = Variable("m(x,x,y)")
-    assert str(binary) == str(named) == str(valid.rhs) and str(valid.lhs) == "x"
+    assert str(binary) == str(named) == str(valid.identity.rhs) and str(valid.identity.lhs) == "x"
     # each alias carries its own labeled sets under m->{2}, so only its replay tells it apart
-    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, named, frozenset("x"), frozenset({"m(x,x,y)"}))
+    refutations[4] = SLRefutation(later.labeling, Identity(x, named), frozenset("x"), frozenset({"m(x,x,y)"}))
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
-    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, binary, frozenset("x"), frozenset("y"))
+    refutations[4] = SLRefutation(later.labeling, Identity(x, binary), frozenset("x"), frozenset("y"))
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
     # a symbol the algebra lacks is refused as well, not looked up
     unknown = Application("j", (x, x, y))
-    refutations[4] = LabelingRefutation(later.labeling, later.arity, x, unknown, frozenset("x"), frozenset("y"))
+    refutations[4] = SLRefutation(later.labeling, Identity(x, unknown), frozenset("x"), frozenset("y"))
     assert not verify_certificate(majority_algebra, CertifiedHM(evidence.max_arity, tuple(refutations)))
 
 
@@ -1406,7 +1443,7 @@ def test_verify_certificate_replays_deep_terms_without_recursion(majority_algebr
         deep = Application("m", (deep, x, x))
     first = evidence.refutations[0]
     assert first.labeling.sigma == {"m": (1,)}
-    refutations = (LabelingRefutation(first.labeling, 2, deep, x, frozenset("y"), frozenset("x")),) + evidence.refutations[1:]
+    refutations = (SLRefutation(first.labeling, Identity(deep, x), frozenset("y"), frozenset("x")),) + evidence.refutations[1:]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -1439,18 +1476,19 @@ def test_refute_labeling_matches_reference(majority_algebra, meet_algebra, latti
             got = refute_labeling(a, labeling, max_arity, 10**6)
             want = refute_labeling_reference(labeling, max_arity, free_ats[id(a)])
             # refuted or not, and at which rank; the identities may differ
-            assert (got is None, getattr(got, "arity", None)) == (want is None, getattr(want, "arity", None))
+            assert (got is None, got and got[0]) == (want is None, want and want[0])
             if got is not None:
-                assert holds_in(a, Identity(got.lhs, got.rhs), a.operations)
-                lhs, rhs = labeled_variables(got.lhs, labeling), labeled_variables(got.rhs, labeling)
-                assert (got.lhs_varset, got.rhs_varset) == (lhs, rhs) and lhs != rhs
+                r = got[1]
+                assert holds_in(a, r.identity, a.operations)
+                lhs, rhs = labeled_variables(r.identity.lhs, labeling), labeled_variables(r.identity.rhs, labeling)
+                assert (r.lhs_varset, r.rhs_varset) == (lhs, rhs) and lhs != rhs
                 refuted += 1
     assert refuted > 100
 
     def verdict(a, evidence):
         if isinstance(evidence, ConsistentLabelingFound):
             return evidence
-        return evidence.max_arity, [(r.labeling, r.arity) for r in expanded(a, evidence).refutations]
+        return evidence.max_arity, [r.labeling for r in expanded(a, evidence).refutations]
 
     evidence = [hm_evidence(a) for a in algebras]
     assert all(verify_certificate(a, e) for a, e in zip(algebras, evidence) if isinstance(e, CertifiedHM))
@@ -1489,7 +1527,7 @@ def test_hm_evidence_covers_each_labeling_by_the_entry_that_holds_it(
         symbols = a.symbols()
         for labeling, entry in expand_cover(declarations(a), got.refutations):
             assert list(entry.labeling.sigma) == symbols[: len(entry.labeling.sigma)]
-            lhs, rhs = labeled_variables(entry.lhs, labeling), labeled_variables(entry.rhs, labeling)
+            lhs, rhs = labeled_variables(entry.identity.lhs, labeling), labeled_variables(entry.identity.rhs, labeling)
             assert lhs != rhs and (lhs, rhs) == (entry.lhs_varset, entry.rhs_varset)
         assert expanded(a, got) == want
         kinds["certified"] += 1
@@ -1522,9 +1560,9 @@ def test_hm_evidence_matches_the_search_one_labeling_at_a_time():
             except SizeLimitExceeded:
                 pass
         kinds[got[0]] += 1
-        kinds["survived a closure of rank 3 or above"] += got[0] == "survivor" and got[2] >= 3
+        kinds["survivor at an arity bound of 3 or above"] += got[0] == "survivor" and got[2] >= 3
     assert kinds["raised"] > 30 and kinds["certified"] > 100 and kinds["survivor"] > 100
-    assert kinds["survived a closure of rank 3 or above"] > 50
+    assert kinds["survivor at an arity bound of 3 or above"] > 50
     assert kinds["witnessed labeling survived its closures"] > 150
 
 
@@ -1533,17 +1571,18 @@ def replay_oracle(a, certificate):
     `verify_certificate` or `replay_cover`.  The entries' partial labelings
     are prefixes over the sorted symbols they label, whose blocks, expanded,
     are every labeling of those symbols once and in order (no entry at all
-    when a has a constant).  Each entry, on its own, has an arity from 2 to
-    max_arity and sides that are terms over the arity's variables and a's
-    symbols at their arities, which agree under every assignment by a
-    recursive evaluation of their own; it labels every symbol they use, and
-    its labeled variable sets differ and are the recorded ones."""
+    when a has a constant), under an int max_arity of at least 2 if there is
+    any.  Each entry, on its own, has an identity whose sides are terms over
+    x, y and a's symbols at their arities, which agree under every
+    assignment by a recursive evaluation of their own; it labels every
+    symbol they use, and its labeled variable sets differ and are the
+    recorded ones."""
     if not isinstance(certificate, CertifiedHM) or not isinstance(certificate.max_arity, int):
         return False
     entries = certificate.refutations
-    if not isinstance(entries, tuple):
+    if not isinstance(entries, tuple) or entries and certificate.max_arity < 2:
         return False
-    if not all(isinstance(r, LabelingRefutation) and isinstance(r.labeling, SLLabeling) for r in entries):
+    if not all(isinstance(r, SLRefutation) and isinstance(r.labeling, SLLabeling) for r in entries):
         return False
     if not all(sym in a.operations for r in entries for sym in r.labeling.sigma):
         return False
@@ -1555,13 +1594,13 @@ def replay_oracle(a, certificate):
         return False
     prefixes = [tuple(r.labeling.sigma[sym] for sym in symbols[: len(r.labeling.sigma)]) for r in entries]
     walked = [p + rest for p in prefixes for rest in itertools.product(*choices[len(p):])]
-    return walked == list(itertools.product(*choices)) and all(entry_replays(a, certificate.max_arity, r) for r in entries)
+    return walked == list(itertools.product(*choices)) and all(entry_replays(a, r) for r in entries)
 
 
-def entry_replays(a, max_arity, r):
-    if not isinstance(r.arity, int) or not 2 <= r.arity <= max_arity:
+def entry_replays(a, r):
+    if not isinstance(r.identity, Identity):
         return False
-    names = list("xyzw")[: r.arity] if r.arity <= 4 else [f"x{i + 1}" for i in range(r.arity)]
+    names = ["x", "y"]
 
     def well_formed(t):
         if isinstance(t, Variable):
@@ -1579,35 +1618,35 @@ def entry_replays(a, max_arity, r):
     def symbols(t):
         return set() if isinstance(t, Variable) else {t.symbol}.union(*map(symbols, t.args))
 
-    if not (well_formed(r.lhs) and well_formed(r.rhs) and symbols(r.lhs) | symbols(r.rhs) <= r.labeling.sigma.keys()):
+    lhs, rhs = r.identity
+    if not (well_formed(lhs) and well_formed(rhs) and symbols(lhs) | symbols(rhs) <= r.labeling.sigma.keys()):
         return False
-    envs = (dict(zip(names, values)) for values in itertools.product(range(a.size), repeat=r.arity))
-    if any(value(r.lhs, env) != value(r.rhs, env) for env in envs):
+    envs = (dict(zip(names, values)) for values in itertools.product(range(a.size), repeat=2))
+    if any(value(lhs, env) != value(rhs, env) for env in envs):
         return False
-    sets = labeled_variables(r.lhs, r.labeling), labeled_variables(r.rhs, r.labeling)
+    sets = labeled_variables(lhs, r.labeling), labeled_variables(rhs, r.labeling)
     return sets[0] != sets[1] and sets == (r.lhs_varset, r.rhs_varset)
 
 
 def shared_identity_mutations(a, certificate):
     """Mutations of a certificate at two entries that share one identity
-    object: one entry's recorded sets swapped, one entry's arity made 5,
-    where the variables are x1..x5, the shared identity replaced in both by
-    a false one, x = y, and one of the two entries dropped.  None when no
-    two entries share an identity."""
+    object: one entry's recorded sets swapped, one entry's identity with y
+    named z, which holds and refutes but not over x and y, the shared
+    identity replaced in both by a false one, x = y, and one of the two
+    entries dropped.  None when no two entries share an identity."""
     entries = certificate.refutations
-    pairs = [(i, k) for i, k in itertools.combinations(range(len(entries)), 2)
-             if entries[i].lhs is entries[k].lhs and entries[i].rhs is entries[k].rhs]
+    pairs = [(i, k) for i, k in itertools.combinations(range(len(entries)), 2) if entries[i].identity is entries[k].identity]
     if not pairs:
         return None
     i, k = pairs[0]
-    false = {"lhs": Variable("x"), "rhs": Variable("y"), "lhs_varset": frozenset("x"), "rhs_varset": frozenset("y")}
+    false = {"identity": Identity(Variable("x"), Variable("y")), "lhs_varset": frozenset("x"), "rhs_varset": frozenset("y")}
 
     def changed(changes):  # entry index -> its replacement
         return certificate._replace(refutations=tuple(changes.get(n, r) for n, r in enumerate(entries)))
 
     return [
         changed({k: entries[k]._replace(lhs_varset=entries[k].rhs_varset, rhs_varset=entries[k].lhs_varset)}),
-        changed({k: entries[k]._replace(arity=5)})._replace(max_arity=max(5, certificate.max_arity)),
+        changed({k: with_y_named(entries[k], "z")}),
         changed({n: entries[n]._replace(**false) for n in (i, k)}),
         certificate._replace(refutations=entries[:k] + entries[k + 1:]),
     ]
@@ -1659,8 +1698,8 @@ def test_a_cover_costs_one_check_per_distinct_identity(monkeypatch):
         counted(module, name)
     certificate = hm_evidence(TWO_TERNARY)
     entries = certificate.refutations
-    assert len(entries) == 13 and len({(id(r.lhs), id(r.rhs)) for r in entries}) == 6
-    assert len({(str(r.lhs), str(r.rhs)) for r in entries}) == 6
+    assert len(entries) == 13 and len({id(r.identity) for r in entries}) == 6
+    assert len({str(r.identity) for r in entries}) == 6
     assert calls == {"_refute_rank": 1, "_derived_terms": 1}
     assert verify_certificate(TWO_TERNARY, certificate)
     assert calls == {"_refute_rank": 1, "_derived_terms": 1, "holds_in": 6, "term_symbols": 12}
@@ -1727,11 +1766,12 @@ def test_witness_search_stays_small_when_every_pair_generates_a():
 
 
 def test_a_labeling_that_survives_rank_2_survives_every_rank():
-    """Every labeling the rank-2 closure leaves, closed with all the others
-    at each rank up to the bound, is refuted at none: its algebra of meets
-    is a quotient of F_2, so every identity keeps its labeled sets.  They
-    overflow together or survive together.  Over the seeded draw and the 64
-    two-element ternary algebras at rank 3."""
+    """Every labeling the rank-2 closure leaves is refuted at no rank from 3
+    up to the bound by the oracle `refute_labeling_at`, its own closure of
+    each rank: its algebra of meets is a quotient of F_2, so every identity
+    keeps its labeled sets.  Without a collision its pairs are F_j's
+    elements, so it overflows exactly when the others do.  Over the seeded
+    draw and the 64 two-element ternary algebras at rank 3."""
     corpus = list(seeded_evidence_inputs())
     corpus += [
         (FiniteAlgebra(2, {"t": OperationTable(3, 2, (0, *free, 1))}), 3, DEFAULT_MAX_TUPLES)
@@ -1739,16 +1779,20 @@ def test_a_labeling_that_survives_rank_2_survives_every_rank():
     ]
     kinds = Counter()
     for a, m, max_tuples in corpus:
-        live = _refute_rank(a, 2, max_tuples, [()], [])
+        live = _refute_rank(a, max_tuples, [()], [])
         for j in range(3, m + 1):
             if not live:  # all refuted at rank 2, or all overflowed
                 break
-            decided: list = []
-            survivors = _refute_rank(a, j, max_tuples, live, decided)
-            assert all(isinstance(outcome, SizeLimitExceeded) for _, outcome in decided)
+            survivors, overflowed = [], []
+            for labeling in live:
+                try:
+                    assert refute_labeling_at(a, SLLabeling(dict(zip(a.symbols(), labeling))), j, max_tuples) is None
+                    survivors.append(labeling)
+                except SizeLimitExceeded:
+                    overflowed.append(labeling)
             assert survivors in ([], live)
             kinds["survived a rank above 2"] += len(survivors)
-            kinds["overflowed a rank above 2"] += len(decided)
+            kinds["overflowed a rank above 2"] += len(overflowed)
             live = survivors
     assert kinds["survived a rank above 2"] > 100 and kinds["overflowed a rank above 2"] > 5
 
@@ -1757,12 +1801,12 @@ def test_hm_evidence_tests_each_labeling_for_a_witness_at_most_once(majority_alg
     """The witness search tests P, the first labeling not yet refuted, once:
     after rank 2, or at once when no rank is closed.  One labeling on the
     mod-17 algebras at bound 1, none when rank 2 refutes every labeling,
-    and at most one on each input of the seeded draw.  The draw runs again
-    as if no labeling had a witness, so that P rides every rank up to the
-    bound."""
+    and at most one on each input of the seeded draw, after at most one
+    closure, of rank 2, whatever the arity bound.  The draw runs again as if
+    no labeling had a witness, so that P is a live survivor more often."""
     import hmkit.freecons as freecons
 
-    tested, ranks = [], []
+    tested, closures = [], []
     witness_search, refute_rank = freecons._two_element_witness, freecons._refute_rank
 
     def counting(search):
@@ -1772,9 +1816,9 @@ def test_hm_evidence_tests_each_labeling_for_a_witness_at_most_once(majority_alg
 
         return counting_witness
 
-    def counting_rank(a, j, *args):
-        ranks.append(j)
-        return refute_rank(a, j, *args)
+    def counting_rank(*args):
+        closures.append(args)
+        return refute_rank(*args)
 
     monkeypatch.setattr(freecons, "_two_element_witness", counting(witness_search))
     monkeypatch.setattr(freecons, "_refute_rank", counting_rank)
@@ -1789,14 +1833,15 @@ def test_hm_evidence_tests_each_labeling_for_a_witness_at_most_once(majority_alg
         monkeypatch.setattr(freecons, "_two_element_witness", counting(search))
         for args in seeded_evidence_inputs():
             tested.clear()
-            ranks.clear()
+            closures.clear()
             try:
                 hm_evidence(*args)
             except SizeLimitExceeded:
                 pass
-            assert len(tested) <= 1
-            kinds["one labeling tested over several ranks"] += len(tested) == 1 < len(ranks)
-    assert kinds["one labeling tested over several ranks"] > 50
+            assert len(tested) <= 1 and len(closures) <= 1
+            kinds["one labeling tested after the rank-2 closure", args[1] > 2] += len(tested) == 1 == len(closures)
+    assert kinds["one labeling tested after the rank-2 closure", False] > 50
+    assert kinds["one labeling tested after the rank-2 closure", True] > 50
 
 
 def test_verify_witness_refuses_a_broken_witness_without_raising():
@@ -1883,11 +1928,11 @@ def test_refute_labeling_builds_deep_representatives_without_recursion(monkeypat
     sys.setrecursionlimit(1000)  # CPython's default
     try:
         # the prefix ((1,),) is the labeling f -> {1}, the first coordinate set of arity 2
-        assert _refute_rank(three, 2, n + 1, [((1,),)], decided) == []
+        assert _refute_rank(three, n + 1, [((1,),)], decided) == []
     finally:
         sys.setrecursionlimit(limit)
-    ((prefix, (arity, lhs, rhs, lhs_varset, rhs_varset)),) = decided
-    assert (prefix, arity, lhs) == (((1,),), 2, Variable("x"))
+    ((prefix, ((lhs, rhs), lhs_varset, rhs_varset)),) = decided
+    assert (prefix, lhs) == (((1,),), Variable("x"))
     assert (lhs_varset, rhs_varset) == (frozenset("x"), frozenset("y"))
     assert rhs.symbol == "f" and rhs.args[0] == Variable("y")
     t, nested = rhs.args[1], 0

@@ -796,22 +796,27 @@ def test_sl_interp_search_matches_the_reference():
 
 
 def own_identity(sys_: TermSystem) -> Callable:
-    """The `replay_cover` callback of `ident sl-interp`: a refutation's identity if it is one of the system's."""
-    return lambda r: r.identity if isinstance(r, SLRefutation) and r.identity in sys_.identities else None
+    """The `replay_cover` callback of `ident sl-interp`: is an identity one of the system's?"""
+    return lambda identity: identity in sys_.identities
 
 
 def test_replay_cover_accepts_every_seeded_cover_and_refuses_a_changed_one():
-    """Each seeded UNSAT cover replays.  A dropped, swapped or duplicated
-    entry, a wrong variable set, an identity outside the system, a labeling
-    that names a symbol of another block and an entry that is no record are
-    refused, at the first, an inner and the last entry, without raising."""
+    """Each seeded UNSAT cover replays, asking about each identity object
+    once.  A dropped, swapped or duplicated entry, a wrong variable set, an
+    identity outside the system, a labeling that names a symbol of another
+    block and an entry that is no record are refused, at the first, an inner
+    and the last entry, without raising."""
     kinds = Counter()
     for kind, sys_ in seeded_labeling_systems(random.Random(39)):
         got = sl_interp_search(sys_)
         if not isinstance(got, SLUnsat):
             continue
-        entries, replay = got.refutations, own_identity(sys_)
+        entries, asked = got.refutations, []
+        replay = lambda identity, own=own_identity(sys_): asked.append(identity) or own(identity)  # noqa: E731
         assert replay_cover(sys_.declarations, entries, replay) is True
+        # once per identity object, though entries share them
+        assert sorted(map(id, asked)) == sorted({id(e.identity) for e in entries})
+        kinds["an identity shared by entries"] += len(asked) < len(entries)
         k, parts = cover_block(sys_, got)
         others = sorted(sym for j, part in enumerate(parts) if j != k for sym in part.declarations)
         for at in sorted({0, len(entries) // 2, len(entries) - 1}):
@@ -840,7 +845,7 @@ def test_replay_cover_accepts_every_seeded_cover_and_refuses_a_changed_one():
         kinds[kind] += 1
         kinds["several entries"] += len(entries) > 1
     assert kinds["seeded"] > 150 and kinds["union"] > 100 and kinds["several entries"] > 100
-    assert kinds["outside"] > 200 and kinds["another block"] > 200
+    assert kinds["outside"] > 200 and kinds["another block"] > 200 and kinds["an identity shared by entries"] > 100
 
 
 def test_sl_interp_search_edge_signatures():
